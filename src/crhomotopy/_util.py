@@ -71,24 +71,6 @@ def index_combinations(n: int, k: int):
 # deterministic summation
 # ---------------------------------------------------------------------------
 
-def chunked_sum(values: np.ndarray) -> complex:
-    """Deterministic compensated sum of a 1-d array.
-
-    numpy's pairwise blocks are summed in fixed index order and the block
-    totals are combined with math.fsum, so the result is bit-stable for a
-    fixed input ordering regardless of chunk splits chosen by callers.
-    """
-    block = 4096
-    re_parts = []
-    im_parts = []
-    v = np.asarray(values)
-    for start in range(0, v.size, block):
-        piece = v[start:start + block]
-        re_parts.append(float(np.sum(piece.real)))
-        im_parts.append(float(np.sum(piece.imag)) if np.iscomplexobj(v) else 0.0)
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
-
-
 class RunningSum:
     """Accumulates chunk totals; final reduction via exact fsum."""
 
@@ -116,7 +98,7 @@ class RunningSum:
 
 
 # ---------------------------------------------------------------------------
-# small batched determinants (explicit cofactor formulas; no LAPACK dispatch)
+# small batched determinants (cofactor formulas for k <= 5, LAPACK for k >= 6)
 # ---------------------------------------------------------------------------
 
 def det2(m):
@@ -175,22 +157,12 @@ def det5(m):
     return det5_cols([m[..., j] for j in range(5)])
 
 
-def det6(m):
-    """Unrolled batched 6x6 determinant via the 3+3 column split."""
-    from itertools import combinations as _comb
-    rows = range(6)
-    out = 0
-    for R in _comb(rows, 3):
-        comp = [r for r in rows if r not in R]
-        sign = perm_parity(tuple(R) + tuple(comp))
-        top = det3(m[..., list(R), :][..., :, :3])
-        bottom = det3(m[..., comp, :][..., :, 3:])
-        out = out + sign * top * bottom
-    return out
-
-
 def small_det(m):
-    """Determinant of (..., k, k) stacks for k <= 6 via explicit formulas."""
+    """Determinant of (..., k, k) stacks.
+
+    k <= 5 uses the explicit cofactor formulas above, which beat LAPACK at
+    these sizes; k >= 6 goes to ``np.linalg.det``, one batched LU call.
+    """
     k = m.shape[-1]
     if k == 0:
         return np.ones(m.shape[:-2], dtype=m.dtype)
@@ -204,8 +176,6 @@ def small_det(m):
         return det4(m)
     if k == 5:
         return det5(m)
-    if k == 6:
-        return det6(m)
     return np.linalg.det(m)
 
 
@@ -219,25 +189,6 @@ def loglog_slope(x, y):
     ly = np.log(np.abs(np.asarray(y, dtype=float)))
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
-
-
-def wirtinger_step_points(z, index, step):
-    """Stencil points for central Wirtinger derivatives at coordinate ``index``.
-
-    Returns the four shifted copies (x+_h, x-_h, y+_h, y-_h) of ``z``.
-    """
-    zxp = z.copy(); zxp[index] += step
-    zxm = z.copy(); zxm[index] -= step
-    zyp = z.copy(); zyp[index] += 1j * step
-    zym = z.copy(); zym[index] -= 1j * step
-    return zxp, zxm, zyp, zym
-
-
-def wirtinger_from_stencil(fxp, fxm, fyp, fym, step):
-    """(d/dz, d/dzbar) from central differences of f at the four stencil points."""
-    fx = (fxp - fxm) / (2.0 * step)
-    fy = (fyp - fym) / (2.0 * step)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 # ---------------------------------------------------------------------------

@@ -55,21 +55,6 @@ def normal_direction(model: ManifoldModel, zeta):
     return -vec / norm[..., None]
 
 
-def normal_direction_dzetabar(model: ManifoldModel, zeta):
-    """Analytic Wirtinger derivatives d theta_k / d zetabar_l, shape (m, n).
-
-    Identically zero for m = 1 (the direction is locally constant off M).
-    """
-    vec, norm = model.defining_values(zeta)
-    if norm <= model.tol_on_manifold:
-        raise ThetaUndefinedError("normal direction undefined where rho = 0")
-    grads = model.holo_gradients(zeta)          # (m, n) holomorphic
-    dbar = grads.conj()                         # d rho_k / d zetabar_l
-    # theta_k = -rho_k / rho;  d rho / d zetabar = sum_s rho_s dbar_s / rho
-    drho = np.einsum("s,sl->l", vec, dbar) / norm
-    return -dbar / norm + np.outer(vec, drho) / norm ** 2
-
-
 # ---------------------------------------------------------------------------
 # frame handling (theta-dependent correction frame, scaled)
 # ---------------------------------------------------------------------------
@@ -83,21 +68,6 @@ def scaled_frame_rows(model: ManifoldModel, theta_vec) -> np.ndarray:
 def _unit(theta_vec):
     v = np.asarray(theta_vec, dtype=float)
     return v / np.linalg.norm(v)
-
-
-def frame_theta_derivative(model: ManifoldModel, theta_vec,
-                           step: float = THETA_FD_STEP) -> np.ndarray:
-    """d(scaled rows)/d theta_k by central differences on the unit sphere
-    extension (0-homogeneous), shape (m, n-q-m, n)."""
-    theta_vec = np.asarray(theta_vec, dtype=float)
-    out = np.zeros((model.m,) + scaled_frame_rows(model, theta_vec).shape,
-                   dtype=complex)
-    for k in range(model.m):
-        hi = theta_vec.copy(); hi[k] += step
-        lo = theta_vec.copy(); lo[k] -= step
-        out[k] = (scaled_frame_rows(model, hi)
-                  - scaled_frame_rows(model, lo)) / (2.0 * step)
-    return out
 
 
 # ---------------------------------------------------------------------------

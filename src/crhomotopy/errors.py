@@ -33,10 +33,6 @@ class NearSingularPhaseError(CRHomotopyError):
     """Barrier phase too close to zero for a stable kernel evaluation."""
 
 
-class StencilError(CRHomotopyError):
-    """Finite-difference stencil leaves the admissible domain."""
-
-
 class OutsideTubeError(CRHomotopyError):
     """Requested level-set radius exceeds the chart tube."""
 

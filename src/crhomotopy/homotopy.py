@@ -132,6 +132,20 @@ def _contraction_table(n, field_degree, M_combos):
     return table
 
 
+def _contract(table, gw, coef, det9, keep):
+    """Contract the coefficient determinants with the weighted field over
+    the sign table: per output tuple L, the sum over kept nodes of
+    sign * gw[J] * coef[L, M] * det9[k] over the table rows, shape (nL,)."""
+    N, nL = coef.shape[:2]
+    out = np.zeros(nL, dtype=complex)
+    for li in range(nL):
+        contrib = np.zeros(N, dtype=complex)
+        for k, j_idx, m_idx, sgn in table:
+            contrib += sgn * gw[:, j_idx] * coef[:, li, m_idx] * det9[:, k]
+        out[li] = np.sum(contrib * keep)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # kernel application
 # ---------------------------------------------------------------------------
@@ -235,13 +249,8 @@ def apply_operator_multi(model: ManifoldModel, field: FormField, z_list,
                         eta_t, beta_t, gamma_t, tau, r_out, with_dt=True)
                     if table is None:
                         table = _contraction_table(n, r, Mc)
-                    scale = sign_cross * dt_sign * t_wt
-                    for li in range(nL):
-                        contrib = np.zeros(N, dtype=complex)
-                        for k, j_idx, m_idx, sgn in table:
-                            contrib += sgn * gw[:, j_idx] \
-                                * coef[:, li, m_idx] * det9[:, k]
-                        chunk_total[li] += scale * np.sum(contrib * keep)
+                    chunk_total += sign_cross * dt_sign * t_wt * _contract(
+                        table, gw, coef, det9, keep)
                 accums[zi].add(chunk_total)
             else:
                 eta1, beta1, gamma1, phi = _barrier_section_jets(
@@ -253,13 +262,11 @@ def apply_operator_multi(model: ManifoldModel, field: FormField, z_list,
                     eta1, beta1, gamma1, None, r_out, with_dt=False)
                 if table is None:
                     table = _contraction_table(n, r, Mc)
+                # adding into zeros turns -0.0 into +0.0, so a coefficient
+                # that is exactly zero is reported as 0.0
                 chunk_total = np.zeros(nL, dtype=complex)
-                for li in range(nL):
-                    contrib = np.zeros(N, dtype=complex)
-                    for k, j_idx, m_idx, sgn in table:
-                        contrib += sgn * gw[:, j_idx] \
-                            * coef[:, li, m_idx] * det9[:, k]
-                    chunk_total[li] += sign_cross * np.sum(contrib * keep)
+                chunk_total += sign_cross * _contract(table, gw, coef, det9,
+                                                      keep)
                 accums[zi].add(chunk_total)
 
     prefactor = (-1.0) ** r * factorial(n - 1) / (2.0j * np.pi) ** n

@@ -34,7 +34,6 @@ from .errors import OutsideTubeError
 from .geometry import ManifoldModel
 
 CHUNK = 8192
-SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
 @dataclass
@@ -105,15 +104,15 @@ class QuadratureGrid:
             r = r_min * np.exp(rng.uniform(0.0, np.log(r_max / r_min),
                                            size=count))
             p = r[:, None] * xi
-            area = 2.0 * np.pi ** (D / 2) / _gamma_half(D)
-            density = 1.0 / (area * r ** (D - 1) * r * np.log(r_max / r_min))
+            density = 1.0 / (_sphere_area(D) * r ** (D - 1) * r
+                             * np.log(r_max / r_min))
         else:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         sigma = rng.standard_normal((count, m))
         sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
         if m == 1:
             sigma = np.sign(sigma)
-        weight = SPHERE_AREA[m] / (self.budget * density)
+        weight = _sphere_area(m) / (self.budget * density)
         if np.ndim(weight) == 0:
             weight = np.full(count, float(weight))
         return p, sigma, weight
@@ -214,22 +213,25 @@ class QuadratureGrid:
                    r_min_factor=head["r_min_factor"], t_count=head["t_count"])
 
 
-def _gamma_half(D):
-    """Gamma(D/2) for integer D >= 1."""
+def _sphere_area(D):
+    """Area of the unit sphere S^(D-1) in R^D, 2 pi^(D/2) / Gamma(D/2).
+
+    For D = 1 it is the counting measure of {-1, +1}.
+    """
     from math import gamma
-    return gamma(D / 2.0)
+    return 2.0 * np.pi ** (D / 2) / gamma(D / 2.0)
 
 
 def _sphere_tangent_basis(sigma):
-    """Orthonormal tangent bases of S^(m-1) at each sigma, (N, m, m-1)."""
+    """Orthonormal tangent bases of S^(m-1) at each sigma, (N, m, m-1).
+
+    One stacked QR of [sigma | I]: the first column of each Q is +-sigma and
+    the remaining columns span the tangent space.
+    """
     N, m = sigma.shape
-    out = np.zeros((N, m, m - 1))
-    for i in range(N):
-        full = np.concatenate([sigma[i][:, None], np.eye(m)], axis=1)
-        q, _ = np.linalg.qr(full)
-        # first column is +-sigma; remaining columns span the tangent space
-        out[i] = q[:, 1:m]
-    return out
+    eye = np.broadcast_to(np.eye(m), (N, m, m))
+    q, _ = np.linalg.qr(np.concatenate([sigma[:, :, None], eye], axis=2))
+    return q[:, :, 1:]
 
 
 def _orientation_and_jacobian(nu, vel):
@@ -243,13 +245,12 @@ def _orientation_and_jacobian(nu, vel):
     the real velocity matrix.
     """
     N, n, cols = vel.shape
-    real_vel = np.zeros((N, 2 * n, cols))
-    real_vel[:, 0::2, :] = vel.real
-    real_vel[:, 1::2, :] = vel.imag
-    real_nu = np.zeros((N, 2 * n, 1))
-    real_nu[:, 0::2, 0] = nu.real
-    real_nu[:, 1::2, 0] = nu.imag
-    stacked = np.concatenate([real_nu, real_vel], axis=2)
+    stacked = np.empty((N, 2 * n, cols + 1))
+    stacked[:, 0::2, 0] = nu.real
+    stacked[:, 1::2, 0] = nu.imag
+    stacked[:, 0::2, 1:] = vel.real
+    stacked[:, 1::2, 1:] = vel.imag
+    real_vel = stacked[:, :, 1:]
     block_reorder = (-1.0) ** (n * (n - 1) // 2)
     orient = block_reorder * np.sign(np.linalg.det(stacked))
     gram = np.einsum("Nij,Nik->Njk", real_vel, real_vel)

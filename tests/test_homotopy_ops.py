@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from crhomotopy import fields, geometry
-from crhomotopy._util import index_combinations
-from crhomotopy.errors import CoverError, OutsideTubeError
+from crhomotopy import fields, geometry, homotopy, quadrature
+from crhomotopy._util import index_combinations, small_det
+from crhomotopy.errors import CoverError, GridTooCoarseError, OutsideTubeError
 from crhomotopy.fields import (BumpChart, CutoffPair, FormField, PolyChart,
                                ProductChart, ZeroChart, bundled_test_form,
                                extend_gradient_flow, extend_graph,
@@ -20,6 +20,13 @@ def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
     return QuadratureGrid(model=model, epsilon=eps, budget=budget,
                           mode="mc-shell", seed=seed, center_zp=zp,
                           center_u=w.real, **kw)
+
+
+def assert_sphere_tangent_basis(sigma, tang):
+    """Columns of tang are orthonormal and orthogonal to sigma, per node."""
+    gram = np.einsum("Nia,Nib->Nab", tang, tang)
+    assert np.max(np.abs(gram - np.eye(tang.shape[2]))) < 1e-14
+    assert np.max(np.abs(np.einsum("Ni,Nia->Na", sigma, tang))) < 1e-14
 
 
 class TestExtension:
@@ -273,6 +280,40 @@ class TestGrid:
             dense = np.linalg.det(mat)
             assert abs(dense - (-1) ** n * det9[i, k]) < 1e-10 * abs(dense)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_sphere_tangent_basis_orthonormal(self, m, rng):
+        sigma = rng.standard_normal((50, m))
+        sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        tang = quadrature._sphere_tangent_basis(sigma)
+        assert tang.shape == (50, m, m - 1)
+        assert_sphere_tangent_basis(sigma, tang)
+
+    def test_codimension_four_chunk(self):
+        # n = 7, m = 4, q = 1: the sphere factor is S^3 and the tangent
+        # basis comes from the stacked QR
+        model = geometry.ManifoldModel(n=7, m=4, q=1, hermitian=[
+            np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]),
+            np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, -1.0])])
+        grid = QuadratureGrid(model=model, epsilon=0.1, budget=500, seed=3)
+        chunk = next(grid.chunks())
+        d, m = model.tangential_dim, model.m
+        assert np.all(np.isfinite(chunk.weight)) and np.all(chunk.weight > 0)
+        assert np.array_equal(np.abs(chunk.orient), np.ones(500))
+        # the sphere velocity columns are i eps times the tangent basis
+        tang = chunk.velocity[:, d:, 2 * d + m:].imag / grid.epsilon
+        assert_sphere_tangent_basis(chunk.rho_vec / grid.epsilon, tang)
+
+
+class TestSmallDet:
+    @pytest.mark.parametrize("k", range(8))
+    def test_matches_lapack(self, k, rng):
+        m = (rng.standard_normal((3, 40, k, k))
+             + 1j * rng.standard_normal((3, 40, k, k)))
+        ref = np.linalg.det(m)
+        got = small_det(m)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestOperators:
     def test_zero_form_gives_zero(self, primary):
@@ -321,6 +362,21 @@ class TestOperators:
                               center_u=w0.real)
         res = apply_operator(secondary, f, z, grid, kind="obstruction")
         assert np.max(np.abs(res.ambient)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["solution", "obstruction"])
+    def test_tangent_sign_is_a_gauge(self, secondary, kind, monkeypatch):
+        # a flipped sphere tangent column flips the orientation sign and the
+        # per-node determinants together, so the operator does not move
+        f = bundled_test_form(secondary)
+        z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                  np.array([0.01, -0.01]))
+        grid = centered_grid(secondary, z, budget=1000)
+        base = apply_operator(secondary, f, z, grid, kind=kind).ambient
+        basis = quadrature._sphere_tangent_basis
+        monkeypatch.setattr(quadrature, "_sphere_tangent_basis",
+                            lambda sigma: -basis(sigma))
+        flipped = apply_operator(secondary, f, z, grid, kind=kind).ambient
+        assert np.max(np.abs(flipped - base)) <= 1e-12 * np.max(np.abs(base))
 
     def test_determinism_bit_identical(self, primary):
         f = bundled_test_form(primary)
@@ -449,18 +505,23 @@ class TestIdentityLadder:
                                  seed=11, box_radius=0.8)
         assert rows[0].residual < 0.8 * rows[0].f_norm
 
-    def test_rejection_error_on_degenerate_phase(self, primary):
-        # an uncertified sign-flipped model drives the phase through zero
+    def test_rejection_error_on_degenerate_phase(self, primary, monkeypatch):
+        # an uncertified sign-flipped model: on this grid its phase still
+        # stays near eps / 2 (smallest |phi| / eps is 0.34), so the call
+        # returns with no node rejected
         broken = geometry.ManifoldModel(n=5, m=1, q=2, hermitian=[np.eye(4)])
         f = bundled_test_form(broken)
         z = broken.graph_point(np.array([0.01, 0.0, 0.0, 0.0]),
                                np.array([0.0]))
-        from crhomotopy.errors import GridTooCoarseError
         zp, w = broken.split(z)
         grid = QuadratureGrid(model=broken, epsilon=0.005, budget=3000,
                               mode="mc-shell", seed=2, center_zp=zp,
                               center_u=w.real, box_radius=0.8)
-        try:
+        res = apply_operator(broken, f, z, grid, kind="solution")
+        assert (res.rejected, res.total_nodes) == (0, 3000)
+        assert np.all(np.isfinite(res.ambient))
+        # a rejection floor of eps lies above the phase at most nodes, far
+        # more than REJECT_LIMIT of them, so the call must refuse the grid
+        monkeypatch.setattr(homotopy, "PHASE_REJECT_FACTOR", 1.0)
+        with pytest.raises(GridTooCoarseError, match="/3000 nodes rejected"):
             apply_operator(broken, f, z, grid, kind="solution")
-        except GridTooCoarseError:
-            pass  # acceptable outcome: rejection rate exceeded
