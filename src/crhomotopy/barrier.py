@@ -90,25 +90,19 @@ class BarrierEval:
     Phi: complex           # bilinear phase
 
 
-def evaluate_barrier(model: ManifoldModel, zeta, z, frozen_theta=None,
-                     include_correction: bool = True) -> BarrierEval:
+def evaluate_barrier(model: ManifoldModel, zeta, z) -> BarrierEval:
     """Evaluate the barrier at a point pair with rho(zeta) > 0.
 
-    ``frozen_theta`` switches the direction field to a constant parameter
-    (used to isolate frame-variation effects).  ``include_correction=False``
-    drops the quadratic correction (negative-control mode).
+    The pointwise reference, written independently of the batched
+    :func:`barrier_jets` and :func:`barrier_phase`.
     """
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    theta = (np.asarray(frozen_theta, dtype=float) if frozen_theta is not None
-             else normal_direction(model, zeta))
+    theta = normal_direction(model, zeta)
     w = zeta - z
     Q = np.stack([gradient_section(model, k, zeta, z) for k in range(model.m)])
     F = Q @ w
-    if include_correction:
-        a = scaled_frame_rows(model, theta)
-    else:
-        a = np.zeros((0, model.n), dtype=complex)
+    a = scaled_frame_rows(model, theta)
     A = a @ w
     script_A = float(np.sum(np.abs(A) ** 2))
     P = np.einsum("k,ki->i", theta, Q)
@@ -228,34 +222,27 @@ def _barrier_jets_two_sheet(model: ManifoldModel, zetas, z) -> "BarrierJetBatch"
                            dPhi_dzetabar=dPhi_dzetabar)
 
 
-def barrier_jets(model: ManifoldModel, zetas, z,
-                 frozen_theta=None) -> BarrierJetBatch:
+def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
     """Analytic first jets of (P, Phi) over a zeta batch at fixed z."""
-    if model.m == 1 and frozen_theta is None:
+    if model.m == 1:
         return _barrier_jets_two_sheet(model, zetas, z)
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    N = zetas.shape[0]
     n, m, d = model.n, model.m, model.tangential_dim
     w = zetas - z[None, :]
 
-    if frozen_theta is not None:
-        thetas = np.broadcast_to(np.asarray(frozen_theta, float), (N, m)).copy()
-        dtheta = np.zeros((N, m, n), dtype=complex)
-    else:
-        vec, norm = model.defining_values(zetas)
-        if np.any(norm <= model.tol_on_manifold):
-            raise ThetaUndefinedError("batch contains points on the manifold")
-        thetas = -vec / norm[:, None]
-        grads = model.holo_gradients(zetas)      # (N, m, n)
-        dbar = grads.conj()
-        drho = np.einsum("Ns,Nsl->Nl", vec, dbar) / norm[:, None]
-        dtheta = (-dbar / norm[:, None, None]
-                  + np.einsum("Nk,Nl->Nkl", vec, drho) / (norm ** 2)[:, None, None])
+    vec, norm = model.defining_values(zetas)
+    if np.any(norm <= model.tol_on_manifold):
+        raise ThetaUndefinedError("batch contains points on the manifold")
+    thetas = -vec / norm[:, None]
+    grads = model.holo_gradients(zetas)      # (N, m, n)
+    dbar = grads.conj()
+    drho = np.einsum("Ns,Nsl->Nl", vec, dbar) / norm[:, None]
+    dtheta = (-dbar / norm[:, None, None]
+              + np.einsum("Nk,Nl->Nkl", vec, drho) / (norm ** 2)[:, None, None])
 
     # gradient sections at z (constant over the batch)
     Q = np.stack([gradient_section(model, k, None, z) for k in range(m)])  # (m, n)
-    F = np.einsum("ki,Ni->Nk", Q, w)
     # d Q_k,i / d zbar_l = H_k[l, i] on the z'-block
     dQ_dzbar = np.zeros((m, n, n), dtype=complex)
     for k in range(m):
@@ -278,14 +265,10 @@ def barrier_jets(model: ManifoldModel, zetas, z,
     # with d rows/d zeta_l = sum_k (d rows/d theta_k) d theta_k / d zeta_l and
     # conj(d theta/d zeta_l) = d theta/d zetabar_l for the real direction field.
     mu_tau = rows.conj()                              # (N, c, l)
-    if np.any(dtheta != 0):
-        dconj_rows = np.einsum("Nkci,Nkl->Ncil", drows.conj(), dtheta)
-        mu_nu = np.einsum("Ni,Ncil->Ncl", w.conj(), dconj_rows)
-        drows_dzetabar = np.einsum("Nkci,Nkl->Ncil", drows, dtheta)
-        frame_var = np.einsum("Ncil,Nc->Nli", drows_dzetabar, A.conj())
-    else:
-        mu_nu = np.zeros_like(mu_tau)
-        frame_var = 0.0
+    dconj_rows = np.einsum("Nkci,Nkl->Ncil", drows.conj(), dtheta)
+    mu_nu = np.einsum("Ni,Ncil->Ncl", w.conj(), dconj_rows)
+    drows_dzetabar = np.einsum("Nkci,Nkl->Ncil", drows, dtheta)
+    frame_var = np.einsum("Ncil,Nc->Nli", drows_dzetabar, A.conj())
     dP_dzetabar = np.einsum("Nkl,ki->Nli", dtheta, Q) + frame_var \
         + np.einsum("Nci,Ncl->Nli", rows, mu_tau + mu_nu)
     dPhi_dzetabar = np.einsum("Nli,Ni->Nl", dP_dzetabar, w)
@@ -294,6 +277,28 @@ def barrier_jets(model: ManifoldModel, zetas, z,
     return BarrierJetBatch(P=P, Phi=Phi, dP_dzbar=dP_dzbar,
                            dP_dzetabar=dP_dzetabar, dPhi_dzbar=dPhi_dzbar,
                            dPhi_dzetabar=dPhi_dzetabar)
+
+
+def barrier_phase(model: ManifoldModel, zetas, z,
+                  include_correction: bool = True) -> np.ndarray:
+    """Phase values theta . F + sum |A|^2 over a zeta batch at fixed z.
+
+    ``include_correction=False`` drops the quadratic correction
+    (negative-control mode).  Raises :class:`ThetaUndefinedError` on the
+    manifold, as :func:`barrier_jets` does.
+    """
+    zetas = np.asarray(zetas, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    w = zetas - z[None, :]
+    thetas = normal_direction(model, zetas)
+    Q = np.stack([gradient_section(model, k, None, z) for k in range(model.m)])
+    F = np.einsum("ki,Ni->Nk", Q, w)
+    phi = np.einsum("Nk,Nk->N", thetas, F)
+    if include_correction:
+        rows, _ = _frames_for_thetas(model, thetas, with_derivative=False)
+        A = np.einsum("Nci,Ni->Nc", rows, w)
+        phi = phi + np.sum(np.abs(A) ** 2, axis=1)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +415,7 @@ def audit_barrier_bound(model: ManifoldModel, z, sample_count=10000,
     w = zetas - z[None, :]
     _, rho = model.defining_values(zetas)
     denom = rho + np.sum(np.abs(w) ** 2, axis=1)
-
-    vec, norm = model.defining_values(zetas)
-    thetas = -vec / norm[:, None]
-    Q = np.stack([gradient_section(model, k, None, z) for k in range(model.m)])
-    F = np.einsum("ki,Ni->Nk", Q, w)
-    phi = np.einsum("Nk,Nk->N", thetas, F)
-    if include_correction:
-        rows, _ = _frames_for_thetas(model, thetas)
-        A = np.einsum("Nci,Ni->Nc", rows, w)
-        phi = phi + np.sum(np.abs(A) ** 2, axis=1)
+    phi = barrier_phase(model, zetas, z, include_correction)
     quot_re = phi.real / denom
     quot_abs = np.abs(phi) / denom
     i = int(np.argmin(quot_re))
@@ -444,8 +440,8 @@ class ExpansionReport:
     scales: np.ndarray
 
 
-def audit_barrier_expansion(model: ManifoldModel, z, direction, scales,
-                            freeze_direction=False) -> ExpansionReport:
+def audit_barrier_expansion(model: ManifoldModel, z, direction,
+                            scales) -> ExpansionReport:
     """Order audit of Re Phi against its frozen-direction expansion.
 
     remainder(s) = Re Phi(z + s v, z)
@@ -473,8 +469,7 @@ def audit_barrier_expansion(model: ManifoldModel, z, direction, scales,
     phimag = np.empty(scales.size)
     for idx, s in enumerate(scales):
         zeta = z + s * v
-        ev = evaluate_barrier(model, zeta, z,
-                              frozen_theta=theta_ref if freeze_direction else None)
+        ev = evaluate_barrier(model, zeta, z)
         w = zeta - z
         _, rho = model.defining_values(zeta)
         levi = float(np.einsum("i,ij,j->", w.conj(), form, w).real)

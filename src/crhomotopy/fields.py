@@ -376,23 +376,26 @@ class FormField:
 
     def dbar_field(self, model) -> "FormField":
         """The differential as a lazily evaluated field."""
-        parent = self
-        out_combos = index_combinations(self.n, self.degree + 1)
-
-        def make(idx):
-            def fn(z):
-                return parent.dbar_values(model, z)[..., idx]
-            return CallableChart(fn)
-
-        return FormField(n=self.n, degree=self.degree + 1,
-                         components=[make(i) for i in range(len(out_combos))],
-                         support=self.support)
+        return lazy_field(self.n, self.degree + 1,
+                          lambda z: self.dbar_values(model, z), self.support)
 
     def scaled_by(self, chart_fn) -> "FormField":
         return FormField(
             n=self.n, degree=self.degree,
             components=[ProductChart(chart_fn, c) for c in self.components],
             support="cutoff")
+
+
+def lazy_field(n, degree, values_fn, support) -> FormField:
+    """Field whose component i is column i of ``values_fn(z)``, an array of
+    shape (..., C(n, degree)), evaluated when the component is."""
+    def make(idx):
+        return CallableChart(lambda z: values_fn(z)[..., idx])
+
+    return FormField(n=n, degree=degree,
+                     components=[make(i) for i in
+                                 range(len(index_combinations(n, degree)))],
+                     support=support)
 
 
 def wedge_covector_values(n, degree, covector, values):
@@ -485,16 +488,9 @@ def tangential_dbar_values(model: ManifoldModel, field: FormField, z):
 
 
 def tangential_dbar_field(model: ManifoldModel, field: FormField) -> FormField:
-    out_combos = index_combinations(model.n, field.degree + 1)
-
-    def make(idx):
-        def fn(z):
-            return tangential_dbar_values(model, field, z)[..., idx]
-        return CallableChart(fn)
-
-    return FormField(n=model.n, degree=field.degree + 1,
-                     components=[make(i) for i in range(len(out_combos))],
-                     support=field.support)
+    return lazy_field(model.n, field.degree + 1,
+                      lambda z: tangential_dbar_values(model, field, z),
+                      field.support)
 
 
 # ---------------------------------------------------------------------------

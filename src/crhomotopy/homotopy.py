@@ -22,59 +22,17 @@ from math import factorial
 
 import numpy as np
 
-from . import barrier as _barrier
 from ._util import (RunningSum, det5_cols, index_combinations,
                     merge_sorted, small_det)
 from .errors import GridTooCoarseError
-from .fields import (FormField, project_tangential, tangential_components,
-                     wedge_covector_values)
-from .geometry import ManifoldModel
+from .fields import (FormField, lazy_field, project_tangential,
+                     tangential_components, wedge_covector_values)
+from .geometry import ManifoldModel, holomorphic_tangent_rows
 from .quadrature import QuadratureGrid
+from .sections import barrier_section_jets, bochner_martinelli_jets
 
 PHASE_REJECT_FACTOR = 1e-10
 REJECT_LIMIT = 0.01
-
-
-# ---------------------------------------------------------------------------
-# batched section jets
-# ---------------------------------------------------------------------------
-
-def _bm_jets(zetas, z):
-    """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]."""
-    w = zetas - z[None, :]
-    S = np.sum(np.abs(w) ** 2, axis=1)
-    n = w.shape[1]
-    eye = np.eye(n)
-    outer = np.einsum("Nk,Nl->Nkl", w.conj(), w)
-    inv_s = 1.0 / S
-    inv_s2 = inv_s ** 2
-    eta = w.conj() * inv_s[:, None]
-    beta = -eye[None, :, :] * inv_s[:, None, None] + outer * inv_s2[:, None, None]
-    gamma = -beta
-    return eta, beta, gamma
-
-
-def _barrier_section_jets(model, zetas, z):
-    """Barrier section values/jets over a batch (eta, beta, gamma, phi).
-
-    The returned phi is the raw phase (rejection decisions use it); the
-    divisions are floored away from exact zero so a rejected node cannot
-    poison the chunk with non-finite values.
-    """
-    jets = _barrier.barrier_jets(model, zetas, z)
-    phi = jets.Phi
-    phi_safe = np.where(np.abs(phi) < 1e-300, 1.0, phi)
-    inv = 1.0 / phi_safe
-    inv2 = inv ** 2
-    eta = jets.P * inv[:, None]
-    # beta[k, l] = dP[l, k]/phi - P[k] dphi[l]/phi^2
-    beta = (np.swapaxes(jets.dP_dzbar, 1, 2) * inv[:, None, None]
-            - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzbar)
-            * inv2[:, None, None])
-    gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
-             - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzetabar)
-             * inv2[:, None, None])
-    return eta, beta, gamma, phi
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +191,8 @@ def apply_operator_multi(model: ManifoldModel, field: FormField, z_list,
 
         for zi, z in enumerate(z_list):
             if kind == "solution":
-                eta0, beta0, gamma0 = _bm_jets(chunk.zeta, z)
-                eta1, beta1, gamma1, phi = _barrier_section_jets(
+                eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
+                eta1, beta1, gamma1, phi = barrier_section_jets(
                     model, chunk.zeta, z)
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
                 rejected[zi] += int(np.sum(bad & live))
@@ -253,7 +211,7 @@ def apply_operator_multi(model: ManifoldModel, field: FormField, z_list,
                         table, gw, coef, det9, keep)
                 accums[zi].add(chunk_total)
             else:
-                eta1, beta1, gamma1, phi = _barrier_section_jets(
+                eta1, beta1, gamma1, phi = barrier_section_jets(
                     model, chunk.zeta, z)
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
                 rejected[zi] += int(np.sum(bad & live))
@@ -299,24 +257,14 @@ def tangential_dbar_scalar(model: ManifoldModel, scalar_fn, z,
                            step: float = 1e-4):
     """Components of dbar_M u against the conjugate tangent frame.
 
-    u is any function evaluable near the manifold (values are taken at graph
-    projections, matching the graph-constant extension).  The conjugate frame
-    derivative is assembled from two real directional derivatives per frame
-    vector: Wbar = (U + iV)/2 with U, V the real and rotated frame flows.
+    u is any function evaluable near the manifold, taken at the
+    graph-projected points of :func:`conjugate_frame_stencil` (matching the
+    graph-constant extension) and assembled by
+    :func:`assemble_conjugate_frame_derivative`.
     """
-    from .geometry import holomorphic_tangent_rows
-    z = np.asarray(z, dtype=complex)
-    rows = holomorphic_tangent_rows(model, z)  # velocities of the real parts
-    d = model.tangential_dim
-    out = np.empty(d, dtype=complex)
-    for i in range(d):
-        a = rows[i]
-        du = (scalar_fn(model.project_to_manifold(z + step * a))
-              - scalar_fn(model.project_to_manifold(z - step * a))) / (2 * step)
-        dv = (scalar_fn(model.project_to_manifold(z + step * 1j * a))
-              - scalar_fn(model.project_to_manifold(z - step * 1j * a))) / (2 * step)
-        out[i] = 0.5 * (du + 1j * dv)
-    return out
+    values = [scalar_fn(p) for p in conjugate_frame_stencil(model, z, step)]
+    return assemble_conjugate_frame_derivative(values, model.tangential_dim,
+                                               step)
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +314,12 @@ def glue_obstruction(model: ManifoldModel, covers, field: FormField, z,
 
 def _cutoff_wedge_field(model, cutoff, field: FormField) -> FormField:
     """(dbar cutoff) wedge field as an evaluable form field of degree r+1."""
-    from .fields import CallableChart
-    out_combos = index_combinations(model.n, field.degree + 1)
+    def values(z):
+        return wedge_covector_values(model.n, field.degree,
+                                     cutoff.d_zbar(model, z),
+                                     field.values(model, z))
 
-    def component(idx):
-        def fn(z):
-            cov = cutoff.d_zbar(model, z)
-            vals = field.values(model, z)
-            return wedge_covector_values(model.n, field.degree, cov,
-                                         vals)[..., idx]
-        return CallableChart(fn)
-
-    return FormField(n=model.n, degree=field.degree + 1,
-                     components=[component(i) for i in range(len(out_combos))],
-                     support="cutoff")
+    return lazy_field(model.n, field.degree + 1, values, "cutoff")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +339,6 @@ class ResidualRow:
 def conjugate_frame_stencil(model: ManifoldModel, z, step: float):
     """Stencil points for the conjugate-frame derivative of an on-manifold
     scalar: 4 graph-projected shifts per frame direction."""
-    from .geometry import holomorphic_tangent_rows
     z = np.asarray(z, dtype=complex)
     rows = holomorphic_tangent_rows(model, z)
     points = []
@@ -438,7 +377,7 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
         raise ValueError("identity residual is implemented for (0,1) inputs")
     if fd_step is None:
         fd_step = 2e-3 * epsilon
-    dbar_field = _analytic_dbar_field(model, field)
+    dbar_field = field.dbar_field(model)
     d = model.tangential_dim
     rows = []
     for idx, z in enumerate(z_points):
@@ -470,17 +409,3 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
             }))
     return rows
 
-
-def _analytic_dbar_field(model, field: FormField) -> FormField:
-    """Ambient differential of a chart-coefficient field as a FormField."""
-    from .fields import CallableChart
-    out_combos = index_combinations(model.n, field.degree + 1)
-
-    def component(idx):
-        def fn(z):
-            return field.dbar_values(model, z)[..., idx]
-        return CallableChart(fn)
-
-    return FormField(n=model.n, degree=field.degree + 1,
-                     components=[component(i) for i in range(len(out_combos))],
-                     support=field.support)

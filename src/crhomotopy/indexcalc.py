@@ -535,7 +535,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
     one-form restricted to the level set is eps times the angular form).
     Requires integral phase power.
     """
-    from .barrier import gradient_section, _frames_for_thetas
+    from .barrier import barrier_phase
     from .quadrature import QuadratureGrid
 
     if term.phase_power.denominator != 1:
@@ -555,15 +555,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
         for chunk in grid.chunks():
             w = chunk.zeta - z[None, :]
             dist = np.linalg.norm(w, axis=1)
-            vec, norm = model.defining_values(chunk.zeta)
-            thetas = -vec / norm[:, None]
-            Q = np.stack([gradient_section(model, kk, None, z)
-                          for kk in range(model.m)])
-            F = np.einsum("ki,Ni->Nk", Q, w)
-            phi = np.einsum("Nk,Nk->N", thetas, F)
-            rows, _ = _frames_for_thetas(model, thetas, with_derivative=False)
-            A = np.einsum("Nci,Ni->Nc", rows, w)
-            phi = phi + np.sum(np.abs(A) ** 2, axis=1)
+            phi = barrier_phase(model, chunk.zeta, z)
             # level-independent cutoff region: chart parameter distance
             zp_n, w_n = model.split(chunk.zeta)
             pdist = np.sqrt(np.sum(np.abs(zp_n - zp[None, :]) ** 2, axis=1)

@@ -14,8 +14,7 @@ Samplers:
 
 - ``mc-uniform``: uniform in a parameter box times the uniform sphere;
 - ``mc-shell``:   log-radial stratification around an evaluation center, the
-                  variance reducer for near-singular kernels;
-- ``tensor``:     small lattice grids for low-dimensional validation.
+                  variance reducer for near-singular kernels.
 
 Node streams are regenerated from the seed on every pass (grids are cheap to
 re-create and costly to store), in fixed chunk order, so accumulations are
@@ -34,6 +33,7 @@ from .errors import OutsideTubeError
 from .geometry import ManifoldModel
 
 CHUNK = 8192
+MODES = ("mc-uniform", "mc-shell")
 
 
 @dataclass
@@ -62,6 +62,8 @@ class QuadratureGrid:
     t_count: int = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown sampling mode {self.mode!r}")
         if not 0 < self.epsilon < 0.5 * self.model.radius:
             raise OutsideTubeError(
                 f"epsilon {self.epsilon} outside (0, {0.5 * self.model.radius})")
@@ -80,9 +82,6 @@ class QuadratureGrid:
     def chunks(self):
         rng = np.random.default_rng(self.seed)
         remaining = self.budget
-        if self.mode == "tensor":
-            yield from self._tensor_chunks()
-            return
         while remaining > 0:
             count = min(CHUNK, remaining)
             remaining -= count
@@ -94,9 +93,9 @@ class QuadratureGrid:
         if self.mode == "mc-uniform":
             p = rng.uniform(-self.box_radius, self.box_radius, size=(count, D))
             density = (2.0 * self.box_radius) ** (-D)
-        elif self.mode == "mc-shell":
-            # box_radius acts as the covering radius: every parameter point
-            # within that distance of the center is reachable
+        else:
+            # mc-shell: box_radius acts as the covering radius, so every
+            # parameter point within that distance of the center is reachable
             r_min = self.r_min_factor * self.epsilon
             r_max = 1.05 * self.box_radius
             xi = rng.standard_normal((count, D))
@@ -106,8 +105,6 @@ class QuadratureGrid:
             p = r[:, None] * xi
             density = 1.0 / (_sphere_area(D) * r ** (D - 1) * r
                              * np.log(r_max / r_min))
-        else:
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
         sigma = rng.standard_normal((count, m))
         sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
         if m == 1:
@@ -116,25 +113,6 @@ class QuadratureGrid:
         if np.ndim(weight) == 0:
             weight = np.full(count, float(weight))
         return p, sigma, weight
-
-    def _tensor_chunks(self):
-        d, m = self.model.tangential_dim, self.model.m
-        D = self.param_dim
-        if m != 1:
-            raise ValueError("tensor grids implemented for m = 1 only")
-        per_axis = max(2, int(round((self.budget / 2) ** (1.0 / D))))
-        axes = [np.linspace(-self.box_radius, self.box_radius, per_axis,
-                            endpoint=False)
-                + self.box_radius / per_axis for _ in range(D)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        p = np.stack([a.ravel() for a in mesh], axis=-1)
-        cell = (2.0 * self.box_radius / per_axis) ** D
-        for sheet in (1.0, -1.0):
-            sigma = np.full((p.shape[0], 1), sheet)
-            weight = np.full(p.shape[0], cell)
-            for start in range(0, p.shape[0], CHUNK):
-                sl = slice(start, start + CHUNK)
-                yield self._assemble((p[sl], sigma[sl], weight[sl]))
 
     # -- geometry of the parameterization ----------------------------------
 

@@ -3,6 +3,8 @@
 A section is a map eta(zeta, z, t) with sum_k eta_k (zeta_k - z_k) = 1.  Two
 concrete sections are provided: the euclidean (Bochner-Martinelli) section
 and the barrier section; the homotopy kernel interpolates them linearly in t.
+Their jets are computed over a zeta batch at fixed z (the quadrature path);
+the single-point sections are N = 1 calls on the same functions.
 """
 
 from __future__ import annotations
@@ -31,51 +33,78 @@ class SectionJet:
     d_zbar: np.ndarray
     d_zetabar: np.ndarray
     d_t: np.ndarray
-    mode: str = "analytic"
 
     def normalization_defect(self, zeta, z) -> float:
         return abs(complex(np.sum(self.value * (np.asarray(zeta) - np.asarray(z)))) - 1.0)
 
 
 # ---------------------------------------------------------------------------
-# concrete sections
+# batched section jets over a zeta batch at fixed z
+# ---------------------------------------------------------------------------
+
+def bochner_martinelli_jets(zetas, z):
+    """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]
+    with beta = d eta / d zbar and gamma = d eta / d zetabar."""
+    w = zetas - z[None, :]
+    S = np.sum(np.abs(w) ** 2, axis=1)
+    if np.any(S == 0.0):
+        raise SingularityError("euclidean section is singular at zeta = z")
+    n = w.shape[1]
+    eye = np.eye(n)
+    outer = np.einsum("Nk,Nl->Nkl", w.conj(), w)
+    inv_s = 1.0 / S
+    inv_s2 = inv_s ** 2
+    eta = w.conj() * inv_s[:, None]
+    beta = -eye[None, :, :] * inv_s[:, None, None] + outer * inv_s2[:, None, None]
+    gamma = -beta
+    return eta, beta, gamma
+
+
+def barrier_section_jets(model: ManifoldModel, zetas, z):
+    """Barrier section values/jets over a batch (eta, beta, gamma, phi).
+
+    The returned phi is the raw phase (rejection decisions use it); the
+    divisions are floored away from exact zero so a rejected node cannot
+    poison the chunk with non-finite values.
+    """
+    jets = _barrier.barrier_jets(model, zetas, z)
+    phi = jets.Phi
+    phi_safe = np.where(np.abs(phi) < 1e-300, 1.0, phi)
+    inv = 1.0 / phi_safe
+    inv2 = inv ** 2
+    eta = jets.P * inv[:, None]
+    # beta[k, l] = dP[l, k]/phi - P[k] dphi[l]/phi^2
+    beta = (np.swapaxes(jets.dP_dzbar, 1, 2) * inv[:, None, None]
+            - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzbar)
+            * inv2[:, None, None])
+    gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
+             - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzetabar)
+             * inv2[:, None, None])
+    return eta, beta, gamma, phi
+
+
+# ---------------------------------------------------------------------------
+# single-point sections (N = 1 calls on the batched jets)
 # ---------------------------------------------------------------------------
 
 def bochner_martinelli_section(zeta, z) -> SectionJet:
     """eta = conj(zeta - z) / |zeta - z|^2 with analytic jets."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    w = zeta - z
-    s = float(np.sum(np.abs(w) ** 2))
-    if s == 0.0:
-        raise SingularityError("euclidean section is singular at zeta = z")
-    n = w.shape[0]
-    eye = np.eye(n)
-    outer = np.outer(w.conj(), w)
-    d_zbar = (-eye * s + outer) / s ** 2
-    d_zetabar = (eye * s - outer) / s ** 2
-    return SectionJet(value=w.conj() / s, d_zbar=d_zbar, d_zetabar=d_zetabar,
-                      d_t=np.zeros(n, dtype=complex))
+    eta, beta, gamma = bochner_martinelli_jets(zeta[None, :], z)
+    return SectionJet(value=eta[0], d_zbar=beta[0], d_zetabar=gamma[0],
+                      d_t=np.zeros(z.shape[0], dtype=complex))
 
 
-def barrier_section(model: ManifoldModel, zeta, z, frozen_theta=None,
-                    phase_tol: float = PHASE_TOL) -> SectionJet:
+def barrier_section(model: ManifoldModel, zeta, z) -> SectionJet:
     """eta = P / Phi with analytic jets from the barrier construction."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    jets = _barrier.barrier_jets(model, zeta[None, :], z,
-                                 frozen_theta=frozen_theta)
-    phi = complex(jets.Phi[0])
-    if abs(phi) < phase_tol:
+    eta, beta, gamma, phi = barrier_section_jets(model, zeta[None, :], z)
+    if abs(phi[0]) < PHASE_TOL:
         raise NearSingularPhaseError(
-            f"phase magnitude {abs(phi):.3e} below tolerance {phase_tol:.1e}")
-    P = jets.P[0]
-    # d eta_k / d x_l = dP[l, k]/Phi - P[k] dPhi[l] / Phi^2
-    d_zbar = (jets.dP_dzbar[0].T / phi
-              - np.outer(P, jets.dPhi_dzbar[0]) / phi ** 2)
-    d_zetabar = (jets.dP_dzetabar[0].T / phi
-                 - np.outer(P, jets.dPhi_dzetabar[0]) / phi ** 2)
-    return SectionJet(value=P / phi, d_zbar=d_zbar, d_zetabar=d_zetabar,
+            f"phase magnitude {abs(phi[0]):.3e} below tolerance {PHASE_TOL:.1e}")
+    return SectionJet(value=eta[0], d_zbar=beta[0], d_zetabar=gamma[0],
                       d_t=np.zeros(model.n, dtype=complex))
 
 
@@ -87,15 +116,14 @@ def combined_section(s1: SectionJet, s2: SectionJet, t: float) -> SectionJet:
         d_zbar=one_minus * s1.d_zbar + t * s2.d_zbar,
         d_zetabar=one_minus * s1.d_zetabar + t * s2.d_zetabar,
         d_t=(s2.value - s1.value) + one_minus * s1.d_t + t * s2.d_t,
-        mode=s1.mode if s1.mode == s2.mode else "mixed",
     )
 
 
 def fd_section_jet(value_fn, zeta, z, t, step=1e-6) -> SectionJet:
     """Jets of an arbitrary section by central Wirtinger differences.
 
-    Independent of the analytic jet formulas; used as a cross-check oracle
-    and as the fallback for sections without closed-form derivatives.
+    Independent of the analytic jet formulas: the finite-difference oracle
+    that the tests check the analytic jets against.
     """
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -119,8 +147,7 @@ def fd_section_jet(value_fn, zeta, z, t, step=1e-6) -> SectionJet:
             arr[:, l] = 0.5 * (fx + 1j * fy)
     d_t = (np.asarray(value_fn(zeta, z, t + step), dtype=complex)
            - np.asarray(value_fn(zeta, z, t - step), dtype=complex)) / (2 * step)
-    return SectionJet(value=val, d_zbar=d_zbar, d_zetabar=d_zetabar, d_t=d_t,
-                      mode="fd")
+    return SectionJet(value=val, d_zbar=d_zbar, d_zetabar=d_zetabar, d_t=d_t)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ import pytest
 
 from crhomotopy import barrier, fields, geometry, indexcalc, norms, sections
 from crhomotopy.cf_forms import cf_component
-from crhomotopy.homotopy import (apply_operator, identity_residual,
-                                 _barrier_section_jets)
+from crhomotopy.homotopy import apply_operator, identity_residual
+from crhomotopy.sections import barrier_section_jets as _barrier_section_jets
 from crhomotopy.quadrature import QuadratureGrid
 from oracles import brute_wedge_expansion
 

@@ -63,11 +63,20 @@ class TestBarrierEval:
                 assert abs(ev.theta @ ev.F + ev.script_A - ev.Phi) \
                     < 1e-12 * max(1, abs(ev.Phi))
                 assert ev.script_A >= 0
+                # the batched phase agrees with the pointwise reference
+                phi, = barrier.barrier_phase(model, zeta[None, :], z)
+                assert abs(phi - ev.Phi) < 1e-12 * abs(ev.Phi)
+                phi0, = barrier.barrier_phase(model, zeta[None, :], z,
+                                              include_correction=False)
+                assert abs(phi0 - ev.theta @ ev.F) \
+                    < 1e-12 * abs(ev.theta @ ev.F)
 
     def test_theta_undefined_on_manifold(self, primary):
         z = np.zeros(5, dtype=complex)
         with pytest.raises(ThetaUndefinedError):
             barrier.evaluate_barrier(primary, z, z)
+        with pytest.raises(ThetaUndefinedError):
+            barrier.barrier_phase(primary, z[None, :], z)
 
     def test_exact_expansion_identity(self, primary, secondary, rng):
         # Re Phi = rho/2 + levi/2 + correction, exactly, any pair

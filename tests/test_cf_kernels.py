@@ -226,8 +226,9 @@ class TestSphereReproduction:
         # end-to-end calibration of the reproduction constant and the
         # surface orientation at n = 2
         from math import factorial, gamma as gamma_fn, pi
-        from crhomotopy.homotopy import (_bm_jets, _component_coefficients,
+        from crhomotopy.homotopy import (_component_coefficients,
                                          _contraction_table)
+        from crhomotopy.sections import bochner_martinelli_jets as _bm_jets
         n, N = 2, 120000
         z = np.array([0.1 + 0.05j, -0.2 + 0.1j])
         x = rng.standard_normal((N, 2 * n))

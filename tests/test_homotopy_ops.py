@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,11 @@ class TestTangentialDbar:
         from crhomotopy.fields import tangential_dbar_field
         df = tangential_dbar_field(primary, f)
         z = primary.graph_point(0.12 * np.ones(4) + 0j, np.zeros(1))
+        # the lazy fields evaluate to the arrays they wrap
+        assert np.array_equal(df.values(primary, z[None, :]),
+                              tangential_dbar_values(primary, f, z[None, :]))
+        assert np.array_equal(f.dbar_field(primary).values(primary, z[None, :]),
+                              f.dbar_values(primary, z[None, :]))
 
         # second differential by finite differences of the first
         def df_vals(pts):
@@ -256,6 +263,13 @@ class TestGrid:
         grid.save(path)
         with pytest.raises(ValueError, match="different model"):
             QuadratureGrid.load(path, secondary)
+        # an unknown sampling mode fails when the grid is built, before the
+        # first chunk
+        head = grid.header()
+        head["mode"] = "tensor"
+        path.write_text(json.dumps(head))
+        with pytest.raises(ValueError, match="unknown sampling mode 'tensor'"):
+            QuadratureGrid.load(path, primary)
 
     def test_dense_determinant_factorization(self, primary):
         # the dt row contributes exactly (-1)^n relative to the reduced
@@ -469,8 +483,7 @@ class TestGluedIdentity:
     def test_glued_operators_satisfy_identity_budget(self, primary):
         # the glued solution/obstruction pair reproduces the test form at the
         # same tolerance budget as the local run at this rung
-        from crhomotopy.homotopy import (_analytic_dbar_field,
-                                         assemble_conjugate_frame_derivative,
+        from crhomotopy.homotopy import (assemble_conjugate_frame_derivative,
                                          conjugate_frame_stencil)
         from crhomotopy.fields import tangential_components
         f = bundled_test_form(primary)
@@ -484,8 +497,7 @@ class TestGluedIdentity:
         vals = [complex(glue_solution(primary, [pair], f, p, [grid])[0])
                 for p in stencil]
         dbar_r1 = assemble_conjugate_frame_derivative(vals, 4, step)
-        r2 = glue_solution(primary, [pair], _analytic_dbar_field(primary, f),
-                           z, [grid])
+        r2 = glue_solution(primary, [pair], f.dbar_field(primary), z, [grid])
         r2_tan = tangential_components(primary, r2[None, :], z[None, :], 1)[0]
         h_tan = tangential_components(
             primary, glue_obstruction(primary, [pair], f, z, [grid])[None, :],
