@@ -56,9 +56,6 @@ class FormTensor:
             return 0.0
         return sz * sx * self.coeffs.get((tz, tx, int(dt)), 0.0)
 
-    def bidegrees(self):
-        return sorted({(len(k[0]), len(k[1]), k[2]) for k in self.coeffs})
-
     def component(self, zbar_degree: int) -> "FormTensor":
         """Part with exactly ``zbar_degree`` dzbar factors."""
         out = FormTensor(self.n, volume_flag=self.volume_flag)

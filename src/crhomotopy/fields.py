@@ -351,7 +351,13 @@ class FormField:
                 f"need {len(self.combos)} components, got {len(self.components)}")
 
     def values(self, model, z):
-        """(..., ncomb) coefficient array at points z."""
+        """(..., ncomb) coefficient array at points z.  A field made by
+        :func:`lazy_field` calls its array-valued function once."""
+        source = getattr(self.components[0], "source", None)
+        if source is not None and all(
+                getattr(c, "source", None) is source and c.idx == i
+                for i, c in enumerate(self.components)):
+            return source(np.asarray(z, dtype=complex))
         cols = [c.value(model, z) for c in self.components]
         return np.stack(cols, axis=-1)
 
@@ -386,14 +392,20 @@ class FormField:
             support="cutoff")
 
 
+class ColumnChart(CallableChart):
+    """Column ``idx`` of an array-valued function ``source(z)``."""
+
+    def __init__(self, source, idx):
+        super().__init__(lambda z: source(z)[..., idx])
+        self.source = source
+        self.idx = idx
+
+
 def lazy_field(n, degree, values_fn, support) -> FormField:
     """Field whose component i is column i of ``values_fn(z)``, an array of
-    shape (..., C(n, degree)), evaluated when the component is."""
-    def make(idx):
-        return CallableChart(lambda z: values_fn(z)[..., idx])
-
+    shape (..., C(n, degree)); ``FormField.values`` evaluates it once."""
     return FormField(n=n, degree=degree,
-                     components=[make(i) for i in
+                     components=[ColumnChart(values_fn, i) for i in
                                  range(len(index_combinations(n, degree)))],
                      support=support)
 

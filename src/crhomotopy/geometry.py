@@ -124,10 +124,6 @@ class ManifoldModel:
         zp, w = self.split(z)
         return self.graph_point(zp, w.real)
 
-    def on_manifold(self, z, tol=None) -> bool:
-        tol = self.tol_on_manifold if tol is None else tol
-        return bool(np.all(self.defining_values(z)[1] <= tol))
-
     # -- derivatives (all exact for the quadric) --------------------------
 
     def holo_gradient(self, k, z):

@@ -12,6 +12,11 @@ pairs only with the unit-interval direction, contributing a fixed sign
 (-1)^n after being moved past the dzeta block; the remaining (2n-1) square
 block is the per-node determinant det9[k].  This factorization is validated
 against a dense determinant in the test suite.
+
+Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
+t tau part of eta_t = eta0 + t tau cancels against the tau column: the
+t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
+sign table, det9 and the form values fold into per-chunk weights W[:, M].
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 from ._util import (RunningSum, det5_cols, index_combinations,
                     merge_sorted, small_det)
 from .errors import GridTooCoarseError
-from .fields import (FormField, lazy_field, project_tangential,
-                     tangential_components, wedge_covector_values)
+from .fields import (FormField, lazy_field, tangential_components,
+                     wedge_covector_values)
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 from .quadrature import QuadratureGrid
 from .sections import barrier_section_jets, bochner_martinelli_jets
@@ -62,14 +67,9 @@ def _component_coefficients(eta, beta, gamma, tau, r_out, with_dt):
             cols.extend(gamma[:, :, m] for m in M)
             if with_dt:
                 cols.append(tau)
-            coef[:, li, mi] = _det_from_cols(cols)
+            coef[:, li, mi] = (det5_cols(cols) if len(cols) == 5
+                               else small_det(np.stack(cols, axis=-1)))
     return Lout_combos, M_combos, coef
-
-
-def _det_from_cols(cols):
-    if len(cols) == 5:
-        return det5_cols(cols)
-    return small_det(np.stack(cols, axis=-1))
 
 
 def _contraction_table(n, field_degree, M_combos):
@@ -83,25 +83,39 @@ def _contraction_table(n, field_degree, M_combos):
         comp = tuple(i for i in range(n) if i != k)
         for J in combinations(comp, field_degree):
             M = tuple(i for i in comp if i not in J)
-            if M not in M_pos:
-                continue
             sign, _ = merge_sorted(J, M)
             table.append((k, J_pos[J], M_pos[M], sign))
     return table
 
 
-def _contract(table, gw, coef, det9, keep):
-    """Contract the coefficient determinants with the weighted field over
-    the sign table: per output tuple L, the sum over kept nodes of
-    sign * gw[J] * coef[L, M] * det9[k] over the table rows, shape (nL,)."""
-    N, nL = coef.shape[:2]
-    out = np.zeros(nL, dtype=complex)
-    for li in range(nL):
-        contrib = np.zeros(N, dtype=complex)
-        for k, j_idx, m_idx, sgn in table:
-            contrib += sgn * gw[:, j_idx] * coef[:, li, m_idx] * det9[:, k]
-        out[li] = np.sum(contrib * keep)
-    return out
+def _fold_weights(table, gw, det9, nM):
+    """Point-independent contraction weights of one chunk, shape (N, nM):
+    W[:, M] = sum of sign * gw[:, J] * det9[:, k] over the table rows of M.
+    A point's chunk total is then the sum over nodes and M of
+    W[:, M] * coef[:, L, M]."""
+    W = np.zeros((gw.shape[0], nM), dtype=complex)
+    for k, j_idx, m_idx, sgn in table:
+        W[:, m_idx] += sgn * gw[:, j_idx] * det9[:, k]
+    return W
+
+
+def _field_plan(n, r, kind):
+    """(r_out, sign table, nM, sign) of the operator on degree-r input."""
+    r_out = {"solution": r - 1, "obstruction": r}.get(kind)
+    if r_out is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    if r_out < 0:
+        raise ValueError("solution operator needs input degree >= 1")
+    if r_out > n - 1:
+        raise ValueError("output degree exceeds the form bound")
+    M_combos = index_combinations(n, n - 1 - r)
+    sign = (-1.0) ** (r * r_out)
+    if kind == "solution":
+        # (-1)^n moves the dt row past the dzeta block; the extra flip
+        # realizes the interval-first product orientation, calibrated once
+        # against the reproduction identity (see tests)
+        sign *= -((-1.0) ** n)
+    return r_out, _contraction_table(n, r, M_combos), len(M_combos), sign
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +135,6 @@ class OperatorResult:
         return tangential_components(model, self.ambient[None, :], z,
                                      self.degree)[0]
 
-    def projected(self, model, z):
-        return project_tangential(model, self.ambient[None, :], z,
-                                  self.degree)[0]
-
 
 def _det9_blocks(velocity):
     """Per-node determinants of the functional rows with one dzetabar index
@@ -139,104 +149,86 @@ def _det9_blocks(velocity):
     return out
 
 
-def apply_operator_multi(model: ManifoldModel, field: FormField, z_list,
+def apply_operator_multi(model: ManifoldModel, field, z_list,
                          grid: QuadratureGrid, kind: str = "solution",
                          extension=None):
     """Evaluate the operator at several points over one shared node stream.
 
-    Node geometry (velocities, orientation, per-node determinants) and the
-    form coefficients are evaluation-point independent and are computed once
-    per chunk; only the section jets and coefficient determinants vary with
-    the point.  Returns a list of :class:`OperatorResult`.
+    ``field`` is one :class:`FormField` for every point, or a sequence with
+    one field per point.  Node geometry (velocities, orientation, per-node
+    determinants), the form values and the contraction weights do not depend
+    on the point and are computed once per chunk and field; only the section
+    jets and coefficient determinants vary with the point.  Returns a list
+    of :class:`OperatorResult`.
     """
     z_list = [np.asarray(z, dtype=complex) for z in z_list]
+    field_of = (list(field) if isinstance(field, (list, tuple))
+                else [field] * len(z_list))
+    if len(field_of) != len(z_list):
+        raise ValueError("need one field per evaluation point")
     n = model.n
-    r = field.degree
-    if kind == "solution":
-        if not 1 <= r:
-            raise ValueError("solution operator needs input degree >= 1")
-        r_out = r - 1
-    elif kind == "obstruction":
-        r_out = r
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if r_out > n - 1:
-        raise ValueError("output degree exceeds the form bound")
-
-    Lout_combos = index_combinations(n, r_out)
-    nL = len(Lout_combos)
-    accums = [RunningSum(shape=(nL,)) for _ in z_list]
+    plans = {id(f): _field_plan(n, f.degree, kind) for f in field_of}
+    accums = [RunningSum(shape=(len(index_combinations(n, plans[id(f)][0])),))
+              for f in field_of]
     rejected = [0] * len(z_list)
     total = 0
-    table = None
-    sign_cross = (-1.0) ** (r * r_out)
-    # (-1)^n moves the dt row past the dzeta block; the extra flip realizes
-    # the interval-first product orientation, calibrated once against the
-    # reproduction identity (see tests)
-    dt_sign = -((-1.0) ** n)
     project = extension if extension is not None else model.project_to_manifold
 
     for chunk in grid.chunks():
-        N = chunk.zeta.shape[0]
-        total += N
-        g_vals = field.values(model, project(chunk.zeta))   # (N, nJ)
-        live = np.any(g_vals != 0, axis=1)
-        if not np.any(live):
-            for acc in accums:
-                acc.add(np.zeros(nL, dtype=complex))
-            continue
-        det9 = _det9_blocks(chunk.velocity)                  # (N, n)
+        total += chunk.zeta.shape[0]
+        on_manifold = project(chunk.zeta)
         base_w = chunk.weight * chunk.orient
-        gw = g_vals * base_w[:, None]
-
-        for zi, z in enumerate(z_list):
+        det9 = None
+        weights = {}                                    # id(field) -> (live, W)
+        for zi, (f, z) in enumerate(zip(field_of, z_list)):
+            r_out, table, nM, sign = plans[id(f)]
+            if id(f) not in weights:
+                g_vals = f.values(model, on_manifold)  # (N, nJ)
+                live = np.any(g_vals != 0, axis=1)
+                if np.any(live) and det9 is None:
+                    det9 = _det9_blocks(chunk.velocity)  # (N, n)
+                weights[id(f)] = live, (_fold_weights(
+                    table, g_vals * base_w[:, None], det9, nM)
+                    if np.any(live) else None)
+            live, W = weights[id(f)]
+            if W is None:
+                accums[zi].add(np.zeros(accums[zi].shape, dtype=complex))
+                continue
+            eta1, beta1, gamma1, phi = barrier_section_jets(
+                model, chunk.zeta, z)
+            bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
+            rejected[zi] += int(np.sum(bad & live))
             if kind == "solution":
+                # the eta column is eta0 (eta_t minus t * tau, against the
+                # tau column), so only the n - 2 beta/gamma columns carry t
                 eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
-                eta1, beta1, gamma1, phi = barrier_section_jets(
-                    model, chunk.zeta, z)
-                bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
-                rejected[zi] += int(np.sum(bad & live))
-                keep = ~bad
-                tau = eta1 - eta0
-                chunk_total = np.zeros(nL, dtype=complex)
+                coef = None
                 for t, t_wt in zip(grid.t_nodes, grid.t_weights):
-                    eta_t = (1 - t) * eta0 + t * eta1
-                    beta_t = (1 - t) * beta0 + t * beta1
-                    gamma_t = (1 - t) * gamma0 + t * gamma1
-                    Lc, Mc, coef = _component_coefficients(
-                        eta_t, beta_t, gamma_t, tau, r_out, with_dt=True)
-                    if table is None:
-                        table = _contraction_table(n, r, Mc)
-                    chunk_total += sign_cross * dt_sign * t_wt * _contract(
-                        table, gw, coef, det9, keep)
-                accums[zi].add(chunk_total)
+                    c = _component_coefficients(
+                        eta0, (1 - t) * beta0 + t * beta1,
+                        (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out,
+                        with_dt=True)[2]
+                    c *= t_wt   # in place: two coefficient arrays live at most
+                    coef = c if coef is None else np.add(coef, c, out=coef)
             else:
-                eta1, beta1, gamma1, phi = barrier_section_jets(
-                    model, chunk.zeta, z)
-                bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
-                rejected[zi] += int(np.sum(bad & live))
-                keep = ~bad
-                Lc, Mc, coef = _component_coefficients(
-                    eta1, beta1, gamma1, None, r_out, with_dt=False)
-                if table is None:
-                    table = _contraction_table(n, r, Mc)
-                # adding into zeros turns -0.0 into +0.0, so a coefficient
-                # that is exactly zero is reported as 0.0
-                chunk_total = np.zeros(nL, dtype=complex)
-                chunk_total += sign_cross * _contract(table, gw, coef, det9,
-                                                      keep)
-                accums[zi].add(chunk_total)
+                coef = _component_coefficients(eta1, beta1, gamma1, None,
+                                               r_out, with_dt=False)[2]
+            # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
+            # exactly zero is reported as 0.0
+            accums[zi].add(0.0 + sign * np.einsum(
+                "nm,nlm->l", W * ~bad[:, None], coef))
 
-    prefactor = (-1.0) ** r * factorial(n - 1) / (2.0j * np.pi) ** n
     out = []
     for zi in range(len(z_list)):
         if rejected[zi] > REJECT_LIMIT * max(total, 1):
             raise GridTooCoarseError(
                 f"{rejected[zi]}/{total} nodes rejected near the phase "
                 f"singularity at point {zi}")
+        r = field_of[zi].degree
+        prefactor = (-1.0) ** r * factorial(n - 1) / (2.0j * np.pi) ** n
         out.append(OperatorResult(ambient=prefactor * accums[zi].total(),
-                                  degree=r_out, rejected=rejected[zi],
-                                  total_nodes=total))
+                                  degree=plans[id(field_of[zi])][0],
+                                  rejected=rejected[zi], total_nodes=total))
     return out
 
 
@@ -296,14 +288,14 @@ def glue_obstruction(model: ManifoldModel, covers, field: FormField, z,
     out = np.zeros(len(index_combinations(model.n, r)), dtype=complex)
     for pair, grid in zip(covers, grids):
         localized = field.scaled_by(pair.inner)
-        sol = apply_operator(model, localized, z, grid, kind="solution")
+        dbar_inner = _cutoff_wedge_field(model, pair.inner, field)
+        sol, rplus = apply_operator_multi(model, [localized, dbar_inner],
+                                          [z, z], grid, kind="solution")
         # - dbar(outer cutoff) wedge R(inner * f)
         cov = pair.outer.d_zbar(model, z[None, :])[0]
         out -= wedge_covector_values(model.n, r - 1, cov[None, :],
                                      sol.ambient[None, :])[0]
         # + outer * R_{r+1}(dbar(inner) wedge f)
-        dbar_inner = _cutoff_wedge_field(model, pair.inner, field)
-        rplus = apply_operator(model, dbar_inner, z, grid, kind="solution")
         weight = complex(pair.outer.value(model, z[None, :])[0])
         out += weight * rplus.ambient
         # + outer * H(inner * f)
@@ -368,8 +360,9 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
     """Residual of f = dbar_M R_1 f + R_2 dbar_M f at the given points.
 
     The first term differentiates the quadrature-backed scalar through the
-    conjugate frame, with all stencil evaluations sharing one node stream;
-    the second term integrates the analytic differential of the test form.
+    conjugate frame; the second term integrates the analytic differential of
+    the test form.  Both terms, at every stencil point, share one pass over
+    one node stream.
     The obstruction term vanishes pointwise for input degree below the
     concavity parameter and is not assembled here.
     """
@@ -388,12 +381,11 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
                               center_zp=zp, center_u=w.real,
                               box_radius=box_radius)
         stencil = conjugate_frame_stencil(model, z, fd_step)
-        results = apply_operator_multi(model, field, stencil, grid,
-                                       kind="solution", extension=extension)
-        values = [complex(res.ambient[0]) for res in results]
+        *r1, r2 = apply_operator_multi(
+            model, [field] * len(stencil) + [dbar_field], stencil + [z],
+            grid, kind="solution", extension=extension)
+        values = [complex(res.ambient[0]) for res in r1]
         dbar_r1_tan = assemble_conjugate_frame_derivative(values, d, fd_step)
-        r2 = apply_operator(model, dbar_field, z, grid, kind="solution",
-                            extension=extension)
         r2_tan = r2.tangential(model, z)
         f_tan = tangential_components(model, field.values(model, z[None, :]),
                                       z[None, :], 1)[0]

@@ -73,7 +73,9 @@ class QuadratureGrid:
         if self.center_u is None:
             self.center_u = np.zeros(m, dtype=float)
         if self.t_count is None:
-            self.t_count = max(2, (self.model.n + 2) // 2)
+            # the solution integrand has degree n - 2 in t (its eta column
+            # is the t-independent eta0), so n // 2 Gauss nodes are exact
+            self.t_count = self.model.n // 2
         self.t_nodes, self.t_weights = gauss_legendre_01(self.t_count)
         self.param_dim = 2 * d + m
 

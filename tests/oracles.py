@@ -92,3 +92,17 @@ def loglog_fit(x, y):
     ly = np.log(np.abs(np.asarray(y, float)))
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+def row_contraction(table, gw, coef, det9, keep):
+    """Per-row contraction of coefficient determinants with the weighted
+    field: per output tuple L, the sum over kept nodes of
+    sign * gw[J] * coef[L, M] * det9[k] over the sign-table rows, (nL,)."""
+    N, nL = coef.shape[:2]
+    out = np.zeros(nL, dtype=complex)
+    for li in range(nL):
+        contrib = np.zeros(N, dtype=complex)
+        for k, j_idx, m_idx, sgn in table:
+            contrib += sgn * gw[:, j_idx] * coef[:, li, m_idx] * det9[:, k]
+        out[li] = np.sum(contrib * keep)
+    return out

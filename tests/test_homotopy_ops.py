@@ -15,6 +15,8 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  glue_obstruction, glue_solution,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
+from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
+from oracles import row_contraction
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -172,6 +174,28 @@ class TestTangentialDbar:
         assert np.max(np.abs(proj)) < 1e-3 * scale
 
 
+class TestLazyField:
+    def test_values_call_the_array_function_once(self, primary):
+        f = bundled_test_form(primary)
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return f.dbar_values(primary, z)
+
+        lazy = fields.lazy_field(primary.n, 2, counted, "cutoff")
+        z = primary.graph_point(
+            0.1 * np.stack([np.ones(4), -np.ones(4)]).astype(complex),
+            np.zeros((2, 1)))
+        vals = lazy.values(primary, z)
+        assert calls == [(2, 5)]
+        # the same array as the columns read one by one
+        assert np.array_equal(
+            vals, np.stack([c.value(primary, z) for c in lazy.components],
+                           axis=-1))
+        assert np.array_equal(vals, f.dbar_values(primary, z))
+
+
 class TestScalarDbar:
     def test_conjugate_frame_derivative_matches_analytic(self, primary):
         # dbar_M of an evaluable scalar via frame finite differences agrees
@@ -204,12 +228,16 @@ class TestGrid:
         with pytest.raises(OutsideTubeError):
             QuadratureGrid(model=primary, epsilon=0.9, budget=100)
 
-    def test_gauss_legendre_exactness(self, primary):
-        grid = centered_grid(primary, np.zeros(5, dtype=complex))
-        # the node count integrates t^(n-1) exactly on [0, 1]
-        n = primary.n
-        val = np.sum(grid.t_weights * grid.t_nodes ** (n - 1))
-        assert abs(val - 1.0 / n) < 1e-14
+    def test_gauss_legendre_exactness(self):
+        # the solution t-integrand has degree n - 2 (its eta column does not
+        # depend on t); the default node count integrates t^(n-2) exactly
+        for n in range(3, 8):
+            flat = geometry.ManifoldModel(
+                n=n, m=1, q=1, hermitian=[np.zeros((n - 1, n - 1))])
+            grid = QuadratureGrid(model=flat, epsilon=0.1, budget=10)
+            assert grid.t_count == n // 2
+            val = np.sum(grid.t_weights * grid.t_nodes ** (n - 2))
+            assert abs(val - 1.0 / (n - 1)) < 1e-14
 
     def test_uniform_weights_recover_box_volume(self, primary):
         grid = QuadratureGrid(model=primary, epsilon=0.1, budget=5000,
@@ -413,6 +441,108 @@ class TestOperators:
         single2 = apply_operator(primary, f, z2, grid)
         assert np.array_equal(multi[0].ambient, single1.ambient)
         assert np.array_equal(multi[1].ambient, single2.ambient)
+
+
+    def test_multi_field_matches_separate_calls(self, primary):
+        # fields of different degrees share one pass over the node stream,
+        # with the same bits as one call per point
+        f = bundled_test_form(primary)
+        df = f.dbar_field(primary)
+        z1 = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                 np.array([0.01]))
+        z2 = primary.graph_point(np.array([-0.02, 0.04, 0.0, 0.03]),
+                                 np.array([-0.02]))
+        grid = centered_grid(primary, z1, budget=1500)
+        pairs = [(f, z1), (df, z1), (f, z2)]
+        multi = apply_operator_multi(primary, [g for g, _ in pairs],
+                                     [z for _, z in pairs], grid)
+        for res, (g, z) in zip(multi, pairs):
+            single = apply_operator(primary, g, z, grid)
+            assert res.degree == single.degree == g.degree - 1
+            assert np.array_equal(res.ambient, single.ambient)
+        with pytest.raises(ValueError, match="one field per"):
+            apply_operator_multi(primary, [f], [z1, z2], grid)
+
+    def test_identity_residual_makes_one_stream_pass(self, primary,
+                                                     monkeypatch):
+        passes = []
+        chunks = QuadratureGrid.chunks
+
+        def counted(grid):
+            passes.append(grid.seed)
+            return chunks(grid)
+
+        monkeypatch.setattr(QuadratureGrid, "chunks", counted)
+        f = bundled_test_form(primary)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        identity_residual(primary, f, [z], epsilon=0.1, budget=500, seed=3)
+        assert passes == [3]
+
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_default_t_rule_is_exact(self, which, request):
+        # the solution t-integrand has degree n - 2, so n // 2 Gauss nodes
+        # agree with six nodes to round-off, for degree-1 and degree-2 input
+        model = request.getfixturevalue(which)
+        f = bundled_test_form(model)
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        pair = [f, f.dbar_field(model)]
+        default = apply_operator_multi(model, pair, [z, z],
+                                       centered_grid(model, z))
+        six = apply_operator_multi(model, pair, [z, z],
+                                   centered_grid(model, z, t_count=6))
+        for a, b in zip(default, six):
+            scale = np.max(np.abs(b.ambient))
+            assert np.max(np.abs(a.ambient - b.ambient)) < 1e-13 * scale
+
+    def test_one_node_fewer_is_not_exact(self, secondary):
+        # n = 6: the degree-4 integrand needs 3 nodes; 2 integrate only up
+        # to degree 3, so the degree count is tight
+        f = bundled_test_form(secondary)
+        z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                  np.array([0.01, 0.01]))
+        exact = apply_operator(secondary, f, z, centered_grid(secondary, z))
+        short = apply_operator(secondary, f, z,
+                               centered_grid(secondary, z, t_count=2))
+        scale = np.max(np.abs(exact.ambient))
+        assert np.max(np.abs(short.ambient - exact.ambient)) > 1e-6 * scale
+
+    @pytest.mark.parametrize("kind", ["solution", "obstruction"])
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_folded_weights_match_row_contraction(self, which, kind, request,
+                                                  rng):
+        # the per-chunk weights W give the chunk totals of the per-row
+        # sign-table contraction, for degree-1 and degree-2 input; random
+        # weighted field values give every table row a nonzero term
+        model = request.getfixturevalue(which)
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        chunk = next(centered_grid(model, z, budget=2000).chunks())
+        det9 = homotopy._det9_blocks(chunk.velocity)
+        eta1, beta1, gamma1, _ = barrier_section_jets(model, chunk.zeta, z)
+        eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
+        N = len(chunk.zeta)
+        keep = rng.random(N) > 0.1
+        for r in (1, 2):
+            nJ = len(index_combinations(model.n, r))
+            gw = (rng.standard_normal((N, nJ))
+                  + 1j * rng.standard_normal((N, nJ))) * chunk.weight[:, None]
+            r_out, table, nM, _ = homotopy._field_plan(model.n, r, kind)
+            if kind == "solution":
+                t = 0.3
+                coef = homotopy._component_coefficients(
+                    eta0, (1 - t) * beta0 + t * beta1,
+                    (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out,
+                    with_dt=True)[2]
+            else:
+                coef = homotopy._component_coefficients(
+                    eta1, beta1, gamma1, None, r_out, with_dt=False)[2]
+            W = homotopy._fold_weights(table, gw, det9, nM)
+            folded = np.einsum("nm,nlm->l", W * keep[:, None], coef)
+            oracle = row_contraction(table, gw, coef, det9, keep)
+            assert (np.max(np.abs(folded - oracle))
+                    <= 1e-13 * np.max(np.abs(oracle)))
 
 
 class TestGlue:
