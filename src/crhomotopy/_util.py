@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -67,6 +68,56 @@ def index_combinations(n: int, k: int):
     return list(combinations(range(n), k))
 
 
+def evaluate_form(F, V, n, p, j):
+    """Values of a p-form on C^n at the sorted j-subsets of the vectors V.
+
+    A p-form F has components F[M] over the sorted p-tuples M, and
+    F(u_1, ..., u_p) = sum over M of F[M] det[u_a[M_b]].  F has shape
+    (C(n, p), nodes) and V (vector * n + coordinate, nodes).  Returns the
+    (p - j)-forms F(v_s1, ..., v_sj, .), shape (subsets * C(n, p - j),
+    nodes), the subsets in ``combinations`` order: j interior products
+    through the gather tables of :func:`interior_tables`.
+    """
+    V = np.concatenate([V, -V])
+    for v_idx, f_idx in interior_tables(len(V) // (2 * n), n, p, j):
+        acc = V[v_idx[:, 0]] * F[f_idx[:, 0]]
+        for v, f in zip(v_idx.T[1:], f_idx.T[1:]):
+            acc += V[v] * F[f]
+        F = acc
+    return F
+
+
+@lru_cache(maxsize=None)
+def interior_tables(n_vec, n, p, j):
+    """Signed gather tables of :func:`evaluate_form` for n_vec vectors.
+
+    Level i maps the (p - i + 1)-forms F(v_S, .) at the (i - 1)-prefixes S
+    of the j-subsets to
+
+        F(v_S, v_s, .)[M] = sum_{c not in M} (-1)^pos v_s[c] F(v_S, .)[M + c],
+
+    pos being the place of c in the sorted M + c.  States are flat (prefix, M);
+    vectors are flat s * n + c, and a term of sign -1 reads -v_s[c], n_vec * n
+    places further on in the stacked [V; -V].  Returns read-only (v_idx,
+    f_idx) of shape (outputs, n - p + i) per level.
+    """
+    subsets = list(combinations(range(n_vec), j))
+    levels, prev = [], [()]
+    for i in range(1, j + 1):
+        prefixes = sorted({S[:i] for S in subsets})
+        src = {M: a for a, M in enumerate(combinations(range(n), p - i + 1))}
+        terms = [[(S[-1] * n + c + (sign < 0) * n_vec * n,
+                   prev.index(S[:-1]) * len(src) + src[merged])
+                  for c in range(n) if c not in M
+                  for sign, merged in [insert_index(c, M)]]
+                 for S in prefixes for M in combinations(range(n), p - i)]
+        table = np.array(terms).transpose(2, 0, 1).copy()
+        table.flags.writeable = False
+        levels.append(tuple(table))
+        prev = prefixes
+    return tuple(levels)
+
+
 # ---------------------------------------------------------------------------
 # deterministic summation
 # ---------------------------------------------------------------------------
@@ -98,7 +149,7 @@ class RunningSum:
 
 
 # ---------------------------------------------------------------------------
-# small batched determinants (cofactor formulas for k <= 5, LAPACK for k >= 6)
+# small batched determinants (cofactor formulas for k <= 3, LAPACK for k >= 4)
 # ---------------------------------------------------------------------------
 
 def det2(m):
@@ -111,57 +162,15 @@ def det3(m):
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
 
 
-def det4(m):
-    out = 0
-    for j in range(4):
-        cols = [c for c in range(4) if c != j]
-        minor = m[..., 1:, :][..., :, cols]
-        term = m[..., 0, j] * det3(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
-
-
-_PAIRS5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-_COMP5 = {p: tuple(r for r in range(5) if r not in p) for p in _PAIRS5}
-_SIGN5 = {p: perm_parity(p + _COMP5[p]) for p in _PAIRS5}
-
-
-def det5_cols(cols):
-    """Batched 5x5 determinant from five column arrays of shape (..., 5).
-
-    Laplace split over the first two columns; all products are elementwise
-    on views, no submatrix copies.
-    """
-    a = lambda i, j: cols[j][..., i]
-    # 2x2 minors of columns (0, 1) over row pairs
-    d2 = {p: a(p[0], 0) * a(p[1], 1) - a(p[1], 0) * a(p[0], 1)
-          for p in _PAIRS5}
-    # shared 2x2 minors of column pairs (3,4), (2,4), (2,3) over row pairs
-    e34 = {p: a(p[0], 3) * a(p[1], 4) - a(p[0], 4) * a(p[1], 3)
-           for p in _PAIRS5}
-    e24 = {p: a(p[0], 2) * a(p[1], 4) - a(p[0], 4) * a(p[1], 2)
-           for p in _PAIRS5}
-    e23 = {p: a(p[0], 2) * a(p[1], 3) - a(p[0], 3) * a(p[1], 2)
-           for p in _PAIRS5}
-    out = 0
-    for p in _PAIRS5:
-        q, r, s = _COMP5[p]
-        d3 = (a(q, 2) * e34[(r, s)] - a(q, 3) * e24[(r, s)]
-              + a(q, 4) * e23[(r, s)])
-        out = out + _SIGN5[p] * d2[p] * d3
-    return out
-
-
-def det5(m):
-    """Unrolled batched 5x5 determinant on (..., 5, 5) stacks."""
-    return det5_cols([m[..., j] for j in range(5)])
+def det5_cols(cols):  # no package caller; perfbench/tracing.py wraps it
+    return np.linalg.det(np.stack(cols, axis=-1))
 
 
 def small_det(m):
     """Determinant of (..., k, k) stacks.
 
-    k <= 5 uses the explicit cofactor formulas above, which beat LAPACK at
-    these sizes; k >= 6 goes to ``np.linalg.det``, one batched LU call.
+    k <= 3 uses the explicit cofactor formulas above; k >= 4 goes to
+    ``np.linalg.det``, one batched LU call.
     """
     k = m.shape[-1]
     if k == 0:
@@ -172,10 +181,6 @@ def small_det(m):
         return det2(m)
     if k == 3:
         return det3(m)
-    if k == 4:
-        return det4(m)
-    if k == 5:
-        return det5(m)
     return np.linalg.det(m)
 
 

@@ -14,8 +14,8 @@ as tensor rank: every kernel in this package contains it exactly once.
 
     (1 / ((n-r-1)! r!)) Det[eta, (dzbar-jet columns)^r, (dzetabar/dt columns)^(n-r-1)]
 
-by enumerating row partitions; the factorial normalization cancels against
-the multiplicity of identical columns, so each partition is counted once.
+one coefficient per choice of increasing columns; the factorial
+normalization cancels against the multiplicity of identical columns.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import (insert_index, perm_parity, small_det,
-                    sorted_tuple_and_sign)
+from ._util import evaluate_form, insert_index, sorted_tuple_and_sign
 
 
 @dataclass
@@ -114,51 +113,27 @@ def cf_component(eta, d_zbar, d_zetabar, d_t, r: int) -> FormTensor:
     d_t        (n,) parameter jets
     r          number of dzbar columns, 0 <= r <= n-1
 
-    Row partition formula: for each scalar row k0 and each split of the
-    remaining rows into the dzbar block (size r) and the dzetabar/dt block,
-    the block wedges contribute minors over increasing column tuples; the dt
-    coefficient is the bordered determinant with the parameter jet as the
-    final column (dt ordered last).
+    The coefficient of (L, M) is det[eta | d_zbar columns L | d_zetabar
+    columns M], and the dt coefficient has the parameter jet as the final
+    column (dt ordered last): the values of the (n - 1)-form det[eta | .] at
+    the sorted (n - 1)-subsets of [d_zbar | d_zetabar | d_t] columns that
+    hold r d_zbar columns.
     """
     eta = np.asarray(eta, dtype=complex)
     n = eta.shape[0]
     if not 0 <= r <= n - 1:
         raise ValueError(f"dzbar degree {r} out of range 0..{n - 1}")
-    beta = np.asarray(d_zbar, dtype=complex)
-    gamma = np.asarray(d_zetabar, dtype=complex)
-    tau = np.asarray(d_t, dtype=complex)
-    s = n - r - 1  # size of the dzetabar/dt block
+    cols = np.concatenate([np.asarray(d_zbar, dtype=complex).T,
+                           np.asarray(d_zetabar, dtype=complex).T,
+                           np.asarray(d_t, dtype=complex)[None, :]])
+    eta_form = evaluate_form(np.ones((1, 1), dtype=complex), eta[:, None],
+                             n, n, 1)
+    values = evaluate_form(eta_form, cols.reshape(-1, 1), n, n - 1, n - 1)
     out = FormTensor(n)
-    rows = list(range(n))
-    for k0 in rows:
-        rest = [i for i in rows if i != k0]
-        for bset in combinations(rest, r):
-            cset = tuple(i for i in rest if i not in bset)
-            sign0 = perm_parity((k0,) + bset + cset)
-            lead = sign0 * eta[k0]
-            b_rows = beta[list(bset), :]
-            c_rows = gamma[list(cset), :]
-            t_col = tau[list(cset)]
-            for L in combinations(range(n), r):
-                minor_b = small_det(b_rows[:, list(L)]) if r else 1.0
-                if minor_b == 0.0:
-                    continue
-                head = lead * minor_b
-                # pure dzetabar part
-                for M in combinations(range(n), s):
-                    minor_c = small_det(c_rows[:, list(M)]) if s else 1.0
-                    if minor_c != 0.0:
-                        out.add(L, M, 0, head * minor_c)
-                # dt part: one block column is the parameter jet (kept last)
-                if s >= 1:
-                    for M in combinations(range(n), s - 1):
-                        mat = np.empty((s, s), dtype=complex)
-                        if s > 1:
-                            mat[:, :s - 1] = c_rows[:, list(M)]
-                        mat[:, s - 1] = t_col
-                        minor_ct = small_det(mat)
-                        if minor_ct != 0.0:
-                            out.add(L, M, 1, head * minor_ct)
+    for S, value in zip(combinations(range(2 * n + 1), n - 1), values[:, 0]):
+        if sum(i < n for i in S) == r:
+            out.add(S[:r], tuple(i - n for i in S[r:] if i < 2 * n),
+                    2 * n in S, value)
     return out.prune()
 
 

@@ -16,7 +16,12 @@ against a dense determinant in the test suite.
 Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the
 t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
-sign table, det9 and the form values fold into per-chunk weights W[:, M].
+sign table, det9 and the form values fold into per-chunk weights W[:, M], and
+the sum over M is taken before any coefficient is formed (generalized Laplace
+expansion): sum_M W_M gamma_M is the k-vector G with G[S] = W(rows S of
+gamma), k interior products of the k-form W, and the (n - k)-form *G(u) =
+sum_M W_M det[u | gamma_M] gives every total as (-1)^n (*G)(eta, tau, beta_L)
+(solution) or (*G)(eta, beta_L) (obstruction).
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from math import factorial
 
 import numpy as np
 
-from ._util import (RunningSum, det5_cols, index_combinations,
-                    merge_sorted, small_det)
+from ._util import (RunningSum, evaluate_form, index_combinations,
+                    merge_sorted)
 from .errors import GridTooCoarseError
 from .fields import (FormField, lazy_field, tangential_components,
                      wedge_covector_values)
@@ -38,39 +43,12 @@ from .sections import barrier_section_jets, bochner_martinelli_jets
 
 PHASE_REJECT_FACTOR = 1e-10
 REJECT_LIMIT = 0.01
+BLOCK = 512             # nodes per kernel block: its gathers stay in cache
 
 
 # ---------------------------------------------------------------------------
 # coefficient assembly plans
 # ---------------------------------------------------------------------------
-
-def _component_coefficients(eta, beta, gamma, tau, r_out, with_dt):
-    """Batched coefficients of the degree-r_out determinant form.
-
-    The coefficient of the monomial (dzbar tuple L, dzetabar tuple M, dt
-    last) is the single n x n determinant with columns
-
-        [eta | beta columns for L | gamma columns for M | tau],
-
-    the concrete column selection of the section determinant.  Returns
-    (Lout_combos, M_combos, coef) with coef of shape (N, nLout, nM).
-    """
-    N, n = eta.shape
-    Lout_combos = index_combinations(n, r_out)
-    s = n - 1 - r_out
-    M_combos = index_combinations(n, s - 1 if with_dt else s)
-    coef = np.empty((N, len(Lout_combos), len(M_combos)), dtype=complex)
-    for li, L in enumerate(Lout_combos):
-        for mi, M in enumerate(M_combos):
-            cols = [eta]
-            cols.extend(beta[:, :, l] for l in L)
-            cols.extend(gamma[:, :, m] for m in M)
-            if with_dt:
-                cols.append(tau)
-            coef[:, li, mi] = (det5_cols(cols) if len(cols) == 5
-                               else small_det(np.stack(cols, axis=-1)))
-    return Lout_combos, M_combos, coef
-
 
 def _contraction_table(n, field_degree, M_combos):
     """Sign table for g_J dzbar..._M monomials against the missing-index
@@ -97,6 +75,54 @@ def _fold_weights(table, gw, det9, nM):
     for k, j_idx, m_idx, sgn in table:
         W[:, m_idx] += sgn * gw[:, j_idx] * det9[:, k]
     return W
+
+
+def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
+                         t_rule=((1.0, 1.0),)):
+    """Sum over nodes and M of W[:, M] * coef[:, L, M], shape (nL,), with no
+    coefficient formed.
+
+    Without ``tau`` (obstruction kind) coef[:, L, M] = det[eta | beta_L |
+    gamma_M]; with it (solution kind) coef is the sum over (t, weight) in
+    ``t_rule`` of weight * det[eta | beta_t L | gamma_t M | tau], beta_t and
+    gamma_t running linearly from ``start`` = (beta0, gamma0) at t = 0 to
+    (beta, gamma) at t = 1.  The nodes are taken in blocks of BLOCK.
+    """
+    N, n = eta.shape
+    front = eta.T if tau is None else np.concatenate([eta.T, tau.T])
+    k = n - len(front) // n - r_out
+    # *G[Q] = sign(Q, Q^c) G[Q^c], and Q^c runs through the k-tuples backwards
+    star_sign = np.array([(-1.0) ** (sum(Q) - (n - k) * (n - k - 1) // 2)
+                          for Q in index_combinations(n, n - k)])[:, None]
+
+    def layout(b, g):       # beta columns and gamma rows, (vector * n + c, N)
+        return (b.transpose(2, 1, 0).reshape(n * n, N) if r_out else None,
+                g.transpose(1, 2, 0).reshape(n * n, N))
+
+    def at(zero, one, t):   # block of the jet at t
+        return (one[:, blk] if zero is None
+                else (1 - t) * zero[:, blk] + t * one[:, blk])
+
+    def star_front(G):      # (*G)(eta, tau, .) or (*G)(eta, .) on the block
+        return evaluate_form(star_sign * G[::-1], front[:, blk], n, n - k,
+                             n - k - r_out)
+
+    W = W.T
+    b1, g1 = layout(beta, gamma)
+    b0, g0 = layout(*start) if start is not None else (None, None)
+    total = np.zeros(len(index_combinations(n, r_out)), dtype=complex)
+    for lo in range(0, N, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        gs = [weight * evaluate_form(W[:, blk], at(g0, g1, t), n, k, k)
+              for t, weight in t_rule]
+        if r_out:
+            acc = sum(evaluate_form(star_front(G), at(b0, b1, t), n, r_out,
+                                    r_out) for G, (t, _) in zip(gs, t_rule))
+        else:   # no beta column: one eta ^ tau wedge for every t-node
+            acc = star_front(sum(gs))
+        total += acc.sum(axis=1)
+    # det[eta | beta_L | gamma_M | tau] = (-1)^n (*G)(eta, tau, beta_L)
+    return total if tau is None else (-1.0) ** n * total
 
 
 def _field_plan(n, r, kind):
@@ -198,25 +224,19 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                 model, chunk.zeta, z)
             bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
             rejected[zi] += int(np.sum(bad & live))
+            W_kept = W * ~bad[:, None]
             if kind == "solution":
-                # the eta column is eta0 (eta_t minus t * tau, against the
-                # tau column), so only the n - 2 beta/gamma columns carry t
                 eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
-                coef = None
-                for t, t_wt in zip(grid.t_nodes, grid.t_weights):
-                    c = _component_coefficients(
-                        eta0, (1 - t) * beta0 + t * beta1,
-                        (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out,
-                        with_dt=True)[2]
-                    c *= t_wt   # in place: two coefficient arrays live at most
-                    coef = c if coef is None else np.add(coef, c, out=coef)
+                folded = _folded_coefficients(
+                    W_kept, eta0, beta1, gamma1, r_out, tau=eta1 - eta0,
+                    start=(beta0, gamma0),
+                    t_rule=tuple(zip(grid.t_nodes, grid.t_weights)))
             else:
-                coef = _component_coefficients(eta1, beta1, gamma1, None,
-                                               r_out, with_dt=False)[2]
+                folded = _folded_coefficients(W_kept, eta1, beta1, gamma1,
+                                              r_out)
             # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
             # exactly zero is reported as 0.0
-            accums[zi].add(0.0 + sign * np.einsum(
-                "nm,nlm->l", W * ~bad[:, None], coef))
+            accums[zi].add(0.0 + sign * folded)
 
     out = []
     for zi in range(len(z_list)):

@@ -106,3 +106,27 @@ def row_contraction(table, gw, coef, det9, keep):
             contrib += sgn * gw[:, j_idx] * coef[:, li, m_idx] * det9[:, k]
         out[li] = np.sum(contrib * keep)
     return out
+
+
+def dense_coefficients(eta, beta, gamma, tau, r_out):
+    """Every coefficient det[eta | beta_L | gamma_M | tau] of the degree-r_out
+    determinant form, one LAPACK determinant of the stacked columns per
+    (L, M); ``tau`` None drops the last column.  Returns (M tuples, coef,
+    bound), coef and its Hadamard bound (the product of the column norms)
+    of shape (N, nL, nM)."""
+    from itertools import combinations
+
+    N, n = eta.shape
+    L_combos = list(combinations(range(n), r_out))
+    M_combos = list(combinations(range(n), n - 1 - r_out - (tau is not None)))
+    coef = np.empty((N, len(L_combos), len(M_combos)), dtype=complex)
+    bound = np.empty(coef.shape)
+    for li, L in enumerate(L_combos):
+        for mi, M in enumerate(M_combos):
+            cols = ([eta] + [beta[:, :, l] for l in L]
+                    + [gamma[:, :, m] for m in M]
+                    + ([] if tau is None else [tau]))
+            mat = np.stack(cols, axis=-1)
+            coef[:, li, mi] = np.linalg.det(mat)
+            bound[:, li, mi] = np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
+    return M_combos, coef, bound

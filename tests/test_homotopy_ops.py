@@ -16,7 +16,7 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
-from oracles import row_contraction
+from oracles import dense_coefficients, row_contraction
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -513,8 +513,12 @@ class TestOperators:
     def test_folded_weights_match_row_contraction(self, which, kind, request,
                                                   rng):
         # the per-chunk weights W give the chunk totals of the per-row
-        # sign-table contraction, for degree-1 and degree-2 input; random
-        # weighted field values give every table row a nonzero term
+        # sign-table contraction of the dense coefficients, for degree-1 and
+        # degree-2 input; random weighted field values give every table row
+        # a nonzero term.  The contracted kernel gives them too, up to the
+        # rounding floor eps * sum |W| * (Hadamard bound) of the coefficient
+        # determinants: the degree-1 obstruction coefficients on sig22_n6m2
+        # vanish identically, so there both totals are rounding noise.
         model = request.getfixturevalue(which)
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
@@ -529,20 +533,59 @@ class TestOperators:
             gw = (rng.standard_normal((N, nJ))
                   + 1j * rng.standard_normal((N, nJ))) * chunk.weight[:, None]
             r_out, table, nM, _ = homotopy._field_plan(model.n, r, kind)
+            W = homotopy._fold_weights(table, gw, det9, nM) * keep[:, None]
             if kind == "solution":
                 t = 0.3
-                coef = homotopy._component_coefficients(
+                _, coef, bound = dense_coefficients(
                     eta0, (1 - t) * beta0 + t * beta1,
-                    (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out,
-                    with_dt=True)[2]
+                    (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out)
+                contracted = homotopy._folded_coefficients(
+                    W, eta0, beta1, gamma1, r_out, tau=eta1 - eta0,
+                    start=(beta0, gamma0), t_rule=((t, 1.0),))
             else:
-                coef = homotopy._component_coefficients(
-                    eta1, beta1, gamma1, None, r_out, with_dt=False)[2]
-            W = homotopy._fold_weights(table, gw, det9, nM)
-            folded = np.einsum("nm,nlm->l", W * keep[:, None], coef)
+                _, coef, bound = dense_coefficients(eta1, beta1, gamma1,
+                                                    None, r_out)
+                contracted = homotopy._folded_coefficients(
+                    W, eta1, beta1, gamma1, r_out)
+            folded = np.einsum("nm,nlm->l", W, coef)
             oracle = row_contraction(table, gw, coef, det9, keep)
-            assert (np.max(np.abs(folded - oracle))
-                    <= 1e-13 * np.max(np.abs(oracle)))
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(folded - oracle)) <= 1e-13 * scale
+            floor = np.finfo(float).eps * np.max(
+                np.einsum("nm,nlm->l", np.abs(W), bound))
+            assert np.max(np.abs(contracted - oracle)) <= 1e-13 * scale + floor
+
+    @pytest.mark.parametrize("n,kind,r", [
+        (n, kind, r) for n in range(2, 8)
+        for kind in ("solution", "obstruction")
+        for r in range(kind == "solution", n)])
+    def test_contracted_kernel_matches_dense_oracle(self, n, kind, r, rng):
+        # every input degree down to r = n - 1, where no gamma column is
+        # left (k = 0); random jets and weights, a keep mask, two t-nodes,
+        # and a node count that ends in a partial block
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        N = homotopy.BLOCK + 188
+        r_out, _, nM, _ = homotopy._field_plan(n, r, kind)
+        eta, tau = cplx(N, n), cplx(N, n)
+        beta, gamma = cplx(N, n, n), cplx(N, n, n)
+        W = cplx(N, nM) * (rng.random(N) > 0.2)[:, None]
+        if kind == "solution":
+            beta0, gamma0 = cplx(N, n, n), cplx(N, n, n)
+            t_rule = ((0.2, 0.6), (0.7, 0.4))
+            got = homotopy._folded_coefficients(
+                W, eta, beta, gamma, r_out, tau=tau, start=(beta0, gamma0),
+                t_rule=t_rule)
+            coef = sum(weight * dense_coefficients(
+                eta, (1 - t) * beta0 + t * beta, (1 - t) * gamma0 + t * gamma,
+                tau, r_out)[1] for t, weight in t_rule)
+        else:
+            got = homotopy._folded_coefficients(W, eta, beta, gamma, r_out)
+            coef = dense_coefficients(eta, beta, gamma, None, r_out)[1]
+        want = np.einsum("nm,nlm->l", W, coef)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestGlue:
