@@ -1,5 +1,11 @@
-"""Shared numerical helpers: exterior-algebra index bookkeeping, deterministic
-summation, canonical report serialization, small batched determinants."""
+"""Shared numerical helpers: the exterior algebra of the array
+representation, deterministic summation and canonical report serialization.
+
+Forms on C^n are arrays over the sorted index tuples in ``combinations``
+order.  Every sign of a sorted tuple is realized here, in cached read-only
+gather tables: :func:`wedge_jets` (d-bar wedges), :func:`hodge_star` and
+:func:`evaluate_form` (interior products, minor expansions).
+"""
 
 from __future__ import annotations
 
@@ -15,52 +21,22 @@ import numpy as np
 # exterior algebra index bookkeeping
 # ---------------------------------------------------------------------------
 
-def perm_parity(seq) -> int:
-    """Sign of the permutation sorting ``seq`` (entries distinct)."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[j] < seq[i]:
-                sign = -sign
-    return sign
-
-
-def merge_sorted(a, b):
-    """Wedge two strictly increasing index tuples.
-
-    Returns (sign, merged tuple) or (0, None) on index collision.
-    """
-    sign = 1
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a) - i factors of a
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
-
-
 def insert_index(idx, tup):
-    """Insert a single index into a strictly increasing tuple with parity."""
-    return merge_sorted((idx,), tup)
+    """Wedge dzbar_idx onto the strictly increasing tuple ``tup``: (sign,
+    merged tuple), or (0, None) when idx is already in it."""
+    if idx in tup:
+        return 0, None
+    pos = sum(i < idx for i in tup)
+    return (-1) ** pos, tup[:pos] + (idx,) + tup[pos:]
 
 
 def sorted_tuple_and_sign(seq):
-    """Sort distinct indices, returning (sign, sorted tuple); (0, None) on repeat."""
+    """Sort distinct indices, returning (sign, sorted tuple); (0, None) on repeat.
+    The sign is that of the sorting permutation, by inversion count."""
     if len(set(seq)) != len(seq):
         return 0, None
-    return perm_parity(seq), tuple(sorted(seq))
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return (-1) ** inversions, tuple(sorted(seq))
 
 
 def index_combinations(n: int, k: int):
@@ -118,6 +94,51 @@ def interior_tables(n_vec, n, p, j):
     return tuple(levels)
 
 
+def hodge_star(F, n, k):
+    """The (n - k)-form *F of a k-form F on C^n, shape (C(n, k), nodes):
+    (*F)[Q] = sign(Q, Q^c) F[Q^c], with the sign of the permutation (Q, Q^c)
+    of range(n).  The complements Q^c run through the k-tuples backwards."""
+    return _star_signs(n, n - k) * F[::-1]
+
+
+@lru_cache(maxsize=None)
+def _star_signs(n, p):
+    signs = np.array([(-1.0) ** (sum(Q) - p * (p - 1) // 2)
+                      for Q in combinations(range(n), p)])[:, None]
+    signs.flags.writeable = False
+    return signs
+
+
+def wedge_jets(jets, n, r):
+    """Coefficients of sum over J, l of jets[..., J, l] dzbar_l ^ dzbar_J.
+
+    ``jets`` has shape (..., C(n, r), n); returns the (r + 1)-form, shape
+    (..., C(n, r + 1)), through the gather table of :func:`wedge_table`.
+    """
+    index, sign = wedge_table(n, r)
+    flat = jets.reshape(jets.shape[:-2] + (-1,))
+    acc = flat[..., index[:, 0]] * sign[:, 0]
+    for i, s in zip(index.T[1:], sign.T[1:]):
+        acc += flat[..., i] * s
+    return acc
+
+
+@lru_cache(maxsize=None)
+def wedge_table(n, r):
+    """Signed gather table of :func:`wedge_jets`: read-only (index, sign),
+    both of shape (C(n, r + 1), r + 1).  Output K reads jets[J, K_a] at
+    J * n + K_a, J = K - K_a, with sign (-1)^a for a = r, ..., 0 (the J in
+    ``combinations`` order)."""
+    J_pos = {J: i for i, J in enumerate(combinations(range(n), r))}
+    K_all = list(combinations(range(n), r + 1))
+    index = np.array([[J_pos[K[:a] + K[a + 1:]] * n + K[a]
+                       for a in reversed(range(r + 1))] for K in K_all],
+                     dtype=np.intp).reshape(-1, r + 1)
+    sign = np.tile((-1.0) ** np.arange(r, -1, -1), (len(K_all), 1))
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
 # ---------------------------------------------------------------------------
 # deterministic summation
 # ---------------------------------------------------------------------------
@@ -149,38 +170,14 @@ class RunningSum:
 
 
 # ---------------------------------------------------------------------------
-# small batched determinants (cofactor formulas for k <= 3, LAPACK for k >= 4)
+# LAPACK determinants (no package caller; perfbench/tracing.py wraps both)
 # ---------------------------------------------------------------------------
 
-def det2(m):
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def det3(m):
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
-
-
-def det5_cols(cols):  # no package caller; perfbench/tracing.py wraps it
+def det5_cols(cols):
     return np.linalg.det(np.stack(cols, axis=-1))
 
 
 def small_det(m):
-    """Determinant of (..., k, k) stacks.
-
-    k <= 3 uses the explicit cofactor formulas above; k >= 4 goes to
-    ``np.linalg.det``, one batched LU call.
-    """
-    k = m.shape[-1]
-    if k == 0:
-        return np.ones(m.shape[:-2], dtype=m.dtype)
-    if k == 1:
-        return m[..., 0, 0]
-    if k == 2:
-        return det2(m)
-    if k == 3:
-        return det3(m)
     return np.linalg.det(m)
 
 

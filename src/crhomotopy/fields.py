@@ -14,10 +14,11 @@ the conjugate tangent frame (the projection to tangential forms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
-from ._util import index_combinations, insert_index, small_det
+from ._util import evaluate_form, index_combinations, wedge_jets
 from .errors import CoverError, DerivativeOrderError
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 
@@ -367,18 +368,9 @@ class FormField:
         Exact for chart-function coefficients (their own extension), which is
         what makes the operator inputs analytic.
         """
-        out_combos = index_combinations(self.n, self.degree + 1)
-        pos = {c: i for i, c in enumerate(out_combos)}
-        shape = np.shape(z)[:-1]
-        out = np.zeros(shape + (len(out_combos),), dtype=complex)
-        for i, J in enumerate(self.combos):
-            jet = self.components[i].d_zbar(model, z)  # (..., n)
-            for l in range(self.n):
-                sign, merged = insert_index(l, J)
-                if sign == 0:
-                    continue
-                out[..., pos[merged]] += sign * jet[..., l]
-        return out
+        jets = np.stack([c.d_zbar(model, z) for c in self.components],
+                        axis=-2)                       # (..., nJ, n)
+        return wedge_jets(jets, self.n, self.degree)
 
     def dbar_field(self, model) -> "FormField":
         """The differential as a lazily evaluated field."""
@@ -415,18 +407,7 @@ def wedge_covector_values(n, degree, covector, values):
 
     covector: (..., n); values: (..., ncomb_r).  Returns (..., ncomb_{r+1}).
     """
-    in_combos = index_combinations(n, degree)
-    out_combos = index_combinations(n, degree + 1)
-    pos = {c: i for i, c in enumerate(out_combos)}
-    shape = np.broadcast_shapes(covector.shape[:-1], values.shape[:-1])
-    out = np.zeros(shape + (len(out_combos),), dtype=complex)
-    for i, J in enumerate(in_combos):
-        for l in range(n):
-            sign, merged = insert_index(l, J)
-            if sign == 0:
-                continue
-            out[..., pos[merged]] += sign * covector[..., l] * values[..., i]
-    return out
+    return wedge_jets(values[..., :, None] * covector[..., None, :], n, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -452,44 +433,42 @@ def dual_covector_rows(model: ManifoldModel, z):
     return np.linalg.inv(np.swapaxes(V, -1, -2))             # rows = duals
 
 
+def _evaluate_batched(values, rows, n, degree):
+    """:func:`evaluate_form` of the degree-r forms ``values`` (..., C(n, r))
+    on C^n at the sorted r-subsets of the vectors ``rows`` (..., count, n),
+    the leading axes broadcast; returns (..., C(count, r))."""
+    shape = np.broadcast_shapes(values.shape[:-1], rows.shape[:-2])
+    size = prod(shape)
+    F = np.broadcast_to(values, shape + values.shape[-1:]).reshape(size, -1)
+    V = np.broadcast_to(rows, shape + rows.shape[-2:]).reshape(size, -1)
+    out = evaluate_form(F.T, V.T, n, degree, degree)
+    return out.T.reshape(shape + out.shape[:1])
+
+
 def tangential_components(model: ManifoldModel, values, z, degree: int):
     """Contract ambient (0, r) coefficients with the conjugate tangent frame.
 
-    Returns (..., C(n-m, r)) components against increasing frame tuples.
+    Returns (..., C(n-m, r)) components against increasing frame tuples: the
+    form evaluated at the frame rows, sum over J of values[J] det(frame[I, J]).
     """
-    z = np.asarray(z, dtype=complex)
-    wb = conjugate_frame_rows(model, z)
-    in_combos = index_combinations(model.n, degree)
-    out_combos = index_combinations(model.tangential_dim, degree)
-    shape = np.broadcast_shapes(values.shape[:-1], wb.shape[:-2])
-    out = np.zeros(shape + (len(out_combos),), dtype=complex)
-    for oi, I in enumerate(out_combos):
-        for ji, J in enumerate(in_combos):
-            sub = wb[..., list(I), :][..., :, list(J)]
-            out[..., oi] += values[..., ji] * small_det(sub)
-    return out
+    wb = conjugate_frame_rows(model, np.asarray(z, dtype=complex))
+    return _evaluate_batched(values, wb, model.n, degree)
 
 
 def project_tangential(model: ManifoldModel, values, z, degree: int):
     """Canonical ambient representative of the tangential part.
 
     Idempotent; annihilates any component containing a conjugate normal
-    covector.
+    covector.  The tangential components, a form on C^(n-m), evaluated at
+    the dual-covector columns: sum over I of tan[I] det(duals[I, J]).
     """
     if degree == 0:
         return values
     z = np.asarray(z, dtype=complex)
     tan = tangential_components(model, values, z, degree)
     duals = dual_covector_rows(model, z)[..., :model.tangential_dim, :]
-    in_combos = index_combinations(model.tangential_dim, degree)
-    out_combos = index_combinations(model.n, degree)
-    shape = np.broadcast_shapes(values.shape[:-1], duals.shape[:-2])
-    out = np.zeros(shape + (len(out_combos),), dtype=complex)
-    for oi, J in enumerate(out_combos):
-        for ii, I in enumerate(in_combos):
-            sub = duals[..., list(I), :][..., :, list(J)]
-            out[..., oi] += tan[..., ii] * small_det(sub)
-    return out
+    return _evaluate_batched(tan, np.swapaxes(duals, -1, -2),
+                             model.tangential_dim, degree)
 
 
 def tangential_dbar_values(model: ManifoldModel, field: FormField, z):

@@ -211,7 +211,7 @@ def directional_levi(model: ManifoldModel, theta, z=None) -> LeviData:
     # positivity subspace: top q eigenvectors on the tangential slice,
     # completed by the w-block directions (where the graph normal bundle sits)
     d = model.tangential_dim
-    keep = evecs[:, d - model.q:] if model.q <= pos else evecs[:, d - model.q:]
+    keep = evecs[:, d - model.q:]
     basis = np.zeros((model.n, keep.shape[1] + model.m), dtype=complex)
     basis[:d, :keep.shape[1]] = keep
     for j in range(model.m):

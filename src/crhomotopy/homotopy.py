@@ -16,10 +16,11 @@ against a dense determinant in the test suite.
 Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the
 t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
-sign table, det9 and the form values fold into per-chunk weights W[:, M], and
-the sum over M is taken before any coefficient is formed (generalized Laplace
-expansion): sum_M W_M gamma_M is the k-vector G with G[S] = W(rows S of
-gamma), k interior products of the k-form W, and the (n - k)-form *G(u) =
+weighted degree-r form values g and det9 fold into the per-chunk weights
+W = (-1)^(r n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r,
+and the sum over M is taken before any coefficient is formed (generalized
+Laplace expansion): sum_M W_M gamma_M is the k-vector G with G[S] = W(rows S
+of gamma), k interior products of the k-form W, and the (n - k)-form *G(u) =
 sum_M W_M det[u | gamma_M] gives every total as (-1)^n (*G)(eta, tau, beta_L)
 (solution) or (*G)(eta, beta_L) (obstruction).
 """
@@ -27,13 +28,11 @@ sum_M W_M det[u | gamma_M] gives every total as (-1)^n (*G)(eta, tau, beta_L)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
 
 import numpy as np
 
-from ._util import (RunningSum, evaluate_form, index_combinations,
-                    merge_sorted)
+from ._util import RunningSum, evaluate_form, hodge_star, index_combinations
 from .errors import GridTooCoarseError
 from .fields import (FormField, lazy_field, tangential_components,
                      wedge_covector_values)
@@ -50,31 +49,17 @@ BLOCK = 512             # nodes per kernel block: its gathers stay in cache
 # coefficient assembly plans
 # ---------------------------------------------------------------------------
 
-def _contraction_table(n, field_degree, M_combos):
-    """Sign table for g_J dzbar..._M monomials against the missing-index
-    determinants: entries (k, J_idx, M_idx, sign)."""
-    J_combos = index_combinations(n, field_degree)
-    J_pos = {c: i for i, c in enumerate(J_combos)}
-    M_pos = {c: i for i, c in enumerate(M_combos)}
-    table = []
-    for k in range(n):
-        comp = tuple(i for i in range(n) if i != k)
-        for J in combinations(comp, field_degree):
-            M = tuple(i for i in comp if i not in J)
-            sign, _ = merge_sorted(J, M)
-            table.append((k, J_pos[J], M_pos[M], sign))
-    return table
-
-
-def _fold_weights(table, gw, det9, nM):
+def _fold_weights(gw, det9, r):
     """Point-independent contraction weights of one chunk, shape (N, nM):
-    W[:, M] = sum of sign * gw[:, J] * det9[:, k] over the table rows of M.
-    A point's chunk total is then the sum over nodes and M of
+    W = (-1)^(r n) i_delta *g, the weighted degree-r field g = gw contracted
+    with delta_k = (-1)^k det9[:, k], so nM = C(n, n - 1 - r).  Term by term,
+    W[:, M] sums sign(J + M) * gw[:, J] * det9[:, k] over the k and J that
+    complete M to range(n), sign(J + M) being that of the sorting
+    permutation.  A point's chunk total is then the sum over nodes and M of
     W[:, M] * coef[:, L, M]."""
-    W = np.zeros((gw.shape[0], nM), dtype=complex)
-    for k, j_idx, m_idx, sgn in table:
-        W[:, m_idx] += sgn * gw[:, j_idx] * det9[:, k]
-    return W
+    n = det9.shape[1]
+    delta = det9.T * ((-1.0) ** (np.arange(n) + r * n))[:, None]
+    return evaluate_form(hodge_star(gw.T, n, r), delta, n, n - r, 1).T
 
 
 def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
@@ -91,9 +76,6 @@ def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
     N, n = eta.shape
     front = eta.T if tau is None else np.concatenate([eta.T, tau.T])
     k = n - len(front) // n - r_out
-    # *G[Q] = sign(Q, Q^c) G[Q^c], and Q^c runs through the k-tuples backwards
-    star_sign = np.array([(-1.0) ** (sum(Q) - (n - k) * (n - k - 1) // 2)
-                          for Q in index_combinations(n, n - k)])[:, None]
 
     def layout(b, g):       # beta columns and gamma rows, (vector * n + c, N)
         return (b.transpose(2, 1, 0).reshape(n * n, N) if r_out else None,
@@ -104,7 +86,7 @@ def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
                 else (1 - t) * zero[:, blk] + t * one[:, blk])
 
     def star_front(G):      # (*G)(eta, tau, .) or (*G)(eta, .) on the block
-        return evaluate_form(star_sign * G[::-1], front[:, blk], n, n - k,
+        return evaluate_form(hodge_star(G, n, k), front[:, blk], n, n - k,
                              n - k - r_out)
 
     W = W.T
@@ -126,7 +108,7 @@ def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
 
 
 def _field_plan(n, r, kind):
-    """(r_out, sign table, nM, sign) of the operator on degree-r input."""
+    """(r_out, sign) of the operator on degree-r input."""
     r_out = {"solution": r - 1, "obstruction": r}.get(kind)
     if r_out is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -134,14 +116,13 @@ def _field_plan(n, r, kind):
         raise ValueError("solution operator needs input degree >= 1")
     if r_out > n - 1:
         raise ValueError("output degree exceeds the form bound")
-    M_combos = index_combinations(n, n - 1 - r)
     sign = (-1.0) ** (r * r_out)
     if kind == "solution":
         # (-1)^n moves the dt row past the dzeta block; the extra flip
         # realizes the interval-first product orientation, calibrated once
         # against the reproduction identity (see tests)
         sign *= -((-1.0) ** n)
-    return r_out, _contraction_table(n, r, M_combos), len(M_combos), sign
+    return r_out, sign
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +188,14 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
         det9 = None
         weights = {}                                    # id(field) -> (live, W)
         for zi, (f, z) in enumerate(zip(field_of, z_list)):
-            r_out, table, nM, sign = plans[id(f)]
+            r_out, sign = plans[id(f)]
             if id(f) not in weights:
                 g_vals = f.values(model, on_manifold)  # (N, nJ)
                 live = np.any(g_vals != 0, axis=1)
                 if np.any(live) and det9 is None:
                     det9 = _det9_blocks(chunk.velocity)  # (N, n)
                 weights[id(f)] = live, (_fold_weights(
-                    table, g_vals * base_w[:, None], det9, nM)
+                    g_vals * base_w[:, None], det9, f.degree)
                     if np.any(live) else None)
             live, W = weights[id(f)]
             if W is None:

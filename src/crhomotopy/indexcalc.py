@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
 
+from ._util import loglog_slope
 from .errors import RealizationInfeasibleError, TableGapError
 
 
@@ -567,9 +568,4 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
             total += float(np.sum(dens * cutoff * chunk.weight
                                   * chunk.surface_jac))
         values.append(total)
-    eps_arr = np.asarray(epsilons, dtype=float)
-    vals = np.asarray(values)
-    lx = np.log(eps_arr) - np.mean(np.log(eps_arr))
-    ly = np.log(vals) - np.mean(np.log(vals))
-    slope = float(np.dot(lx, ly) / np.dot(lx, lx))
-    return slope, values
+    return loglog_slope(epsilons, values), values

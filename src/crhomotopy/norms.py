@@ -41,6 +41,15 @@ def frame_velocity(model: ManifoldModel, z, controls):
     return vel
 
 
+def _rk4_step(velocity, point, s, h):
+    """One classical 4th-order step of point' = velocity(point, s)."""
+    k1 = velocity(point, s)
+    k2 = velocity(point + 0.5 * h * k1, s + 0.5 * h)
+    k3 = velocity(point + 0.5 * h * k2, s + 0.5 * h)
+    k4 = velocity(point + h * k3, s + h)
+    return point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def flow_from(model: ManifoldModel, z, controls, time: float = 1.0,
               steps: int = 64, return_path: bool = False):
     """Integrate the frame flow with a fixed-step classical 4th-order method.
@@ -53,11 +62,8 @@ def flow_from(model: ManifoldModel, z, controls, time: float = 1.0,
     path = [z.copy()]
     point = z.copy()
     for _ in range(steps):
-        k1 = frame_velocity(model, point, controls)
-        k2 = frame_velocity(model, point + 0.5 * h * k1, controls)
-        k3 = frame_velocity(model, point + 0.5 * h * k2, controls)
-        k4 = frame_velocity(model, point + h * k3, controls)
-        point = point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        point = _rk4_step(lambda p, s: frame_velocity(model, p, controls),
+                          point, 0.0, h)
         if np.max(np.abs(point)) > 4.0 * model.radius:
             raise ChartExitError("flow left the coordinate chart")
         if return_path:
@@ -230,13 +236,8 @@ def integrate_controls(model: ManifoldModel, z, controls_at,
     h = s_vals[1] - s_vals[0]
     point = pts[0]
     for s in s_vals[:-1]:
-        def vel_fn(p, s_local):
-            return frame_velocity(model, p, controls_at(s_local))
-        k1 = vel_fn(point, s)
-        k2 = vel_fn(point + 0.5 * h * k1, s + 0.5 * h)
-        k3 = vel_fn(point + 0.5 * h * k2, s + 0.5 * h)
-        k4 = vel_fn(point + h * k3, s + h)
-        point = point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        point = _rk4_step(lambda p, s_local: frame_velocity(
+            model, p, controls_at(s_local)), point, s, h)
         pts.append(point.copy())
     pts = np.array(pts)
     vels = np.array([frame_velocity(model, p, controls_at(s))

@@ -1,9 +1,9 @@
 """Independent test oracles.
 
 These implementations deliberately avoid the package's computation paths:
-the wedge expansion iterates raw symbol choices, the defining-function
-oracle re-evaluates the polynomial from its definition, and derivative
-oracles are plain central differences.
+the wedge expansions and the sign table iterate raw symbol choices and count
+inversions, the defining-function oracle re-evaluates the polynomial from
+its definition, and derivative oracles are plain central differences.
 """
 
 import numpy as np
@@ -92,6 +92,46 @@ def loglog_fit(x, y):
     ly = np.log(np.abs(np.asarray(y, float)))
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+def contraction_table(n, r):
+    """Sign table of the fold of a degree-r field against the missing-index
+    determinants: rows (k, J index, M index, sign) over the missing index k
+    and the sorted r-tuples J and (n - 1 - r)-tuples M that split range(n)
+    without k; the sign is that of the permutation J + M, by inversion
+    count."""
+    from itertools import combinations
+
+    J_pos = {J: i for i, J in enumerate(combinations(range(n), r))}
+    M_pos = {M: i for i, M in enumerate(combinations(range(n), n - 1 - r))}
+    table = []
+    for k in range(n):
+        comp = [i for i in range(n) if i != k]
+        for J in combinations(comp, r):
+            M = tuple(i for i in comp if i not in J)
+            inversions = sum(j > m for j in J for m in M)
+            table.append((k, J_pos[J], M_pos[M], (-1) ** inversions))
+    return table
+
+
+def brute_wedge(jets, n, r):
+    """sum over J, l of jets[..., J, l] dzbar_l ^ dzbar_J by raw symbol
+    expansion: the symbols (l, *J) are sorted with the sign of their
+    inversion count.  jets (..., C(n, r), n); returns (..., C(n, r + 1))."""
+    from itertools import combinations
+
+    out_pos = {K: i for i, K in enumerate(combinations(range(n), r + 1))}
+    out = np.zeros(jets.shape[:-2] + (len(out_pos),), dtype=complex)
+    for ji, J in enumerate(combinations(range(n), r)):
+        for l in range(n):
+            syms = (l,) + J
+            if l in J:
+                continue
+            inversions = sum(a > b for i, a in enumerate(syms)
+                             for b in syms[i + 1:])
+            out[..., out_pos[tuple(sorted(syms))]] += (
+                (-1) ** inversions * jets[..., ji, l])
+    return out
 
 
 def row_contraction(table, gw, coef, det9, keep):

@@ -4,7 +4,8 @@ import pytest
 from crhomotopy import barrier, sections
 from crhomotopy.cf_forms import FormTensor, cf_component, full_determinant_form
 from crhomotopy.errors import NearSingularPhaseError, SingularityError
-from oracles import brute_wedge_expansion, dense_coefficients
+from oracles import (brute_wedge_expansion, contraction_table,
+                     dense_coefficients)
 
 
 def random_jets(rng, n):
@@ -226,7 +227,6 @@ class TestSphereReproduction:
         # end-to-end calibration of the reproduction constant and the
         # surface orientation at n = 2
         from math import factorial, gamma as gamma_fn, pi
-        from crhomotopy.homotopy import _contraction_table
         from crhomotopy.sections import bochner_martinelli_jets as _bm_jets
         n, N = 2, 120000
         z = np.array([0.1 + 0.05j, -0.2 + 0.1j])
@@ -246,8 +246,8 @@ class TestSphereReproduction:
             orient[i] = block_sign * np.sign(np.linalg.det(
                 np.concatenate([x[i][:, None], tang], axis=1)))
         eta, beta, gamma = _bm_jets(zeta, z)
-        Mc, coef, _ = dense_coefficients(eta, beta, gamma, None, 0)
-        table = _contraction_table(n, 0, Mc)
+        _, coef, _ = dense_coefficients(eta, beta, gamma, None, 0)
+        table = contraction_table(n, 0)
         dets = np.empty((N, n), dtype=complex)
         for k in range(n):
             keep = [l for l in range(n) if l != k]

@@ -16,7 +16,7 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
-from oracles import dense_coefficients, row_contraction
+from oracles import contraction_table, dense_coefficients, row_contraction
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -532,8 +532,9 @@ class TestOperators:
             nJ = len(index_combinations(model.n, r))
             gw = (rng.standard_normal((N, nJ))
                   + 1j * rng.standard_normal((N, nJ))) * chunk.weight[:, None]
-            r_out, table, nM, _ = homotopy._field_plan(model.n, r, kind)
-            W = homotopy._fold_weights(table, gw, det9, nM) * keep[:, None]
+            r_out, _ = homotopy._field_plan(model.n, r, kind)
+            table = contraction_table(model.n, r)
+            W = homotopy._fold_weights(gw, det9, r) * keep[:, None]
             if kind == "solution":
                 t = 0.3
                 _, coef, bound = dense_coefficients(
@@ -567,7 +568,8 @@ class TestOperators:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         N = homotopy.BLOCK + 188
-        r_out, _, nM, _ = homotopy._field_plan(n, r, kind)
+        r_out, _ = homotopy._field_plan(n, r, kind)
+        nM = len(index_combinations(n, n - 1 - r))
         eta, tau = cplx(N, n), cplx(N, n)
         beta, gamma = cplx(N, n, n), cplx(N, n, n)
         W = cplx(N, nM) * (rng.random(N) > 0.2)[:, None]
