@@ -128,6 +128,31 @@ class BarrierJetBatch:
     dP_dzetabar: np.ndarray    # (N, n, n)
     dPhi_dzbar: np.ndarray     # (N, n)
     dPhi_dzetabar: np.ndarray  # (N, n)
+    # factors of the mixed jet d^2 P / d zetabar d zbar; None on the
+    # two-sheet path, where theta is locally constant and the jet vanishes
+    dQ_dzbar: np.ndarray = None   # (m, n, n): [k, l, i] = d Q_k,i / d zbar_l
+    dtheta: np.ndarray = None     # (N, m, n): d theta_k / d zetabar_j
+    rows: np.ndarray = None       # (N, c, n) scaled frame rows
+    drows: np.ndarray = None      # (N, m, c, n): d rows / d theta_k
+
+    def dP_mixed(self, V, blk):
+        """sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the nodes
+        ``blk``, shape (B, a, i, j), or None where it vanishes.
+
+        P is affine in zbar: dP_dzbar[l, i] = sum_k theta_k dQ_k[l, i] -
+        sum_c rows_c[i] conj(rows_c[l]) depends on zeta only through theta,
+        so the mixed jet is its theta-derivative times d theta / d zetabar,
+        from the arrays :func:`barrier_jets` already built.
+        """
+        if self.dtheta is None:
+            return None
+        rows, drows = self.rows[blk], self.drows[blk]
+        pair = np.einsum("Ncl,al->Nac", rows.conj(), V)
+        dpair = np.einsum("Nkcl,al->Nkac", drows.conj(), V)
+        d_theta = (np.einsum("al,kli->kai", V, self.dQ_dzbar)[None]
+                   - np.einsum("Nkci,Nac->Nkai", drows, pair)
+                   - np.einsum("Nci,Nkac->Nkai", rows, dpair))
+        return np.einsum("Nkai,Nkj->Naij", d_theta, self.dtheta[blk])
 
 
 def _batched_scaled_rows(model: ManifoldModel, thetas) -> np.ndarray:
@@ -276,7 +301,8 @@ def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
     Phi = np.einsum("Ni,Ni->N", P, w)
     return BarrierJetBatch(P=P, Phi=Phi, dP_dzbar=dP_dzbar,
                            dP_dzetabar=dP_dzetabar, dPhi_dzbar=dPhi_dzbar,
-                           dPhi_dzetabar=dPhi_dzetabar)
+                           dPhi_dzetabar=dPhi_dzetabar, dQ_dzbar=dQ_dzbar,
+                           dtheta=dtheta, rows=rows, drows=drows)
 
 
 def barrier_phase(model: ManifoldModel, zetas, z,

@@ -23,6 +23,15 @@ Laplace expansion): sum_M W_M gamma_M is the k-vector G with G[S] = W(rows S
 of gamma), k interior products of the k-form W, and the (n - k)-form *G(u) =
 sum_M W_M det[u | gamma_M] gives every total as (-1)^n (*G)(eta, tau, beta_L)
 (solution) or (*G)(eta, beta_L) (obstruction).
+
+The identity residual needs dbar_M R_1 f, the conjugate-frame derivative
+sum_l conj(a_il) d/dzbar_l of the degree-0 value.  It is analytic: the
+mixed section jets d gamma / d zbar (closed form for the euclidean section;
+for the barrier, P is affine in zbar with zeta-only coefficients) are
+contracted with the adjoint dT / d gamma_t of the folded total, per block
+of nodes, in the same pass that forms the value (:func:`_tangent_block`).
+The 16-point finite-difference stencil (:func:`tangential_dbar_scalar`) is
+its test oracle.
 """
 
 from __future__ import annotations
@@ -32,10 +41,11 @@ from math import factorial
 
 import numpy as np
 
-from ._util import RunningSum, evaluate_form, hodge_star, index_combinations
+from ._util import (RunningSum, evaluate_form, hodge_star, index_combinations,
+                    wedge_jets)
 from .errors import GridTooCoarseError
-from .fields import (FormField, lazy_field, tangential_components,
-                     wedge_covector_values)
+from .fields import (FormField, conjugate_frame_rows, lazy_field,
+                     tangential_components, wedge_covector_values)
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 from .quadrature import QuadratureGrid
 from .sections import barrier_section_jets, bochner_martinelli_jets
@@ -63,7 +73,7 @@ def _fold_weights(gw, det9, r):
 
 
 def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
-                         t_rule=((1.0, 1.0),)):
+                         t_rule=((1.0, 1.0),), tangent=None):
     """Sum over nodes and M of W[:, M] * coef[:, L, M], shape (nL,), with no
     coefficient formed.
 
@@ -72,6 +82,12 @@ def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
     ``t_rule`` of weight * det[eta | beta_t L | gamma_t M | tau], beta_t and
     gamma_t running linearly from ``start`` = (beta0, gamma0) at t = 0 to
     (beta, gamma) at t = 1.  The nodes are taken in blocks of BLOCK.
+
+    ``tangent`` (solution kind, r_out = 0) is the pair of ``along``
+    functions of the t = 0 and t = 1 section jets (see
+    :func:`~crhomotopy.sections.bochner_martinelli_jets`); the derivatives
+    of the sum along their directions are then returned too, as (sum,
+    derivatives), by :func:`_tangent_block`.
     """
     N, n = eta.shape
     front = eta.T if tau is None else np.concatenate([eta.T, tau.T])
@@ -93,18 +109,66 @@ def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
     b1, g1 = layout(beta, gamma)
     b0, g0 = layout(*start) if start is not None else (None, None)
     total = np.zeros(len(index_combinations(n, r_out)), dtype=complex)
+    d_total = 0.0
     for lo in range(0, N, BLOCK):
         blk = slice(lo, lo + BLOCK)
-        gs = [weight * evaluate_form(W[:, blk], at(g0, g1, t), n, k, k)
-              for t, weight in t_rule]
+        gammas = [at(g0, g1, t) for t, _ in t_rule]
+        gs = [weight * evaluate_form(W[:, blk], g, n, k, k)
+              for g, (_, weight) in zip(gammas, t_rule)]
         if r_out:
             acc = sum(evaluate_form(star_front(G), at(b0, b1, t), n, r_out,
                                     r_out) for G, (t, _) in zip(gs, t_rule))
-        else:   # no beta column: one eta ^ tau wedge for every t-node
+        elif tangent is None:   # no beta column: one eta ^ tau wedge
             acc = star_front(sum(gs))
+        else:
+            acc, d_acc = _tangent_block(W[:, blk], front[:, blk], sum(gs),
+                                        gammas, t_rule,
+                                        [f(blk) for f in tangent])
+            d_total = d_total + d_acc
         total += acc.sum(axis=1)
     # det[eta | beta_L | gamma_M | tau] = (-1)^n (*G)(eta, tau, beta_L)
-    return total if tau is None else (-1.0) ** n * total
+    if tau is not None:
+        total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
+    return total if tangent is None else (total, d_total)
+
+
+def _tangent_block(W, front, G, gammas, t_rule, along):
+    """One block of the degree-0 solution total T = (*G)(eta0, tau), G =
+    sum_t weight_t W(rows of gamma_t), and its derivatives D_a T along the
+    directions of ``along`` = ((D eta0, D gamma0), (D eta1, D gamma1)), the
+    section derivatives of shapes (B, d, n) and (B, d, n, n), tau = eta1 -
+    eta0.  Returns (T per node (1, B), D T summed over the block (d,)).
+
+    eta0 enters through no term of its own: D eta0 = beta0 v, tau and every
+    gamma_t column are bilinearly orthogonal to w = zeta - z (derivatives of
+    sum_k eta_k w_k = 1 with w holomorphic), so det[D eta0 | gamma_M | tau]
+    has n columns in a hyperplane and vanishes.  D tau enters through the
+    1-form (*G)(eta0, .).  gamma_t enters by reverse mode: T = <c, G> with
+    the k-vector c = *(eta0 ^ tau), so dT / d gamma_t[s, l] = weight_t
+    (-1)^(k-1) sum_R (i_s c)[R] W(rows R of gamma_t, .)[l] over the
+    (k-1)-subsets R, and the adjoints, weighted (1 - t) and t, are
+    contracted with D gamma0 and D gamma1.  The cost does not grow with the
+    number of directions.
+    """
+    n, B = front.shape[0] // 2, front.shape[1]
+    k = n - 2
+    eta, tau = front[:n], front[n:]
+    X = evaluate_form(hodge_star(G, n, k), eta, n, 2, 1)     # (*G)(eta0, .)
+    (d_eta0, d_gamma0), (d_eta1, d_gamma1) = along
+    d_acc = np.einsum("cN,Nac->a", X, d_eta1 - d_eta0)
+    c = hodge_star(wedge_jets(np.einsum("jN,lN->Njl", tau, eta), n, 1).T, n, 2)
+    ic = evaluate_form(c, np.eye(n).reshape(-1, 1), n, k, 1)
+    ic = ic.reshape(n, -1, B).transpose(2, 0, 1)                    # (B, s, R)
+    adjoint = [0.0, 0.0]
+    for gamma, (t, weight) in zip(gammas, t_rule):
+        F = evaluate_form(W, gamma, n, k, k - 1).reshape(-1, n, B)  # (R, l, B)
+        adj = weight * (ic @ F.transpose(2, 0, 1))                  # (B, s, l)
+        adjoint[0] = adjoint[0] + (1.0 - t) * adj
+        adjoint[1] = adjoint[1] + t * adj
+    d_acc = d_acc + (-1.0) ** (k - 1) * (
+        np.einsum("Nsl,Nasl->a", adjoint[0], d_gamma0)
+        + np.einsum("Nsl,Nasl->a", adjoint[1], d_gamma1))
+    return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 
 def _field_plan(n, r, kind):
@@ -137,6 +201,8 @@ class OperatorResult:
     degree: int
     rejected: int
     total_nodes: int
+    # sum_l v_a[l] d ambient[0] / d zbar_l along rows v_a, when asked for
+    dbar: np.ndarray = None
 
     def tangential(self, model, z):
         return tangential_components(model, self.ambient[None, :], z,
@@ -158,25 +224,34 @@ def _det9_blocks(velocity):
 
 def apply_operator_multi(model: ManifoldModel, field, z_list,
                          grid: QuadratureGrid, kind: str = "solution",
-                         extension=None):
+                         extension=None, _frames=None):
     """Evaluate the operator at several points over one shared node stream.
 
     ``field`` is one :class:`FormField` for every point, or a sequence with
     one field per point.  Node geometry (velocities, orientation, per-node
     determinants), the form values and the contraction weights do not depend
     on the point and are computed once per chunk and field; only the section
-    jets and coefficient determinants vary with the point.  Returns a list
-    of :class:`OperatorResult`.
+    jets and the contracted kernel vary with the point, and consecutive
+    points at the same z share their section jets.  Returns a list of
+    :class:`OperatorResult`.
+
+    ``_frames`` (private to :func:`identity_residual`) gives per point None
+    or rows v_a of shape (d, n); such a point (solution kind, degree-1
+    input) also gets ``dbar``, the derivatives sum_l v_a[l] d / d zbar_l of
+    its value, from the mixed section jets by :func:`_tangent_block`.
     """
     z_list = [np.asarray(z, dtype=complex) for z in z_list]
     field_of = (list(field) if isinstance(field, (list, tuple))
                 else [field] * len(z_list))
     if len(field_of) != len(z_list):
         raise ValueError("need one field per evaluation point")
+    frames = list(_frames) if _frames is not None else [None] * len(z_list)
     n = model.n
     plans = {id(f): _field_plan(n, f.degree, kind) for f in field_of}
     accums = [RunningSum(shape=(len(index_combinations(n, plans[id(f)][0])),))
               for f in field_of]
+    d_accums = [RunningSum(shape=(len(frame),)) if frame is not None else None
+                for frame in frames]
     rejected = [0] * len(z_list)
     total = 0
     project = extension if extension is not None else model.project_to_manifold
@@ -187,7 +262,8 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
         base_w = chunk.weight * chunk.orient
         det9 = None
         weights = {}                                    # id(field) -> (live, W)
-        for zi, (f, z) in enumerate(zip(field_of, z_list)):
+        shared = None                   # (z, section jets) of the last point
+        for zi, (f, z, frame) in enumerate(zip(field_of, z_list, frames)):
             r_out, sign = plans[id(f)]
             if id(f) not in weights:
                 g_vals = f.values(model, on_manifold)  # (N, nJ)
@@ -200,21 +276,32 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
             live, W = weights[id(f)]
             if W is None:
                 accums[zi].add(np.zeros(accums[zi].shape, dtype=complex))
+                if frame is not None:
+                    d_accums[zi].add(np.zeros(len(frame), dtype=complex))
                 continue
-            eta1, beta1, gamma1, phi = barrier_section_jets(
-                model, chunk.zeta, z)
+            if frame is not None or shared is None or not np.array_equal(
+                    shared[0], z):
+                shared = z, (
+                    barrier_section_jets(model, chunk.zeta, z, frame),
+                    bochner_martinelli_jets(chunk.zeta, z, frame)
+                    if kind == "solution" else None)
+            (eta1, beta1, gamma1, phi, *along1), euclid = shared[1]
             bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
             rejected[zi] += int(np.sum(bad & live))
             W_kept = W * ~bad[:, None]
             if kind == "solution":
-                eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
+                eta0, beta0, gamma0, *along0 = euclid
                 folded = _folded_coefficients(
                     W_kept, eta0, beta1, gamma1, r_out, tau=eta1 - eta0,
                     start=(beta0, gamma0),
-                    t_rule=tuple(zip(grid.t_nodes, grid.t_weights)))
+                    t_rule=tuple(zip(grid.t_nodes, grid.t_weights)),
+                    tangent=along0 + along1 if frame is not None else None)
             else:
                 folded = _folded_coefficients(W_kept, eta1, beta1, gamma1,
                                               r_out)
+            if frame is not None:
+                folded, d_folded = folded
+                d_accums[zi].add(0.0 + sign * d_folded)
             # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
             # exactly zero is reported as 0.0
             accums[zi].add(0.0 + sign * folded)
@@ -227,9 +314,12 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                 f"singularity at point {zi}")
         r = field_of[zi].degree
         prefactor = (-1.0) ** r * factorial(n - 1) / (2.0j * np.pi) ** n
-        out.append(OperatorResult(ambient=prefactor * accums[zi].total(),
-                                  degree=plans[id(field_of[zi])][0],
-                                  rejected=rejected[zi], total_nodes=total))
+        out.append(OperatorResult(
+            ambient=prefactor * accums[zi].total(),
+            degree=plans[id(field_of[zi])][0], rejected=rejected[zi],
+            total_nodes=total,
+            dbar=(prefactor * d_accums[zi].total()
+                  if frames[zi] is not None else None)))
     return out
 
 
@@ -243,7 +333,8 @@ def apply_operator(model: ManifoldModel, field: FormField, z,
 
 
 # ---------------------------------------------------------------------------
-# tangential derivative of quadrature-backed scalars
+# tangential derivative of quadrature-backed scalars (finite differences: the
+# test oracle of the analytic dbar that identity_residual uses)
 # ---------------------------------------------------------------------------
 
 def tangential_dbar_scalar(model: ManifoldModel, scalar_fn, z,
@@ -327,6 +418,8 @@ class ResidualRow:
     residual: float
     f_norm: float
     components: dict
+    rejected: int       # the larger rejected count of the pass's two integrals
+    total_nodes: int
 
 
 def conjugate_frame_stencil(model: ManifoldModel, z, step: float):
@@ -356,23 +449,24 @@ def assemble_conjugate_frame_derivative(values, d, step: float):
 
 def identity_residual(model: ManifoldModel, field: FormField, z_points,
                       epsilon: float, budget: int, seed: int = 0,
-                      box_radius: float = 0.7, fd_step: float = None,
-                      extension=None):
+                      box_radius: float = 0.7, extension=None):
     """Residual of f = dbar_M R_1 f + R_2 dbar_M f at the given points.
 
-    The first term differentiates the quadrature-backed scalar through the
-    conjugate frame; the second term integrates the analytic differential of
-    the test form.  Both terms, at every stencil point, share one pass over
-    one node stream.
+    The first term is the analytic conjugate-frame derivative of the
+    quadrature value R_1 f: Wbar_i = sum_l conj(a_il) d/dzbar_l, a_i the
+    holomorphic tangent rows, through the mixed section jets (the stencil of
+    :func:`tangential_dbar_scalar` is its finite-difference oracle; the
+    graph projection of the stencil points is the identity to first order
+    along the complex tangent).  The second term integrates the analytic
+    differential of the test form.  Both terms are evaluated at z alone,
+    with one set of section jets per chunk, in one pass over one node
+    stream.
     The obstruction term vanishes pointwise for input degree below the
     concavity parameter and is not assembled here.
     """
     if field.degree != 1:
         raise ValueError("identity residual is implemented for (0,1) inputs")
-    if fd_step is None:
-        fd_step = 2e-3 * epsilon
     dbar_field = field.dbar_field(model)
-    d = model.tangential_dim
     rows = []
     for idx, z in enumerate(z_points):
         z = np.asarray(z, dtype=complex)
@@ -381,12 +475,11 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
                               mode="mc-shell", seed=seed + idx,
                               center_zp=zp, center_u=w.real,
                               box_radius=box_radius)
-        stencil = conjugate_frame_stencil(model, z, fd_step)
-        *r1, r2 = apply_operator_multi(
-            model, [field] * len(stencil) + [dbar_field], stencil + [z],
-            grid, kind="solution", extension=extension)
-        values = [complex(res.ambient[0]) for res in r1]
-        dbar_r1_tan = assemble_conjugate_frame_derivative(values, d, fd_step)
+        r1, r2 = apply_operator_multi(
+            model, [field, dbar_field], [z, z], grid, kind="solution",
+            extension=extension,
+            _frames=[conjugate_frame_rows(model, z), None])
+        dbar_r1_tan = r1.dbar
         r2_tan = r2.tangential(model, z)
         f_tan = tangential_components(model, field.values(model, z[None, :]),
                                       z[None, :], 1)[0]
@@ -399,6 +492,8 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
                 "f_tan": f_tan.tolist(),
                 "dbar_r1_tan": dbar_r1_tan.tolist(),
                 "r2_tan": r2_tan.tolist(),
-            }))
+            },
+            rejected=max(r1.rejected, r2.rejected),
+            total_nodes=r1.total_nodes))
     return rows
 

@@ -42,9 +42,18 @@ class SectionJet:
 # batched section jets over a zeta batch at fixed z
 # ---------------------------------------------------------------------------
 
-def bochner_martinelli_jets(zetas, z):
+def bochner_martinelli_jets(zetas, z, directions=None):
     """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]
-    with beta = d eta / d zbar and gamma = d eta / d zetabar."""
+    with beta = d eta / d zbar and gamma = d eta / d zetabar.
+
+    With ``directions`` (rows v_a, shape (d, n)) a fourth value ``along``
+    is returned: along(blk) gives, over the nodes blk, the derivatives
+    D_a = sum_l v_a[l] d / d zbar_l of eta and gamma, shapes (B, d, n) and
+    (B, d, n, n).  They are formed per block, so that no (N, d, n, n) array
+    is held.  With w = zeta - z and S = |w|^2 the mixed jet is rational in
+    w: D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k] w_j) / S^2
+    - 2 conj(w_k) w_j (w.v_a) / S^3.
+    """
     w = zetas - z[None, :]
     S = np.sum(np.abs(w) ** 2, axis=1)
     if np.any(S == 0.0):
@@ -57,15 +66,36 @@ def bochner_martinelli_jets(zetas, z):
     eta = w.conj() * inv_s[:, None]
     beta = -eye[None, :, :] * inv_s[:, None, None] + outer * inv_s2[:, None, None]
     gamma = -beta
-    return eta, beta, gamma
+    if directions is None:
+        return eta, beta, gamma
+    V = np.asarray(directions, dtype=complex)
+
+    def along(blk):
+        wb, s = w[blk, None, None, :], inv_s[blk, None, None, None]
+        wv = (w[blk] @ V.T)[:, :, None, None] * s         # (w . v_a) / S
+        d_gamma = s * (eye * wv + V[None, :, :, None] * wb * s
+                       - 2.0 * eta[blk, None, :, None] * wb * wv)
+        return np.einsum("Nkl,al->Nak", beta[blk], V), d_gamma
+
+    return eta, beta, gamma, along
 
 
-def barrier_section_jets(model: ManifoldModel, zetas, z):
+def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
     """Barrier section values/jets over a batch (eta, beta, gamma, phi).
 
     The returned phi is the raw phase (rejection decisions use it); the
     divisions are floored away from exact zero so a rejected node cannot
     poison the chunk with non-finite values.
+
+    With ``directions`` a fifth value ``along`` is returned, as for
+    :func:`bochner_martinelli_jets`.  From gamma = (dP/dzetabar - eta
+    dPhi/dzetabar) / Phi and Phi = sum_i P_i w_i,
+
+        D gamma = (D dP/dzetabar - D eta (x) dPhi/dzetabar
+                   - eta (x) D dPhi/dzetabar - gamma D Phi) / Phi,
+
+    where D dPhi/dzetabar = sum_i D dP_i/dzetabar w_i.  D dP/dzetabar is
+    :meth:`BarrierJetBatch.dP_mixed`: zero on the m = 1 two-sheet path.
     """
     jets = _barrier.barrier_jets(model, zetas, z)
     phi = jets.Phi
@@ -80,7 +110,23 @@ def barrier_section_jets(model: ManifoldModel, zetas, z):
     gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
              - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzetabar)
              * inv2[:, None, None])
-    return eta, beta, gamma, phi
+    if directions is None:
+        return eta, beta, gamma, phi
+    V = np.asarray(directions, dtype=complex)
+
+    def along(blk):
+        d_eta = np.einsum("Nkl,al->Nak", beta[blk], V)
+        d_phi = jets.dPhi_dzbar[blk] @ V.T                 # (B, d)
+        d_gamma = -(d_eta[..., None] * jets.dPhi_dzetabar[blk, None, None, :]
+                    + gamma[blk, None] * d_phi[..., None, None])
+        mixed = jets.dP_mixed(V, blk)
+        if mixed is not None:
+            w = zetas[blk] - z[None, :]
+            d_gamma += mixed - eta[blk, None, :, None] * np.einsum(
+                "Naij,Ni->Naj", mixed, w)[:, :, None, :]
+        return d_eta, d_gamma * inv[blk, None, None, None]
+
+    return eta, beta, gamma, phi, along
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,50 @@ class TestSections:
                                 np.max(np.abs(jet.d_zetabar - fd.d_zetabar))))
             assert errs[1] < 0.3 * errs[0]
 
+    @pytest.mark.parametrize("section", ["euclidean", "barrier"])
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_mixed_jets_match_central_differences(self, which, section,
+                                                  request):
+        # d gamma / d zbar_l of the along() jets against central Wirtinger
+        # differences in z of gamma itself, at two steps: the error falls
+        # as step^2 (ratio near 4), so the analytic jet is the limit.  The
+        # nodes of one mc-shell chunk lie on both sheets of sig22_n5 (the
+        # m = 1 two-sheet path); on sig22_n6m2 the general path adds the
+        # theta-derivative of dP/dzbar.
+        from crhomotopy.quadrature import QuadratureGrid
+        model = request.getfixturevalue(which)
+        n = model.n
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        zp, w = model.split(z)
+        grid = QuadratureGrid(model=model, epsilon=0.1, budget=64, seed=3,
+                              center_zp=zp, center_u=w.real)
+        zetas = next(grid.chunks()).zeta[:16]
+        if model.m == 1:
+            rho_vec, _ = model.defining_values(zetas)
+            assert np.any(rho_vec[:, 0] > 0) and np.any(rho_vec[:, 0] < 0)
+
+        def jets(at, **kw):
+            if section == "euclidean":
+                return sections.bochner_martinelli_jets(zetas, at, **kw)
+            return sections.barrier_section_jets(model, zetas, at, **kw)
+
+        out = jets(z, directions=np.eye(n))
+        d_eta, d_gamma = out[-1](slice(None))
+        assert np.array_equal(d_eta, np.swapaxes(out[1], 1, 2))
+        errs = []
+        for step in (1e-3, 5e-4):
+            fd = np.empty_like(d_gamma)
+            for l in range(n):
+                g = []
+                for shift in (step, -step, 1j * step, -1j * step):
+                    p = z.copy()
+                    p[l] += shift
+                    g.append(jets(p)[2])
+                fd[:, l] = 0.25 * ((g[0] - g[1]) + 1j * (g[2] - g[3])) / step
+            errs.append(np.max(np.abs(fd - d_gamma)))
+        assert 3.5 < errs[0] / errs[1] < 4.5
+
     def test_near_singular_phase_raises(self, primary):
         # zeta on the manifold would make the direction field undefined;
         # a tiny level with a large offset drives the phase toward zero

@@ -216,6 +216,63 @@ class TestScalarDbar:
         assert np.max(np.abs(fd - tan)) < 1e-8
 
 
+class TestAnalyticDbar:
+    """The analytic conjugate-frame derivative of R_1 f against the
+    finite-difference stencil on the same node stream: the stencil error
+    falls as step^2, so |stencil(h) - analytic| / |stencil(h/2) - analytic|
+    is near 4 when the analytic value is the stencil's limit."""
+
+    @staticmethod
+    def error_ratio(analytic, stencil_at, step=2e-4):
+        errs = [np.max(np.abs(stencil_at(h) - analytic)) for h in (step,
+                                                                    step / 2)]
+        return errs[0] / errs[1]
+
+    @pytest.mark.parametrize("zp,u", [
+        ([0.05, -0.03, 0.02, 0.0], 0.01),            # acceptance point 0
+        ([0.0, 0.06j, -0.04, 0.02 + 0.02j], 0.03),   # acceptance point 2
+    ])
+    def test_matches_stencil_on_acceptance_points(self, primary, zp, u):
+        from crhomotopy.homotopy import (assemble_conjugate_frame_derivative,
+                                         conjugate_frame_stencil)
+        f = bundled_test_form(primary)
+        z = primary.graph_point(np.array(zp, dtype=complex), np.array([u]))
+        grid = centered_grid(primary, z, eps=0.1, budget=10_000, seed=11,
+                             box_radius=0.8)
+        res, = apply_operator_multi(
+            primary, [f], [z], grid,
+            _frames=[fields.conjugate_frame_rows(primary, z)])
+
+        def stencil_at(h):
+            vals = apply_operator_multi(primary, f,
+                                        conjugate_frame_stencil(primary, z, h),
+                                        grid)
+            return assemble_conjugate_frame_derivative(
+                [complex(v.ambient[0]) for v in vals], 4, h)
+
+        assert 3.5 <= self.error_ratio(res.dbar, stencil_at) <= 4.5
+
+    def test_matches_tangential_dbar_scalar_codim_two(self, secondary):
+        from crhomotopy.homotopy import tangential_dbar_scalar
+        f = bundled_test_form(secondary)
+        z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                  np.array([0.01, 0.01]))
+        grid = centered_grid(secondary, z, eps=0.1, budget=1000, seed=11,
+                             box_radius=0.8)
+        res, = apply_operator_multi(
+            secondary, [f], [z], grid,
+            _frames=[fields.conjugate_frame_rows(secondary, z)])
+
+        def stencil_at(h):
+            return tangential_dbar_scalar(
+                secondary,
+                lambda p: complex(apply_operator(secondary, f, p,
+                                                 grid).ambient[0]),
+                z, step=h)
+
+        assert 3.5 <= self.error_ratio(res.dbar, stencil_at) <= 4.5
+
+
 class TestGrid:
     def test_nodes_on_level_set_exactly(self, primary):
         grid = centered_grid(primary, np.zeros(5, dtype=complex))
@@ -476,8 +533,10 @@ class TestOperators:
         f = bundled_test_form(primary)
         z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                                 np.array([0.01]))
-        identity_residual(primary, f, [z], epsilon=0.1, budget=500, seed=3)
+        row, = identity_residual(primary, f, [z], epsilon=0.1, budget=500,
+                                 seed=3)
         assert passes == [3]
+        assert (row.rejected, row.total_nodes) == (0, 500)
 
     @pytest.mark.parametrize("which", ["primary", "secondary"])
     def test_default_t_rule_is_exact(self, which, request):
