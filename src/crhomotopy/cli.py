@@ -21,6 +21,9 @@ from .homotopy import apply_operator, identity_residual
 from .quadrature import QuadratureGrid
 
 SCHEMA = "crhomotopy-report-v1"
+# one run-homotopy row per ladder rung and point, in homotopy.json and the CSV
+RESIDUAL_COLUMNS = ("epsilon", "budget", "point", "residual", "f_norm",
+                    "rejected", "total_nodes")
 
 
 def _config_hash(args_dict) -> str:
@@ -186,7 +189,8 @@ def cmd_run_homotopy(args) -> int:
         worst = max(r.residual for r in rows)
         monotone.append(worst)
         for r in rows:
-            rows_out.append((eps, budget, r.point_index, r.residual, r.f_norm))
+            rows_out.append((eps, budget, r.point_index, r.residual, r.f_norm,
+                             r.rejected, r.total_nodes))
     # obstruction vanishing at the first point
     zp, w0 = model.split(points[0])
     grid = QuadratureGrid(model=model, epsilon=ladder[0][0],
@@ -196,10 +200,10 @@ def cmd_run_homotopy(args) -> int:
     payload = _base_payload(args, model)
     payload["ladder"] = [{"epsilon": e, "budget": b, "worst_residual": m}
                          for (e, b), m in zip(ladder, monotone)]
+    payload["rows"] = [dict(zip(RESIDUAL_COLUMNS, row)) for row in rows_out]
     payload["obstruction_max"] = float(np.max(np.abs(obs.ambient)))
     _write_report(args.out, "homotopy.json", payload)
-    _write_csv(args.out, "homotopy_residuals.csv",
-               ["epsilon", "budget", "point", "residual", "f_norm"], rows_out)
+    _write_csv(args.out, "homotopy_residuals.csv", RESIDUAL_COLUMNS, rows_out)
     decreasing = all(a > b for a, b in zip(monotone, monotone[1:]))
     ok = decreasing or len(monotone) == 1
     print(f"[{'PASS' if ok else 'FAIL'}] homotopy identity ladder: residuals "

@@ -3,15 +3,17 @@
 The solution operator integrates the interpolated kernel over the level set
 times the unit interval; the obstruction operator integrates the pure barrier
 kernel over the level set.  Both pull the integrand form back through the
-level-set parameterization: the form is contracted against the velocity
-columns of each node, which reduces every monomial to a complex determinant.
+level-set parameterization, which reduces every monomial to a complex
+determinant of the velocity columns.
 
-Determinant factorization per node: functional rows are ordered
-[dzetabar block (one index missing) | dzeta block | dt last].  The dt row
-pairs only with the unit-interval direction, contributing a fixed sign
-(-1)^n after being moved past the dzeta block; the remaining (2n-1) square
-block is the per-node determinant det9[k].  This factorization is validated
-against a dense determinant in the test suite.
+Functional rows are ordered [dzetabar block (one index missing) | dzeta
+block | dt last].  The dt row pairs only with the unit-interval direction,
+contributing a fixed sign (-1)^n after being moved past the dzeta block; the
+remaining (2n-1) square block is the minor det9[k].  Times the orientation
+sign it is closed-form, (2i)^n / 2 * (-1)^k times the node's scaled
+conormal eps^(m-1) (-2 S, i sigma) (see :mod:`crhomotopy.quadrature`), so
+no per-node determinant is taken; the dense determinants are the test
+oracle.
 
 Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the
@@ -209,17 +211,13 @@ class OperatorResult:
                                      self.degree)[0]
 
 
-def _det9_blocks(velocity):
-    """Per-node determinants of the functional rows with one dzetabar index
-    removed, shape (N, n)."""
-    N, n, cols = velocity.shape
-    conj_rows = velocity.conj()
-    out = np.empty((N, n), dtype=complex)
-    for k in range(n):
-        keep = [l for l in range(n) if l != k]
-        mat = np.concatenate([conj_rows[:, keep, :], velocity], axis=1)
-        out[:, k] = np.linalg.det(mat)
-    return out
+def _det9_blocks(conormal):
+    """Oriented per-node minors of the functional rows with one dzetabar index
+    removed, shape (N, n): (2i)^n / 2 * (-1)^k conormal[:, k], the node's
+    orientation sign times the (2n-1) determinant of [conj(velocity) without
+    row k | velocity] (see :mod:`crhomotopy.quadrature`)."""
+    n = conormal.shape[1]
+    return conormal * ((2j) ** n / 2 * (-1.0) ** np.arange(n))
 
 
 def apply_operator_multi(model: ManifoldModel, field, z_list,
@@ -228,12 +226,12 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
     """Evaluate the operator at several points over one shared node stream.
 
     ``field`` is one :class:`FormField` for every point, or a sequence with
-    one field per point.  Node geometry (velocities, orientation, per-node
-    determinants), the form values and the contraction weights do not depend
-    on the point and are computed once per chunk and field; only the section
-    jets and the contracted kernel vary with the point, and consecutive
-    points at the same z share their section jets.  Returns a list of
-    :class:`OperatorResult`.
+    one field per point.  Node geometry (the oriented minors, a scaling of
+    the chunk's conormal), the form values and the contraction weights do
+    not depend on the point and are computed once per chunk and field;
+    only the section jets and the contracted kernel vary with the point, and
+    consecutive points at the same z share their section jets.  Returns a
+    list of :class:`OperatorResult`.
 
     ``_frames`` (private to :func:`identity_residual`) gives per point None
     or rows v_a of shape (d, n); such a point (solution kind, degree-1
@@ -259,7 +257,6 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
     for chunk in grid.chunks():
         total += chunk.zeta.shape[0]
         on_manifold = project(chunk.zeta)
-        base_w = chunk.weight * chunk.orient
         det9 = None
         weights = {}                                    # id(field) -> (live, W)
         shared = None                   # (z, section jets) of the last point
@@ -269,9 +266,9 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                 g_vals = f.values(model, on_manifold)  # (N, nJ)
                 live = np.any(g_vals != 0, axis=1)
                 if np.any(live) and det9 is None:
-                    det9 = _det9_blocks(chunk.velocity)  # (N, n)
+                    det9 = _det9_blocks(chunk.conormal)  # (N, n)
                 weights[id(f)] = live, (_fold_weights(
-                    g_vals * base_w[:, None], det9, f.degree)
+                    g_vals * chunk.weight[:, None], det9, f.degree)
                     if np.any(live) else None)
             live, W = weights[id(f)]
             if W is None:

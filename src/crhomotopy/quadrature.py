@@ -6,9 +6,19 @@ The level set {rho = eps} of a graph quadric is parameterized exactly by
 
 so every node satisfies the level equation to machine precision.  A node
 carries the chart parameters, a Monte Carlo weight (inverse sampling density
-in parameter measure), the complex velocity columns of the parameterization
-(for pulling back differential forms), the boundary orientation sign of the
-tube, and the Riemannian surface factor (for scalar kernel integrals).
+in parameter measure), the complex velocity columns of the parameterization,
+the scaled conormal and the Riemannian surface factor.
+
+The geometry is closed-form.  With S = sum_k sigma_k H_k z', the vector
+v = (-2 S, i sigma) is 2 dbar(sigma . rho), rho_k = Im w_k - <H_k z', z'>.
+The velocity matrix is block-triangular over (z', u, sigma), so its
+(2n-1)-minors are the components of this conormal (the coarea / Leray-form
+identity): the surface factor is eps^(m-1) |v|, and the oriented minors
+that pull a form back are (2i)^n / 2 * eps^(m-1) (-1)^k v_k (see
+:func:`crhomotopy.homotopy._det9_blocks`).  ``conormal`` stores
+eps^(m-1) v.  The sphere tangent basis drops out, so its sign is a gauge,
+and the velocity columns feed no operator; the dense determinants of them
+are the test oracle.
 
 Samplers:
 
@@ -41,8 +51,8 @@ class NodeChunk:
     zeta: np.ndarray          # (N, n)
     weight: np.ndarray        # (N,) parameter-measure MC weight
     velocity: np.ndarray      # (N, n, 2n-1) complex velocity columns
-    orient: np.ndarray        # (N,) boundary orientation signs
-    surface_jac: np.ndarray   # (N,) Riemannian surface factor
+    conormal: np.ndarray      # (N, n) eps^(m-1) (-2 S, i sigma)
+    surface_jac: np.ndarray   # (N,) Riemannian surface factor |conormal|
     rho_vec: np.ndarray       # (N, m)
 
 
@@ -148,13 +158,13 @@ class QuadratureGrid:
             for a in range(m - 1):
                 vel[:, d:, 2 * d + m + a] = 1j * self.epsilon * tang[:, :, a]
 
-        # outward normal velocity: Im w moves along sigma
-        nu = np.zeros((N, n), dtype=complex)
-        nu[:, d:] = 1j * sigma
-
-        orient, jac = _orientation_and_jacobian(nu, vel)
+        conormal = np.concatenate(
+            [-2.0 * np.einsum("Nk,Nkj->Nj", sigma, hz), 1j * sigma], axis=1)
+        conormal *= self.epsilon ** (m - 1)
         return NodeChunk(zeta=zeta, weight=weight, velocity=vel,
-                         orient=orient, surface_jac=jac, rho_vec=rho_vec)
+                         conormal=conormal,
+                         surface_jac=np.linalg.norm(conormal, axis=1),
+                         rho_vec=rho_vec)
 
     # -- caching -------------------------------------------------------------
 
@@ -213,26 +223,3 @@ def _sphere_tangent_basis(sigma):
     q, _ = np.linalg.qr(np.concatenate([sigma[:, :, None], eye], axis=2))
     return q[:, :, 1:]
 
-
-def _orientation_and_jacobian(nu, vel):
-    """Boundary orientation signs and surface factors per node.
-
-    orient = sign det [outward normal | velocity columns] in the oriented
-    coordinates of C^n, where the reproduction constant (2 pi i)^n is exact.
-    That orientation is the complex-blocked one (all dzeta before all
-    dzeta-bar); relative to the interleaved real coordinates it differs by
-    (-1)^(n(n-1)/2), folded in here.  Surface factor = sqrt(det(V^T V)) of
-    the real velocity matrix.
-    """
-    N, n, cols = vel.shape
-    stacked = np.empty((N, 2 * n, cols + 1))
-    stacked[:, 0::2, 0] = nu.real
-    stacked[:, 1::2, 0] = nu.imag
-    stacked[:, 0::2, 1:] = vel.real
-    stacked[:, 1::2, 1:] = vel.imag
-    real_vel = stacked[:, :, 1:]
-    block_reorder = (-1.0) ** (n * (n - 1) // 2)
-    orient = block_reorder * np.sign(np.linalg.det(stacked))
-    gram = np.einsum("Nij,Nik->Njk", real_vel, real_vel)
-    jac = np.sqrt(np.abs(np.linalg.det(gram)))
-    return orient, jac

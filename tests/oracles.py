@@ -3,7 +3,9 @@
 These implementations deliberately avoid the package's computation paths:
 the wedge expansions and the sign table iterate raw symbol choices and count
 inversions, the defining-function oracle re-evaluates the polynomial from
-its definition, and derivative oracles are plain central differences.
+its definition, the node-geometry oracles take dense determinants of the
+velocity columns in place of the closed-form conormal, and derivative
+oracles are plain central differences.
 """
 
 import numpy as np
@@ -170,3 +172,40 @@ def dense_coefficients(eta, beta, gamma, tau, r_out):
             coef[:, li, mi] = np.linalg.det(mat)
             bound[:, li, mi] = np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
     return M_combos, coef, bound
+
+
+def dense_det9(velocity):
+    """Per-node (2n-1) determinants of the functional rows with one dzetabar
+    index removed, [conj(velocity) without row k | velocity], one LAPACK
+    determinant per node and k, (N, n)."""
+    N, n, cols = velocity.shape
+    out = np.empty((N, n), dtype=complex)
+    for k in range(n):
+        keep = [l for l in range(n) if l != k]
+        mat = np.concatenate([velocity.conj()[:, keep, :], velocity], axis=1)
+        out[:, k] = np.linalg.det(mat)
+    return out
+
+
+def dense_orientation_and_jacobian(sigma, velocity):
+    """Boundary orientation signs and surface factors per node, (N,) each.
+
+    orient = sign det [outward normal | velocity columns] in the real
+    coordinates of C^n, the outward normal moving Im w along sigma, times
+    (-1)^(n(n-1)/2), the sign from the interleaved real coordinates to the
+    complex-blocked orientation (all dzeta before all dzeta-bar) in which
+    the reproduction constant (2 pi i)^n is exact.  The surface factor is
+    sqrt(det(V^T V)) of the real velocity matrix V.
+    """
+    N, n, cols = velocity.shape
+    nu = np.zeros((N, n), dtype=complex)
+    nu[:, n - sigma.shape[1]:] = 1j * sigma
+    stacked = np.empty((N, 2 * n, cols + 1))
+    stacked[:, 0::2, 0] = nu.real
+    stacked[:, 1::2, 0] = nu.imag
+    stacked[:, 0::2, 1:] = velocity.real
+    stacked[:, 1::2, 1:] = velocity.imag
+    real_vel = stacked[:, :, 1:]
+    orient = (-1.0) ** (n * (n - 1) // 2) * np.sign(np.linalg.det(stacked))
+    gram = np.einsum("Nij,Nik->Njk", real_vel, real_vel)
+    return orient, np.sqrt(np.abs(np.linalg.det(gram)))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +46,22 @@ class TestPipeline:
         for name in ("geometry.json", "barrier.json", "kernels.json",
                      "homotopy.json", "index_certificate.json", "norms.json"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_homotopy_rows_carry_node_counts(self, tmp_path):
+        out = str(tmp_path / "rows")
+        base = ["--model", "bundled:sig22_n5", "--out", out]
+        assert run_cli(base + ["check-geometry"]) == 0
+        assert run_cli(base + ["run-homotopy", "--eps", "0.1", "--budget",
+                               "500", "--points", "2"]) == 0
+        with open(os.path.join(out, "homotopy.json")) as fh:
+            rows = json.load(fh)["rows"]
+        assert [(r["point"], r["rejected"], r["total_nodes"])
+                for r in rows] == [(0, 0, 500), (1, 0, 500)]
+        with open(os.path.join(out, "homotopy_residuals.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0].endswith(",rejected,total_nodes")
+        assert [line.split(",")[-2:] for line in lines[1:]] == [
+            ["0", "500"], ["0", "500"]]
 
     def test_homotopy_requires_geometry_first(self, tmp_path):
         out = str(tmp_path / "fresh")

@@ -16,7 +16,8 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
-from oracles import contraction_table, dense_coefficients, row_contraction
+from oracles import (contraction_table, dense_coefficients, dense_det9,
+                     dense_orientation_and_jacobian, row_contraction)
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -24,6 +25,31 @@ def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
     return QuadratureGrid(model=model, epsilon=eps, budget=budget,
                           mode="mc-shell", seed=seed, center_zp=zp,
                           center_u=w.real, **kw)
+
+
+def oracle_node_geometry(grid, chunk):
+    """Dense oriented minors and surface factors of a chunk, ((N, n), (N,))."""
+    orient, jac = dense_orientation_and_jacobian(
+        chunk.rho_vec / grid.epsilon, chunk.velocity)
+    return orient[:, None] * dense_det9(chunk.velocity), jac
+
+
+def assert_node_geometry_matches_oracle(grid, chunk):
+    """Closed-form oriented minors and surface factors agree with the dense
+    determinants to 1e-12 of each node's largest minor and of its factor."""
+    ref, jac = oracle_node_geometry(grid, chunk)
+    got = homotopy._det9_blocks(chunk.conormal)
+    err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert np.max(err) < 1e-12
+    assert np.max(np.abs(chunk.surface_jac - jac) / jac) < 1e-12
+
+
+def random_quadric(n, m, rng):
+    d = n - m
+    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(m)]
+    return geometry.ManifoldModel(n=n, m=m, q=1,
+                                  hermitian=[(a + a.conj().T) / 2 for a in mats])
 
 
 def assert_sphere_tangent_basis(sigma, tang):
@@ -361,8 +387,7 @@ class TestGrid:
         # block determinant
         grid = centered_grid(primary, np.zeros(5, dtype=complex), budget=64)
         chunk = next(grid.chunks())
-        from crhomotopy.homotopy import _det9_blocks
-        det9 = _det9_blocks(chunk.velocity)
+        det9 = dense_det9(chunk.velocity)
         n = primary.n
         i = 11
         for k in (0, 3):
@@ -378,6 +403,25 @@ class TestGrid:
             mat[n - 1, 2 * n - 1] = 1.0
             dense = np.linalg.det(mat)
             assert abs(dense - (-1) ** n * det9[i, k]) < 1e-10 * abs(dense)
+
+    @pytest.mark.parametrize("which", [
+        "primary", "secondary", "flat", "3-1", "4-1", "4-2", "5-2", "6-3",
+        "7-1", "7-4"])
+    def test_node_geometry_matches_dense_oracle(self, which, request, rng):
+        # the bundled models, the flat model and seeded random Hermitian
+        # quadrics of shape n-m; m = 1 nodes lie on both sheets
+        if which in ("primary", "secondary"):
+            model = request.getfixturevalue(which)
+        elif which == "flat":
+            model = geometry.ManifoldModel(n=3, m=1, q=1,
+                                           hermitian=[np.zeros((2, 2))])
+        else:
+            model = random_quadric(*map(int, which.split("-")), rng)
+        grid = QuadratureGrid(model=model, epsilon=0.1, budget=600, seed=3)
+        chunk = next(grid.chunks())
+        if model.m == 1:
+            assert set(np.sign(chunk.rho_vec[:, 0])) == {-1.0, 1.0}
+        assert_node_geometry_matches_oracle(grid, chunk)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_sphere_tangent_basis_orthonormal(self, m, rng):
@@ -397,7 +441,7 @@ class TestGrid:
         chunk = next(grid.chunks())
         d, m = model.tangential_dim, model.m
         assert np.all(np.isfinite(chunk.weight)) and np.all(chunk.weight > 0)
-        assert np.array_equal(np.abs(chunk.orient), np.ones(500))
+        assert_node_geometry_matches_oracle(grid, chunk)
         # the sphere velocity columns are i eps times the tangent basis
         tang = chunk.velocity[:, d:, 2 * d + m:].imag / grid.epsilon
         assert_sphere_tangent_basis(chunk.rho_vec / grid.epsilon, tang)
@@ -581,8 +625,10 @@ class TestOperators:
         model = request.getfixturevalue(which)
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
-        chunk = next(centered_grid(model, z, budget=2000).chunks())
-        det9 = homotopy._det9_blocks(chunk.velocity)
+        grid = centered_grid(model, z, budget=2000)
+        chunk = next(grid.chunks())
+        det9 = homotopy._det9_blocks(chunk.conormal)
+        dense, _ = oracle_node_geometry(grid, chunk)
         eta1, beta1, gamma1, _ = barrier_section_jets(model, chunk.zeta, z)
         eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
         N = len(chunk.zeta)
@@ -608,7 +654,7 @@ class TestOperators:
                 contracted = homotopy._folded_coefficients(
                     W, eta1, beta1, gamma1, r_out)
             folded = np.einsum("nm,nlm->l", W, coef)
-            oracle = row_contraction(table, gw, coef, det9, keep)
+            oracle = row_contraction(table, gw, coef, dense, keep)
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(folded - oracle)) <= 1e-13 * scale
             floor = np.finfo(float).eps * np.max(
