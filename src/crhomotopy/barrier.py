@@ -8,7 +8,10 @@ The barrier pairs a section P(zeta, z) with the bilinear phase
 where theta(zeta) = -rho_vec(zeta)/rho(zeta), F_k pairs the gradient section
 with w = zeta - z and the correction is a sum of squared frame pairings.  The
 pairing is the plain bilinear sum (no conjugation): it is the only reading
-under which the section normalization equals one.
+under which the section normalization equals one.  The batched paths see the
+frame only through G(theta) = s^2 Pi, the scaled spectral projector onto the
+covered eigendirections, and its analytic theta-derivative dG: no eigenvector
+phase is fixed and no finite difference is left in the jets.
 
 For the quadric models every quantity below is exact:
 
@@ -26,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import loglog_slope
-from .errors import ThetaUndefinedError
-from .geometry import CORRECTION_MARGIN, ManifoldModel, correction_frame
-
-THETA_FD_STEP = 1e-5
+from .errors import FrameGapError, ThetaUndefinedError
+from .geometry import (CORRECTION_MARGIN, FRAME_GAP_WARN, ManifoldModel,
+                       correction_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -128,190 +130,120 @@ class BarrierJetBatch:
     dP_dzetabar: np.ndarray    # (N, n, n)
     dPhi_dzbar: np.ndarray     # (N, n)
     dPhi_dzetabar: np.ndarray  # (N, n)
-    # factors of the mixed jet d^2 P / d zetabar d zbar; None on the
-    # two-sheet path, where theta is locally constant and the jet vanishes
-    dQ_dzbar: np.ndarray = None   # (m, n, n): [k, l, i] = d Q_k,i / d zbar_l
-    dtheta: np.ndarray = None     # (N, m, n): d theta_k / d zetabar_j
-    rows: np.ndarray = None       # (N, c, n) scaled frame rows
-    drows: np.ndarray = None      # (N, m, c, n): d rows / d theta_k
+    # factors of the mixed jet d^2 P / d zetabar d zbar; None for m = 1,
+    # where theta is constant on each sheet and the jet vanishes
+    dH: np.ndarray = None      # (N, m, n, n): d (dP_dzbar) / d theta_k
+                               # = H_k - dG_k on the z'-block
+    dtheta: np.ndarray = None  # (N, m, n): d theta_k / d zetabar_j
 
     def dP_mixed(self, V, blk):
         """sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the nodes
         ``blk``, shape (B, a, i, j), or None where it vanishes.
 
-        P is affine in zbar: dP_dzbar[l, i] = sum_k theta_k dQ_k[l, i] -
-        sum_c rows_c[i] conj(rows_c[l]) depends on zeta only through theta,
-        so the mixed jet is its theta-derivative times d theta / d zetabar,
-        from the arrays :func:`barrier_jets` already built.
+        dP_dzbar = theta . H - G depends on zeta only through theta, so the
+        mixed jet is V . dH . dtheta.
         """
-        if self.dtheta is None:
+        if self.dH is None:
             return None
-        rows, drows = self.rows[blk], self.drows[blk]
-        pair = np.einsum("Ncl,al->Nac", rows.conj(), V)
-        dpair = np.einsum("Nkcl,al->Nkac", drows.conj(), V)
-        d_theta = (np.einsum("al,kli->kai", V, self.dQ_dzbar)[None]
-                   - np.einsum("Nkci,Nac->Nkai", drows, pair)
-                   - np.einsum("Nci,Nkac->Nkai", rows, dpair))
-        return np.einsum("Nkai,Nkj->Naij", d_theta, self.dtheta[blk])
-
-
-def _batched_scaled_rows(model: ManifoldModel, thetas) -> np.ndarray:
-    """Scaled frame rows for a batch of unit directions, shape (N, c, n).
-
-    Batched eigendecomposition with deterministic per-column phase fixing;
-    matches :func:`scaled_frame_rows` pointwise away from eigenvalue
-    crossings.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    thetas = thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
-    N = thetas.shape[0]
-    d = model.tangential_dim
-    count = model.n - model.q - model.m
-    H = np.stack(model.hermitian)                     # (m, d, d)
-    mats = -np.tensordot(thetas, H, axes=(1, 0))      # (N, d, d)
-    evals, evecs = np.linalg.eigh(mats)
-    kept = evecs[:, :, :count].copy()                 # (N, d, count)
-    idx = np.argmax(np.abs(kept), axis=1)             # (N, count)
-    piv = np.take_along_axis(kept, idx[:, None, :], axis=1)[:, 0, :]
-    phases = np.where(np.abs(piv) > 0, piv.conj() / np.abs(piv), 1.0)
-    kept *= phases[:, None, :]
-    rows = np.zeros((N, count, model.n), dtype=complex)
-    rows[:, :, :d] = np.swapaxes(kept.conj(), 1, 2)
-    scale = np.sqrt(CORRECTION_MARGIN
-                    * np.maximum(1.0, -evals[:, 0]))
-    return rows * scale[:, None, None]
+        return np.einsum("al,Nkli,Nkj->Naij", V, self.dH[blk], self.dtheta[blk])
 
 
 def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
-    """Scaled frame rows per batch element, plus theta-derivatives.
+    """G = s^2 Pi on the z'-block, (N, d, d), and dG / d theta along the
+    unit sphere, (N, m, d, d), or None for m = 1 (one G per sheet present).
 
-    m = 1 fast path: only two distinct directions occur and the derivative
-    vanishes.  Otherwise batched eigendecompositions, with derivatives by
-    central differences along the ambient direction coordinates.
+    From one batched eigh of M = -theta . H with A_k = -(H_k + theta_k M),
+    dPi_k = sum_{i kept, j dropped} (v_i v_i^H A_k v_j v_j^H + h.c.) /
+    (lambda_i - lambda_j) (Kato, Perturbation Theory for Linear Operators,
+    II sec. 2) and ds^2_k = -CORRECTION_MARGIN v_min^H A_k v_min.  Raises
+    :class:`FrameGapError` where a kept/dropped gap is below FRAME_GAP_WARN.
     """
-    N = thetas.shape[0]
-    count = model.n - model.q - model.m
-    rows = np.empty((N, count, model.n), dtype=complex)
-    drows = np.zeros((N, model.m, count, model.n), dtype=complex)
+    sheet = slice(None)
     if model.m == 1:
-        plus = scaled_frame_rows(model, np.array([1.0]))
-        minus = scaled_frame_rows(model, np.array([-1.0]))
-        sel = thetas[:, 0] > 0
-        rows[sel] = plus
-        rows[~sel] = minus
-        return rows, drows
-    rows = _batched_scaled_rows(model, thetas)
-    if with_derivative:
-        for k in range(model.m):
-            hi = thetas.copy(); hi[:, k] += THETA_FD_STEP
-            lo = thetas.copy(); lo[:, k] -= THETA_FD_STEP
-            drows[:, k] = (_batched_scaled_rows(model, hi)
-                           - _batched_scaled_rows(model, lo)) \
-                / (2.0 * THETA_FD_STEP)
-    return rows, drows
-
-
-def _barrier_jets_two_sheet(model: ManifoldModel, zetas, z) -> "BarrierJetBatch":
-    """Codimension-one fast path: the direction field is locally constant,
-    so the frame, the P-jets and the Phi-jet matrices take one value per
-    sheet and only the pairings vary along the batch."""
-    zetas = np.asarray(zetas, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    n, d = model.n, model.tangential_dim
-    w = zetas - z[None, :]
-    vec, norm = model.defining_values(zetas)
-    if np.any(norm <= model.tol_on_manifold):
-        raise ThetaUndefinedError("batch contains points on the manifold")
-    plus = vec[:, 0] < 0          # theta = -rho/|rho|
-    Q0 = gradient_section(model, 0, None, z)
-    dQ = np.zeros((n, n), dtype=complex)
-    dQ[:d, :d] = model.hermitian[0]
-
-    P = np.empty((zetas.shape[0], n), dtype=complex)
-    dP_dzbar = np.empty((zetas.shape[0], n, n), dtype=complex)
-    dP_dzetabar = np.empty_like(dP_dzbar)
-    for sheet, mask in ((1.0, plus), (-1.0, ~plus)):
-        if not np.any(mask):
-            continue
-        rows = scaled_frame_rows(model, np.array([sheet]))
-        A = w[mask] @ rows.T                          # (Nm, c)
-        P[mask] = sheet * Q0[None, :] + A.conj() @ rows
-        gram = rows.conj().T @ rows   # [l, i] = sum_j conj(rows[j,l]) rows[j,i]
-        dP_dzbar[mask] = (sheet * dQ - gram)[None, :, :]
-        dP_dzetabar[mask] = gram[None, :, :]
-    dPhi_dzbar = np.einsum("Nli,Ni->Nl", dP_dzbar, w)
-    dPhi_dzetabar = np.einsum("Nli,Ni->Nl", dP_dzetabar, w)
-    Phi = np.einsum("Ni,Ni->N", P, w)
-    return BarrierJetBatch(P=P, Phi=Phi, dP_dzbar=dP_dzbar,
-                           dP_dzetabar=dP_dzetabar, dPhi_dzbar=dPhi_dzbar,
-                           dPhi_dzetabar=dPhi_dzetabar)
+        present, sheet = np.unique(thetas[:, 0] > 0, return_inverse=True)
+        thetas, with_derivative = np.where(present, 1.0, -1.0)[:, None], False
+    thetas = thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
+    count = model.n - model.q - model.m
+    H = np.stack(model.hermitian)                         # (m, d, d)
+    M = -np.tensordot(thetas, H, axes=(1, 0))
+    lam, vec = np.linalg.eigh(M)
+    kept, dropped = vec[:, :, :count], vec[:, :, count:]
+    scale2 = CORRECTION_MARGIN * np.maximum(1.0, -lam[:, 0])
+    G = np.einsum("Nic,Njc->Nij", kept, kept.conj())      # Pi
+    if not with_derivative:
+        G *= scale2[:, None, None]
+        return G[sheet], None
+    gap = lam[:, :count, None] - lam[:, None, count:]      # (N, c, d - c) < 0
+    if np.any(gap > -FRAME_GAP_WARN):
+        raise FrameGapError(f"frame gap {-gap.max():.1e} below FRAME_GAP_WARN")
+    A = -(H + thetas[:, :, None, None] * M[:, None])       # (N, m, d, d)
+    B = np.einsum("Nic,Nkij,Njr->Nkcr", kept.conj(), A, dropped) / gap[:, None]
+    half = np.einsum("Nic,Nkcr,Njr->Nkij", kept, B, dropped.conj())
+    vmin = vec[:, :, 0]
+    dlam = np.einsum("Ni,Nkij,Nj->Nk", vmin.conj(), A, vmin).real
+    # at the kink lambda_min = -1 the flat side (ds^2 = 0) is taken
+    ds2 = np.where(lam[:, :1] < -1.0, -CORRECTION_MARGIN * dlam, 0.0)
+    dG = scale2[:, None, None, None] * (half + np.swapaxes(half.conj(), 2, 3)) \
+        + ds2[:, :, None, None] * G[:, None]
+    G *= scale2[:, None, None]
+    return G, dG
 
 
 def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
-    """Analytic first jets of (P, Phi) over a zeta batch at fixed z."""
-    if model.m == 1:
-        return _barrier_jets_two_sheet(model, zetas, z)
+    """Analytic first jets of (P, Phi) over a zeta batch at fixed z: with
+    w = zeta - z, G and dG of :func:`_frames_for_thetas` and dQ_k = H_k,
+
+        P_i = theta . Q_i + sum_l G[l, i] conj(w_l),  dP/dzbar = theta . dQ - G,
+        dP/dzetabar = G + sum_k dtheta_k (x) (Q_k + conj(w) . dG_k),
+
+    where the dtheta terms are formed only when theta varies (m >= 2).
+    """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    n, m, d = model.n, model.m, model.tangential_dim
+    N, n, d = zetas.shape[0], model.n, model.tangential_dim
     w = zetas - z[None, :]
-
+    wbar = w[:, :d].conj()
     vec, norm = model.defining_values(zetas)
     if np.any(norm <= model.tol_on_manifold):
         raise ThetaUndefinedError("batch contains points on the manifold")
     thetas = -vec / norm[:, None]
-    grads = model.holo_gradients(zetas)      # (N, m, n)
-    dbar = grads.conj()
-    drho = np.einsum("Ns,Nsl->Nl", vec, dbar) / norm[:, None]
-    dtheta = (-dbar / norm[:, None, None]
-              + np.einsum("Nk,Nl->Nkl", vec, drho) / (norm ** 2)[:, None, None])
+    Q = np.stack([gradient_section(model, k, None, z) for k in range(model.m)])
+    H = np.stack(model.hermitian)
+    G, dG = _frames_for_thetas(model, thetas)
 
-    # gradient sections at z (constant over the batch)
-    Q = np.stack([gradient_section(model, k, None, z) for k in range(m)])  # (m, n)
-    # d Q_k,i / d zbar_l = H_k[l, i] on the z'-block
-    dQ_dzbar = np.zeros((m, n, n), dtype=complex)
-    for k in range(m):
-        dQ_dzbar[k, :d, :d] = model.hermitian[k]
-
-    rows, drows = _frames_for_thetas(model, thetas)   # (N,c,n), (N,m,c,n)
-    A = np.einsum("Nci,Ni->Nc", rows, w)
-
-    P = np.einsum("Nk,ki->Ni", thetas, Q) \
-        + np.einsum("Nci,Nc->Ni", rows, A.conj())
-
-    # --- zbar jets (frame rows are z-independent; conj(A) is zbar-linear)
-    dconjA_dzbar = -rows.conj()                       # (N, c, l): d Abar_c / d zbar_l
-    dP_dzbar = np.einsum("Nk,kli->Nli", thetas, dQ_dzbar) \
-        + np.einsum("Nci,Ncl->Nli", rows, dconjA_dzbar)
-    dPhi_dzbar = np.einsum("Nli,Ni->Nl", dP_dzbar, w)
-
-    # --- zetabar jets
-    # d conj(A_c)/d zetabar_l = conj(rows[c, l]) + sum_i wbar_i conj(d rows / d zeta_l)
-    # with d rows/d zeta_l = sum_k (d rows/d theta_k) d theta_k / d zeta_l and
-    # conj(d theta/d zeta_l) = d theta/d zetabar_l for the real direction field.
-    mu_tau = rows.conj()                              # (N, c, l)
-    dconj_rows = np.einsum("Nkci,Nkl->Ncil", drows.conj(), dtheta)
-    mu_nu = np.einsum("Ni,Ncil->Ncl", w.conj(), dconj_rows)
-    drows_dzetabar = np.einsum("Nkci,Nkl->Ncil", drows, dtheta)
-    frame_var = np.einsum("Ncil,Nc->Nli", drows_dzetabar, A.conj())
-    dP_dzetabar = np.einsum("Nkl,ki->Nli", dtheta, Q) + frame_var \
-        + np.einsum("Nci,Ncl->Nli", rows, mu_tau + mu_nu)
-    dPhi_dzetabar = np.einsum("Nli,Ni->Nl", dP_dzetabar, w)
-
-    Phi = np.einsum("Ni,Ni->N", P, w)
-    return BarrierJetBatch(P=P, Phi=Phi, dP_dzbar=dP_dzbar,
-                           dP_dzetabar=dP_dzetabar, dPhi_dzbar=dPhi_dzbar,
-                           dPhi_dzetabar=dPhi_dzetabar, dQ_dzbar=dQ_dzbar,
-                           dtheta=dtheta, rows=rows, drows=drows)
+    P = thetas @ Q
+    P[:, :d] += np.einsum("Nli,Nl->Ni", G, wbar)
+    dP_dzbar = np.zeros((N, n, n), dtype=complex)
+    dP_dzbar[:, :d, :d] = np.tensordot(thetas, H, axes=(1, 0)) - G
+    dP_dzetabar = np.zeros((N, n, n), dtype=complex)
+    dP_dzetabar[:, :d, :d] = G
+    dH = dtheta = None
+    if dG is not None:
+        # theta = -rho_vec / rho moves along the sphere: d theta / d zetabar
+        # = -(1 - theta theta^T) d rho_vec / d zetabar / rho
+        dbar = model.holo_gradients(zetas).conj()           # (N, m, n)
+        dtheta = -(dbar - thetas[:, :, None] * np.einsum(
+            "Ns,Nsl->Nl", thetas, dbar)[:, None]) / norm[:, None, None]
+        dP_dzetabar += np.einsum("Nkl,ki->Nli", dtheta, Q)
+        dP_dzetabar[:, :, :d] += np.einsum("Nkl,Nj,Nkji->Nli", dtheta, wbar, dG)
+        dH = np.zeros((N, model.m, n, n), dtype=complex)
+        dH[:, :, :d, :d] = H - dG
+    return BarrierJetBatch(
+        P=P, Phi=np.einsum("Ni,Ni->N", P, w), dP_dzbar=dP_dzbar,
+        dP_dzetabar=dP_dzetabar,
+        dPhi_dzbar=np.einsum("Nli,Ni->Nl", dP_dzbar, w),
+        dPhi_dzetabar=np.einsum("Nli,Ni->Nl", dP_dzetabar, w),
+        dH=dH, dtheta=dtheta)
 
 
 def barrier_phase(model: ManifoldModel, zetas, z,
                   include_correction: bool = True) -> np.ndarray:
-    """Phase values theta . F + sum |A|^2 over a zeta batch at fixed z.
+    """Phase values theta . F + conj(w')^T G w' over a zeta batch at fixed z,
+    the correction being sum |A|^2 as a G-quadratic form on the z'-block.
 
-    ``include_correction=False`` drops the quadratic correction
-    (negative-control mode).  Raises :class:`ThetaUndefinedError` on the
-    manifold, as :func:`barrier_jets` does.
+    ``include_correction=False`` drops the correction (negative-control
+    mode).  Raises :class:`ThetaUndefinedError` on the manifold, as
+    :func:`barrier_jets` does.
     """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -321,60 +253,10 @@ def barrier_phase(model: ManifoldModel, zetas, z,
     F = np.einsum("ki,Ni->Nk", Q, w)
     phi = np.einsum("Nk,Nk->N", thetas, F)
     if include_correction:
-        rows, _ = _frames_for_thetas(model, thetas, with_derivative=False)
-        A = np.einsum("Nci,Ni->Nc", rows, w)
-        phi = phi + np.sum(np.abs(A) ** 2, axis=1)
+        G, _ = _frames_for_thetas(model, thetas, with_derivative=False)
+        wp = w[:, :model.tangential_dim]
+        phi = phi + np.einsum("Nl,Nli,Ni->N", wp.conj(), G, wp).real
     return phi
-
-
-# ---------------------------------------------------------------------------
-# correction d-bar split
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MuDecomposition:
-    """Split of d-bar_zeta of the conjugate frame pairings.
-
-    mu_tau[j, l]: the frozen-frame part conj(a_jl).
-    mu_nu[j, l]:  the frame-variation part sum_i wbar_i d conj(a_ji)/d zetabar_l.
-    """
-
-    mu_tau: np.ndarray
-    mu_nu: np.ndarray
-
-
-def split_correction_dbar(model: ManifoldModel, zeta, z,
-                          step: float = None,
-                          frozen_theta=None) -> MuDecomposition:
-    """Decompose d-bar_zeta conj(A_j) into frame and variation parts.
-
-    The variation part differentiates the frame through theta(zeta) by
-    central Wirtinger differences of the composite map.
-    """
-    if step is None:
-        step = THETA_FD_STEP * model.radius
-    zeta = np.asarray(zeta, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    w = zeta - z
-    theta = (np.asarray(frozen_theta, float) if frozen_theta is not None
-             else normal_direction(model, zeta))
-    rows = scaled_frame_rows(model, theta)
-    mu_tau = rows.conj()
-    count = rows.shape[0]
-    mu_nu = np.zeros((count, model.n), dtype=complex)
-    if frozen_theta is None and model.m > 1:
-        for l in range(model.n):
-            shifts = []
-            for dz in (step, -step, 1j * step, -1j * step):
-                pt = zeta.copy()
-                pt[l] += dz
-                shifts.append(scaled_frame_rows(
-                    model, normal_direction(model, pt)).conj())
-            fx = (shifts[0] - shifts[1]) / (2 * step)
-            fy = (shifts[2] - shifts[3]) / (2 * step)
-            dconj_dzetabar = 0.5 * (fx + 1j * fy)
-            mu_nu[:, l] = dconj_dzetabar @ w.conj()
-    return MuDecomposition(mu_tau=mu_tau, mu_nu=mu_nu)
 
 
 # ---------------------------------------------------------------------------

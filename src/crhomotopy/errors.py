@@ -63,3 +63,8 @@ class TableGapError(CRHomotopyError):
 
 class RealizationInfeasibleError(CRHomotopyError):
     """Kernel term cannot be realized on the given model's dimensions."""
+
+
+class FrameGapError(CRHomotopyError):
+    """Kept/dropped eigenvalue gap of the correction frame closes where the
+    frame's direction derivative is needed."""

@@ -95,7 +95,7 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
                    - eta (x) D dPhi/dzetabar - gamma D Phi) / Phi,
 
     where D dPhi/dzetabar = sum_i D dP_i/dzetabar w_i.  D dP/dzetabar is
-    :meth:`BarrierJetBatch.dP_mixed`: zero on the m = 1 two-sheet path.
+    :meth:`BarrierJetBatch.dP_mixed`, zero for m = 1 where theta is constant.
     """
     jets = _barrier.barrier_jets(model, zetas, z)
     phi = jets.Phi

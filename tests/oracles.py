@@ -8,6 +8,8 @@ velocity columns in place of the closed-form conormal, and derivative
 oracles are plain central differences.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -94,6 +96,17 @@ def loglog_fit(x, y):
     ly = np.log(np.abs(np.asarray(y, float)))
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+def random_quadric(n, m, rng):
+    """Seeded random Hermitian quadric with q = 1 (not certified)."""
+    from crhomotopy.geometry import ManifoldModel
+
+    d = n - m
+    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(m)]
+    return ManifoldModel(n=n, m=m, q=1,
+                         hermitian=[(a + a.conj().T) / 2 for a in mats])
 
 
 def contraction_table(n, r):
@@ -209,3 +222,54 @@ def dense_orientation_and_jacobian(sigma, velocity):
     orient = (-1.0) ** (n * (n - 1) // 2) * np.sign(np.linalg.det(stacked))
     gram = np.einsum("Nij,Nik->Njk", real_vel, real_vel)
     return orient, np.sqrt(np.abs(np.linalg.det(gram)))
+
+
+# finite-difference reference for the d-bar of the conjugate frame pairings
+THETA_FD_STEP = 1e-5
+
+
+@dataclass
+class MuDecomposition:
+    """Split of d-bar_zeta of the conjugate frame pairings.
+
+    mu_tau[j, l]: the frozen-frame part conj(a_jl).
+    mu_nu[j, l]:  the frame-variation part sum_i wbar_i d conj(a_ji)/d zetabar_l.
+    """
+
+    mu_tau: np.ndarray
+    mu_nu: np.ndarray
+
+
+def split_correction_dbar(model, zeta, z, step: float = None,
+                          frozen_theta=None) -> MuDecomposition:
+    """Decompose d-bar_zeta conj(A_j) into frame and variation parts.
+
+    The variation part differentiates the pointwise frame rows through
+    theta(zeta) by central Wirtinger differences of the composite map.
+    """
+    from crhomotopy.barrier import normal_direction, scaled_frame_rows
+
+    if step is None:
+        step = THETA_FD_STEP * model.radius
+    zeta = np.asarray(zeta, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    w = zeta - z
+    theta = (np.asarray(frozen_theta, float) if frozen_theta is not None
+             else normal_direction(model, zeta))
+    rows = scaled_frame_rows(model, theta)
+    mu_tau = rows.conj()
+    count = rows.shape[0]
+    mu_nu = np.zeros((count, model.n), dtype=complex)
+    if frozen_theta is None and model.m > 1:
+        for l in range(model.n):
+            shifts = []
+            for dz in (step, -step, 1j * step, -1j * step):
+                pt = zeta.copy()
+                pt[l] += dz
+                shifts.append(scaled_frame_rows(
+                    model, normal_direction(model, pt)).conj())
+            fx = (shifts[0] - shifts[1]) / (2 * step)
+            fy = (shifts[2] - shifts[3]) / (2 * step)
+            dconj_dzetabar = 0.5 * (fx + 1j * fy)
+            mu_nu[:, l] = dconj_dzetabar @ w.conj()
+    return MuDecomposition(mu_tau=mu_tau, mu_nu=mu_nu)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from crhomotopy import barrier, geometry
-from crhomotopy.errors import ThetaUndefinedError
-from oracles import loglog_fit
+from crhomotopy.errors import FrameGapError, ThetaUndefinedError
+from oracles import loglog_fit, random_quadric, split_correction_dbar
 
 
 def off_manifold_point(model, rng, scale=0.1, level=0.02):
@@ -124,6 +124,79 @@ class TestBarrierEval:
         assert abs(ev.theta @ ev.F - ev.Phi) < 1e-14
 
 
+def random_directions(m, count, rng):
+    thetas = rng.standard_normal((count, m))
+    return thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
+
+
+class TestProjectorFrames:
+    """G = s^2 Pi and its analytic theta-derivative from _frames_for_thetas."""
+
+    @staticmethod
+    def _models(primary, secondary):
+        # the random quadric's lowest eigenvalue varies with theta (below
+        # -1), so ds^2 is active; on sig22_n6m2 it is -2 in every direction
+        return [(primary, np.array([[1.0], [-1.0]])),
+                (secondary, random_directions(2, 40, np.random.default_rng(3))),
+                (random_quadric(6, 2, np.random.default_rng(11)),
+                 random_directions(2, 40, np.random.default_rng(4))),
+                (random_quadric(7, 3, np.random.default_rng(12)),
+                 random_directions(3, 40, np.random.default_rng(5)))]
+
+    def test_projector_matches_frame_rows(self, primary, secondary):
+        for model, thetas in self._models(primary, secondary):
+            G, _ = barrier._frames_for_thetas(model, thetas,
+                                              with_derivative=False)
+            d = model.tangential_dim
+            for theta, g in zip(thetas, G):
+                frame = geometry.correction_frame(model, theta)
+                ref = frame.scale ** 2 * (frame.rows.conj().T @ frame.rows)
+                assert np.max(np.abs(ref[d:])) == 0.0
+                assert np.max(np.abs(g - ref[:d, :d])) \
+                    < 1e-12 * np.max(np.abs(ref))
+
+    def test_derivative_matches_central_differences(self, primary, secondary):
+        for model, thetas in self._models(primary, secondary)[1:]:
+            lam = np.linalg.eigvalsh(-np.tensordot(
+                thetas, np.stack(model.hermitian), axes=(1, 0)))[:, 0]
+            if model is not secondary:
+                assert np.all(lam < -1.0) and np.ptp(lam) > 0.1
+            _, dG = barrier._frames_for_thetas(model, thetas)
+            errs = []
+            for h in (1e-4, 5e-5):
+                fd = np.empty_like(dG)
+                for k in range(model.m):
+                    # theta +- h e_k, renormalized inside: the derivative
+                    # along the unit sphere
+                    shift = h * np.eye(model.m)[k]
+                    hi, _ = barrier._frames_for_thetas(model, thetas + shift)
+                    lo, _ = barrier._frames_for_thetas(model, thetas - shift)
+                    fd[:, k] = (hi - lo) / (2 * h)
+                errs.append(np.max(np.abs(fd - dG)))
+            assert errs[0] < 1e-6 * np.max(np.abs(dG))
+            assert 3.5 < errs[0] / errs[1] < 4.5
+
+    def test_closed_frame_gap_raises(self):
+        # certified at resolution 16 with no gap warning, but the cut gap
+        # of -theta . H is exactly 0 at theta = (-1/2, +-sqrt(3)/2)
+        sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        zero = np.zeros((2, 2))
+        model = geometry.ManifoldModel(n=6, m=2, q=1, hermitian=[
+            np.block([[sz, zero], [zero, 0.5 * sz + np.eye(2)]]),
+            np.block([[sx, zero], [zero, 0.5 * sx]])])
+        rep = geometry.certify_concavity(model, resolution=16)
+        assert rep.passed and rep.frame_gap_warnings == []
+        theta = np.array([-0.5, np.sqrt(0.75)])
+        with pytest.raises(FrameGapError):
+            barrier._frames_for_thetas(model, theta[None, :])
+        zeta = model.graph_point(0.1 * np.ones(4), np.zeros(2), -0.02 * theta)
+        with pytest.raises(FrameGapError):
+            barrier.barrier_jets(model, zeta[None, :], np.zeros(6, complex))
+        # the phase needs no derivative and stays finite
+        assert np.isfinite(barrier.barrier_phase(
+            model, zeta[None, :], np.zeros(6, complex))).all()
+
+
 class TestScalingProperties:
     def test_frame_pairings_scale_linearly(self, primary, rng):
         z = np.zeros(5, dtype=complex)
@@ -148,7 +221,7 @@ class TestScalingProperties:
         for s in scales:
             zeta = secondary.graph_point(s * dirs, np.zeros(2),
                                          level * np.array([0.6, 0.8]))
-            mu = barrier.split_correction_dbar(secondary, zeta, z)
+            mu = split_correction_dbar(secondary, zeta, z)
             mags.append(np.max(np.abs(mu.mu_nu)))
         slope = loglog_fit(scales, mags)
         assert slope > 0.9
@@ -225,21 +298,20 @@ class TestCorrectionDbarSplit:
     def test_frozen_direction_kills_variation(self, secondary, rng):
         zeta = off_manifold_point(secondary, rng)
         z = np.zeros(6, dtype=complex)
-        mu = barrier.split_correction_dbar(secondary, zeta, z,
-                                           frozen_theta=np.array([1.0, 0.0]))
+        mu = split_correction_dbar(secondary, zeta, z,
+                                   frozen_theta=np.array([1.0, 0.0]))
         assert np.max(np.abs(mu.mu_nu)) == 0.0
 
     def test_codim_one_variation_vanishes(self, primary, rng):
         zeta = off_manifold_point(primary, rng)
-        mu = barrier.split_correction_dbar(primary, zeta,
-                                           np.zeros(5, dtype=complex))
+        mu = split_correction_dbar(primary, zeta, np.zeros(5, dtype=complex))
         assert np.max(np.abs(mu.mu_nu)) == 0.0
 
     def test_sum_matches_finite_difference(self, secondary, rng):
         # mu_tau + mu_nu ~ dbar of the conjugate pairing, second order in step
         zeta = off_manifold_point(secondary, rng, scale=0.15, level=0.05)
         z = np.zeros(6, dtype=complex)
-        mu = barrier.split_correction_dbar(secondary, zeta, z)
+        mu = split_correction_dbar(secondary, zeta, z)
         w = zeta - z
 
         def conj_pairing(pt):

@@ -125,8 +125,11 @@ class TestSections:
             worst = max(worst, jet.normalization_defect(zeta, z))
         assert worst < 1e-10
 
-    def test_barrier_jets_match_finite_differences(self, primary, secondary, rng):
-        for model in (primary, secondary):
+    def test_barrier_jets_match_finite_differences(self, primary, secondary,
+                                                   repeated, rng):
+        # three points on "repeated": the kept frame eigenvalues repeat
+        # there, and a per-row eigenvector gauge breaks at some directions
+        for model in (primary, secondary) + (repeated,) * 3:
             zp = 0.1 * (rng.standard_normal(model.tangential_dim)
                         + 1j * rng.standard_normal(model.tangential_dim))
             zeta = model.graph_point(zp, 0.05 * rng.standard_normal(model.m),
@@ -146,15 +149,16 @@ class TestSections:
             assert errs[1] < 0.3 * errs[0]
 
     @pytest.mark.parametrize("section", ["euclidean", "barrier"])
-    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    @pytest.mark.parametrize("which", ["primary", "secondary", "repeated"])
     def test_mixed_jets_match_central_differences(self, which, section,
                                                   request):
         # d gamma / d zbar_l of the along() jets against central Wirtinger
         # differences in z of gamma itself, at two steps: the error falls
         # as step^2 (ratio near 4), so the analytic jet is the limit.  The
-        # nodes of one mc-shell chunk lie on both sheets of sig22_n5 (the
-        # m = 1 two-sheet path); on sig22_n6m2 the general path adds the
-        # theta-derivative of dP/dzbar.
+        # nodes of one mc-shell chunk lie on both sheets of sig22_n5, where
+        # theta is constant per sheet; for m = 2 the mixed jet adds the
+        # theta-derivative of dP/dzbar, also where the kept frame
+        # eigenvalues repeat ("repeated").
         from crhomotopy.quadrature import QuadratureGrid
         model = request.getfixturevalue(which)
         n = model.n

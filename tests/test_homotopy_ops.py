@@ -17,7 +17,8 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
 from oracles import (contraction_table, dense_coefficients, dense_det9,
-                     dense_orientation_and_jacobian, row_contraction)
+                     dense_orientation_and_jacobian, random_quadric,
+                     row_contraction)
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -42,14 +43,6 @@ def assert_node_geometry_matches_oracle(grid, chunk):
     err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert np.max(err) < 1e-12
     assert np.max(np.abs(chunk.surface_jac - jac) / jac) < 1e-12
-
-
-def random_quadric(n, m, rng):
-    d = n - m
-    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for _ in range(m)]
-    return geometry.ManifoldModel(n=n, m=m, q=1,
-                                  hermitian=[(a + a.conj().T) / 2 for a in mats])
 
 
 def assert_sphere_tangent_basis(sigma, tang):
@@ -493,18 +486,21 @@ class TestOperators:
         res = apply_operator(primary, f, z, grid, kind="obstruction")
         assert np.max(np.abs(res.ambient)) < 1e-20
 
-    def test_obstruction_vanishes_with_varying_frames(self, secondary):
+    def test_obstruction_vanishes_with_varying_frames(self, secondary,
+                                                      repeated):
         # codimension two: the direction field and the frame genuinely vary
-        # over the level set, and the kernel still degenerates pointwise
-        f = bundled_test_form(secondary)
-        z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+        # over the level set, and the kernel still degenerates pointwise,
+        # also where the kept frame eigenvalues repeat ("repeated")
+        for model in (secondary, repeated):
+            f = bundled_test_form(model)
+            z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                                   np.array([0.01, -0.01]))
-        zp, w0 = secondary.split(z)
-        grid = QuadratureGrid(model=secondary, epsilon=0.08, budget=2000,
-                              mode="mc-shell", seed=5, center_zp=zp,
-                              center_u=w0.real)
-        res = apply_operator(secondary, f, z, grid, kind="obstruction")
-        assert np.max(np.abs(res.ambient)) < 1e-12
+            zp, w0 = model.split(z)
+            grid = QuadratureGrid(model=model, epsilon=0.08, budget=2000,
+                                  mode="mc-shell", seed=5, center_zp=zp,
+                                  center_u=w0.real)
+            res = apply_operator(model, f, z, grid, kind="obstruction")
+            assert np.max(np.abs(res.ambient)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["solution", "obstruction"])
     def test_tangent_sign_is_a_gauge(self, secondary, kind, monkeypatch):
