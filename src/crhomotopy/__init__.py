@@ -6,9 +6,10 @@ Subpackage map:
 - ``geometry``   quadric models, Levi eigenvalue data, concavity certification,
                  frames
 - ``barrier``    phase sections, positivity and expansion audits
-- ``cf_forms``   antisymmetric coefficient tensors and the determinant form
-- ``sections``   normalized section jets (euclidean, barrier, combined),
-                 closedness checks
+- ``cf_forms``   the determinant form of a section as an array form on the
+                 2n + 1 symbols dzbar, dzetabar, dt
+- ``sections``   normalized section jets (euclidean, barrier, combined), the
+                 closedness check of the determinant form
 - ``fields``     differential form fields on the model, extension, tangential
                  projection and tangential d-bar
 - ``quadrature`` level-set grids and oriented surface integration

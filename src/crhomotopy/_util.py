@@ -30,15 +30,6 @@ def insert_index(idx, tup):
     return (-1) ** pos, tup[:pos] + (idx,) + tup[pos:]
 
 
-def sorted_tuple_and_sign(seq):
-    """Sort distinct indices, returning (sign, sorted tuple); (0, None) on repeat.
-    The sign is that of the sorting permutation, by inversion count."""
-    if len(set(seq)) != len(seq):
-        return 0, None
-    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
-    return (-1) ** inversions, tuple(sorted(seq))
-
-
 def index_combinations(n: int, k: int):
     """All strictly increasing k-tuples from range(n)."""
     return list(combinations(range(n), k))

@@ -194,11 +194,11 @@ class LeviData:
     E_basis: np.ndarray  # columns: orthonormal basis where the form is positive
 
 
-def directional_levi(model: ManifoldModel, theta, z=None) -> LeviData:
+def directional_levi(model: ManifoldModel, theta) -> LeviData:
     """Levi matrix -sum_k theta_k H_k with sorted eigenvalue data.
 
-    For quadrics the matrix is independent of the base point; ``z`` is
-    accepted for interface uniformity.  Linear in theta before normalization.
+    For quadrics the matrix is independent of the base point.  Linear in
+    theta before normalization.
     """
     if not isinstance(theta, Direction):
         theta = Direction(np.asarray(theta, dtype=float))
@@ -331,7 +331,7 @@ class CorrectionFrame:
     eigenvalues: np.ndarray
 
 
-def correction_frame(model: ManifoldModel, theta, z=None) -> CorrectionFrame:
+def correction_frame(model: ManifoldModel, theta) -> CorrectionFrame:
     """Orthonormal frame for the complement of the positivity subspace.
 
     Selection is deterministic (ascending eigenvalues, fixed phases) and

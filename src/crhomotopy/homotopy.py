@@ -32,8 +32,8 @@ mixed section jets d gamma / d zbar (closed form for the euclidean section;
 for the barrier, P is affine in zbar with zeta-only coefficients) are
 contracted with the adjoint dT / d gamma_t of the folded total, per block
 of nodes, in the same pass that forms the value (:func:`_tangent_block`).
-The 16-point finite-difference stencil (:func:`tangential_dbar_scalar`) is
-its test oracle.
+The 16-point finite-difference stencil (``tangential_dbar_scalar`` in
+``tests/oracles.py``) is its test oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ._util import (RunningSum, evaluate_form, hodge_star, index_combinations,
 from .errors import GridTooCoarseError
 from .fields import (FormField, conjugate_frame_rows, lazy_field,
                      tangential_components, wedge_covector_values)
-from .geometry import ManifoldModel, holomorphic_tangent_rows
+from .geometry import ManifoldModel
 from .quadrature import QuadratureGrid
 from .sections import barrier_section_jets, bochner_martinelli_jets
 
@@ -330,25 +330,6 @@ def apply_operator(model: ManifoldModel, field: FormField, z,
 
 
 # ---------------------------------------------------------------------------
-# tangential derivative of quadrature-backed scalars (finite differences: the
-# test oracle of the analytic dbar that identity_residual uses)
-# ---------------------------------------------------------------------------
-
-def tangential_dbar_scalar(model: ManifoldModel, scalar_fn, z,
-                           step: float = 1e-4):
-    """Components of dbar_M u against the conjugate tangent frame.
-
-    u is any function evaluable near the manifold, taken at the
-    graph-projected points of :func:`conjugate_frame_stencil` (matching the
-    graph-constant extension) and assembled by
-    :func:`assemble_conjugate_frame_derivative`.
-    """
-    values = [scalar_fn(p) for p in conjugate_frame_stencil(model, z, step)]
-    return assemble_conjugate_frame_derivative(values, model.tangential_dim,
-                                               step)
-
-
-# ---------------------------------------------------------------------------
 # partition-of-unity gluing
 # ---------------------------------------------------------------------------
 
@@ -419,31 +400,6 @@ class ResidualRow:
     total_nodes: int
 
 
-def conjugate_frame_stencil(model: ManifoldModel, z, step: float):
-    """Stencil points for the conjugate-frame derivative of an on-manifold
-    scalar: 4 graph-projected shifts per frame direction."""
-    z = np.asarray(z, dtype=complex)
-    rows = holomorphic_tangent_rows(model, z)
-    points = []
-    for i in range(model.tangential_dim):
-        a = rows[i]
-        for shift in (step * a, -step * a, step * 1j * a, -step * 1j * a):
-            points.append(model.project_to_manifold(z + shift))
-    return points
-
-
-def assemble_conjugate_frame_derivative(values, d, step: float):
-    """Wbar_i(u) = (D_a u + i D_{ia} u) / 2 from stencil values ordered as
-    produced by :func:`conjugate_frame_stencil`."""
-    out = np.empty(d, dtype=complex)
-    for i in range(d):
-        va, vam, vb, vbm = values[4 * i: 4 * i + 4]
-        du = (va - vam) / (2.0 * step)
-        dv = (vb - vbm) / (2.0 * step)
-        out[i] = 0.5 * (du + 1j * dv)
-    return out
-
-
 def identity_residual(model: ManifoldModel, field: FormField, z_points,
                       epsilon: float, budget: int, seed: int = 0,
                       box_radius: float = 0.7, extension=None):
@@ -452,9 +408,9 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
     The first term is the analytic conjugate-frame derivative of the
     quadrature value R_1 f: Wbar_i = sum_l conj(a_il) d/dzbar_l, a_i the
     holomorphic tangent rows, through the mixed section jets (the stencil of
-    :func:`tangential_dbar_scalar` is its finite-difference oracle; the
-    graph projection of the stencil points is the identity to first order
-    along the complex tangent).  The second term integrates the analytic
+    ``tangential_dbar_scalar`` in ``tests/oracles.py`` is its
+    finite-difference oracle; the graph projection of the stencil points is
+    the identity to first order along the complex tangent).  The second term integrates the analytic
     differential of the test form.  Both terms are evaluated at z alone,
     with one set of section jets per chunk, in one pass over one node
     stream.

@@ -33,7 +33,6 @@ bit-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +165,10 @@ class QuadratureGrid:
                          surface_jac=np.linalg.norm(conormal, axis=1),
                          rho_vec=rho_vec)
 
-    # -- caching -------------------------------------------------------------
+    # -- header --------------------------------------------------------------
 
     def header(self) -> dict:
+        """The parameters that fix the node stream, as JSON values."""
         return {
             "schema": "crhomotopy-grid-v1",
             "model_hash": self.model.content_hash(),
@@ -182,25 +182,6 @@ class QuadratureGrid:
             "r_min_factor": float(self.r_min_factor),
             "t_count": int(self.t_count),
         }
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.header(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path, model: ManifoldModel) -> "QuadratureGrid":
-        with open(path, "r", encoding="utf-8") as fh:
-            head = json.load(fh)
-        if head.get("schema") != "crhomotopy-grid-v1":
-            raise ValueError("unrecognized grid cache schema")
-        if head["model_hash"] != model.content_hash():
-            raise ValueError("grid cache was built for a different model")
-        center_zp = np.array([complex(a, b) for a, b in head["center_zp"]])
-        return cls(model=model, epsilon=head["epsilon"], budget=head["budget"],
-                   mode=head["mode"], seed=head["seed"], center_zp=center_zp,
-                   center_u=np.array(head["center_u"]),
-                   box_radius=head["box_radius"],
-                   r_min_factor=head["r_min_factor"], t_count=head["t_count"])
 
 
 def _sphere_area(D):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import barrier as _barrier
-from .cf_forms import (FormTensor, cf_component, wedge_left_dt,
-                       wedge_left_zbar, wedge_left_zetabar)
+from ._util import wedge_jets
+from .cf_forms import cf_component, zbar_degree
 from .errors import NearSingularPhaseError, SingularityError
 from .geometry import ManifoldModel
 
@@ -165,54 +165,9 @@ def combined_section(s1: SectionJet, s2: SectionJet, t: float) -> SectionJet:
     )
 
 
-def fd_section_jet(value_fn, zeta, z, t, step=1e-6) -> SectionJet:
-    """Jets of an arbitrary section by central Wirtinger differences.
-
-    Independent of the analytic jet formulas: the finite-difference oracle
-    that the tests check the analytic jets against.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    n = zeta.shape[0]
-    val = np.asarray(value_fn(zeta, z, t), dtype=complex)
-    d_zbar = np.zeros((n, n), dtype=complex)
-    d_zetabar = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        for target, arr in (("zeta", d_zetabar), ("z", d_zbar)):
-            base = zeta if target == "zeta" else z
-            shifts = []
-            for dz in (step, -step, 1j * step, -1j * step):
-                p = base.copy()
-                p[l] += dz
-                if target == "zeta":
-                    shifts.append(np.asarray(value_fn(p, z, t), dtype=complex))
-                else:
-                    shifts.append(np.asarray(value_fn(zeta, p, t), dtype=complex))
-            fx = (shifts[0] - shifts[1]) / (2 * step)
-            fy = (shifts[2] - shifts[3]) / (2 * step)
-            arr[:, l] = 0.5 * (fx + 1j * fy)
-    d_t = (np.asarray(value_fn(zeta, z, t + step), dtype=complex)
-           - np.asarray(value_fn(zeta, z, t - step), dtype=complex)) / (2 * step)
-    return SectionJet(value=val, d_zbar=d_zbar, d_zetabar=d_zetabar, d_t=d_t)
-
-
 # ---------------------------------------------------------------------------
-# closedness of the determinant form components
+# closedness of the determinant form
 # ---------------------------------------------------------------------------
-
-def _tensor_combo(tensors, weights, n):
-    out = FormTensor(n)
-    for t, wgt in zip(tensors, weights):
-        for key, val in t.coeffs.items():
-            out.coeffs[key] = out.coeffs.get(key, 0.0) + wgt * val
-    return out
-
-
-def _unit(n, l):
-    e = np.zeros(n)
-    e[l] = 1.0
-    return e
-
 
 @dataclass
 class ClosednessReport:
@@ -222,49 +177,37 @@ class ClosednessReport:
     scale: float
 
 
+def _forms(jets):
+    """Determinant forms of a list of section jets, one node per jet."""
+    return cf_component(*(np.stack([getattr(jet, f) for jet in jets], axis=-1)
+                          for f in ("value", "d_zbar", "d_zetabar", "d_t")))
+
+
 def closedness_residual(jet_family, zeta, z, t, r: int, step: float,
                         n: int) -> float:
-    """Max coefficient of d_t W_r + dbar_zeta W_r + dbar_z W_(r-1) by central
-    differences of the component tensors (W_r = degree-r determinant form)."""
-    def tensor(pt_zeta, pt_z, pt_t, deg):
-        jet = jet_family(pt_zeta, pt_z, pt_t)
-        return cf_component(jet.value, jet.d_zbar, jet.d_zetabar, jet.d_t, deg)
+    """Max coefficient of d_t W_r + dbar_zeta W_r + dbar_z W_(r-1): the rows
+    of degree r in dzbar of d W, W the determinant form, by central
+    differences.
 
+    W is formed at the 8n + 2 stencil points in one call: four shifts of each
+    z_l, then of each zeta_l, then t +- step, so that the difference
+    quotients are the jets of W along the symbols dzbar, dzetabar, dt.
+    """
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    total = FormTensor(n)
-
-    # dbar_zeta of the degree-r component
-    for l in range(n):
-        evals = []
-        for dz in (step, -step, 1j * step, -1j * step):
-            p = zeta.copy()
-            p[l] += dz
-            evals.append(tensor(p, z, t, r))
-        fx = _tensor_combo(evals[:2], [1 / (2 * step), -1 / (2 * step)], n)
-        fy = _tensor_combo(evals[2:], [1 / (2 * step), -1 / (2 * step)], n)
-        wirt = _tensor_combo([fx, fy], [0.5, 0.5j], n)
-        total = total.plus(wedge_left_zetabar(wirt, _unit(n, l)))
-
-    # dbar_z of the degree-(r-1) component
-    if r >= 1:
-        for l in range(n):
-            evals = []
-            for dz in (step, -step, 1j * step, -1j * step):
-                p = z.copy()
-                p[l] += dz
-                evals.append(tensor(zeta, p, t, r - 1))
-            fx = _tensor_combo(evals[:2], [1 / (2 * step), -1 / (2 * step)], n)
-            fy = _tensor_combo(evals[2:], [1 / (2 * step), -1 / (2 * step)], n)
-            wirt = _tensor_combo([fx, fy], [0.5, 0.5j], n)
-            total = total.plus(wedge_left_zbar(wirt, _unit(n, l)))
-
-    # d_t of the degree-r component
-    dt_tensor = _tensor_combo([tensor(zeta, z, t + step, r),
-                               tensor(zeta, z, t - step, r)],
-                              [1 / (2 * step), -1 / (2 * step)], n)
-    total = total.plus(wedge_left_dt(dt_tensor, 1.0))
-    return total.max_abs()
+    shifts = step * np.array([1, -1, 1j, -1j])
+    eye = np.eye(n)
+    points = ([(zeta, z + h * eye[l], t) for l in range(n) for h in shifts]
+              + [(zeta + h * eye[l], z, t) for l in range(n) for h in shifts]
+              + [(zeta, z, t + step), (zeta, z, t - step)])
+    W = _forms([jet_family(*p) for p in points])
+    quad = W[:, :8 * n].reshape(-1, 2 * n, 4)
+    wirtinger = ((quad[..., 0] - quad[..., 1])
+                 + 1j * (quad[..., 2] - quad[..., 3])) / (4 * step)
+    d_t = (W[:, -2] - W[:, -1]) / (2 * step)
+    dW = wedge_jets(np.concatenate([wirtinger, d_t[:, None]], axis=1),
+                    2 * n + 1, n - 1)
+    return float(np.max(np.abs(dW[zbar_degree(n, n) == r])))
 
 
 def closedness_check(jet_family, zeta, z, t, r: int, n: int,
@@ -274,9 +217,10 @@ def closedness_check(jet_family, zeta, z, t, r: int, n: int,
     PASS semantics: residual contracts at second order under step halving
     (or sits at the roundoff floor).
     """
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"dzbar degree {r} out of range 0..{n - 1}")
     jet0 = jet_family(np.asarray(zeta, complex), np.asarray(z, complex), t)
-    scale = cf_component(jet0.value, jet0.d_zbar, jet0.d_zetabar, jet0.d_t,
-                         r).max_abs()
+    scale = float(np.max(np.abs(_forms([jet0])[zbar_degree(n, n - 1) == r])))
     res = closedness_residual(jet_family, zeta, z, t, r, step, n)
     res_half = closedness_residual(jet_family, zeta, z, t, r, step / 2, n)
     if res_half <= 1e-12 * max(scale, 1.0):

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from crhomotopy.geometry import ManifoldModel, holomorphic_tangent_rows
+from crhomotopy.sections import SectionJet
+
 
 def brute_wedge_expansion(eta, d_zbar, d_zetabar, d_t):
     """Expand sum_k (-1)^(k-1) eta_k wedge_{j!=k} d(eta_j) over raw symbols.
@@ -50,6 +53,16 @@ def brute_wedge_expansion(eta, d_zbar, d_zetabar, d_t):
                    1 if 2 * n in ss else 0)
             out[key] = out.get(key, 0.0) + sign * coeff
     return out
+
+
+def wedge_expansion_keys(n):
+    """The key of :func:`brute_wedge_expansion` of each row of an array
+    (n - 1)-form on the 2n + 1 symbols, in ``combinations`` order."""
+    from itertools import combinations
+
+    return [(tuple(s for s in S if s < n),
+             tuple(s - n for s in S if n <= s < 2 * n), int(2 * n in S))
+            for S in combinations(range(2 * n + 1), n - 1)]
 
 
 def defining_polynomial(n, m, hermitian, z):
@@ -100,8 +113,6 @@ def loglog_fit(x, y):
 
 def random_quadric(n, m, rng):
     """Seeded random Hermitian quadric with q = 1 (not certified)."""
-    from crhomotopy.geometry import ManifoldModel
-
     d = n - m
     mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             for _ in range(m)]
@@ -273,3 +284,76 @@ def split_correction_dbar(model, zeta, z, step: float = None,
             dconj_dzetabar = 0.5 * (fx + 1j * fy)
             mu_nu[:, l] = dconj_dzetabar @ w.conj()
     return MuDecomposition(mu_tau=mu_tau, mu_nu=mu_nu)
+
+
+def fd_section_jet(value_fn, zeta, z, t, step=1e-6) -> SectionJet:
+    """Jets of an arbitrary section by central Wirtinger differences.
+
+    Independent of the analytic jet formulas: the finite-difference oracle
+    that the tests check the analytic jets against.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    n = zeta.shape[0]
+    val = np.asarray(value_fn(zeta, z, t), dtype=complex)
+    d_zbar = np.zeros((n, n), dtype=complex)
+    d_zetabar = np.zeros((n, n), dtype=complex)
+    for l in range(n):
+        for target, arr in (("zeta", d_zetabar), ("z", d_zbar)):
+            base = zeta if target == "zeta" else z
+            shifts = []
+            for dz in (step, -step, 1j * step, -1j * step):
+                p = base.copy()
+                p[l] += dz
+                if target == "zeta":
+                    shifts.append(np.asarray(value_fn(p, z, t), dtype=complex))
+                else:
+                    shifts.append(np.asarray(value_fn(zeta, p, t), dtype=complex))
+            fx = (shifts[0] - shifts[1]) / (2 * step)
+            fy = (shifts[2] - shifts[3]) / (2 * step)
+            arr[:, l] = 0.5 * (fx + 1j * fy)
+    d_t = (np.asarray(value_fn(zeta, z, t + step), dtype=complex)
+           - np.asarray(value_fn(zeta, z, t - step), dtype=complex)) / (2 * step)
+    return SectionJet(value=val, d_zbar=d_zbar, d_zetabar=d_zetabar, d_t=d_t)
+
+
+# conjugate-frame derivative of quadrature-backed scalars by finite
+# differences: the oracle of the analytic dbar that identity_residual uses
+
+def tangential_dbar_scalar(model: ManifoldModel, scalar_fn, z,
+                           step: float = 1e-4):
+    """Components of dbar_M u against the conjugate tangent frame.
+
+    u is any function evaluable near the manifold, taken at the
+    graph-projected points of :func:`conjugate_frame_stencil` (matching the
+    graph-constant extension) and assembled by
+    :func:`assemble_conjugate_frame_derivative`.
+    """
+    values = [scalar_fn(p) for p in conjugate_frame_stencil(model, z, step)]
+    return assemble_conjugate_frame_derivative(values, model.tangential_dim,
+                                               step)
+
+
+def conjugate_frame_stencil(model: ManifoldModel, z, step: float):
+    """Stencil points for the conjugate-frame derivative of an on-manifold
+    scalar: 4 graph-projected shifts per frame direction."""
+    z = np.asarray(z, dtype=complex)
+    rows = holomorphic_tangent_rows(model, z)
+    points = []
+    for i in range(model.tangential_dim):
+        a = rows[i]
+        for shift in (step * a, -step * a, step * 1j * a, -step * 1j * a):
+            points.append(model.project_to_manifold(z + shift))
+    return points
+
+
+def assemble_conjugate_frame_derivative(values, d, step: float):
+    """Wbar_i(u) = (D_a u + i D_{ia} u) / 2 from stencil values ordered as
+    produced by :func:`conjugate_frame_stencil`."""
+    out = np.empty(d, dtype=complex)
+    for i in range(d):
+        va, vam, vb, vbm = values[4 * i: 4 * i + 4]
+        du = (va - vam) / (2.0 * step)
+        dv = (vb - vbm) / (2.0 * step)
+        out[i] = 0.5 * (du + 1j * dv)
+    return out

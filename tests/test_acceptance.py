@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from crhomotopy import barrier, fields, geometry, indexcalc, norms, sections
-from crhomotopy.cf_forms import cf_component
+from crhomotopy.cf_forms import cf_component, zbar_degree
 from crhomotopy.homotopy import apply_operator, identity_residual
 from crhomotopy.sections import barrier_section_jets as _barrier_section_jets
 from crhomotopy.quadrature import QuadratureGrid
-from oracles import brute_wedge_expansion
+from oracles import brute_wedge_expansion, wedge_expansion_keys
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "acceptance_baselines.json")
@@ -165,15 +165,17 @@ def test_determinant_split_equivalence(rng):
             gamma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             tau = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             brute = brute_wedge_expansion(eta, beta, gamma, tau)
+            form = cf_component(eta[:, None], beta[..., None],
+                                gamma[..., None], tau[:, None])[:, 0]
+            rows = dict(zip(wedge_expansion_keys(n), form))
             for r in range(n):
-                mine = cf_component(eta, beta, gamma, tau, r)
-                for key, val in mine.coeffs.items():
-                    if len(key[0]) != r:
-                        continue
+                mine = {key: val for key, val in rows.items()
+                        if len(key[0]) == r}
+                for key, val in mine.items():
                     worst = max(worst, abs(val - brute.get(key, 0.0)))
                 for key, val in brute.items():
                     if len(key[0]) == r:
-                        worst = max(worst, abs(val - mine.coeffs.get(key, 0.0)))
+                        worst = max(worst, abs(val - mine.get(key, 0.0)))
     report("determinant/split equivalence", worst < 1e-12,
            f"max coefficient gap {worst:.2e} (n in 2..4, all degrees)")
 
@@ -268,17 +270,19 @@ def test_obstruction_emptiness_and_pointwise_vanishing(primary, rng):
                           center_u=w0.real)
     worst_rel = 0.0
     checked = 0
+    degree_one = zbar_degree(5, 4) == 1
     for chunk in grid.chunks():
         eta, beta, gamma, phi = _barrier_section_jets(primary, chunk.zeta, z)
-        for i in range(chunk.zeta.shape[0]):
-            tensor = cf_component(eta[i], beta[i], gamma[i],
-                                  np.zeros(5, dtype=complex), 1)
-            col_norms = np.linalg.norm(gamma[i], axis=0)
-            scale = (np.linalg.norm(eta[i])
-                     * np.max(np.linalg.norm(beta[i], axis=0))
-                     * np.max(col_norms) ** 3)
-            worst_rel = max(worst_rel, tensor.max_abs() / scale)
-            checked += 1
+        form = cf_component(eta.T, beta.transpose(1, 2, 0),
+                            gamma.transpose(1, 2, 0),
+                            np.zeros(eta.T.shape, dtype=complex))
+        col_norms = np.linalg.norm(gamma, axis=1)
+        scale = (np.linalg.norm(eta, axis=1)
+                 * np.max(np.linalg.norm(beta, axis=1), axis=1)
+                 * np.max(col_norms, axis=1) ** 3)
+        worst_rel = max(worst_rel, float(np.max(
+            np.max(np.abs(form[degree_one]), axis=0) / scale)))
+        checked += chunk.zeta.shape[0]
     ok = not bad and worst_rel < 1e-10
     report("obstruction emptiness + pointwise vanishing", ok,
            f"{len(records)} sweep records, {len(bad)} survivors below "

@@ -2,15 +2,29 @@ import numpy as np
 import pytest
 
 from crhomotopy import barrier, sections
-from crhomotopy.cf_forms import FormTensor, cf_component, full_determinant_form
+from crhomotopy.cf_forms import cf_component, zbar_degree
 from crhomotopy.errors import NearSingularPhaseError, SingularityError
 from oracles import (brute_wedge_expansion, contraction_table,
-                     dense_coefficients)
+                     dense_coefficients, fd_section_jet, random_quadric,
+                     wedge_expansion_keys)
 
 
 def random_jets(rng, n):
     mk = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
     return mk(n), mk(n, n), mk(n, n), mk(n)
+
+
+def form_at(eta, beta, gamma, tau):
+    """The determinant form of one section jet, (C(2n + 1, n - 1),)."""
+    return cf_component(eta[:, None], beta[..., None], gamma[..., None],
+                        tau[:, None])[:, 0]
+
+
+@pytest.fixture(scope="module")
+def random_n6m2():
+    """Seeded random quadric (6, 2) whose lowest Levi eigenvalue varies with
+    theta below -1, so the frame scale s^2 varies with theta too."""
+    return random_quadric(6, 2, np.random.default_rng(11))
 
 
 class TestDeterminantForm:
@@ -19,62 +33,38 @@ class TestDeterminantForm:
         for _ in range(10):
             eta, beta, gamma, tau = random_jets(rng, n)
             brute = brute_wedge_expansion(eta, beta, gamma, tau)
-            mine = full_determinant_form(eta, beta, gamma, tau)
-            keys = set(brute) | set(mine.coeffs)
-            err = max(abs(brute.get(k, 0.0) - mine.coeffs.get(k, 0.0))
+            mine = dict(zip(wedge_expansion_keys(n),
+                            form_at(eta, beta, gamma, tau)))
+            keys = set(brute) | set(mine)
+            err = max(abs(brute.get(k, 0.0) - mine.get(k, 0.0))
                       for k in keys)
             assert err < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_components_reassemble_full_form(self, n, rng):
-        eta, beta, gamma, tau = random_jets(rng, n)
-        full = full_determinant_form(eta, beta, gamma, tau)
-        partial = FormTensor(n)
-        for r in range(n):
-            partial = partial.plus(cf_component(eta, beta, gamma, tau, r))
-        keys = set(full.coeffs) | set(partial.coeffs)
-        err = max(abs(full.coeffs.get(k, 0.0) - partial.coeffs.get(k, 0.0))
-                  for k in keys)
-        assert err < 1e-12
-
     def test_single_column_case(self, rng):
         eta, beta, gamma, tau = random_jets(rng, 1)
-        out = cf_component(eta, beta, gamma, tau, 0)
-        assert abs(out.coeffs[((), (), 0)] - eta[0]) < 1e-15
+        out = dict(zip(wedge_expansion_keys(1),
+                       form_at(eta, beta, gamma, tau)))
+        assert abs(out[((), (), 0)] - eta[0]) < 1e-15
 
     def test_degree_out_of_range(self, rng):
-        eta, beta, gamma, tau = random_jets(rng, 3)
-        with pytest.raises(ValueError):
-            cf_component(eta, beta, gamma, tau, 3)
+        def family(zeta, z, t):
+            return sections.bochner_martinelli_section(zeta, z)
+
+        zeta, z = rng.standard_normal(3) + 0j, np.zeros(3, dtype=complex)
+        with pytest.raises(ValueError, match="out of range 0..2"):
+            sections.closedness_check(family, zeta, z, 0.5, 3, 3)
 
     def test_multilinearity_in_output_jets(self, rng):
         # scaling the dzbar jets by lam scales the degree-r part by lam^r
         n = 4
         eta, beta, gamma, tau = random_jets(rng, n)
         lam = 2.0
+        base = form_at(eta, beta, gamma, tau)
+        scaled = form_at(eta, lam * beta, gamma, tau)
+        degree = zbar_degree(n, n - 1)
         for r in range(n):
-            base = cf_component(eta, beta, gamma, tau, r)
-            scaled = cf_component(eta, lam * beta, gamma, tau, r)
-            for key, val in base.coeffs.items():
-                assert abs(scaled.coeffs.get(key, 0.0) - lam ** r * val) \
-                    < 1e-10 * max(1, abs(val))
-
-    def test_antisymmetric_lookup(self, rng):
-        eta, beta, gamma, tau = random_jets(rng, 4)
-        t = cf_component(eta, beta, gamma, tau, 2)
-        ((zb, xb, dt), val) = next(iter(
-            (k, v) for k, v in t.coeffs.items() if len(k[0]) == 2))
-        swapped = (zb[1], zb[0])
-        assert abs(t.get(swapped, xb, dt) + val) < 1e-14
-
-    def test_debug_dump(self, rng):
-        eta, beta, gamma, tau = random_jets(rng, 3)
-        t = cf_component(eta, beta, gamma, tau, 1)
-        dump = t.to_json_dict()
-        assert dump
-        for key, val in dump.items():
-            assert "z:" in key and "x:" in key
-            assert isinstance(val, list) and len(val) == 2
+            for val, got in zip(base[degree == r], scaled[degree == r]):
+                assert abs(got - lam ** r * val) < 1e-10 * max(1, abs(val))
 
 
 class TestSections:
@@ -107,7 +97,7 @@ class TestSections:
 
         errs = []
         for step in (1e-3, 5e-4):
-            fd = sections.fd_section_jet(val, zeta, z, 0.0, step=step)
+            fd = fd_section_jet(val, zeta, z, 0.0, step=step)
             errs.append(max(np.max(np.abs(jet.d_zbar - fd.d_zbar)),
                             np.max(np.abs(jet.d_zetabar - fd.d_zetabar))))
         assert errs[0] < 1e-4
@@ -143,22 +133,27 @@ class TestSections:
 
             errs = []
             for step in (2e-5, 1e-5):
-                fd = sections.fd_section_jet(val, zeta, z, 0.0, step=step)
+                fd = fd_section_jet(val, zeta, z, 0.0, step=step)
                 errs.append(max(np.max(np.abs(jet.d_zbar - fd.d_zbar)),
                                 np.max(np.abs(jet.d_zetabar - fd.d_zetabar))))
             assert errs[1] < 0.3 * errs[0]
 
     @pytest.mark.parametrize("section", ["euclidean", "barrier"])
-    @pytest.mark.parametrize("which", ["primary", "secondary", "repeated"])
+    @pytest.mark.parametrize("which", ["primary", "secondary", "repeated",
+                                       "random_n6m2"])
     def test_mixed_jets_match_central_differences(self, which, section,
                                                   request):
         # d gamma / d zbar_l of the along() jets against central Wirtinger
-        # differences in z of gamma itself, at two steps: the error falls
-        # as step^2 (ratio near 4), so the analytic jet is the limit.  The
-        # nodes of one mc-shell chunk lie on both sheets of sig22_n5, where
-        # theta is constant per sheet; for m = 2 the mixed jet adds the
-        # theta-derivative of dP/dzbar, also where the kept frame
-        # eigenvalues repeat ("repeated").
+        # differences in z of gamma itself, and gamma = d eta / d zetabar
+        # against central Wirtinger differences in zeta of eta, at two
+        # steps: the error falls as step^2 (ratio near 4), so the analytic
+        # jet is the limit.  The nodes of one mc-shell chunk lie on both
+        # sheets of sig22_n5, where theta is constant per sheet; for m = 2
+        # the mixed jet adds the theta-derivative of dP/dzbar, and gamma
+        # the theta-derivative of the frame, also where the kept frame
+        # eigenvalues repeat ("repeated") and where the ds^2 term of the
+        # frame derivative acts ("random_n6m2").  The differences in z alone
+        # use the same frame derivative on both sides; those in zeta do not.
         from crhomotopy.quadrature import QuadratureGrid
         model = request.getfixturevalue(which)
         n = model.n
@@ -172,26 +167,35 @@ class TestSections:
             rho_vec, _ = model.defining_values(zetas)
             assert np.any(rho_vec[:, 0] > 0) and np.any(rho_vec[:, 0] < 0)
 
-        def jets(at, **kw):
+        def jets(at_zetas, at, **kw):
             if section == "euclidean":
-                return sections.bochner_martinelli_jets(zetas, at, **kw)
-            return sections.barrier_section_jets(model, zetas, at, **kw)
+                return sections.bochner_martinelli_jets(at_zetas, at, **kw)
+            return sections.barrier_section_jets(model, at_zetas, at, **kw)
 
-        out = jets(z, directions=np.eye(n))
+        out = jets(zetas, z, directions=np.eye(n))
+        gamma = out[2]
         d_eta, d_gamma = out[-1](slice(None))
         assert np.array_equal(d_eta, np.swapaxes(out[1], 1, 2))
-        errs = []
+        errs, errs_zeta = [], []
         for step in (1e-3, 5e-4):
             fd = np.empty_like(d_gamma)
+            fd_zeta = np.empty_like(gamma)
             for l in range(n):
-                g = []
+                g, e = [], []
                 for shift in (step, -step, 1j * step, -1j * step):
                     p = z.copy()
                     p[l] += shift
-                    g.append(jets(p)[2])
+                    g.append(jets(zetas, p)[2])
+                    ps = zetas.copy()
+                    ps[:, l] += shift
+                    e.append(jets(ps, z)[0])
                 fd[:, l] = 0.25 * ((g[0] - g[1]) + 1j * (g[2] - g[3])) / step
+                fd_zeta[:, :, l] = 0.25 * ((e[0] - e[1])
+                                           + 1j * (e[2] - e[3])) / step
             errs.append(np.max(np.abs(fd - d_gamma)))
+            errs_zeta.append(np.max(np.abs(fd_zeta - gamma)))
         assert 3.5 < errs[0] / errs[1] < 4.5
+        assert 3.5 < errs_zeta[0] / errs_zeta[1] < 4.5
 
     def test_near_singular_phase_raises(self, primary):
         # zeta on the manifold would make the direction field undefined;

@@ -76,10 +76,11 @@ class TestPipeline:
             base = ["--model", "bundled:sig22_n5", "--out", out, "--seed", "3"]
             assert run_cli(base + ["check-geometry"]) == 0
             assert run_cli(base + ["audit-barrier", "--budget", "2000"]) == 0
+            assert run_cli(base + ["audit-kernels", "--budget", "300"]) == 0
             assert run_cli(base + ["estimate-norms", "--budget", "100"]) == 0
             outs.append(out)
         for name in ("geometry.json", "barrier.json", "barrier_quotients.csv",
-                     "norms.json"):
+                     "kernels.json", "norms.json"):
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
