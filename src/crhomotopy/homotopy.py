@@ -410,8 +410,8 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
     holomorphic tangent rows, through the mixed section jets (the stencil of
     ``tangential_dbar_scalar`` in ``tests/oracles.py`` is its
     finite-difference oracle; the graph projection of the stencil points is
-    the identity to first order along the complex tangent).  The second term integrates the analytic
-    differential of the test form.  Both terms are evaluated at z alone,
+    the identity to first order along the complex tangent).  The second term
+    integrates the analytic differential of the test form.  Both terms are evaluated at z alone,
     with one set of section jets per chunk, in one pass over one node
     stream.
     The obstruction term vanishes pointwise for input degree below the

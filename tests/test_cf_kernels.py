@@ -263,8 +263,8 @@ class TestClosedness:
                 assert rep.order >= 1.7, (model.name, r, rep)
 
     def test_degree_zero_has_no_output_term(self, rng):
-        # at degree zero only the parameter and zeta differentials enter;
-        # the assembly must not request a degree -1 component
+        # at degree zero only the parameter and zeta differentials enter:
+        # the dzbar wedge of d W lands in rows of degree one and up
         def family(zeta, z, t):
             return sections.bochner_martinelli_section(zeta, z)
 
