@@ -5,7 +5,8 @@ Subpackage map:
 
 - ``geometry``   quadric models, Levi eigenvalue data, concavity certification,
                  frames
-- ``barrier``    phase sections, positivity and expansion audits
+- ``barrier``    phase sections, the correction projector, positivity and
+                 expansion audits
 - ``cf_forms``   the determinant form of a section as an array form on the
                  2n + 1 symbols dzbar, dzetabar, dt
 - ``sections``   normalized section jets (euclidean, barrier, combined), the

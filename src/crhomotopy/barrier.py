@@ -30,8 +30,7 @@ import numpy as np
 
 from ._util import loglog_slope
 from .errors import FrameGapError, ThetaUndefinedError
-from .geometry import (CORRECTION_MARGIN, FRAME_GAP_WARN, ManifoldModel,
-                       correction_frame)
+from .geometry import CORRECTION_MARGIN, FRAME_GAP_WARN, ManifoldModel
 
 
 # ---------------------------------------------------------------------------
@@ -55,64 +54,6 @@ def normal_direction(model: ManifoldModel, zeta):
     if np.any(norm <= model.tol_on_manifold):
         raise ThetaUndefinedError("normal direction undefined where rho = 0")
     return -vec / norm[..., None]
-
-
-# ---------------------------------------------------------------------------
-# frame handling (theta-dependent correction frame, scaled)
-# ---------------------------------------------------------------------------
-
-def scaled_frame_rows(model: ManifoldModel, theta_vec) -> np.ndarray:
-    """Correction frame rows multiplied by the positivity margin scale."""
-    frame = correction_frame(model, _unit(theta_vec))
-    return frame.scale * frame.rows
-
-
-def _unit(theta_vec):
-    v = np.asarray(theta_vec, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-# ---------------------------------------------------------------------------
-# pointwise evaluation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BarrierEval:
-    """All barrier quantities at one (zeta, z) pair."""
-
-    zeta: np.ndarray
-    z: np.ndarray
-    theta: np.ndarray
-    Q: np.ndarray          # (m, n) gradient sections
-    F: np.ndarray          # (m,) bilinear pairings <Q_k, w>
-    a: np.ndarray          # (n-q-m, n) scaled frame rows
-    A: np.ndarray          # (n-q-m,) frame pairings with w
-    script_A: float        # sum |A_j|^2  (real, >= 0)
-    P: np.ndarray          # (n,) combined section
-    Phi: complex           # bilinear phase
-
-
-def evaluate_barrier(model: ManifoldModel, zeta, z) -> BarrierEval:
-    """Evaluate the barrier at a point pair with rho(zeta) > 0.
-
-    The pointwise reference, written independently of the batched
-    :func:`barrier_jets` and :func:`barrier_phase`.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    theta = normal_direction(model, zeta)
-    w = zeta - z
-    Q = np.stack([gradient_section(model, k, zeta, z) for k in range(model.m)])
-    F = Q @ w
-    a = scaled_frame_rows(model, theta)
-    A = a @ w
-    script_A = float(np.sum(np.abs(A) ** 2))
-    P = np.einsum("k,ki->i", theta, Q)
-    if a.size:
-        P = P + np.einsum("ji,j->i", a, A.conj())
-    Phi = complex(P @ w)
-    return BarrierEval(zeta=zeta, z=z, theta=theta, Q=Q, F=F, a=a, A=A,
-                       script_A=script_A, P=P, Phi=Phi)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +296,9 @@ def audit_barrier_expansion(model: ManifoldModel, z, direction,
     remainder(s) = Re Phi(z + s v, z)
                    - [rho(zeta)/2 + levi_ref(s v)/2 + correction_ref(s v)]
 
-    with the reference direction taken from the leading rho-profile of the
-    path.  Exact zero (reported as ``exact``) occurs whenever theta does not
+    with the reference direction theta_ref taken from the leading rho-profile
+    of the path and correction_ref the quadratic form of G(theta_ref); Phi
+    comes from one :func:`barrier_phase` call over all scales.  Exact zero (reported as ``exact``) occurs whenever theta does not
     vary along the path; otherwise the remainder carries only
     direction-variation terms and its log-log slope is cubic.
     """
@@ -370,20 +312,19 @@ def audit_barrier_expansion(model: ManifoldModel, z, direction,
         # quadratic-profile path: take the exact rho vector at the smallest scale
         lin, _ = model.defining_values(z + scales.min() * v)
     theta_ref = -lin / np.linalg.norm(lin)
-    rows_ref = scaled_frame_rows(model, theta_ref)
+    G_ref, _ = _frames_for_thetas(model, theta_ref[None, :],
+                                  with_derivative=False)
     form = model.levi_form_full(theta_ref)
 
-    rem = np.empty(scales.size)
-    phimag = np.empty(scales.size)
-    for idx, s in enumerate(scales):
-        zeta = z + s * v
-        ev = evaluate_barrier(model, zeta, z)
-        w = zeta - z
-        _, rho = model.defining_values(zeta)
-        levi = float(np.einsum("i,ij,j->", w.conj(), form, w).real)
-        corr = float(np.sum(np.abs(rows_ref @ w) ** 2))
-        rem[idx] = ev.Phi.real - (0.5 * float(rho) + 0.5 * levi + corr)
-        phimag[idx] = abs(ev.Phi)
+    zetas = z[None, :] + scales[:, None] * v[None, :]
+    w = zetas - z[None, :]
+    phi = barrier_phase(model, zetas, z)
+    _, rho = model.defining_values(zetas)
+    levi = np.einsum("Ni,ij,Nj->N", w.conj(), form, w).real
+    wp = w[:, :model.tangential_dim]
+    corr = np.einsum("Nl,li,Ni->N", wp.conj(), G_ref[0], wp).real
+    rem = phi.real - (0.5 * rho + 0.5 * levi + corr)
+    phimag = np.abs(phi)
     exact = bool(np.all(np.abs(rem) <= 1e-12 * np.maximum(phimag, 1e-30)))
     slope = 0.0 if exact else loglog_slope(scales, rem)
     return ExpansionReport(slope=slope, exact=exact, remainders=rem,

@@ -304,6 +304,18 @@ def cmd_estimate_norms(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _count(text) -> int:
+    """argparse type of the --budget and --points counts: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="crhomotopy",
@@ -319,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_check_geometry)
 
     b = sub.add_parser("audit-barrier")
-    b.add_argument("--budget", type=int, default=10000)
+    b.add_argument("--budget", type=_count, default=10000)
     b.add_argument("--scale", type=float, default=0.1)
     b.set_defaults(func=cmd_audit_barrier)
 
     k = sub.add_parser("audit-kernels")
-    k.add_argument("--budget", type=int, default=2000)
+    k.add_argument("--budget", type=_count, default=2000)
     k.set_defaults(func=cmd_audit_kernels)
 
     h = sub.add_parser("run-homotopy")
     h.add_argument("--eps", type=float, nargs="+", default=[0.1])
-    h.add_argument("--budget", type=int, nargs="+", default=[5000])
-    h.add_argument("--points", type=int, default=2)
+    h.add_argument("--budget", type=_count, nargs="+", default=[5000])
+    h.add_argument("--points", type=_count, default=2)
     h.set_defaults(func=cmd_run_homotopy)
 
     i = sub.add_parser("index-audit")
@@ -339,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_index_audit)
 
     n = sub.add_parser("estimate-norms")
-    n.add_argument("--budget", type=int, default=300)
+    n.add_argument("--budget", type=_count, default=300)
     n.set_defaults(func=cmd_estimate_norms)
     return p
 

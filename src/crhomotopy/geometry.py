@@ -1,5 +1,5 @@
 """Quadric CR models: defining functions, directional Levi eigenvalue data,
-concavity certification, correction frames and tangential frames.
+concavity certification, the modified defining form and tangential frames.
 
 A model is the graph quadric
 
@@ -300,105 +300,8 @@ def certify_concavity(model: ManifoldModel, resolution: int = 16) -> ConcavityRe
 
 
 # ---------------------------------------------------------------------------
-# correction frame (orthogonal complement of the positivity subspace)
-# ---------------------------------------------------------------------------
-
-def _fix_phase(vecs):
-    """Deterministic phases: largest-magnitude entry made real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        piv = out[i, j]
-        if np.abs(piv) > 0:
-            out[:, j] *= np.conj(piv) / np.abs(piv)
-    return out
-
-
-@dataclass
-class CorrectionFrame:
-    """Frame rows spanning the directions the barrier correction must cover.
-
-    ``rows[j]`` are the coefficient vectors a_j; the quadratic correction
-    built from them is positive exactly on the conjugate span, which equals
-    the nonpositive eigendirections of the directional Levi matrix.  ``scale``
-    multiplies the pairings so the corrected form clears the most negative
-    covered eigenvalue with margin.
-    """
-
-    rows: np.ndarray          # (n - q - m, n)
-    scale: float
-    gap: float
-    eigenvalues: np.ndarray
-
-
-def correction_frame(model: ManifoldModel, theta) -> CorrectionFrame:
-    """Orthonormal frame for the complement of the positivity subspace.
-
-    Selection is deterministic (ascending eigenvalues, fixed phases) and
-    continuous in theta wherever the eigenvalue gap at the cut stays open.
-    """
-    if not isinstance(theta, Direction):
-        theta = Direction(np.asarray(theta, dtype=float))
-    count = model.n - model.q - model.m
-    d = model.tangential_dim
-    data = directional_levi(model, theta)
-    if count == 0:
-        return CorrectionFrame(rows=np.zeros((0, model.n), dtype=complex),
-                               scale=1.0, gap=np.inf, eigenvalues=data.eigenvalues)
-    if count < 0:
-        raise ModelValidationError("n - q - m is negative")
-    evals, evecs = np.linalg.eigh(data.matrix)
-    kept = _fix_phase(evecs[:, :count])
-    gap = float(evals[count] - evals[count - 1]) if count < d else np.inf
-    rows = np.zeros((count, model.n), dtype=complex)
-    # pairings A_j(w) = sum_i rows[j, i] w_i are positive on the conjugate
-    # eigendirections, so store conjugates of the eigenvectors
-    rows[:, :d] = kept.conj().T
-    scale = float(np.sqrt(CORRECTION_MARGIN * max(1.0, -float(evals[0]))))
-    return CorrectionFrame(rows=rows, scale=scale, gap=gap,
-                           eigenvalues=evals)
-
-
-# ---------------------------------------------------------------------------
 # defining-function modification (extra plurisubharmonic weight)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ModifiedDefining:
-    """Callables for rho_k + amplitude * sum_i rho_i^2 and its derivatives."""
-
-    model: ManifoldModel
-    amplitude: float
-
-    def values(self, z):
-        vec, _ = self.model.defining_values(z)
-        bump = self.amplitude * np.sum(vec ** 2, axis=-1, keepdims=True)
-        return vec + bump
-
-    def holo_gradient(self, k, z):
-        vec, _ = self.model.defining_values(z)
-        g = self.model.holo_gradient(k, z)
-        for i in range(self.model.m):
-            g = g + 2.0 * self.amplitude * vec[..., i:i + 1] \
-                * self.model.holo_gradient(i, z)
-        return g
-
-    def mixed_hessian(self, k, z):
-        """Full n x n Hermitian-form matrix of the modified rho_k at z."""
-        vec, _ = self.model.defining_values(z)
-        d = self.model.tangential_dim
-        base = np.zeros((self.model.n, self.model.n), dtype=complex)
-        base[:d, :d] = self.model.levi_block(k)
-        extra = np.zeros_like(base)
-        for i in range(self.model.m):
-            g = self.model.holo_gradient(i, z)
-            c = g.conj()
-            rank_one = np.outer(c, c.conj())
-            lv = np.zeros_like(base)
-            lv[:d, :d] = self.model.levi_block(i)
-            extra += 2.0 * (rank_one + float(vec[..., i]) * lv)
-        return base + self.amplitude * extra
-
 
 def directional_modified_form(model: ManifoldModel, theta_vec, z,
                               amplitude: float) -> np.ndarray:
@@ -426,17 +329,19 @@ def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
     """Smallest grid amplitude making the modified directional form positive
     with margin ``target`` on its top (q + m)-dimensional eigenspace, jointly
     with the scaled correction, over sampled (theta, z)."""
+    from .barrier import _frames_for_thetas  # barrier imports this module
     if amplitudes is None:
         amplitudes = [0.25 * 2 ** k for k in range(10)]
     grid = direction_grid(model.m, resolution)
+    G, _ = _frames_for_thetas(model, grid, with_derivative=False)
+    d = model.tangential_dim
     for amp in amplitudes:
         ok = True
         for z in points:
-            for theta in grid:
+            for theta, g in zip(grid, G):
                 form = directional_modified_form(model, theta, z, amp)
-                frame = correction_frame(model, theta)
-                corr = frame.scale ** 2 * (frame.rows.conj().T @ frame.rows)
-                evals = np.linalg.eigvalsh(form + corr.conj().T)
+                form[:d, :d] += g
+                evals = np.linalg.eigvalsh(form)
                 if evals[0] < target:
                     ok = False
                     break

@@ -3,8 +3,9 @@
 The solution operator integrates the interpolated kernel over the level set
 times the unit interval; the obstruction operator integrates the pure barrier
 kernel over the level set.  Both pull the integrand form back through the
-level-set parameterization, which reduces every monomial to a complex
-determinant of the velocity columns.
+level-set parameterization, which reduces every monomial to a minor of its
+velocity matrix; the minors are closed-form in the node's conormal, so no
+node carries velocity columns.
 
 Functional rows are ordered [dzetabar block (one index missing) | dzeta
 block | dt last].  The dt row pairs only with the unit-interval direction,
@@ -12,8 +13,8 @@ contributing a fixed sign (-1)^n after being moved past the dzeta block; the
 remaining (2n-1) square block is the minor det9[k].  Times the orientation
 sign it is closed-form, (2i)^n / 2 * (-1)^k times the node's scaled
 conormal eps^(m-1) (-2 S, i sigma) (see :mod:`crhomotopy.quadrature`), so
-no per-node determinant is taken; the dense determinants are the test
-oracle.
+no per-node determinant is taken; the dense determinants of the velocity
+columns that ``tests/oracles.py`` rebuilds are the test oracle.
 
 Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import canonical_json
-from .errors import ChartExitError, DerivativeOrderError, FlowInversionError
+from .errors import ChartExitError, FlowInversionError
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 
 
@@ -71,27 +71,6 @@ def flow_from(model: ManifoldModel, z, controls, time: float = 1.0,
     if return_path:
         return point, np.array(path)
     return point
-
-
-def flow_from_exact(model: ManifoldModel, z, controls, time: float = 1.0):
-    """Closed-form endpoint for graph quadrics (independent oracle).
-
-    The tangential part moves linearly; the transverse part integrates the
-    quadratic height drag exactly.
-    """
-    x, y, u, v = [np.asarray(c, dtype=float) for c in controls]
-    z = np.asarray(z, dtype=complex)
-    d, m = model.tangential_dim, model.m
-    zp, w = model.split(z)
-    c = u + 1j * v
-    zp_end = zp + time * c
-    w_end = w.astype(complex).copy()
-    for k, hmat in enumerate(model.hermitian):
-        const = np.sum(c * np.conj(hmat @ zp))
-        slope = np.sum(c * np.conj(hmat @ c))
-        w_end[k] += time * (y[k] + 1j * x[k]) \
-            + 2j * (time * const + 0.5 * time ** 2 * slope)
-    return np.concatenate([zp_end, w_end])
 
 
 def invert_flow(model: ManifoldModel, z, target, tol: float = 1e-9,
@@ -364,79 +343,6 @@ def tangential_holder_estimate(model: ManifoldModel, h_fn, beta: float,
                                   pair_count=count, regime="tangential",
                                   samples=tan_rows),
     )
-
-
-def _directional_derivative(model, h_fn, z, velocity, step):
-    a = model.project_to_manifold(np.asarray(z) + step * velocity)
-    b = model.project_to_manifold(np.asarray(z) - step * velocity)
-    return (h_fn(a) - h_fn(b)) / (2.0 * step)
-
-
-def anisotropic_norm_estimate(model: ManifoldModel, h_fn, weight: float,
-                              alpha: float, z, seed: int = 0,
-                              budgets=(12, 120), step: float = 1e-4):
-    """Sampled lower bound of the weighted-derivative norm of order
-    weight + alpha (transverse derivatives count twice).
-
-    The generator set: the complex-tangent frame directions (weight 1 each)
-    and the transverse frame directions (weight 2 each); compositions up to
-    total weight ``weight`` feed the base Holder estimator at exponent
-    alpha, compositions up to weight - 1 at exponent 1 + alpha.
-    """
-    if not 0 <= weight <= 2:
-        raise DerivativeOrderError("weights above 2 are not implemented")
-    rng = np.random.default_rng(seed)
-    d = model.tangential_dim
-
-    def compose(fn, velocity):
-        return lambda p: _directional_derivative(model, fn, p, velocity, step)
-
-    def generators(at):
-        rows = holomorphic_tangent_rows(model, at)
-        vels = []
-        for i in range(d):
-            vels.append(("c", rows[i]))
-            vels.append(("c", 1j * rows[i]))
-        for k in range(model.m):
-            e = np.zeros(model.n, dtype=complex)
-            e[d + k] = 1.0
-            vels.append(("t", e))
-        return vels
-
-    total = 0.0
-    records = []
-    # weight budget: s complex-tangent + 2k transverse <= weight
-    combos = [()]
-    if weight >= 1:
-        combos += [(g,) for g in generators(z)]
-    if weight >= 2:
-        gens = generators(z)
-        combos += [(a, b) for a in gens for b in gens
-                   if (a[0] == "c") and (b[0] == "c")]
-        combos += [(g,) for g in generators(z) if g[0] == "t"]
-    for combo in combos:
-        w_used = sum(2 if tag == "t" else 1 for tag, _ in combo)
-        if w_used > weight:
-            continue
-        fn = h_fn
-        for _, vel in combo:
-            fn = compose(fn, vel)
-        est = tangential_holder_estimate(model, fn, alpha, z,
-                                         curve_budget=budgets[0],
-                                         pair_budget=budgets[1],
-                                         seed=seed + w_used)
-        records.append({"weights": w_used, "exponent": alpha,
-                        "value": est.total})
-        total = max(total, est.total)
-        if w_used <= weight - 1:
-            est2 = tangential_holder_estimate(model, fn, 1.0 + alpha, z,
-                                              curve_budget=budgets[0],
-                                              pair_budget=budgets[1],
-                                              seed=seed + 7 + w_used)
-            records.append({"weights": w_used, "exponent": 1.0 + alpha,
-                            "value": est2.total})
-            total = max(total, est2.total)
-    return total, records
 
 
 def regularity_gain_report(model: ManifoldModel, f_fn, rf_fn, alpha: float,

@@ -5,20 +5,22 @@ The level set {rho = eps} of a graph quadric is parameterized exactly by
     (z' in C^(n-m), u = Re w in R^m, sigma in S^(m-1)),  Im w = h(z') + eps sigma,
 
 so every node satisfies the level equation to machine precision.  A node
-carries the chart parameters, a Monte Carlo weight (inverse sampling density
-in parameter measure), the complex velocity columns of the parameterization,
-the scaled conormal and the Riemannian surface factor.
+carries the chart point, a Monte Carlo weight (inverse sampling density in
+parameter measure), its level vector eps sigma, the scaled conormal and the
+Riemannian surface factor: what the operators read, and nothing else.
 
 The geometry is closed-form.  With S = sum_k sigma_k H_k z', the vector
 v = (-2 S, i sigma) is 2 dbar(sigma . rho), rho_k = Im w_k - <H_k z', z'>.
-The velocity matrix is block-triangular over (z', u, sigma), so its
-(2n-1)-minors are the components of this conormal (the coarea / Leray-form
-identity): the surface factor is eps^(m-1) |v|, and the oriented minors
-that pull a form back are (2i)^n / 2 * eps^(m-1) (-1)^k v_k (see
+The velocity matrix of the parameterization is block-triangular over
+(z', u, sigma), so its (2n-1)-minors are the components of this conormal
+(the coarea / Leray-form identity): the surface factor is eps^(m-1) |v|, and
+the oriented minors that pull a form back are
+(2i)^n / 2 * eps^(m-1) (-1)^k v_k (see
 :func:`crhomotopy.homotopy._det9_blocks`).  ``conormal`` stores
-eps^(m-1) v.  The sphere tangent basis drops out, so its sign is a gauge,
-and the velocity columns feed no operator; the dense determinants of them
-are the test oracle.
+eps^(m-1) v.  The sphere tangent basis drops out, so its sign is a gauge.
+No node carries velocity columns: ``tests/oracles.py`` rebuilds them from
+the chart point and sigma (with :func:`_sphere_tangent_basis`) for the
+dense determinants that are the test oracle.
 
 Samplers:
 
@@ -49,7 +51,6 @@ MODES = ("mc-uniform", "mc-shell")
 class NodeChunk:
     zeta: np.ndarray          # (N, n)
     weight: np.ndarray        # (N,) parameter-measure MC weight
-    velocity: np.ndarray      # (N, n, 2n-1) complex velocity columns
     conormal: np.ndarray      # (N, n) eps^(m-1) (-2 S, i sigma)
     surface_jac: np.ndarray   # (N,) Riemannian surface factor |conormal|
     rho_vec: np.ndarray       # (N, m)
@@ -130,38 +131,19 @@ class QuadratureGrid:
     def _assemble(self, params) -> NodeChunk:
         p, sigma, weight = params
         model = self.model
-        d, m, n = model.tangential_dim, model.m, model.n
-        N = p.shape[0]
+        d, m = model.tangential_dim, model.m
         zp = (self.center_zp[None, :]
               + p[:, 0:2 * d:2] + 1j * p[:, 1:2 * d:2])
         u = self.center_u[None, :] + p[:, 2 * d:2 * d + m]
         rho_vec = self.epsilon * sigma
         zeta = model.graph_point(zp, u, rho_vec)
 
-        # velocity columns of the parameterization (complex representation);
-        # moving z' along the real direction c' drags Im w_k by
-        # dh_k(c') = 2 Re(sum_i conj(c'_i) (H_k z')_i)
-        cols = 2 * n - 1
-        vel = np.zeros((N, n, cols), dtype=complex)
         hz = np.stack([np.einsum("ij,Nj->Ni", h, zp) for h in model.hermitian],
                       axis=1)                          # (N, m, d)
-        for j in range(d):
-            vel[:, j, 2 * j] = 1.0                      # Re z'_j direction
-            vel[:, d:, 2 * j] = 1j * 2.0 * hz[:, :, j].real
-            vel[:, j, 2 * j + 1] = 1j                   # Im z'_j direction
-            vel[:, d:, 2 * j + 1] = 1j * 2.0 * hz[:, :, j].imag
-        for k in range(m):
-            vel[:, d + k, 2 * d + k] = 1.0
-        if m >= 2:
-            tang = _sphere_tangent_basis(sigma)        # (N, m, m-1)
-            for a in range(m - 1):
-                vel[:, d:, 2 * d + m + a] = 1j * self.epsilon * tang[:, :, a]
-
         conormal = np.concatenate(
             [-2.0 * np.einsum("Nk,Nkj->Nj", sigma, hz), 1j * sigma], axis=1)
         conormal *= self.epsilon ** (m - 1)
-        return NodeChunk(zeta=zeta, weight=weight, velocity=vel,
-                         conormal=conormal,
+        return NodeChunk(zeta=zeta, weight=weight, conormal=conormal,
                          surface_jac=np.linalg.norm(conormal, axis=1),
                          rho_vec=rho_vec)
 
@@ -194,7 +176,8 @@ def _sphere_area(D):
 
 
 def _sphere_tangent_basis(sigma):
-    """Orthonormal tangent bases of S^(m-1) at each sigma, (N, m, m-1).
+    """Orthonormal tangent bases of S^(m-1) at each sigma, (N, m, m-1): the
+    sphere columns of the dense velocity matrix in ``tests/oracles.py``.
 
     One stacked QR of [sigma | I]: the first column of each Q is +-sigma and
     the remaining columns span the tangent space.

@@ -3,16 +3,21 @@
 These implementations deliberately avoid the package's computation paths:
 the wedge expansions and the sign table iterate raw symbol choices and count
 inversions, the defining-function oracle re-evaluates the polynomial from
-its definition, the node-geometry oracles take dense determinants of the
-velocity columns in place of the closed-form conormal, and derivative
-oracles are plain central differences.
+its definition, the node-geometry oracles rebuild the velocity columns of
+the parameterization and take dense determinants of them in place of the
+closed-form conormal, the barrier reference works pointwise on phase-fixed
+eigenvector rows in place of the projector G, the frame flow has a closed
+form, and derivative oracles are plain central differences.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from crhomotopy.geometry import ManifoldModel, holomorphic_tangent_rows
+from crhomotopy import quadrature
+from crhomotopy.barrier import gradient_section, normal_direction
+from crhomotopy.geometry import (CORRECTION_MARGIN, Direction, ManifoldModel,
+                                 directional_levi, holomorphic_tangent_rows)
 from crhomotopy.sections import SectionJet
 
 
@@ -120,6 +125,23 @@ def random_quadric(n, m, rng):
                          hermitian=[(a + a.conj().T) / 2 for a in mats])
 
 
+def random_directions(m, count, rng):
+    """Seeded unit directions in R^m, (count, m)."""
+    thetas = rng.standard_normal((count, m))
+    return thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
+
+
+def off_manifold_point(model, rng, scale=0.1, level=0.02):
+    """Seeded point at rho = level in a random normal direction, with chart
+    displacement of size ``scale``."""
+    zp = scale * (rng.standard_normal(model.tangential_dim)
+                  + 1j * rng.standard_normal(model.tangential_dim))
+    sig = rng.standard_normal(model.m)
+    sig /= np.linalg.norm(sig)
+    return model.graph_point(zp, scale * rng.standard_normal(model.m),
+                             level * sig)
+
+
 def contraction_table(n, r):
     """Sign table of the fold of a degree-r field against the missing-index
     determinants: rows (k, J index, M index, sign) over the missing index k
@@ -198,6 +220,32 @@ def dense_coefficients(eta, beta, gamma, tau, r_out):
     return M_combos, coef, bound
 
 
+def velocity_columns(grid, chunk):
+    """Complex velocity columns of the level-set parameterization at the
+    chunk's nodes, (N, n, 2n-1): per z' coordinate its real and imaginary
+    direction c', which drags Im w_k by 2 Re(conj(c') . H_k z'), then each
+    Re w_k, then i eps times the sphere tangent basis at sigma = rho_vec / eps.
+    """
+    model = grid.model
+    d, m, n = model.tangential_dim, model.m, model.n
+    zp = chunk.zeta[:, :d]
+    sigma = chunk.rho_vec / grid.epsilon
+    hz = np.stack([np.einsum("ij,Nj->Ni", h, zp) for h in model.hermitian],
+                  axis=1)                                        # (N, m, d)
+    vel = np.zeros((zp.shape[0], n, 2 * n - 1), dtype=complex)
+    for j in range(d):
+        vel[:, j, 2 * j] = 1.0
+        vel[:, d:, 2 * j] = 2j * hz[:, :, j].real
+        vel[:, j, 2 * j + 1] = 1j
+        vel[:, d:, 2 * j + 1] = 2j * hz[:, :, j].imag
+    for k in range(m):
+        vel[:, d + k, 2 * d + k] = 1.0
+    if m >= 2:
+        vel[:, d:, 2 * d + m:] = 1j * grid.epsilon \
+            * quadrature._sphere_tangent_basis(sigma)
+    return vel
+
+
 def dense_det9(velocity):
     """Per-node (2n-1) determinants of the functional rows with one dzetabar
     index removed, [conj(velocity) without row k | velocity], one LAPACK
@@ -235,6 +283,96 @@ def dense_orientation_and_jacobian(sigma, velocity):
     return orient, np.sqrt(np.abs(np.linalg.det(gram)))
 
 
+# pointwise barrier reference on phase-fixed eigenvector rows
+
+def _fix_phase(vecs):
+    """Deterministic phases: largest-magnitude entry made real positive."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        piv = out[i, j]
+        if np.abs(piv) > 0:
+            out[:, j] *= np.conj(piv) / np.abs(piv)
+    return out
+
+
+@dataclass
+class CorrectionFrame:
+    """Frame rows spanning the directions the barrier correction must cover.
+
+    ``rows[j]`` are the coefficient vectors a_j; the quadratic correction
+    built from them is positive exactly on the conjugate span, which equals
+    the nonpositive eigendirections of the directional Levi matrix.  ``scale``
+    multiplies the pairings so the corrected form clears the most negative
+    covered eigenvalue with margin: scale^2 rows^H rows is G of
+    ``barrier._frames_for_thetas`` on the z'-block.
+    """
+
+    rows: np.ndarray          # (n - q - m, n)
+    scale: float
+    eigenvalues: np.ndarray
+
+
+def correction_frame(model: ManifoldModel, theta) -> CorrectionFrame:
+    """Orthonormal eigenvector rows of the n - q - m lowest eigenvalues of
+    the directional Levi matrix, in ascending order with fixed phases."""
+    if not isinstance(theta, Direction):
+        theta = Direction(np.asarray(theta, dtype=float))
+    count = model.n - model.q - model.m
+    d = model.tangential_dim
+    evals, evecs = np.linalg.eigh(directional_levi(model, theta).matrix)
+    rows = np.zeros((count, model.n), dtype=complex)
+    # pairings A_j(w) = sum_i rows[j, i] w_i are positive on the conjugate
+    # eigendirections, so store conjugates of the eigenvectors
+    rows[:, :d] = _fix_phase(evecs[:, :count]).conj().T
+    scale = float(np.sqrt(CORRECTION_MARGIN * max(1.0, -float(evals[0]))))
+    return CorrectionFrame(rows=rows, scale=scale, eigenvalues=evals)
+
+
+def scaled_frame_rows(model: ManifoldModel, theta_vec) -> np.ndarray:
+    """Correction frame rows multiplied by the positivity margin scale."""
+    v = np.asarray(theta_vec, dtype=float)
+    frame = correction_frame(model, v / np.linalg.norm(v))
+    return frame.scale * frame.rows
+
+
+@dataclass
+class BarrierEval:
+    """All barrier quantities at one (zeta, z) pair."""
+
+    zeta: np.ndarray
+    z: np.ndarray
+    theta: np.ndarray
+    Q: np.ndarray          # (m, n) gradient sections
+    F: np.ndarray          # (m,) bilinear pairings <Q_k, w>
+    a: np.ndarray          # (n-q-m, n) scaled frame rows
+    A: np.ndarray          # (n-q-m,) frame pairings with w
+    script_A: float        # sum |A_j|^2  (real, >= 0)
+    P: np.ndarray          # (n,) combined section
+    Phi: complex           # bilinear phase
+
+
+def evaluate_barrier(model: ManifoldModel, zeta, z) -> BarrierEval:
+    """Evaluate the barrier at a point pair with rho(zeta) > 0, pointwise on
+    the frame rows, independently of ``barrier.barrier_jets`` and
+    ``barrier.barrier_phase``."""
+    zeta = np.asarray(zeta, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    theta = normal_direction(model, zeta)
+    w = zeta - z
+    Q = np.stack([gradient_section(model, k, zeta, z) for k in range(model.m)])
+    F = Q @ w
+    a = scaled_frame_rows(model, theta)
+    A = a @ w
+    script_A = float(np.sum(np.abs(A) ** 2))
+    P = np.einsum("k,ki->i", theta, Q)
+    if a.size:
+        P = P + np.einsum("ji,j->i", a, A.conj())
+    Phi = complex(P @ w)
+    return BarrierEval(zeta=zeta, z=z, theta=theta, Q=Q, F=F, a=a, A=A,
+                       script_A=script_A, P=P, Phi=Phi)
+
+
 # finite-difference reference for the d-bar of the conjugate frame pairings
 THETA_FD_STEP = 1e-5
 
@@ -258,8 +396,6 @@ def split_correction_dbar(model, zeta, z, step: float = None,
     The variation part differentiates the pointwise frame rows through
     theta(zeta) by central Wirtinger differences of the composite map.
     """
-    from crhomotopy.barrier import normal_direction, scaled_frame_rows
-
     if step is None:
         step = THETA_FD_STEP * model.radius
     zeta = np.asarray(zeta, dtype=complex)
@@ -357,3 +493,23 @@ def assemble_conjugate_frame_derivative(values, d, step: float):
         dv = (vb - vbm) / (2.0 * step)
         out[i] = 0.5 * (du + 1j * dv)
     return out
+
+
+def flow_from_exact(model: ManifoldModel, z, controls, time: float = 1.0):
+    """Closed-form endpoint of ``norms.flow_from`` for graph quadrics.
+
+    The tangential part moves linearly; the transverse part integrates the
+    quadratic height drag exactly.
+    """
+    x, y, u, v = [np.asarray(c, dtype=float) for c in controls]
+    z = np.asarray(z, dtype=complex)
+    zp, w = model.split(z)
+    c = u + 1j * v
+    zp_end = zp + time * c
+    w_end = w.astype(complex).copy()
+    for k, hmat in enumerate(model.hermitian):
+        const = np.sum(c * np.conj(hmat @ zp))
+        slope = np.sum(c * np.conj(hmat @ c))
+        w_end[k] += time * (y[k] + 1j * x[k]) \
+            + 2j * (time * const + 0.5 * time ** 2 * slope)
+    return np.concatenate([zp_end, w_end])

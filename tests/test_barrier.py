@@ -3,16 +3,9 @@ import pytest
 
 from crhomotopy import barrier, geometry
 from crhomotopy.errors import FrameGapError, ThetaUndefinedError
-from oracles import loglog_fit, random_quadric, split_correction_dbar
-
-
-def off_manifold_point(model, rng, scale=0.1, level=0.02):
-    zp = scale * (rng.standard_normal(model.tangential_dim)
-                  + 1j * rng.standard_normal(model.tangential_dim))
-    sig = rng.standard_normal(model.m)
-    sig /= np.linalg.norm(sig)
-    return model.graph_point(zp, scale * rng.standard_normal(model.m),
-                             level * sig)
+from oracles import (correction_frame, evaluate_barrier, loglog_fit,
+                     off_manifold_point, random_directions, random_quadric,
+                     scaled_frame_rows, split_correction_dbar)
 
 
 class TestGradientSection:
@@ -57,7 +50,7 @@ class TestBarrierEval:
                     0.1 * rng.standard_normal(model.tangential_dim) + 0j,
                     0.05 * rng.standard_normal(model.m))
                 zeta = off_manifold_point(model, rng)
-                ev = barrier.evaluate_barrier(model, zeta, z)
+                ev = evaluate_barrier(model, zeta, z)
                 w = zeta - z
                 assert abs(ev.P @ w - ev.Phi) < 1e-12 * max(1, abs(ev.Phi))
                 assert abs(ev.theta @ ev.F + ev.script_A - ev.Phi) \
@@ -74,7 +67,7 @@ class TestBarrierEval:
     def test_theta_undefined_on_manifold(self, primary):
         z = np.zeros(5, dtype=complex)
         with pytest.raises(ThetaUndefinedError):
-            barrier.evaluate_barrier(primary, z, z)
+            evaluate_barrier(primary, z, z)
         with pytest.raises(ThetaUndefinedError):
             barrier.barrier_phase(primary, z[None, :], z)
 
@@ -86,7 +79,7 @@ class TestBarrierEval:
                     0.15 * rng.standard_normal(model.tangential_dim) + 0j,
                     np.zeros(model.m))
                 zeta = off_manifold_point(model, rng, scale=0.2, level=0.03)
-                ev = barrier.evaluate_barrier(model, zeta, z)
+                ev = evaluate_barrier(model, zeta, z)
                 w = zeta - z
                 _, rho = model.defining_values(zeta)
                 form = model.levi_form_full(ev.theta)
@@ -104,7 +97,7 @@ class TestBarrierEval:
         for eps in (1e-2, 1e-3, 1e-4):
             zeta = primary.graph_point(np.zeros(4), np.zeros(1),
                                        np.array([eps]))
-            ev = barrier.evaluate_barrier(primary, zeta, z)
+            ev = evaluate_barrier(primary, zeta, z)
             _, rho = primary.defining_values(zeta)
             denom = float(rho) + np.sum(np.abs(zeta - z) ** 2)
             quotients.append(ev.Phi.real / denom)
@@ -119,14 +112,9 @@ class TestBarrierEval:
         rng = np.random.default_rng(5)
         zeta = model.graph_point(0.1 * rng.standard_normal(2) + 0j,
                                  np.zeros(2), np.array([0.01, 0.02]))
-        ev = barrier.evaluate_barrier(model, zeta, np.zeros(4, dtype=complex))
+        ev = evaluate_barrier(model, zeta, np.zeros(4, dtype=complex))
         assert ev.script_A == 0.0
         assert abs(ev.theta @ ev.F - ev.Phi) < 1e-14
-
-
-def random_directions(m, count, rng):
-    thetas = rng.standard_normal((count, m))
-    return thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
 
 
 class TestProjectorFrames:
@@ -149,7 +137,7 @@ class TestProjectorFrames:
                                               with_derivative=False)
             d = model.tangential_dim
             for theta, g in zip(thetas, G):
-                frame = geometry.correction_frame(model, theta)
+                frame = correction_frame(model, theta)
                 ref = frame.scale ** 2 * (frame.rows.conj().T @ frame.rows)
                 assert np.max(np.abs(ref[d:])) == 0.0
                 assert np.max(np.abs(g - ref[:d, :d])) \
@@ -206,7 +194,7 @@ class TestScalingProperties:
         for s in scales:
             zeta = z + s * (base - z)
             # keep the level positive along the path
-            ev = barrier.evaluate_barrier(primary, zeta, z)
+            ev = evaluate_barrier(primary, zeta, z)
             mags.append(np.max(np.abs(ev.A)) if ev.A.size else 0.0)
         slope = loglog_fit(scales, mags)
         assert slope > 0.95
@@ -316,7 +304,7 @@ class TestCorrectionDbarSplit:
 
         def conj_pairing(pt):
             th = barrier.normal_direction(secondary, pt)
-            rows = barrier.scaled_frame_rows(secondary, th)
+            rows = scaled_frame_rows(secondary, th)
             return (rows @ (pt - z)).conj()
 
         errs = []

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from crhomotopy import barrier, sections
+from crhomotopy import sections
 from crhomotopy.cf_forms import cf_component, zbar_degree
 from crhomotopy.errors import NearSingularPhaseError, SingularityError
 from oracles import (brute_wedge_expansion, contraction_table,
-                     dense_coefficients, fd_section_jet, random_quadric,
-                     wedge_expansion_keys)
+                     dense_coefficients, evaluate_barrier, fd_section_jet,
+                     random_quadric, wedge_expansion_keys)
 
 
 def random_jets(rng, n):
@@ -128,7 +128,7 @@ class TestSections:
             jet = sections.barrier_section(model, zeta, z)
 
             def val(zz, pz, t):
-                ev = barrier.evaluate_barrier(model, zz, pz)
+                ev = evaluate_barrier(model, zz, pz)
                 return ev.P / ev.Phi
 
             errs = []

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from crhomotopy import cli
 
 
@@ -11,6 +13,23 @@ def run_cli(args):
 
 
 class TestParsing:
+    @pytest.mark.parametrize("argv", [
+        ["audit-barrier", "--budget", "0"],
+        ["audit-kernels", "--budget", "0"],
+        ["run-homotopy", "--budget", "0"],
+        ["run-homotopy", "--eps", "0.1", "0.05", "--budget", "100", "-1"],
+        ["run-homotopy", "--points", "0"],
+        ["estimate-norms", "--budget", "0"]])
+    def test_counts_below_one_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--model", "bundled:sig22_n5", "--out", str(tmp_path)]
+                    + argv)
+        assert exc.value.code == 2
+        option = [a for a in argv if a.startswith("--")][-1]
+        assert f"argument {option}: must be an integer >= 1" \
+            in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_bad_matrix_row_names_line(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("n = 3\nm = 1\nq = 1\nH 1\n1,0 0,0\n0,0 oops\n")

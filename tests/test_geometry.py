@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from crhomotopy import geometry
+from crhomotopy import barrier, geometry
 from crhomotopy.errors import (InvalidDirectionError, ModelParseError,
                                ModelValidationError)
-from oracles import defining_polynomial, fd_hessian_mixed
+from oracles import (correction_frame, defining_polynomial, fd_hessian_mixed,
+                     off_manifold_point, random_directions, random_quadric)
 
 TOL = 1e-12
 
@@ -128,38 +129,60 @@ class TestCertification:
 
 
 class TestModifiedDefining:
-    def test_zero_amplitude_is_identity(self, primary, rng):
-        mod = geometry.ModifiedDefining(primary, 0.0)
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.allclose(mod.values(z), primary.defining_values(z)[0])
+    """directional_modified_form: the form matrix of
+    sum_k theta_k rho_k + amplitude * sum_i rho_i^2."""
 
-    def test_vanishes_on_manifold_for_any_amplitude(self, primary, rng):
-        mod = geometry.ModifiedDefining(primary, 3.7)
-        z = primary.graph_point(rng.standard_normal(4) * 0.3,
-                                rng.standard_normal(1))
-        assert np.max(np.abs(mod.values(z))) < 1e-12
+    def test_zero_amplitude_is_identity(self, primary, secondary, rng):
+        for model in (primary, secondary):
+            z = off_manifold_point(model, rng, scale=0.2, level=0.05)
+            for th in random_directions(model.m, 4, np.random.default_rng(1)):
+                form = geometry.directional_modified_form(model, th, z, 0.0)
+                assert np.max(np.abs(form - model.levi_form_full(th))) == 0.0
 
-    def test_hessian_matches_finite_differences(self, primary, rng):
+    def test_vanishes_on_manifold_for_any_amplitude(self, primary, secondary,
+                                                    rng):
+        # every rho_i vanishes on the manifold, so there the weight adds
+        # only its gradient part 2 amp sum_i conj(g_i) g_i^T
+        amp = 3.7
+        for model in (primary, secondary):
+            d = model.tangential_dim
+            z = model.graph_point(0.3 * rng.standard_normal(d),
+                                  rng.standard_normal(model.m))
+            grads = model.holo_gradients(z)
+            expected = 2.0 * amp * np.einsum("ia,ib->ab", grads.conj(), grads)
+            for th in random_directions(model.m, 4, np.random.default_rng(2)):
+                extra = (geometry.directional_modified_form(model, th, z, amp)
+                         - model.levi_form_full(th))
+                assert np.max(np.abs(extra - expected)) < 1e-12
+
+    def test_hessian_matches_finite_differences(self, primary, secondary,
+                                                rng):
+        # central-difference mixed Hessian of the polynomial oracle of
+        # theta . rho + amp sum_i rho_i^2 at a point off the manifold, where
+        # the rho_i-weighted Levi term of the weight is active
         amp = 0.8
-        mod = geometry.ModifiedDefining(primary, amp)
-        z = primary.graph_point(0.2 * rng.standard_normal(4)
-                                + 0.1j * rng.standard_normal(4),
-                                0.1 * rng.standard_normal(1))
-        hess = mod.mixed_hessian(0, z)
+        for model in (primary, secondary):
+            n = model.n
+            z = off_manifold_point(model, rng, scale=0.2, level=0.05)
+            th = random_directions(model.m, 1, np.random.default_rng(3))[0]
+            form = geometry.directional_modified_form(model, th, z, amp)
 
-        def f(pt):
-            return mod.values(pt)[0].real
+            def f(pt):
+                rho = defining_polynomial(n, model.m, model.hermitian, pt)
+                return th @ rho + amp * np.sum(rho ** 2)
 
-        errs = []
-        for step in (1e-3, 5e-4):
-            fd = np.empty((5, 5), dtype=complex)
-            for a in range(5):
-                for b in range(5):
-                    fd[a, b] = fd_hessian_mixed(f, z, a, b, step=step)
-            # hessian matrix convention: form matrix F with F[a,b] = M[b,a]
-            errs.append(np.max(np.abs(fd.T - hess)))
-        assert errs[0] < 1e-4
-        assert errs[1] < errs[0]
+            errs = []
+            for step in (1e-3, 5e-4):
+                fd = np.empty((n, n), dtype=complex)
+                for a in range(n):
+                    for b in range(n):
+                        fd[a, b] = fd_hessian_mixed(f, z, a, b, step=step)
+                # form matrix convention: F[a, b] = d^2 f / dz_b dzbar_a
+                errs.append(np.max(np.abs(fd.T - form)))
+            assert errs[0] < 1e-4
+            # the step^2 term contracts on sig22_n5; on sig22_n6m2 it
+            # cancels and both errors sit at roundoff
+            assert errs[1] < errs[0] or max(errs) < 1e-9
 
     def test_amplitude_search_finds_positivity(self, primary):
         pts = [np.zeros(5, dtype=complex)]
@@ -167,62 +190,101 @@ class TestModifiedDefining:
         assert rep["amplitude"] is not None
 
     def test_positivity_with_correction(self, primary, secondary):
-        # the combined form: modified directional form + scaled correction
+        # the combined form: modified directional form + the correction
+        # projector G on the z'-block, on a grid the search did not use
         for model in (primary, secondary):
             rep = geometry.find_modification_amplitude(
                 model, [np.zeros(model.n, dtype=complex)])
             amp = rep["amplitude"]
-            for th in geometry.direction_grid(model.m, 12):
+            grid = geometry.direction_grid(model.m, 12)
+            G, _ = barrier._frames_for_thetas(model, grid,
+                                              with_derivative=False)
+            d = model.tangential_dim
+            for th, g in zip(grid, G):
                 form = geometry.directional_modified_form(
                     model, th, np.zeros(model.n, dtype=complex), amp)
-                frame = geometry.correction_frame(model, th)
-                corr = frame.scale ** 2 * (frame.rows.conj().T @ frame.rows)
-                evals = np.linalg.eigvalsh(form + corr.conj().T)
-                assert evals[0] > 0
+                form[:d, :d] += g
+                assert np.linalg.eigvalsh(form)[0] > 0
 
 
 class TestCorrectionFrame:
-    def test_orthonormal_and_gram_identity(self, primary):
-        frame = geometry.correction_frame(primary, np.array([1.0]))
-        gram = frame.rows @ frame.rows.conj().T
-        assert np.max(np.abs(gram - np.eye(frame.rows.shape[0]))) < 1e-10
+    """The correction frame as the scaled projector G = s^2 Pi of
+    barrier._frames_for_thetas on the z'-block."""
+
+    @staticmethod
+    def _cases(primary, secondary):
+        return [(primary, np.array([[1.0], [-1.0]])),
+                (secondary,
+                 random_directions(2, 20, np.random.default_rng(4))),
+                (random_quadric(6, 2, np.random.default_rng(11)),
+                 random_directions(2, 20, np.random.default_rng(5))),
+                (random_quadric(7, 3, np.random.default_rng(12)),
+                 random_directions(3, 20, np.random.default_rng(6)))]
+
+    def test_orthonormal_and_gram_identity(self, primary, secondary):
+        # G is Hermitian with G^2 = s^2 G and trace s^2 (n - q - m),
+        # s^2 = CORRECTION_MARGIN max(1, -lambda_min)
+        for model, thetas in self._cases(primary, secondary):
+            G, _ = barrier._frames_for_thetas(model, thetas,
+                                              with_derivative=False)
+            lam = np.linalg.eigvalsh(-np.tensordot(
+                thetas, np.stack(model.hermitian), axes=(1, 0)))[:, 0]
+            s2 = geometry.CORRECTION_MARGIN * np.maximum(1.0, -lam)
+            count = model.n - model.q - model.m
+            assert np.max(np.abs(G - np.swapaxes(G.conj(), 1, 2))) < 1e-12
+            square = np.einsum("Nij,Njk->Nik", G, G)
+            assert np.max(np.abs(square - s2[:, None, None] * G)) \
+                < 1e-12 * np.max(s2) ** 2
+            trace = np.einsum("Nii->N", G).real
+            assert np.max(np.abs(trace - s2 * count)) < 1e-12 * np.max(s2)
 
     def test_matches_eigensolver_selection(self, primary):
         # directions needing correction: nonpositive eigendirections of the
         # Levi matrix; for the diagonal form at theta=+1 those are the first
-        # two coordinate axes
-        frame = geometry.correction_frame(primary, np.array([1.0]))
-        span = np.abs(frame.rows[:, :2])
-        assert np.max(np.abs(frame.rows[:, 2:])) < 1e-12
-        assert np.linalg.matrix_rank(span) == 2
+        # two coordinate axes, and lambda_min = -1 gives s^2 = 1.25
+        G, _ = barrier._frames_for_thetas(primary, np.array([[1.0]]),
+                                          with_derivative=False)
+        expected = geometry.CORRECTION_MARGIN * np.diag([1.0, 1.0, 0.0, 0.0])
+        assert np.max(np.abs(G[0] - expected)) < 1e-12
 
-    def test_orthogonal_to_positivity_subspace(self, secondary, rng):
-        th = rng.standard_normal(2); th /= np.linalg.norm(th)
-        frame = geometry.correction_frame(secondary, th)
-        levi = geometry.directional_levi(secondary, th)
-        # positivity subspace: top-q eigenvectors plus transverse block
-        for col in range(levi.E_basis.shape[1]):
-            e = levi.E_basis[:, col]
-            for j in range(frame.rows.shape[0]):
-                # conjugate span of the rows is the covered complement
-                assert abs(np.vdot(frame.rows[j].conj(), e)) < 1e-10
+    def test_orthogonal_to_positivity_subspace(self, primary, secondary):
+        # G annihilates the z'-rows of the positivity basis (top-q
+        # eigenvectors; the transverse columns have no z' part)
+        for model, thetas in self._cases(primary, secondary):
+            G, _ = barrier._frames_for_thetas(model, thetas,
+                                              with_derivative=False)
+            d = model.tangential_dim
+            for theta, g in zip(thetas, G):
+                levi = geometry.directional_levi(model, theta)
+                assert np.max(np.abs(g @ levi.E_basis[:d])) \
+                    < 1e-10 * np.max(np.abs(g))
 
     def test_reorthonormalization_fixed_point(self, secondary, rng):
-        th = rng.standard_normal(2); th /= np.linalg.norm(th)
-        frame = geometry.correction_frame(secondary, th)
-        q, _ = np.linalg.qr(frame.rows.T)
-        # projector onto the span is unchanged by re-orthonormalization
-        p1 = frame.rows.T @ np.linalg.pinv(frame.rows.T)
-        p2 = q @ q.conj().T
-        assert np.max(np.abs(p1 - p2)) < 1e-10
+        # G is gauge-free: re-orthonormalizing the pointwise frame rows
+        # after a random invertible mix of them gives the same G
+        thetas = random_directions(2, 10, np.random.default_rng(7))
+        G, _ = barrier._frames_for_thetas(secondary, thetas,
+                                          with_derivative=False)
+        d = secondary.tangential_dim
+        for theta, g in zip(thetas, G):
+            frame = correction_frame(secondary, theta)
+            count = frame.rows.shape[0]
+            mix = (rng.standard_normal((count, count))
+                   + 1j * rng.standard_normal((count, count)))
+            q, _ = np.linalg.qr((mix @ frame.rows).T)
+            rebuilt = frame.scale ** 2 * (q.conj() @ q.T)
+            assert np.max(np.abs(rebuilt[:d, :d] - g)) < 1e-12 * np.max(
+                np.abs(g))
 
     def test_empty_frame_when_fully_concave(self):
-        # n - q - m = 0: no correction needed, frame is empty
+        # n - q - m = 0: no correction needed, G and dG vanish
         model = geometry.ManifoldModel(n=4, m=2, q=2,
                                        hermitian=[np.diag([1.0, -1.0]),
                                                   np.diag([-1.0, 1.0])])
-        frame = geometry.correction_frame(model, np.array([1.0, 0.0]))
-        assert frame.rows.shape == (0, 4)
+        thetas = random_directions(2, 5, np.random.default_rng(8))
+        G, dG = barrier._frames_for_thetas(model, thetas)
+        assert G.shape == (5, 2, 2) and dG.shape == (5, 2, 2, 2)
+        assert np.max(np.abs(G)) == 0.0 and np.max(np.abs(dG)) == 0.0
 
 
 class TestTangentialFrame:

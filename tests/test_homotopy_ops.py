@@ -16,7 +16,7 @@ from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
 from oracles import (contraction_table, dense_coefficients, dense_det9,
                      dense_orientation_and_jacobian, random_quadric,
-                     row_contraction)
+                     row_contraction, velocity_columns)
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -28,9 +28,10 @@ def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
 
 def oracle_node_geometry(grid, chunk):
     """Dense oriented minors and surface factors of a chunk, ((N, n), (N,))."""
+    velocity = velocity_columns(grid, chunk)
     orient, jac = dense_orientation_and_jacobian(
-        chunk.rho_vec / grid.epsilon, chunk.velocity)
-    return orient[:, None] * dense_det9(chunk.velocity), jac
+        chunk.rho_vec / grid.epsilon, velocity)
+    return orient[:, None] * dense_det9(velocity), jac
 
 
 def assert_node_geometry_matches_oracle(grid, chunk):
@@ -364,7 +365,8 @@ class TestGrid:
         # block determinant
         grid = centered_grid(primary, np.zeros(5, dtype=complex), budget=64)
         chunk = next(grid.chunks())
-        det9 = dense_det9(chunk.velocity)
+        velocity = velocity_columns(grid, chunk)
+        det9 = dense_det9(velocity)
         n = primary.n
         i = 11
         for k in (0, 3):
@@ -372,7 +374,7 @@ class TestGrid:
             size = 2 * n
             mat = np.zeros((size, size), dtype=complex)
             for j in range(2 * n - 1):
-                c = chunk.velocity[i][:, j]
+                c = velocity[i][:, j]
                 for ri, l in enumerate(keep):
                     mat[ri, j] = np.conj(c[l])
                 for ii in range(n):
@@ -384,7 +386,8 @@ class TestGrid:
     @pytest.mark.parametrize("which", [
         "primary", "secondary", "flat", "3-1", "4-1", "4-2", "5-2", "6-3",
         "7-1", "7-4"])
-    def test_node_geometry_matches_dense_oracle(self, which, request, rng):
+    def test_node_geometry_matches_dense_oracle(self, which, request, rng,
+                                                monkeypatch):
         # the bundled models, the flat model and seeded random Hermitian
         # quadrics of shape n-m; m = 1 nodes lie on both sheets
         if which in ("primary", "secondary"):
@@ -399,6 +402,17 @@ class TestGrid:
         if model.m == 1:
             assert set(np.sign(chunk.rho_vec[:, 0])) == {-1.0, 1.0}
         assert_node_geometry_matches_oracle(grid, chunk)
+        if model.m >= 2:
+            # a flipped sphere tangent basis flips the orientation sign and
+            # the dense determinants together: its sign is a gauge
+            ref, jac = oracle_node_geometry(grid, chunk)
+            basis = quadrature._sphere_tangent_basis
+            monkeypatch.setattr(quadrature, "_sphere_tangent_basis",
+                                lambda sigma: -basis(sigma))
+            flipped, flipped_jac = oracle_node_geometry(grid, chunk)
+            assert np.max(np.abs(flipped - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(flipped_jac - jac) / jac) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_sphere_tangent_basis_orthonormal(self, m, rng):
@@ -416,12 +430,11 @@ class TestGrid:
             np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, -1.0])])
         grid = QuadratureGrid(model=model, epsilon=0.1, budget=500, seed=3)
         chunk = next(grid.chunks())
-        d, m = model.tangential_dim, model.m
         assert np.all(np.isfinite(chunk.weight)) and np.all(chunk.weight > 0)
         assert_node_geometry_matches_oracle(grid, chunk)
-        # the sphere velocity columns are i eps times the tangent basis
-        tang = chunk.velocity[:, d:, 2 * d + m:].imag / grid.epsilon
-        assert_sphere_tangent_basis(chunk.rho_vec / grid.epsilon, tang)
+        sigma = chunk.rho_vec / grid.epsilon
+        assert_sphere_tangent_basis(sigma,
+                                    quadrature._sphere_tangent_basis(sigma))
 
 
 class TestSmallDet:
@@ -485,21 +498,6 @@ class TestOperators:
                                   center_u=w0.real)
             res = apply_operator(model, f, z, grid, kind="obstruction")
             assert np.max(np.abs(res.ambient)) < 1e-12
-
-    @pytest.mark.parametrize("kind", ["solution", "obstruction"])
-    def test_tangent_sign_is_a_gauge(self, secondary, kind, monkeypatch):
-        # a flipped sphere tangent column flips the orientation sign and the
-        # per-node determinants together, so the operator does not move
-        f = bundled_test_form(secondary)
-        z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
-                                  np.array([0.01, -0.01]))
-        grid = centered_grid(secondary, z, budget=1000)
-        base = apply_operator(secondary, f, z, grid, kind=kind).ambient
-        basis = quadrature._sphere_tangent_basis
-        monkeypatch.setattr(quadrature, "_sphere_tangent_basis",
-                            lambda sigma: -basis(sigma))
-        flipped = apply_operator(secondary, f, z, grid, kind=kind).ambient
-        assert np.max(np.abs(flipped - base)) <= 1e-12 * np.max(np.abs(base))
 
     def test_determinism_bit_identical(self, primary):
         f = bundled_test_form(primary)

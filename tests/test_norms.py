@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crhomotopy import norms
-from crhomotopy.errors import DerivativeOrderError
+from oracles import flow_from_exact
 
 
 def zero_controls(model):
@@ -23,7 +23,7 @@ class TestFrameFlow:
         ctrl = (0.2 * rng.standard_normal(1), 0.2 * rng.standard_normal(1),
                 0.2 * rng.standard_normal(4), 0.2 * rng.standard_normal(4))
         end = norms.flow_from(primary, z, ctrl, steps=64)
-        exact = norms.flow_from_exact(primary, z, ctrl)
+        exact = flow_from_exact(primary, z, ctrl)
         assert np.max(np.abs(end - exact)) < 1e-12
 
     def test_normal_controls_move_level_only(self, primary, rng):
@@ -164,34 +164,6 @@ class TestHolderEstimators:
 
 
 class TestWeightedEstimator:
-    def test_weight_zero_reduces_to_plain(self, primary):
-        z = np.zeros(5, dtype=complex)
-        fn = lambda p: p[0].real
-        total, recs = norms.anisotropic_norm_estimate(
-            primary, fn, 0, 0.5, z, seed=4, budgets=(24, 200))
-        plain = norms.tangential_holder_estimate(primary, fn, 0.5, z, seed=4,
-                                                 curve_budget=24,
-                                                 pair_budget=200)
-        assert abs(total - plain.total) < 1e-12
-
-    def test_polynomial_estimates_finite(self, primary):
-        z = np.zeros(5, dtype=complex)
-        fn = lambda p: (p[0] * p[1].conjugate()).real
-        total, recs = norms.anisotropic_norm_estimate(
-            primary, fn, 2, 0.5, z, seed=4, budgets=(4, 40))
-        assert np.isfinite(total)
-        # weight accounting: transverse derivatives cost two slots
-        weights = {r["weights"] for r in recs}
-        assert weights <= {0, 1, 2}
-        # weight-2 compositions exist and none at the higher norm scale
-        assert any(r["weights"] == 2 and r["exponent"] == 0.5 for r in recs)
-        assert not any(r["weights"] == 2 and r["exponent"] == 1.5 for r in recs)
-
-    def test_order_limit(self, primary):
-        with pytest.raises(DerivativeOrderError):
-            norms.anisotropic_norm_estimate(primary, lambda p: 1.0, 3, 0.5,
-                                            np.zeros(5, dtype=complex))
-
     def test_report_deterministic(self, primary):
         z = np.zeros(5, dtype=complex)
         fn = lambda p: p[0].real
