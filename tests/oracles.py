@@ -310,7 +310,6 @@ class CorrectionFrame:
 
     rows: np.ndarray          # (n - q - m, n)
     scale: float
-    eigenvalues: np.ndarray
 
 
 def correction_frame(model: ManifoldModel, theta) -> CorrectionFrame:
@@ -326,7 +325,7 @@ def correction_frame(model: ManifoldModel, theta) -> CorrectionFrame:
     # eigendirections, so store conjugates of the eigenvectors
     rows[:, :d] = _fix_phase(evecs[:, :count]).conj().T
     scale = float(np.sqrt(CORRECTION_MARGIN * max(1.0, -float(evals[0]))))
-    return CorrectionFrame(rows=rows, scale=scale, eigenvalues=evals)
+    return CorrectionFrame(rows=rows, scale=scale)
 
 
 def scaled_frame_rows(model: ManifoldModel, theta_vec) -> np.ndarray:
