@@ -17,8 +17,8 @@ import numpy as np
 from . import barrier, fields, geometry, indexcalc, norms, sections
 from ._util import canonical_json
 from .errors import CRHomotopyError
-from .homotopy import apply_operator, identity_residual
-from .quadrature import QuadratureGrid
+from .homotopy import apply_operator, apply_operator_multi, identity_residual
+from .quadrature import CHUNK, QuadratureGrid
 
 SCHEMA = "crhomotopy-report-v1"
 # one run-homotopy row per ladder rung and point, in homotopy.json and the CSV
@@ -130,21 +130,31 @@ def _expansion_direction(model):
     return v
 
 
+def _kernel_samples(model, budget, seed):
+    """The normalization samples of audit-kernels: zetas (budget, n) off the
+    manifold, and interpolation parameters (budget,).  Each sample draws
+    Re z', Im z', Re w, its level and t, in this order."""
+    rng = np.random.default_rng(seed)
+    d, m = model.tangential_dim, model.m
+    normals = np.empty((budget, 2 * d + m))
+    uniforms = np.empty((budget, m + 1))
+    for i in range(budget):
+        normals[i] = rng.standard_normal(2 * d + m)
+        uniforms[i] = rng.random(m + 1)
+    zetas = model.graph_point(
+        0.2 * (normals[:, :d] + 1j * normals[:, d:2 * d]),
+        0.1 * normals[:, 2 * d:], 0.02 + 0.05 * uniforms[:, :m])
+    return zetas, uniforms[:, m]
+
+
 def cmd_audit_kernels(args) -> int:
     model = _load_model(args)
-    rng = np.random.default_rng(args.seed)
     z = _test_points(model)[0]
-    worst = 0.0
-    for _ in range(args.budget):
-        zp = 0.2 * (rng.standard_normal(model.tangential_dim)
-                    + 1j * rng.standard_normal(model.tangential_dim))
-        zeta = model.graph_point(zp, 0.1 * rng.standard_normal(model.m),
-                                 0.02 + 0.05 * rng.random(model.m))
-        s1 = sections.bochner_martinelli_section(zeta, z)
-        s2 = sections.barrier_section(model, zeta, z)
-        combo = sections.combined_section(s1, s2, rng.random())
-        for jet in (s1, s2, combo):
-            worst = max(worst, jet.normalization_defect(zeta, z))
+    zetas, ts = _kernel_samples(model, args.budget, args.seed)
+    # one call per quadrature-sized chunk bounds the memory of the jets
+    worst = max(float(np.max(sections.normalization_defects(
+        model, zetas[lo:lo + CHUNK], z, ts[lo:lo + CHUNK])))
+        for lo in range(0, args.budget, CHUNK))
     zeta = model.graph_point(0.05 * np.ones(model.tangential_dim),
                              np.zeros(model.m),
                              0.03 * np.ones(model.m) / np.sqrt(model.m))
@@ -255,11 +265,12 @@ def cmd_estimate_norms(args) -> int:
     model = _load_model(args)
     z = np.zeros(model.n, dtype=complex)
     flat = norms.tangential_holder_estimate(
-        model, lambda p: p[0].real, 1.0, z, seed=args.seed,
+        model, lambda p: p[:, 0].real, 1.0, z, seed=args.seed,
         curve_budget=max(4, args.budget // 50), pair_budget=args.budget,
         collect=True)
     aniso = norms.tangential_holder_estimate(
-        model, lambda p: p[model.tangential_dim].real, 1.0, z, seed=args.seed,
+        model, lambda p: p[:, model.tangential_dim].real, 1.0, z,
+        seed=args.seed,
         curve_budget=max(4, args.budget // 50), pair_budget=args.budget)
     rows = [("ambient", i, q) for i, q in (flat.ambient.samples or [])]
     rows += [("curve", i, q) for i, q in (flat.tangential.samples or [])]
@@ -283,15 +294,22 @@ def cmd_estimate_norms(args) -> int:
                           center_zp=zp, center_u=w0.real)
     cache = {}
 
-    def rf_fn(p):
-        key = tuple(np.round(p, 12))
-        if key not in cache:
-            res = apply_operator(model, f, p, grid, kind="solution")
-            cache[key] = float(np.abs(res.ambient[0]))
-        return cache[key]
+    def rf_fn(points):
+        # the points not yet cached go through one shared-stream call
+        keys = [tuple(np.round(p, 12)) for p in points]
+        fresh = {}
+        for key, p in zip(keys, points):
+            if key not in cache:
+                fresh.setdefault(key, p)
+        if fresh:
+            results = apply_operator_multi(model, f, list(fresh.values()),
+                                           grid, kind="solution")
+            for key, res in zip(fresh, results):
+                cache[key] = float(np.abs(res.ambient[0]))
+        return np.array([cache[key] for key in keys])
 
     payload["gain_table"] = norms.regularity_gain_report(
-        model, lambda p: float(f.values(model, p[None, :])[0, 0].real),
+        model, lambda p: f.values(model, p)[:, 0].real,
         rf_fn, 0.5, z, seed=args.seed, curve_budget=2, pair_budget=12)
     _write_report(args.out, "norms.json", payload)
     ok = flat.tangential.quotient_sup <= 1.05
@@ -304,15 +322,33 @@ def cmd_estimate_norms(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _count(text) -> int:
-    """argparse type of the --budget and --points counts: an int >= 1."""
+def _int_at_least(low):
+    """argparse type of an integer option with least value ``low``."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+# the --budget and --points counts
+_count = _int_at_least(1)
+
+
+def _positive(text) -> float:
+    """argparse type of the --scale length: a finite float > 0."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = 0.0
+    if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
+            f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -332,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("audit-barrier")
     b.add_argument("--budget", type=_count, default=10000)
-    b.add_argument("--scale", type=float, default=0.1)
+    b.add_argument("--scale", type=_positive, default=0.1)
     b.set_defaults(func=cmd_audit_barrier)
 
     k = sub.add_parser("audit-kernels")
@@ -346,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_run_homotopy)
 
     i = sub.add_parser("index-audit")
-    i.add_argument("--n-max", type=int, default=8)
-    i.add_argument("--m-max", type=int, default=3)
+    # the least values with a nonempty obstruction sweep (n = 5, m = 1)
+    i.add_argument("--n-max", type=_int_at_least(5), default=8)
+    i.add_argument("--m-max", type=_int_at_least(1), default=3)
     i.set_defaults(func=cmd_index_audit)
 
     n = sub.add_parser("estimate-norms")

@@ -27,17 +27,17 @@ def frame_velocity(model: ManifoldModel, z, controls):
 
     controls = (x, y, u, v): defining-coordinate directions (x), transverse
     tangent directions (y), and the real/rotated complex-tangent frame (u, v).
-    Returned as a complex n-vector (the real velocity in complex notation).
+    Returned as complex n-vectors (the real velocity in complex notation).
+    Batched over leading axes: z of shape (..., n) and controls of shapes
+    (..., m), (..., m), (..., d), (..., d), broadcast against each other; a
+    single point is the call without leading axes.
     """
-    x, y, u, v = controls
-    z = np.asarray(z, dtype=complex)
-    d, m = model.tangential_dim, model.m
-    vel = np.zeros(model.n, dtype=complex)
-    vel[d:] += 1j * np.asarray(x, dtype=float)   # moves each rho_k
-    vel[d:] += np.asarray(y, dtype=float)        # transverse tangent (Re w)
+    x, y, u, v = (np.asarray(c, dtype=float) for c in controls)
+    d = model.tangential_dim
     rows = holomorphic_tangent_rows(model, z)
-    cuv = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
-    vel += cuv @ rows
+    vel = ((u + 1j * v)[..., None, :] @ rows)[..., 0, :]
+    # x moves each rho_k, y is the transverse tangent (Re w)
+    vel[..., d:] += 1j * x + y
     return vel
 
 
@@ -148,10 +148,9 @@ def complex_tangent_projection(model: ManifoldModel, z, zeta,
                           return_path=True)
     take = np.linspace(0, path.shape[0] - 1, samples).astype(int)
     pts = path[take]
-    vels = np.array([frame_velocity(model, p, controls) for p in pts])
     curve = TangentCurve(samples=pts,
                          s_values=np.linspace(0.0, 1.0, samples),
-                         velocity_samples=vels)
+                         velocity_samples=frame_velocity(model, pts, controls))
     return TangentProjection(point=end, curve=curve, controls=controls)
 
 
@@ -161,91 +160,114 @@ def complex_tangent_projection(model: ManifoldModel, z, zeta,
 
 @dataclass
 class TangentCurve:
-    samples: np.ndarray               # (k, n) points on the manifold
-    s_values: np.ndarray
+    """Sampled curves, batched over leading axes: samples (..., k, n)."""
+
+    samples: np.ndarray               # (..., k, n) points on the manifold
+    s_values: np.ndarray              # (k,)
     velocity_samples: np.ndarray = None   # analytic velocities if available
 
     def velocity(self):
         if self.velocity_samples is not None:
             return self.velocity_samples
         ds = self.s_values[1] - self.s_values[0]
-        return np.gradient(self.samples, ds, axis=0)
+        return np.gradient(self.samples, ds, axis=-2)
 
     def acceleration(self):
         ds = self.s_values[1] - self.s_values[0]
-        return np.gradient(self.velocity(), ds, axis=0)
+        return np.gradient(self.velocity(), ds, axis=-2)
 
 
 def curve_audit(model: ManifoldModel, curve: TangentCurve, slack=0.05):
-    """Velocity/acceleration bounds and complex-tangency of a sampled curve.
+    """Velocity/acceleration bounds and complex-tangency of sampled curves.
 
     Acceleration is measured on the interior samples (one-sided boundary
     differences overshoot); tangency uses the analytic velocities when the
     curve carries them, sampled ones otherwise (with a correspondingly
-    looser defect scale).
+    looser defect scale).  A curve passes when both bounds hold and both the
+    normal defect (2 Re of the d rho pairing) and the complex-tangency
+    defect (its imaginary part, which a transverse Re w velocity leaves)
+    are below that scale.  Each value has the curves' leading shape.
     """
     vel = curve.velocity()
-    acc = curve.acceleration()[2:-2]
-    vmax = float(np.max(np.linalg.norm(vel, axis=1)))
-    amax = float(np.max(np.linalg.norm(acc, axis=1))) if acc.size else 0.0
-    grads = np.stack([model.holo_gradients(p) for p in curve.samples])
-    pairing = 2.0 * np.einsum("ski,si->sk", grads, vel).real
-    normal_defect = float(np.max(np.abs(pairing)))
-    trans = np.einsum("ski,si->sk", grads, vel).imag
-    trans_defect = float(np.max(np.abs(trans)))
+    acc = curve.acceleration()[..., 2:-2, :]
+    vmax = np.max(np.linalg.norm(vel, axis=-1), axis=-1)
+    amax = np.max(np.linalg.norm(acc, axis=-1), axis=-1, initial=0.0)
+    pairing = np.einsum("...ski,...si->...sk",
+                        model.holo_gradients(curve.samples), vel)
+    normal_defect = np.max(np.abs(2.0 * pairing.real), axis=(-2, -1))
+    trans_defect = np.max(np.abs(pairing.imag), axis=(-2, -1))
     defect_tol = 1e-8 if curve.velocity_samples is not None else 1e-2
     return {
         "velocity_max": vmax,
         "acceleration_max": amax,
         "normal_defect": normal_defect,
         "complex_tangency_defect": trans_defect,
-        "passes": bool(vmax <= 1 + slack and amax <= 1 + slack
-                       and normal_defect < defect_tol),
+        "passes": ((vmax <= 1 + slack) & (amax <= 1 + slack)
+                   & (normal_defect < defect_tol)
+                   & (trans_defect < defect_tol)),
     }
 
 
 def integrate_controls(model: ManifoldModel, z, controls_at,
                        samples: int = 51) -> TangentCurve:
-    """Integrate an s-dependent control path with the 4th-order stepper.
+    """Integrate s-dependent control paths with the 4th-order stepper.
 
-    Returns the sampled curve carrying analytic velocities.
+    z is one start (n,) or a batch of starts (C, n); controls_at(s) returns
+    controls that broadcast against it (see :func:`frame_velocity`).  Returns
+    the sampled curves, (..., samples, n), carrying analytic velocities.
     """
-    pts = [np.asarray(z, dtype=complex)]
+    point = np.asarray(z, dtype=complex)
+    pts = [point]
     s_vals = np.linspace(0.0, 1.0, samples)
     h = s_vals[1] - s_vals[0]
-    point = pts[0]
     for s in s_vals[:-1]:
         point = _rk4_step(lambda p, s_local: frame_velocity(
             model, p, controls_at(s_local)), point, s, h)
-        pts.append(point.copy())
-    pts = np.array(pts)
-    vels = np.array([frame_velocity(model, p, controls_at(s))
-                     for p, s in zip(pts, s_vals)])
-    return TangentCurve(samples=pts, s_values=s_vals, velocity_samples=vels)
+        pts.append(point)
+    vels = [frame_velocity(model, p, controls_at(s))
+            for p, s in zip(pts, s_vals)]
+    return TangentCurve(samples=np.stack(pts, axis=-2), s_values=s_vals,
+                        velocity_samples=np.stack(vels, axis=-2))
 
 
-def random_admissible_curve(model: ManifoldModel, z, rng,
+def random_admissible_curve(model: ManifoldModel, z, coeffs,
                             samples: int = 51, margin: float = 0.9):
-    """Polynomial controls of degree <= 3 in the complex-tangent frame,
-    rescaled to meet the unit velocity/acceleration bounds with margin."""
-    d = model.tangential_dim
-    coeffs = rng.standard_normal((2, d, 4))
+    """Curves from the starts z, (C, n), under polynomial controls of degree
+    <= 3 in the complex-tangent frame with coefficients coeffs, (C, 2, d, 4)
+    (u rows, then v rows; the estimators draw them standard normal).
 
-    def controls_at(s):
-        powers = np.array([1.0, s, s * s, s ** 3])
-        u = coeffs[0] @ powers
-        v = coeffs[1] @ powers
-        return (np.zeros(model.m), np.zeros(model.m), u, v)
-
+    Each curve's coefficients are rescaled until it meets the unit
+    velocity/acceleration bounds with margin; the rounds integrate only the
+    curves not yet accepted, and a curve still outside after 8 rounds keeps
+    its last integration.
+    """
+    z = np.asarray(z, dtype=complex)
+    coeffs = np.array(coeffs, dtype=float)        # a copy: rescaled below
+    out = np.empty((z.shape[0], samples, model.n), dtype=complex)
+    out_vel = np.empty_like(out)
+    pending = np.arange(z.shape[0])
     for _ in range(8):
-        curve = integrate_controls(model, z, controls_at, samples)
+        live = coeffs[pending]
+
+        def controls_at(s):
+            powers = np.array([1.0, s, s * s, s ** 3])
+            zero = np.zeros((pending.size, model.m))
+            return zero, zero, live[:, 0] @ powers, live[:, 1] @ powers
+
+        curve = integrate_controls(model, z[pending], controls_at, samples)
         audit = curve_audit(model, curve)
-        worst = max(audit["velocity_max"],
-                    np.sqrt(max(audit["acceleration_max"], 1e-12)))
-        if audit["velocity_max"] <= margin and audit["acceleration_max"] <= margin:
-            return curve
-        coeffs *= margin / max(worst, 1e-9)
-    return curve
+        out[pending] = curve.samples
+        out_vel[pending] = curve.velocity_samples
+        vmax, amax = audit["velocity_max"], audit["acceleration_max"]
+        worst = np.maximum(vmax, np.sqrt(np.maximum(amax, 1e-12)))
+        outside = ~((vmax <= margin) & (amax <= margin))
+        coeffs[pending[outside]] *= (
+            margin / np.maximum(worst[outside], 1e-9))[:, None, None, None]
+        pending = pending[outside]
+        if not pending.size:
+            break
+    return TangentCurve(samples=out, s_values=curve.s_values,
+                        velocity_samples=out_vel)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +302,10 @@ def tangential_holder_estimate(model: ManifoldModel, h_fn, beta: float,
 
     Ambient part: quotients |h(a) - h(b)| / |a - b|^(beta/2) over random
     manifold point pairs.  Tangential part: quotients along admissible
-    complex-tangential curves at exponent beta.  ``collect`` keeps the
-    individual quotients for CSV export.
+    complex-tangential curves at exponent beta.  ``h_fn`` maps a (K, n)
+    batch of points to K values; it is called once on the pair points and
+    once on the curve samples.  ``collect`` keeps the individual quotients
+    for CSV export.
     """
     if not 0 < beta < 2:
         raise ValueError("exponent must lie in (0, 2)")
@@ -289,58 +313,60 @@ def tangential_holder_estimate(model: ManifoldModel, h_fn, beta: float,
     d, m = model.tangential_dim, model.m
     zp0, w0 = model.split(np.asarray(z, dtype=complex))
 
-    # ambient pairs
-    pairs = []
-    for _ in range(pair_budget):
-        dz = scale * (rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d)))
-        du = scale * rng.standard_normal((2, m))
-        a = model.graph_point(zp0 + dz[0], w0.real + du[0])
-        b = model.graph_point(zp0 + dz[1], w0.real + du[1])
-        pairs.append((a, b))
-    sup_amb = 0.0
-    amb_rows = [] if collect else None
-    for pid, (a, b) in enumerate(pairs):
-        dist = np.linalg.norm(a - b)
-        if dist < 1e-12:
-            continue
-        quot = abs(h_fn(a) - h_fn(b)) / dist ** (beta / 2.0)
-        if collect:
-            amb_rows.append((pid, float(quot)))
-        sup_amb = max(sup_amb, quot)
+    # ambient pairs: each draws Re dz (2, d), Im dz (2, d), du (2, m)
+    draws = rng.standard_normal((pair_budget, 4 * d + 2 * m))
+    dz = scale * (draws[:, :2 * d] + 1j * draws[:, 2 * d:4 * d])
+    du = scale * draws[:, 4 * d:]
+    ends = model.graph_point(zp0 + dz.reshape(-1, 2, d),
+                             w0.real + du.reshape(-1, 2, m))
+    values = np.asarray(h_fn(ends.reshape(-1, model.n))).reshape(-1, 2)
+    dist = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=-1)
+    kept = np.flatnonzero(dist >= 1e-12)
+    amb = (np.abs(values[kept, 0] - values[kept, 1])
+           / dist[kept] ** (beta / 2.0))
+    sup_amb = float(np.max(amb, initial=0.0))
+    amb_rows = list(zip(kept.tolist(), amb.tolist())) if collect else None
 
-    # tangential curves: first differences up to exponent one, symmetric
-    # second differences beyond (the correct functional on 1 < beta < 2)
-    sup_tan = 0.0
-    count = 0
-    tan_rows = [] if collect else None
+    # tangential curves: per curve, the start, the control coefficients and
+    # 16 sample picks are drawn in this order.  First differences up to
+    # exponent one, symmetric second differences beyond (the correct
+    # functional on 1 < beta < 2)
+    samples = 51                            # points per curve
+    start_dz = np.empty((curve_budget, d), dtype=complex)
+    coeffs = np.empty((curve_budget, 2, d, 4))
+    picks = []
     for cid in range(curve_budget):
-        start_dz = 0.5 * scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        start = model.graph_point(zp0 + start_dz, w0.real)
-        curve = random_admissible_curve(model, start, rng)
-        vals = np.array([h_fn(p) for p in curve.samples])
-        s = curve.s_values
+        start_dz[cid] = 0.5 * scale * (rng.standard_normal(d)
+                                       + 1j * rng.standard_normal(d))
+        coeffs[cid] = rng.standard_normal((2, d, 4))
         for _ in range(16):
             if beta <= 1.0:
-                i, j = rng.integers(0, s.size, size=2)
-                if i == j:
-                    continue
-                quot = abs(vals[i] - vals[j]) / abs(s[i] - s[j]) ** beta
+                i, j = rng.integers(0, samples, size=2)
+                if i != j:
+                    picks.append((cid, i, j))
             else:
-                i = int(rng.integers(1, s.size - 1))
-                t = int(rng.integers(1, min(i, s.size - 1 - i) + 1))
-                gap = s[i + t] - s[i]
-                quot = abs(vals[i + t] - 2 * vals[i] + vals[i - t]) \
-                    / gap ** beta
-            count += 1
-            if collect:
-                tan_rows.append((cid, float(quot)))
-            sup_tan = max(sup_tan, float(quot))
+                i = int(rng.integers(1, samples - 1))
+                t = int(rng.integers(1, min(i, samples - 1 - i) + 1))
+                picks.append((cid, i, t))
+    curves = random_admissible_curve(
+        model, model.graph_point(zp0 + start_dz, w0.real), coeffs, samples)
+    vals = np.asarray(h_fn(curves.samples.reshape(-1, model.n))).reshape(
+        curve_budget, samples)
+    s = curves.s_values
+    cid, i, k = np.array(picks, dtype=int).reshape(-1, 3).T
+    if beta <= 1.0:                         # k is the second sample j
+        tan = np.abs(vals[cid, i] - vals[cid, k]) / np.abs(s[i] - s[k]) ** beta
+    else:                                   # k is the half-width t
+        tan = (np.abs(vals[cid, i + k] - 2 * vals[cid, i] + vals[cid, i - k])
+               / (s[i + k] - s[i]) ** beta)
+    tan_rows = list(zip(cid.tolist(), tan.tolist())) if collect else None
     return AnisotropicEstimate(
-        ambient=HolderEstimate(exponent=beta / 2.0, quotient_sup=float(sup_amb),
+        ambient=HolderEstimate(exponent=beta / 2.0, quotient_sup=sup_amb,
                                pair_count=pair_budget, regime="ambient",
                                samples=amb_rows),
-        tangential=HolderEstimate(exponent=beta, quotient_sup=float(sup_tan),
-                                  pair_count=count, regime="tangential",
+        tangential=HolderEstimate(exponent=beta,
+                                  quotient_sup=float(np.max(tan, initial=0.0)),
+                                  pair_count=len(picks), regime="tangential",
                                   samples=tan_rows),
     )
 
@@ -349,7 +375,9 @@ def regularity_gain_report(model: ManifoldModel, f_fn, rf_fn, alpha: float,
                            z, seed: int = 0, curve_budget: int = 24,
                            pair_budget: int = 200) -> str:
     """Comparative (non-probative) table of Holder quotients of an input
-    coefficient and the corresponding solution-operator output."""
+    coefficient and the corresponding solution-operator output; ``f_fn``
+    and ``rf_fn`` map (K, n) point batches to K values, as in
+    :func:`tangential_holder_estimate`."""
     rows = []
     for name, fn, exponent in (("input", f_fn, alpha),
                                ("output", rf_fn, alpha),

@@ -34,9 +34,6 @@ class SectionJet:
     d_zetabar: np.ndarray
     d_t: np.ndarray
 
-    def normalization_defect(self, zeta, z) -> float:
-        return abs(complex(np.sum(self.value * (np.asarray(zeta) - np.asarray(z)))) - 1.0)
-
 
 # ---------------------------------------------------------------------------
 # batched section jets over a zeta batch at fixed z
@@ -142,14 +139,22 @@ def bochner_martinelli_section(zeta, z) -> SectionJet:
                       d_t=np.zeros(z.shape[0], dtype=complex))
 
 
+def _require_phase(phi):
+    """Raise :class:`NearSingularPhaseError` at the first phase value below
+    PHASE_TOL in magnitude."""
+    small = np.abs(phi) < PHASE_TOL
+    if np.any(small):
+        raise NearSingularPhaseError(
+            f"phase magnitude {abs(phi[np.argmax(small)]):.3e} below "
+            f"tolerance {PHASE_TOL:.1e}")
+
+
 def barrier_section(model: ManifoldModel, zeta, z) -> SectionJet:
     """eta = P / Phi with analytic jets from the barrier construction."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
     eta, beta, gamma, phi = barrier_section_jets(model, zeta[None, :], z)
-    if abs(phi[0]) < PHASE_TOL:
-        raise NearSingularPhaseError(
-            f"phase magnitude {abs(phi[0]):.3e} below tolerance {PHASE_TOL:.1e}")
+    _require_phase(phi)
     return SectionJet(value=eta[0], d_zbar=beta[0], d_zetabar=gamma[0],
                       d_t=np.zeros(model.n, dtype=complex))
 
@@ -163,6 +168,25 @@ def combined_section(s1: SectionJet, s2: SectionJet, t: float) -> SectionJet:
         d_zetabar=one_minus * s1.d_zetabar + t * s2.d_zetabar,
         d_t=(s2.value - s1.value) + one_minus * s1.d_t + t * s2.d_t,
     )
+
+
+def normalization_defects(model: ManifoldModel, zetas, z, t) -> np.ndarray:
+    """|sum_k eta_k (zeta_k - z_k) - 1| over a zeta batch at fixed z, shape
+    (3, N): rows for the euclidean section, the barrier section and their
+    interpolation (1 - t) eta_0 + t eta_1 at the per-sample parameters t.
+
+    One :func:`bochner_martinelli_jets` and one :func:`barrier_section_jets`
+    call; a sample whose phase is below PHASE_TOL raises
+    :class:`NearSingularPhaseError`, as :func:`barrier_section` does.
+    """
+    zetas = np.asarray(zetas, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    eta0 = bochner_martinelli_jets(zetas, z)[0]
+    eta1, _, _, phi = barrier_section_jets(model, zetas, z)
+    _require_phase(phi)
+    t = np.asarray(t, dtype=float)[:, None]
+    values = np.stack([eta0, eta1, (1.0 - t) * eta0 + t * eta1])
+    return np.abs(np.sum(values * (zetas - z[None, :]), axis=-1) - 1.0)
 
 
 # ---------------------------------------------------------------------------

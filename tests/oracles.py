@@ -7,14 +7,15 @@ its definition, the node-geometry oracles rebuild the velocity columns of
 the parameterization and take dense determinants of them in place of the
 closed-form conormal, the barrier reference works pointwise on phase-fixed
 eigenvector rows in place of the projector G, the frame flow has a closed
-form, and derivative oracles are plain central differences.
+form, derivative oracles are plain central differences, and the sample
+audits (section normalization, Holder quotients) go one sample at a time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from crhomotopy import quadrature
+from crhomotopy import norms, quadrature, sections
 from crhomotopy.barrier import gradient_section, normal_direction
 from crhomotopy.geometry import (CORRECTION_MARGIN, Direction, ManifoldModel,
                                  directional_levi, holomorphic_tangent_rows)
@@ -512,3 +513,78 @@ def flow_from_exact(model: ManifoldModel, z, controls, time: float = 1.0):
         w_end[k] += time * (y[k] + 1j * x[k]) \
             + 2j * (time * const + 0.5 * time ** 2 * slope)
     return np.concatenate([zp_end, w_end])
+
+
+def normalization_defect(jet: SectionJet, zeta, z) -> float:
+    """|sum_k eta_k (zeta_k - z_k) - 1| of one single-point section."""
+    return abs(complex(np.sum(jet.value * (np.asarray(zeta)
+                                           - np.asarray(z)))) - 1.0)
+
+
+def normalization_worst_loop(model: ManifoldModel, z, budget: int, seed: int):
+    """Worst normalization defect of the euclidean, barrier and combined
+    sections over the ``audit-kernels`` samples near z, drawn and checked one
+    sample at a time through the single-point sections."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(budget):
+        zp = 0.2 * (rng.standard_normal(model.tangential_dim)
+                    + 1j * rng.standard_normal(model.tangential_dim))
+        zeta = model.graph_point(zp, 0.1 * rng.standard_normal(model.m),
+                                 0.02 + 0.05 * rng.random(model.m))
+        s1 = sections.bochner_martinelli_section(zeta, z)
+        s2 = sections.barrier_section(model, zeta, z)
+        combo = sections.combined_section(s1, s2, rng.random())
+        for jet in (s1, s2, combo):
+            worst = max(worst, normalization_defect(jet, zeta, z))
+    return worst
+
+
+def scalar_holder_estimate(model: ManifoldModel, h_fn, beta: float, z,
+                           curve_budget: int = 24, pair_budget: int = 200,
+                           seed: int = 0, scale: float = 0.2):
+    """``norms.tangential_holder_estimate`` with a scalar ``h_fn`` (one
+    point to one value), one pair and one curve at a time, drawing in the
+    same order; each curve is an N = 1 call of the batched curve code.
+    Returns the ambient and tangential (id, quotient) rows."""
+    rng = np.random.default_rng(seed)
+    d, m = model.tangential_dim, model.m
+    zp0, w0 = model.split(np.asarray(z, dtype=complex))
+    pairs = []
+    for _ in range(pair_budget):
+        dz = scale * (rng.standard_normal((2, d))
+                      + 1j * rng.standard_normal((2, d)))
+        du = scale * rng.standard_normal((2, m))
+        a = model.graph_point(zp0 + dz[0], w0.real + du[0])
+        b = model.graph_point(zp0 + dz[1], w0.real + du[1])
+        pairs.append((a, b))
+    amb_rows = []
+    for pid, (a, b) in enumerate(pairs):
+        dist = np.linalg.norm(a - b)
+        if dist < 1e-12:
+            continue
+        amb_rows.append((pid, float(abs(h_fn(a) - h_fn(b))
+                                    / dist ** (beta / 2.0))))
+    tan_rows = []
+    for cid in range(curve_budget):
+        start_dz = 0.5 * scale * (rng.standard_normal(d)
+                                  + 1j * rng.standard_normal(d))
+        start = model.graph_point(zp0 + start_dz, w0.real)
+        curve = norms.random_admissible_curve(
+            model, start[None], rng.standard_normal((1, 2, d, 4)))
+        vals = np.array([h_fn(p) for p in curve.samples[0]])
+        s = curve.s_values
+        for _ in range(16):
+            if beta <= 1.0:
+                i, j = rng.integers(0, s.size, size=2)
+                if i == j:
+                    continue
+                quot = abs(vals[i] - vals[j]) / abs(s[i] - s[j]) ** beta
+            else:
+                i = int(rng.integers(1, s.size - 1))
+                t = int(rng.integers(1, min(i, s.size - 1 - i) + 1))
+                gap = s[i + t] - s[i]
+                quot = abs(vals[i + t] - 2 * vals[i] + vals[i - t]) \
+                    / gap ** beta
+            tan_rows.append((cid, float(quot)))
+    return amb_rows, tan_rows

@@ -6,6 +6,7 @@ from crhomotopy.cf_forms import cf_component, zbar_degree
 from crhomotopy.errors import NearSingularPhaseError, SingularityError
 from oracles import (brute_wedge_expansion, contraction_table,
                      dense_coefficients, evaluate_barrier, fd_section_jet,
+                     normalization_defect, normalization_worst_loop,
                      random_quadric, wedge_expansion_keys)
 
 
@@ -74,7 +75,7 @@ class TestSections:
             zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             z = zeta + rng.standard_normal(n) + 1j * rng.standard_normal(n)
             jet = sections.bochner_martinelli_section(zeta, z)
-            assert jet.normalization_defect(zeta, z) < 1e-14
+            assert normalization_defect(jet, zeta, z) < 1e-14
 
     def test_one_dimensional_cauchy_kernel(self):
         zeta = np.array([2.0 + 1.0j])
@@ -112,7 +113,7 @@ class TestSections:
             z = primary.graph_point(0.05 * rng.standard_normal(4) + 0j,
                                     0.05 * rng.standard_normal(1))
             jet = sections.barrier_section(primary, zeta, z)
-            worst = max(worst, jet.normalization_defect(zeta, z))
+            worst = max(worst, normalization_defect(jet, zeta, z))
         assert worst < 1e-10
 
     def test_barrier_jets_match_finite_differences(self, primary, secondary,
@@ -216,7 +217,7 @@ class TestSections:
         assert np.allclose(at0.value, s1.value)
         assert np.allclose(at1.value, s2.value)
         mid = sections.combined_section(s1, s2, 0.37)
-        assert mid.normalization_defect(zeta, z) < 1e-12
+        assert normalization_defect(mid, zeta, z) < 1e-12
         # parameter jet equals the section difference
         assert np.allclose(mid.d_t, s2.value - s1.value)
 
@@ -311,3 +312,35 @@ class TestSphereReproduction:
         total = np.sum(val * weight * orient)
         result = factorial(n - 1) / (2j * np.pi) ** n * total
         assert abs(result - 1.0) < 0.02
+
+
+class TestNormalizationSweep:
+    def test_matches_single_point_loop(self, primary, secondary):
+        # audit-kernels' batched sweep against the per-sample loop, bit for
+        # bit, on both bundled models at two seeds
+        from crhomotopy import cli
+        for model in (primary, secondary):
+            z = cli._test_points(model)[0]
+            for seed in (0, 5):
+                zetas, ts = cli._kernel_samples(model, 150, seed)
+                worst = float(np.max(sections.normalization_defects(
+                    model, zetas, z, ts)))
+                assert worst == normalization_worst_loop(model, z, 150, seed)
+
+    def test_near_singular_sample_raises(self, primary):
+        # z and every zeta share the level 0.01, so Re Phi reduces to the
+        # Levi and correction terms, O(|w|^2): a zeta 1e-9 away has a phase
+        # near 1e-18, below PHASE_TOL, while the other samples are regular
+        level = 0.01 * np.ones(1)
+        zp = 0.05 * np.ones(4) + 0j
+        z = primary.graph_point(zp, np.zeros(1), level)
+        offsets = np.array([0.1, 0.2, 1e-9, 0.15])
+        zetas = primary.graph_point(zp + offsets[:, None], np.zeros((4, 1)),
+                                    level)
+        t = np.full(4, 0.5)
+        with pytest.raises(NearSingularPhaseError):
+            sections.normalization_defects(primary, zetas, z, t)
+        regular = sections.normalization_defects(
+            primary, zetas[[0, 1, 3]], z, t[:3])
+        assert regular.shape == (3, 3)
+        assert np.max(regular) < 1e-10

@@ -30,6 +30,29 @@ class TestParsing:
             in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["index-audit", "--n-max", "4"], "must be an integer >= 5"),
+        (["index-audit", "--m-max", "0"], "must be an integer >= 1"),
+        (["index-audit", "--n-max", "six"], "must be an integer >= 5"),
+        (["audit-barrier", "--scale", "-0.1"], "must be a finite number > 0"),
+        (["audit-barrier", "--scale", "0"], "must be a finite number > 0"),
+        (["audit-barrier", "--scale", "nan"], "must be a finite number > 0")])
+    def test_empty_sweep_and_bad_scale_rejected(self, argv, message,
+                                                tmp_path, capsys):
+        # index-audit below n = 5 or m = 1 sweeps nothing and would pass
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--model", "bundled:sig22_n5", "--out", str(tmp_path)]
+                    + argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: {message}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_smallest_index_audit_sweeps(self, tmp_path, capsys):
+        assert run_cli(["--model", "bundled:sig22_n5", "--out",
+                        str(tmp_path), "index-audit", "--n-max", "5",
+                        "--m-max", "1"]) == 0
+        assert "[PASS] index audit: 4 sweep records" in capsys.readouterr().out
+
     def test_bad_matrix_row_names_line(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("n = 3\nm = 1\nq = 1\nH 1\n1,0 0,0\n0,0 oops\n")
@@ -103,6 +126,19 @@ class TestPipeline:
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
+
+    def test_secondary_model_sample_audits(self, tmp_path):
+        # m = 2: controls x and y of the curves have shape (C, 2)
+        out = str(tmp_path / "m2audits")
+        base = ["--model", "bundled:sig22_n6m2", "--out", out, "--seed", "3"]
+        assert run_cli(base + ["audit-kernels", "--budget", "200"]) == 0
+        assert run_cli(base + ["estimate-norms", "--budget", "100"]) == 0
+        with open(os.path.join(out, "kernels.json")) as fh:
+            assert json.load(fh)["normalization_worst"] < 1e-10
+        with open(os.path.join(out, "norms.json")) as fh:
+            table = json.loads(json.load(fh)["gain_table"])["table"]
+        assert [row["field"] for row in table] == [
+            "input", "output", "output_gain"]
 
     def test_secondary_model_certifies(self, tmp_path):
         out = str(tmp_path / "m2")

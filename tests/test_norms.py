@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crhomotopy import norms
-from oracles import flow_from_exact
+from oracles import flow_from_exact, scalar_holder_estimate
 
 
 def zero_controls(model):
@@ -101,26 +101,80 @@ class TestProjection:
             assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-6
 
 
+def random_starts(model, count, rng):
+    d = model.tangential_dim
+    return model.graph_point(
+        0.1 * (rng.standard_normal((count, d))
+               + 1j * rng.standard_normal((count, d))),
+        0.05 * rng.standard_normal((count, model.m)))
+
+
 class TestAdmissibleCurves:
     def test_generated_curves_pass_audit(self, primary, rng):
         z = primary.graph_point(0.05 * np.ones(4) + 0j, np.zeros(1))
-        for _ in range(5):
-            curve = norms.random_admissible_curve(primary, z, rng)
-            audit = norms.curve_audit(primary, curve)
-            assert audit["passes"], audit
+        curves = norms.random_admissible_curve(
+            primary, np.tile(z, (5, 1)), rng.standard_normal((5, 2, 4, 4)))
+        audit = norms.curve_audit(primary, curves)
+        assert audit["passes"].shape == (5,)
+        assert np.all(audit["passes"]), audit
+
+    def test_transverse_flow_fails_audit(self, primary, secondary):
+        # a pure Re w flow stays on the manifold (no normal defect) but
+        # leaves the complex tangent space: d rho_k pairs with it to -i y/2
+        for model in (primary, secondary):
+            z = model.graph_point(0.05 * np.ones(model.tangential_dim) + 0j,
+                                  np.zeros(model.m))
+            d, m = model.tangential_dim, model.m
+            curve = norms.integrate_controls(
+                model, z, lambda s: (np.zeros(m), 0.5 * np.ones(m),
+                                     np.zeros(d), np.zeros(d)))
+            audit = norms.curve_audit(model, curve)
+            assert audit["normal_defect"] < 1e-12
+            assert audit["velocity_max"] <= 1.05
+            assert abs(audit["complex_tangency_defect"] - 0.25) < 1e-12
+            assert not audit["passes"]
+
+    def test_batched_rows_match_single_calls(self, primary, secondary, rng):
+        # every row of a batch of curves (some rescaled more often than
+        # others) is bit-identical to its own N = 1 call, and its audit and
+        # frame velocities to the unbatched calls
+        for model in (primary, secondary):
+            d, m = model.tangential_dim, model.m
+            starts = random_starts(model, 6, rng)
+            coeffs = rng.standard_normal((6, 2, d, 4)) * np.array(
+                [0.1, 1.0, 3.0, 0.1, 1.0, 3.0])[:, None, None, None]
+            batch = norms.random_admissible_curve(model, starts, coeffs)
+            audit = norms.curve_audit(model, batch)
+            assert np.all(audit["passes"])
+            ctrl = (rng.standard_normal((6, m)), rng.standard_normal((6, m)),
+                    rng.standard_normal((6, d)), rng.standard_normal((6, d)))
+            vel = norms.frame_velocity(model, starts, ctrl)
+            for c in range(6):
+                one = norms.random_admissible_curve(
+                    model, starts[c:c + 1], coeffs[c:c + 1])
+                assert np.array_equal(one.samples[0], batch.samples[c])
+                assert np.array_equal(one.velocity_samples[0],
+                                      batch.velocity_samples[c])
+                single = norms.TangentCurve(
+                    samples=batch.samples[c], s_values=batch.s_values,
+                    velocity_samples=batch.velocity_samples[c])
+                for key, value in norms.curve_audit(model, single).items():
+                    assert value == audit[key][c], key
+                assert np.array_equal(norms.frame_velocity(
+                    model, starts[c], [x[c] for x in ctrl]), vel[c])
 
 
 class TestHolderEstimators:
     def test_constant_function_zero(self, primary):
-        est = norms.tangential_holder_estimate(primary, lambda p: 1.0, 1.0,
-                                               np.zeros(5, dtype=complex),
-                                               seed=2)
+        est = norms.tangential_holder_estimate(
+            primary, lambda p: np.ones(len(p)), 1.0,
+            np.zeros(5, dtype=complex), seed=2)
         assert est.ambient.quotient_sup == 0.0
         assert est.tangential.quotient_sup == 0.0
 
     def test_coordinate_function_lipschitz(self, primary):
         est = norms.tangential_holder_estimate(
-            primary, lambda p: p[0].real, 1.0,
+            primary, lambda p: p[:, 0].real, 1.0,
             np.zeros(5, dtype=complex), seed=2)
         assert est.tangential.quotient_sup <= 1.05
 
@@ -131,8 +185,8 @@ class TestHolderEstimators:
         # coordinate is unit-Lipschitz along the same curves; its ambient
         # roughness is comparable for both
         z = np.zeros(5, dtype=complex)
-        trans = lambda p: p[4].real
-        flat = lambda p: p[0].real
+        trans = lambda p: p[:, 4].real
+        flat = lambda p: p[:, 0].real
         est_trans = norms.tangential_holder_estimate(primary, trans, 1.0, z,
                                                      seed=3, scale=0.05)
         est_flat = norms.tangential_holder_estimate(primary, flat, 1.0, z,
@@ -148,7 +202,7 @@ class TestHolderEstimators:
 
     def test_monotone_in_budget(self, primary):
         z = np.zeros(5, dtype=complex)
-        fn = lambda p: p[0].real * p[1].imag
+        fn = lambda p: p[:, 0].real * p[:, 1].imag
         sups = []
         for budget in (50, 200, 800):
             est = norms.tangential_holder_estimate(primary, fn, 1.0, z,
@@ -159,14 +213,45 @@ class TestHolderEstimators:
 
     def test_exponent_range_enforced(self, primary):
         with pytest.raises(ValueError):
-            norms.tangential_holder_estimate(primary, lambda p: 1.0, 2.5,
-                                             np.zeros(5, dtype=complex))
+            norms.tangential_holder_estimate(
+                primary, lambda p: np.ones(len(p)), 2.5,
+                np.zeros(5, dtype=complex))
+
+    @pytest.mark.parametrize("beta", [0.7, 1.0, 1.6])
+    def test_matches_scalar_oracle(self, primary, secondary, beta):
+        # the batched estimator draws the same pairs, curves and picks as
+        # one pair and one curve at a time; the quotients differ only by
+        # the summation order of the batched pair distances
+        for model in (primary, secondary):
+            d = model.tangential_dim
+            z = model.graph_point(0.03 * np.ones(d) + 0j, np.zeros(model.m))
+
+            def h(p):
+                return (p[:, 0] * p[:, 1].conj()).real + p[:, d].imag
+
+            est = norms.tangential_holder_estimate(
+                model, h, beta, z, curve_budget=5, pair_budget=40, seed=11,
+                collect=True)
+            amb, tan = scalar_holder_estimate(
+                model, lambda p: h(p[None])[0], beta, z, curve_budget=5,
+                pair_budget=40, seed=11)
+            for got, want in ((est.ambient, amb), (est.tangential, tan)):
+                assert [i for i, _ in got.samples] == [i for i, _ in want]
+                q_got = np.array([q for _, q in got.samples])
+                q_want = np.array([q for _, q in want])
+                assert np.all(np.abs(q_got - q_want)
+                              <= 1e-14 * np.abs(q_want))
+                assert got.quotient_sup == pytest.approx(
+                    max(q_want), rel=1e-14, abs=0.0)
+            assert est.ambient.pair_count == 40
+            assert est.tangential.pair_count == len(tan)
 
 
 class TestWeightedEstimator:
     def test_report_deterministic(self, primary):
         z = np.zeros(5, dtype=complex)
-        fn = lambda p: p[0].real
+        fn = lambda p: p[:, 0].real
         r1 = norms.regularity_gain_report(primary, fn, fn, 0.5, z, seed=6)
         r2 = norms.regularity_gain_report(primary, fn, fn, 0.5, z, seed=6)
         assert r1 == r2
+
