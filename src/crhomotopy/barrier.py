@@ -166,7 +166,8 @@ def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
         dtheta = -(dbar - thetas[:, :, None] * np.einsum(
             "Ns,Nsl->Nl", thetas, dbar)[:, None]) / norm[:, None, None]
         dP_dzetabar += np.einsum("Nkl,ki->Nli", dtheta, Q)
-        dP_dzetabar[:, :, :d] += np.einsum("Nkl,Nj,Nkji->Nli", dtheta, wbar, dG)
+        dP_dzetabar[:, :, :d] += np.einsum(          # conj(w) . dG_k first
+            "Nkl,Nki->Nli", dtheta, np.einsum("Nj,Nkji->Nki", wbar, dG))
         dH = np.zeros((N, model.m, n, n), dtype=complex)
         dH[:, :, :d, :d] = H - dG
     return BarrierJetBatch(

@@ -20,21 +20,31 @@ Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the
 t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
 weighted degree-r form values g and det9 fold into the per-chunk weights
-W = (-1)^(r n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r,
-and the sum over M is taken before any coefficient is formed (generalized
-Laplace expansion): sum_M W_M gamma_M is the k-vector G with G[S] = W(rows S
-of gamma), k interior products of the k-form W, and the (n - k)-form *G(u) =
-sum_M W_M det[u | gamma_M] gives every total as (-1)^n (*G)(eta, tau, beta_L)
-(solution) or (*G)(eta, beta_L) (obstruction).
+W = (-1)^(r n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r.
+
+Each coefficient is taken on n - 1 rows.  With w = zeta - z, every section
+has sum_k eta_k w_k = 1, so w^T eta = 1 and the columns beta, gamma and tau
+are bilinearly orthogonal to w (Range, Holomorphic Functions and Integral
+Representations in Several Complex Variables, ch. IV sec. 1); replacing row
+p of the matrix by w^T gives det[eta | X] = (-1)^p / w_p det(X without row
+p), and eta drops out.  The pivot p = argmax_k |w_k| is chosen per node.
+The sum over M is taken before any coefficient is formed (generalized
+Laplace expansion): sum_M W_M gamma'_M is the k-vector G with G[S] = W(rows
+S of gamma'), gamma' the n - 1 non-pivot rows, k interior products of the
+k-form W, and the Hodge star in n - 1 dimensions gives every total as
+(-1)^n (*G)(tau', beta'_L) (solution) or (*G)(beta'_L) (obstruction),
+times (-1)^p / w_p.
 
 The identity residual needs dbar_M R_1 f, the conjugate-frame derivative
 sum_l conj(a_il) d/dzbar_l of the degree-0 value.  It is analytic: the
 mixed section jets d gamma / d zbar (closed form for the euclidean section;
 for the barrier, P is affine in zbar with zeta-only coefficients) are
-contracted with the adjoint dT / d gamma_t of the folded total, per block
-of nodes, in the same pass that forms the value (:func:`_tangent_block`).
-The 16-point finite-difference stencil (``tangential_dbar_scalar`` in
-``tests/oracles.py``) is its test oracle.
+contracted with the adjoint dT / d gamma'_t of the folded total on the
+non-pivot rows, per block of nodes, in the same pass that forms the value
+(:func:`_tangent_block`); w_p has no zbar-derivative.  The 16-point
+finite-difference stencil (``tangential_dbar_scalar`` in
+``tests/oracles.py``) is its test oracle, and the full-row contraction
+there (``full_row_folded_coefficients``) is the oracle of the reduction.
 """
 
 from __future__ import annotations
@@ -44,8 +54,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import (RunningSum, evaluate_form, hodge_star, index_combinations,
-                    wedge_jets)
+from ._util import RunningSum, evaluate_form, hodge_star, index_combinations
 from .errors import GridTooCoarseError
 from .fields import (FormField, conjugate_frame_rows, lazy_field,
                      tangential_components, wedge_covector_values)
@@ -75,7 +84,7 @@ def _fold_weights(gw, det9, r):
     return evaluate_form(hodge_star(gw.T, n, r), delta, n, n - r, 1).T
 
 
-def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
+def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
                          t_rule=((1.0, 1.0),), tangent=None):
     """Sum over nodes and M of W[:, M] * coef[:, L, M], shape (nL,), with no
     coefficient formed.
@@ -86,91 +95,116 @@ def _folded_coefficients(W, eta, beta, gamma, r_out, tau=None, start=None,
     gamma_t running linearly from ``start`` = (beta0, gamma0) at t = 0 to
     (beta, gamma) at t = 1.  The nodes are taken in blocks of BLOCK.
 
+    eta is not an argument: with w = zeta - z, shape (N, n), every section
+    has w^T eta = 1 and w^T beta = w^T gamma = w^T tau = 0 on the row index
+    (the derivatives of sum_k eta_k w_k = 1, w being holomorphic in z and
+    zeta - z fixed under the t-interpolation).  Replacing row p of [eta | X]
+    by w^T multiplies the determinant by w_p and leaves (1, 0, ..., 0) in
+    row p, so det[eta | X] = (-1)^p / w_p det(X without row p).  Per node p
+    = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); each block gathers the
+    non-pivot rows of the jets, and its W is scaled by (-1)^p / w_p.
+
     ``tangent`` (solution kind, r_out = 0) is the pair of ``along``
     functions of the t = 0 and t = 1 section jets (see
     :func:`~crhomotopy.sections.bochner_martinelli_jets`); the derivatives
     of the sum along their directions are then returned too, as (sum,
     derivatives), by :func:`_tangent_block`.
     """
-    N, n = eta.shape
-    front = eta.T if tau is None else np.concatenate([eta.T, tau.T])
-    k = n - len(front) // n - r_out
+    N, n = w.shape
+    k = n - 1 - r_out - (tau is not None)
+    pivot = np.argmax(np.abs(w), axis=1)
+    w_p = w[np.arange(N), pivot]
+    # w = 0 only at zeta = z, where the phase vanishes and W is zero
+    scale = (-1.0) ** pivot / np.where(w_p == 0, 1.0, w_p)
+    keep = np.arange(n) != pivot[:, None]
+    beta0, gamma0 = start if start is not None else (None, None)
 
-    def layout(b, g):       # beta columns and gamma rows, (vector * n + c, N)
-        return (b.transpose(2, 1, 0).reshape(n * n, N) if r_out else None,
-                g.transpose(1, 2, 0).reshape(n * n, N))
+    def rows(x):            # the block's non-pivot rows, (B, n - 1, ...)
+        flat = x[blk].reshape((-1,) + x.shape[2:])
+        return np.compress(keep[blk].ravel(), flat, axis=0).reshape(
+            (-1, n - 1) + x.shape[2:])
 
-    def at(zero, one, t):   # block of the jet at t
-        return (one[:, blk] if zero is None
-                else (1 - t) * zero[:, blk] + t * one[:, blk])
+    def at_t(zero, one):    # rows of the jet at each t of the rule
+        one = rows(one)
+        if zero is None:
+            return [one] * len(t_rule)
+        zero = rows(zero)
+        return [(1 - t) * zero + t * one for t, _ in t_rule]
 
-    def star_front(G):      # (*G)(eta, tau, .) or (*G)(eta, .) on the block
-        return evaluate_form(hodge_star(G, n, k), front[:, blk], n, n - k,
-                             n - k - r_out)
+    def star_front(G):      # (*G)(tau', .) or *G, in n - 1 dimensions
+        star = hodge_star(G, n - 1, k)
+        return star if tau is None else evaluate_form(
+            star, front, n - 1, n - 1 - k, 1)
 
     W = W.T
-    b1, g1 = layout(beta, gamma)
-    b0, g0 = layout(*start) if start is not None else (None, None)
     total = np.zeros(len(index_combinations(n, r_out)), dtype=complex)
     d_total = 0.0
     for lo in range(0, N, BLOCK):
         blk = slice(lo, lo + BLOCK)
-        gammas = [at(g0, g1, t) for t, _ in t_rule]
-        gs = [weight * evaluate_form(W[:, blk], g, n, k, k)
+        W_blk = W[:, blk] * scale[blk]
+        front = rows(tau).T if tau is not None else None
+        # gamma rows (row * n + c, B) and beta columns (column * (n-1) + row)
+        gammas = [g.transpose(1, 2, 0).reshape((n - 1) * n, -1)
+                  for g in at_t(gamma0, gamma)]
+        gs = [weight * evaluate_form(W_blk, g, n, k, k)
               for g, (_, weight) in zip(gammas, t_rule)]
         if r_out:
-            acc = sum(evaluate_form(star_front(G), at(b0, b1, t), n, r_out,
-                                    r_out) for G, (t, _) in zip(gs, t_rule))
-        elif tangent is None:   # no beta column: one eta ^ tau wedge
+            acc = sum(evaluate_form(
+                star_front(G), b.transpose(2, 1, 0).reshape(n * (n - 1), -1),
+                n - 1, r_out, r_out) for G, b in zip(gs, at_t(beta0, beta)))
+        elif tangent is None:   # no beta column: tau' alone, or a 0-form
             acc = star_front(sum(gs))
         else:
-            acc, d_acc = _tangent_block(W[:, blk], front[:, blk], sum(gs),
-                                        gammas, t_rule,
-                                        [f(blk) for f in tangent])
+            acc, d_acc = _tangent_block(W_blk, front, sum(gs), gammas,
+                                        t_rule, [f(blk) for f in tangent],
+                                        keep[blk])
             d_total = d_total + d_acc
         total += acc.sum(axis=1)
-    # det[eta | beta_L | gamma_M | tau] = (-1)^n (*G)(eta, tau, beta_L)
+    # det[beta'_L | gamma'_M | tau'] = (-1)^n (*G)(tau', beta'_L)
     if tau is not None:
         total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
     return total if tangent is None else (total, d_total)
 
 
-def _tangent_block(W, front, G, gammas, t_rule, along):
-    """One block of the degree-0 solution total T = (*G)(eta0, tau), G =
-    sum_t weight_t W(rows of gamma_t), and its derivatives D_a T along the
-    directions of ``along`` = ((D eta0, D gamma0), (D eta1, D gamma1)), the
-    section derivatives of shapes (B, d, n) and (B, d, n, n), tau = eta1 -
-    eta0.  Returns (T per node (1, B), D T summed over the block (d,)).
+def _tangent_block(W, tau, G, gammas, t_rule, along, keep):
+    """One block of the degree-0 solution total T = (*G)(tau) on the n - 1
+    non-pivot rows, G = sum_t weight_t W(non-pivot rows of gamma_t) already
+    scaled by (-1)^p / w_p, and its derivatives D_a T along the directions of
+    ``along`` = ((D eta0, D gamma0), (D eta1, D gamma1)), the section
+    derivatives of shapes (B, d, n) and (B, d, n, n), tau = eta1 - eta0.
+    ``keep`` (B, n) marks the non-pivot rows.  Returns (T per node (1, B),
+    D T summed over the block (d,)).
 
-    eta0 enters through no term of its own: D eta0 = beta0 v, tau and every
-    gamma_t column are bilinearly orthogonal to w = zeta - z (derivatives of
-    sum_k eta_k w_k = 1 with w holomorphic), so det[D eta0 | gamma_M | tau]
-    has n columns in a hyperplane and vanishes.  D tau enters through the
-    1-form (*G)(eta0, .).  gamma_t enters by reverse mode: T = <c, G> with
-    the k-vector c = *(eta0 ^ tau), so dT / d gamma_t[s, l] = weight_t
-    (-1)^(k-1) sum_R (i_s c)[R] W(rows R of gamma_t, .)[l] over the
-    (k-1)-subsets R, and the adjoints, weighted (1 - t) and t, are
-    contracted with D gamma0 and D gamma1.  The cost does not grow with the
-    number of directions.
+    In n - 1 rows *G is the 1-form X itself, and T = X . tau.  The scale
+    (-1)^p / w_p has no derivative (w is holomorphic in z, p is locally
+    constant), so D T = X . D tau + the gamma terms.  gamma_t enters by
+    reverse mode: T = <c, G> with the (n - 2)-vector c = (-1)^n *tau, so
+    dT / d gamma_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s c)[R] W(rows R of
+    gamma_t, .)[l] over the (k-1)-subsets R of the n - 1 rows.  X and the
+    adjoints, weighted (1 - t) and t, are scattered back to n rows with a
+    zero pivot row and contracted with D tau, D gamma0 and D gamma1.  The
+    cost does not grow with the number of directions.
     """
-    n, B = front.shape[0] // 2, front.shape[1]
-    k = n - 2
-    eta, tau = front[:n], front[n:]
-    X = evaluate_form(hodge_star(G, n, k), eta, n, 2, 1)     # (*G)(eta0, .)
-    (d_eta0, d_gamma0), (d_eta1, d_gamma1) = along
-    d_acc = np.einsum("cN,Nac->a", X, d_eta1 - d_eta0)
-    c = hodge_star(wedge_jets(np.einsum("jN,lN->Njl", tau, eta), n, 1).T, n, 2)
-    ic = evaluate_form(c, np.eye(n).reshape(-1, 1), n, k, 1)
-    ic = ic.reshape(n, -1, B).transpose(2, 0, 1)                    # (B, s, R)
-    adjoint = [0.0, 0.0]
+    n1, B = tau.shape                           # n - 1 rows
+    n, k = n1 + 1, n1 - 1
+    X = hodge_star(G, n1, k)                                        # (n1, B)
+    c = (-1.0) ** n * hodge_star(tau, n1, 1)
+    ic = evaluate_form(c, np.eye(n1).reshape(-1, 1), n1, k, 1)
+    ic = ic.reshape(n1, -1, B).transpose(2, 0, 1)                   # (B, s, R)
+    reduced = np.zeros((B, n1, 2 * n + 1), dtype=complex)  # adj. 0, 1 | X
+    reduced[:, :, -1] = X.T
     for gamma, (t, weight) in zip(gammas, t_rule):
         F = evaluate_form(W, gamma, n, k, k - 1).reshape(-1, n, B)  # (R, l, B)
         adj = weight * (ic @ F.transpose(2, 0, 1))                  # (B, s, l)
-        adjoint[0] = adjoint[0] + (1.0 - t) * adj
-        adjoint[1] = adjoint[1] + t * adj
+        reduced[:, :, :n] += (1.0 - t) * adj
+        reduced[:, :, n:-1] += t * adj
+    full = np.zeros((B, n, 2 * n + 1), dtype=complex)
+    full[keep] = reduced.reshape(-1, 2 * n + 1)
+    (d_eta0, d_gamma0), (d_eta1, d_gamma1) = along
+    d_acc = np.einsum("Nc,Nac->a", full[:, :, -1], d_eta1 - d_eta0)
     d_acc = d_acc + (-1.0) ** (k - 1) * (
-        np.einsum("Nsl,Nasl->a", adjoint[0], d_gamma0)
-        + np.einsum("Nsl,Nasl->a", adjoint[1], d_gamma1))
+        np.einsum("Nsl,Nasl->a", full[:, :, :n], d_gamma0)
+        + np.einsum("Nsl,Nasl->a", full[:, :, n:-1], d_gamma1))
     return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 
@@ -282,21 +316,21 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                 shared = z, (
                     barrier_section_jets(model, chunk.zeta, z, frame),
                     bochner_martinelli_jets(chunk.zeta, z, frame)
-                    if kind == "solution" else None)
-            (eta1, beta1, gamma1, phi, *along1), euclid = shared[1]
+                    if kind == "solution" else None,
+                    chunk.zeta - z[None, :])
+            (eta1, beta1, gamma1, phi, *along1), euclid, w = shared[1]
             bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
             rejected[zi] += int(np.sum(bad & live))
             W_kept = W * ~bad[:, None]
             if kind == "solution":
                 eta0, beta0, gamma0, *along0 = euclid
                 folded = _folded_coefficients(
-                    W_kept, eta0, beta1, gamma1, r_out, tau=eta1 - eta0,
+                    W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
                     start=(beta0, gamma0),
                     t_rule=tuple(zip(grid.t_nodes, grid.t_weights)),
                     tangent=along0 + along1 if frame is not None else None)
             else:
-                folded = _folded_coefficients(W_kept, eta1, beta1, gamma1,
-                                              r_out)
+                folded = _folded_coefficients(W_kept, w, beta1, gamma1, r_out)
             if frame is not None:
                 folded, d_folded = folded
                 d_accums[zi].add(0.0 + sign * d_folded)

@@ -164,31 +164,24 @@ class TangentCurve:
 
     samples: np.ndarray               # (..., k, n) points on the manifold
     s_values: np.ndarray              # (k,)
-    velocity_samples: np.ndarray = None   # analytic velocities if available
-
-    def velocity(self):
-        if self.velocity_samples is not None:
-            return self.velocity_samples
-        ds = self.s_values[1] - self.s_values[0]
-        return np.gradient(self.samples, ds, axis=-2)
+    velocity_samples: np.ndarray      # (..., k, n) analytic velocities
 
     def acceleration(self):
         ds = self.s_values[1] - self.s_values[0]
-        return np.gradient(self.velocity(), ds, axis=-2)
+        return np.gradient(self.velocity_samples, ds, axis=-2)
 
 
 def curve_audit(model: ManifoldModel, curve: TangentCurve, slack=0.05):
     """Velocity/acceleration bounds and complex-tangency of sampled curves.
 
     Acceleration is measured on the interior samples (one-sided boundary
-    differences overshoot); tangency uses the analytic velocities when the
-    curve carries them, sampled ones otherwise (with a correspondingly
-    looser defect scale).  A curve passes when both bounds hold and both the
-    normal defect (2 Re of the d rho pairing) and the complex-tangency
-    defect (its imaginary part, which a transverse Re w velocity leaves)
-    are below that scale.  Each value has the curves' leading shape.
+    differences overshoot); tangency uses the curve's analytic velocities.
+    A curve passes when both bounds hold and both the normal defect (2 Re
+    of the d rho pairing) and the complex-tangency defect (its imaginary
+    part, which a transverse Re w velocity leaves) are below 1e-8.  Each
+    value has the curves' leading shape.
     """
-    vel = curve.velocity()
+    vel = curve.velocity_samples
     acc = curve.acceleration()[..., 2:-2, :]
     vmax = np.max(np.linalg.norm(vel, axis=-1), axis=-1)
     amax = np.max(np.linalg.norm(acc, axis=-1), axis=-1, initial=0.0)
@@ -196,15 +189,13 @@ def curve_audit(model: ManifoldModel, curve: TangentCurve, slack=0.05):
                         model.holo_gradients(curve.samples), vel)
     normal_defect = np.max(np.abs(2.0 * pairing.real), axis=(-2, -1))
     trans_defect = np.max(np.abs(pairing.imag), axis=(-2, -1))
-    defect_tol = 1e-8 if curve.velocity_samples is not None else 1e-2
     return {
         "velocity_max": vmax,
         "acceleration_max": amax,
         "normal_defect": normal_defect,
         "complex_tangency_defect": trans_defect,
         "passes": ((vmax <= 1 + slack) & (amax <= 1 + slack)
-                   & (normal_defect < defect_tol)
-                   & (trans_defect < defect_tol)),
+                   & (normal_defect < 1e-8) & (trans_defect < 1e-8)),
     }
 
 

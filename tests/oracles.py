@@ -5,10 +5,12 @@ the wedge expansions and the sign table iterate raw symbol choices and count
 inversions, the defining-function oracle re-evaluates the polynomial from
 its definition, the node-geometry oracles rebuild the velocity columns of
 the parameterization and take dense determinants of them in place of the
-closed-form conormal, the barrier reference works pointwise on phase-fixed
-eigenvector rows in place of the projector G, the frame flow has a closed
-form, derivative oracles are plain central differences, and the sample
-audits (section normalization, Holder quotients) go one sample at a time.
+closed-form conormal, the kernel contraction keeps eta and all n rows of
+every jet in place of the n - 1 non-pivot rows, the barrier reference works
+pointwise on phase-fixed eigenvector rows in place of the projector G, the
+frame flow has a closed form, derivative oracles are plain central
+differences, and the sample audits (section normalization, Holder
+quotients) go one sample at a time.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crhomotopy import norms, quadrature, sections
+from crhomotopy._util import evaluate_form, hodge_star, wedge_jets
 from crhomotopy.barrier import gradient_section, normal_direction
 from crhomotopy.geometry import (CORRECTION_MARGIN, Direction, ManifoldModel,
                                  directional_levi, holomorphic_tangent_rows)
@@ -219,6 +222,81 @@ def dense_coefficients(eta, beta, gamma, tau, r_out):
             coef[:, li, mi] = np.linalg.det(mat)
             bound[:, li, mi] = np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
     return M_combos, coef, bound
+
+
+def full_row_folded_coefficients(W, eta, beta, gamma, r_out, tau=None,
+                                 start=None, t_rule=((1.0, 1.0),),
+                                 tangent=None):
+    """Sum over nodes and M of W[:, M] * coef[:, L, M] from all n rows of the
+    jets, eta included: the kernel contraction before the reduction to the
+    n - 1 non-pivot rows, with the same arguments as
+    ``homotopy._folded_coefficients`` but eta in place of w and all nodes in
+    one block.  By the generalized Laplace expansion, sum_M W_M gamma_M is
+    the k-vector G = W(rows of gamma), and every total is (-1)^n (*G)(eta,
+    tau, beta_L) (solution) or (*G)(eta, beta_L) (obstruction).  With
+    ``tangent`` the derivatives of :func:`full_row_tangent_block` are
+    returned too."""
+    N, n = eta.shape
+    front = eta.T if tau is None else np.concatenate([eta.T, tau.T])
+    k = n - len(front) // n - r_out
+    every = slice(None)
+
+    def layout(b, g):       # beta columns and gamma rows, (vector * n + c, N)
+        return (b.transpose(2, 1, 0).reshape(n * n, N) if r_out else None,
+                g.transpose(1, 2, 0).reshape(n * n, N))
+
+    def at(zero, one, t):
+        return one if zero is None else (1 - t) * zero + t * one
+
+    def star_front(G):
+        return evaluate_form(hodge_star(G, n, k), front, n, n - k,
+                             n - k - r_out)
+
+    b1, g1 = layout(beta, gamma)
+    b0, g0 = layout(*start) if start is not None else (None, None)
+    gammas = [at(g0, g1, t) for t, _ in t_rule]
+    gs = [weight * evaluate_form(W.T, g, n, k, k)
+          for g, (_, weight) in zip(gammas, t_rule)]
+    d_total = 0.0
+    if r_out:
+        acc = sum(evaluate_form(star_front(G), at(b0, b1, t), n, r_out, r_out)
+                  for G, (t, _) in zip(gs, t_rule))
+    elif tangent is None:
+        acc = star_front(sum(gs))
+    else:
+        acc, d_total = full_row_tangent_block(
+            W.T, front, sum(gs), gammas, t_rule, [f(every) for f in tangent])
+    total = acc.sum(axis=1)
+    if tau is not None:
+        total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
+    return total if tangent is None else (total, d_total)
+
+
+def full_row_tangent_block(W, front, G, gammas, t_rule, along):
+    """T = (*G)(eta0, tau) on all n rows and its derivatives along the
+    directions of ``along``: D tau through the 1-form (*G)(eta0, .), gamma_t
+    by reverse mode through the k-vector c = *(eta0 ^ tau).  D eta0 adds
+    nothing: it, tau and every gamma column are bilinearly orthogonal to w,
+    so det[D eta0 | gamma_M | tau] has n columns in a hyperplane."""
+    n, B = front.shape[0] // 2, front.shape[1]
+    k = n - 2
+    eta, tau = front[:n], front[n:]
+    X = evaluate_form(hodge_star(G, n, k), eta, n, 2, 1)
+    (d_eta0, d_gamma0), (d_eta1, d_gamma1) = along
+    d_acc = np.einsum("cN,Nac->a", X, d_eta1 - d_eta0)
+    c = hodge_star(wedge_jets(np.einsum("jN,lN->Njl", tau, eta), n, 1).T, n, 2)
+    ic = evaluate_form(c, np.eye(n).reshape(-1, 1), n, k, 1)
+    ic = ic.reshape(n, -1, B).transpose(2, 0, 1)
+    adjoint = [0.0, 0.0]
+    for gamma, (t, weight) in zip(gammas, t_rule):
+        F = evaluate_form(W, gamma, n, k, k - 1).reshape(-1, n, B)
+        adj = weight * (ic @ F.transpose(2, 0, 1))
+        adjoint[0] = adjoint[0] + (1.0 - t) * adj
+        adjoint[1] = adjoint[1] + t * adj
+    d_acc = d_acc + (-1.0) ** (k - 1) * (
+        np.einsum("Nsl,Nasl->a", adjoint[0], d_gamma0)
+        + np.einsum("Nsl,Nasl->a", adjoint[1], d_gamma1))
+    return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 
 def velocity_columns(grid, chunk):

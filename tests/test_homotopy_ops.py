@@ -15,7 +15,8 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
 from oracles import (contraction_table, dense_coefficients, dense_det9,
-                     dense_orientation_and_jacobian, random_quadric,
+                     dense_orientation_and_jacobian,
+                     full_row_folded_coefficients, random_quadric,
                      row_contraction, velocity_columns)
 
 
@@ -624,13 +625,14 @@ class TestOperators:
                     eta0, (1 - t) * beta0 + t * beta1,
                     (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out)
                 contracted = homotopy._folded_coefficients(
-                    W, eta0, beta1, gamma1, r_out, tau=eta1 - eta0,
-                    start=(beta0, gamma0), t_rule=((t, 1.0),))
+                    W, chunk.zeta - z, beta1, gamma1, r_out,
+                    tau=eta1 - eta0, start=(beta0, gamma0),
+                    t_rule=((t, 1.0),))
             else:
                 _, coef, bound = dense_coefficients(eta1, beta1, gamma1,
                                                     None, r_out)
                 contracted = homotopy._folded_coefficients(
-                    W, eta1, beta1, gamma1, r_out)
+                    W, chunk.zeta - z, beta1, gamma1, r_out)
             folded = np.einsum("nm,nlm->l", W, coef)
             oracle = row_contraction(table, gw, coef, dense, keep)
             scale = np.max(np.abs(oracle))
@@ -639,38 +641,168 @@ class TestOperators:
                 np.einsum("nm,nlm->l", np.abs(W), bound))
             assert np.max(np.abs(contracted - oracle)) <= 1e-13 * scale + floor
 
-    @pytest.mark.parametrize("n,kind,r", [
-        (n, kind, r) for n in range(2, 8)
-        for kind in ("solution", "obstruction")
-        for r in range(kind == "solution", n)])
-    def test_contracted_kernel_matches_dense_oracle(self, n, kind, r, rng):
-        # every input degree down to r = n - 1, where no gamma column is
-        # left (k = 0); random jets and weights, a keep mask, two t-nodes,
-        # and a node count that ends in a partial block
+    @pytest.mark.parametrize("which", ["primary", "secondary", "random"])
+    def test_section_jets_satisfy_the_row_relations(self, which, request):
+        # the premise of the n - 1 row kernel: with w = zeta - z, w^T eta =
+        # 1 and w^T beta = w^T gamma = w^T tau = 0 on the row index, for the
+        # euclidean and barrier jets, their interpolants at the t-nodes and
+        # tau = eta1 - eta0, to 1e-12 of |w| times the node's largest jet
+        # entry (of either section where the jet is an interpolant)
+        model = (random_quadric(6, 2, np.random.default_rng(11))
+                 if which == "random" else request.getfixturevalue(which))
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        grid = centered_grid(model, z, budget=2000)
+        chunk = next(grid.chunks())
+        w = chunk.zeta - z
+        euclid = bochner_martinelli_jets(chunk.zeta, z)
+        barrier = barrier_section_jets(model, chunk.zeta, z)[:3]
+        for j, (x0, x1) in enumerate(zip(euclid, barrier)):
+            size = np.maximum(*(np.max(np.abs(x).reshape(len(x), -1), axis=1)
+                                for x in (x0, x1)))
+            scale = (np.linalg.norm(w, axis=1) * size).reshape(
+                (-1,) + (1,) * (x0.ndim - 2))
+            jets = [x0, x1] + [(1 - t) * x0 + t * x1 for t in grid.t_nodes]
+            targets = [1.0 if j == 0 else 0.0] * len(jets)
+            if j == 0:
+                jets, targets = jets + [x1 - x0], targets + [0.0]
+            for x, target in zip(jets, targets):
+                defect = np.einsum("Nk,Nk...->N...", w, x) - target
+                assert np.all(np.abs(defect) <= 1e-12 * scale)
+
+    @staticmethod
+    def section_like_jets(w, rng, count):
+        """Random eta and ``count`` random jets with the relations of the
+        sections: eta shifted so that w^T eta = 1, and the columns of each
+        jet projected onto the bilinear complement {x : w^T x = 0} along
+        conj(w)."""
+        N, n = w.shape
+        u = w.conj() / np.sum(np.abs(w) ** 2, axis=1, keepdims=True)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def project(x):
+            return x - u.reshape(u.shape + (1,) * (x.ndim - 2)) * np.einsum(
+                "Nk,Nk...->N...", w, x)[:, None]
+
+        eta = cplx(N, n)
+        eta = eta + u * (1.0 - np.sum(w * eta, axis=1, keepdims=True))
+        return [eta, project(cplx(N, n))] + [project(cplx(N, n, n))
+                                             for _ in range(count)]
+
+    def check_contracted_kernel(self, n, kind, r, w_case, rng):
+        """The contracted kernel against the dense determinants, with w and
+        jets drawn as by :meth:`section_like_jets`: random weights, a keep
+        mask, two t-nodes, and a node count that ends in a partial block.
+        The pivot max |w_k| is unique ("random"), tied between two
+        coordinates ("tie"), or w lies within 1e-8 of a coordinate axis
+        ("near_axis")."""
         def cplx(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         N = homotopy.BLOCK + 188
         r_out, _ = homotopy._field_plan(n, r, kind)
         nM = len(index_combinations(n, n - 1 - r))
-        eta, tau = cplx(N, n), cplx(N, n)
-        beta, gamma = cplx(N, n, n), cplx(N, n, n)
+        w = cplx(N, n)
+        a, b = rng.integers(n, size=N), rng.integers(n - 1, size=N)
+        b = b + (b >= a)                            # a second index, b != a
+        nodes = np.arange(N)
+        if w_case == "tie":
+            w /= np.abs(w) * rng.uniform(1.0, 2.0, size=(N, n))
+            w[nodes, a] = np.exp(2j * np.pi * rng.random(N))
+            w[nodes, b] = w[nodes, a].conj()        # the same modulus, exactly
+        elif w_case == "near_axis":
+            w *= 1e-8 / np.linalg.norm(w, axis=1, keepdims=True)
+            w[nodes, a] += np.exp(2j * np.pi * rng.random(N))
+        eta, tau, beta, gamma, beta0, gamma0 = self.section_like_jets(
+            w, rng, 4)
         W = cplx(N, nM) * (rng.random(N) > 0.2)[:, None]
         if kind == "solution":
-            beta0, gamma0 = cplx(N, n, n), cplx(N, n, n)
             t_rule = ((0.2, 0.6), (0.7, 0.4))
             got = homotopy._folded_coefficients(
-                W, eta, beta, gamma, r_out, tau=tau, start=(beta0, gamma0),
+                W, w, beta, gamma, r_out, tau=tau, start=(beta0, gamma0),
                 t_rule=t_rule)
             coef = sum(weight * dense_coefficients(
                 eta, (1 - t) * beta0 + t * beta, (1 - t) * gamma0 + t * gamma,
                 tau, r_out)[1] for t, weight in t_rule)
         else:
-            got = homotopy._folded_coefficients(W, eta, beta, gamma, r_out)
+            got = homotopy._folded_coefficients(W, w, beta, gamma, r_out)
             coef = dense_coefficients(eta, beta, gamma, None, r_out)[1]
         want = np.einsum("nm,nlm->l", W, coef)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,kind,r", [
+        (n, kind, r) for n in range(2, 8)
+        for kind in ("solution", "obstruction")
+        for r in range(kind == "solution", n)])
+    def test_contracted_kernel_matches_dense_oracle(self, n, kind, r, rng):
+        # every input degree down to r = n - 1, where no gamma column is
+        # left (k = 0), on random w and jets with the section relations
+        self.check_contracted_kernel(n, kind, r, "random", rng)
+
+    @pytest.mark.parametrize("w_case", ["tie", "near_axis"])
+    @pytest.mark.parametrize("n,kind,r", [
+        (n, kind, r) for n in (2, 5, 6)
+        for kind in ("solution", "obstruction")
+        for r in range(kind == "solution", n)])
+    def test_contracted_kernel_at_pivot_ties_and_near_axis(self, n, kind, r,
+                                                           w_case, rng):
+        self.check_contracted_kernel(n, kind, r, w_case, rng)
+
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_reduced_kernel_matches_full_row_oracle(self, which, request,
+                                                    rng):
+        # the n - 1 row kernel against the full-row contraction of
+        # tests/oracles.py on the section jets of one chunk: both kinds,
+        # output degrees 0 and 1, and the conjugate-frame derivatives of the
+        # degree-0 solution total.  The degree-0 and degree-1 obstruction
+        # totals vanish identically on these models, so they are held to
+        # the rounding floor eps * sum |W| * (Hadamard bound) instead
+        model = request.getfixturevalue(which)
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        grid = centered_grid(model, z, budget=2000)
+        chunk = next(grid.chunks())
+        N, n = chunk.zeta.shape
+        w = chunk.zeta - z
+        frame = fields.conjugate_frame_rows(model, z)
+        eta1, beta1, gamma1, _, along1 = barrier_section_jets(
+            model, chunk.zeta, z, frame)
+        eta0, beta0, gamma0, along0 = bochner_martinelli_jets(chunk.zeta, z,
+                                                              frame)
+        t_rule = tuple(zip(grid.t_nodes, grid.t_weights))
+        for kind in ("solution", "obstruction"):
+            for r_out in (0, 1):
+                k = n - 1 - r_out - (kind == "solution")
+                nM = len(index_combinations(n, k))
+                W = (rng.standard_normal((N, nM))
+                     + 1j * rng.standard_normal((N, nM)))
+                if kind == "solution":
+                    tangent = (along0, along1) if r_out == 0 else None
+                    args = (beta1, gamma1, r_out)
+                    kw = dict(tau=eta1 - eta0, start=(beta0, gamma0),
+                              t_rule=t_rule, tangent=tangent)
+                    got = homotopy._folded_coefficients(W, w, *args, **kw)
+                    want = full_row_folded_coefficients(W, eta0, *args, **kw)
+                    if tangent is not None:
+                        (got, d_got), (want, d_want) = got, want
+                        assert np.max(np.abs(d_got - d_want)) <= 1e-12 * \
+                            np.max(np.abs(d_want))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
+                        np.abs(want))
+                else:
+                    got = homotopy._folded_coefficients(W, w, beta1, gamma1,
+                                                        r_out)
+                    want = full_row_folded_coefficients(W, eta1, beta1,
+                                                        gamma1, r_out)
+                    bound = dense_coefficients(eta1, beta1, gamma1, None,
+                                               r_out)[2]
+                    floor = np.finfo(float).eps * np.max(
+                        np.einsum("nm,nlm->l", np.abs(W), bound))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
+                        np.abs(want)) + floor
 
 
 class TestGlue:
