@@ -10,8 +10,10 @@ with w = zeta - z and the correction is a sum of squared frame pairings.  The
 pairing is the plain bilinear sum (no conjugation): it is the only reading
 under which the section normalization equals one.  The batched paths see the
 frame only through G(theta) = s^2 Pi, the scaled spectral projector onto the
-covered eigendirections, and its analytic theta-derivative dG: no eigenvector
-phase is fixed and no finite difference is left in the jets.
+covered eigendirections, and its analytic theta-derivative dG, taken from the
+eigen-equation so that it costs one product H_k V beyond the eigh: no
+eigenvector phase is fixed and no finite difference is left in the jets.
+Real Levi matrices run in real arithmetic (``ManifoldModel.hermitian_stack``).
 
 For the quadric models every quantity below is exact:
 
@@ -63,7 +65,8 @@ def normal_direction(model: ManifoldModel, zeta):
 @dataclass
 class BarrierJetBatch:
     """Barrier section values and Wirtinger jets over a batch of zeta at
-    fixed z.  All arrays lead with the batch axis."""
+    fixed z.  All arrays but the constant H lead with the batch axis; the
+    mixed jet is formed per block from H, dG and dtheta."""
 
     P: np.ndarray              # (N, n)
     Phi: np.ndarray            # (N,)
@@ -73,20 +76,26 @@ class BarrierJetBatch:
     dPhi_dzetabar: np.ndarray  # (N, n)
     # factors of the mixed jet d^2 P / d zetabar d zbar; None for m = 1,
     # where theta is constant on each sheet and the jet vanishes
-    dH: np.ndarray = None      # (N, m, n, n): d (dP_dzbar) / d theta_k
-                               # = H_k - dG_k on the z'-block
+    H: np.ndarray = None       # (m, d, d): the Levi matrices H_k
+    dG: np.ndarray = None      # (N, m, d, d): d G / d theta_k
     dtheta: np.ndarray = None  # (N, m, n): d theta_k / d zetabar_j
 
     def dP_mixed(self, V, blk):
         """sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the nodes
         ``blk``, shape (B, a, i, j), or None where it vanishes.
 
-        dP_dzbar = theta . H - G depends on zeta only through theta, so the
-        mixed jet is V . dH . dtheta.
+        dP_dzbar = theta . H - G on the z'-block depends on zeta only through
+        theta, so the mixed jet is V . (H_k - dG_k) . dtheta_k there and zero
+        on the rows i >= d.
         """
-        if self.dH is None:
+        if self.dG is None:
             return None
-        return np.einsum("al,Nkli,Nkj->Naij", V, self.dH[blk], self.dtheta[blk])
+        d = self.H.shape[1]
+        VdH = np.tensordot(V[:, :d], self.H, axes=(1, 1))[None] \
+            - np.swapaxes(V[:, :d] @ self.dG[blk], 1, 2)  # (B, a, m, d)
+        out = np.zeros(VdH.shape[:2] + (V.shape[1],) * 2, dtype=complex)
+        out[:, :, :d] = np.swapaxes(VdH, 2, 3) @ self.dtheta[blk, None]
+        return out
 
 
 def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
@@ -96,7 +105,10 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     From one batched eigh of M = -theta . H with A_k = -(H_k + theta_k M),
     dPi_k = sum_{i kept, j dropped} (v_i v_i^H A_k v_j v_j^H + h.c.) /
     (lambda_i - lambda_j) (Kato, Perturbation Theory for Linear Operators,
-    II sec. 2) and ds^2_k = -CORRECTION_MARGIN v_min^H A_k v_min.  Raises
+    II sec. 2) and ds^2_k = -CORRECTION_MARGIN v_min^H A_k v_min.  By M v =
+    lambda v both pairings need only H_k V: v_i^H A_k v_j = -v_i^H H_k v_j
+    (i != j) and v_min^H A_k v_min = -v_min^H H_k v_min - theta_k lambda_min.
+    Real Levi matrices keep the eigh, G and dG real.  Raises
     :class:`FrameGapError` where a kept/dropped gap is below FRAME_GAP_WARN.
     """
     sheet = slice(None)
@@ -105,23 +117,24 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
         thetas, with_derivative = np.where(present, 1.0, -1.0)[:, None], False
     thetas = thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
     count = model.n - model.q - model.m
-    H = np.stack(model.hermitian)                         # (m, d, d)
-    M = -np.tensordot(thetas, H, axes=(1, 0))
-    lam, vec = np.linalg.eigh(M)
+    H = model.hermitian_stack                             # (m, d, d)
+    lam, vec = np.linalg.eigh(-np.tensordot(thetas, H, axes=(1, 0)))
     kept, dropped = vec[:, :, :count], vec[:, :, count:]
     scale2 = CORRECTION_MARGIN * np.maximum(1.0, -lam[:, 0])
-    G = np.einsum("Nic,Njc->Nij", kept, kept.conj())      # Pi
+    G = kept @ np.swapaxes(kept.conj(), 1, 2)             # Pi
     if not with_derivative:
         G *= scale2[:, None, None]
         return G[sheet], None
     gap = lam[:, :count, None] - lam[:, None, count:]      # (N, c, d - c) < 0
     if np.any(gap > -FRAME_GAP_WARN):
         raise FrameGapError(f"frame gap {-gap.max():.1e} below FRAME_GAP_WARN")
-    A = -(H + thetas[:, :, None, None] * M[:, None])       # (N, m, d, d)
-    B = np.einsum("Nic,Nkij,Njr->Nkcr", kept.conj(), A, dropped) / gap[:, None]
-    half = np.einsum("Nic,Nkcr,Njr->Nkij", kept, B, dropped.conj())
-    vmin = vec[:, :, 0]
-    dlam = np.einsum("Ni,Nkij,Nj->Nk", vmin.conj(), A, vmin).real
+    HV = np.tensordot(H, vec, axes=(2, 1)).transpose(2, 0, 1, 3)  # H_k V
+    # kept^H A_k dropped / gap = -kept^H H_k dropped / gap, (N, m, c, d - c)
+    B = (np.swapaxes(kept.conj(), 1, 2)[:, None] @ HV[..., count:]) \
+        / -gap[:, None]
+    half = kept[:, None] @ B @ np.swapaxes(dropped.conj(), 1, 2)[:, None]
+    dlam = -np.einsum("Ni,Nki->Nk", vec[:, :, 0].conj(), HV[..., 0]).real \
+        - thetas * lam[:, :1]
     # at the kink lambda_min = -1 the flat side (ds^2 = 0) is taken
     ds2 = np.where(lam[:, :1] < -1.0, -CORRECTION_MARGIN * dlam, 0.0)
     dG = scale2[:, None, None, None] * (half + np.swapaxes(half.conj(), 2, 3)) \
@@ -143,39 +156,37 @@ def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
     z = np.asarray(z, dtype=complex)
     N, n, d = zetas.shape[0], model.n, model.tangential_dim
     w = zetas - z[None, :]
-    wbar = w[:, :d].conj()
+    wbar = w[:, None, :d].conj()                           # (N, 1, d)
     vec, norm = model.defining_values(zetas)
     if np.any(norm <= model.tol_on_manifold):
         raise ThetaUndefinedError("batch contains points on the manifold")
     thetas = -vec / norm[:, None]
     Q = np.stack([gradient_section(model, k, None, z) for k in range(model.m)])
-    H = np.stack(model.hermitian)
     G, dG = _frames_for_thetas(model, thetas)
 
     P = thetas @ Q
-    P[:, :d] += np.einsum("Nli,Nl->Ni", G, wbar)
+    P[:, :d] += (wbar @ G)[:, 0]
     dP_dzbar = np.zeros((N, n, n), dtype=complex)
-    dP_dzbar[:, :d, :d] = np.tensordot(thetas, H, axes=(1, 0)) - G
+    dP_dzbar[:, :d, :d] = np.tensordot(thetas, model.hermitian_stack,
+                                       axes=(1, 0)) - G
     dP_dzetabar = np.zeros((N, n, n), dtype=complex)
-    dP_dzetabar[:, :d, :d] = G
-    dH = dtheta = None
+    dtheta = None
     if dG is not None:
         # theta = -rho_vec / rho moves along the sphere: d theta / d zetabar
         # = -(1 - theta theta^T) d rho_vec / d zetabar / rho
         dbar = model.holo_gradients(zetas).conj()           # (N, m, n)
-        dtheta = -(dbar - thetas[:, :, None] * np.einsum(
-            "Ns,Nsl->Nl", thetas, dbar)[:, None]) / norm[:, None, None]
-        dP_dzetabar += np.einsum("Nkl,ki->Nli", dtheta, Q)
-        dP_dzetabar[:, :, :d] += np.einsum(          # conj(w) . dG_k first
-            "Nkl,Nki->Nli", dtheta, np.einsum("Nj,Nkji->Nki", wbar, dG))
-        dH = np.zeros((N, model.m, n, n), dtype=complex)
-        dH[:, :, :d, :d] = H - dG
+        dtheta = -(dbar - thetas[:, :, None] * (thetas[:, None] @ dbar)) \
+            / norm[:, None, None]
+        QW = np.repeat(Q[None], N, axis=0)  # Q_k + conj(w) . dG_k
+        QW[:, :, :d] += (wbar[:, None] @ dG)[:, :, 0]
+        dP_dzetabar = np.swapaxes(dtheta, 1, 2) @ QW
+    dP_dzetabar[:, :d, :d] += G
     return BarrierJetBatch(
         P=P, Phi=np.einsum("Ni,Ni->N", P, w), dP_dzbar=dP_dzbar,
         dP_dzetabar=dP_dzetabar,
-        dPhi_dzbar=np.einsum("Nli,Ni->Nl", dP_dzbar, w),
-        dPhi_dzetabar=np.einsum("Nli,Ni->Nl", dP_dzetabar, w),
-        dH=dH, dtheta=dtheta)
+        dPhi_dzbar=(dP_dzbar @ w[:, :, None])[:, :, 0],
+        dPhi_dzetabar=(dP_dzetabar @ w[:, :, None])[:, :, 0],
+        H=model.hermitian_stack, dG=dG, dtheta=dtheta)
 
 
 def barrier_phase(model: ManifoldModel, zetas, z,

@@ -84,6 +84,9 @@ class ManifoldModel:
         if self.radius <= 0:
             raise ModelValidationError("chart radius must be positive")
         self.tol_on_manifold = 1e-9 * self.radius
+        # (m, d, d) stack of the H_k, real (real arithmetic) if every H_k is
+        H = np.stack(self.hermitian)
+        self.hermitian_stack = H if H.imag.any() else H.real.copy()
         # d(rho_1) ^ ... ^ d(rho_m) != 0 holds automatically for graph
         # quadrics: the Im w_k gradient components form an identity block.
 
@@ -100,9 +103,8 @@ class ManifoldModel:
     def height(self, zp):
         """Graph heights h_k(z') = <H_k z', z'> (real array, shape (..., m))."""
         zp = np.asarray(zp, dtype=complex)
-        cols = [np.einsum("...i,ij,...j->...", zp.conj(), h, zp).real
-                for h in self.hermitian]
-        return np.stack(cols, axis=-1)
+        hz = np.tensordot(zp, self.hermitian_stack, axes=(-1, 2))
+        return np.einsum("...ki,...i->...k", hz, zp.conj()).real
 
     def defining_values(self, z):
         """(rho_1, ..., rho_m) and the Euclidean norm rho(z)."""
@@ -128,18 +130,16 @@ class ManifoldModel:
 
     def holo_gradient(self, k, z):
         """d rho_k / d zeta at z, shape (..., n)."""
-        z = np.asarray(z, dtype=complex)
-        zp, _ = self.split(z)
-        g = np.zeros(z.shape, dtype=complex)
-        g[..., :self.tangential_dim] = -np.einsum(
-            "...i,ij->...j", zp.conj(), self.hermitian[k])
-        g[..., self.tangential_dim + k] = 1.0 / 2.0j
-        return g
+        return self.holo_gradients(z)[..., k, :]
 
     def holo_gradients(self, z):
         """All m holomorphic gradients stacked, shape (..., m, n)."""
-        return np.stack([self.holo_gradient(k, z) for k in range(self.m)],
-                        axis=-2)
+        zp, d, m = self.split(z)[0], self.tangential_dim, self.m
+        g = np.zeros(zp.shape[:-1] + (m, self.n), dtype=complex)
+        g[..., :d] = -np.tensordot(zp.conj(), self.hermitian_stack,
+                                   axes=(-1, 1))
+        g[..., range(m), range(d, d + m)] = 1.0 / 2.0j
+        return g
 
     def levi_block(self, k):
         """z'-block of the Hermitian-form matrix of the Levi form of rho_k."""

@@ -138,10 +138,9 @@ class QuadratureGrid:
         rho_vec = self.epsilon * sigma
         zeta = model.graph_point(zp, u, rho_vec)
 
-        hz = np.stack([np.einsum("ij,Nj->Ni", h, zp) for h in model.hermitian],
-                      axis=1)                          # (N, m, d)
+        hz = np.tensordot(zp, model.hermitian_stack, axes=(1, 2))  # (N, m, d)
         conormal = np.concatenate(
-            [-2.0 * np.einsum("Nk,Nkj->Nj", sigma, hz), 1j * sigma], axis=1)
+            [-2.0 * (sigma[:, None] @ hz)[:, 0], 1j * sigma], axis=1)
         conormal *= self.epsilon ** (m - 1)
         return NodeChunk(zeta=zeta, weight=weight, conormal=conormal,
                          surface_jac=np.linalg.norm(conormal, axis=1),

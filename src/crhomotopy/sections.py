@@ -102,25 +102,25 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
     eta = jets.P * inv[:, None]
     # beta[k, l] = dP[l, k]/phi - P[k] dphi[l]/phi^2
     beta = (np.swapaxes(jets.dP_dzbar, 1, 2) * inv[:, None, None]
-            - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzbar)
+            - jets.P[:, :, None] * jets.dPhi_dzbar[:, None, :]
             * inv2[:, None, None])
     gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
-             - np.einsum("Nk,Nl->Nkl", jets.P, jets.dPhi_dzetabar)
+             - jets.P[:, :, None] * jets.dPhi_dzetabar[:, None, :]
              * inv2[:, None, None])
     if directions is None:
         return eta, beta, gamma, phi
     V = np.asarray(directions, dtype=complex)
 
     def along(blk):
-        d_eta = np.einsum("Nkl,al->Nak", beta[blk], V)
+        d_eta = V @ np.swapaxes(beta[blk], 1, 2)             # (B, d, n)
         d_phi = jets.dPhi_dzbar[blk] @ V.T                 # (B, d)
         d_gamma = -(d_eta[..., None] * jets.dPhi_dzetabar[blk, None, None, :]
                     + gamma[blk, None] * d_phi[..., None, None])
         mixed = jets.dP_mixed(V, blk)
         if mixed is not None:
             w = zetas[blk] - z[None, :]
-            d_gamma += mixed - eta[blk, None, :, None] * np.einsum(
-                "Naij,Ni->Naj", mixed, w)[:, :, None, :]
+            d_gamma += mixed - eta[blk, None, :, None] * (
+                w[:, None, None] @ mixed)
         return d_eta, d_gamma * inv[blk, None, None, None]
 
     return eta, beta, gamma, phi, along

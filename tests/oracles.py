@@ -414,6 +414,44 @@ def scaled_frame_rows(model: ManifoldModel, theta_vec) -> np.ndarray:
     return frame.scale * frame.rows
 
 
+def kato_frame_derivative(model: ManifoldModel, thetas):
+    """G = s^2 Pi and dG / d theta along the unit sphere, (N, d, d) and
+    (N, m, d, d), from the per-node tensor A_k = -(H_k + theta_k M) of
+    M = -theta . H in complex arithmetic: dPi_k = sum_{i kept, j dropped}
+    (v_i v_i^H A_k v_j v_j^H + h.c.) / (lambda_i - lambda_j) (Kato, II
+    sec. 2) and ds^2_k = -CORRECTION_MARGIN v_min^H A_k v_min, without the
+    eigen-equation that ``barrier._frames_for_thetas`` uses to drop A_k."""
+    thetas = thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
+    count = model.n - model.q - model.m
+    H = np.stack(model.hermitian).astype(complex)
+    M = -np.tensordot(thetas, H, axes=(1, 0))
+    lam, vec = np.linalg.eigh(M)
+    kept, dropped = vec[:, :, :count], vec[:, :, count:]
+    scale2 = CORRECTION_MARGIN * np.maximum(1.0, -lam[:, 0])
+    Pi = np.einsum("Nic,Njc->Nij", kept, kept.conj())
+    gap = lam[:, :count, None] - lam[:, None, count:]
+    A = -(H + thetas[:, :, None, None] * M[:, None])
+    B = np.einsum("Nic,Nkij,Njr->Nkcr", kept.conj(), A, dropped) / gap[:, None]
+    half = np.einsum("Nic,Nkcr,Njr->Nkij", kept, B, dropped.conj())
+    vmin = vec[:, :, 0]
+    dlam = np.einsum("Ni,Nkij,Nj->Nk", vmin.conj(), A, vmin).real
+    ds2 = np.where(lam[:, :1] < -1.0, -CORRECTION_MARGIN * dlam, 0.0)
+    dG = scale2[:, None, None, None] * (half + np.swapaxes(half.conj(), 2, 3)) \
+        + ds2[:, :, None, None] * Pi[:, None]
+    return scale2[:, None, None] * Pi, dG
+
+
+def padded_dP_mixed(model: ManifoldModel, jets, V, blk):
+    """sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the nodes ``blk``,
+    (B, a, i, j), from the zero-padded (B, m, n, n) tensor dH = H_k - dG_k
+    on the z'-block of :class:`barrier.BarrierJetBatch`."""
+    d = model.tangential_dim
+    dG = jets.dG[blk]
+    dH = np.zeros(dG.shape[:2] + (model.n, model.n), dtype=complex)
+    dH[:, :, :d, :d] = np.stack(model.hermitian) - dG
+    return np.einsum("al,Nkli,Nkj->Naij", V, dH, jets.dtheta[blk])
+
+
 @dataclass
 class BarrierEval:
     """All barrier quantities at one (zeta, z) pair."""

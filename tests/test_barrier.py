@@ -3,8 +3,9 @@ import pytest
 
 from crhomotopy import barrier, geometry
 from crhomotopy.errors import FrameGapError, ThetaUndefinedError
-from oracles import (correction_frame, evaluate_barrier, loglog_fit,
-                     off_manifold_point, random_directions, random_quadric,
+from oracles import (correction_frame, evaluate_barrier,
+                     kato_frame_derivative, loglog_fit, off_manifold_point,
+                     padded_dP_mixed, random_directions, random_quadric,
                      scaled_frame_rows, split_correction_dbar)
 
 
@@ -163,6 +164,42 @@ class TestProjectorFrames:
                 errs.append(np.max(np.abs(fd - dG)))
             assert errs[0] < 1e-6 * np.max(np.abs(dG))
             assert 3.5 < errs[0] / errs[1] < 4.5
+
+    def test_derivative_matches_kato_oracle(self, primary, secondary):
+        # dG from the eigen-equation against the per-node A_k tensor, and
+        # dP_mixed against the zero-padded dH contraction, over a zeta batch
+        rng = np.random.default_rng(13)
+        for model, thetas in self._models(primary, secondary)[1:]:
+            G, dG = barrier._frames_for_thetas(model, thetas)
+            G_ref, dG_ref = kato_frame_derivative(model, thetas)
+            assert np.max(np.abs(G - G_ref)) < 1e-12 * np.max(np.abs(G_ref))
+            assert np.max(np.abs(dG - dG_ref)) \
+                < 1e-12 * np.max(np.abs(dG_ref))
+            z = np.zeros(model.n, dtype=complex)
+            zetas = barrier._sample_pairs(model, z, 64, 0.2, rng)
+            jets = barrier.barrier_jets(model, zetas, z)
+            V = rng.standard_normal((3, model.n)) \
+                + 1j * rng.standard_normal((3, model.n))
+            blk = slice(8, 40)
+            ref = padded_dP_mixed(model, jets, V, blk)
+            assert np.max(np.abs(jets.dP_mixed(V, blk) - ref)) \
+                < 1e-12 * np.max(np.abs(ref))
+
+    def test_complex_path_matches_conjugated_real_model(self, secondary):
+        # H'_k = U H_k U^H with a complex diagonal unitary U forces the
+        # complex path; the projector and its derivative conjugate along
+        U = np.diag(np.exp(1j * np.array([0.3, -1.1, 2.0, 0.7])))
+        twisted = geometry.ManifoldModel(
+            n=secondary.n, m=secondary.m, q=secondary.q,
+            hermitian=[U @ h @ U.conj().T for h in secondary.hermitian])
+        assert secondary.hermitian_stack.dtype == float
+        assert twisted.hermitian_stack.dtype == complex
+        thetas = random_directions(2, 40, np.random.default_rng(3))
+        G, dG = barrier._frames_for_thetas(secondary, thetas)
+        G2, dG2 = barrier._frames_for_thetas(twisted, thetas)
+        assert G.dtype == dG.dtype == float
+        assert np.max(np.abs(G2 - U @ G @ U.conj().T)) < 1e-13
+        assert np.max(np.abs(dG2 - U @ dG @ U.conj().T)) < 1e-13
 
     def test_closed_frame_gap_raises(self):
         # certified at resolution 16 with no gap warning, but the cut gap
