@@ -4,7 +4,7 @@ operators on embedded quadric CR models.
 Subpackage map:
 
 - ``geometry``   quadric models, Levi eigenvalue data, concavity certification,
-                 frames
+                 holomorphic tangent rows
 - ``barrier``    phase sections, the correction projector, positivity and
                  expansion audits
 - ``cf_forms``   the determinant form of a section as an array form on the

@@ -66,7 +66,8 @@ def normal_direction(model: ManifoldModel, zeta):
 class BarrierJetBatch:
     """Barrier section values and Wirtinger jets over a batch of zeta at
     fixed z.  All arrays but the constant H lead with the batch axis; the
-    mixed jet is formed per block from H, dG and dtheta."""
+    mixed jet is never formed, only its pullback :meth:`dP_mixed` from H, dG
+    and dtheta."""
 
     P: np.ndarray              # (N, n)
     Phi: np.ndarray            # (N,)
@@ -80,22 +81,21 @@ class BarrierJetBatch:
     dG: np.ndarray = None      # (N, m, d, d): d G / d theta_k
     dtheta: np.ndarray = None  # (N, m, n): d theta_k / d zetabar_j
 
-    def dP_mixed(self, V, blk):
-        """sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the nodes
-        ``blk``, shape (B, a, i, j), or None where it vanishes.
+    def dP_mixed(self, V, blk, A):
+        """Pullback of the mixed jet through the adjoint A (B, n, n) over the
+        nodes ``blk``: the sum over blk and (i, j) of A[:, i, j] sum_l V[a, l]
+        d^2 P_i / d zetabar_j d zbar_l, shape (a,); for m >= 2 only.
 
         dP_dzbar = theta . H - G on the z'-block depends on zeta only through
-        theta, so the mixed jet is V . (H_k - dG_k) . dtheta_k there and zero
-        on the rows i >= d.
+        theta, so the mixed jet is V (H_k - dG_k) dtheta_k^T on the z'-rows
+        and zero on the rows i >= d.  Its pullback is sum_k (V (H_k - dG_k))
+        . (A dtheta_k^T) on the z'-rows, the node sum taken before V.
         """
-        if self.dG is None:
-            return None
         d = self.H.shape[1]
-        VdH = np.tensordot(V[:, :d], self.H, axes=(1, 1))[None] \
-            - np.swapaxes(V[:, :d] @ self.dG[blk], 1, 2)  # (B, a, m, d)
-        out = np.zeros(VdH.shape[:2] + (V.shape[1],) * 2, dtype=complex)
-        out[:, :, :d] = np.swapaxes(VdH, 2, 3) @ self.dtheta[blk, None]
-        return out
+        Y = A[:, :d] @ np.swapaxes(self.dtheta[blk], 1, 2)        # (B, d, m)
+        u = np.einsum("kli,ik->l", self.H, Y.sum(axis=0)) \
+            - np.einsum("Nkli,Nik->l", self.dG[blk], Y)
+        return V[:, :d] @ u
 
 
 def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):

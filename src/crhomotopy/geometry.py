@@ -1,5 +1,6 @@
 """Quadric CR models: defining functions, directional Levi eigenvalue data,
-concavity certification, the modified defining form and tangential frames.
+concavity certification, the modified defining form and the holomorphic
+tangent rows.
 
 A model is the graph quadric
 
@@ -26,7 +27,6 @@ from importlib import resources
 import numpy as np
 
 from .errors import (
-    DegeneratePointError,
     InvalidDirectionError,
     ModelParseError,
     ModelValidationError,
@@ -355,20 +355,8 @@ def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
 
 
 # ---------------------------------------------------------------------------
-# tangential frame
+# holomorphic tangent rows
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TangentialFrame:
-    """Pointwise frame: W rows span T', their conjugates span T'',
-    Y rows complete the real tangent space, normals are the rho gradients."""
-
-    point: np.ndarray
-    W: np.ndarray        # (n - m, n) coefficient rows against d/d zeta
-    Wbar: np.ndarray     # (n - m, n) coefficient rows against d/d zeta-bar
-    Y: np.ndarray        # (m, n) complex velocity rows of real fields
-    normal: np.ndarray   # (m, n) complex velocities of the gradient directions
-
 
 def holomorphic_tangent_rows(model: ManifoldModel, z):
     """Rows of W_i = d/dz'_i + 2i sum_l conj((H_l z')_i) d/dw_l.
@@ -387,64 +375,6 @@ def holomorphic_tangent_rows(model: ManifoldModel, z):
         hz = np.einsum("ij,...j->...i", h, zp)
         rows[..., :, d + l] = 2.0j * hz.conj()
     return rows
-
-
-def _real_velocity_matrix(vels_complex):
-    """Real 2n x k matrix from complex velocity columns (interleaved re/im)."""
-    v = np.asarray(vels_complex)
-    out = np.empty((2 * v.shape[0], v.shape[1]))
-    out[0::2] = v.real
-    out[1::2] = v.imag
-    return out
-
-
-def tangential_frame(model: ManifoldModel, z) -> TangentialFrame:
-    """Frame at a point on the manifold (rank-verified)."""
-    z = np.asarray(z, dtype=complex)
-    _, rho_norm = model.defining_values(z)
-    if rho_norm > 100 * model.tol_on_manifold:
-        raise DegeneratePointError(
-            f"point is off the manifold: rho = {float(rho_norm):.3e}")
-    W = holomorphic_tangent_rows(model, z)
-    grads = model.holo_gradients(z)
-
-    # coordinate system (rho_k, Im F_k, Re z'_j, Im z'_j); Y_k is the
-    # coordinate-dual field of Im F_k, computed by inverting the real Jacobian
-    n, m, d = model.n, model.m, model.tangential_dim
-    jac = np.zeros((2 * n, 2 * n))
-    for k in range(m):
-        g = grads[k]
-        # d rho_k(v) = 2 Re(sum_a g_a v_a)
-        jac[k, 0::2] = 2.0 * g.real
-        jac[k, 1::2] = -2.0 * g.imag
-        # Im F_k(zeta) = Im <-g, zeta - z>: differential v -> Im(-sum g_a v_a)
-        jac[m + k, 0::2] = -g.imag
-        jac[m + k, 1::2] = -g.real
-    for j in range(d):
-        jac[2 * m + 2 * j, 2 * j] = 1.0       # Re z'_j
-        jac[2 * m + 2 * j + 1, 2 * j + 1] = 1.0  # Im z'_j
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise DegeneratePointError("coordinate Jacobian is singular")
-    inv = np.linalg.inv(jac)
-    Y = np.empty((m, n), dtype=complex)
-    for k in range(m):
-        col = inv[:, m + k]
-        Y[k] = col[0::2] + 1j * col[1::2]
-    normal = 2.0 * grads.conj()
-
-    # full-rank audit of the real span of (W, conj W, Y)
-    reals = []
-    for i in range(d):
-        reals.append(W[i])
-        reals.append(1j * W[i])
-    for k in range(m):
-        reals.append(Y[k])
-    mat = _real_velocity_matrix(np.array(reals).T)
-    rank = np.linalg.matrix_rank(mat, tol=1e-8)
-    if rank != 2 * n - m:
-        raise DegeneratePointError(f"frame rank {rank} != {2 * n - m}")
-    return TangentialFrame(point=z, W=W, Wbar=W.conj(), Y=Y, normal=normal)
 
 
 # ---------------------------------------------------------------------------

@@ -36,20 +36,28 @@ k-form W, and the Hodge star in n - 1 dimensions gives every total as
 times (-1)^p / w_p.
 
 The identity residual needs dbar_M R_1 f, the conjugate-frame derivative
-sum_l conj(a_il) d/dzbar_l of the degree-0 value.  It is analytic: the
-mixed section jets d gamma / d zbar (closed form for the euclidean section;
-for the barrier, P is affine in zbar with zeta-only coefficients) are
-contracted with the adjoint dT / d gamma'_t of the folded total on the
-non-pivot rows, per block of nodes, in the same pass that forms the value
-(:func:`_tangent_block`); w_p has no zbar-derivative.  The 16-point
-finite-difference stencil (``tangential_dbar_scalar`` in
+sum_l conj(a_il) d/dzbar_l of the degree-0 value.  It is analytic and
+taken in reverse mode (Griewank and Walther, Evaluating Derivatives, 2nd
+ed. 2008, ch. 3), per block of nodes, in the same pass that forms the value
+(:func:`_tangent_block`): the adjoints dT / d tau' and dT / d gamma'_t of
+the folded total on the non-pivot rows, scattered back to n rows, are
+pulled back through the sections.  Each section returns sum over the block
+of x . D_a eta + <A, D_a gamma> for adjoints x and A, in O(n^2) per node
+from the rank structure of its mixed jets (closed form for the euclidean
+section; for the barrier, P is affine in zbar with zeta-only
+coefficients), so no mixed-jet tensor is formed; w_p has no
+zbar-derivative.  The value and the adjoint share one interior-product
+chain: G_t is one more level on F_t = W(rows R of gamma'_t, .).  The
+16-point finite-difference stencil (``tangential_dbar_scalar`` in
 ``tests/oracles.py``) is its test oracle, and the full-row contraction
-there (``full_row_folded_coefficients``) is the oracle of the reduction.
+there (``full_row_folded_coefficients``) on the mixed-jet tensors is the
+oracle of the reduction and of the pullback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 
 import numpy as np
@@ -104,11 +112,16 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); each block gathers the
     non-pivot rows of the jets, and its W is scaled by (-1)^p / w_p.
 
-    ``tangent`` (solution kind, r_out = 0) is the pair of ``along``
+    ``tangent`` (solution kind, r_out = 0) is the pair of ``pullback``
     functions of the t = 0 and t = 1 section jets (see
     :func:`~crhomotopy.sections.bochner_martinelli_jets`); the derivatives
     of the sum along their directions are then returned too, as (sum,
-    derivatives), by :func:`_tangent_block`.
+    derivatives), by :func:`_tangent_block`.  On that path one
+    interior-product chain serves the value and the adjoint: per t-node, F_t
+    = W(rows R of gamma'_t, .) over the (k - 1)-subsets R of the n - 1 rows
+    is formed once, and G_t is one more level on it, G_t[S] = sum_l F_t[S
+    without its last row][l] gamma'_t[last row of S, l] (no sign: the last
+    interior product meets the empty tuple).
     """
     N, n = w.shape
     k = n - 1 - r_out - (tau is not None)
@@ -139,26 +152,39 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     W = W.T
     total = np.zeros(len(index_combinations(n, r_out)), dtype=complex)
     d_total = 0.0
+    if tangent is not None:     # G[S] reads F[S[:-1]] and row S[-1]
+        prefixes = index_combinations(n - 1, k - 1)
+        subsets = index_combinations(n - 1, k)
+        prefix = np.array([prefixes.index(S[:-1]) for S in subsets])
+        last = np.array([S[-1] for S in subsets])
     for lo in range(0, N, BLOCK):
         blk = slice(lo, lo + BLOCK)
         W_blk = W[:, blk] * scale[blk]
+        B = W_blk.shape[1]
         front = rows(tau).T if tau is not None else None
         # gamma rows (row * n + c, B) and beta columns (column * (n-1) + row)
         gammas = [g.transpose(1, 2, 0).reshape((n - 1) * n, -1)
                   for g in at_t(gamma0, gamma)]
-        gs = [weight * evaluate_form(W_blk, g, n, k, k)
-              for g, (_, weight) in zip(gammas, t_rule)]
-        if r_out:
-            acc = sum(evaluate_form(
-                star_front(G), b.transpose(2, 1, 0).reshape(n * (n - 1), -1),
-                n - 1, r_out, r_out) for G, b in zip(gs, at_t(beta0, beta)))
-        elif tangent is None:   # no beta column: tau' alone, or a 0-form
-            acc = star_front(sum(gs))
-        else:
-            acc, d_acc = _tangent_block(W_blk, front, sum(gs), gammas,
-                                        t_rule, [f(blk) for f in tangent],
-                                        keep[blk])
+        if tangent is not None:
+            Fs = [evaluate_form(W_blk, g, n, k, k - 1).reshape(-1, n, B)
+                  for g in gammas]
+            G = sum(weight * np.sum(F[prefix] * g.reshape(-1, n, B)[last], 1)
+                    for F, g, (_, weight) in zip(Fs, gammas, t_rule))
+            acc, d_acc = _tangent_block(
+                front, G, Fs, t_rule, [partial(f, blk) for f in tangent],
+                keep[blk])
             d_total = d_total + d_acc
+        else:
+            gs = [weight * evaluate_form(W_blk, g, n, k, k)
+                  for g, (_, weight) in zip(gammas, t_rule)]
+            if r_out:
+                acc = sum(evaluate_form(
+                    star_front(G),
+                    b.transpose(2, 1, 0).reshape(n * (n - 1), -1),
+                    n - 1, r_out, r_out)
+                    for G, b in zip(gs, at_t(beta0, beta)))
+            else:               # no beta column: tau' alone, or a 0-form
+                acc = star_front(sum(gs))
         total += acc.sum(axis=1)
     # det[beta'_L | gamma'_M | tau'] = (-1)^n (*G)(tau', beta'_L)
     if tau is not None:
@@ -166,12 +192,13 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     return total if tangent is None else (total, d_total)
 
 
-def _tangent_block(W, tau, G, gammas, t_rule, along, keep):
+def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep):
     """One block of the degree-0 solution total T = (*G)(tau) on the n - 1
     non-pivot rows, G = sum_t weight_t W(non-pivot rows of gamma_t) already
-    scaled by (-1)^p / w_p, and its derivatives D_a T along the directions of
-    ``along`` = ((D eta0, D gamma0), (D eta1, D gamma1)), the section
-    derivatives of shapes (B, d, n) and (B, d, n, n), tau = eta1 - eta0.
+    scaled by (-1)^p / w_p, and its derivatives D_a T, tau = eta1 - eta0.
+    ``Fs`` holds F_t = W(rows R of gamma_t, .), shape (R, l, B), of each
+    t-node, ``pullbacks`` the section pullbacks (x, A) -> sum over the block
+    of x . D_a eta + <A, D_a gamma> of the t = 0 and t = 1 sections, and
     ``keep`` (B, n) marks the non-pivot rows.  Returns (T per node (1, B),
     D T summed over the block (d,)).
 
@@ -179,32 +206,30 @@ def _tangent_block(W, tau, G, gammas, t_rule, along, keep):
     (-1)^p / w_p has no derivative (w is holomorphic in z, p is locally
     constant), so D T = X . D tau + the gamma terms.  gamma_t enters by
     reverse mode: T = <c, G> with the (n - 2)-vector c = (-1)^n *tau, so
-    dT / d gamma_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s c)[R] W(rows R of
-    gamma_t, .)[l] over the (k-1)-subsets R of the n - 1 rows.  X and the
-    adjoints, weighted (1 - t) and t, are scattered back to n rows with a
-    zero pivot row and contracted with D tau, D gamma0 and D gamma1.  The
-    cost does not grow with the number of directions.
+    dT / d gamma_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s c)[R] F_t[R][l]
+    over the (k-1)-subsets R of the n - 1 rows.  X and the adjoints,
+    weighted (1 - t) and t, are scattered back to n rows with a zero pivot
+    row and pulled back through the sections, so no mixed-jet tensor is
+    formed and the cost does not grow with the number of directions.
     """
     n1, B = tau.shape                           # n - 1 rows
     n, k = n1 + 1, n1 - 1
     X = hodge_star(G, n1, k)                                        # (n1, B)
     c = (-1.0) ** n * hodge_star(tau, n1, 1)
     ic = evaluate_form(c, np.eye(n1).reshape(-1, 1), n1, k, 1)
-    ic = ic.reshape(n1, -1, B).transpose(2, 0, 1)                   # (B, s, R)
-    reduced = np.zeros((B, n1, 2 * n + 1), dtype=complex)  # adj. 0, 1 | X
+    ic = (-1.0) ** (k - 1) * ic.reshape(n1, -1, B).transpose(2, 0, 1)
+    # F_t weighted (1 - t) and t: the adjoints of gamma0 and gamma1 in one @
+    F01 = np.concatenate([
+        sum((1.0 - t) * weight * F for F, (t, weight) in zip(Fs, t_rule)),
+        sum(t * weight * F for F, (t, weight) in zip(Fs, t_rule))], axis=1)
+    reduced = np.empty((B, n1, 2 * n + 1), dtype=complex)  # adj. 0, 1 | X
+    np.matmul(ic, F01.transpose(2, 0, 1), out=reduced[:, :, :-1])
     reduced[:, :, -1] = X.T
-    for gamma, (t, weight) in zip(gammas, t_rule):
-        F = evaluate_form(W, gamma, n, k, k - 1).reshape(-1, n, B)  # (R, l, B)
-        adj = weight * (ic @ F.transpose(2, 0, 1))                  # (B, s, l)
-        reduced[:, :, :n] += (1.0 - t) * adj
-        reduced[:, :, n:-1] += t * adj
     full = np.zeros((B, n, 2 * n + 1), dtype=complex)
     full[keep] = reduced.reshape(-1, 2 * n + 1)
-    (d_eta0, d_gamma0), (d_eta1, d_gamma1) = along
-    d_acc = np.einsum("Nc,Nac->a", full[:, :, -1], d_eta1 - d_eta0)
-    d_acc = d_acc + (-1.0) ** (k - 1) * (
-        np.einsum("Nsl,Nasl->a", full[:, :, :n], d_gamma0)
-        + np.einsum("Nsl,Nasl->a", full[:, :, n:-1], d_gamma1))
+    x = full[:, :, -1]
+    d_acc = (pullbacks[0](-x, full[:, :, :n])
+             + pullbacks[1](x, full[:, :, n:-1]))
     return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 
@@ -271,7 +296,7 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
     ``_frames`` (private to :func:`identity_residual`) gives per point None
     or rows v_a of shape (d, n); such a point (solution kind, degree-1
     input) also gets ``dbar``, the derivatives sum_l v_a[l] d / d zbar_l of
-    its value, from the mixed section jets by :func:`_tangent_block`.
+    its value, by :func:`_tangent_block` and the section pullbacks.
     """
     z_list = [np.asarray(z, dtype=complex) for z in z_list]
     field_of = (list(field) if isinstance(field, (list, tuple))
@@ -318,17 +343,17 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                     bochner_martinelli_jets(chunk.zeta, z, frame)
                     if kind == "solution" else None,
                     chunk.zeta - z[None, :])
-            (eta1, beta1, gamma1, phi, *along1), euclid, w = shared[1]
+            (eta1, beta1, gamma1, phi, *pull1), euclid, w = shared[1]
             bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
             rejected[zi] += int(np.sum(bad & live))
             W_kept = W * ~bad[:, None]
             if kind == "solution":
-                eta0, beta0, gamma0, *along0 = euclid
+                eta0, beta0, gamma0, *pull0 = euclid
                 folded = _folded_coefficients(
                     W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
                     start=(beta0, gamma0),
                     t_rule=tuple(zip(grid.t_nodes, grid.t_weights)),
-                    tangent=along0 + along1 if frame is not None else None)
+                    tangent=pull0 + pull1 if frame is not None else None)
             else:
                 folded = _folded_coefficients(W_kept, w, beta1, gamma1, r_out)
             if frame is not None:
@@ -442,7 +467,7 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
 
     The first term is the analytic conjugate-frame derivative of the
     quadrature value R_1 f: Wbar_i = sum_l conj(a_il) d/dzbar_l, a_i the
-    holomorphic tangent rows, through the mixed section jets (the stencil of
+    holomorphic tangent rows, through the section pullbacks (the stencil of
     ``tangential_dbar_scalar`` in ``tests/oracles.py`` is its
     finite-difference oracle; the graph projection of the stencil points is
     the identity to first order along the complex tangent).  The second term

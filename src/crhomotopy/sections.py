@@ -43,13 +43,14 @@ def bochner_martinelli_jets(zetas, z, directions=None):
     """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]
     with beta = d eta / d zbar and gamma = d eta / d zetabar.
 
-    With ``directions`` (rows v_a, shape (d, n)) a fourth value ``along``
-    is returned: along(blk) gives, over the nodes blk, the derivatives
-    D_a = sum_l v_a[l] d / d zbar_l of eta and gamma, shapes (B, d, n) and
-    (B, d, n, n).  They are formed per block, so that no (N, d, n, n) array
-    is held.  With w = zeta - z and S = |w|^2 the mixed jet is rational in
-    w: D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k] w_j) / S^2
-    - 2 conj(w_k) w_j (w.v_a) / S^3.
+    With ``directions`` (rows v_a, shape (d, n)) a fourth value
+    ``pullback`` is returned: pullback(blk, x, A), x of shape (B, n) and A
+    of shape (B, n, n) over the nodes blk, is the sum over blk of x . D_a eta
+    + <A, D_a gamma> (no conjugation), shape (d,), with D_a = sum_l v_a[l] d
+    / d zbar_l.  No mixed jet is formed.  With w = zeta - z and S = |w|^2,
+    D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k] w_j) / S^2 - 2 conj(w_k) w_j
+    (w.v_a) / S^3, so <A, D_a gamma> = ((w.v_a)(tr A - 2 eta^T A w) + v_a^T
+    A w) / S^2, and x . D_a eta = (beta^T x) . v_a.
     """
     w = zetas - z[None, :]
     S = np.sum(np.abs(w) ** 2, axis=1)
@@ -67,14 +68,14 @@ def bochner_martinelli_jets(zetas, z, directions=None):
         return eta, beta, gamma
     V = np.asarray(directions, dtype=complex)
 
-    def along(blk):
-        wb, s = w[blk, None, None, :], inv_s[blk, None, None, None]
-        wv = (w[blk] @ V.T)[:, :, None, None] * s         # (w . v_a) / S
-        d_gamma = s * (eye * wv + V[None, :, :, None] * wb * s
-                       - 2.0 * eta[blk, None, :, None] * wb * wv)
-        return np.einsum("Nkl,al->Nak", beta[blk], V), d_gamma
+    def pullback(blk, x, A):
+        Aw = np.einsum("Nkj,Nj->Nk", A, w[blk])
+        c = np.einsum("Nkk->N", A) - 2.0 * np.einsum("Nk,Nk->N", eta[blk], Aw)
+        u = (c * inv_s2[blk]) @ w[blk] + inv_s2[blk] @ Aw \
+            + np.tensordot(x, beta[blk], 2)
+        return V @ u
 
-    return eta, beta, gamma, along
+    return eta, beta, gamma, pullback
 
 
 def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
@@ -84,15 +85,18 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
     divisions are floored away from exact zero so a rejected node cannot
     poison the chunk with non-finite values.
 
-    With ``directions`` a fifth value ``along`` is returned, as for
-    :func:`bochner_martinelli_jets`.  From gamma = (dP/dzetabar - eta
+    With ``directions`` a fifth value ``pullback`` is returned, as for
+    :func:`bochner_martinelli_jets`.  From gamma = (dP/dzetabar - eta (x)
     dPhi/dzetabar) / Phi and Phi = sum_i P_i w_i,
 
         D gamma = (D dP/dzetabar - D eta (x) dPhi/dzetabar
                    - eta (x) D dPhi/dzetabar - gamma D Phi) / Phi,
 
-    where D dPhi/dzetabar = sum_i D dP_i/dzetabar w_i.  D dP/dzetabar is
-    :meth:`BarrierJetBatch.dP_mixed`, zero for m = 1 where theta is constant.
+    where D dPhi/dzetabar = w^T D dP/dzetabar.  So, with y = x - A
+    dPhi/dzetabar / Phi, the pullback is beta^T y . v_a - <A, gamma> (dPhi
+    /dzbar . v_a) / Phi plus the pullback of the mixed jet D dP/dzetabar
+    through (A - w (eta^T A)) / Phi, which is :meth:`BarrierJetBatch.dP_mixed`
+    and zero for m = 1, where theta is constant.
     """
     jets = _barrier.barrier_jets(model, zetas, z)
     phi = jets.Phi
@@ -111,19 +115,21 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
         return eta, beta, gamma, phi
     V = np.asarray(directions, dtype=complex)
 
-    def along(blk):
-        d_eta = V @ np.swapaxes(beta[blk], 1, 2)             # (B, d, n)
-        d_phi = jets.dPhi_dzbar[blk] @ V.T                 # (B, d)
-        d_gamma = -(d_eta[..., None] * jets.dPhi_dzetabar[blk, None, None, :]
-                    + gamma[blk, None] * d_phi[..., None, None])
-        mixed = jets.dP_mixed(V, blk)
-        if mixed is not None:
+    def pullback(blk, x, A):
+        inv_b = inv[blk]
+        y = x - np.einsum("Nkj,Nj->Nk", A, jets.dPhi_dzetabar[blk]) \
+            * inv_b[:, None]
+        a_gamma = np.einsum("Nkj,Nkj->N", A, gamma[blk]) * inv_b
+        out = V @ (np.tensordot(y, beta[blk], 2)
+                   - a_gamma @ jets.dPhi_dzbar[blk])
+        if jets.dG is not None:                 # m >= 2
             w = zetas[blk] - z[None, :]
-            d_gamma += mixed - eta[blk, None, :, None] * (
-                w[:, None, None] @ mixed)
-        return d_eta, d_gamma * inv[blk, None, None, None]
+            A_mixed = (A - w[:, :, None] * (eta[blk, None, :] @ A)) \
+                * inv_b[:, None, None]
+            out = out + jets.dP_mixed(V, blk, A_mixed)
+        return out
 
-    return eta, beta, gamma, phi, along
+    return eta, beta, gamma, phi, pullback
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,23 @@ inversions, the defining-function oracle re-evaluates the polynomial from
 its definition, the node-geometry oracles rebuild the velocity columns of
 the parameterization and take dense determinants of them in place of the
 closed-form conormal, the kernel contraction keeps eta and all n rows of
-every jet in place of the n - 1 non-pivot rows, the barrier reference works
+every jet in place of the n - 1 non-pivot rows and contracts the mixed-jet
+tensors in place of the section pullbacks, the barrier reference works
 pointwise on phase-fixed eigenvector rows in place of the projector G, the
 frame flow has a closed form, derivative oracles are plain central
 differences, and the sample audits (section normalization, Holder
-quotients) go one sample at a time.
+quotients) go one sample at a time.  The rank-verified tangential frame
+rebuilds the real tangent space from a coordinate Jacobian.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from crhomotopy import norms, quadrature, sections
+from crhomotopy import barrier, norms, quadrature, sections
 from crhomotopy._util import evaluate_form, hodge_star, wedge_jets
 from crhomotopy.barrier import gradient_section, normal_direction
+from crhomotopy.errors import DegeneratePointError
 from crhomotopy.geometry import (CORRECTION_MARGIN, Direction, ManifoldModel,
                                  directional_levi, holomorphic_tangent_rows)
 from crhomotopy.sections import SectionJet
@@ -234,12 +237,13 @@ def full_row_folded_coefficients(W, eta, beta, gamma, r_out, tau=None,
     one block.  By the generalized Laplace expansion, sum_M W_M gamma_M is
     the k-vector G = W(rows of gamma), and every total is (-1)^n (*G)(eta,
     tau, beta_L) (solution) or (*G)(eta, beta_L) (obstruction).  With
-    ``tangent`` the derivatives of :func:`full_row_tangent_block` are
+    ``tangent`` = ((D eta0, D gamma0), (D eta1, D gamma1)), the mixed-jet
+    tensors of :func:`euclidean_mixed_jets` and :func:`barrier_mixed_jets`
+    over every node, the derivatives of :func:`full_row_tangent_block` are
     returned too."""
     N, n = eta.shape
     front = eta.T if tau is None else np.concatenate([eta.T, tau.T])
     k = n - len(front) // n - r_out
-    every = slice(None)
 
     def layout(b, g):       # beta columns and gamma rows, (vector * n + c, N)
         return (b.transpose(2, 1, 0).reshape(n * n, N) if r_out else None,
@@ -264,8 +268,8 @@ def full_row_folded_coefficients(W, eta, beta, gamma, r_out, tau=None,
     elif tangent is None:
         acc = star_front(sum(gs))
     else:
-        acc, d_total = full_row_tangent_block(
-            W.T, front, sum(gs), gammas, t_rule, [f(every) for f in tangent])
+        acc, d_total = full_row_tangent_block(W.T, front, sum(gs), gammas,
+                                              t_rule, tangent)
     total = acc.sum(axis=1)
     if tau is not None:
         total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
@@ -274,10 +278,12 @@ def full_row_folded_coefficients(W, eta, beta, gamma, r_out, tau=None,
 
 def full_row_tangent_block(W, front, G, gammas, t_rule, along):
     """T = (*G)(eta0, tau) on all n rows and its derivatives along the
-    directions of ``along``: D tau through the 1-form (*G)(eta0, .), gamma_t
-    by reverse mode through the k-vector c = *(eta0 ^ tau).  D eta0 adds
-    nothing: it, tau and every gamma column are bilinearly orthogonal to w,
-    so det[D eta0 | gamma_M | tau] has n columns in a hyperplane."""
+    directions of the mixed-jet tensors ``along``, contracted as tensors:
+    D tau through the 1-form (*G)(eta0, .), gamma_t by reverse mode through
+    the k-vector c = *(eta0 ^ tau), with F_t = W(rows of gamma_t, .) and G
+    from chains of their own.  D eta0 adds nothing: it, tau and every gamma
+    column are bilinearly orthogonal to w, so det[D eta0 | gamma_M | tau]
+    has n columns in a hyperplane."""
     n, B = front.shape[0] // 2, front.shape[1]
     k = n - 2
     eta, tau = front[:n], front[n:]
@@ -297,6 +303,46 @@ def full_row_tangent_block(W, front, G, gammas, t_rule, along):
         np.einsum("Nsl,Nasl->a", adjoint[0], d_gamma0)
         + np.einsum("Nsl,Nasl->a", adjoint[1], d_gamma1))
     return np.sum(X * tau, axis=0, keepdims=True), d_acc
+
+
+def euclidean_mixed_jets(zetas, z, V):
+    """D_a eta and D_a gamma of the euclidean section, D_a = sum_l V[a, l] d
+    / d zbar_l, as tensors of shapes (N, d, n) and (N, d, n, n): with w =
+    zeta - z and S = |w|^2, D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k]
+    w_j) / S^2 - 2 conj(w_k) w_j (w.v_a) / S^3."""
+    eta, beta, _ = sections.bochner_martinelli_jets(zetas, z)
+    w = zetas - z[None, :]
+    s = 1.0 / np.sum(np.abs(w) ** 2, axis=1)[:, None, None, None]
+    wb = w[:, None, None, :]
+    wv = (w @ V.T)[:, :, None, None] * s                    # (w . v_a) / S
+    d_gamma = s * (np.eye(w.shape[1]) * wv + V[None, :, :, None] * wb * s
+                   - 2.0 * eta[:, None, :, None] * wb * wv)
+    return np.einsum("Nkl,al->Nak", beta, V), d_gamma
+
+
+def barrier_mixed_jets(model: ManifoldModel, zetas, z, V):
+    """D_a eta and D_a gamma of the barrier section as tensors, as for
+    :func:`euclidean_mixed_jets`: D gamma = (D dP/dzetabar - D eta (x)
+    dPhi/dzetabar - eta (x) w^T D dP/dzetabar - gamma D Phi) / Phi, the mixed
+    jet D dP/dzetabar from :func:`padded_dP_mixed` (zero for m = 1)."""
+    jets = barrier.barrier_jets(model, zetas, z)
+    eta, beta, gamma, phi = sections.barrier_section_jets(model, zetas, z)
+    d_eta = V @ np.swapaxes(beta, 1, 2)                          # (N, d, n)
+    d_phi = jets.dPhi_dzbar @ V.T                                # (N, d)
+    d_gamma = -(d_eta[..., None] * jets.dPhi_dzetabar[:, None, None, :]
+                + gamma[:, None] * d_phi[..., None, None])
+    if jets.dG is not None:
+        mixed = padded_dP_mixed(model, jets, V, slice(None))
+        w = zetas - z[None, :]
+        d_gamma += mixed - eta[:, None, :, None] * (w[:, None, None] @ mixed)
+    return d_eta, d_gamma / phi[:, None, None, None]
+
+
+def contract_mixed_jets(d_eta, d_gamma, x, A):
+    """sum over nodes of x . D_a eta + <A, D_a gamma> from the tensors,
+    shape (d,): what a section pullback returns."""
+    return (np.einsum("Nk,Nak->a", x, d_eta)
+            + np.einsum("Nkj,Nakj->a", A, d_gamma))
 
 
 def velocity_columns(grid, chunk):
@@ -360,6 +406,78 @@ def dense_orientation_and_jacobian(sigma, velocity):
     orient = (-1.0) ** (n * (n - 1) // 2) * np.sign(np.linalg.det(stacked))
     gram = np.einsum("Nij,Nik->Njk", real_vel, real_vel)
     return orient, np.sqrt(np.abs(np.linalg.det(gram)))
+
+
+# rank-verified tangential frame
+
+@dataclass
+class TangentialFrame:
+    """Pointwise frame: W rows span T', their conjugates span T'',
+    Y rows complete the real tangent space, normals are the rho gradients."""
+
+    point: np.ndarray
+    W: np.ndarray        # (n - m, n) coefficient rows against d/d zeta
+    Wbar: np.ndarray     # (n - m, n) coefficient rows against d/d zeta-bar
+    Y: np.ndarray        # (m, n) complex velocity rows of real fields
+    normal: np.ndarray   # (m, n) complex velocities of the gradient directions
+
+
+def _real_velocity_matrix(vels_complex):
+    """Real 2n x k matrix from complex velocity columns (interleaved re/im)."""
+    v = np.asarray(vels_complex)
+    out = np.empty((2 * v.shape[0], v.shape[1]))
+    out[0::2] = v.real
+    out[1::2] = v.imag
+    return out
+
+
+def tangential_frame(model: ManifoldModel, z) -> TangentialFrame:
+    """Frame at a point on the manifold (rank-verified)."""
+    z = np.asarray(z, dtype=complex)
+    _, rho_norm = model.defining_values(z)
+    if rho_norm > 100 * model.tol_on_manifold:
+        raise DegeneratePointError(
+            f"point is off the manifold: rho = {float(rho_norm):.3e}")
+    W = holomorphic_tangent_rows(model, z)
+    grads = model.holo_gradients(z)
+
+    # coordinate system (rho_k, Im F_k, Re z'_j, Im z'_j); Y_k is the
+    # coordinate-dual field of Im F_k, computed by inverting the real Jacobian
+    n, m, d = model.n, model.m, model.tangential_dim
+    jac = np.zeros((2 * n, 2 * n))
+    for k in range(m):
+        g = grads[k]
+        # d rho_k(v) = 2 Re(sum_a g_a v_a)
+        jac[k, 0::2] = 2.0 * g.real
+        jac[k, 1::2] = -2.0 * g.imag
+        # Im F_k(zeta) = Im <-g, zeta - z>: differential v -> Im(-sum g_a v_a)
+        jac[m + k, 0::2] = -g.imag
+        jac[m + k, 1::2] = -g.real
+    for j in range(d):
+        jac[2 * m + 2 * j, 2 * j] = 1.0       # Re z'_j
+        jac[2 * m + 2 * j + 1, 2 * j + 1] = 1.0  # Im z'_j
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv[-1] < 1e-10 * sv[0]:
+        raise DegeneratePointError("coordinate Jacobian is singular")
+    inv = np.linalg.inv(jac)
+    Y = np.empty((m, n), dtype=complex)
+    for k in range(m):
+        col = inv[:, m + k]
+        Y[k] = col[0::2] + 1j * col[1::2]
+    normal = 2.0 * grads.conj()
+
+    # full-rank audit of the real span of (W, conj W, Y)
+    reals = []
+    for i in range(d):
+        reals.append(W[i])
+        reals.append(1j * W[i])
+    for k in range(m):
+        reals.append(Y[k])
+    mat = _real_velocity_matrix(np.array(reals).T)
+    rank = np.linalg.matrix_rank(mat, tol=1e-8)
+    if rank != 2 * n - m:
+        raise DegeneratePointError(f"frame rank {rank} != {2 * n - m}")
+    return TangentialFrame(point=z, W=W, Wbar=W.conj(), Y=Y, normal=normal)
 
 
 # pointwise barrier reference on phase-fixed eigenvector rows
@@ -442,9 +560,11 @@ def kato_frame_derivative(model: ManifoldModel, thetas):
 
 
 def padded_dP_mixed(model: ManifoldModel, jets, V, blk):
-    """sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the nodes ``blk``,
-    (B, a, i, j), from the zero-padded (B, m, n, n) tensor dH = H_k - dG_k
-    on the z'-block of :class:`barrier.BarrierJetBatch`."""
+    """The mixed jet sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the
+    nodes ``blk`` as a tensor, (B, a, i, j), from the zero-padded (B, m, n,
+    n) tensor dH = H_k - dG_k on the z'-block of
+    :class:`barrier.BarrierJetBatch`: the oracle of its pullback
+    ``BarrierJetBatch.dP_mixed``."""
     d = model.tangential_dim
     dG = jets.dG[blk]
     dH = np.zeros(dG.shape[:2] + (model.n, model.n), dtype=complex)

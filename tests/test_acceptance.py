@@ -28,9 +28,8 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__),
 LADDER = [(0.1, 10_000), (0.05, 100_000), (0.025, 1_000_000)]
 SEED = 101
 # wall-time limit of the ladder test in seconds; 0 or less means none.  The
-# full ladder took 119-131 s in three standalone runs on 2 cores, so a
-# default run is often stopped near the end of rung 3 and fails; set
-# CRHOMOTOPY_LADDER_TIME_LIMIT=0 to run it to the end.
+# full ladder took 73-89 s in three standalone runs on 2 cores; set
+# CRHOMOTOPY_LADDER_TIME_LIMIT=0 to run it to the end on a slower machine.
 LADDER_TIME_LIMIT_S = float(os.environ.get("CRHOMOTOPY_LADDER_TIME_LIMIT",
                                            "120"))
 

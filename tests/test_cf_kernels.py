@@ -4,10 +4,12 @@ import pytest
 from crhomotopy import sections
 from crhomotopy.cf_forms import cf_component, zbar_degree
 from crhomotopy.errors import NearSingularPhaseError, SingularityError
-from oracles import (brute_wedge_expansion, contraction_table,
-                     dense_coefficients, evaluate_barrier, fd_section_jet,
-                     normalization_defect, normalization_worst_loop,
-                     random_quadric, wedge_expansion_keys)
+from oracles import (barrier_mixed_jets, brute_wedge_expansion,
+                     contract_mixed_jets, contraction_table,
+                     dense_coefficients, euclidean_mixed_jets,
+                     evaluate_barrier, fd_section_jet, normalization_defect,
+                     normalization_worst_loop, random_quadric,
+                     wedge_expansion_keys)
 
 
 def random_jets(rng, n):
@@ -19,6 +21,25 @@ def form_at(eta, beta, gamma, tau):
     """The determinant form of one section jet, (C(2n + 1, n - 1),)."""
     return cf_component(eta[:, None], beta[..., None], gamma[..., None],
                         tau[:, None])[:, 0]
+
+
+def pulled_back_jets(pullback, N, n):
+    """D_a eta (N, n, n) and D_a gamma (N, n, n, n) of a section whose
+    directions are the identity, one node at a time, from the pullbacks of
+    the basis adjoints: x = e_k with A = 0 gives D_a eta[k], x = 0 with A =
+    e_k e_j^T gives D_a gamma[k, j]."""
+    d_eta = np.empty((N, n, n), dtype=complex)
+    d_gamma = np.empty((N, n, n, n), dtype=complex)
+    basis = np.eye(n)
+    zero_x, zero_A = np.zeros((1, n)), np.zeros((1, n, n))
+    for i in range(N):
+        node = slice(i, i + 1)
+        for k in range(n):
+            d_eta[i, :, k] = pullback(node, basis[k][None], zero_A)
+            for j in range(n):
+                A = np.outer(basis[k], basis[j])[None]
+                d_gamma[i, :, k, j] = pullback(node, zero_x, A)
+    return d_eta, d_gamma
 
 
 @pytest.fixture(scope="module")
@@ -144,26 +165,22 @@ class TestSections:
                                        "random_n6m2"])
     def test_mixed_jets_match_central_differences(self, which, section,
                                                   request):
-        # d gamma / d zbar_l of the along() jets against central Wirtinger
-        # differences in z of gamma itself, and gamma = d eta / d zetabar
-        # against central Wirtinger differences in zeta of eta, at two
-        # steps: the error falls as step^2 (ratio near 4), so the analytic
-        # jet is the limit.  The nodes of one mc-shell chunk lie on both
-        # sheets of sig22_n5, where theta is constant per sheet; for m = 2
-        # the mixed jet adds the theta-derivative of dP/dzbar, and gamma
-        # the theta-derivative of the frame, also where the kept frame
+        # d gamma / d zbar_l, recovered from the section pullback with
+        # directions = I by pulling back every basis adjoint at every node
+        # (x = e_k with A = 0, x = 0 with A = e_k e_j^T), against central
+        # Wirtinger differences in z of gamma itself, and gamma = d eta /
+        # d zetabar against central Wirtinger differences in zeta of eta, at
+        # two steps: the error falls as step^2 (ratio near 4), so the
+        # analytic jet is the limit.  The nodes of one mc-shell chunk lie on
+        # both sheets of sig22_n5, where theta is constant per sheet; for
+        # m = 2 the mixed jet adds the theta-derivative of dP/dzbar, and
+        # gamma the theta-derivative of the frame, also where the kept frame
         # eigenvalues repeat ("repeated") and where the ds^2 term of the
         # frame derivative acts ("random_n6m2").  The differences in z alone
         # use the same frame derivative on both sides; those in zeta do not.
-        from crhomotopy.quadrature import QuadratureGrid
         model = request.getfixturevalue(which)
         n = model.n
-        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
-                              0.01 * np.ones(model.m))
-        zp, w = model.split(z)
-        grid = QuadratureGrid(model=model, epsilon=0.1, budget=64, seed=3,
-                              center_zp=zp, center_u=w.real)
-        zetas = next(grid.chunks()).zeta[:16]
+        zetas, z = self.chunk_nodes(model, 16)
         if model.m == 1:
             rho_vec, _ = model.defining_values(zetas)
             assert np.any(rho_vec[:, 0] > 0) and np.any(rho_vec[:, 0] < 0)
@@ -175,7 +192,7 @@ class TestSections:
 
         out = jets(zetas, z, directions=np.eye(n))
         gamma = out[2]
-        d_eta, d_gamma = out[-1](slice(None))
+        d_eta, d_gamma = pulled_back_jets(out[-1], len(zetas), n)
         assert np.array_equal(d_eta, np.swapaxes(out[1], 1, 2))
         errs, errs_zeta = [], []
         for step in (1e-3, 5e-4):
@@ -197,6 +214,49 @@ class TestSections:
             errs_zeta.append(np.max(np.abs(fd_zeta - gamma)))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs_zeta[0] / errs_zeta[1] < 4.5
+
+    @pytest.mark.parametrize("section", ["euclidean", "barrier"])
+    @pytest.mark.parametrize("which", ["primary", "secondary", "repeated",
+                                       "random_n6m2"])
+    def test_pullback_matches_tensor_contraction(self, which, section,
+                                                 request):
+        # random adjoints (x, A) over a block of nodes, pulled back along
+        # random complex directions, against the contraction of the
+        # mixed-jet tensors of tests/oracles.py; only the association of
+        # the sums differs, so the gap is rounding
+        model = request.getfixturevalue(which)
+        rng = np.random.default_rng(17)
+        zetas, z = self.chunk_nodes(model, 64)
+        V = rng.standard_normal((3, model.n)) \
+            + 1j * rng.standard_normal((3, model.n))
+        if section == "euclidean":
+            pullback = sections.bochner_martinelli_jets(zetas, z, V)[-1]
+            tensors = euclidean_mixed_jets(zetas, z, V)
+        else:
+            pullback = sections.barrier_section_jets(model, zetas, z, V)[-1]
+            tensors = barrier_mixed_jets(model, zetas, z, V)
+        blk = slice(8, 40)
+        for _ in range(3):
+            x = rng.standard_normal((32, model.n)) \
+                + 1j * rng.standard_normal((32, model.n))
+            A = rng.standard_normal((32, model.n, model.n)) \
+                + 1j * rng.standard_normal((32, model.n, model.n))
+            want = contract_mixed_jets(*(t[blk] for t in tensors), x, A)
+            got = pullback(blk, x, A)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-13 * np.max(np.abs(want))
+
+    @staticmethod
+    def chunk_nodes(model, count):
+        """The first ``count`` nodes of one mc-shell chunk around a point
+        near the origin, and that point."""
+        from crhomotopy.quadrature import QuadratureGrid
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        zp, w = model.split(z)
+        grid = QuadratureGrid(model=model, epsilon=0.1, budget=64, seed=3,
+                              center_zp=zp, center_u=w.real)
+        return next(grid.chunks()).zeta[:count], z
 
     def test_near_singular_phase_raises(self, primary):
         # zeta on the manifold would make the direction field undefined;

@@ -14,8 +14,9 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
-from oracles import (contraction_table, dense_coefficients, dense_det9,
-                     dense_orientation_and_jacobian,
+from oracles import (barrier_mixed_jets, contraction_table,
+                     dense_coefficients, dense_det9,
+                     dense_orientation_and_jacobian, euclidean_mixed_jets,
                      full_row_folded_coefficients, random_quadric,
                      row_contraction, velocity_columns)
 
@@ -757,9 +758,11 @@ class TestOperators:
         # the n - 1 row kernel against the full-row contraction of
         # tests/oracles.py on the section jets of one chunk: both kinds,
         # output degrees 0 and 1, and the conjugate-frame derivatives of the
-        # degree-0 solution total.  The degree-0 and degree-1 obstruction
-        # totals vanish identically on these models, so they are held to
-        # the rounding floor eps * sum |W| * (Hadamard bound) instead
+        # degree-0 solution total, by the section pullbacks against the
+        # contraction of the mixed-jet tensors.  The degree-0 and degree-1
+        # obstruction totals vanish identically on these models, so they
+        # are held to the rounding floor eps * sum |W| * (Hadamard bound)
+        # instead
         model = request.getfixturevalue(which)
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
@@ -768,10 +771,12 @@ class TestOperators:
         N, n = chunk.zeta.shape
         w = chunk.zeta - z
         frame = fields.conjugate_frame_rows(model, z)
-        eta1, beta1, gamma1, _, along1 = barrier_section_jets(
+        eta1, beta1, gamma1, _, pull1 = barrier_section_jets(
             model, chunk.zeta, z, frame)
-        eta0, beta0, gamma0, along0 = bochner_martinelli_jets(chunk.zeta, z,
-                                                              frame)
+        eta0, beta0, gamma0, pull0 = bochner_martinelli_jets(chunk.zeta, z,
+                                                             frame)
+        tensors = (euclidean_mixed_jets(chunk.zeta, z, frame),
+                   barrier_mixed_jets(model, chunk.zeta, z, frame))
         t_rule = tuple(zip(grid.t_nodes, grid.t_weights))
         for kind in ("solution", "obstruction"):
             for r_out in (0, 1):
@@ -780,13 +785,16 @@ class TestOperators:
                 W = (rng.standard_normal((N, nM))
                      + 1j * rng.standard_normal((N, nM)))
                 if kind == "solution":
-                    tangent = (along0, along1) if r_out == 0 else None
                     args = (beta1, gamma1, r_out)
                     kw = dict(tau=eta1 - eta0, start=(beta0, gamma0),
-                              t_rule=t_rule, tangent=tangent)
-                    got = homotopy._folded_coefficients(W, w, *args, **kw)
-                    want = full_row_folded_coefficients(W, eta0, *args, **kw)
-                    if tangent is not None:
+                              t_rule=t_rule)
+                    got = homotopy._folded_coefficients(
+                        W, w, *args, **kw,
+                        tangent=(pull0, pull1) if r_out == 0 else None)
+                    want = full_row_folded_coefficients(
+                        W, eta0, *args, **kw,
+                        tangent=tensors if r_out == 0 else None)
+                    if r_out == 0:
                         (got, d_got), (want, d_want) = got, want
                         assert np.max(np.abs(d_got - d_want)) <= 1e-12 * \
                             np.max(np.abs(d_want))
