@@ -73,7 +73,7 @@ class BarrierJetBatch:
     Phi: np.ndarray            # (N,)
     dP_dzbar: np.ndarray       # (N, n, n): [l, i] = d P_i / d zbar_l
     dP_dzetabar: np.ndarray    # (N, n, n)
-    dPhi_dzbar: np.ndarray     # (N, n)
+    dPhi_dzbar: np.ndarray     # (N, n); it and dP_dzbar None without z-jets
     dPhi_dzetabar: np.ndarray  # (N, n)
     # factors of the mixed jet d^2 P / d zetabar d zbar; None for m = 1,
     # where theta is constant on each sheet and the jet vanishes
@@ -81,10 +81,10 @@ class BarrierJetBatch:
     dG: np.ndarray = None      # (N, m, d, d): d G / d theta_k
     dtheta: np.ndarray = None  # (N, m, n): d theta_k / d zetabar_j
 
-    def dP_mixed(self, V, blk, A):
-        """Pullback of the mixed jet through the adjoint A (B, n, n) over the
-        nodes ``blk``: the sum over blk and (i, j) of A[:, i, j] sum_l V[a, l]
-        d^2 P_i / d zetabar_j d zbar_l, shape (a,); for m >= 2 only.
+    def dP_mixed(self, V, A):
+        """Pullback of the mixed jet through the adjoint A (N, n, n): the sum
+        over the batch and (i, j) of A[:, i, j] sum_l V[a, l] d^2 P_i /
+        d zetabar_j d zbar_l, shape (a,); for m >= 2 only.
 
         dP_dzbar = theta . H - G on the z'-block depends on zeta only through
         theta, so the mixed jet is V (H_k - dG_k) dtheta_k^T on the z'-rows
@@ -92,9 +92,9 @@ class BarrierJetBatch:
         . (A dtheta_k^T) on the z'-rows, the node sum taken before V.
         """
         d = self.H.shape[1]
-        Y = A[:, :d] @ np.swapaxes(self.dtheta[blk], 1, 2)        # (B, d, m)
+        Y = A[:, :d] @ np.swapaxes(self.dtheta, 1, 2)             # (N, d, m)
         u = np.einsum("kli,ik->l", self.H, Y.sum(axis=0)) \
-            - np.einsum("Nkli,Nik->l", self.dG[blk], Y)
+            - np.einsum("Nkli,Nik->l", self.dG, Y)
         return V[:, :d] @ u
 
 
@@ -143,14 +143,16 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     return G, dG
 
 
-def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
+def barrier_jets(model: ManifoldModel, zetas, z,
+                 with_zbar=True) -> BarrierJetBatch:
     """Analytic first jets of (P, Phi) over a zeta batch at fixed z: with
     w = zeta - z, G and dG of :func:`_frames_for_thetas` and dQ_k = H_k,
 
         P_i = theta . Q_i + sum_l G[l, i] conj(w_l),  dP/dzbar = theta . dQ - G,
         dP/dzetabar = G + sum_k dtheta_k (x) (Q_k + conj(w) . dG_k),
 
-    where the dtheta terms are formed only when theta varies (m >= 2).
+    where the dtheta terms are formed only when theta varies (m >= 2), and
+    the z-jets dP/dzbar and dPhi/dzbar only ``with_zbar`` (else None).
     """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -166,9 +168,12 @@ def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
 
     P = thetas @ Q
     P[:, :d] += (wbar @ G)[:, 0]
-    dP_dzbar = np.zeros((N, n, n), dtype=complex)
-    dP_dzbar[:, :d, :d] = np.tensordot(thetas, model.hermitian_stack,
-                                       axes=(1, 0)) - G
+    dP_dzbar = dPhi_dzbar = None
+    if with_zbar:
+        dP_dzbar = np.zeros((N, n, n), dtype=complex)
+        dP_dzbar[:, :d, :d] = np.tensordot(thetas, model.hermitian_stack,
+                                           axes=(1, 0)) - G
+        dPhi_dzbar = (dP_dzbar @ w[:, :, None])[:, :, 0]
     dP_dzetabar = np.zeros((N, n, n), dtype=complex)
     dtheta = None
     if dG is not None:
@@ -184,7 +189,7 @@ def barrier_jets(model: ManifoldModel, zetas, z) -> BarrierJetBatch:
     return BarrierJetBatch(
         P=P, Phi=np.einsum("Ni,Ni->N", P, w), dP_dzbar=dP_dzbar,
         dP_dzetabar=dP_dzetabar,
-        dPhi_dzbar=(dP_dzbar @ w[:, :, None])[:, :, 0],
+        dPhi_dzbar=dPhi_dzbar,
         dPhi_dzetabar=(dP_dzetabar @ w[:, :, None])[:, :, 0],
         H=model.hermitian_stack, dG=dG, dtheta=dtheta)
 

@@ -19,8 +19,15 @@ columns that ``tests/oracles.py`` rebuilds are the test oracle.
 Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the
 t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
-weighted degree-r form values g and det9 fold into the per-chunk weights
-W = (-1)^(r n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r.
+weighted degree-r form values g and det9 fold into the weights W = (-1)^(r
+n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r.
+
+Each chunk of the node stream is taken in kernel blocks of BLOCK nodes: the
+form values and det9 are formed once per chunk, and per block the weights,
+the section jets, the rejection mask, the contraction and the accumulation
+of the block's total, so that no weight or jet array spans more than a
+block.  Blocks and chunks are summed in node order, so the values do not
+depend on BLOCK beyond rounding.
 
 Each coefficient is taken on n - 1 rows.  With w = zeta - z, every section
 has sum_k eta_k w_k = 1, so w^T eta = 1 and the columns beta, gamma and tau
@@ -57,7 +64,6 @@ oracle of the reduction and of the pullback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import factorial
 
 import numpy as np
@@ -72,7 +78,7 @@ from .sections import barrier_section_jets, bochner_martinelli_jets
 
 PHASE_REJECT_FACTOR = 1e-10
 REJECT_LIMIT = 0.01
-BLOCK = 512             # nodes per kernel block: its gathers stay in cache
+BLOCK = 512             # nodes per kernel block: its jets stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +86,13 @@ BLOCK = 512             # nodes per kernel block: its gathers stay in cache
 # ---------------------------------------------------------------------------
 
 def _fold_weights(gw, det9, r):
-    """Point-independent contraction weights of one chunk, shape (N, nM):
-    W = (-1)^(r n) i_delta *g, the weighted degree-r field g = gw contracted
-    with delta_k = (-1)^k det9[:, k], so nM = C(n, n - 1 - r).  Term by term,
-    W[:, M] sums sign(J + M) * gw[:, J] * det9[:, k] over the k and J that
-    complete M to range(n), sign(J + M) being that of the sorting
-    permutation.  A point's chunk total is then the sum over nodes and M of
-    W[:, M] * coef[:, L, M]."""
+    """Point-independent contraction weights of a block of nodes, shape
+    (N, nM): W = (-1)^(r n) i_delta *g, the weighted degree-r field g = gw
+    contracted with delta_k = (-1)^k det9[:, k], so nM = C(n, n - 1 - r).
+    Term by term, W[:, M] sums sign(J + M) * gw[:, J] * det9[:, k] over the
+    k and J that complete M to range(n), sign(J + M) being that of the
+    sorting permutation.  A point's block total is then the sum over nodes
+    and M of W[:, M] * coef[:, L, M]."""
     n = det9.shape[1]
     delta = det9.T * ((-1.0) ** (np.arange(n) + r * n))[:, None]
     return evaluate_form(hodge_star(gw.T, n, r), delta, n, n - r, 1).T
@@ -94,14 +100,14 @@ def _fold_weights(gw, det9, r):
 
 def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
                          t_rule=((1.0, 1.0),), tangent=None):
-    """Sum over nodes and M of W[:, M] * coef[:, L, M], shape (nL,), with no
-    coefficient formed.
+    """Sum over the given nodes and M of W[:, M] * coef[:, L, M], shape
+    (nL,), with no coefficient formed.
 
     Without ``tau`` (obstruction kind) coef[:, L, M] = det[eta | beta_L |
     gamma_M]; with it (solution kind) coef is the sum over (t, weight) in
     ``t_rule`` of weight * det[eta | beta_t L | gamma_t M | tau], beta_t and
     gamma_t running linearly from ``start`` = (beta0, gamma0) at t = 0 to
-    (beta, gamma) at t = 1.  The nodes are taken in blocks of BLOCK.
+    (beta, gamma) at t = 1.  ``beta`` is read only for r_out > 0.
 
     eta is not an argument: with w = zeta - z, shape (N, n), every section
     has w^T eta = 1 and w^T beta = w^T gamma = w^T tau = 0 on the row index
@@ -109,11 +115,11 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     zeta - z fixed under the t-interpolation).  Replacing row p of [eta | X]
     by w^T multiplies the determinant by w_p and leaves (1, 0, ..., 0) in
     row p, so det[eta | X] = (-1)^p / w_p det(X without row p).  Per node p
-    = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); each block gathers the
-    non-pivot rows of the jets, and its W is scaled by (-1)^p / w_p.
+    = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); the non-pivot rows of the
+    jets are gathered, and W is scaled by (-1)^p / w_p.
 
     ``tangent`` (solution kind, r_out = 0) is the pair of ``pullback``
-    functions of the t = 0 and t = 1 section jets (see
+    functions of the t = 0 and t = 1 section jets of these nodes (see
     :func:`~crhomotopy.sections.bochner_martinelli_jets`); the derivatives
     of the sum along their directions are then returned too, as (sum,
     derivatives), by :func:`_tangent_block`.  On that path one
@@ -132,9 +138,9 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     keep = np.arange(n) != pivot[:, None]
     beta0, gamma0 = start if start is not None else (None, None)
 
-    def rows(x):            # the block's non-pivot rows, (B, n - 1, ...)
-        flat = x[blk].reshape((-1,) + x.shape[2:])
-        return np.compress(keep[blk].ravel(), flat, axis=0).reshape(
+    def rows(x):            # the non-pivot rows, (N, n - 1, ...)
+        flat = x.reshape((-1,) + x.shape[2:])
+        return np.compress(keep.ravel(), flat, axis=0).reshape(
             (-1, n - 1) + x.shape[2:])
 
     def at_t(zero, one):    # rows of the jet at each t of the rule
@@ -149,43 +155,34 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
         return star if tau is None else evaluate_form(
             star, front, n - 1, n - 1 - k, 1)
 
-    W = W.T
-    total = np.zeros(len(index_combinations(n, r_out)), dtype=complex)
+    W = W.T * scale
+    front = rows(tau).T if tau is not None else None
+    # gamma rows (row * n + c, N) and beta columns (column * (n-1) + row)
+    gammas = [g.transpose(1, 2, 0).reshape((n - 1) * n, -1)
+              for g in at_t(gamma0, gamma)]
     d_total = 0.0
     if tangent is not None:     # G[S] reads F[S[:-1]] and row S[-1]
         prefixes = index_combinations(n - 1, k - 1)
         subsets = index_combinations(n - 1, k)
         prefix = np.array([prefixes.index(S[:-1]) for S in subsets])
         last = np.array([S[-1] for S in subsets])
-    for lo in range(0, N, BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        W_blk = W[:, blk] * scale[blk]
-        B = W_blk.shape[1]
-        front = rows(tau).T if tau is not None else None
-        # gamma rows (row * n + c, B) and beta columns (column * (n-1) + row)
-        gammas = [g.transpose(1, 2, 0).reshape((n - 1) * n, -1)
-                  for g in at_t(gamma0, gamma)]
-        if tangent is not None:
-            Fs = [evaluate_form(W_blk, g, n, k, k - 1).reshape(-1, n, B)
-                  for g in gammas]
-            G = sum(weight * np.sum(F[prefix] * g.reshape(-1, n, B)[last], 1)
-                    for F, g, (_, weight) in zip(Fs, gammas, t_rule))
-            acc, d_acc = _tangent_block(
-                front, G, Fs, t_rule, [partial(f, blk) for f in tangent],
-                keep[blk])
-            d_total = d_total + d_acc
-        else:
-            gs = [weight * evaluate_form(W_blk, g, n, k, k)
-                  for g, (_, weight) in zip(gammas, t_rule)]
-            if r_out:
-                acc = sum(evaluate_form(
-                    star_front(G),
-                    b.transpose(2, 1, 0).reshape(n * (n - 1), -1),
-                    n - 1, r_out, r_out)
-                    for G, b in zip(gs, at_t(beta0, beta)))
-            else:               # no beta column: tau' alone, or a 0-form
-                acc = star_front(sum(gs))
-        total += acc.sum(axis=1)
+        Fs = [evaluate_form(W, g, n, k, k - 1).reshape(-1, n, N)
+              for g in gammas]
+        G = sum(weight * np.sum(F[prefix] * g.reshape(-1, n, N)[last], 1)
+                for F, g, (_, weight) in zip(Fs, gammas, t_rule))
+        acc, d_total = _tangent_block(front, G, Fs, t_rule, tangent, keep)
+    else:
+        gs = [weight * evaluate_form(W, g, n, k, k)
+              for g, (_, weight) in zip(gammas, t_rule)]
+        if r_out:
+            acc = sum(evaluate_form(
+                star_front(G),
+                b.transpose(2, 1, 0).reshape(n * (n - 1), -1),
+                n - 1, r_out, r_out)
+                for G, b in zip(gs, at_t(beta0, beta)))
+        else:                   # no beta column: tau' alone, or a 0-form
+            acc = star_front(sum(gs))
+    total = acc.sum(axis=1)
     # det[beta'_L | gamma'_M | tau'] = (-1)^n (*G)(tau', beta'_L)
     if tau is not None:
         total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
@@ -287,11 +284,14 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
 
     ``field`` is one :class:`FormField` for every point, or a sequence with
     one field per point.  Node geometry (the oriented minors, a scaling of
-    the chunk's conormal), the form values and the contraction weights do
-    not depend on the point and are computed once per chunk and field;
-    only the section jets and the contracted kernel vary with the point, and
-    consecutive points at the same z share their section jets.  Returns a
-    list of :class:`OperatorResult`.
+    the chunk's conormal) and the form values do not depend on the point
+    and are computed once per chunk and field.  Each chunk is then taken in
+    kernel blocks of BLOCK nodes: per block the contraction weights are
+    formed once per field, and the section jets, the rejection mask and the
+    contracted kernel per point, consecutive points at the same z sharing
+    their section jets.  So no jet tensor spans more than a block.  The
+    d/dzbar jet beta is formed only when a point reads it (output degree
+    above 0, or a frame).  Returns a list of :class:`OperatorResult`.
 
     ``_frames`` (private to :func:`identity_residual`) gives per point None
     or rows v_a of shape (d, n); such a point (solution kind, degree-1
@@ -310,58 +310,76 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
               for f in field_of]
     d_accums = [RunningSum(shape=(len(frame),)) if frame is not None else None
                 for frame in frames]
+    with_zbar = any(frame is not None or plans[id(f)][0] > 0
+                    for f, frame in zip(field_of, frames))
+    t_rule = tuple(zip(grid.t_nodes, grid.t_weights))
     rejected = [0] * len(z_list)
     total = 0
     project = extension if extension is not None else model.project_to_manifold
 
     for chunk in grid.chunks():
-        total += chunk.zeta.shape[0]
+        N = chunk.zeta.shape[0]
+        total += N
         on_manifold = project(chunk.zeta)
         det9 = None
-        weights = {}                                    # id(field) -> (live, W)
-        shared = None                   # (z, section jets) of the last point
-        for zi, (f, z, frame) in enumerate(zip(field_of, z_list, frames)):
-            r_out, sign = plans[id(f)]
-            if id(f) not in weights:
+        values = {}                     # id(field) -> (live, weighted values)
+        for f in field_of:
+            if id(f) not in values:
                 g_vals = f.values(model, on_manifold)  # (N, nJ)
                 live = np.any(g_vals != 0, axis=1)
                 if np.any(live) and det9 is None:
                     det9 = _det9_blocks(chunk.conormal)  # (N, n)
-                weights[id(f)] = live, (_fold_weights(
-                    g_vals * chunk.weight[:, None], det9, f.degree)
-                    if np.any(live) else None)
-            live, W = weights[id(f)]
-            if W is None:
-                accums[zi].add(np.zeros(accums[zi].shape, dtype=complex))
+                values[id(f)] = live, (g_vals * chunk.weight[:, None]
+                                       if np.any(live) else None)
+        sums = [np.zeros(acc.shape, dtype=complex) for acc in accums]
+        d_sums = [None if acc is None else np.zeros(acc.shape, dtype=complex)
+                  for acc in d_accums]
+        for lo in range(0, N, BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            zeta = chunk.zeta[blk]
+            weights = {}                            # id(field) -> W
+            shared = None           # (z, section jets) of the last point
+            for zi, (f, z, frame) in enumerate(zip(field_of, z_list, frames)):
+                live, gw = values[id(f)]
+                if gw is None:
+                    continue
+                if id(f) not in weights:
+                    weights[id(f)] = _fold_weights(gw[blk], det9[blk],
+                                                   f.degree)
+                if frame is not None or shared is None or not np.array_equal(
+                        shared[0], z):
+                    shared = z, (
+                        barrier_section_jets(model, zeta, z, frame,
+                                             with_zbar=with_zbar),
+                        bochner_martinelli_jets(zeta, z, frame,
+                                                with_zbar=with_zbar)
+                        if kind == "solution" else None,
+                        zeta - z[None, :])
+                (eta1, beta1, gamma1, phi, *pull1), euclid, w = shared[1]
+                bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
+                rejected[zi] += int(np.sum(bad & live[blk]))
+                W_kept = weights[id(f)] * ~bad[:, None]
+                r_out = plans[id(f)][0]
+                if kind == "solution":
+                    eta0, beta0, gamma0, *pull0 = euclid
+                    folded = _folded_coefficients(
+                        W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
+                        start=(beta0, gamma0), t_rule=t_rule,
+                        tangent=pull0 + pull1 if frame is not None else None)
+                else:
+                    folded = _folded_coefficients(W_kept, w, beta1, gamma1,
+                                                  r_out)
                 if frame is not None:
-                    d_accums[zi].add(np.zeros(len(frame), dtype=complex))
-                continue
-            if frame is not None or shared is None or not np.array_equal(
-                    shared[0], z):
-                shared = z, (
-                    barrier_section_jets(model, chunk.zeta, z, frame),
-                    bochner_martinelli_jets(chunk.zeta, z, frame)
-                    if kind == "solution" else None,
-                    chunk.zeta - z[None, :])
-            (eta1, beta1, gamma1, phi, *pull1), euclid, w = shared[1]
-            bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
-            rejected[zi] += int(np.sum(bad & live))
-            W_kept = W * ~bad[:, None]
-            if kind == "solution":
-                eta0, beta0, gamma0, *pull0 = euclid
-                folded = _folded_coefficients(
-                    W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
-                    start=(beta0, gamma0),
-                    t_rule=tuple(zip(grid.t_nodes, grid.t_weights)),
-                    tangent=pull0 + pull1 if frame is not None else None)
-            else:
-                folded = _folded_coefficients(W_kept, w, beta1, gamma1, r_out)
-            if frame is not None:
-                folded, d_folded = folded
-                d_accums[zi].add(0.0 + sign * d_folded)
+                    folded, d_folded = folded
+                    d_sums[zi] += d_folded
+                sums[zi] += folded
+        for zi, f in enumerate(field_of):
+            sign = plans[id(f)][1]
             # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
             # exactly zero is reported as 0.0
-            accums[zi].add(0.0 + sign * folded)
+            accums[zi].add(0.0 + sign * sums[zi])
+            if d_accums[zi] is not None:
+                d_accums[zi].add(0.0 + sign * d_sums[zi])
 
     out = []
     for zi in range(len(z_list)):

@@ -1,5 +1,5 @@
 """Anisotropic function-space machinery: frame flows, complex-tangential
-curves and projections, and sampling estimators of the anisotropic Holder
+curves, and sampling estimators of the anisotropic Holder
 norms (ambient exponent counts half against tangential exponent).
 
 All estimators are lower bounds: the definitional suprema run over
@@ -125,33 +125,6 @@ def invert_flow(model: ManifoldModel, z, target, tol: float = 1e-9,
     raise FlowInversionError(
         f"no convergence after {max_iter} iterations "
         f"(residual {np.linalg.norm(residual(vec)):.2e})")
-
-
-@dataclass
-class TangentProjection:
-    point: np.ndarray          # projected point on the complex-tangent slice
-    curve: np.ndarray          # sampled curve from the base point
-    controls: tuple
-
-
-def complex_tangent_projection(model: ManifoldModel, z, zeta,
-                               samples: int = 51) -> TangentProjection:
-    """Project through the flow chart onto the complex-tangent slice.
-
-    Inverts the flow at zeta, keeps only the complex-tangential controls,
-    and re-flows; the returned curve is the partial flow from z to the
-    projected point.
-    """
-    x, y, u, v = invert_flow(model, z, zeta)
-    controls = (np.zeros_like(x), np.zeros_like(y), u, v)
-    end, path = flow_from(model, z, controls, steps=max(64, samples),
-                          return_path=True)
-    take = np.linspace(0, path.shape[0] - 1, samples).astype(int)
-    pts = path[take]
-    curve = TangentCurve(samples=pts,
-                         s_values=np.linspace(0.0, 1.0, samples),
-                         velocity_samples=frame_velocity(model, pts, controls))
-    return TangentProjection(point=end, curve=curve, controls=controls)
 
 
 # ---------------------------------------------------------------------------

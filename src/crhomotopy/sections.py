@@ -39,15 +39,16 @@ class SectionJet:
 # batched section jets over a zeta batch at fixed z
 # ---------------------------------------------------------------------------
 
-def bochner_martinelli_jets(zetas, z, directions=None):
+def bochner_martinelli_jets(zetas, z, directions=None, with_zbar=True):
     """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]
-    with beta = d eta / d zbar and gamma = d eta / d zetabar.
+    with beta = d eta / d zbar and gamma = d eta / d zetabar; beta is None
+    when ``with_zbar`` is False.
 
     With ``directions`` (rows v_a, shape (d, n)) a fourth value
-    ``pullback`` is returned: pullback(blk, x, A), x of shape (B, n) and A
-    of shape (B, n, n) over the nodes blk, is the sum over blk of x . D_a eta
-    + <A, D_a gamma> (no conjugation), shape (d,), with D_a = sum_l v_a[l] d
-    / d zbar_l.  No mixed jet is formed.  With w = zeta - z and S = |w|^2,
+    ``pullback`` is returned: pullback(x, A), x of shape (N, n) and A of
+    shape (N, n, n), is the sum over the batch of x . D_a eta + <A, D_a
+    gamma> (no conjugation), shape (d,), with D_a = sum_l v_a[l] d / d
+    zbar_l.  No mixed jet is formed.  With w = zeta - z and S = |w|^2,
     D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k] w_j) / S^2 - 2 conj(w_k) w_j
     (w.v_a) / S^3, so <A, D_a gamma> = ((w.v_a)(tr A - 2 eta^T A w) + v_a^T
     A w) / S^2, and x . D_a eta = (beta^T x) . v_a.
@@ -62,28 +63,30 @@ def bochner_martinelli_jets(zetas, z, directions=None):
     inv_s = 1.0 / S
     inv_s2 = inv_s ** 2
     eta = w.conj() * inv_s[:, None]
-    beta = -eye[None, :, :] * inv_s[:, None, None] + outer * inv_s2[:, None, None]
-    gamma = -beta
+    gamma = (eye[None, :, :] * inv_s[:, None, None]
+             - outer * inv_s2[:, None, None])
+    beta = -gamma if with_zbar else None
     if directions is None:
         return eta, beta, gamma
     V = np.asarray(directions, dtype=complex)
 
-    def pullback(blk, x, A):
-        Aw = np.einsum("Nkj,Nj->Nk", A, w[blk])
-        c = np.einsum("Nkk->N", A) - 2.0 * np.einsum("Nk,Nk->N", eta[blk], Aw)
-        u = (c * inv_s2[blk]) @ w[blk] + inv_s2[blk] @ Aw \
-            + np.tensordot(x, beta[blk], 2)
+    def pullback(x, A):
+        Aw = np.einsum("Nkj,Nj->Nk", A, w)
+        c = np.einsum("Nkk->N", A) - 2.0 * np.einsum("Nk,Nk->N", eta, Aw)
+        u = (c * inv_s2) @ w + inv_s2 @ Aw + np.tensordot(x, beta, 2)
         return V @ u
 
     return eta, beta, gamma, pullback
 
 
-def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
-    """Barrier section values/jets over a batch (eta, beta, gamma, phi).
+def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None,
+                         with_zbar=True):
+    """Barrier section values/jets over a batch (eta, beta, gamma, phi);
+    beta is None when ``with_zbar`` is False.
 
     The returned phi is the raw phase (rejection decisions use it); the
     divisions are floored away from exact zero so a rejected node cannot
-    poison the chunk with non-finite values.
+    poison the batch with non-finite values.
 
     With ``directions`` a fifth value ``pullback`` is returned, as for
     :func:`bochner_martinelli_jets`.  From gamma = (dP/dzetabar - eta (x)
@@ -98,7 +101,7 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
     through (A - w (eta^T A)) / Phi, which is :meth:`BarrierJetBatch.dP_mixed`
     and zero for m = 1, where theta is constant.
     """
-    jets = _barrier.barrier_jets(model, zetas, z)
+    jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar)
     phi = jets.Phi
     phi_safe = np.where(np.abs(phi) < 1e-300, 1.0, phi)
     inv = 1.0 / phi_safe
@@ -107,7 +110,7 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
     # beta[k, l] = dP[l, k]/phi - P[k] dphi[l]/phi^2
     beta = (np.swapaxes(jets.dP_dzbar, 1, 2) * inv[:, None, None]
             - jets.P[:, :, None] * jets.dPhi_dzbar[:, None, :]
-            * inv2[:, None, None])
+            * inv2[:, None, None]) if with_zbar else None
     gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
              - jets.P[:, :, None] * jets.dPhi_dzetabar[:, None, :]
              * inv2[:, None, None])
@@ -115,18 +118,15 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None):
         return eta, beta, gamma, phi
     V = np.asarray(directions, dtype=complex)
 
-    def pullback(blk, x, A):
-        inv_b = inv[blk]
-        y = x - np.einsum("Nkj,Nj->Nk", A, jets.dPhi_dzetabar[blk]) \
-            * inv_b[:, None]
-        a_gamma = np.einsum("Nkj,Nkj->N", A, gamma[blk]) * inv_b
-        out = V @ (np.tensordot(y, beta[blk], 2)
-                   - a_gamma @ jets.dPhi_dzbar[blk])
+    def pullback(x, A):
+        y = x - np.einsum("Nkj,Nj->Nk", A, jets.dPhi_dzetabar) * inv[:, None]
+        a_gamma = np.einsum("Nkj,Nkj->N", A, gamma) * inv
+        out = V @ (np.tensordot(y, beta, 2) - a_gamma @ jets.dPhi_dzbar)
         if jets.dG is not None:                 # m >= 2
-            w = zetas[blk] - z[None, :]
-            A_mixed = (A - w[:, :, None] * (eta[blk, None, :] @ A)) \
-                * inv_b[:, None, None]
-            out = out + jets.dP_mixed(V, blk, A_mixed)
+            w = zetas - z[None, :]
+            A_mixed = (A - w[:, :, None] * (eta[:, None, :] @ A)) \
+                * inv[:, None, None]
+            out = out + jets.dP_mixed(V, A_mixed)
         return out
 
     return eta, beta, gamma, phi, pullback

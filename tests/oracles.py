@@ -12,7 +12,9 @@ pointwise on phase-fixed eigenvector rows in place of the projector G, the
 frame flow has a closed form, derivative oracles are plain central
 differences, and the sample audits (section normalization, Holder
 quotients) go one sample at a time.  The rank-verified tangential frame
-rebuilds the real tangent space from a coordinate Jacobian.
+rebuilds the real tangent space from a coordinate Jacobian, and the
+complex-tangent projection re-flows the complex-tangential controls of the
+inverted frame flow.
 """
 
 from dataclasses import dataclass
@@ -332,7 +334,7 @@ def barrier_mixed_jets(model: ManifoldModel, zetas, z, V):
     d_gamma = -(d_eta[..., None] * jets.dPhi_dzetabar[:, None, None, :]
                 + gamma[:, None] * d_phi[..., None, None])
     if jets.dG is not None:
-        mixed = padded_dP_mixed(model, jets, V, slice(None))
+        mixed = padded_dP_mixed(model, jets, V)
         w = zetas - z[None, :]
         d_gamma += mixed - eta[:, None, :, None] * (w[:, None, None] @ mixed)
     return d_eta, d_gamma / phi[:, None, None, None]
@@ -559,17 +561,15 @@ def kato_frame_derivative(model: ManifoldModel, thetas):
     return scale2[:, None, None] * Pi, dG
 
 
-def padded_dP_mixed(model: ManifoldModel, jets, V, blk):
-    """The mixed jet sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l over the
-    nodes ``blk`` as a tensor, (B, a, i, j), from the zero-padded (B, m, n,
-    n) tensor dH = H_k - dG_k on the z'-block of
-    :class:`barrier.BarrierJetBatch`: the oracle of its pullback
-    ``BarrierJetBatch.dP_mixed``."""
+def padded_dP_mixed(model: ManifoldModel, jets, V):
+    """The mixed jet sum_l V[a, l] d^2 P_i / d zetabar_j d zbar_l as a
+    tensor, (N, a, i, j), from the zero-padded (N, m, n, n) tensor dH = H_k
+    - dG_k on the z'-block of :class:`barrier.BarrierJetBatch`: the oracle
+    of its pullback ``BarrierJetBatch.dP_mixed``."""
     d = model.tangential_dim
-    dG = jets.dG[blk]
-    dH = np.zeros(dG.shape[:2] + (model.n, model.n), dtype=complex)
-    dH[:, :, :d, :d] = np.stack(model.hermitian) - dG
-    return np.einsum("al,Nkli,Nkj->Naij", V, dH, jets.dtheta[blk])
+    dH = np.zeros(jets.dG.shape[:2] + (model.n, model.n), dtype=complex)
+    dH[:, :, :d, :d] = np.stack(model.hermitian) - jets.dG
+    return np.einsum("al,Nkli,Nkj->Naij", V, dH, jets.dtheta)
 
 
 @dataclass
@@ -729,6 +729,34 @@ def assemble_conjugate_frame_derivative(values, d, step: float):
         dv = (vb - vbm) / (2.0 * step)
         out[i] = 0.5 * (du + 1j * dv)
     return out
+
+
+@dataclass
+class TangentProjection:
+    point: np.ndarray          # projected point on the complex-tangent slice
+    curve: np.ndarray          # sampled curve from the base point
+    controls: tuple
+
+
+def complex_tangent_projection(model: ManifoldModel, z, zeta,
+                               samples: int = 51) -> TangentProjection:
+    """Project through the flow chart of ``norms`` onto the complex-tangent
+    slice.
+
+    Inverts the flow at zeta, keeps only the complex-tangential controls,
+    and re-flows; the returned curve is the partial flow from z to the
+    projected point.
+    """
+    x, y, u, v = norms.invert_flow(model, z, zeta)
+    controls = (np.zeros_like(x), np.zeros_like(y), u, v)
+    end, path = norms.flow_from(model, z, controls,
+                                steps=max(64, samples), return_path=True)
+    take = np.linspace(0, path.shape[0] - 1, samples).astype(int)
+    pts = path[take]
+    curve = norms.TangentCurve(
+        samples=pts, s_values=np.linspace(0.0, 1.0, samples),
+        velocity_samples=norms.frame_velocity(model, pts, controls))
+    return TangentProjection(point=end, curve=curve, controls=controls)
 
 
 def flow_from_exact(model: ManifoldModel, z, controls, time: float = 1.0):

@@ -26,19 +26,19 @@ def form_at(eta, beta, gamma, tau):
 def pulled_back_jets(pullback, N, n):
     """D_a eta (N, n, n) and D_a gamma (N, n, n, n) of a section whose
     directions are the identity, one node at a time, from the pullbacks of
-    the basis adjoints: x = e_k with A = 0 gives D_a eta[k], x = 0 with A =
-    e_k e_j^T gives D_a gamma[k, j]."""
+    the basis adjoints at that node (zero at the others): x = e_k with A = 0
+    gives D_a eta[k], x = 0 with A = e_k e_j^T gives D_a gamma[k, j]."""
     d_eta = np.empty((N, n, n), dtype=complex)
     d_gamma = np.empty((N, n, n, n), dtype=complex)
-    basis = np.eye(n)
-    zero_x, zero_A = np.zeros((1, n)), np.zeros((1, n, n))
     for i in range(N):
-        node = slice(i, i + 1)
         for k in range(n):
-            d_eta[i, :, k] = pullback(node, basis[k][None], zero_A)
+            x, A = np.zeros((N, n)), np.zeros((N, n, n))
+            x[i, k] = 1.0
+            d_eta[i, :, k] = pullback(x, A)
             for j in range(n):
-                A = np.outer(basis[k], basis[j])[None]
-                d_gamma[i, :, k, j] = pullback(node, zero_x, A)
+                x, A = np.zeros((N, n)), np.zeros((N, n, n))
+                A[i, k, j] = 1.0
+                d_gamma[i, :, k, j] = pullback(x, A)
     return d_eta, d_gamma
 
 
@@ -220,29 +220,31 @@ class TestSections:
                                        "random_n6m2"])
     def test_pullback_matches_tensor_contraction(self, which, section,
                                                  request):
-        # random adjoints (x, A) over a block of nodes, pulled back along
-        # random complex directions, against the contraction of the
-        # mixed-jet tensors of tests/oracles.py; only the association of
-        # the sums differs, so the gap is rounding
+        # random adjoints (x, A) over the section jets of a block of nodes,
+        # pulled back along random complex directions, against the
+        # contraction of the mixed-jet tensors of tests/oracles.py built over
+        # more nodes; only the association of the sums differs, so the gap
+        # is rounding
         model = request.getfixturevalue(which)
         rng = np.random.default_rng(17)
         zetas, z = self.chunk_nodes(model, 64)
         V = rng.standard_normal((3, model.n)) \
             + 1j * rng.standard_normal((3, model.n))
+        blk = slice(8, 40)
         if section == "euclidean":
-            pullback = sections.bochner_martinelli_jets(zetas, z, V)[-1]
+            pullback = sections.bochner_martinelli_jets(zetas[blk], z, V)[-1]
             tensors = euclidean_mixed_jets(zetas, z, V)
         else:
-            pullback = sections.barrier_section_jets(model, zetas, z, V)[-1]
+            pullback = sections.barrier_section_jets(model, zetas[blk], z,
+                                                     V)[-1]
             tensors = barrier_mixed_jets(model, zetas, z, V)
-        blk = slice(8, 40)
         for _ in range(3):
             x = rng.standard_normal((32, model.n)) \
                 + 1j * rng.standard_normal((32, model.n))
             A = rng.standard_normal((32, model.n, model.n)) \
                 + 1j * rng.standard_normal((32, model.n, model.n))
             want = contract_mixed_jets(*(t[blk] for t in tensors), x, A)
-            got = pullback(blk, x, A)
+            got = pullback(x, A)
             assert np.max(np.abs(got - want)) \
                 <= 1e-13 * np.max(np.abs(want))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ from oracles import (barrier_mixed_jets, contraction_table,
                      dense_orientation_and_jacobian, euclidean_mixed_jets,
                      full_row_folded_coefficients, random_quadric,
                      row_contraction, velocity_columns)
+
+# bound of the traced allocation peak of one apply_operator call on an
+# 8192-node sig22_n6m2 chunk: 9.0 MB (solution kind) and 8.3 MB
+# (obstruction) measured, plus a third for allocator and numpy-version
+# spread, stays below 9.0 + 4.7 MB, so one chunk-sized (N, n, n) complex jet
+# tensor alive at the peak fails it
+APPLY_PEAK_MB = 12.0
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -563,6 +572,65 @@ class TestOperators:
         assert (row.rejected, row.total_nodes) == (0, 500)
 
     @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_block_size_invariance(self, which, request, monkeypatch):
+        # the kernel block is a unit of work, not of the estimate: blocks of
+        # 64 and of 200 nodes (1500 = 7 * 200 + 100, so the last block is
+        # partial) give the values and rejected counts of 512-node blocks,
+        # for both kinds at two points and for the same-z pair with a
+        # conjugate frame of identity_residual, whose points share their
+        # section jets per block.  A rejection floor just above eps / 2, the
+        # floor of the phase on the level set, rejects about a tenth of the
+        # nodes at z1, spread over the blocks
+        model = request.getfixturevalue(which)
+        f = bundled_test_form(model)
+        z1 = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                               0.01 * np.ones(model.m))
+        z2 = model.graph_point(np.array([-0.02, 0.04, 0.0, 0.03]),
+                               -0.02 * np.ones(model.m))
+        grid = centered_grid(model, z1, budget=1500)
+        frame = fields.conjugate_frame_rows(model, z1)
+        monkeypatch.setattr(homotopy, "PHASE_REJECT_FACTOR", 0.5000005)
+        monkeypatch.setattr(homotopy, "REJECT_LIMIT", 1.0)
+
+        def run(block):
+            monkeypatch.setattr(homotopy, "BLOCK", block)
+            results = [res for kind in ("solution", "obstruction")
+                       for res in apply_operator_multi(model, f, [z1, z2],
+                                                       grid, kind=kind)]
+            r1, r2 = apply_operator_multi(
+                model, [f, f.dbar_field(model)], [z1, z1], grid,
+                _frames=[frame, None])
+            return [(res.ambient, res.rejected)
+                    for res in results + [r1, r2]] + [(r1.dbar, r1.rejected)]
+
+        want = run(512)
+        assert want[0][1] > 0           # z1 is the grid's center; z2 is not
+        for block in (64, 200):
+            for (got, got_rejected), (ref, rejected) in zip(run(block), want):
+                assert got_rejected == rejected
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(
+                    np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["solution", "obstruction"])
+    def test_apply_peak_memory(self, secondary, kind):
+        # the traced allocation peak of one apply_operator call on a full
+        # sig22_n6m2 chunk stays below APPLY_PEAK_MB: no jet tensor spans
+        # more than a kernel block
+        f = bundled_test_form(secondary)
+        z = secondary.graph_point(np.array([0.02, -0.01j, 0.015, 0.0]),
+                                  np.array([0.01, -0.01]))
+        grid = centered_grid(secondary, z, budget=quadrature.CHUNK)
+        apply_operator(secondary, f, z, grid, kind=kind)  # fill the caches
+        tracemalloc.start()
+        try:
+            res = apply_operator(secondary, f, z, grid, kind=kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.total_nodes == quadrature.CHUNK
+        assert peak < APPLY_PEAK_MB * 1e6
+
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
     def test_default_t_rule_is_exact(self, which, request):
         # the solution t-integrand has degree n - 2, so n // 2 Gauss nodes
         # agree with six nodes to round-off, for degree-1 and degree-2 input
@@ -695,14 +763,14 @@ class TestOperators:
     def check_contracted_kernel(self, n, kind, r, w_case, rng):
         """The contracted kernel against the dense determinants, with w and
         jets drawn as by :meth:`section_like_jets`: random weights, a keep
-        mask, two t-nodes, and a node count that ends in a partial block.
+        mask and two t-nodes over 700 nodes.
         The pivot max |w_k| is unique ("random"), tied between two
         coordinates ("tie"), or w lies within 1e-8 of a coordinate axis
         ("near_axis")."""
         def cplx(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        N = homotopy.BLOCK + 188
+        N = 700
         r_out, _ = homotopy._field_plan(n, r, kind)
         nM = len(index_combinations(n, n - 1 - r))
         w = cplx(N, n)
