@@ -47,7 +47,7 @@ def gradient_section(model: ManifoldModel, k: int, zeta, z):
     asserted here once rather than carried as dead code.
     """
     del zeta  # second-order term is identically zero for quadrics
-    return -model.holo_gradient(k, z)
+    return -model.holo_gradients(z)[..., k, :]
 
 
 def normal_direction(model: ManifoldModel, zeta):
@@ -102,7 +102,8 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     """G = s^2 Pi on the z'-block, (N, d, d), and dG / d theta along the
     unit sphere, (N, m, d, d), or None for m = 1 (one G per sheet present).
 
-    From one batched eigh of M = -theta . H with A_k = -(H_k + theta_k M),
+    From one batched eigh of the Levi pencil M = -theta . H
+    (:meth:`ManifoldModel.levi_pencil`) with A_k = -(H_k + theta_k M),
     dPi_k = sum_{i kept, j dropped} (v_i v_i^H A_k v_j v_j^H + h.c.) /
     (lambda_i - lambda_j) (Kato, Perturbation Theory for Linear Operators,
     II sec. 2) and ds^2_k = -CORRECTION_MARGIN v_min^H A_k v_min.  By M v =
@@ -118,7 +119,7 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     thetas = thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
     count = model.n - model.q - model.m
     H = model.hermitian_stack                             # (m, d, d)
-    lam, vec = np.linalg.eigh(-np.tensordot(thetas, H, axes=(1, 0)))
+    lam, vec = np.linalg.eigh(model.levi_pencil(thetas))
     kept, dropped = vec[:, :, :count], vec[:, :, count:]
     scale2 = CORRECTION_MARGIN * np.maximum(1.0, -lam[:, 0])
     G = kept @ np.swapaxes(kept.conj(), 1, 2)             # Pi
@@ -163,7 +164,7 @@ def barrier_jets(model: ManifoldModel, zetas, z,
     if np.any(norm <= model.tol_on_manifold):
         raise ThetaUndefinedError("batch contains points on the manifold")
     thetas = -vec / norm[:, None]
-    Q = np.stack([gradient_section(model, k, None, z) for k in range(model.m)])
+    Q = -model.holo_gradients(z)                           # (m, n)
     G, dG = _frames_for_thetas(model, thetas)
 
     P = thetas @ Q
@@ -171,8 +172,7 @@ def barrier_jets(model: ManifoldModel, zetas, z,
     dP_dzbar = dPhi_dzbar = None
     if with_zbar:
         dP_dzbar = np.zeros((N, n, n), dtype=complex)
-        dP_dzbar[:, :d, :d] = np.tensordot(thetas, model.hermitian_stack,
-                                           axes=(1, 0)) - G
+        dP_dzbar[:, :d, :d] = -model.levi_pencil(thetas) - G
         dPhi_dzbar = (dP_dzbar @ w[:, :, None])[:, :, 0]
     dP_dzetabar = np.zeros((N, n, n), dtype=complex)
     dtheta = None
@@ -207,7 +207,7 @@ def barrier_phase(model: ManifoldModel, zetas, z,
     z = np.asarray(z, dtype=complex)
     w = zetas - z[None, :]
     thetas = normal_direction(model, zetas)
-    Q = np.stack([gradient_section(model, k, None, z) for k in range(model.m)])
+    Q = -model.holo_gradients(z)                           # (m, n)
     F = np.einsum("ki,Ni->Nk", Q, w)
     phi = np.einsum("Nk,Nk->N", thetas, F)
     if include_correction:

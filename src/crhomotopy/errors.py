@@ -6,15 +6,12 @@ class CRHomotopyError(Exception):
 
 
 class ModelValidationError(CRHomotopyError):
-    """Model data violates a structural requirement (dimensions, Hermitian-ness)."""
+    """Model data violates a structural requirement (dimensions, Hermitian-ness,
+    finite entries)."""
 
 
 class ModelParseError(CRHomotopyError):
     """Model file could not be parsed; message names the offending line."""
-
-
-class InvalidDirectionError(CRHomotopyError):
-    """Normal direction vector is not unit length."""
 
 
 class ThetaUndefinedError(CRHomotopyError):

@@ -1,10 +1,11 @@
 """Differential form fields on the model chart.
 
-Coefficients are "chart functions": functions of (z', conj z', Re w) only.
-Such functions are invariant under the graph extension (coefficients constant
-along the defining coordinates), so extending a form off the manifold is the
-identity on this representation, and ambient Wirtinger jets are analytic for
-the polynomial-times-bump test coefficients.
+Coefficients are "chart functions": functions of (z', conj z', Re w) with a
+value and an ambient d/dzbar jet, the only derivative the operators read.
+Such functions are invariant under the graph extension (coefficients
+constant along the defining coordinates), so extending a form off the
+manifold is the identity on this representation, and the jets are analytic
+for the polynomial-times-bump test coefficients.
 
 Forms are stored by ambient antiholomorphic components over strictly
 increasing index tuples; tangential content is extracted by contraction with
@@ -30,15 +31,12 @@ from .geometry import ManifoldModel, holomorphic_tangent_rows
 class ChartFunction:
     """Function of the chart parameters (z', conj z', Re w).
 
-    Subclasses provide ``value`` and ambient Wirtinger jets ``d_z`` /
-    ``d_zbar`` of shape (..., n).  Independence of Im w makes every chart
-    function its own graph extension.
+    Subclasses provide ``value`` and the ambient Wirtinger jet ``d_zbar`` of
+    shape (..., n).  Independence of Im w makes every chart function its own
+    graph extension.
     """
 
     def value(self, model, z):
-        raise NotImplementedError
-
-    def d_z(self, model, z):
         raise NotImplementedError
 
     def d_zbar(self, model, z):
@@ -59,9 +57,11 @@ class PolyChart(ChartFunction):
         self.terms = [(complex(c), np.asarray(a, int), np.asarray(b, int),
                        np.asarray(e, int)) for c, a, b, e in terms]
 
-    def _monomials(self, zp, u):
-        vals = []
-        for c, a, b, e in self.terms:
+    def _sum(self, terms, zp, u):
+        """Sum of the monomials ``terms`` at (z', u), the factors z'_i and
+        conj z'_i taken per index i, then the u_k."""
+        out = np.zeros(zp.shape[:-1], dtype=complex)
+        for c, a, b, e in terms:
             t = np.full(zp.shape[:-1], c, dtype=complex)
             for i in range(self.d):
                 if a[i]:
@@ -71,73 +71,27 @@ class PolyChart(ChartFunction):
             for k in range(self.m):
                 if e[k]:
                     t = t * u[..., k] ** e[k]
-            vals.append(t)
-        return vals
-
-    def value(self, model, z):
-        zp, u = _chart_params(model, z)
-        out = np.zeros(zp.shape[:-1], dtype=complex)
-        for t in self._monomials(zp, u):
             out = out + t
         return out
 
-    def _partials(self, model, z):
-        """(d/dz'_i, d/dzbar'_i, d/du_k) of the polynomial."""
-        zp, u = _chart_params(model, z)
-        shape = zp.shape[:-1]
-        dz = np.zeros(shape + (self.d,), dtype=complex)
-        dzb = np.zeros(shape + (self.d,), dtype=complex)
-        du = np.zeros(shape + (self.m,), dtype=complex)
-        for c, a, b, e in self.terms:
-            base = np.full(shape, c, dtype=complex)
-            zpow = [zp[..., i] ** a[i] for i in range(self.d)]
-            zbpow = [zp[..., i].conj() ** b[i] for i in range(self.d)]
-            upow = [u[..., k] ** e[k] for k in range(self.m)]
-            full = base.copy()
-            for i in range(self.d):
-                full = full * zpow[i] * zbpow[i]
-            for k in range(self.m):
-                full = full * upow[k]
-            for i in range(self.d):
-                if a[i]:
-                    term = base * a[i] * zp[..., i] ** (a[i] - 1) * zbpow[i]
-                    for j in range(self.d):
-                        if j != i:
-                            term = term * zpow[j] * zbpow[j]
-                    for k in range(self.m):
-                        term = term * upow[k]
-                    dz[..., i] += term
-                if b[i]:
-                    term = base * b[i] * zp[..., i].conj() ** (b[i] - 1) * zpow[i]
-                    for j in range(self.d):
-                        if j != i:
-                            term = term * zpow[j] * zbpow[j]
-                    for k in range(self.m):
-                        term = term * upow[k]
-                    dzb[..., i] += term
-            for k in range(self.m):
-                if e[k]:
-                    term = base * e[k] * u[..., k] ** (e[k] - 1)
-                    for i in range(self.d):
-                        term = term * zpow[i] * zbpow[i]
-                    for k2 in range(self.m):
-                        if k2 != k:
-                            term = term * upow[k2]
-                    du[..., k] += term
-        return dz, dzb, du
-
-    def d_z(self, model, z):
-        dz, _, du = self._partials(model, z)
-        out = np.zeros(np.shape(z), dtype=complex)
-        out[..., :self.d] = dz
-        out[..., self.d:] = 0.5 * du     # d u_k / d w_k = 1/2
-        return out
+    def value(self, model, z):
+        return self._sum(self.terms, *_chart_params(model, z))
 
     def d_zbar(self, model, z):
-        _, dzb, du = self._partials(model, z)
+        """Column j: the terms with the j-th exponent of (conj z', u)
+        lowered; d u_k / d wbar_k = 1/2."""
+        zp, u = _chart_params(model, z)
         out = np.zeros(np.shape(z), dtype=complex)
-        out[..., :self.d] = dzb
-        out[..., self.d:] = 0.5 * du     # d u_k / d wbar_k = 1/2
+        for j in range(self.d + self.m):
+            lowered = []
+            for c, a, b, e in self.terms:
+                p = np.concatenate([b, e])
+                if p[j]:
+                    low = p.copy()
+                    low[j] -= 1
+                    lowered.append((c * p[j], a, low[:self.d], low[self.d:]))
+            out[..., j] = self._sum(lowered, zp, u)
+        out[..., self.d:] *= 0.5
         return out
 
 
@@ -198,14 +152,6 @@ class BumpChart(ChartFunction):
         dd2 = np.where(dist > 1e-150, slope / (2.0 * dist), 0.0)
         return dd2, dz, du
 
-    def d_z(self, model, z):
-        dd2, dz, du = self._chain(model, z)
-        out = np.zeros(np.shape(z), dtype=complex)
-        # d(dist^2)/d z'_i = conj(dz_i); d(dist^2)/d w_k = du_k / 2
-        out[..., :dz.shape[-1]] = dd2[..., None] * dz.conj()
-        out[..., dz.shape[-1]:] = dd2[..., None] * du * 0.5
-        return out
-
     def d_zbar(self, model, z):
         dd2, dz, du = self._chain(model, z)
         out = np.zeros(np.shape(z), dtype=complex)
@@ -225,66 +171,24 @@ class ProductChart(ChartFunction):
             out = v if out is None else out * v
         return out
 
-    def _jet(self, model, z, which):
+    def d_zbar(self, model, z):
         vals = [f.value(model, z) for f in self.factors]
-        jets = [getattr(f, which)(model, z) for f in self.factors]
         out = np.zeros(np.shape(z), dtype=complex)
-        for i in range(len(self.factors)):
-            term = jets[i]
+        for i, f in enumerate(self.factors):
+            term = f.d_zbar(model, z)
             for j, v in enumerate(vals):
                 if j != i:
                     term = term * v[..., None]
             out = out + term
         return out
 
-    def d_z(self, model, z):
-        return self._jet(model, z, "d_z")
-
-    def d_zbar(self, model, z):
-        return self._jet(model, z, "d_zbar")
-
-
-class ScaledChart(ChartFunction):
-    def __init__(self, base, factor):
-        self.base = base
-        self.factor = complex(factor)
-
-    def value(self, model, z):
-        return self.factor * self.base.value(model, z)
-
-    def d_z(self, model, z):
-        return self.factor * self.base.d_z(model, z)
-
-    def d_zbar(self, model, z):
-        return self.factor * self.base.d_zbar(model, z)
-
-
-class SumChart(ChartFunction):
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def value(self, model, z):
-        out = None
-        for p in self.parts:
-            v = p.value(model, z)
-            out = v if out is None else out + v
-        return out
-
-    def d_z(self, model, z):
-        return sum(p.d_z(model, z) for p in self.parts)
-
-    def d_zbar(self, model, z):
-        return sum(p.d_zbar(model, z) for p in self.parts)
-
 
 class ZeroChart(ChartFunction):
     def value(self, model, z):
         return np.zeros(np.shape(z)[:-1], dtype=complex)
 
-    def d_z(self, model, z):
+    def d_zbar(self, model, z):
         return np.zeros(np.shape(z), dtype=complex)
-
-    d_zbar = d_z
 
 
 class CallableChart(ChartFunction):
@@ -297,10 +201,8 @@ class CallableChart(ChartFunction):
     def value(self, model, z):
         return self.fn(np.asarray(z, dtype=complex))
 
-    def d_z(self, model, z):
+    def d_zbar(self, model, z):
         raise DerivativeOrderError("coefficient has no analytic jets")
-
-    d_zbar = d_z
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +245,6 @@ class FormField:
     n: int
     degree: int
     components: list
-    support: str = "global"
 
     def __post_init__(self):
         self.combos = index_combinations(self.n, self.degree)
@@ -375,13 +276,12 @@ class FormField:
     def dbar_field(self, model) -> "FormField":
         """The differential as a lazily evaluated field."""
         return lazy_field(self.n, self.degree + 1,
-                          lambda z: self.dbar_values(model, z), self.support)
+                          lambda z: self.dbar_values(model, z))
 
     def scaled_by(self, chart_fn) -> "FormField":
         return FormField(
             n=self.n, degree=self.degree,
-            components=[ProductChart(chart_fn, c) for c in self.components],
-            support="cutoff")
+            components=[ProductChart(chart_fn, c) for c in self.components])
 
 
 class ColumnChart(CallableChart):
@@ -393,13 +293,12 @@ class ColumnChart(CallableChart):
         self.idx = idx
 
 
-def lazy_field(n, degree, values_fn, support) -> FormField:
+def lazy_field(n, degree, values_fn) -> FormField:
     """Field whose component i is column i of ``values_fn(z)``, an array of
     shape (..., C(n, degree)); ``FormField.values`` evaluates it once."""
     return FormField(n=n, degree=degree,
                      components=[ColumnChart(values_fn, i) for i in
-                                 range(len(index_combinations(n, degree)))],
-                     support=support)
+                                 range(len(index_combinations(n, degree)))])
 
 
 def wedge_covector_values(n, degree, covector, values):
@@ -480,8 +379,7 @@ def tangential_dbar_values(model: ManifoldModel, field: FormField, z):
 
 def tangential_dbar_field(model: ManifoldModel, field: FormField) -> FormField:
     return lazy_field(model.n, field.degree + 1,
-                      lambda z: tangential_dbar_values(model, field, z),
-                      field.support)
+                      lambda z: tangential_dbar_values(model, field, z))
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +395,7 @@ def extend_graph(model: ManifoldModel, field: FormField) -> FormField:
         return CallableChart(fn)
 
     return FormField(n=model.n, degree=field.degree,
-                     components=[make(c) for c in field.components],
-                     support=field.support)
+                     components=[make(c) for c in field.components])
 
 
 def gradient_flow_projection(model: ManifoldModel, z, steps: int = 8):
@@ -526,8 +423,7 @@ def extend_gradient_flow(model: ManifoldModel, field: FormField) -> FormField:
         return CallableChart(fn)
 
     return FormField(n=model.n, degree=field.degree,
-                     components=[make(c) for c in field.components],
-                     support=field.support)
+                     components=[make(c) for c in field.components])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +444,7 @@ def bundled_test_form(model: ManifoldModel, r_in=0.25, r_out=0.45) -> FormField:
     bump = BumpChart(np.zeros(d), np.zeros(m), r_in, r_out)
     comps = [ZeroChart() for _ in range(model.n)]
     comps[0] = ProductChart(poly, bump)
-    return FormField(n=model.n, degree=1, components=comps, support="cutoff")
+    return FormField(n=model.n, degree=1, components=comps)
 
 
 def partition_defect(model: ManifoldModel, cutoffs, field_support_samples):

@@ -1,6 +1,5 @@
-"""Quadric CR models: defining functions, directional Levi eigenvalue data,
-concavity certification, the modified defining form and the holomorphic
-tangent rows.
+"""Quadric CR models: defining functions, the Levi pencil, concavity
+certification, the modified defining form and the holomorphic tangent rows.
 
 A model is the graph quadric
 
@@ -11,11 +10,13 @@ so downstream quadrature error is never polluted by geometric approximation.
 
 Sign convention (single source of truth): the complex (mixed) Hessian of
 rho_k on the z'-block, as the matrix F of the Hermitian form  v -> v^H F v,
-equals -H_k.  The matrix returned by :func:`directional_levi` is the mixed
-Hessian of the combination sum_k theta_k rho_k, i.e. -sum_k theta_k H_k.
-Its nonpositive eigendirections are exactly the directions the barrier's
-quadratic correction must cover; certification over the whole direction
-sphere is invariant under the sign flip theta -> -theta.
+equals -H_k.  The Levi pencil :meth:`ManifoldModel.levi_pencil` is the mixed
+Hessian of the combination sum_k theta_k rho_k, i.e. -theta . H, batched over
+directions theta; every Levi consumer (the certificate, the modified form,
+the barrier's correction frames and jets) reads it.  Its nonpositive
+eigendirections are exactly the directions the barrier's quadratic
+correction must cover; certification over the whole direction sphere is
+invariant under the sign flip theta -> -theta.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import (
-    InvalidDirectionError,
-    ModelParseError,
-    ModelValidationError,
-)
+from .errors import ModelParseError, ModelValidationError
 
 TOL_EIG = 1e-9
 TOL_HERMITIAN = 1e-12
@@ -79,10 +76,13 @@ class ManifoldModel:
             if h.shape != (d, d):
                 raise ModelValidationError(
                     f"matrix {k + 1} has shape {h.shape}, expected {(d, d)}")
+            if not np.all(np.isfinite(h)):
+                raise ModelValidationError(
+                    f"matrix {k + 1} has non-finite entries")
             if np.max(np.abs(h - h.conj().T)) > TOL_HERMITIAN:
                 raise ModelValidationError(f"matrix {k + 1} is not Hermitian")
-        if self.radius <= 0:
-            raise ModelValidationError("chart radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ModelValidationError("chart radius must be finite and positive")
         self.tol_on_manifold = 1e-9 * self.radius
         # (m, d, d) stack of the H_k, real (real arithmetic) if every H_k is
         H = np.stack(self.hermitian)
@@ -128,10 +128,6 @@ class ManifoldModel:
 
     # -- derivatives (all exact for the quadric) --------------------------
 
-    def holo_gradient(self, k, z):
-        """d rho_k / d zeta at z, shape (..., n)."""
-        return self.holo_gradients(z)[..., k, :]
-
     def holo_gradients(self, z):
         """All m holomorphic gradients stacked, shape (..., m, n)."""
         zp, d, m = self.split(z)[0], self.tangential_dim, self.m
@@ -141,19 +137,19 @@ class ManifoldModel:
         g[..., range(m), range(d, d + m)] = 1.0 / 2.0j
         return g
 
-    def levi_block(self, k):
-        """z'-block of the Hermitian-form matrix of the Levi form of rho_k."""
-        return -self.hermitian[k]
+    def levi_pencil(self, thetas):
+        """Levi matrices -theta . H of sum_k theta_k rho_k on the z'-block,
+        shape (..., d, d) for directions (..., m); real when every H_k is."""
+        return -np.tensordot(thetas, self.hermitian_stack, axes=(-1, 0))
 
-    def levi_form_full(self, theta_vec):
-        """Full n x n form matrix of sum_k theta_k rho_k (w-block is zero)."""
+    def levi_form_full(self, thetas):
+        """Full n x n form matrices of sum_k theta_k rho_k, (..., n, n): the
+        pencil padded by the zero w-block."""
+        thetas = np.asarray(thetas, dtype=float)
         d = self.tangential_dim
-        blk = np.zeros((self.n, self.n), dtype=complex)
-        acc = np.zeros((d, d), dtype=complex)
-        for t, h in zip(np.asarray(theta_vec, dtype=float), self.hermitian):
-            acc -= t * h
-        blk[:d, :d] = acc
-        return blk
+        out = np.zeros(thetas.shape[:-1] + (self.n, self.n), dtype=complex)
+        out[..., :d, :d] = self.levi_pencil(thetas)
+        return out
 
     # -- identity ---------------------------------------------------------
 
@@ -166,59 +162,8 @@ class ManifoldModel:
 
 
 # ---------------------------------------------------------------------------
-# directions and Levi data
+# direction grids and the concavity certificate
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Direction:
-    """Unit vector in the real normal direction sphere."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=float)
-        if abs(np.linalg.norm(self.vec) - 1.0) > 1e-12:
-            raise InvalidDirectionError(
-                f"direction norm {np.linalg.norm(self.vec)!r} != 1")
-
-
-@dataclass
-class LeviData:
-    """Eigenvalue data of the directional Levi matrix on the z'-block."""
-
-    theta: Direction
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    neg_count: int
-    pos_count: int
-    E_basis: np.ndarray  # columns: orthonormal basis where the form is positive
-
-
-def directional_levi(model: ManifoldModel, theta) -> LeviData:
-    """Levi matrix -sum_k theta_k H_k with sorted eigenvalue data.
-
-    For quadrics the matrix is independent of the base point.  Linear in
-    theta before normalization.
-    """
-    if not isinstance(theta, Direction):
-        theta = Direction(np.asarray(theta, dtype=float))
-    mat = np.zeros((model.tangential_dim,) * 2, dtype=complex)
-    for t, h in zip(theta.vec, model.hermitian):
-        mat -= t * h
-    evals, evecs = np.linalg.eigh(mat)
-    neg = int(np.sum(evals < -TOL_EIG))
-    pos = int(np.sum(evals > TOL_EIG))
-    # positivity subspace: top q eigenvectors on the tangential slice,
-    # completed by the w-block directions (where the graph normal bundle sits)
-    d = model.tangential_dim
-    keep = evecs[:, d - model.q:]
-    basis = np.zeros((model.n, keep.shape[1] + model.m), dtype=complex)
-    basis[:d, :keep.shape[1]] = keep
-    for j in range(model.m):
-        basis[d + j, keep.shape[1] + j] = 1.0
-    return LeviData(theta=theta, matrix=mat, eigenvalues=evals,
-                    neg_count=neg, pos_count=pos, E_basis=basis)
-
 
 def direction_grid(m: int, resolution: int = 16) -> np.ndarray:
     """Deterministic grid on the unit sphere S^(m-1), shape (count, m)."""
@@ -265,35 +210,31 @@ class ConcavityReport:
 def certify_concavity(model: ManifoldModel, resolution: int = 16) -> ConcavityReport:
     """Certify that every sampled direction sees >= q negative eigenvalues.
 
-    FAIL is a report outcome, not an exception.  Also records directions where
-    the kept/dropped eigenvalue gap of the correction frame nearly closes,
-    since frame smoothness degrades there.
+    One batched eigvalsh of the Levi pencil over the direction grid gives
+    the counts, the first direction of fewest negative eigenvalues and the
+    directions where the kept/dropped eigenvalue gap of the correction frame
+    nearly closes, since frame smoothness degrades there.  FAIL is a report
+    outcome, not an exception.
     """
     if model.m > 1 and resolution < 8:
         raise ModelValidationError("need at least 8 grid points per angle")
     grid = direction_grid(model.m, resolution)
-    min_neg = None
-    min_pos = None
-    worst = grid[0]
+    evals = np.linalg.eigvalsh(model.levi_pencil(grid))     # (count, d)
+    neg = np.sum(evals < -TOL_EIG, axis=1)
+    worst = int(np.argmin(neg))
     warnings = []
     split_at = model.n - model.q - model.m
-    for theta in grid:
-        data = directional_levi(model, theta)
-        if min_neg is None or data.neg_count < min_neg:
-            min_neg = data.neg_count
-            worst = theta
-        min_pos = data.pos_count if min_pos is None else min(min_pos, data.pos_count)
-        if 0 < split_at < model.tangential_dim:
-            gap = data.eigenvalues[split_at] - data.eigenvalues[split_at - 1]
-            if gap < FRAME_GAP_WARN:
-                warnings.append({"direction": [float(x) for x in theta],
-                                 "gap": float(gap)})
+    if 0 < split_at < model.tangential_dim:
+        gap = evals[:, split_at] - evals[:, split_at - 1]
+        warnings = [{"direction": [float(x) for x in grid[i]],
+                     "gap": float(gap[i])}
+                    for i in np.flatnonzero(gap < FRAME_GAP_WARN)]
     return ConcavityReport(
-        passed=bool(min_neg >= model.q),
+        passed=bool(neg[worst] >= model.q),
         required=model.q,
-        min_negative=int(min_neg),
-        min_positive=int(min_pos),
-        worst_direction=np.asarray(worst),
+        min_negative=int(neg[worst]),
+        min_positive=int(np.min(np.sum(evals > TOL_EIG, axis=1))),
+        worst_direction=grid[worst],
         resolution=resolution,
         frame_gap_warnings=warnings,
     )
@@ -303,51 +244,42 @@ def certify_concavity(model: ManifoldModel, resolution: int = 16) -> ConcavityRe
 # defining-function modification (extra plurisubharmonic weight)
 # ---------------------------------------------------------------------------
 
-def directional_modified_form(model: ManifoldModel, theta_vec, z,
+def directional_modified_form(model: ManifoldModel, thetas, z,
                               amplitude: float) -> np.ndarray:
-    """Form matrix of (sum_k theta_k rho_k) + amplitude * sum_i rho_i^2 at z.
+    """Form matrices of (sum_k theta_k rho_k) + amplitude * sum_i rho_i^2
+    at z, shape (..., n, n) over the broadcast leading axes of thetas
+    (..., m) and z (..., n).
 
-    The weight is applied to the directional combination itself: combining
-    the individually modified functions linearly in theta flips the weight's
-    sign on half the sphere and can never be positive there.
+    The weight's form is 2 amplitude (sum_i conj(g_i) g_i^T + levi(rho_vec)),
+    g_i the holomorphic gradients.  It is applied to the directional
+    combination itself: combining the individually modified functions
+    linearly in theta flips the weight's sign on half the sphere and can
+    never be positive there.
     """
     vec, _ = model.defining_values(z)
-    form = model.levi_form_full(theta_vec).copy()
-    d = model.tangential_dim
-    for i in range(model.m):
-        g = model.holo_gradient(i, z)
-        c = g.conj()
-        form += 2.0 * amplitude * np.outer(c, c.conj())
-        lv = np.zeros_like(form)
-        lv[:d, :d] = model.levi_block(i)
-        form += 2.0 * amplitude * float(vec[..., i]) * lv
-    return form
+    g = model.holo_gradients(z)                              # (..., m, n)
+    weight = np.einsum("...ia,...ib->...ab", g.conj(), g) \
+        + model.levi_form_full(vec)
+    return model.levi_form_full(thetas) + 2.0 * amplitude * weight
 
 
 def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
                                 target=0.05, amplitudes=None) -> dict:
     """Smallest grid amplitude making the modified directional form positive
     with margin ``target`` on its top (q + m)-dimensional eigenspace, jointly
-    with the scaled correction, over sampled (theta, z)."""
+    with the scaled correction, over sampled (theta, z): one stacked eigvalsh
+    over every (z, theta) pair per amplitude."""
     from .barrier import _frames_for_thetas  # barrier imports this module
     if amplitudes is None:
         amplitudes = [0.25 * 2 ** k for k in range(10)]
     grid = direction_grid(model.m, resolution)
     G, _ = _frames_for_thetas(model, grid, with_derivative=False)
+    z = np.asarray(points, dtype=complex).reshape(-1, 1, model.n)
     d = model.tangential_dim
     for amp in amplitudes:
-        ok = True
-        for z in points:
-            for theta, g in zip(grid, G):
-                form = directional_modified_form(model, theta, z, amp)
-                form[:d, :d] += g
-                evals = np.linalg.eigvalsh(form)
-                if evals[0] < target:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        form = directional_modified_form(model, grid, z, amp)  # (P, T, n, n)
+        form[..., :d, :d] += G
+        if not np.any(np.linalg.eigvalsh(form)[..., 0] < target):
             return {"amplitude": float(amp), "margin": float(target),
                     "resolution": resolution}
     return {"amplitude": None, "margin": float(target),
@@ -361,19 +293,16 @@ def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
 def holomorphic_tangent_rows(model: ManifoldModel, z):
     """Rows of W_i = d/dz'_i + 2i sum_l conj((H_l z')_i) d/dw_l.
 
-    Supports batched points: z of shape (..., n) gives (..., n-m, n).
-    Each row annihilates every d(rho_k).
+    Supports batched points: z of shape (..., n) gives (..., n-m, n).  The
+    w-columns are -2i times the transposed z'-part of the holomorphic
+    gradients, so each row annihilates every d(rho_k).
     """
     z = np.asarray(z, dtype=complex)
-    zp, _ = model.split(z)
     d = model.tangential_dim
-    shape = z.shape[:-1]
-    rows = np.zeros(shape + (d, model.n), dtype=complex)
-    idx = np.arange(d)
-    rows[..., idx, idx] = 1.0
-    for l, h in enumerate(model.hermitian):
-        hz = np.einsum("ij,...j->...i", h, zp)
-        rows[..., :, d + l] = 2.0j * hz.conj()
+    g = model.holo_gradients(z)                              # (..., m, n)
+    rows = np.zeros(z.shape[:-1] + (d, model.n), dtype=complex)
+    rows[..., range(d), range(d)] = 1.0
+    rows[..., d:] = -2.0j * np.swapaxes(g[..., :d], -1, -2)
     return rows
 
 

@@ -459,7 +459,7 @@ def _cutoff_wedge_field(model, cutoff, field: FormField) -> FormField:
                                      cutoff.d_zbar(model, z),
                                      field.values(model, z))
 
-    return lazy_field(model.n, field.degree + 1, values, "cutoff")
+    return lazy_field(model.n, field.degree + 1, values)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from crhomotopy import barrier, norms, quadrature, sections
 from crhomotopy._util import evaluate_form, hodge_star, wedge_jets
 from crhomotopy.barrier import gradient_section, normal_direction
 from crhomotopy.errors import DegeneratePointError
-from crhomotopy.geometry import (CORRECTION_MARGIN, Direction, ManifoldModel,
-                                 directional_levi, holomorphic_tangent_rows)
+from crhomotopy.geometry import (CORRECTION_MARGIN, ManifoldModel,
+                                 holomorphic_tangent_rows)
 from crhomotopy.sections import SectionJet
 
 
@@ -513,12 +513,12 @@ class CorrectionFrame:
 
 def correction_frame(model: ManifoldModel, theta) -> CorrectionFrame:
     """Orthonormal eigenvector rows of the n - q - m lowest eigenvalues of
-    the directional Levi matrix, in ascending order with fixed phases."""
-    if not isinstance(theta, Direction):
-        theta = Direction(np.asarray(theta, dtype=float))
+    the directional Levi matrix -theta . H, in ascending order with fixed
+    phases."""
     count = model.n - model.q - model.m
     d = model.tangential_dim
-    evals, evecs = np.linalg.eigh(directional_levi(model, theta).matrix)
+    evals, evecs = np.linalg.eigh(-np.tensordot(
+        theta, np.stack(model.hermitian), axes=(0, 0)))
     rows = np.zeros((count, model.n), dtype=complex)
     # pairings A_j(w) = sum_i rows[j, i] w_i are positive on the conjugate
     # eigendirections, so store conjugates of the eigenvectors

@@ -13,7 +13,7 @@ class TestGradientSection:
     def test_reduces_to_gradient_at_coincidence(self, primary, rng):
         z = off_manifold_point(primary, rng, level=0.0)
         q = barrier.gradient_section(primary, 0, z, z)
-        assert np.allclose(q, -primary.holo_gradient(0, z))
+        assert np.allclose(q, -primary.holo_gradients(z)[0])
 
     def test_taylor_identity_exact(self, primary, secondary, rng):
         # rho_k(zeta) - rho_k(z) + 2 Re F_k - levi_k(w) = 0 exactly
@@ -37,10 +37,7 @@ class TestGradientSection:
 
 
 def _levi_single(model, k):
-    form = np.zeros((model.n, model.n), dtype=complex)
-    d = model.tangential_dim
-    form[:d, :d] = model.levi_block(k)
-    return form
+    return model.levi_form_full(np.eye(model.m)[k])
 
 
 class TestBarrierEval:

@@ -60,6 +60,18 @@ class TestParsing:
                         "check-geometry"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "n = 3\nm = 1\nq = 1\nH 1\nnan,0 0,0\n0,0 -1,0\n",
+        "n = 3\nm = 1\nq = 1\nH 1\n1,0 0,inf\n0,-inf -1,0\n",
+        "n = 3\nm = 1\nq = 1\nradius = nan\nH 1\n1,0 0,0\n0,0 -1,0\n"])
+    def test_non_finite_model_rejected(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.model"
+        bad.write_text(text)
+        code = run_cli(["--model", str(bad), "--out", str(tmp_path),
+                        "check-geometry"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_oversized_q_rejected(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("n = 3\nm = 1\nq = 3\nH 1\n1,0 0,0\n0,0 1,0\n")
@@ -111,11 +123,12 @@ class TestPipeline:
                         "run-homotopy", "--eps", "0.1", "--budget", "500"])
         assert code == 2
 
-    def test_reports_byte_identical_across_runs(self, tmp_path):
+    @pytest.mark.parametrize("model", ["sig22_n5", "sig22_n6m2"])
+    def test_reports_byte_identical_across_runs(self, model, tmp_path):
         outs = []
         for sub in ("a", "b"):
             out = str(tmp_path / sub)
-            base = ["--model", "bundled:sig22_n5", "--out", out, "--seed", "3"]
+            base = ["--model", f"bundled:{model}", "--out", out, "--seed", "3"]
             assert run_cli(base + ["check-geometry"]) == 0
             assert run_cli(base + ["audit-barrier", "--budget", "2000"]) == 0
             assert run_cli(base + ["audit-kernels", "--budget", "300"]) == 0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from crhomotopy import barrier, geometry
-from crhomotopy.errors import (InvalidDirectionError, ModelParseError,
-                               ModelValidationError)
+from crhomotopy.errors import ModelParseError, ModelValidationError
 from oracles import (correction_frame, defining_polynomial, fd_hessian_mixed,
                      off_manifold_point, random_directions, random_quadric,
                      tangential_frame)
@@ -34,7 +33,7 @@ class TestDefiningFunctions:
     def test_gradient_matches_finite_differences(self, secondary, rng):
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         for k in range(secondary.m):
-            g = secondary.holo_gradient(k, z)
+            g = secondary.holo_gradients(z)[k]
             for a in range(6):
                 def f(pt):
                     return secondary.defining_values(pt)[0][k]
@@ -62,42 +61,60 @@ class TestModelValidation:
             geometry.ManifoldModel(n=3, m=2, q=1,
                                    hermitian=[np.eye(1), np.eye(1)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # nan fails every comparison, so the Hermitian check alone passes it
+        h = np.diag([1.0, -1.0]).astype(complex)
+        h[0, 0] = bad
+        with pytest.raises(ModelValidationError, match="non-finite"):
+            geometry.ManifoldModel(n=3, m=1, q=1, hermitian=[h])
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_radius(self, radius):
+        with pytest.raises(ModelValidationError, match="radius"):
+            geometry.ManifoldModel(n=3, m=1, q=1,
+                                   hermitian=[np.diag([1.0, -1.0])],
+                                   radius=radius)
+
 
 class TestDirectionalLevi:
+    """The Levi pencil -theta . H of ``ManifoldModel.levi_pencil``."""
+
     def test_diagonal_signature(self):
         model = geometry.ManifoldModel(n=3, m=1, q=1,
                                        hermitian=[np.diag([1.0, -1.0])])
-        data = geometry.directional_levi(model, np.array([1.0]))
-        assert np.allclose(data.eigenvalues, [-1.0, 1.0])
-        assert data.neg_count == 1
+        evals = np.linalg.eigvalsh(model.levi_pencil(np.array([1.0])))
+        assert np.allclose(evals, [-1.0, 1.0])
 
     def test_sign_flip(self, primary):
-        data = geometry.directional_levi(primary, np.array([-1.0]))
-        assert data.neg_count == 2
+        evals = np.linalg.eigvalsh(primary.levi_pencil(np.array([-1.0])))
+        assert np.sum(evals < -geometry.TOL_EIG) == 2
 
     def test_matches_dense_eigensolver(self, secondary, rng):
-        for _ in range(10):
-            th = rng.standard_normal(2)
-            th /= np.linalg.norm(th)
-            data = geometry.directional_levi(secondary, th)
+        thetas = random_directions(2, 10, rng)
+        evals = np.linalg.eigvalsh(secondary.levi_pencil(thetas))
+        for th, ev in zip(thetas, evals):
             dense = np.linalg.eigvalsh(-(th[0] * secondary.hermitian[0]
                                          + th[1] * secondary.hermitian[1]))
-            assert np.max(np.abs(np.sort(dense) - data.eigenvalues)) < 1e-12
+            assert np.max(np.abs(np.sort(dense) - ev)) < 1e-12
 
     def test_linear_in_direction(self, secondary, rng):
         t1 = rng.standard_normal(2); t1 /= np.linalg.norm(t1)
         t2 = rng.standard_normal(2); t2 /= np.linalg.norm(t2)
         a, b = 0.7, -1.3
-        m1 = geometry.directional_levi(secondary, t1).matrix
-        m2 = geometry.directional_levi(secondary, t2).matrix
+        m1, m2 = secondary.levi_pencil(np.stack([t1, t2]))
         combo = a * t1 + b * t2
         combo_dir = combo / np.linalg.norm(combo)
-        m3 = geometry.directional_levi(secondary, combo_dir).matrix
+        m3 = secondary.levi_pencil(combo_dir)
         assert np.max(np.abs(m3 * np.linalg.norm(combo) - (a * m1 + b * m2))) < 1e-12
 
-    def test_rejects_non_unit(self, primary):
-        with pytest.raises(InvalidDirectionError):
-            geometry.directional_levi(primary, geometry.Direction(np.array([2.0])))
+    def test_full_form_pads_the_pencil(self, secondary, rng):
+        thetas = random_directions(2, 3, rng)
+        full = secondary.levi_form_full(thetas)
+        d = secondary.tangential_dim
+        assert full.shape == (3, 6, 6)
+        assert np.array_equal(full[:, :d, :d], secondary.levi_pencil(thetas))
+        assert not full[:, d:].any() and not full[:, :, d:].any()
 
 
 class TestCertification:
@@ -127,6 +144,43 @@ class TestCertification:
         # flipping theta swaps positives and negatives, so both minima match
         rep = geometry.certify_concavity(secondary, resolution=32)
         assert rep.min_negative == rep.min_positive
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batched_matches_per_direction_loop(self, m):
+        # a random complex quadric, and one whose pencil is
+        # (theta . c) U diag(-1, -1, 1, 1) U^H, so that the frame gap at the
+        # split n - q - m = 3 closes in every direction
+        rng = np.random.default_rng(40 + m)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        base = u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T
+        closing = geometry.ManifoldModel(
+            n=4 + m, m=m, q=1, hermitian=[(k + 1.0) * base for k in range(m)])
+        for model in (random_quadric(4 + m, m, rng), closing):
+            rep = geometry.certify_concavity(model, resolution=8)
+            grid = geometry.direction_grid(m, 8)
+            neg, pos, warnings = [], [], []
+            split_at = model.n - model.q - model.m
+            for th in grid:
+                mat = np.zeros((4, 4), dtype=complex)
+                for t, h in zip(th, model.hermitian):
+                    mat -= t * h
+                ev = np.linalg.eigvalsh(mat)
+                neg.append(int(np.sum(ev < -geometry.TOL_EIG)))
+                pos.append(int(np.sum(ev > geometry.TOL_EIG)))
+                gap = ev[split_at] - ev[split_at - 1]
+                if gap < geometry.FRAME_GAP_WARN:
+                    warnings.append((list(th), gap))
+            assert rep.min_negative == min(neg)
+            assert rep.min_positive == min(pos)
+            assert np.array_equal(rep.worst_direction, grid[np.argmin(neg)])
+            assert rep.passed == (min(neg) >= model.q)
+            if model is closing:
+                assert len(warnings) == len(grid)
+            assert [w["direction"] for w in rep.frame_gap_warnings] \
+                == [w[0] for w in warnings]
+            assert np.allclose([w["gap"] for w in rep.frame_gap_warnings],
+                               [w[1] for w in warnings], rtol=0, atol=1e-12)
 
 
 class TestModifiedDefining:
@@ -184,6 +238,63 @@ class TestModifiedDefining:
             # the step^2 term contracts on sig22_n5; on sig22_n6m2 it
             # cancels and both errors sit at roundoff
             assert errs[1] < errs[0] or max(errs) < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batched_matches_per_direction_loop(self, m):
+        # the form over a (point, direction) batch against one matrix per
+        # pair built here, and the amplitude search against a loop over the
+        # pairs with one eigvalsh each
+        rng = np.random.default_rng(50 + m)
+        model = random_quadric(4 + m, m, rng)
+        n, d = model.n, model.tangential_dim
+        pts = np.stack([off_manifold_point(model, rng, scale=0.2, level=0.05)
+                        for _ in range(3)])
+        grid = geometry.direction_grid(m, 8)
+        amp = 1.3
+        batched = geometry.directional_modified_form(model, grid,
+                                                     pts[:, None], amp)
+        assert batched.shape == (3, len(grid), n, n)
+        for z, forms in zip(pts, batched):
+            vec, _ = model.defining_values(z)
+            grads = model.holo_gradients(z)
+            for th, form in zip(grid, forms):
+                ref = np.zeros((n, n), dtype=complex)
+                for i in range(m):
+                    ref[:d, :d] -= (th[i] + 2.0 * amp * vec[i]) \
+                        * model.hermitian[i]
+                    ref += 2.0 * amp * np.outer(grads[i].conj(), grads[i])
+                assert np.max(np.abs(form - ref)) < 1e-12 * np.max(np.abs(ref))
+
+        # on the manifold the weight only adds positivity, so the lowest
+        # eigenvalue grows with the amplitude; the target sits between its
+        # values at the third and fourth amplitude
+        pts = model.graph_point(
+            0.2 * (rng.standard_normal((3, d))
+                   + 1j * rng.standard_normal((3, d))),
+            rng.standard_normal((3, m)))
+        G, _ = barrier._frames_for_thetas(model, grid, with_derivative=False)
+        amplitudes = [0.25 * 2 ** k for k in range(10)]
+        lowest = []
+        for a in amplitudes:
+            low = []
+            for z in pts:
+                for th, g in zip(grid, G):
+                    form = geometry.directional_modified_form(model, th, z, a)
+                    form[:d, :d] += g
+                    low.append(np.linalg.eigvalsh(form)[0])
+            lowest.append(min(low))
+        target = 0.5 * (lowest[2] + lowest[3])
+        expected = next(a for a, low in zip(amplitudes, lowest)
+                        if low >= target)
+        assert expected == amplitudes[3]
+        rep = geometry.find_modification_amplitude(
+            model, list(pts), resolution=8, target=target)
+        assert rep["amplitude"] == expected
+
+    def test_empty_points_take_the_first_amplitude(self, secondary):
+        rep = geometry.find_modification_amplitude(secondary, [],
+                                                   amplitudes=[0.3, 0.6])
+        assert rep == {"amplitude": 0.3, "margin": 0.05, "resolution": 16}
 
     def test_amplitude_search_finds_positivity(self, primary):
         pts = [np.zeros(5, dtype=complex)]
@@ -249,15 +360,14 @@ class TestCorrectionFrame:
         assert np.max(np.abs(G[0] - expected)) < 1e-12
 
     def test_orthogonal_to_positivity_subspace(self, primary, secondary):
-        # G annihilates the z'-rows of the positivity basis (top-q
-        # eigenvectors; the transverse columns have no z' part)
+        # G annihilates the positivity subspace: the top-q eigenvectors of
+        # the Levi pencil (its transverse w-directions have no z' part)
         for model, thetas in self._cases(primary, secondary):
             G, _ = barrier._frames_for_thetas(model, thetas,
                                               with_derivative=False)
-            d = model.tangential_dim
             for theta, g in zip(thetas, G):
-                levi = geometry.directional_levi(model, theta)
-                assert np.max(np.abs(g @ levi.E_basis[:d])) \
+                _, vec = np.linalg.eigh(model.levi_pencil(theta))
+                assert np.max(np.abs(g @ vec[:, -model.q:])) \
                     < 1e-10 * np.max(np.abs(g))
 
     def test_reorthonormalization_fixed_point(self, secondary, rng):

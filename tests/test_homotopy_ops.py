@@ -212,7 +212,7 @@ class TestLazyField:
             calls.append(z.shape)
             return f.dbar_values(primary, z)
 
-        lazy = fields.lazy_field(primary.n, 2, counted, "cutoff")
+        lazy = fields.lazy_field(primary.n, 2, counted)
         z = primary.graph_point(
             0.1 * np.stack([np.ones(4), -np.ones(4)]).astype(complex),
             np.zeros((2, 1)))
@@ -223,6 +223,34 @@ class TestLazyField:
             vals, np.stack([c.value(primary, z) for c in lazy.components],
                            axis=-1))
         assert np.array_equal(vals, f.dbar_values(primary, z))
+
+
+class TestPolyChart:
+    @pytest.mark.parametrize("d,m", [(4, 1), (4, 2)])
+    def test_dbar_matches_central_differences(self, d, m):
+        # exponents 2-3 in z', conj z' and u, mixed within a term, at the
+        # dims of sig22_n5 and sig22_n6m2
+        model = geometry.ManifoldModel(
+            n=d + m, m=m, q=1, hermitian=[np.eye(d)] * m)
+        rng = np.random.default_rng(60 + m)
+        terms = [(rng.standard_normal() + 1j * rng.standard_normal(),
+                  rng.integers(0, 4, d) * (rng.random(d) < 0.5),
+                  rng.integers(0, 4, d) * (rng.random(d) < 0.5),
+                  rng.integers(0, 4, m)) for _ in range(6)]
+        terms.append((0.7j, [3, 0, 0, 0], [0, 2, 0, 3], [2] + [0] * (m - 1)))
+        poly = PolyChart((d, m), terms)
+        step = 1e-5
+        for _ in range(3):
+            z = 0.6 * (rng.standard_normal(d + m)
+                       + 1j * rng.standard_normal(d + m))
+            jet = poly.d_zbar(model, z)
+            for a in range(d + m):
+                e = np.zeros(d + m, dtype=complex)
+                e[a] = step
+                fx, fy = ((poly.value(model, z + h) - poly.value(model, z - h))
+                          / (2 * step) for h in (e, 1j * e))
+                fd = 0.5 * (fx + 1j * fy)
+                assert abs(jet[a] - fd) < 1e-7 * max(1.0, abs(fd))
 
 
 class TestScalarDbar:
@@ -474,9 +502,8 @@ class TestOperators:
             PolyChart((4, 1), [(0.5, np.zeros(4), np.zeros(4), np.zeros(1))]),
             BumpChart(np.zeros(4), np.zeros(1), 0.25, 0.45))
         g = FormField(n=5, degree=1, components=comps)
-        combo = FormField(n=5, degree=1, components=[
-            fields.SumChart(fields.ScaledChart(a, 2.0), b)
-            for a, b in zip(f.components, g.components)])
+        combo = fields.lazy_field(5, 1, lambda z: 2.0 * f.values(primary, z)
+                                  + g.values(primary, z))
         z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                                 np.array([0.01]))
         grid = centered_grid(primary, z, budget=2000)
