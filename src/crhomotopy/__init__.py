@@ -11,10 +11,12 @@ Subpackage map:
                  2n + 1 symbols dzbar, dzetabar, dt
 - ``sections``   normalized section jets (euclidean, barrier, combined), the
                  closedness check of the determinant form
-- ``fields``     differential form fields on the model, extension, tangential
-                 projection and tangential d-bar
+- ``fields``     form fields (coefficient arrays with an optional analytic
+                 d-bar), tangential projection and tangential d-bar
 - ``quadrature`` level-set grids and oriented surface integration
-- ``homotopy``   solution / obstruction operators and partition-of-unity gluing
+- ``homotopy``   solution / obstruction operators, whose ``extension=`` node
+                 projection extends a field off the manifold, and
+                 partition-of-unity gluing
 - ``indexcalc``  symbolic kernel index bookkeeping and decision procedures
 - ``norms``      frame flows, anisotropic Holder estimators
 - ``cli``        batch audit entry point

@@ -39,17 +39,6 @@ from .geometry import CORRECTION_MARGIN, FRAME_GAP_WARN, ManifoldModel
 # sections
 # ---------------------------------------------------------------------------
 
-def gradient_section(model: ManifoldModel, k: int, zeta, z):
-    """Section Q_k(zeta, z) = -d rho_k / d zeta (z) - (holomorphic Hessian term).
-
-    The holomorphic (not mixed) Hessian of a graph quadric vanishes
-    identically, so the section reduces to the constant gradient term; this is
-    asserted here once rather than carried as dead code.
-    """
-    del zeta  # second-order term is identically zero for quadrics
-    return -model.holo_gradients(z)[..., k, :]
-
-
 def normal_direction(model: ManifoldModel, zeta):
     """theta(zeta) = -rho_vec / rho; undefined on the manifold itself."""
     vec, norm = model.defining_values(zeta)

@@ -1,19 +1,23 @@
 """Differential form fields on the model chart.
 
-Coefficients are "chart functions": functions of (z', conj z', Re w) with a
-value and an ambient d/dzbar jet, the only derivative the operators read.
-Such functions are invariant under the graph extension (coefficients
-constant along the defining coordinates), so extending a form off the
-manifold is the identity on this representation, and the jets are analytic
-for the polynomial-times-bump test coefficients.
+A (0, r) form is a :class:`FormField`: the array of its coefficients over
+the strictly increasing r-tuples of antiholomorphic indices, and its
+ambient antiholomorphic differential where that is known analytically.
+:func:`chart_form` builds one from "chart functions": functions of (z',
+conj z', Re w) with a value and an ambient d/dzbar jet, the only derivative
+the operators read.  Such functions are invariant under the graph extension
+(coefficients constant along the defining coordinates), so their jets are
+the differential of the extension, analytic for the polynomial-times-bump
+test coefficients.  Extension off the manifold is the operators' node
+projection (``extension=``, the graph projection by default).
 
-Forms are stored by ambient antiholomorphic components over strictly
-increasing index tuples; tangential content is extracted by contraction with
-the conjugate tangent frame (the projection to tangential forms).
+Tangential content is extracted by contraction with the conjugate tangent
+frame (the projection to tangential forms).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
@@ -191,20 +195,6 @@ class ZeroChart(ChartFunction):
         return np.zeros(np.shape(z), dtype=complex)
 
 
-class CallableChart(ChartFunction):
-    """Pointwise-evaluable coefficient without analytic jets (e.g. a
-    quadrature-backed output or a reparameterized extension)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def value(self, model, z):
-        return self.fn(np.asarray(z, dtype=complex))
-
-    def d_zbar(self, model, z):
-        raise DerivativeOrderError("coefficient has no analytic jets")
-
-
 # ---------------------------------------------------------------------------
 # cutoffs
 # ---------------------------------------------------------------------------
@@ -236,69 +226,51 @@ def make_cutoff_pair(center_zp, center_u, r_in, r_out, pad=1.4) -> CutoffPair:
 
 @dataclass
 class FormField:
-    """Ambient (0, r) form with chart-function coefficients.
-
-    components[i] pairs with the i-th strictly increasing r-tuple of
-    antiholomorphic indices.
-    """
+    """Ambient (0, r) form: ``fn(model, z)`` gives its coefficients over the
+    increasing r-tuples of antiholomorphic indices, shape (..., C(n, r)),
+    and ``dbar_fn(model, z)``, where it is known analytically, those of its
+    ambient antiholomorphic differential."""
 
     n: int
     degree: int
-    components: list
-
-    def __post_init__(self):
-        self.combos = index_combinations(self.n, self.degree)
-        if len(self.components) != len(self.combos):
-            raise ValueError(
-                f"need {len(self.combos)} components, got {len(self.components)}")
+    fn: Callable
+    dbar_fn: Callable = None
 
     def values(self, model, z):
-        """(..., ncomb) coefficient array at points z.  A field made by
-        :func:`lazy_field` calls its array-valued function once."""
-        source = getattr(self.components[0], "source", None)
-        if source is not None and all(
-                getattr(c, "source", None) is source and c.idx == i
-                for i, c in enumerate(self.components)):
-            return source(np.asarray(z, dtype=complex))
-        cols = [c.value(model, z) for c in self.components]
-        return np.stack(cols, axis=-1)
+        """(..., C(n, r)) coefficient array at points z."""
+        return self.fn(model, z)
 
     def dbar_values(self, model, z):
-        """Ambient antiholomorphic differential: (0, r+1) coefficients.
+        """(..., C(n, r + 1)) coefficients of the differential at points z."""
+        return self.dbar_field().fn(model, z)
 
-        Exact for chart-function coefficients (their own extension), which is
-        what makes the operator inputs analytic.
-        """
-        jets = np.stack([c.d_zbar(model, z) for c in self.components],
+    def dbar_field(self) -> "FormField":
+        """The differential as a field of degree r + 1, without a d-bar of
+        its own; :class:`DerivativeOrderError` if it is not known."""
+        if self.dbar_fn is None:
+            raise DerivativeOrderError(
+                f"degree-{self.degree} form has no analytic differential")
+        return FormField(n=self.n, degree=self.degree + 1, fn=self.dbar_fn)
+
+
+def chart_form(n, degree, components) -> FormField:
+    """Form whose coefficient on the i-th increasing r-tuple is the chart
+    function ``components[i]``: the values stacked, and the differential
+    the wedge of their d/dzbar jets, exact since chart functions are their
+    own extension."""
+    count = len(index_combinations(n, degree))
+    if len(components) != count:
+        raise ValueError(f"need {count} components, got {len(components)}")
+
+    def values(model, z):
+        return np.stack([c.value(model, z) for c in components], axis=-1)
+
+    def dbar_values(model, z):
+        jets = np.stack([c.d_zbar(model, z) for c in components],
                         axis=-2)                       # (..., nJ, n)
-        return wedge_jets(jets, self.n, self.degree)
+        return wedge_jets(jets, n, degree)
 
-    def dbar_field(self, model) -> "FormField":
-        """The differential as a lazily evaluated field."""
-        return lazy_field(self.n, self.degree + 1,
-                          lambda z: self.dbar_values(model, z))
-
-    def scaled_by(self, chart_fn) -> "FormField":
-        return FormField(
-            n=self.n, degree=self.degree,
-            components=[ProductChart(chart_fn, c) for c in self.components])
-
-
-class ColumnChart(CallableChart):
-    """Column ``idx`` of an array-valued function ``source(z)``."""
-
-    def __init__(self, source, idx):
-        super().__init__(lambda z: source(z)[..., idx])
-        self.source = source
-        self.idx = idx
-
-
-def lazy_field(n, degree, values_fn) -> FormField:
-    """Field whose component i is column i of ``values_fn(z)``, an array of
-    shape (..., C(n, degree)); ``FormField.values`` evaluates it once."""
-    return FormField(n=n, degree=degree,
-                     components=[ColumnChart(values_fn, i) for i in
-                                 range(len(index_combinations(n, degree)))])
+    return FormField(n=n, degree=degree, fn=values, dbar_fn=dbar_values)
 
 
 def wedge_covector_values(n, degree, covector, values):
@@ -377,30 +349,15 @@ def tangential_dbar_values(model: ManifoldModel, field: FormField, z):
     return project_tangential(model, raw, z, field.degree + 1)
 
 
-def tangential_dbar_field(model: ManifoldModel, field: FormField) -> FormField:
-    return lazy_field(model.n, field.degree + 1,
-                      lambda z: tangential_dbar_values(model, field, z))
-
-
 # ---------------------------------------------------------------------------
-# extensions off the manifold
+# extension off the manifold
 # ---------------------------------------------------------------------------
-
-def extend_graph(model: ManifoldModel, field: FormField) -> FormField:
-    """Graph extension: constant along Im w.  Chart-function coefficients are
-    already of this form, so only the evaluation point is projected."""
-    def make(comp):
-        def fn(z):
-            return comp.value(model, model.project_to_manifold(z))
-        return CallableChart(fn)
-
-    return FormField(n=model.n, degree=field.degree,
-                     components=[make(c) for c in field.components])
-
 
 def gradient_flow_projection(model: ManifoldModel, z, steps: int = 8):
     """Project to the manifold along the real gradient span of the defining
-    functions (Newton on the rho vector)."""
+    functions (Newton on the rho vector).  As the operators' ``extension=``
+    it extends a form constant along the gradient flow, the second
+    admissible extension next to the graph projection."""
     z = np.asarray(z, dtype=complex).copy()
     for _ in range(steps):
         vec, norm = model.defining_values(z)
@@ -413,17 +370,6 @@ def gradient_flow_projection(model: ManifoldModel, z, steps: int = 8):
         coef = np.linalg.solve(gram, -vec[..., None])[..., 0]
         z = z + np.einsum("...k,...ki->...i", coef, grads.conj())
     return z
-
-
-def extend_gradient_flow(model: ManifoldModel, field: FormField) -> FormField:
-    """Second admissible extension: constant along the gradient flow."""
-    def make(comp):
-        def fn(z):
-            return comp.value(model, gradient_flow_projection(model, z))
-        return CallableChart(fn)
-
-    return FormField(n=model.n, degree=field.degree,
-                     components=[make(c) for c in field.components])
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +390,4 @@ def bundled_test_form(model: ManifoldModel, r_in=0.25, r_out=0.45) -> FormField:
     bump = BumpChart(np.zeros(d), np.zeros(m), r_in, r_out)
     comps = [ZeroChart() for _ in range(model.n)]
     comps[0] = ProductChart(poly, bump)
-    return FormField(n=model.n, degree=1, components=comps)
-
-
-def partition_defect(model: ManifoldModel, cutoffs, field_support_samples):
-    """Max |sum of inner cutoffs - 1| over sample points (partition check)."""
-    total = None
-    for pair in cutoffs:
-        v = pair.inner.value(model, field_support_samples).real
-        total = v if total is None else total + v
-    return float(np.max(np.abs(total - 1.0)))
+    return chart_form(model.n, 1, comps)

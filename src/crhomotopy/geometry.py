@@ -268,13 +268,21 @@ def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
     """Smallest grid amplitude making the modified directional form positive
     with margin ``target`` on its top (q + m)-dimensional eigenspace, jointly
     with the scaled correction, over sampled (theta, z): one stacked eigvalsh
-    over every (z, theta) pair per amplitude."""
+    over every (z, theta) pair per amplitude.
+
+    The points must lie on the manifold (ValueError otherwise): there the
+    weight is positive semidefinite, so positivity grows with the amplitude.
+    Off it, the weight's Levi term levi(rho_vec) is indefinite and the
+    lowest eigenvalue can fall as the amplitude grows.
+    """
     from .barrier import _frames_for_thetas  # barrier imports this module
     if amplitudes is None:
         amplitudes = [0.25 * 2 ** k for k in range(10)]
     grid = direction_grid(model.m, resolution)
     G, _ = _frames_for_thetas(model, grid, with_derivative=False)
     z = np.asarray(points, dtype=complex).reshape(-1, 1, model.n)
+    if np.any(model.defining_values(z)[1] > model.tol_on_manifold):
+        raise ValueError("amplitude search needs points on the manifold")
     d = model.tangential_dim
     for amp in amplitudes:
         form = directional_modified_form(model, grid, z, amp)  # (P, T, n, n)

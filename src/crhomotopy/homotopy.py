@@ -70,8 +70,8 @@ import numpy as np
 
 from ._util import RunningSum, evaluate_form, hodge_star, index_combinations
 from .errors import GridTooCoarseError
-from .fields import (FormField, conjugate_frame_rows, lazy_field,
-                     tangential_components, wedge_covector_values)
+from .fields import (FormField, conjugate_frame_rows, tangential_components,
+                     wedge_covector_values)
 from .geometry import ManifoldModel
 from .quadrature import QuadratureGrid
 from .sections import barrier_section_jets, bochner_martinelli_jets
@@ -411,6 +411,21 @@ def apply_operator(model: ManifoldModel, field: FormField, z,
 # partition-of-unity gluing
 # ---------------------------------------------------------------------------
 
+def _cutoff_fields(cutoff, field: FormField):
+    """The fields cutoff * field, of degree r, and (dbar cutoff) wedge
+    field, of degree r + 1."""
+    def times(model, z):
+        return cutoff.value(model, z)[..., None] * field.values(model, z)
+
+    def wedge(model, z):
+        return wedge_covector_values(field.n, field.degree,
+                                     cutoff.d_zbar(model, z),
+                                     field.values(model, z))
+
+    return (FormField(n=field.n, degree=field.degree, fn=times),
+            FormField(n=field.n, degree=field.degree + 1, fn=wedge))
+
+
 def glue_solution(model: ManifoldModel, covers, field: FormField, z,
                   grids) -> np.ndarray:
     """Global solution operator: sum of outer-cutoff-weighted local operators
@@ -419,8 +434,8 @@ def glue_solution(model: ManifoldModel, covers, field: FormField, z,
     z = np.asarray(z, dtype=complex)
     out = None
     for pair, grid in zip(covers, grids):
-        local = apply_operator(model, field.scaled_by(pair.inner), z, grid,
-                               kind="solution")
+        localized, _ = _cutoff_fields(pair.inner, field)
+        local = apply_operator(model, localized, z, grid, kind="solution")
         weight = complex(pair.outer.value(model, z[None, :])[0])
         term = weight * local.ambient
         out = term if out is None else out + term
@@ -435,10 +450,9 @@ def glue_obstruction(model: ManifoldModel, covers, field: FormField, z,
     r = field.degree
     out = np.zeros(len(index_combinations(model.n, r)), dtype=complex)
     for pair, grid in zip(covers, grids):
-        localized = field.scaled_by(pair.inner)
-        dbar_inner = _cutoff_wedge_field(model, pair.inner, field)
-        sol, rplus = apply_operator_multi(model, [localized, dbar_inner],
-                                          [z, z], grid, kind="solution")
+        localized, wedged = _cutoff_fields(pair.inner, field)
+        sol, rplus = apply_operator_multi(model, [localized, wedged], [z, z],
+                                          grid, kind="solution")
         # - dbar(outer cutoff) wedge R(inner * f)
         cov = pair.outer.d_zbar(model, z[None, :])[0]
         out -= wedge_covector_values(model.n, r - 1, cov[None, :],
@@ -450,16 +464,6 @@ def glue_obstruction(model: ManifoldModel, covers, field: FormField, z,
         obs = apply_operator(model, localized, z, grid, kind="obstruction")
         out += weight * obs.ambient
     return out
-
-
-def _cutoff_wedge_field(model, cutoff, field: FormField) -> FormField:
-    """(dbar cutoff) wedge field as an evaluable form field of degree r+1."""
-    def values(z):
-        return wedge_covector_values(model.n, field.degree,
-                                     cutoff.d_zbar(model, z),
-                                     field.values(model, z))
-
-    return lazy_field(model.n, field.degree + 1, values)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +493,15 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
     ``tangential_dbar_scalar`` in ``tests/oracles.py`` is its
     finite-difference oracle; the graph projection of the stencil points is
     the identity to first order along the complex tangent).  The second term
-    integrates the analytic differential of the test form.  Both terms are evaluated at z alone,
-    with one set of section jets per chunk, in one pass over one node
-    stream.
-    The obstruction term vanishes pointwise for input degree below the
-    concavity parameter and is not assembled here.
+    integrates the analytic differential of the field, so a field without
+    one raises :class:`DerivativeOrderError`.  Both terms are evaluated at z
+    alone, with one set of section jets per chunk, in one pass over one node
+    stream.  The obstruction term vanishes pointwise for input degree below
+    the concavity parameter and is not assembled here.
     """
     if field.degree != 1:
         raise ValueError("identity residual is implemented for (0,1) inputs")
-    dbar_field = field.dbar_field(model)
+    dbar_field = field.dbar_field()
     rows = []
     for idx, z in enumerate(z_points):
         z = np.asarray(z, dtype=complex)

@@ -45,6 +45,7 @@ from .geometry import ManifoldModel
 
 CHUNK = 8192
 MODES = ("mc-uniform", "mc-shell")
+R_MIN_FACTOR = 1e-3     # mc-shell inner radius, in units of epsilon
 
 
 @dataclass
@@ -68,7 +69,6 @@ class QuadratureGrid:
     center_zp: np.ndarray = None
     center_u: np.ndarray = None
     box_radius: float = 0.7
-    r_min_factor: float = 1e-3
     t_count: int = None
 
     def __post_init__(self):
@@ -108,7 +108,7 @@ class QuadratureGrid:
         else:
             # mc-shell: box_radius acts as the covering radius, so every
             # parameter point within that distance of the center is reachable
-            r_min = self.r_min_factor * self.epsilon
+            r_min = R_MIN_FACTOR * self.epsilon
             r_max = 1.05 * self.box_radius
             xi = rng.standard_normal((count, D))
             xi /= np.linalg.norm(xi, axis=1, keepdims=True)
@@ -160,7 +160,7 @@ class QuadratureGrid:
             "center_zp": [[float(c.real), float(c.imag)] for c in self.center_zp],
             "center_u": [float(x) for x in self.center_u],
             "box_radius": float(self.box_radius),
-            "r_min_factor": float(self.r_min_factor),
+            "r_min_factor": R_MIN_FACTOR,
             "t_count": int(self.t_count),
         }
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from crhomotopy import barrier, norms, quadrature, sections
 from crhomotopy._util import evaluate_form, hodge_star, wedge_jets
-from crhomotopy.barrier import gradient_section, normal_direction
+from crhomotopy.barrier import normal_direction
 from crhomotopy.errors import DegeneratePointError
 from crhomotopy.geometry import (CORRECTION_MARGIN, ManifoldModel,
                                  holomorphic_tangent_rows)
@@ -596,7 +596,9 @@ def evaluate_barrier(model: ManifoldModel, zeta, z) -> BarrierEval:
     z = np.asarray(z, dtype=complex)
     theta = normal_direction(model, zeta)
     w = zeta - z
-    Q = np.stack([gradient_section(model, k, zeta, z) for k in range(model.m)])
+    # gradient sections Q_k = -d rho_k(z): a quadric's holomorphic Hessian
+    # vanishes, so no second-order term
+    Q = -model.holo_gradients(z)
     F = Q @ w
     a = scaled_frame_rows(model, theta)
     A = a @ w

@@ -296,6 +296,38 @@ class TestModifiedDefining:
                                                    amplitudes=[0.3, 0.6])
         assert rep == {"amplitude": 0.3, "margin": 0.05, "resolution": 16}
 
+    def test_amplitude_search_rejects_off_manifold_points(self):
+        # off the manifold the weight's Levi term 2 amp sum_i rho_i (-H_i) is
+        # indefinite: the lowest eigenvalue of the combined form falls as the
+        # amplitude grows, so an upward search would stop at the wrong end.
+        # For the graph projections of the same points it rises
+        model = random_quadric(6, 2, np.random.default_rng(52))
+        rng = np.random.default_rng(7)
+        off = np.array([off_manifold_point(model, rng, scale=0.2, level=0.05)
+                        for _ in range(3)])
+        on = model.project_to_manifold(off)
+        grid = geometry.direction_grid(model.m, 8)
+        G, _ = barrier._frames_for_thetas(model, grid, with_derivative=False)
+        d = model.tangential_dim
+
+        def lowest(pts, amp):
+            form = geometry.directional_modified_form(model, grid,
+                                                      pts[:, None], amp)
+            form[..., :d, :d] += G
+            return np.min(np.linalg.eigvalsh(form)[..., 0])
+
+        assert lowest(off, 128.0) < lowest(off, 0.25) - 1.0
+        assert lowest(on, 128.0) > lowest(on, 0.25)
+        with pytest.raises(ValueError, match="points on the manifold"):
+            geometry.find_modification_amplitude(model, list(off),
+                                                 resolution=8)
+        with pytest.raises(ValueError, match="points on the manifold"):
+            geometry.find_modification_amplitude(model, [on[0], off[1]],
+                                                 resolution=8)
+        rep = geometry.find_modification_amplitude(model, list(on),
+                                                   resolution=8)
+        assert rep["resolution"] == 8
+
     def test_amplitude_search_finds_positivity(self, primary):
         pts = [np.zeros(5, dtype=complex)]
         rep = geometry.find_modification_amplitude(primary, pts)

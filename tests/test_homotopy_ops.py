@@ -5,12 +5,14 @@ import pytest
 
 from crhomotopy import fields, geometry, homotopy, quadrature
 from crhomotopy._util import index_combinations, small_det
-from crhomotopy.errors import CoverError, GridTooCoarseError, OutsideTubeError
+from crhomotopy.errors import (CoverError, CRHomotopyError,
+                               DerivativeOrderError, GridTooCoarseError,
+                               OutsideTubeError)
 from crhomotopy.fields import (BumpChart, CutoffPair, FormField, PolyChart,
                                ProductChart, ZeroChart, bundled_test_form,
-                               extend_gradient_flow, extend_graph,
-                               gradient_flow_projection, make_cutoff_pair,
-                               project_tangential, tangential_dbar_values)
+                               chart_form, gradient_flow_projection,
+                               make_cutoff_pair, project_tangential,
+                               tangential_dbar_values)
 from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  glue_obstruction, glue_solution,
                                  identity_residual)
@@ -63,32 +65,35 @@ def assert_sphere_tangent_basis(sigma, tang):
 
 
 class TestExtension:
+    """Extension off the manifold is the operators' node projection: the
+    graph projection (the default) or the gradient-flow projection."""
+
     def test_restriction_identity(self, primary, rng):
         f = bundled_test_form(primary)
-        ext = extend_graph(primary, f)
         z = primary.graph_point(
             0.2 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)),
             0.1 * rng.standard_normal(1))
+        proj = primary.project_to_manifold(z[None, :])
         assert np.allclose(f.values(primary, z[None, :]),
-                           ext.values(primary, z[None, :]))
+                           f.values(primary, proj))
 
     def test_constant_along_defining_coordinates(self, primary, rng):
         f = bundled_test_form(primary)
-        ext = extend_graph(primary, f)
         z = primary.graph_point(0.1 * np.ones(4) + 0j, np.zeros(1))
         step = 1e-4
         up = z.copy(); up[4] += 1j * step      # moves the level only
         dn = z.copy(); dn[4] -= 1j * step
-        diff = ext.values(primary, up[None, :]) - ext.values(primary, dn[None, :])
+        diff = (f.values(primary, primary.project_to_manifold(up[None, :]))
+                - f.values(primary, primary.project_to_manifold(dn[None, :])))
         assert np.max(np.abs(diff)) < 1e-14
 
     def test_chart_coefficients_are_fixed_points(self, primary, rng):
         f = bundled_test_form(primary)
         z_off = primary.graph_point(0.1 * np.ones(4) + 0j, np.zeros(1),
                                     np.array([0.07]))
-        ext = extend_graph(primary, f)
+        proj = primary.project_to_manifold(z_off[None, :])
         assert np.allclose(f.values(primary, z_off[None, :]),
-                           ext.values(primary, z_off[None, :]))
+                           f.values(primary, proj))
 
     def test_gradient_flow_projection_lands_on_manifold(self, primary, rng):
         z_off = primary.graph_point(
@@ -100,11 +105,10 @@ class TestExtension:
 
     def test_two_extensions_agree_on_manifold(self, primary, rng):
         f = bundled_test_form(primary)
-        ga = extend_graph(primary, f)
-        gb = extend_gradient_flow(primary, f)
-        z = primary.graph_point(0.15 * np.ones(4) + 0j, np.zeros(1))
-        assert np.allclose(ga.values(primary, z[None, :]),
-                           gb.values(primary, z[None, :]), atol=1e-10)
+        z = primary.graph_point(0.15 * np.ones(4) + 0j, np.zeros(1))[None, :]
+        ga = f.values(primary, primary.project_to_manifold(z))
+        gb = f.values(primary, gradient_flow_projection(primary, z))
+        assert np.allclose(ga, gb, atol=1e-10)
 
 
 class TestProjection:
@@ -137,7 +141,7 @@ class TestProjection:
 
 class TestTangentialDbar:
     def test_constant_function_killed(self, primary):
-        const = FormField(n=5, degree=0, components=[PolyChart(
+        const = chart_form(5, 0, [PolyChart(
             (4, 1), [(2.0, np.zeros(4), np.zeros(4), np.zeros(1))])])
         z = primary.graph_point(0.1 * np.ones(4) + 0j, np.zeros(1))
         out = tangential_dbar_values(primary, const, z[None, :])
@@ -153,8 +157,7 @@ class TestTangentialDbar:
                     h_terms.append((1j * H[i, j], np.eye(1, 4, j)[0],
                                     np.eye(1, 4, i)[0], np.zeros(1)))
         h_terms.append((1.0, np.zeros(4), np.zeros(4), np.ones(1)))
-        w1 = FormField(n=5, degree=0,
-                       components=[PolyChart((4, 1), h_terms)])
+        w1 = chart_form(5, 0, [PolyChart((4, 1), h_terms)])
         rng = np.random.default_rng(3)
         for _ in range(10):
             z = primary.graph_point(
@@ -165,13 +168,9 @@ class TestTangentialDbar:
 
     def test_square_vanishes_to_fd_tolerance(self, primary):
         f = bundled_test_form(primary)
-        from crhomotopy.fields import tangential_dbar_field
-        df = tangential_dbar_field(primary, f)
         z = primary.graph_point(0.12 * np.ones(4) + 0j, np.zeros(1))
-        # the lazy fields evaluate to the arrays they wrap
-        assert np.array_equal(df.values(primary, z[None, :]),
-                              tangential_dbar_values(primary, f, z[None, :]))
-        assert np.array_equal(f.dbar_field(primary).values(primary, z[None, :]),
+        # the differential as a field evaluates to the differential
+        assert np.array_equal(f.dbar_field().values(primary, z[None, :]),
                               f.dbar_values(primary, z[None, :]))
 
         # second differential by finite differences of the first
@@ -203,26 +202,50 @@ class TestTangentialDbar:
         assert np.max(np.abs(proj)) < 1e-3 * scale
 
 
-class TestLazyField:
-    def test_values_call_the_array_function_once(self, primary):
-        f = bundled_test_form(primary)
-        calls = []
-
-        def counted(z):
-            calls.append(z.shape)
-            return f.dbar_values(primary, z)
-
-        lazy = fields.lazy_field(primary.n, 2, counted)
+class TestFormField:
+    def test_chart_form_stacks_values_and_wedges_jets(self, primary):
+        # coefficient i is component i's value; the differential is the
+        # wedge of the d/dzbar jets: dzbar_l wedge (c_i dzbar_i) lands on the
+        # sorted pair {l, i}, with sign -1 where l > i
+        comps = [ZeroChart() for _ in range(5)]
+        comps[1] = PolyChart((4, 1), [
+            (0.5, np.zeros(4), np.eye(1, 4, 0)[0], np.zeros(1))])
+        comps[3] = BumpChart(np.zeros(4), np.zeros(1), 0.25, 0.45)
+        f = chart_form(5, 1, comps)
+        # |z'| = 0.3 lies on the bump's slope, so its jets are not zero
         z = primary.graph_point(
-            0.1 * np.stack([np.ones(4), -np.ones(4)]).astype(complex),
+            0.15 * np.stack([np.ones(4), -np.ones(4)]).astype(complex),
             np.zeros((2, 1)))
-        vals = lazy.values(primary, z)
-        assert calls == [(2, 5)]
-        # the same array as the columns read one by one
         assert np.array_equal(
-            vals, np.stack([c.value(primary, z) for c in lazy.components],
-                           axis=-1))
-        assert np.array_equal(vals, f.dbar_values(primary, z))
+            f.values(primary, z),
+            np.stack([c.value(primary, z) for c in comps], axis=-1))
+        dbar = f.dbar_values(primary, z)
+        combos = index_combinations(5, 2)
+        want = np.zeros_like(dbar)
+        for i, c in enumerate(comps):
+            jet = c.d_zbar(primary, z)
+            for l in range(5):
+                if l != i:
+                    J = tuple(sorted((l, i)))
+                    want[:, combos.index(J)] += (1 if l < i else -1) * jet[:, l]
+        assert np.max(np.abs(dbar - want)) <= 1e-14 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="need 5 components, got 4"):
+            chart_form(5, 1, comps[:4])
+
+    def test_values_only_form_has_no_dbar(self, primary):
+        # a form without an analytic differential fails with the typed
+        # error, in d-bar values and in the identity residual, which
+        # integrates that differential
+        f = bundled_test_form(primary)
+        g = FormField(n=5, degree=1, fn=f.values)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        assert np.array_equal(g.values(primary, z[None, :]),
+                              f.values(primary, z[None, :]))
+        with pytest.raises(DerivativeOrderError):
+            g.dbar_values(primary, z[None, :])
+        with pytest.raises(CRHomotopyError, match="no analytic differential"):
+            identity_residual(primary, g, [z], epsilon=0.1, budget=500)
 
 
 class TestPolyChart:
@@ -262,7 +285,7 @@ class TestScalarDbar:
             (1.0, np.eye(1, 4, 0)[0], np.eye(1, 4, 1)[0], np.zeros(1)),
             (0.5j, np.zeros(4), np.eye(1, 4, 2)[0], np.ones(1)),
         ])
-        field = FormField(n=5, degree=0, components=[poly])
+        field = chart_form(5, 0, [poly])
         z = primary.graph_point(np.array([0.1, -0.05, 0.2, 0.08]) + 0.03j,
                                 np.array([0.04]))
         fd = tangential_dbar_scalar(
@@ -489,7 +512,7 @@ class TestSmallDet:
 
 class TestOperators:
     def test_zero_form_gives_zero(self, primary):
-        zero = FormField(n=5, degree=1, components=[ZeroChart()] * 5)
+        zero = chart_form(5, 1, [ZeroChart()] * 5)
         z = np.zeros(5, dtype=complex)
         grid = centered_grid(primary, z, budget=500)
         res = apply_operator(primary, zero, z, grid, kind="solution")
@@ -501,9 +524,9 @@ class TestOperators:
         comps[1] = ProductChart(
             PolyChart((4, 1), [(0.5, np.zeros(4), np.zeros(4), np.zeros(1))]),
             BumpChart(np.zeros(4), np.zeros(1), 0.25, 0.45))
-        g = FormField(n=5, degree=1, components=comps)
-        combo = fields.lazy_field(5, 1, lambda z: 2.0 * f.values(primary, z)
-                                  + g.values(primary, z))
+        g = chart_form(5, 1, comps)
+        combo = FormField(n=5, degree=1, fn=lambda model, pts: (
+            2.0 * f.values(model, pts) + g.values(model, pts)))
         z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                                 np.array([0.01]))
         grid = centered_grid(primary, z, budget=2000)
@@ -564,7 +587,7 @@ class TestOperators:
         # fields of different degrees share one pass over the node stream,
         # with the same bits as one call per point
         f = bundled_test_form(primary)
-        df = f.dbar_field(primary)
+        df = f.dbar_field()
         z1 = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                                  np.array([0.01]))
         z2 = primary.graph_point(np.array([-0.02, 0.04, 0.0, 0.03]),
@@ -625,7 +648,7 @@ class TestOperators:
                        for res in apply_operator_multi(model, f, [z1, z2],
                                                        grid, kind=kind)]
             r1, r2 = apply_operator_multi(
-                model, [f, f.dbar_field(model)], [z1, z1], grid,
+                model, [f, f.dbar_field()], [z1, z1], grid,
                 _frames=[frame, None])
             return [(res.ambient, res.rejected)
                     for res in results + [r1, r2]] + [(r1.dbar, r1.rejected)]
@@ -665,7 +688,7 @@ class TestOperators:
         f = bundled_test_form(model)
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
-        pair = [f, f.dbar_field(model)]
+        pair = [f, f.dbar_field()]
         default = apply_operator_multi(model, pair, [z, z],
                                        centered_grid(model, z))
         six = apply_operator_multi(model, pair, [z, z],
@@ -914,7 +937,7 @@ class TestGlue:
         pts = primary.graph_point(
             0.1 * np.stack([np.ones(4), -np.ones(4)]).astype(complex),
             np.zeros((2, 1)))
-        assert fields.partition_defect(primary, [pair], pts) < 1e-12
+        assert np.max(np.abs(pair.inner.value(primary, pts) - 1.0)) < 1e-12
 
     def test_invalid_pair_rejected(self):
         with pytest.raises(CoverError):
@@ -990,7 +1013,7 @@ class TestGluedIdentity:
         vals = [complex(glue_solution(primary, [pair], f, p, [grid])[0])
                 for p in stencil]
         dbar_r1 = assemble_conjugate_frame_derivative(vals, 4, step)
-        r2 = glue_solution(primary, [pair], f.dbar_field(primary), z, [grid])
+        r2 = glue_solution(primary, [pair], f.dbar_field(), z, [grid])
         r2_tan = tangential_components(primary, r2[None, :], z[None, :], 1)[0]
         h_tan = tangential_components(
             primary, glue_obstruction(primary, [pair], f, z, [grid])[None, :],
