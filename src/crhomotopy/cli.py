@@ -2,7 +2,8 @@
 
 All randomness is seeded from the configuration; reports embed the model
 hash and the configuration hash, are serialized canonically, and are
-byte-identical across reruns with the same inputs.
+byte-identical across reruns with the same inputs.  Each command imports
+the modules it runs, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import sys
 
 import numpy as np
 
-from . import barrier, fields, geometry, indexcalc, norms, sections
+from . import geometry
 from ._util import canonical_json
 from .errors import CRHomotopyError
-from .homotopy import apply_operator, apply_operator_multi, identity_residual
-from .quadrature import CHUNK, QuadratureGrid
 
 SCHEMA = "crhomotopy-report-v1"
 # one run-homotopy row per ladder rung and point, in homotopy.json and the CSV
@@ -98,6 +97,7 @@ def cmd_check_geometry(args) -> int:
 
 
 def cmd_audit_barrier(args) -> int:
+    from . import barrier
     model = _load_model(args)
     z = _test_points(model)[0]
     rep = barrier.audit_barrier_bound(model, z, sample_count=args.budget,
@@ -148,6 +148,8 @@ def _kernel_samples(model, budget, seed):
 
 
 def cmd_audit_kernels(args) -> int:
+    from . import sections
+    from .quadrature import CHUNK
     model = _load_model(args)
     z = _test_points(model)[0]
     zetas, ts = _kernel_samples(model, args.budget, args.seed)
@@ -178,6 +180,9 @@ def cmd_audit_kernels(args) -> int:
 
 
 def cmd_run_homotopy(args) -> int:
+    from .fields import bundled_test_form
+    from .homotopy import apply_operator, identity_residual
+    from .quadrature import QuadratureGrid
     model = _load_model(args)
     geo_path = os.path.join(args.out, "geometry.json")
     if not os.path.exists(geo_path):
@@ -188,7 +193,7 @@ def cmd_run_homotopy(args) -> int:
     if not cert.passed:
         print("model failed concavity certification", file=sys.stderr)
         return 2
-    f = fields.bundled_test_form(model)
+    f = bundled_test_form(model)
     points = _test_points(model, count=args.points)
     ladder = list(zip(args.eps, args.budget))
     rows_out = []
@@ -223,6 +228,7 @@ def cmd_run_homotopy(args) -> int:
 
 
 def cmd_index_audit(args) -> int:
+    from . import indexcalc
     model = _load_model(args)
     sweep = indexcalc.obstruction_sweep(args.n_max, args.m_max)
     below = [r for r in sweep if r["below_concavity"]]
@@ -262,6 +268,10 @@ def cmd_index_audit(args) -> int:
 
 
 def cmd_estimate_norms(args) -> int:
+    from . import norms
+    from .fields import bundled_test_form
+    from .homotopy import apply_operator_multi
+    from .quadrature import QuadratureGrid
     model = _load_model(args)
     z = np.zeros(model.n, dtype=complex)
     flat = norms.tangential_holder_estimate(
@@ -287,7 +297,7 @@ def cmd_estimate_norms(args) -> int:
     }
     # demonstrative smoothing-gain table: input coefficient quotients against
     # those of a small-budget solution-operator output (non-probative)
-    f = fields.bundled_test_form(model)
+    f = bundled_test_form(model)
     zp, w0 = model.split(z)
     grid = QuadratureGrid(model=model, epsilon=0.1,
                           budget=max(500, args.budget), seed=args.seed,

@@ -42,14 +42,6 @@ class CoverError(CRHomotopyError):
     """Cutoff family fails to form a partition of unity on the support."""
 
 
-class ChartExitError(CRHomotopyError):
-    """Flow path left the coordinate chart."""
-
-
-class FlowInversionError(CRHomotopyError):
-    """Newton inversion of the frame flow did not converge."""
-
-
 class DerivativeOrderError(CRHomotopyError):
     """Field derivatives of the requested order are not available."""
 

@@ -429,27 +429,31 @@ def _cutoff_fields(cutoff, field: FormField):
 def glue_solution(model: ManifoldModel, covers, field: FormField, z,
                   grids) -> np.ndarray:
     """Global solution operator: sum of outer-cutoff-weighted local operators
-    applied to inner-cutoff localizations.  Returns ambient coefficients of
-    degree r-1."""
+    applied to inner-cutoff localizations, one grid per cover.  Returns
+    ambient coefficients of degree r-1."""
+    if not covers:
+        raise ValueError("the gluing needs at least one cover")
     z = np.asarray(z, dtype=complex)
-    out = None
-    for pair, grid in zip(covers, grids):
+    out = 0
+    for pair, grid in zip(covers, grids, strict=True):
         localized, _ = _cutoff_fields(pair.inner, field)
         local = apply_operator(model, localized, z, grid, kind="solution")
         weight = complex(pair.outer.value(model, z[None, :])[0])
-        term = weight * local.ambient
-        out = term if out is None else out + term
+        out = out + weight * local.ambient
     return out
 
 
 def glue_obstruction(model: ManifoldModel, covers, field: FormField, z,
                      grids) -> np.ndarray:
     """Global obstruction operator: cutoff-derivative term, localized
-    differential term, and local obstruction term for each cover."""
+    differential term, and local obstruction term for each cover, one grid
+    per cover."""
+    if not covers:
+        raise ValueError("the gluing needs at least one cover")
     z = np.asarray(z, dtype=complex)
     r = field.degree
     out = np.zeros(len(index_combinations(model.n, r)), dtype=complex)
-    for pair, grid in zip(covers, grids):
+    for pair, grid in zip(covers, grids, strict=True):
         localized, wedged = _cutoff_fields(pair.inner, field)
         sol, rplus = apply_operator_multi(model, [localized, wedged], [z, z],
                                           grid, kind="solution")

@@ -5,6 +5,13 @@ norms (ambient exponent counts half against tangential exponent).
 All estimators are lower bounds: the definitional suprema run over
 uncountable families of curves and fields, sampled here over seeded finite
 families.
+
+Control paths are integrated by the classical RK4 over all steps at once.
+On a quadric the frame velocity's z'-part is the control u + iv, and its
+w-part reads the state only through z'.  So the z' of every stage follows
+from the controls by a running sum, every stage velocity comes from one
+batched call, and the path is the running sum of the steps.  The
+step-by-step RK4 in ``tests/oracles.py`` is its bit-identity reference.
 """
 
 from __future__ import annotations
@@ -14,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import canonical_json
-from .errors import ChartExitError, FlowInversionError
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 
 
 # ---------------------------------------------------------------------------
-# frame fields and flows
+# frame fields
 # ---------------------------------------------------------------------------
 
 def frame_velocity(model: ManifoldModel, z, controls):
@@ -39,92 +45,6 @@ def frame_velocity(model: ManifoldModel, z, controls):
     # x moves each rho_k, y is the transverse tangent (Re w)
     vel[..., d:] += 1j * x + y
     return vel
-
-
-def _rk4_step(velocity, point, s, h):
-    """One classical 4th-order step of point' = velocity(point, s)."""
-    k1 = velocity(point, s)
-    k2 = velocity(point + 0.5 * h * k1, s + 0.5 * h)
-    k3 = velocity(point + 0.5 * h * k2, s + 0.5 * h)
-    k4 = velocity(point + h * k3, s + h)
-    return point + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def flow_from(model: ManifoldModel, z, controls, time: float = 1.0,
-              steps: int = 64, return_path: bool = False):
-    """Integrate the frame flow with a fixed-step classical 4th-order method.
-
-    Zero controls return the start point; halving the step should contract
-    the endpoint error by ~16 (tested).
-    """
-    z = np.asarray(z, dtype=complex)
-    h = time / steps
-    path = [z.copy()]
-    point = z.copy()
-    for _ in range(steps):
-        point = _rk4_step(lambda p, s: frame_velocity(model, p, controls),
-                          point, 0.0, h)
-        if np.max(np.abs(point)) > 4.0 * model.radius:
-            raise ChartExitError("flow left the coordinate chart")
-        if return_path:
-            path.append(point.copy())
-    if return_path:
-        return point, np.array(path)
-    return point
-
-
-def invert_flow(model: ManifoldModel, z, target, tol: float = 1e-9,
-                max_iter: int = 40):
-    """Controls c with flow endpoint(z, c) = target, by damped Newton with
-    finite-difference Jacobian in the 2n real control coordinates."""
-    z = np.asarray(z, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    d, m = model.tangential_dim, model.m
-
-    def pack(vec):
-        x = vec[:m]
-        y = vec[m:2 * m]
-        u = vec[2 * m:2 * m + d]
-        v = vec[2 * m + d:]
-        return x, y, u, v
-
-    def residual(vec):
-        end = flow_from(model, z, pack(vec), steps=32)
-        diff = end - target
-        return np.concatenate([diff.real, diff.imag])
-
-    size = 2 * m + 2 * d
-    vec = np.zeros(size)
-    # linear warm start: tangential difference and transverse offsets
-    zp_t, w_t = model.split(target)
-    zp_0, w_0 = model.split(z)
-    vec[2 * m:2 * m + d] = (zp_t - zp_0).real
-    vec[2 * m + d:] = (zp_t - zp_0).imag
-    vec[m:2 * m] = (w_t - w_0).real
-    for it in range(max_iter):
-        res = residual(vec)
-        if np.linalg.norm(res) < tol:
-            return pack(vec)
-        jac = np.empty((res.size, size))
-        h = 1e-6
-        for j in range(size):
-            probe = vec.copy()
-            probe[j] += h
-            jac[:, j] = (residual(probe) - res) / h
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise FlowInversionError(f"singular flow Jacobian: {exc}") from exc
-        lam = 1.0
-        base = np.linalg.norm(res)
-        while lam > 1e-4:
-            if np.linalg.norm(residual(vec + lam * step)) < base:
-                break
-            lam *= 0.5
-        vec = vec + lam * step
-    raise FlowInversionError(
-        f"no convergence after {max_iter} iterations "
-        f"(residual {np.linalg.norm(residual(vec)):.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -172,26 +92,51 @@ def curve_audit(model: ManifoldModel, curve: TangentCurve, slack=0.05):
     }
 
 
+def _rk4_path(start, k1, k2, k3, k4, h):
+    """start, (..., 1, width), followed by its classical 4th-order steps with
+    stage velocities k1..k4, (..., steps, width): one running sum."""
+    return np.cumsum(np.concatenate(
+        [start, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)], axis=-2), axis=-2)
+
+
 def integrate_controls(model: ManifoldModel, z, controls_at,
                        samples: int = 51) -> TangentCurve:
-    """Integrate s-dependent control paths with the 4th-order stepper.
+    """Integrate s-dependent control paths with the classical 4th-order
+    method, all steps at once (see the module docstring).
 
     z is one start (n,) or a batch of starts (C, n); controls_at(s) returns
     controls that broadcast against it (see :func:`frame_velocity`).  Returns
     the sampled curves, (..., samples, n), carrying analytic velocities.
     """
-    point = np.asarray(z, dtype=complex)
-    pts = [point]
+    z = np.asarray(z, dtype=complex)
     s_vals = np.linspace(0.0, 1.0, samples)
     h = s_vals[1] - s_vals[0]
-    for s in s_vals[:-1]:
-        point = _rk4_step(lambda p, s_local: frame_velocity(
-            model, p, controls_at(s_local)), point, s, h)
-        pts.append(point)
-    vels = [frame_velocity(model, p, controls_at(s))
-            for p, s in zip(pts, s_vals)]
-    return TangentCurve(samples=np.stack(pts, axis=-2), s_values=s_vals,
-                        velocity_samples=np.stack(vels, axis=-2))
+    # each step's stage times s, s + h/2 and s + h, formed as a step forms
+    # them (s + h need not equal the next sample); one draw per distinct time
+    times, which = np.unique(np.concatenate(
+        [s_vals, s_vals[:-1] + 0.5 * h, s_vals[:-1] + h]), return_inverse=True)
+    at_s, at_mid, at_end = np.split(which, [samples, 2 * samples - 1])
+    # x, y, u, v with the draws on axis -2: (..., times, width)
+    ctrl = [np.stack(c, axis=-2).astype(float, copy=False)
+            for c in zip(*(controls_at(t) for t in times))]
+    lead = np.broadcast_shapes(z.shape[:-1], *(c.shape[:-2] for c in ctrl))
+    ctrl = [np.broadcast_to(c, lead + c.shape[-2:]) for c in ctrl]
+    start = np.broadcast_to(z, lead + z.shape[-1:])[..., None, :]
+    # every stage's z'-velocity is its control u + iv, so the z' of every
+    # stage follows from the controls alone; the w-velocity reads only z'
+    tangent = ctrl[2] + 1j * ctrl[3]
+    stage_at = np.stack([at_s[:-1], at_mid, at_mid, at_end])
+    c1, c2, c3, c4 = np.moveaxis(tangent[..., stage_at, :], -3, 0)
+    zp = _rk4_path(start[..., :model.tangential_dim], c1, c2, c3, c4,
+                   h)[..., :-1, :]
+    stages = np.stack([zp, zp + 0.5 * h * c1, zp + 0.5 * h * c2,
+                       zp + h * c3], axis=-3)
+    stages = np.concatenate(
+        [stages, np.zeros(stages.shape[:-1] + (model.m,))], axis=-1)
+    k = frame_velocity(model, stages, [c[..., stage_at, :] for c in ctrl])
+    path = _rk4_path(start, *np.moveaxis(k, -3, 0), h)
+    vel = frame_velocity(model, path, [c[..., at_s, :] for c in ctrl])
+    return TangentCurve(samples=path, s_values=s_vals, velocity_samples=vel)
 
 
 def random_admissible_curve(model: ManifoldModel, z, coeffs,

@@ -158,6 +158,31 @@ class TestPipeline:
         assert run_cli(["--model", "bundled:sig22_n6m2", "--out", out,
                         "check-geometry"]) == 0
 
+    @pytest.mark.parametrize("argv, absent, present", [
+        (["check-geometry", "--resolution", "8"],
+         ("homotopy", "norms", "quadrature"), ()),
+        (["index-audit", "--n-max", "5", "--m-max", "2"],
+         ("homotopy", "norms", "quadrature"), ("indexcalc",)),
+        (["estimate-norms", "--budget", "60"], (), ("norms",))])
+    def test_command_imports_what_it_runs(self, argv, absent, present,
+                                          tmp_path):
+        # a fresh process per command: a module imported at the top of
+        # cli.py would load for every command
+        probe = ("import json, sys\n"
+                 "from crhomotopy import cli\n"
+                 "rc = cli.main(sys.argv[1:])\n"
+                 "print(json.dumps(sorted(sys.modules)))\n"
+                 "sys.exit(rc)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "--model", "bundled:sig22_n5",
+             "--out", str(tmp_path), *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        for name in absent:
+            assert f"crhomotopy.{name}" not in loaded, name
+        for name in present:
+            assert f"crhomotopy.{name}" in loaded, name
+
     def test_entry_point_runs_as_module(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "crhomotopy.cli", "--model",

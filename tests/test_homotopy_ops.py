@@ -958,6 +958,21 @@ class TestGlue:
         hglued = glue_obstruction(primary, [pair], f, z, [grid])
         assert np.max(np.abs(hglued)) < 1e-10
 
+    @pytest.mark.parametrize("glue", [glue_solution, glue_obstruction])
+    def test_cover_and_grid_counts_checked(self, primary, glue):
+        # no cover has no global operator, and a cover or grid without its
+        # partner would drop out of the sum
+        f = bundled_test_form(primary)
+        pair = make_cutoff_pair(np.zeros(4), np.zeros(1), 0.5, 0.6)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        grid = centered_grid(primary, z, budget=200)
+        with pytest.raises(ValueError, match="at least one cover"):
+            glue(primary, [], f, z, [])
+        for covers, grids in (([pair, pair], [grid]), ([pair], [grid, grid])):
+            with pytest.raises(ValueError, match="zip"):
+                glue(primary, covers, f, z, grids)
+
     def test_two_covers_match_single_cover(self, primary):
         f = bundled_test_form(primary, r_in=0.2, r_out=0.35)
         z = primary.graph_point(np.array([0.03, -0.02, 0.01, 0.0]),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crhomotopy import norms
-from oracles import (complex_tangent_projection, flow_from_exact,
+from oracles import (complex_tangent_projection, flow_from, flow_from_exact,
+                     invert_flow, random_quadric, rk4_integrate_controls,
                      scalar_holder_estimate)
 
 
@@ -14,7 +15,7 @@ def zero_controls(model):
 class TestFrameFlow:
     def test_zero_controls_fixed_point(self, primary):
         z = primary.graph_point(0.1 * np.ones(4) + 0j, np.zeros(1))
-        end = norms.flow_from(primary, z, zero_controls(primary))
+        end = flow_from(primary, z, zero_controls(primary))
         assert np.max(np.abs(end - z)) == 0.0
 
     def test_matches_closed_form(self, primary, rng):
@@ -23,14 +24,14 @@ class TestFrameFlow:
             0.05 * rng.standard_normal(1))
         ctrl = (0.2 * rng.standard_normal(1), 0.2 * rng.standard_normal(1),
                 0.2 * rng.standard_normal(4), 0.2 * rng.standard_normal(4))
-        end = norms.flow_from(primary, z, ctrl, steps=64)
+        end = flow_from(primary, z, ctrl, steps=64)
         exact = flow_from_exact(primary, z, ctrl)
         assert np.max(np.abs(end - exact)) < 1e-12
 
     def test_normal_controls_move_level_only(self, primary, rng):
         z = primary.graph_point(0.1 * np.ones(4) + 0j, np.zeros(1))
         ctrl = (np.array([0.3]), np.zeros(1), np.zeros(4), np.zeros(4))
-        end = norms.flow_from(primary, z, ctrl)
+        end = flow_from(primary, z, ctrl)
         assert np.max(np.abs(end[:4] - z[:4])) == 0.0
         vec_end, _ = primary.defining_values(end)
         vec_start, _ = primary.defining_values(z)
@@ -40,15 +41,8 @@ class TestFrameFlow:
         # constant-control quadric flows are polynomial (the integrator is
         # exact there); an s-dependent control path has genuine truncation
         start = primary.graph_point(0.05 * np.ones(4) + 0j, np.zeros(1))
-        coeffs = np.random.default_rng(3).standard_normal((2, 4, 4))
-
-        def controls_at(s):
-            powers = np.array([1.0, s, s * s, s ** 3])
-            # nonpolynomial modulation so the flow is not integrator-exact
-            wob = 1.0 + 0.5 * np.sin(5.0 * s)
-            return (np.zeros(1), np.zeros(1), wob * coeffs[0] @ powers,
-                    wob * coeffs[1] @ powers)
-
+        controls_at = curved_controls(
+            np.random.default_rng(3).standard_normal((2, 4, 4)), 1)
         coarse = norms.integrate_controls(primary, start, controls_at, 9)
         fine = norms.integrate_controls(primary, start, controls_at, 17)
         ref = norms.integrate_controls(primary, start, controls_at, 257)
@@ -61,11 +55,80 @@ class TestFrameFlow:
         z = primary.graph_point(0.05 * np.ones(4) + 0j, np.zeros(1))
         u1 = np.zeros(4); u1[0] = 0.2
         u2 = np.zeros(4); u2[1] = 0.15
-        a = norms.flow_from(primary, z, (np.zeros(1), np.zeros(1), u1, np.zeros(4)))
-        ab = norms.flow_from(primary, a, (np.zeros(1), np.zeros(1), u2, np.zeros(4)))
-        both = norms.flow_from(primary, z,
-                               (np.zeros(1), np.zeros(1), u1 + u2, np.zeros(4)))
+        a = flow_from(primary, z, (np.zeros(1), np.zeros(1), u1, np.zeros(4)))
+        ab = flow_from(primary, a, (np.zeros(1), np.zeros(1), u2, np.zeros(4)))
+        both = flow_from(primary, z,
+                         (np.zeros(1), np.zeros(1), u1 + u2, np.zeros(4)))
         assert np.max(np.abs(ab - both)) < 1e-10
+
+
+def curved_controls(coeffs, m, xy=None):
+    """Cubic u, v controls under a non-polynomial modulation, from coeffs
+    (..., 2, d, 4); x, y are the constants xy (..., 2, m), zero by default."""
+    xy = np.zeros(coeffs.shape[:-3] + (2, m)) if xy is None else xy
+
+    def controls_at(s):
+        powers = np.array([1.0, s, s * s, s ** 3])
+        # nonpolynomial modulation so the flow is not integrator-exact
+        wob = 1.0 + 0.5 * np.sin(5.0 * s)
+        return (xy[..., 0, :], xy[..., 1, :],
+                wob * coeffs[..., 0, :, :] @ powers,
+                wob * coeffs[..., 1, :, :] @ powers)
+    return controls_at
+
+
+class TestBatchedIntegration:
+    # the all-steps RK4 reproduces the step-by-step RK4 bit for bit
+
+    @pytest.mark.parametrize("samples", [9, 17, 51])
+    @pytest.mark.parametrize("count", [None, 1, 6])
+    def test_matches_stepwise_rk4(self, primary, secondary, samples, count):
+        rng = np.random.default_rng(samples + 7 * (count or 0))
+        complex_levi = random_quadric(6, 2, np.random.default_rng(8))
+        for model in (primary, secondary, complex_levi):
+            d, m = model.tangential_dim, model.m
+            lead = () if count is None else (count,)
+            starts = model.graph_point(
+                0.1 * (rng.standard_normal(lead + (d,))
+                       + 1j * rng.standard_normal(lead + (d,))),
+                0.05 * rng.standard_normal(lead + (m,)))
+            controls_at = curved_controls(
+                rng.standard_normal(lead + (2, d, 4)), m,
+                0.3 * rng.standard_normal(lead + (2, m)))
+            got = norms.integrate_controls(model, starts, controls_at, samples)
+            want = rk4_integrate_controls(model, starts, controls_at, samples)
+            assert got.samples.shape == lead + (samples, model.n)
+            assert np.array_equal(got.s_values, want.s_values)
+            assert np.array_equal(got.samples, want.samples)
+            assert np.array_equal(got.velocity_samples, want.velocity_samples)
+
+    def test_curved_path_matches_stepwise_rk4(self, primary):
+        start = primary.graph_point(0.05 * np.ones(4) + 0j, np.zeros(1))
+        controls_at = curved_controls(
+            np.random.default_rng(3).standard_normal((2, 4, 4)), 1)
+        for samples in (9, 17, 257):
+            got = norms.integrate_controls(primary, start, controls_at,
+                                           samples)
+            want = rk4_integrate_controls(primary, start, controls_at, samples)
+            assert np.array_equal(got.samples, want.samples)
+            assert np.array_equal(got.velocity_samples, want.velocity_samples)
+
+    @pytest.mark.parametrize("samples", [9, 51])
+    def test_two_frame_velocity_calls(self, primary, monkeypatch, samples):
+        # a per-step loop would make one call per stage and sample
+        calls = []
+        velocity = norms.frame_velocity
+
+        def counted(model, z, controls):
+            calls.append(np.shape(z))
+            return velocity(model, z, controls)
+
+        monkeypatch.setattr(norms, "frame_velocity", counted)
+        starts = random_starts(primary, 3, np.random.default_rng(2))
+        norms.integrate_controls(primary, starts, curved_controls(
+            np.random.default_rng(3).standard_normal((3, 2, 4, 4)), 1),
+            samples)
+        assert calls == [(3, 4, samples - 1, 5), (3, samples, 5)]
 
 
 class TestProjection:
@@ -96,8 +159,8 @@ class TestProjection:
         z = primary.graph_point(0.05 * np.ones(4) + 0j, np.zeros(1))
         ctrl = (0.1 * rng.standard_normal(1), 0.1 * rng.standard_normal(1),
                 0.1 * rng.standard_normal(4), 0.1 * rng.standard_normal(4))
-        target = norms.flow_from(primary, z, ctrl)
-        rec = norms.invert_flow(primary, z, target)
+        target = flow_from(primary, z, ctrl)
+        rec = invert_flow(primary, z, target)
         for a, b in zip(rec, ctrl):
             assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-6
 

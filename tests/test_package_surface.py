@@ -30,7 +30,6 @@ ALLOWED = {
     ("fields", "gradient_flow_projection"):
         "the second extension of the acceptance test",
     ("fields", "tangential_dbar_values"): "TestTangentialDbar checks it",
-    ("norms", "invert_flow"): "the oracles use it",
     ("errors", "DegeneratePointError"): "the oracles use it",
 }
 
