@@ -9,7 +9,8 @@ closed-form conormal, the kernel contraction keeps eta and all n rows of
 every jet in place of the n - 1 non-pivot rows and contracts the mixed-jet
 tensors in place of the section pullbacks, the barrier reference works
 pointwise on phase-fixed eigenvector rows in place of the projector G, the
-frame flow has a closed form, derivative oracles are plain central
+frame flow has a closed form and a step-by-step RK4 (the reference of the
+all-steps control integration), derivative oracles are plain central
 differences, and the sample audits (section normalization, Holder
 quotients) go one sample at a time.  The rank-verified tangential frame
 rebuilds the real tangent space from a coordinate Jacobian, and the
