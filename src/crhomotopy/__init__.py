@@ -12,7 +12,7 @@ Subpackage map:
 - ``sections``   normalized section jets (euclidean, barrier, combined), the
                  closedness check of the determinant form
 - ``fields``     form fields (coefficient arrays with an optional analytic
-                 d-bar), tangential projection and tangential d-bar
+                 d-bar), chart functions, cutoffs, tangential components
 - ``quadrature`` level-set grids and oriented surface integration
 - ``homotopy``   solution / obstruction operators, whose ``extension=`` node
                  projection extends a field off the manifold, and

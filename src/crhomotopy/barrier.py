@@ -291,8 +291,6 @@ def audit_barrier_bound(model: ManifoldModel, z, sample_count=10000,
 class ExpansionReport:
     slope: float
     exact: bool
-    remainders: np.ndarray
-    scales: np.ndarray
 
 
 def audit_barrier_expansion(model: ManifoldModel, z, direction,
@@ -333,5 +331,4 @@ def audit_barrier_expansion(model: ManifoldModel, z, direction,
     phimag = np.abs(phi)
     exact = bool(np.all(np.abs(rem) <= 1e-12 * np.maximum(phimag, 1e-30)))
     slope = 0.0 if exact else loglog_slope(scales, rem)
-    return ExpansionReport(slope=slope, exact=exact, remainders=rem,
-                           scales=scales)
+    return ExpansionReport(slope=slope, exact=exact)

@@ -276,14 +276,13 @@ def cmd_estimate_norms(args) -> int:
     z = np.zeros(model.n, dtype=complex)
     flat = norms.tangential_holder_estimate(
         model, lambda p: p[:, 0].real, 1.0, z, seed=args.seed,
-        curve_budget=max(4, args.budget // 50), pair_budget=args.budget,
-        collect=True)
+        curve_budget=max(4, args.budget // 50), pair_budget=args.budget)
     aniso = norms.tangential_holder_estimate(
         model, lambda p: p[:, model.tangential_dim].real, 1.0, z,
         seed=args.seed,
         curve_budget=max(4, args.budget // 50), pair_budget=args.budget)
-    rows = [("ambient", i, q) for i, q in (flat.ambient.samples or [])]
-    rows += [("curve", i, q) for i, q in (flat.tangential.samples or [])]
+    rows = [("ambient", i, q) for i, q in flat.ambient.samples]
+    rows += [("curve", i, q) for i, q in flat.tangential.samples]
     _write_csv(args.out, "norm_quotients.csv", ["regime", "id", "quotient"],
                rows)
     payload = _base_payload(args, model)

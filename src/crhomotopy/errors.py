@@ -18,10 +18,6 @@ class ThetaUndefinedError(CRHomotopyError):
     """Normal direction field requested at a point on the manifold itself."""
 
 
-class DegeneratePointError(CRHomotopyError):
-    """Tangential frame is rank deficient at the requested point."""
-
-
 class SingularityError(CRHomotopyError):
     """Section evaluated at its singular point (coincident arguments)."""
 

@@ -11,8 +11,7 @@ the differential of the extension, analytic for the polynomial-times-bump
 test coefficients.  Extension off the manifold is the operators' node
 projection (``extension=``, the graph projection by default).
 
-Tangential content is extracted by contraction with the conjugate tangent
-frame (the projection to tangential forms).
+Tangential components are the contraction with the conjugate tangent frame.
 """
 
 from __future__ import annotations
@@ -214,9 +213,9 @@ class CutoffPair:
                 "outer bump must be identically 1 on the inner support")
 
 
-def make_cutoff_pair(center_zp, center_u, r_in, r_out, pad=1.4) -> CutoffPair:
+def make_cutoff_pair(center_zp, center_u, r_in, r_out) -> CutoffPair:
     inner = BumpChart(center_zp, center_u, r_in, r_out)
-    outer = BumpChart(center_zp, center_u, r_out, pad * r_out)
+    outer = BumpChart(center_zp, center_u, r_out, 1.4 * r_out)
     return CutoffPair(inner=inner, outer=outer)
 
 
@@ -239,10 +238,6 @@ class FormField:
     def values(self, model, z):
         """(..., C(n, r)) coefficient array at points z."""
         return self.fn(model, z)
-
-    def dbar_values(self, model, z):
-        """(..., C(n, r + 1)) coefficients of the differential at points z."""
-        return self.dbar_field().fn(model, z)
 
     def dbar_field(self) -> "FormField":
         """The differential as a field of degree r + 1, without a d-bar of
@@ -282,26 +277,13 @@ def wedge_covector_values(n, degree, covector, values):
 
 
 # ---------------------------------------------------------------------------
-# tangential projection and tangential d-bar
+# tangential components
 # ---------------------------------------------------------------------------
 
 def conjugate_frame_rows(model: ManifoldModel, z):
     """Rows spanning the antiholomorphic tangent space T'' (coefficients of
     d/d zetabar), shape (..., n-m, n)."""
     return holomorphic_tangent_rows(model, z).conj()
-
-
-def dual_covector_rows(model: ManifoldModel, z):
-    """Rows 0..n-m-1: covectors dual to the T'' frame that annihilate the
-    conjugate normal directions; rows n-m..n-1 complete the dual basis.
-
-    All entries are holomorphic in the base point for graph quadrics.
-    """
-    z = np.asarray(z, dtype=complex)
-    wb = conjugate_frame_rows(model, z)                      # (..., d, n)
-    nu = model.holo_gradients(z).conj()                      # (..., m, n)
-    V = np.concatenate([wb, nu], axis=-2)                    # (..., n, n)
-    return np.linalg.inv(np.swapaxes(V, -1, -2))             # rows = duals
 
 
 def _evaluate_batched(values, rows, n, degree):
@@ -324,52 +306,6 @@ def tangential_components(model: ManifoldModel, values, z, degree: int):
     """
     wb = conjugate_frame_rows(model, np.asarray(z, dtype=complex))
     return _evaluate_batched(values, wb, model.n, degree)
-
-
-def project_tangential(model: ManifoldModel, values, z, degree: int):
-    """Canonical ambient representative of the tangential part.
-
-    Idempotent; annihilates any component containing a conjugate normal
-    covector.  The tangential components, a form on C^(n-m), evaluated at
-    the dual-covector columns: sum over I of tan[I] det(duals[I, J]).
-    """
-    if degree == 0:
-        return values
-    z = np.asarray(z, dtype=complex)
-    tan = tangential_components(model, values, z, degree)
-    duals = dual_covector_rows(model, z)[..., :model.tangential_dim, :]
-    return _evaluate_batched(tan, np.swapaxes(duals, -1, -2),
-                             model.tangential_dim, degree)
-
-
-def tangential_dbar_values(model: ManifoldModel, field: FormField, z):
-    """Ambient coefficients of the tangential d-bar of a field at points z:
-    projection of the differential of the (graph-constant) extension."""
-    raw = field.dbar_values(model, z)
-    return project_tangential(model, raw, z, field.degree + 1)
-
-
-# ---------------------------------------------------------------------------
-# extension off the manifold
-# ---------------------------------------------------------------------------
-
-def gradient_flow_projection(model: ManifoldModel, z, steps: int = 8):
-    """Project to the manifold along the real gradient span of the defining
-    functions (Newton on the rho vector).  As the operators' ``extension=``
-    it extends a form constant along the gradient flow, the second
-    admissible extension next to the graph projection."""
-    z = np.asarray(z, dtype=complex).copy()
-    for _ in range(steps):
-        vec, norm = model.defining_values(z)
-        if np.all(norm < 1e-14):
-            break
-        grads = model.holo_gradients(z)           # (..., m, n)
-        # displacement sum_l c_l conj(g_l) changes rho_k by
-        # 2 Re(Gram)_{kl} c_l; real coefficients solve the m x m system
-        gram = 2.0 * np.einsum("...ki,...li->...kl", grads, grads.conj()).real
-        coef = np.linalg.solve(gram, -vec[..., None])[..., 0]
-        z = z + np.einsum("...k,...ki->...i", coef, grads.conj())
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -488,7 +488,7 @@ class ResidualRow:
 
 def identity_residual(model: ManifoldModel, field: FormField, z_points,
                       epsilon: float, budget: int, seed: int = 0,
-                      box_radius: float = 0.7, extension=None):
+                      box_radius: float = 0.7):
     """Residual of f = dbar_M R_1 f + R_2 dbar_M f at the given points.
 
     The first term is the analytic conjugate-frame derivative of the
@@ -516,7 +516,6 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
                               box_radius=box_radius)
         r1, r2 = apply_operator_multi(
             model, [field, dbar_field], [z, z], grid, kind="solution",
-            extension=extension,
             _frames=[conjugate_frame_rows(model, z), None])
         dbar_r1_tan = r1.dbar
         r2_tan = r2.tangential(model, z)

@@ -12,9 +12,9 @@ possibly half-integral):
 Terms arise from expanding the interpolated kernel into two families (led by
 a gradient-section column or by a frame-pairing column); their cardinality
 tuples satisfy linear constraints recorded here.  Differentiation rewrites
-terms within constraint-bounded classes; a two-row decision table classifies
-the near and far model integrals; the boundedness/vanishing dichotomy and
-the obstruction-term emptiness are decision procedures over these lattices.
+terms within constraint-bounded classes; a decision table classifies the
+near model integral; the boundedness/vanishing dichotomy and the
+obstruction-term emptiness are decision procedures over these lattices.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class KernelTerm:
     @property
     def l(self) -> int:
         return self.level_power_0 + self.level_forms
-
-    def indices(self):
-        return (self.k, self.h, self.l)
 
 
 def is_bounded_class(term: KernelTerm) -> bool:
@@ -194,17 +191,14 @@ def expand_to_kernel(term: ExpansionTerm) -> KernelTerm:
                       phase_power=Fraction(h), tag=term.family)
 
 
-def expansion_kernels(n, m, q, r, report=None):
-    """All feasible kernel terms; infeasible ones are counted in ``report``."""
+def expansion_kernels(n, m, q, r):
+    """All feasible (expansion term, kernel term) pairs."""
     out = []
-    dropped = 0
     for term in enumerate_expansion_terms(n, m, q, r):
         try:
             out.append((term, expand_to_kernel(term)))
         except RealizationInfeasibleError:
-            dropped += 1
-    if report is not None:
-        report["infeasible"] = dropped
+            continue        # the determinant products vanish
     return out
 
 
@@ -259,10 +253,10 @@ COMPLEX_TANGENT_MOVES = (
 )
 
 
-def differentiate_term(term: KernelTerm, kind: str, budget: int = 1,
-                       term_class: str = "pass", root: KernelTerm = None):
+def differentiate_term(term: KernelTerm, kind: str, term_class: str = "pass",
+                       root: KernelTerm = None):
     """Closure of terms from one tangential (full) or complex-tangential
-    differentiation; zero budget returns the input unchanged.
+    differentiation.
 
     ``term_class`` is the class of the input relative to ``root``:
     pass-terms route any differentiation through the integration-by-parts
@@ -278,8 +272,6 @@ def differentiate_term(term: KernelTerm, kind: str, budget: int = 1,
     every flow-term against the stricter versions with unit slack.  A
     violation raises: the rewrite machinery guarantees it cannot happen.
     """
-    if budget == 0:
-        return [RewriteResult(kind=term_class, rule="identity", term=term)]
     if root is None:
         root = term
     if kind not in ("tangent", "complex_tangent"):
@@ -325,9 +317,10 @@ def _assert_rewrite_budget(term: KernelTerm, root: KernelTerm, kind: str,
             f"term (k,h,l)=({k},{h},{l}) vs root ({k0},{h0},{l0})")
 
 
-def closure_two_deep(term: KernelTerm, kinds=("tangent", "complex_tangent")):
+def closure_two_deep(term: KernelTerm):
     """All terms after up to two differentiations, asserting budgets against
     the original term throughout."""
+    kinds = ("tangent", "complex_tangent")
     results = []
     first = []
     for kind in kinds:
@@ -350,11 +343,6 @@ class EstimateClass:
     exponent: Fraction = Fraction(0)
     rule: str = ""
     boundary: bool = False
-
-    def to_json_dict(self):
-        return {"tag": self.tag, "exponent": [self.exponent.numerator,
-                                              self.exponent.denominator],
-                "rule": self.rule, "boundary": self.boundary}
 
 
 def classify_near_integral(alpha, k, h, n, m) -> EstimateClass:
@@ -391,36 +379,6 @@ def classify_near_integral(alpha, k, h, n, m) -> EstimateClass:
     return first
 
 
-def classify_far_integral(alpha, k, h, n, m) -> EstimateClass:
-    """Decision row for the model integral over the complement region."""
-    h = _frac(h)
-    alpha = Fraction(alpha).limit_denominator(1000)
-    if not 0 <= alpha < 1:
-        raise TableGapError(f"alpha {alpha} outside [0, 1)")
-    bound = 2 * n - m
-    rows = []
-    if alpha == 0:
-        if ((k >= bound - 1 and k + h <= bound - 1)
-                or (k <= bound - 2 and k + 2 * h <= bound)):
-            rows.append(EstimateClass("O_one", Fraction(0), "far-1"))
-        if k <= bound - 2 and k + 2 * h <= bound + 1:
-            rows.append(EstimateClass("O_log_delta", Fraction(0), "far-2"))
-    if ((k >= bound - 1 and k + h <= bound)
-            or (k <= bound - 2 and k + 2 * h <= bound + 2)):
-        rows.append(EstimateClass("O_delta_alpha_minus_1", alpha - 1, "far-3"))
-    if ((k >= bound - 1 and k + h <= Fraction(bound) + Fraction(1, 2))
-            or (k <= bound - 2 and k + 2 * h <= bound + 3)):
-        rows.append(EstimateClass("O_delta_alpha_minus_2", alpha - 2, "far-4"))
-    if not rows:
-        raise TableGapError(
-            f"far-integral table gap at alpha={alpha} k={k} h={h}")
-    first = rows[0]
-    if len(rows) > 1:
-        first = EstimateClass(first.tag, first.exponent, first.rule,
-                              boundary=True)
-    return first
-
-
 # ---------------------------------------------------------------------------
 # dichotomy and obstruction emptiness
 # ---------------------------------------------------------------------------
@@ -444,21 +402,6 @@ def dichotomy_audit(n, m, q, r):
     violations = [kt for _, kt in pairs
                   if not (is_bounded_class(kt) or is_vanishing_class(kt))]
     return pairs, violations
-
-
-def vanishing_identity_checks(term: ExpansionTerm, kt: KernelTerm):
-    """Structural identities available for vanishing-class expansion terms:
-    the budget saturates exactly and the level power carries at least m - 1
-    (meaningful for m >= 2, the codimension regime of the estimates)."""
-    checks = {}
-    lhs = 2 * kt.n - kt.m + kt.l - kt.k - kt.h
-    rhs = kt.n - 1 - term.j1 - term.j5 + term.j6 \
-        + (1 if term.family == FAMILY_FRAME else 0)
-    checks["budget_identity"] = (lhs == rhs)
-    if is_vanishing_class(kt):
-        checks["budget_saturated"] = (kt.k + kt.h - kt.l == 2 * kt.n - kt.m - 1)
-        checks["level_at_least_m_minus_1"] = (kt.l >= kt.m - 1)
-    return checks
 
 
 @dataclass(frozen=True)
@@ -528,7 +471,7 @@ def obstruction_sweep(n_max=8, m_max=3):
 # ---------------------------------------------------------------------------
 
 def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
-                          seed=0, box_radius=0.5):
+                          seed=0):
     """Fitted level-exponent of the realized absolute kernel integral.
 
     Realization: |K| ~ eps^(level powers) / (|zeta-z|^k |Phi|^h) against the
@@ -551,7 +494,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
         grid = QuadratureGrid(model=model, epsilon=float(eps), budget=budget,
                               mode="mc-shell", seed=seed + i,
                               center_zp=zp, center_u=w0.real,
-                              box_radius=box_radius)
+                              box_radius=0.5)
         total = 0.0
         for chunk in grid.chunks():
             w = chunk.zeta - z[None, :]
@@ -562,7 +505,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
             pdist = np.sqrt(np.sum(np.abs(zp_n - zp[None, :]) ** 2, axis=1)
                             + np.sum((w_n.real - w0.real[None, :]) ** 2,
                                      axis=1))
-            cutoff = pdist <= box_radius
+            cutoff = pdist <= grid.box_radius
             dens = (eps ** term.l
                     / (dist ** term.k * np.abs(phi) ** h_int))
             total += float(np.sum(dens * cutoff * chunk.weight

@@ -64,15 +64,15 @@ class TangentCurve:
         return np.gradient(self.velocity_samples, ds, axis=-2)
 
 
-def curve_audit(model: ManifoldModel, curve: TangentCurve, slack=0.05):
+def curve_audit(model: ManifoldModel, curve: TangentCurve):
     """Velocity/acceleration bounds and complex-tangency of sampled curves.
 
     Acceleration is measured on the interior samples (one-sided boundary
     differences overshoot); tangency uses the curve's analytic velocities.
-    A curve passes when both bounds hold and both the normal defect (2 Re
-    of the d rho pairing) and the complex-tangency defect (its imaginary
-    part, which a transverse Re w velocity leaves) are below 1e-8.  Each
-    value has the curves' leading shape.
+    A curve passes when both bounds hold up to 5% and both the normal
+    defect (2 Re of the d rho pairing) and the complex-tangency defect (its
+    imaginary part, which a transverse Re w velocity leaves) are below
+    1e-8.  Each value has the curves' leading shape.
     """
     vel = curve.velocity_samples
     acc = curve.acceleration()[..., 2:-2, :]
@@ -87,7 +87,7 @@ def curve_audit(model: ManifoldModel, curve: TangentCurve, slack=0.05):
         "acceleration_max": amax,
         "normal_defect": normal_defect,
         "complex_tangency_defect": trans_defect,
-        "passes": ((vmax <= 1 + slack) & (amax <= 1 + slack)
+        "passes": ((vmax <= 1.05) & (amax <= 1.05)
                    & (normal_defect < 1e-8) & (trans_defect < 1e-8)),
     }
 
@@ -140,13 +140,13 @@ def integrate_controls(model: ManifoldModel, z, controls_at,
 
 
 def random_admissible_curve(model: ManifoldModel, z, coeffs,
-                            samples: int = 51, margin: float = 0.9):
+                            samples: int = 51):
     """Curves from the starts z, (C, n), under polynomial controls of degree
     <= 3 in the complex-tangent frame with coefficients coeffs, (C, 2, d, 4)
     (u rows, then v rows; the estimators draw them standard normal).
 
-    Each curve's coefficients are rescaled until it meets the unit
-    velocity/acceleration bounds with margin; the rounds integrate only the
+    Each curve's coefficients are rescaled until its velocity and
+    acceleration are at most 0.9; the rounds integrate only the
     curves not yet accepted, and a curve still outside after 8 rounds keeps
     its last integration.
     """
@@ -169,9 +169,9 @@ def random_admissible_curve(model: ManifoldModel, z, coeffs,
         out_vel[pending] = curve.velocity_samples
         vmax, amax = audit["velocity_max"], audit["acceleration_max"]
         worst = np.maximum(vmax, np.sqrt(np.maximum(amax, 1e-12)))
-        outside = ~((vmax <= margin) & (amax <= margin))
+        outside = ~((vmax <= 0.9) & (amax <= 0.9))
         coeffs[pending[outside]] *= (
-            margin / np.maximum(worst[outside], 1e-9))[:, None, None, None]
+            0.9 / np.maximum(worst[outside], 1e-9))[:, None, None, None]
         pending = pending[outside]
         if not pending.size:
             break
@@ -185,11 +185,9 @@ def random_admissible_curve(model: ManifoldModel, z, coeffs,
 
 @dataclass
 class HolderEstimate:
-    exponent: float
     quotient_sup: float
     pair_count: int
-    regime: str
-    samples: list = None  # optional (id, quotient) rows for CSV export
+    samples: list         # (id, quotient) rows for CSV export
 
 
 @dataclass
@@ -197,23 +195,18 @@ class AnisotropicEstimate:
     ambient: HolderEstimate
     tangential: HolderEstimate
 
-    @property
-    def total(self):
-        return self.ambient.quotient_sup + self.tangential.quotient_sup
-
 
 def tangential_holder_estimate(model: ManifoldModel, h_fn, beta: float,
                                z, curve_budget: int = 24,
                                pair_budget: int = 200, seed: int = 0,
-                               scale: float = 0.2,
-                               collect: bool = False) -> AnisotropicEstimate:
+                               scale: float = 0.2) -> AnisotropicEstimate:
     """Sampled lower bound of the anisotropic Holder norm near z.
 
     Ambient part: quotients |h(a) - h(b)| / |a - b|^(beta/2) over random
     manifold point pairs.  Tangential part: quotients along admissible
     complex-tangential curves at exponent beta.  ``h_fn`` maps a (K, n)
     batch of points to K values; it is called once on the pair points and
-    once on the curve samples.  ``collect`` keeps the individual quotients
+    once on the curve samples.  Each part keeps its individual quotients
     for CSV export.
     """
     if not 0 < beta < 2:
@@ -234,7 +227,6 @@ def tangential_holder_estimate(model: ManifoldModel, h_fn, beta: float,
     amb = (np.abs(values[kept, 0] - values[kept, 1])
            / dist[kept] ** (beta / 2.0))
     sup_amb = float(np.max(amb, initial=0.0))
-    amb_rows = list(zip(kept.tolist(), amb.tolist())) if collect else None
 
     # tangential curves: per curve, the start, the control coefficients and
     # 16 sample picks are drawn in this order.  First differences up to
@@ -268,15 +260,13 @@ def tangential_holder_estimate(model: ManifoldModel, h_fn, beta: float,
     else:                                   # k is the half-width t
         tan = (np.abs(vals[cid, i + k] - 2 * vals[cid, i] + vals[cid, i - k])
                / (s[i + k] - s[i]) ** beta)
-    tan_rows = list(zip(cid.tolist(), tan.tolist())) if collect else None
     return AnisotropicEstimate(
-        ambient=HolderEstimate(exponent=beta / 2.0, quotient_sup=sup_amb,
-                               pair_count=pair_budget, regime="ambient",
-                               samples=amb_rows),
-        tangential=HolderEstimate(exponent=beta,
-                                  quotient_sup=float(np.max(tan, initial=0.0)),
-                                  pair_count=len(picks), regime="tangential",
-                                  samples=tan_rows),
+        ambient=HolderEstimate(quotient_sup=sup_amb, pair_count=pair_budget,
+                               samples=list(zip(kept.tolist(), amb.tolist()))),
+        tangential=HolderEstimate(quotient_sup=float(np.max(tan, initial=0.0)),
+                                  pair_count=len(picks),
+                                  samples=list(zip(cid.tolist(),
+                                                   tan.tolist()))),
     )
 
 

@@ -74,9 +74,20 @@ class QuadratureGrid:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if not self.budget >= 1:
+            raise ValueError(f"budget {self.budget} is below one node")
+        if not (np.isfinite(self.box_radius) and self.box_radius > 0):
+            raise ValueError(
+                f"box_radius {self.box_radius} is not a finite positive number")
         if not 0 < self.epsilon < 0.5 * self.model.radius:
             raise OutsideTubeError(
                 f"epsilon {self.epsilon} outside (0, {0.5 * self.model.radius})")
+        if (self.mode == "mc-shell"
+                and 1.05 * self.box_radius <= R_MIN_FACTOR * self.epsilon):
+            # the shell's outer radius must exceed its inner radius
+            raise ValueError(
+                f"mc-shell box_radius {self.box_radius} is inside the inner "
+                f"radius {R_MIN_FACTOR * self.epsilon}")
         d, m = self.model.tangential_dim, self.model.m
         if self.center_zp is None:
             self.center_zp = np.zeros(d, dtype=complex)

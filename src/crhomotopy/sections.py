@@ -202,7 +202,6 @@ def normalization_defects(model: ManifoldModel, zetas, z, t) -> np.ndarray:
 @dataclass
 class ClosednessReport:
     residual: float
-    residual_half: float
     order: float
     scale: float
 
@@ -257,5 +256,4 @@ def closedness_check(jet_family, zeta, z, t, r: int, n: int,
         order = np.inf
     else:
         order = float(np.log2(res / res_half))
-    return ClosednessReport(residual=res, residual_half=res_half, order=order,
-                            scale=scale)
+    return ClosednessReport(residual=res, order=order, scale=scale)

@@ -65,7 +65,7 @@ def main():
 
     # extension independence at the middle rung
     eps, budget = LADDER[1]
-    from crhomotopy.fields import gradient_flow_projection
+    from oracles import gradient_flow_projection
     from crhomotopy.quadrature import QuadratureGrid
     diffs = []
     t0 = time.time()

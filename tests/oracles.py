@@ -15,7 +15,8 @@ differences, and the sample audits (section normalization, Holder
 quotients) go one sample at a time.  The rank-verified tangential frame
 rebuilds the real tangent space from a coordinate Jacobian, and the
 complex-tangent projection re-flows the complex-tangential controls of the
-inverted frame flow.
+inverted frame flow.  The tangential projection, the tangential d-bar of a
+field and the gradient-flow extension are references that only tests use.
 """
 
 from dataclasses import dataclass
@@ -25,10 +26,16 @@ import numpy as np
 from crhomotopy import barrier, norms, quadrature, sections
 from crhomotopy._util import evaluate_form, hodge_star, wedge_jets
 from crhomotopy.barrier import normal_direction
-from crhomotopy.errors import DegeneratePointError
+from crhomotopy.errors import CRHomotopyError
+from crhomotopy.fields import (FormField, _evaluate_batched,
+                               conjugate_frame_rows, tangential_components)
 from crhomotopy.geometry import (CORRECTION_MARGIN, ManifoldModel,
                                  holomorphic_tangent_rows)
 from crhomotopy.sections import SectionJet
+
+
+class DegeneratePointError(CRHomotopyError):
+    """Tangential frame is rank deficient at the requested point."""
 
 
 def brute_wedge_expansion(eta, d_zbar, d_zetabar, d_t):
@@ -92,10 +99,6 @@ def defining_polynomial(n, m, hermitian, z):
                 acc += (np.conj(zp[i]) * hermitian[k][i, j] * zp[j]).real
         out.append(z[n - m + k].imag - acc)
     return np.array(out)
-
-
-def central_diff(fn, x, step):
-    return (fn(x + step) - fn(x - step)) / (2.0 * step)
 
 
 def fd_hessian_mixed(fn, z, a, b, step=1e-4):
@@ -481,6 +484,63 @@ def tangential_frame(model: ManifoldModel, z) -> TangentialFrame:
     if rank != 2 * n - m:
         raise DegeneratePointError(f"frame rank {rank} != {2 * n - m}")
     return TangentialFrame(point=z, W=W, Wbar=W.conj(), Y=Y, normal=normal)
+
+
+# tangential projection, tangential d-bar and the gradient-flow extension
+
+def dual_covector_rows(model: ManifoldModel, z):
+    """Rows 0..n-m-1: covectors dual to the T'' frame that annihilate the
+    conjugate normal directions; rows n-m..n-1 complete the dual basis.
+
+    All entries are holomorphic in the base point for graph quadrics.
+    """
+    z = np.asarray(z, dtype=complex)
+    wb = conjugate_frame_rows(model, z)                      # (..., d, n)
+    nu = model.holo_gradients(z).conj()                      # (..., m, n)
+    V = np.concatenate([wb, nu], axis=-2)                    # (..., n, n)
+    return np.linalg.inv(np.swapaxes(V, -1, -2))             # rows = duals
+
+
+def project_tangential(model: ManifoldModel, values, z, degree: int):
+    """Canonical ambient representative of the tangential part.
+
+    Idempotent; annihilates any component containing a conjugate normal
+    covector.  The tangential components, a form on C^(n-m), evaluated at
+    the dual-covector columns: sum over I of tan[I] det(duals[I, J]).
+    """
+    if degree == 0:
+        return values
+    z = np.asarray(z, dtype=complex)
+    tan = tangential_components(model, values, z, degree)
+    duals = dual_covector_rows(model, z)[..., :model.tangential_dim, :]
+    return _evaluate_batched(tan, np.swapaxes(duals, -1, -2),
+                             model.tangential_dim, degree)
+
+
+def tangential_dbar_values(model: ManifoldModel, field: FormField, z):
+    """Ambient coefficients of the tangential d-bar of a field at points z:
+    projection of the differential of the (graph-constant) extension."""
+    raw = field.dbar_field().values(model, z)
+    return project_tangential(model, raw, z, field.degree + 1)
+
+
+def gradient_flow_projection(model: ManifoldModel, z):
+    """Project to the manifold along the real gradient span of the defining
+    functions (at most 8 Newton steps on the rho vector).  As the operators'
+    ``extension=`` it extends a form constant along the gradient flow, the
+    second admissible extension next to the graph projection."""
+    z = np.asarray(z, dtype=complex).copy()
+    for _ in range(8):
+        vec, norm = model.defining_values(z)
+        if np.all(norm < 1e-14):
+            break
+        grads = model.holo_gradients(z)           # (..., m, n)
+        # displacement sum_l c_l conj(g_l) changes rho_k by
+        # 2 Re(Gram)_{kl} c_l; real coefficients solve the m x m system
+        gram = 2.0 * np.einsum("...ki,...li->...kl", grads, grads.conj()).real
+        coef = np.linalg.solve(gram, -vec[..., None])[..., 0]
+        z = z + np.einsum("...k,...ki->...i", coef, grads.conj())
+    return z
 
 
 # pointwise barrier reference on phase-fixed eigenvector rows

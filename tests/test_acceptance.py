@@ -386,7 +386,7 @@ def test_homotopy_identity_ladder(primary, baselines):
 def test_extension_independence(primary, baselines):
     """Graph and gradient-flow extensions agree within twice the middle-rung
     quadrature tolerance."""
-    from crhomotopy.fields import gradient_flow_projection
+    from oracles import gradient_flow_projection
     f = fields.bundled_test_form(primary)
     eps, budget = LADDER[1]
     tolerance = 2.0 * baselines["ladder"][1]["worst"]

@@ -10,9 +10,9 @@ import pytest
 
 from crhomotopy import homotopy
 from crhomotopy._util import wedge_jets
-from crhomotopy.fields import (conjugate_frame_rows, dual_covector_rows,
-                               project_tangential, tangential_components)
-from oracles import brute_wedge, contraction_table
+from crhomotopy.fields import conjugate_frame_rows, tangential_components
+from oracles import (brute_wedge, contraction_table, dual_covector_rows,
+                     project_tangential)
 
 
 def cplx(rng, *shape):

@@ -3,9 +3,9 @@ import pytest
 
 from crhomotopy import barrier, geometry
 from crhomotopy.errors import ModelParseError, ModelValidationError
-from oracles import (correction_frame, defining_polynomial, fd_hessian_mixed,
-                     off_manifold_point, random_directions, random_quadric,
-                     tangential_frame)
+from oracles import (DegeneratePointError, correction_frame,
+                     defining_polynomial, fd_hessian_mixed, off_manifold_point,
+                     random_directions, random_quadric, tangential_frame)
 
 TOL = 1e-12
 
@@ -457,7 +457,6 @@ class TestTangentialFrame:
             assert frame.W.shape == (4, 5)
 
     def test_off_manifold_rejected(self, primary):
-        from crhomotopy.errors import DegeneratePointError
         z = np.zeros(5, dtype=complex)
         z[4] = 0.5j
         with pytest.raises(DegeneratePointError):

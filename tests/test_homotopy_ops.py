@@ -10,9 +10,7 @@ from crhomotopy.errors import (CoverError, CRHomotopyError,
                                OutsideTubeError)
 from crhomotopy.fields import (BumpChart, CutoffPair, FormField, PolyChart,
                                ProductChart, ZeroChart, bundled_test_form,
-                               chart_form, gradient_flow_projection,
-                               make_cutoff_pair, project_tangential,
-                               tangential_dbar_values)
+                               chart_form, make_cutoff_pair)
 from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  glue_obstruction, glue_solution,
                                  identity_residual)
@@ -21,8 +19,9 @@ from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
 from oracles import (barrier_mixed_jets, contraction_table,
                      dense_coefficients, dense_det9,
                      dense_orientation_and_jacobian, euclidean_mixed_jets,
-                     full_row_folded_coefficients, random_quadric,
-                     row_contraction, velocity_columns)
+                     full_row_folded_coefficients, gradient_flow_projection,
+                     project_tangential, random_quadric, row_contraction,
+                     tangential_dbar_values, velocity_columns)
 
 # bound of the traced allocation peak of one apply_operator call on an
 # 8192-node sig22_n6m2 chunk: 9.0 MB (solution kind) and 8.3 MB
@@ -171,7 +170,7 @@ class TestTangentialDbar:
         z = primary.graph_point(0.12 * np.ones(4) + 0j, np.zeros(1))
         # the differential as a field evaluates to the differential
         assert np.array_equal(f.dbar_field().values(primary, z[None, :]),
-                              f.dbar_values(primary, z[None, :]))
+                              f.dbar_fn(primary, z[None, :]))
 
         # second differential by finite differences of the first
         def df_vals(pts):
@@ -219,7 +218,7 @@ class TestFormField:
         assert np.array_equal(
             f.values(primary, z),
             np.stack([c.value(primary, z) for c in comps], axis=-1))
-        dbar = f.dbar_values(primary, z)
+        dbar = f.dbar_field().values(primary, z)
         combos = index_combinations(5, 2)
         want = np.zeros_like(dbar)
         for i, c in enumerate(comps):
@@ -234,7 +233,7 @@ class TestFormField:
 
     def test_values_only_form_has_no_dbar(self, primary):
         # a form without an analytic differential fails with the typed
-        # error, in d-bar values and in the identity residual, which
+        # error, in its d-bar field and in the identity residual, which
         # integrates that differential
         f = bundled_test_form(primary)
         g = FormField(n=5, degree=1, fn=f.values)
@@ -243,7 +242,7 @@ class TestFormField:
         assert np.array_equal(g.values(primary, z[None, :]),
                               f.values(primary, z[None, :]))
         with pytest.raises(DerivativeOrderError):
-            g.dbar_values(primary, z[None, :])
+            g.dbar_field()
         with pytest.raises(CRHomotopyError, match="no analytic differential"):
             identity_residual(primary, g, [z], epsilon=0.1, budget=500)
 
@@ -421,6 +420,23 @@ class TestGrid:
         with pytest.raises(ValueError, match="unknown sampling mode 'tensor'"):
             QuadratureGrid(model=primary, epsilon=0.1, budget=3000,
                            mode="tensor", seed=7)
+
+    @pytest.mark.parametrize("mode,budget,box_radius,match", [
+        ("mc-shell", 0, 0.7, "budget"),
+        ("mc-uniform", -5, 0.7, "budget"),
+        ("mc-shell", 3000, 0.0, "box_radius"),
+        ("mc-uniform", 3000, -0.5, "box_radius"),
+        ("mc-shell", 3000, np.inf, "box_radius"),
+        ("mc-uniform", 3000, np.nan, "box_radius"),
+        ("mc-shell", 3000, 5e-5, "inner radius"),
+    ])
+    def test_stream_parameters_validated(self, primary, mode, budget,
+                                         box_radius, match):
+        # an empty stream or an inverted shell fails when the grid is built,
+        # not as a numpy error or silently zero values at the first chunk
+        with pytest.raises(ValueError, match=match):
+            QuadratureGrid(model=primary, epsilon=0.1, budget=budget,
+                           mode=mode, box_radius=box_radius)
 
     def test_dense_determinant_factorization(self, primary):
         # the dt row contributes exactly (-1)^n relative to the reduced

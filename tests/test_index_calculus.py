@@ -45,8 +45,9 @@ class TestExpansionArithmetic:
         # 2n - m + l - k - h equals the column-count combination, exactly
         for n, m, q, r in sweep_dims():
             for term, kt in ic.expansion_kernels(n, m, q, r):
-                checks = ic.vanishing_identity_checks(term, kt)
-                assert checks["budget_identity"]
+                frame_lead = 1 if term.family == ic.FAMILY_FRAME else 0
+                assert (2 * n - m + kt.l - kt.k - kt.h
+                        == n - 1 - term.j1 - term.j5 + term.j6 + frame_lead)
 
 
 class TestDecisionTables:
@@ -62,18 +63,6 @@ class TestDecisionTables:
         c = ic.classify_near_integral(0.5, bound - 2, Fraction(3, 2), n, m)
         assert c.tag == "O_delta_alpha" and c.exponent == Fraction(1, 2)
 
-    def test_far_rows(self):
-        n, m = 5, 1
-        bound = 2 * n - m
-        c = ic.classify_far_integral(0, bound - 2, 1, n, m)
-        assert c.tag == "O_one"
-        c = ic.classify_far_integral(0, bound - 2, Fraction(bound + 1 - (bound - 2), 2), n, m)
-        assert c.tag == "O_log_delta"
-        c = ic.classify_far_integral(0.5, bound - 1, 1, n, m)
-        assert c.tag == "O_delta_alpha_minus_1"
-        c = ic.classify_far_integral(0.5, bound - 1, Fraction(3, 2), n, m)
-        assert c.tag == "O_delta_alpha_minus_2"
-
     def test_table_gap_is_explicit(self):
         # half-integral boundary not covered by any stated row
         n, m = 5, 1
@@ -86,21 +75,17 @@ class TestDecisionTables:
     def test_boundary_overlap_flagged(self):
         n, m = 5, 1
         bound = 2 * n - m
-        # both the O(1) row and the log row match at the shared boundary
-        c = ic.classify_far_integral(0, bound - 2, 1, n, m)
-        assert c.boundary
+        # both the delta^alpha row and the half-power log row match at the
+        # shared boundary k + 2h = 2n - m + 1
+        c = ic.classify_near_integral(0.5, bound - 2, Fraction(3, 2), n, m)
+        assert c.rule == "near-alpha" and c.boundary
 
     def test_tables_total_on_produced_parameters(self):
-        # every kernel from the expansion classifies without a gap, in both
-        # regions, for the half-integer shifts used by the estimates
+        # every bounded kernel from the expansion classifies without a gap
         for n, m, q, r in sweep_dims():
             for _, kt in ic.expansion_kernels(n, m, q, r):
-                if not ic.is_bounded_class(kt):
-                    continue
-                h_eff = kt.h - kt.l
-                for shift in (0, Fraction(1, 2), 1):
-                    ic.classify_far_integral(0, kt.k, h_eff + shift, n, m)
-                ic.classify_near_integral(0, kt.k, h_eff, n, m)
+                if ic.is_bounded_class(kt):
+                    ic.classify_near_integral(0, kt.k, kt.h - kt.l, n, m)
 
     def test_two_sample_rows_match_numerical_integration(self):
         # direct 2d quadrature of the collapsed model integral corroborates
@@ -137,13 +122,6 @@ class TestDecisionTables:
 
 
 class TestRewriteRules:
-    def test_zero_budget_identity(self):
-        kt = ic.expand_to_kernel(ic.ExpansionTerm(
-            n=5, m=1, q=2, r=1, family=ic.FAMILY_GRAD,
-            j1=3, j2=0, j3=0, j4=0, j5=0, j6=0, j7=0, j8=0))
-        out = ic.differentiate_term(kt, "tangent", budget=0)
-        assert len(out) == 1 and out[0].term == kt
-
     def test_flow_term_complex_moves(self):
         # the kernel-level complex-tangential moves: one consumed credit or
         # one phase hit with a linear credit

@@ -294,8 +294,7 @@ class TestHolderEstimators:
                 return (p[:, 0] * p[:, 1].conj()).real + p[:, d].imag
 
             est = norms.tangential_holder_estimate(
-                model, h, beta, z, curve_budget=5, pair_budget=40, seed=11,
-                collect=True)
+                model, h, beta, z, curve_budget=5, pair_budget=40, seed=11)
             amb, tan = scalar_holder_estimate(
                 model, lambda p: h(p[None])[0], beta, z, curve_budget=5,
                 pair_budget=40, seed=11)

@@ -1,11 +1,13 @@
-"""Every top-level function and class of the package has a caller in the
-package.
+"""Every top-level function and class of the package, and every method and
+property of a top-level class, has a caller in the package.
 
-An AST scan of ``src/crhomotopy/*.py``: a name counts as referenced when
-code in ``src/`` outside its own definition reads it, as a name, an
-attribute or an import.  A name that only tests, oracles or the benchmark
-use is dead code for the package; it stays only on ``ALLOWED`` with the
-reason, so the allowlist is the backlog of such names.
+An AST scan of ``src/crhomotopy/*.py``: a top-level name counts as
+referenced when code in ``src/`` outside its own definition reads it, as a
+name, an attribute or an import; a method or property counts as referenced
+when an attribute read in ``src/`` outside its own body uses its name.  A
+name that only tests, oracles or the benchmark use is dead code for the
+package; it stays only on ``ALLOWED`` with the reason, so the allowlist is
+the backlog of such names.
 """
 
 import ast
@@ -14,23 +16,20 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crhomotopy"
 
-# (module, name) -> why it stays without a package caller
+# (module, name) or (module, "Class.method") -> why it stays without a
+# package caller
 ALLOWED = {
     ("_util", "small_det"): "the benchmark's tracer wraps it",
     ("_util", "det5_cols"): "the benchmark's tracer wraps it",
     ("quadrature", "_sphere_tangent_basis"): "the benchmark's tracer wraps it",
+    ("quadrature", "QuadratureGrid.header"):
+        "the benchmark keys node streams by it",
     ("indexcalc", "realized_kernel_decay"): "the decay_n6m2 workload calls it",
     ("homotopy", "glue_solution"): "the global identity; a caller is open",
     ("homotopy", "glue_obstruction"): "the global identity; a caller is open",
     ("fields", "make_cutoff_pair"): "the gluing's cutoffs; with the gluing",
-    ("indexcalc", "classify_far_integral"): "test-only, on the deletion list",
-    ("indexcalc", "classify_term"): "test-only, on the deletion list",
-    ("indexcalc", "vanishing_identity_checks"):
-        "test-only, on the deletion list",
-    ("fields", "gradient_flow_projection"):
-        "the second extension of the acceptance test",
-    ("fields", "tangential_dbar_values"): "TestTangentialDbar checks it",
-    ("errors", "DegeneratePointError"): "the oracles use it",
+    ("indexcalc", "classify_term"):
+        "index-audit is to report each term's table class",
 }
 
 
@@ -47,17 +46,42 @@ def _names(node):
     return counts
 
 
+def _attribute_reads(node):
+    """How often each attribute name is read in the tree ``node``."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def _defined(body):
+    """The functions and classes of ``body`` without dunder names."""
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__")]
+
+
 def _unreferenced():
     """(module, name) of the top-level definitions that no code in src/
-    reads outside the definition itself."""
+    reads outside the definition itself, and (module, "Class.method") of
+    the methods and properties whose name no attribute read outside their
+    own body uses."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     total = sum((_names(tree) for tree in trees.values()), Counter())
-    return {(module, node.name) for module, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("__")
-            and total[node.name] == _names(node)[node.name]}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()),
+                Counter())
+    dead = set()
+    for module, tree in trees.items():
+        for node in _defined(tree.body):
+            if total[node.name] == _names(node)[node.name]:
+                dead.add((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                dead |= {(module, f"{node.name}.{member.name}")
+                         for member in _defined(node.body)
+                         if isinstance(member, ast.FunctionDef)
+                         and reads[member.name]
+                         == _attribute_reads(member)[member.name]}
+    return dead
 
 
 def test_every_definition_has_a_package_caller():
