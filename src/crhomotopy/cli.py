@@ -269,9 +269,6 @@ def cmd_index_audit(args) -> int:
 
 def cmd_estimate_norms(args) -> int:
     from . import norms
-    from .fields import bundled_test_form
-    from .homotopy import apply_operator_multi
-    from .quadrature import QuadratureGrid
     model = _load_model(args)
     z = np.zeros(model.n, dtype=complex)
     flat = norms.tangential_holder_estimate(
@@ -294,32 +291,6 @@ def cmd_estimate_norms(args) -> int:
         "tangential_quotient": aniso.tangential.quotient_sup,
         "ambient_quotient": aniso.ambient.quotient_sup,
     }
-    # demonstrative smoothing-gain table: input coefficient quotients against
-    # those of a small-budget solution-operator output (non-probative)
-    f = bundled_test_form(model)
-    zp, w0 = model.split(z)
-    grid = QuadratureGrid(model=model, epsilon=0.1,
-                          budget=max(500, args.budget), seed=args.seed,
-                          center_zp=zp, center_u=w0.real)
-    cache = {}
-
-    def rf_fn(points):
-        # the points not yet cached go through one shared-stream call
-        keys = [tuple(np.round(p, 12)) for p in points]
-        fresh = {}
-        for key, p in zip(keys, points):
-            if key not in cache:
-                fresh.setdefault(key, p)
-        if fresh:
-            results = apply_operator_multi(model, f, list(fresh.values()),
-                                           grid, kind="solution")
-            for key, res in zip(fresh, results):
-                cache[key] = float(np.abs(res.ambient[0]))
-        return np.array([cache[key] for key in keys])
-
-    payload["gain_table"] = norms.regularity_gain_report(
-        model, lambda p: f.values(model, p)[:, 0].real,
-        rf_fn, 0.5, z, seed=args.seed, curve_budget=2, pair_budget=12)
     _write_report(args.out, "norms.json", payload)
     ok = flat.tangential.quotient_sup <= 1.05
     print(f"[{'PASS' if ok else 'FAIL'}] norm estimates: coordinate "

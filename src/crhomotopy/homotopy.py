@@ -481,7 +481,6 @@ class ResidualRow:
     budget: int
     residual: float
     f_norm: float
-    components: dict
     rejected: int       # the larger rejected count of the pass's two integrals
     total_nodes: int
 
@@ -517,20 +516,13 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
         r1, r2 = apply_operator_multi(
             model, [field, dbar_field], [z, z], grid, kind="solution",
             _frames=[conjugate_frame_rows(model, z), None])
-        dbar_r1_tan = r1.dbar
-        r2_tan = r2.tangential(model, z)
         f_tan = tangential_components(model, field.values(model, z[None, :]),
                                       z[None, :], 1)[0]
-        resid = f_tan - dbar_r1_tan - r2_tan
+        resid = f_tan - r1.dbar - r2.tangential(model, z)
         rows.append(ResidualRow(
             point_index=idx, epsilon=epsilon, budget=budget,
             residual=float(np.max(np.abs(resid))),
             f_norm=float(np.max(np.abs(f_tan))),
-            components={
-                "f_tan": f_tan.tolist(),
-                "dbar_r1_tan": dbar_r1_tan.tolist(),
-                "r2_tan": r2_tan.tolist(),
-            },
             rejected=max(r1.rejected, r2.rejected),
             total_nodes=r1.total_nodes))
     return rows

@@ -404,45 +404,21 @@ def dichotomy_audit(n, m, q, r):
     return pairs, violations
 
 
-@dataclass(frozen=True)
-class ObstructionTerm:
-    """Column counts of one obstruction-kernel summand."""
-
-    n: int
-    m: int
-    q: int
-    r: int
-    family: str
-    j1: int   # frame variation (first kind)
-    j2: int   # frame variation (second kind)
-    j3: int   # frozen frame columns
-    j4: int
-    j5: int
-    j6: int
-
-
-def obstruction_survivors(n, m, q, r):
-    """Enumerate obstruction-kernel terms surviving the frame bound.
+def obstruction_survivor_count(n, m, q, r) -> int:
+    """Number of obstruction-kernel terms surviving the frame bound.
 
     Constraints: j1 + j2 + j3 = n - r - 1 (distance-block columns),
     j1 + j2 <= m - 1 (variation columns live on the sphere), j3 <= n - q - m
-    (at most one column per frame row), j4 + j5 + j6 = r.  The survivor set
-    is empty exactly when the obstruction operator vanishes pointwise.
+    (at most one column per frame row), j4 + j5 + j6 = r.  The count is
+    zero exactly when the obstruction operator vanishes pointwise.
     """
     if not 1 <= r <= n - 1:
         raise ValueError("input degree out of range")
-    out = []
-    for family in (FAMILY_GRAD, FAMILY_FRAME):
-        for j1, j2, j3 in _compositions(n - r - 1, 3):
-            if j1 + j2 > m - 1:
-                continue
-            if j3 > n - q - m:
-                continue
-            for j4, j5, j6 in _compositions(r, 3):
-                out.append(ObstructionTerm(n=n, m=m, q=q, r=r, family=family,
-                                           j1=j1, j2=j2, j3=j3,
-                                           j4=j4, j5=j5, j6=j6))
-    return out
+    columns = sum(1 for j1, j2, j3 in _compositions(n - r - 1, 3)
+                  if j1 + j2 <= m - 1 and j3 <= n - q - m)
+    # each column split pairs with every j4 + j5 + j6 = r, in both families
+    # (gradient-led and frame-led)
+    return 2 * columns * len(list(_compositions(r, 3)))
 
 
 def obstruction_sweep(n_max=8, m_max=3):
@@ -457,10 +433,9 @@ def obstruction_sweep(n_max=8, m_max=3):
         for m in range(1, min(m_max, n - 2) + 1):
             for q in range(2, (n - m) // 2 + 1):
                 for r in range(1, n):
-                    survivors = obstruction_survivors(n, m, q, r)
                     records.append({
                         "n": n, "m": m, "q": q, "r": r,
-                        "survivors": len(survivors),
+                        "survivors": obstruction_survivor_count(n, m, q, r),
                         "below_concavity": r < q,
                     })
     return records

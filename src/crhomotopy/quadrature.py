@@ -111,7 +111,7 @@ class QuadratureGrid:
             yield self._assemble(self._sample_params(rng, count))
 
     def _sample_params(self, rng, count):
-        d, m = self.model.tangential_dim, self.model.m
+        m = self.model.m
         D = self.param_dim
         if self.mode == "mc-uniform":
             p = rng.uniform(-self.box_radius, self.box_radius, size=(count, D))
@@ -130,8 +130,6 @@ class QuadratureGrid:
                              * np.log(r_max / r_min))
         sigma = rng.standard_normal((count, m))
         sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
-        if m == 1:
-            sigma = np.sign(sigma)
         weight = _sphere_area(m) / (self.budget * density)
         if np.ndim(weight) == 0:
             weight = np.full(count, float(weight))

@@ -414,7 +414,7 @@ class TestGrid:
         a, b = integral(uni), integral(she)
         assert abs(a - b) < 0.08 * max(abs(a), abs(b))
 
-    def test_cache_rejects_other_model(self, primary):
+    def test_unknown_mode_rejected(self, primary):
         # an unknown sampling mode fails when the grid is built, before the
         # first chunk
         with pytest.raises(ValueError, match="unknown sampling mode 'tensor'"):
@@ -478,7 +478,7 @@ class TestGrid:
         grid = QuadratureGrid(model=model, epsilon=0.1, budget=600, seed=3)
         chunk = next(grid.chunks())
         if model.m == 1:
-            assert set(np.sign(chunk.rho_vec[:, 0])) == {-1.0, 1.0}
+            assert set(chunk.rho_vec[:, 0]) == {-grid.epsilon, grid.epsilon}
         assert_node_geometry_matches_oracle(grid, chunk)
         if model.m >= 2:
             # a flipped sphere tangent basis flips the orientation sign and

@@ -191,10 +191,11 @@ class TestOverallClassification:
 
 class TestObstructionSurvivors:
     def test_primary_below_concavity_empty(self):
-        assert ic.obstruction_survivors(5, 1, 2, 1) == []
+        assert ic.obstruction_survivor_count(5, 1, 2, 1) == 0
 
     def test_primary_at_concavity_nonempty(self):
-        assert len(ic.obstruction_survivors(5, 1, 2, 2)) > 0
+        assert ic.obstruction_survivor_count(5, 1, 2, 2) == 12
+        assert ic.obstruction_survivor_count(6, 2, 2, 2) == 24
 
     def test_full_sweep_empty_below_concavity(self):
         records = ic.obstruction_sweep(8, 3)
@@ -204,7 +205,7 @@ class TestObstructionSurvivors:
 
     def test_out_of_range_degree(self):
         with pytest.raises(ValueError):
-            ic.obstruction_survivors(5, 1, 2, 5)
+            ic.obstruction_survivor_count(5, 1, 2, 5)
 
 
 class TestNumericCorroboration:
