@@ -27,7 +27,9 @@ form values and det9 are formed once per chunk, and per block the weights,
 the section jets, the rejection mask, the contraction and the accumulation
 of the block's total, so that no weight or jet array spans more than a
 block.  Blocks and chunks are summed in node order, so the values do not
-depend on BLOCK beyond rounding.
+depend on BLOCK beyond rounding.  The barrier jets take each node's
+direction theta = -sigma from the chunk, so a block's nodes share one
+frame per distinct direction (:mod:`crhomotopy.quadrature`).
 
 Each coefficient is taken on n - 1 rows.  With w = zeta - z, every section
 has sum_k eta_k w_k = 1, so w^T eta = 1 and the columns beta, gamma and tau
@@ -336,7 +338,7 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                   for acc in d_accums]
         for lo in range(0, N, BLOCK):
             blk = slice(lo, lo + BLOCK)
-            zeta = chunk.zeta[blk]
+            zeta, thetas = chunk.zeta[blk], -chunk.sigma[blk]
             weights = {}                            # id(field) -> W
             shared = None           # (z, section jets) of the last point
             for zi, (f, z, frame) in enumerate(zip(field_of, z_list, frames)):
@@ -350,7 +352,8 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                         shared[0], z):
                     shared = z, (
                         barrier_section_jets(model, zeta, z, frame,
-                                             with_zbar=with_zbar),
+                                             with_zbar=with_zbar,
+                                             thetas=thetas),
                         bochner_martinelli_jets(zeta, z, frame,
                                                 with_zbar=with_zbar)
                         if kind == "solution" else None,

@@ -474,7 +474,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
         for chunk in grid.chunks():
             w = chunk.zeta - z[None, :]
             dist = np.linalg.norm(w, axis=1)
-            phi = barrier_phase(model, chunk.zeta, z)
+            phi = barrier_phase(model, chunk.zeta, z, thetas=-chunk.sigma)
             # level-independent cutoff region: chart parameter distance
             zp_n, w_n = model.split(chunk.zeta)
             pdist = np.sqrt(np.sum(np.abs(zp_n - zp[None, :]) ** 2, axis=1)

@@ -6,7 +6,7 @@ The level set {rho = eps} of a graph quadric is parameterized exactly by
 
 so every node satisfies the level equation to machine precision.  A node
 carries the chart point, a Monte Carlo weight (inverse sampling density in
-parameter measure), its level vector eps sigma, the scaled conormal and the
+parameter measure), its level direction sigma, the scaled conormal and the
 Riemannian surface factor: what the operators read, and nothing else.
 
 The geometry is closed-form.  With S = sum_k sigma_k H_k z', the vector
@@ -28,6 +28,16 @@ Samplers:
 - ``mc-shell``:   log-radial stratification around an evaluation center, the
                   variance reducer for near-singular kernels.
 
+The level direction sigma is a sign for m = 1, drawn iid.  For m >= 2 a
+chunk draws one Haar-random rotation R of O(m), and its node j takes sigma =
+R s_(j mod K) from a fixed set of K = SPHERE_POINTS points s on S^(m-1): the
+regular K-gon for m = 2, a constant antipodal set for m >= 3.  Each sigma is
+then uniform on the sphere, so the estimates stay unbiased (a randomly
+rotated point set: Cranley and Patterson, SIAM J. Numer. Anal. 13 (1976);
+Owen, Monte Carlo theory, methods and examples (2013), ch. 8), and a chunk
+holds only K distinct directions.  The barrier frames depend on a node only
+through theta = -sigma, so they cost one eigensolve per direction.
+
 Node streams are regenerated from the seed on every pass (grids are cheap to
 re-create and costly to store), in fixed chunk order, so accumulations are
 bit-stable.
@@ -41,11 +51,12 @@ import numpy as np
 
 from ._util import gauss_legendre_01
 from .errors import OutsideTubeError
-from .geometry import ManifoldModel
+from .geometry import ManifoldModel, direction_grid
 
 CHUNK = 8192
 MODES = ("mc-uniform", "mc-shell")
 R_MIN_FACTOR = 1e-3     # mc-shell inner radius, in units of epsilon
+SPHERE_POINTS = 64      # K: distinct level directions per chunk for m >= 2
 
 
 @dataclass
@@ -54,7 +65,7 @@ class NodeChunk:
     weight: np.ndarray        # (N,) parameter-measure MC weight
     conormal: np.ndarray      # (N, n) eps^(m-1) (-2 S, i sigma)
     surface_jac: np.ndarray   # (N,) Riemannian surface factor |conormal|
-    rho_vec: np.ndarray       # (N, m)
+    sigma: np.ndarray         # (N, m) level direction: rho_vec = eps sigma
 
 
 @dataclass
@@ -128,8 +139,17 @@ class QuadratureGrid:
             p = r[:, None] * xi
             density = 1.0 / (_sphere_area(D) * r ** (D - 1) * r
                              * np.log(r_max / r_min))
-        sigma = rng.standard_normal((count, m))
-        sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        if m == 1:
+            sigma = rng.standard_normal((count, m))
+            sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        else:
+            # Haar on O(m): QR of a Gaussian matrix, with the signs of the
+            # triangular factor's diagonal moved into Q (Mezzadri, Notices
+            # AMS 54 (2007))
+            q, tri = np.linalg.qr(rng.standard_normal((m, m)))
+            points = _sphere_points(m) @ (q * np.sign(np.diag(tri))).T
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+            sigma = np.resize(points, (count, m))   # node j: point j mod K
         weight = _sphere_area(m) / (self.budget * density)
         if np.ndim(weight) == 0:
             weight = np.full(count, float(weight))
@@ -144,8 +164,7 @@ class QuadratureGrid:
         zp = (self.center_zp[None, :]
               + p[:, 0:2 * d:2] + 1j * p[:, 1:2 * d:2])
         u = self.center_u[None, :] + p[:, 2 * d:2 * d + m]
-        rho_vec = self.epsilon * sigma
-        zeta = model.graph_point(zp, u, rho_vec)
+        zeta = model.graph_point(zp, u, self.epsilon * sigma)
 
         hz = np.tensordot(zp, model.hermitian_stack, axes=(1, 2))  # (N, m, d)
         conormal = np.concatenate(
@@ -153,7 +172,7 @@ class QuadratureGrid:
         conormal *= self.epsilon ** (m - 1)
         return NodeChunk(zeta=zeta, weight=weight, conormal=conormal,
                          surface_jac=np.linalg.norm(conormal, axis=1),
-                         rho_vec=rho_vec)
+                         sigma=sigma)
 
     # -- header --------------------------------------------------------------
 
@@ -181,6 +200,17 @@ def _sphere_area(D):
     """
     from math import gamma
     return 2.0 * np.pi ** (D / 2) / gamma(D / 2.0)
+
+
+def _sphere_points(m):
+    """The fixed K-point set on S^(m-1), (K, m), that each chunk rotates: the
+    regular K-gon for m = 2; for m >= 3, K / 2 seeded Gaussian directions
+    and their antipodes, so the set's mean is exactly zero."""
+    if m == 2:
+        return direction_grid(2, SPHERE_POINTS)
+    half = np.random.default_rng(m).standard_normal((SPHERE_POINTS // 2, m))
+    half /= np.linalg.norm(half, axis=1, keepdims=True)
+    return np.concatenate([half, -half])
 
 
 def _sphere_tangent_basis(sigma):

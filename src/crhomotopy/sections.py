@@ -80,9 +80,10 @@ def bochner_martinelli_jets(zetas, z, directions=None, with_zbar=True):
 
 
 def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None,
-                         with_zbar=True):
+                         with_zbar=True, thetas=None):
     """Barrier section values/jets over a batch (eta, beta, gamma, phi);
-    beta is None when ``with_zbar`` is False.
+    beta is None when ``with_zbar`` is False.  ``thetas`` passes the
+    directions theta(zeta) to :func:`crhomotopy.barrier.barrier_jets`.
 
     The returned phi is the raw phase (rejection decisions use it); the
     divisions are floored away from exact zero so a rejected node cannot
@@ -101,7 +102,8 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None,
     through (A - w (eta^T A)) / Phi, which is :meth:`BarrierJetBatch.dP_mixed`
     and zero for m = 1, where theta is constant.
     """
-    jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar)
+    jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
+                                 thetas=thetas)
     phi = jets.Phi
     phi_safe = np.where(np.abs(phi) < 1e-300, 1.0, phi)
     inv = 1.0 / phi_safe

@@ -25,8 +25,7 @@ import numpy as np
 
 from crhomotopy import barrier, norms, quadrature, sections
 from crhomotopy._util import evaluate_form, hodge_star, wedge_jets
-from crhomotopy.barrier import normal_direction
-from crhomotopy.errors import CRHomotopyError
+from crhomotopy.errors import CRHomotopyError, ThetaUndefinedError
 from crhomotopy.fields import (FormField, _evaluate_batched,
                                conjugate_frame_rows, tangential_components)
 from crhomotopy.geometry import (CORRECTION_MARGIN, ManifoldModel,
@@ -355,12 +354,12 @@ def velocity_columns(grid, chunk):
     """Complex velocity columns of the level-set parameterization at the
     chunk's nodes, (N, n, 2n-1): per z' coordinate its real and imaginary
     direction c', which drags Im w_k by 2 Re(conj(c') . H_k z'), then each
-    Re w_k, then i eps times the sphere tangent basis at sigma = rho_vec / eps.
+    Re w_k, then i eps times the sphere tangent basis at the chunk's sigma.
     """
     model = grid.model
     d, m, n = model.tangential_dim, model.m, model.n
     zp = chunk.zeta[:, :d]
-    sigma = chunk.rho_vec / grid.epsilon
+    sigma = chunk.sigma
     hz = np.stack([np.einsum("ij,Nj->Ni", h, zp) for h in model.hermitian],
                   axis=1)                                        # (N, m, d)
     vel = np.zeros((zp.shape[0], n, 2 * n - 1), dtype=complex)
@@ -544,6 +543,14 @@ def gradient_flow_projection(model: ManifoldModel, z):
 
 
 # pointwise barrier reference on phase-fixed eigenvector rows
+
+def normal_direction(model: ManifoldModel, zeta):
+    """theta(zeta) = -rho_vec / rho; undefined on the manifold itself."""
+    vec, norm = model.defining_values(zeta)
+    if np.any(norm <= model.tol_on_manifold):
+        raise ThetaUndefinedError("normal direction undefined where rho = 0")
+    return -vec / norm[..., None]
+
 
 def _fix_phase(vecs):
     """Deterministic phases: largest-magnitude entry made real positive."""

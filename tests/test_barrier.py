@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from crhomotopy import barrier, geometry
+from crhomotopy import barrier, geometry, quadrature
 from crhomotopy.errors import FrameGapError, ThetaUndefinedError
+from crhomotopy.quadrature import QuadratureGrid
 from oracles import (correction_frame, evaluate_barrier,
-                     kato_frame_derivative, loglog_fit, off_manifold_point,
-                     padded_dP_mixed, random_directions, random_quadric,
-                     scaled_frame_rows, split_correction_dbar)
+                     kato_frame_derivative, loglog_fit, normal_direction,
+                     off_manifold_point, padded_dP_mixed, random_directions,
+                     random_quadric, scaled_frame_rows, split_correction_dbar)
 
 
 class TestGradientSection:
@@ -219,6 +220,71 @@ class TestProjectorFrames:
             model, zeta[None, :], np.zeros(6, complex))).all()
 
 
+class TestLevelDirections:
+    """theta = -sigma on level-set nodes: one frame per distinct direction,
+    and the directions passed in rather than recomputed from rho_vec."""
+
+    @staticmethod
+    def _chunks(secondary):
+        # sig22_n6m2, a complex m = 2 quadric and an m = 3 quadric, each with
+        # the first chunk of a node stream
+        for model in (secondary,
+                      random_quadric(6, 2, np.random.default_rng(11)),
+                      random_quadric(7, 3, np.random.default_rng(12))):
+            grid = QuadratureGrid(model=model, epsilon=0.1, budget=300, seed=5)
+            yield model, next(grid.chunks())
+
+    def test_shared_frames_match_per_row_frames(self, secondary):
+        for model, chunk in self._chunks(secondary):
+            thetas = -chunk.sigma
+            assert len(np.unique(thetas, axis=0)) == quadrature.SPHERE_POINTS
+            G, dG = barrier._frames_for_thetas(model, thetas)
+            rows = [barrier._frames_for_thetas(model, theta[None, :])
+                    for theta in thetas]
+            G_ref = np.concatenate([g for g, _ in rows])
+            dG_ref = np.concatenate([dg for _, dg in rows])
+            assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
+            assert np.max(np.abs(dG - dG_ref)) \
+                <= 1e-13 * np.max(np.abs(dG_ref))
+
+    def test_given_directions_match_recomputed(self, primary, secondary):
+        for model in (primary, secondary,
+                      random_quadric(6, 2, np.random.default_rng(11))):
+            d, m = model.tangential_dim, model.m
+            zp = 0.05 * np.exp(1j * np.arange(d))
+            z = model.graph_point(zp, 0.02 * np.ones(m))
+            grid = QuadratureGrid(model=model, epsilon=0.1, budget=256,
+                                  seed=5, center_zp=zp,
+                                  center_u=0.02 * np.ones(m))
+            chunk = next(grid.chunks())
+            thetas = -chunk.sigma
+            got = barrier.barrier_jets(model, chunk.zeta, z, thetas=thetas)
+            ref = barrier.barrier_jets(model, chunk.zeta, z)
+            for name in ("P", "Phi", "dP_dzbar", "dP_dzetabar", "dPhi_dzbar",
+                         "dPhi_dzetabar", "dG", "dtheta"):
+                a, b = getattr(got, name), getattr(ref, name)
+                if b is None:       # dG and dtheta for m = 1
+                    assert a is None and m == 1
+                    continue
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            for correction in (True, False):
+                phi = barrier.barrier_phase(model, chunk.zeta, z, correction,
+                                            thetas=thetas)
+                phi_ref = barrier.barrier_phase(model, chunk.zeta, z,
+                                                correction)
+                assert np.max(np.abs(phi - phi_ref) / np.abs(phi_ref)) \
+                    <= 1e-12
+
+    def test_given_directions_on_manifold_raise(self, primary, secondary):
+        for model in (primary, secondary):
+            z = np.zeros(model.n, dtype=complex)
+            thetas = -np.eye(model.m)[:1]
+            with pytest.raises(ThetaUndefinedError):
+                barrier.barrier_phase(model, z[None, :], z, thetas=thetas)
+            with pytest.raises(ThetaUndefinedError):
+                barrier.barrier_jets(model, z[None, :], z, thetas=thetas)
+
+
 class TestScalingProperties:
     def test_frame_pairings_scale_linearly(self, primary, rng):
         z = np.zeros(5, dtype=complex)
@@ -337,7 +403,7 @@ class TestCorrectionDbarSplit:
         w = zeta - z
 
         def conj_pairing(pt):
-            th = barrier.normal_direction(secondary, pt)
+            th = normal_direction(secondary, pt)
             rows = scaled_frame_rows(secondary, th)
             return (rows @ (pt - z)).conj()
 

@@ -41,8 +41,7 @@ def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
 def oracle_node_geometry(grid, chunk):
     """Dense oriented minors and surface factors of a chunk, ((N, n), (N,))."""
     velocity = velocity_columns(grid, chunk)
-    orient, jac = dense_orientation_and_jacobian(
-        chunk.rho_vec / grid.epsilon, velocity)
+    orient, jac = dense_orientation_and_jacobian(chunk.sigma, velocity)
     return orient[:, None] * dense_det9(velocity), jac
 
 
@@ -478,7 +477,7 @@ class TestGrid:
         grid = QuadratureGrid(model=model, epsilon=0.1, budget=600, seed=3)
         chunk = next(grid.chunks())
         if model.m == 1:
-            assert set(chunk.rho_vec[:, 0]) == {-grid.epsilon, grid.epsilon}
+            assert set(chunk.sigma[:, 0]) == {-1.0, 1.0}
         assert_node_geometry_matches_oracle(grid, chunk)
         if model.m >= 2:
             # a flipped sphere tangent basis flips the orientation sign and
@@ -510,9 +509,37 @@ class TestGrid:
         chunk = next(grid.chunks())
         assert np.all(np.isfinite(chunk.weight)) and np.all(chunk.weight > 0)
         assert_node_geometry_matches_oracle(grid, chunk)
-        sigma = chunk.rho_vec / grid.epsilon
-        assert_sphere_tangent_basis(sigma,
-                                    quadrature._sphere_tangent_basis(sigma))
+        assert_sphere_tangent_basis(
+            chunk.sigma, quadrature._sphere_tangent_basis(chunk.sigma))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_level_directions_marginally_uniform(self, m):
+        # a node's sigma is one point of the fixed set turned by the
+        # chunk's Haar rotation, so at a fixed node index its mean is 0 and
+        # its second moment I/m, each within 4 standard errors over 2000
+        # chunks
+        model = random_quadric(m + 3, m, np.random.default_rng(m))
+        grid = QuadratureGrid(model=model, epsilon=0.1, budget=10)
+        rng, j = np.random.default_rng(31), 5
+        sigma = np.array([grid._sample_params(rng, j + 1)[1][j]
+                          for _ in range(2000)])
+        outer = (sigma[:, :, None] * sigma[:, None, :]).reshape(2000, m * m)
+        for x, expected in ((sigma, 0.0), (outer, np.eye(m).ravel() / m)):
+            se = np.std(x, axis=0, ddof=1) / np.sqrt(len(x))
+            assert np.all(np.abs(np.mean(x, axis=0) - expected) <= 4 * se)
+
+    def test_consecutive_directions_balance(self, secondary):
+        # m = 2: any K consecutive nodes of a chunk take each vertex of the
+        # rotated K-gon once, so their sigma sigma^T averages to I/2
+        K = quadrature.SPHERE_POINTS
+        grid = QuadratureGrid(model=secondary, epsilon=0.1, budget=3 * K + 7,
+                              seed=4)
+        sigma = next(grid.chunks()).sigma
+        assert len(np.unique(sigma, axis=0)) == K
+        for lo in range(2 * K + 8):
+            window = sigma[lo:lo + K]
+            assert np.max(np.abs(window.T @ window / K - np.eye(2) / 2)) \
+                < 1e-14
 
 
 class TestSmallDet:
