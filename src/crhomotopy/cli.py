@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("check-geometry")
-    g.add_argument("--resolution", type=int, default=16)
+    # the least grid that certify_concavity accepts for m >= 2
+    g.add_argument("--resolution", type=_int_at_least(8), default=16)
     g.set_defaults(func=cmd_check_geometry)
 
     b = sub.add_parser("audit-barrier")

@@ -312,7 +312,12 @@ def tangential_components(model: ManifoldModel, values, z, degree: int):
 # bundled test data
 # ---------------------------------------------------------------------------
 
-def bundled_test_form(model: ManifoldModel, r_in=0.25, r_out=0.45) -> FormField:
+# the radii of the test form's bump: 1 inside BUMP_R_IN, 0 beyond BUMP_R_OUT
+BUMP_R_IN = 0.25
+BUMP_R_OUT = 0.45
+
+
+def bundled_test_form(model: ManifoldModel) -> FormField:
     """Smooth compactly supported (0,1) form with analytic differential:
     low-order polynomial times a radial bump on the first antiholomorphic
     component."""
@@ -323,7 +328,7 @@ def bundled_test_form(model: ManifoldModel, r_in=0.25, r_out=0.45) -> FormField:
         (0.25j, np.zeros(d), np.eye(1, d, min(1, d - 1))[0], np.zeros(m)),
         (0.15, np.zeros(d), np.zeros(d), np.eye(1, m, 0)[0]),
     ])
-    bump = BumpChart(np.zeros(d), np.zeros(m), r_in, r_out)
+    bump = BumpChart(np.zeros(d), np.zeros(m), BUMP_R_IN, BUMP_R_OUT)
     comps = [ZeroChart() for _ in range(model.n)]
     comps[0] = ProductChart(poly, bump)
     return chart_form(model.n, 1, comps)

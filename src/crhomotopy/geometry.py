@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +34,9 @@ TOL_EIG = 1e-9
 TOL_HERMITIAN = 1e-12
 FRAME_GAP_WARN = 1e-6
 CORRECTION_MARGIN = 1.25
+# the amplitude search: the margin it asks for, and the amplitudes it tries
+AMPLITUDE_TARGET = 0.05
+AMPLITUDES = tuple(0.25 * 2 ** k for k in range(10))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +267,12 @@ def directional_modified_form(model: ManifoldModel, thetas, z,
     return model.levi_form_full(thetas) + 2.0 * amplitude * weight
 
 
-def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
-                                target=0.05, amplitudes=None) -> dict:
-    """Smallest grid amplitude making the modified directional form positive
-    with margin ``target`` on its top (q + m)-dimensional eigenspace, jointly
-    with the scaled correction, over sampled (theta, z): one stacked eigvalsh
-    over every (z, theta) pair per amplitude.
+def find_modification_amplitude(model: ManifoldModel, points,
+                                resolution=16) -> dict:
+    """Smallest amplitude of AMPLITUDES making the modified directional form
+    positive with margin AMPLITUDE_TARGET on its top (q + m)-dimensional
+    eigenspace, jointly with the scaled correction, over sampled (theta, z):
+    one stacked eigvalsh over every (z, theta) pair per amplitude.
 
     The points must lie on the manifold (ValueError otherwise): there the
     weight is positive semidefinite, so positivity grows with the amplitude.
@@ -276,21 +280,19 @@ def find_modification_amplitude(model: ManifoldModel, points, resolution=16,
     lowest eigenvalue can fall as the amplitude grows.
     """
     from .barrier import _frames_for_thetas  # barrier imports this module
-    if amplitudes is None:
-        amplitudes = [0.25 * 2 ** k for k in range(10)]
     grid = direction_grid(model.m, resolution)
     G, _ = _frames_for_thetas(model, grid, with_derivative=False)
     z = np.asarray(points, dtype=complex).reshape(-1, 1, model.n)
     if np.any(model.defining_values(z)[1] > model.tol_on_manifold):
         raise ValueError("amplitude search needs points on the manifold")
     d = model.tangential_dim
-    for amp in amplitudes:
+    for amp in AMPLITUDES:
         form = directional_modified_form(model, grid, z, amp)  # (P, T, n, n)
         form[..., :d, :d] += G
-        if not np.any(np.linalg.eigvalsh(form)[..., 0] < target):
-            return {"amplitude": float(amp), "margin": float(target),
+        if not np.any(np.linalg.eigvalsh(form)[..., 0] < AMPLITUDE_TARGET):
+            return {"amplitude": float(amp), "margin": float(AMPLITUDE_TARGET),
                     "resolution": resolution}
-    return {"amplitude": None, "margin": float(target),
+    return {"amplitude": None, "margin": float(AMPLITUDE_TARGET),
             "resolution": resolution}
 
 
@@ -321,29 +323,28 @@ def holomorphic_tangent_rows(model: ManifoldModel, z):
 def parse_model_text(text: str, name: str = "model") -> ManifoldModel:
     """Parse the plain-text model format.
 
-    Scalar lines ``key = value`` for n, m, q, radius; each matrix introduced
-    by a line ``H <k>`` followed by n-m rows of comma-separated "re,im" pairs
-    separated by whitespace.
+    Scalar lines ``key = value`` for n, m, q, radius, each at most once;
+    each matrix introduced by a line ``H <k>``, k in 1..m and at most once,
+    followed by n-m rows of comma-separated "re,im" pairs separated by
+    whitespace.
     """
     scalars = {}
-    matrices = {}
-    current = None
-    rows = []
-
-    def close_matrix():
-        if current is not None:
-            matrices[current] = rows.copy()
+    matrices = {}           # k -> (line of the H k header, rows)
+    rows = None             # the rows of the open matrix block
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" in line:
-            close_matrix()
-            current = None
+            rows = None
             key, _, val = line.partition("=")
             key = key.strip().lower()
             val = val.strip()
+            if key not in ("n", "m", "q", "radius"):
+                raise ModelParseError(f"line {lineno}: unknown key {key!r}")
+            if key in scalars:
+                raise ModelParseError(f"line {lineno}: repeated key {key!r}")
             try:
                 scalars[key] = float(val) if key == "radius" else int(val)
             except ValueError as exc:
@@ -354,11 +355,14 @@ def parse_model_text(text: str, name: str = "model") -> ManifoldModel:
             parts = line.split()
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ModelParseError(f"line {lineno}: bad matrix header {line!r}")
-            close_matrix()
-            current = int(parts[1])
+            k = int(parts[1])
+            if k in matrices:
+                raise ModelParseError(
+                    f"line {lineno}: repeated matrix block H {k}")
             rows = []
+            matrices[k] = lineno, rows
             continue
-        if current is None:
+        if rows is None:
             raise ModelParseError(f"line {lineno}: unexpected content {line!r}")
         entries = []
         for tok in line.split():
@@ -372,19 +376,22 @@ def parse_model_text(text: str, name: str = "model") -> ManifoldModel:
                 raise ModelParseError(
                     f"line {lineno}: matrix row entry {tok!r} is not numeric") from exc
         rows.append(entries)
-    close_matrix()
 
     for key in ("n", "m", "q"):
         if key not in scalars:
             raise ModelParseError(f"missing scalar {key!r}")
     n, m, q = scalars["n"], scalars["m"], scalars["q"]
     radius = scalars.get("radius", 1.0)
+    for k, (lineno, _) in matrices.items():
+        if not 1 <= k <= m:
+            raise ModelParseError(
+                f"line {lineno}: matrix block H {k} outside 1..{m}")
     d = n - m
     herm = []
     for k in range(1, m + 1):
         if k not in matrices:
             raise ModelParseError(f"missing matrix block H {k}")
-        mat = matrices[k]
+        mat = matrices[k][1]
         if len(mat) != d or any(len(r) != d for r in mat):
             raise ModelParseError(
                 f"matrix H {k}: expected {d} rows of {d} entries")
@@ -392,13 +399,21 @@ def parse_model_text(text: str, name: str = "model") -> ManifoldModel:
     return ManifoldModel(n=n, m=m, q=q, hermitian=herm, radius=radius, name=name)
 
 
+def _read_model(source, name) -> ManifoldModel:
+    """Parse the UTF-8 text of ``source`` (a path or a package resource); a
+    source that cannot be read raises :class:`ModelParseError`."""
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelParseError(f"cannot read model {name!r}: {exc}") from exc
+    return parse_model_text(text, name=name)
+
+
 def load_model_file(path) -> ManifoldModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_model_text(text, name=str(path))
+    return _read_model(Path(path), str(path))
 
 
 def load_bundled_model(name: str) -> ManifoldModel:
     """Load a model shipped with the package (e.g. "sig22_n5")."""
-    ref = resources.files("crhomotopy").joinpath("models", f"{name}.model")
-    return parse_model_text(ref.read_text(encoding="utf-8"), name=name)
+    return _read_model(
+        resources.files("crhomotopy").joinpath("models", f"{name}.model"), name)

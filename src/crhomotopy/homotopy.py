@@ -70,7 +70,8 @@ from math import factorial
 
 import numpy as np
 
-from ._util import RunningSum, evaluate_form, hodge_star, index_combinations
+from ._util import (RunningSum, evaluate_form, gauss_legendre_01, hodge_star,
+                    index_combinations)
 from .errors import GridTooCoarseError
 from .fields import (FormField, conjugate_frame_rows, tangential_components,
                      wedge_covector_values)
@@ -232,6 +233,13 @@ def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep):
     return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 
+def _t_rule(n):
+    """The (t, weight) pairs of the solution operator's t-integral: n // 2
+    Gauss-Legendre nodes on [0, 1], exact for its integrand of degree n - 2
+    (the eta column is the t-independent eta0)."""
+    return tuple(zip(*gauss_legendre_01(n // 2)))
+
+
 def _field_plan(n, r, kind):
     """(r_out, sign) of the operator on degree-r input."""
     r_out = {"solution": r - 1, "obstruction": r}.get(kind)
@@ -279,21 +287,20 @@ def _det9_blocks(conormal):
     return conormal * ((2j) ** n / 2 * (-1.0) ** np.arange(n))
 
 
-def apply_operator_multi(model: ManifoldModel, field, z_list,
+def apply_operator_multi(model: ManifoldModel, fields, z_list,
                          grid: QuadratureGrid, kind: str = "solution",
                          extension=None, _frames=None):
     """Evaluate the operator at several points over one shared node stream.
 
-    ``field`` is one :class:`FormField` for every point, or a sequence with
-    one field per point.  Node geometry (the oriented minors, a scaling of
-    the chunk's conormal) and the form values do not depend on the point
-    and are computed once per chunk and field.  Each chunk is then taken in
-    kernel blocks of BLOCK nodes: per block the contraction weights are
-    formed once per field, and the section jets, the rejection mask and the
-    contracted kernel per point, consecutive points at the same z sharing
-    their section jets.  So no jet tensor spans more than a block.  The
-    d/dzbar jet beta is formed only when a point reads it (output degree
-    above 0, or a frame).  Returns a list of :class:`OperatorResult`.
+    ``fields`` holds one :class:`FormField` per point.  The node geometry
+    (the oriented minors, a scaling of the chunk's conormal) is computed
+    once per chunk, the weighted form values once per point and chunk.
+    Each chunk is then taken in kernel blocks of BLOCK nodes: per block and
+    point the contraction weights, the section jets, the rejection mask and
+    the contracted kernel, consecutive points at the same z sharing their
+    section jets, so no jet tensor spans more than a block.  The d/dzbar jet
+    beta is formed only when a point reads it (output degree above 0, or a
+    frame).  Returns a list of :class:`OperatorResult`.
 
     ``_frames`` (private to :func:`identity_residual`) gives per point None
     or rows v_a of shape (d, n); such a point (solution kind, degree-1
@@ -301,20 +308,18 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
     its value, by :func:`_tangent_block` and the section pullbacks.
     """
     z_list = [np.asarray(z, dtype=complex) for z in z_list]
-    field_of = (list(field) if isinstance(field, (list, tuple))
-                else [field] * len(z_list))
-    if len(field_of) != len(z_list):
+    if len(fields) != len(z_list):
         raise ValueError("need one field per evaluation point")
     frames = list(_frames) if _frames is not None else [None] * len(z_list)
     n = model.n
-    plans = {id(f): _field_plan(n, f.degree, kind) for f in field_of}
-    accums = [RunningSum(shape=(len(index_combinations(n, plans[id(f)][0])),))
-              for f in field_of]
+    plans = [_field_plan(n, f.degree, kind) for f in fields]
+    accums = [RunningSum(shape=(len(index_combinations(n, r_out)),))
+              for r_out, _ in plans]
     d_accums = [RunningSum(shape=(len(frame),)) if frame is not None else None
                 for frame in frames]
-    with_zbar = any(frame is not None or plans[id(f)][0] > 0
-                    for f, frame in zip(field_of, frames))
-    t_rule = tuple(zip(grid.t_nodes, grid.t_weights))
+    with_zbar = any(frame is not None or r_out > 0
+                    for (r_out, _), frame in zip(plans, frames))
+    t_rule = _t_rule(n)
     rejected = [0] * len(z_list)
     total = 0
     project = extension if extension is not None else model.project_to_manifold
@@ -323,31 +328,18 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
         N = chunk.zeta.shape[0]
         total += N
         on_manifold = project(chunk.zeta)
-        det9 = None
-        values = {}                     # id(field) -> (live, weighted values)
-        for f in field_of:
-            if id(f) not in values:
-                g_vals = f.values(model, on_manifold)  # (N, nJ)
-                live = np.any(g_vals != 0, axis=1)
-                if np.any(live) and det9 is None:
-                    det9 = _det9_blocks(chunk.conormal)  # (N, n)
-                values[id(f)] = live, (g_vals * chunk.weight[:, None]
-                                       if np.any(live) else None)
+        det9 = _det9_blocks(chunk.conormal)             # (N, n)
+        values = [f.values(model, on_manifold) for f in fields]  # (N, nJ)
+        live = [np.any(g != 0, axis=1) for g in values]
+        weighted = [g * chunk.weight[:, None] for g in values]
         sums = [np.zeros(acc.shape, dtype=complex) for acc in accums]
         d_sums = [None if acc is None else np.zeros(acc.shape, dtype=complex)
                   for acc in d_accums]
         for lo in range(0, N, BLOCK):
             blk = slice(lo, lo + BLOCK)
             zeta, thetas = chunk.zeta[blk], -chunk.sigma[blk]
-            weights = {}                            # id(field) -> W
             shared = None           # (z, section jets) of the last point
-            for zi, (f, z, frame) in enumerate(zip(field_of, z_list, frames)):
-                live, gw = values[id(f)]
-                if gw is None:
-                    continue
-                if id(f) not in weights:
-                    weights[id(f)] = _fold_weights(gw[blk], det9[blk],
-                                                   f.degree)
+            for zi, (f, z, frame) in enumerate(zip(fields, z_list, frames)):
                 if frame is not None or shared is None or not np.array_equal(
                         shared[0], z):
                     shared = z, (
@@ -360,9 +352,10 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                         zeta - z[None, :])
                 (eta1, beta1, gamma1, phi, *pull1), euclid, w = shared[1]
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
-                rejected[zi] += int(np.sum(bad & live[blk]))
-                W_kept = weights[id(f)] * ~bad[:, None]
-                r_out = plans[id(f)][0]
+                rejected[zi] += int(np.sum(bad & live[zi][blk]))
+                W_kept = _fold_weights(weighted[zi][blk], det9[blk],
+                                       f.degree) * ~bad[:, None]
+                r_out = plans[zi][0]
                 if kind == "solution":
                     eta0, beta0, gamma0, *pull0 = euclid
                     folded = _folded_coefficients(
@@ -376,8 +369,7 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
                     folded, d_folded = folded
                     d_sums[zi] += d_folded
                 sums[zi] += folded
-        for zi, f in enumerate(field_of):
-            sign = plans[id(f)][1]
+        for zi, (_, sign) in enumerate(plans):
             # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
             # exactly zero is reported as 0.0
             accums[zi].add(0.0 + sign * sums[zi])
@@ -390,12 +382,11 @@ def apply_operator_multi(model: ManifoldModel, field, z_list,
             raise GridTooCoarseError(
                 f"{rejected[zi]}/{total} nodes rejected near the phase "
                 f"singularity at point {zi}")
-        r = field_of[zi].degree
+        r = fields[zi].degree
         prefactor = (-1.0) ** r * factorial(n - 1) / (2.0j * np.pi) ** n
         out.append(OperatorResult(
             ambient=prefactor * accums[zi].total(),
-            degree=plans[id(field_of[zi])][0], rejected=rejected[zi],
-            total_nodes=total,
+            degree=plans[zi][0], rejected=rejected[zi], total_nodes=total,
             dbar=(prefactor * d_accums[zi].total()
                   if frames[zi] is not None else None)))
     return out
@@ -406,7 +397,7 @@ def apply_operator(model: ManifoldModel, field: FormField, z,
                    extension=None) -> OperatorResult:
     """Evaluate the solution (interpolated kernel, with t-integral) or
     obstruction (pure barrier kernel) operator at a single point."""
-    return apply_operator_multi(model, field, [z], grid, kind=kind,
+    return apply_operator_multi(model, [field], [z], grid, kind=kind,
                                 extension=extension)[0]
 
 

@@ -7,7 +7,8 @@ The level set {rho = eps} of a graph quadric is parameterized exactly by
 so every node satisfies the level equation to machine precision.  A node
 carries the chart point, a Monte Carlo weight (inverse sampling density in
 parameter measure), its level direction sigma, the scaled conormal and the
-Riemannian surface factor: what the operators read, and nothing else.
+Riemannian surface factor: what the operators read, and nothing else.  The
+t-nodes of the solution operator are its own (:func:`homotopy._t_rule`).
 
 The geometry is closed-form.  With S = sum_k sigma_k H_k z', the vector
 v = (-2 S, i sigma) is 2 dbar(sigma . rho), rho_k = Im w_k - <H_k z', z'>.
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import gauss_legendre_01
 from .errors import OutsideTubeError
 from .geometry import ManifoldModel, direction_grid
 
@@ -80,7 +80,6 @@ class QuadratureGrid:
     center_zp: np.ndarray = None
     center_u: np.ndarray = None
     box_radius: float = 0.7
-    t_count: int = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -104,11 +103,6 @@ class QuadratureGrid:
             self.center_zp = np.zeros(d, dtype=complex)
         if self.center_u is None:
             self.center_u = np.zeros(m, dtype=float)
-        if self.t_count is None:
-            # the solution integrand has degree n - 2 in t (its eta column
-            # is the t-independent eta0), so n // 2 Gauss nodes are exact
-            self.t_count = self.model.n // 2
-        self.t_nodes, self.t_weights = gauss_legendre_01(self.t_count)
         self.param_dim = 2 * d + m
 
     # -- node generation ---------------------------------------------------
@@ -189,7 +183,6 @@ class QuadratureGrid:
             "center_u": [float(x) for x in self.center_u],
             "box_radius": float(self.box_radius),
             "r_min_factor": R_MIN_FACTOR,
-            "t_count": int(self.t_count),
         }
 
 

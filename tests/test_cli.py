@@ -36,7 +36,9 @@ class TestParsing:
         (["index-audit", "--n-max", "six"], "must be an integer >= 5"),
         (["audit-barrier", "--scale", "-0.1"], "must be a finite number > 0"),
         (["audit-barrier", "--scale", "0"], "must be a finite number > 0"),
-        (["audit-barrier", "--scale", "nan"], "must be a finite number > 0")])
+        (["audit-barrier", "--scale", "nan"], "must be a finite number > 0"),
+        (["check-geometry", "--resolution", "-4"], "must be an integer >= 8"),
+        (["check-geometry", "--resolution", "7"], "must be an integer >= 8")])
     def test_empty_sweep_and_bad_scale_rejected(self, argv, message,
                                                 tmp_path, capsys):
         # index-audit below n = 5 or m = 1 sweeps nothing and would pass
@@ -52,6 +54,21 @@ class TestParsing:
                         str(tmp_path), "index-audit", "--n-max", "5",
                         "--m-max", "1"]) == 0
         assert "[PASS] index audit: 4 sweep records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", ["missing", "bundled:nope", "latin1"])
+    def test_unreadable_model_exits_2(self, model, tmp_path, capsys):
+        # a missing file, a missing bundled model and a file that is not
+        # UTF-8 are reported, not raised
+        paths = {"missing": str(tmp_path / "absent.model"),
+                 "latin1": str(tmp_path / "latin1.model")}
+        (tmp_path / "latin1.model").write_bytes(
+            "# mod\xe8le\nn = 3\nm = 1\nq = 1\n".encode("latin-1"))
+        out = tmp_path / "out"
+        code = run_cli(["--model", paths.get(model, model), "--out", str(out),
+                        "check-geometry"])
+        assert code == 2
+        assert "error: cannot read model" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_matrix_row_names_line(self, tmp_path):
         bad = tmp_path / "bad.model"

@@ -240,7 +240,7 @@ class TestModifiedDefining:
             assert errs[1] < errs[0] or max(errs) < 1e-9
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_batched_matches_per_direction_loop(self, m):
+    def test_batched_matches_per_direction_loop(self, m, monkeypatch):
         # the form over a (point, direction) batch against one matrix per
         # pair built here, and the amplitude search against a loop over the
         # pairs with one eigvalsh each
@@ -287,13 +287,15 @@ class TestModifiedDefining:
         expected = next(a for a, low in zip(amplitudes, lowest)
                         if low >= target)
         assert expected == amplitudes[3]
-        rep = geometry.find_modification_amplitude(
-            model, list(pts), resolution=8, target=target)
+        monkeypatch.setattr(geometry, "AMPLITUDE_TARGET", target)
+        rep = geometry.find_modification_amplitude(model, list(pts),
+                                                   resolution=8)
         assert rep["amplitude"] == expected
 
-    def test_empty_points_take_the_first_amplitude(self, secondary):
-        rep = geometry.find_modification_amplitude(secondary, [],
-                                                   amplitudes=[0.3, 0.6])
+    def test_empty_points_take_the_first_amplitude(self, secondary,
+                                                   monkeypatch):
+        monkeypatch.setattr(geometry, "AMPLITUDES", (0.3, 0.6))
+        rep = geometry.find_modification_amplitude(secondary, [])
         assert rep == {"amplitude": 0.3, "margin": 0.05, "resolution": 16}
 
     def test_amplitude_search_rejects_off_manifold_points(self):
@@ -500,3 +502,28 @@ class TestModelFiles:
     def test_missing_matrix(self):
         with pytest.raises(ModelParseError, match="missing matrix"):
             geometry.parse_model_text("n = 3\nm = 1\nq = 1\n")
+
+    BLOCK_1 = "H 1\n1,0 0,0\n0,0 -1,0\n"
+
+    def test_repeated_key_names_line(self):
+        text = "n = 3\nm = 1\nq = 1\nq = 2\n" + self.BLOCK_1
+        with pytest.raises(ModelParseError, match="line 4: repeated key 'q'"):
+            geometry.parse_model_text(text)
+
+    def test_unknown_key_names_line(self):
+        text = "n = 3\nm = 1\nfoo = 3\nq = 1\n" + self.BLOCK_1
+        with pytest.raises(ModelParseError, match="line 3: unknown key 'foo'"):
+            geometry.parse_model_text(text)
+
+    def test_repeated_block_names_line(self):
+        text = "n = 3\nm = 1\nq = 1\n" + self.BLOCK_1 + self.BLOCK_1
+        with pytest.raises(ModelParseError,
+                           match="line 7: repeated matrix block H 1"):
+            geometry.parse_model_text(text)
+
+    def test_block_index_outside_codimension_names_line(self):
+        text = ("n = 3\nm = 1\nq = 1\n" + self.BLOCK_1
+                + self.BLOCK_1.replace("H 1", "H 2"))
+        with pytest.raises(ModelParseError,
+                           match="line 7: matrix block H 2 outside 1..1"):
+            geometry.parse_model_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crhomotopy import fields, geometry, homotopy, quadrature
-from crhomotopy._util import index_combinations, small_det
+from crhomotopy._util import gauss_legendre_01, index_combinations, small_det
 from crhomotopy.errors import (CoverError, CRHomotopyError,
                                DerivativeOrderError, GridTooCoarseError,
                                OutsideTubeError)
@@ -322,8 +322,8 @@ class TestAnalyticDbar:
             _frames=[fields.conjugate_frame_rows(primary, z)])
 
         def stencil_at(h):
-            vals = apply_operator_multi(primary, f,
-                                        conjugate_frame_stencil(primary, z, h),
+            points = conjugate_frame_stencil(primary, z, h)
+            vals = apply_operator_multi(primary, [f] * len(points), points,
                                         grid)
             return assemble_conjugate_frame_derivative(
                 [complex(v.ambient[0]) for v in vals], 4, h)
@@ -367,11 +367,9 @@ class TestGrid:
         # the solution t-integrand has degree n - 2 (its eta column does not
         # depend on t); the default node count integrates t^(n-2) exactly
         for n in range(3, 8):
-            flat = geometry.ManifoldModel(
-                n=n, m=1, q=1, hermitian=[np.zeros((n - 1, n - 1))])
-            grid = QuadratureGrid(model=flat, epsilon=0.1, budget=10)
-            assert grid.t_count == n // 2
-            val = np.sum(grid.t_weights * grid.t_nodes ** (n - 2))
+            t_nodes, t_weights = np.array(homotopy._t_rule(n)).T
+            assert len(t_nodes) == n // 2
+            val = np.sum(t_weights * t_nodes ** (n - 2))
             assert abs(val - 1.0 / (n - 1)) < 1e-14
 
     def test_uniform_weights_recover_box_volume(self, primary):
@@ -619,7 +617,7 @@ class TestOperators:
         z2 = primary.graph_point(np.array([-0.02, 0.04, 0.0, 0.03]),
                                  np.array([-0.02]))
         grid = centered_grid(primary, z1, budget=1500)
-        multi = apply_operator_multi(primary, f, [z1, z2], grid)
+        multi = apply_operator_multi(primary, [f] * 2, [z1, z2], grid)
         single1 = apply_operator(primary, f, z1, grid)
         single2 = apply_operator(primary, f, z2, grid)
         assert np.array_equal(multi[0].ambient, single1.ambient)
@@ -688,8 +686,9 @@ class TestOperators:
         def run(block):
             monkeypatch.setattr(homotopy, "BLOCK", block)
             results = [res for kind in ("solution", "obstruction")
-                       for res in apply_operator_multi(model, f, [z1, z2],
-                                                       grid, kind=kind)]
+                       for res in apply_operator_multi(model, [f] * 2,
+                                                       [z1, z2], grid,
+                                                       kind=kind)]
             r1, r2 = apply_operator_multi(
                 model, [f, f.dbar_field()], [z1, z1], grid,
                 _frames=[frame, None])
@@ -724,7 +723,7 @@ class TestOperators:
         assert peak < APPLY_PEAK_MB * 1e6
 
     @pytest.mark.parametrize("which", ["primary", "secondary"])
-    def test_default_t_rule_is_exact(self, which, request):
+    def test_default_t_rule_is_exact(self, which, request, monkeypatch):
         # the solution t-integrand has degree n - 2, so n // 2 Gauss nodes
         # agree with six nodes to round-off, for degree-1 and degree-2 input
         model = request.getfixturevalue(which)
@@ -734,21 +733,24 @@ class TestOperators:
         pair = [f, f.dbar_field()]
         default = apply_operator_multi(model, pair, [z, z],
                                        centered_grid(model, z))
+        monkeypatch.setattr(homotopy, "_t_rule",
+                            lambda n: tuple(zip(*gauss_legendre_01(6))))
         six = apply_operator_multi(model, pair, [z, z],
-                                   centered_grid(model, z, t_count=6))
+                                   centered_grid(model, z))
         for a, b in zip(default, six):
             scale = np.max(np.abs(b.ambient))
             assert np.max(np.abs(a.ambient - b.ambient)) < 1e-13 * scale
 
-    def test_one_node_fewer_is_not_exact(self, secondary):
+    def test_one_node_fewer_is_not_exact(self, secondary, monkeypatch):
         # n = 6: the degree-4 integrand needs 3 nodes; 2 integrate only up
         # to degree 3, so the degree count is tight
         f = bundled_test_form(secondary)
         z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                                   np.array([0.01, 0.01]))
         exact = apply_operator(secondary, f, z, centered_grid(secondary, z))
-        short = apply_operator(secondary, f, z,
-                               centered_grid(secondary, z, t_count=2))
+        monkeypatch.setattr(homotopy, "_t_rule",
+                            lambda n: tuple(zip(*gauss_legendre_01(2))))
+        short = apply_operator(secondary, f, z, centered_grid(secondary, z))
         scale = np.max(np.abs(exact.ambient))
         assert np.max(np.abs(short.ambient - exact.ambient)) > 1e-6 * scale
 
@@ -824,7 +826,8 @@ class TestOperators:
                                 for x in (x0, x1)))
             scale = (np.linalg.norm(w, axis=1) * size).reshape(
                 (-1,) + (1,) * (x0.ndim - 2))
-            jets = [x0, x1] + [(1 - t) * x0 + t * x1 for t in grid.t_nodes]
+            jets = [x0, x1] + [(1 - t) * x0 + t * x1
+                               for t, _ in homotopy._t_rule(model.n)]
             targets = [1.0 if j == 0 else 0.0] * len(jets)
             if j == 0:
                 jets, targets = jets + [x1 - x0], targets + [0.0]
@@ -938,7 +941,7 @@ class TestOperators:
                                                              frame)
         tensors = (euclidean_mixed_jets(chunk.zeta, z, frame),
                    barrier_mixed_jets(model, chunk.zeta, z, frame))
-        t_rule = tuple(zip(grid.t_nodes, grid.t_weights))
+        t_rule = homotopy._t_rule(n)
         for kind in ("solution", "obstruction"):
             for r_out in (0, 1):
                 k = n - 1 - r_out - (kind == "solution")
@@ -1016,8 +1019,10 @@ class TestGlue:
             with pytest.raises(ValueError, match="zip"):
                 glue(primary, covers, f, z, grids)
 
-    def test_two_covers_match_single_cover(self, primary):
-        f = bundled_test_form(primary, r_in=0.2, r_out=0.35)
+    def test_two_covers_match_single_cover(self, primary, monkeypatch):
+        monkeypatch.setattr(fields, "BUMP_R_IN", 0.2)
+        monkeypatch.setattr(fields, "BUMP_R_OUT", 0.35)
+        f = bundled_test_form(primary)
         z = primary.graph_point(np.array([0.03, -0.02, 0.01, 0.0]),
                                 np.array([0.0]))
         # partition: inner bump + complementary remainder under a wide bump
