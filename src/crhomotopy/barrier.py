@@ -59,21 +59,21 @@ class BarrierJetBatch:
     dG: np.ndarray = None      # (N, m, d, d): d G / d theta_k
     dtheta: np.ndarray = None  # (N, m, n): d theta_k / d zetabar_j
 
-    def dP_mixed(self, V, A):
-        """Pullback of the mixed jet through the adjoint A (N, n, n): the sum
-        over the batch and (i, j) of A[:, i, j] sum_l V[a, l] d^2 P_i /
-        d zetabar_j d zbar_l, shape (a,); for m >= 2 only.
+    def dP_mixed(self, A):
+        """Pullback of the mixed jet through the adjoint A (N, n, n) on the
+        z'-block: the vector over l < d of the sum over the batch and (i, j)
+        of A[:, i, j] d^2 P_i / d zetabar_j d zbar_l, shape (d,); for m >= 2
+        only.  The entries l >= d are zero, as dP/dzbar_l is for l >= d.
 
         dP_dzbar = theta . H - G on the z'-block depends on zeta only through
-        theta, so the mixed jet is V (H_k - dG_k) dtheta_k^T on the z'-rows
-        and zero on the rows i >= d.  Its pullback is sum_k (V (H_k - dG_k))
-        . (A dtheta_k^T) on the z'-rows, the node sum taken before V.
+        theta, so the mixed jet is (H_k - dG_k) dtheta_k^T on the z'-rows
+        and zero on the rows i >= d.  Its pullback is sum_k (H_k - dG_k)
+        . (A dtheta_k^T) on the z'-rows, the node sum taken first.
         """
         d = self.H.shape[1]
         Y = A[:, :d] @ np.swapaxes(self.dtheta, 1, 2)             # (N, d, m)
-        u = np.einsum("kli,ik->l", self.H, Y.sum(axis=0)) \
+        return np.einsum("kli,ik->l", self.H, Y.sum(axis=0)) \
             - np.einsum("Nkli,Nik->l", self.dG, Y)
-        return V[:, :d] @ u
 
 
 def _distinct_rows(a):

@@ -23,6 +23,9 @@ SCHEMA = "crhomotopy-report-v1"
 # one run-homotopy row per ladder rung and point, in homotopy.json and the CSV
 RESIDUAL_COLUMNS = ("epsilon", "budget", "point", "residual", "f_norm",
                     "rejected", "total_nodes")
+# the run-homotopy bound of the obstruction term on its (0,1) input, which
+# vanishes for q >= 2
+OBSTRUCTION_BOUND = 1e-10
 
 
 def _config_hash(args_dict) -> str:
@@ -184,6 +187,11 @@ def cmd_run_homotopy(args) -> int:
     from .homotopy import apply_operator, identity_residual
     from .quadrature import QuadratureGrid
     model = _load_model(args)
+    if model.q < 2:
+        print(f"run-homotopy needs q >= 2: its identity residual leaves out "
+              f"H f, which vanishes on (0,1) forms only for q >= 2 (model "
+              f"has q = {model.q})", file=sys.stderr)
+        return 2
     geo_path = os.path.join(args.out, "geometry.json")
     if not os.path.exists(geo_path):
         print("missing geometry certification: run the check-geometry "
@@ -220,7 +228,8 @@ def cmd_run_homotopy(args) -> int:
     _write_report(args.out, "homotopy.json", payload)
     _write_csv(args.out, "homotopy_residuals.csv", RESIDUAL_COLUMNS, rows_out)
     decreasing = all(a > b for a, b in zip(monotone, monotone[1:]))
-    ok = decreasing or len(monotone) == 1
+    ok = ((decreasing or len(monotone) == 1)
+          and payload["obstruction_max"] <= OBSTRUCTION_BOUND)
     print(f"[{'PASS' if ok else 'FAIL'}] homotopy identity ladder: residuals "
           + " -> ".join(f"{m:.3f}" for m in monotone)
           + f"; obstruction magnitude {payload['obstruction_max']:.2e}")

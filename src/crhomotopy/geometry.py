@@ -414,6 +414,13 @@ def load_model_file(path) -> ManifoldModel:
 
 
 def load_bundled_model(name: str) -> ManifoldModel:
-    """Load a model shipped with the package (e.g. "sig22_n5")."""
-    return _read_model(
-        resources.files("crhomotopy").joinpath("models", f"{name}.model"), name)
+    """Load a model shipped with the package (e.g. "sig22_n5"); a name that
+    is not the stem of a shipped model file, such as a path, raises
+    :class:`ModelParseError`."""
+    models = resources.files("crhomotopy").joinpath("models")
+    shipped = sorted(p.name.removesuffix(".model") for p in models.iterdir()
+                     if p.name.endswith(".model"))
+    if name not in shipped:
+        raise ModelParseError(f"cannot read model {name!r}: not a bundled "
+                              f"model ({', '.join(shipped)})")
+    return _read_model(models.joinpath(f"{name}.model"), name)

@@ -44,16 +44,18 @@ k-form W, and the Hodge star in n - 1 dimensions gives every total as
 (-1)^n (*G)(tau', beta'_L) (solution) or (*G)(beta'_L) (obstruction),
 times (-1)^p / w_p.
 
-The identity residual needs dbar_M R_1 f, the conjugate-frame derivative
-sum_l conj(a_il) d/dzbar_l of the degree-0 value.  It is analytic and
-taken in reverse mode (Griewank and Walther, Evaluating Derivatives, 2nd
-ed. 2008, ch. 3), per block of nodes, in the same pass that forms the value
+The identity residual needs dbar_M R_1 f.  The operator returns the
+ambient d-bar of the degree-0 value, its derivatives d/dzbar_l for every l,
+and :func:`identity_residual` applies the conjugate frame once, to the
+assembled residual.  The derivatives are analytic and taken in reverse mode
+(Griewank and Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 3), per
+block of nodes, in the same pass that forms the value
 (:func:`_tangent_block`): the adjoints dT / d tau' and dT / d gamma'_t of
 the folded total on the non-pivot rows, scattered back to n rows, are
-pulled back through the sections.  Each section returns sum over the block
-of x . D_a eta + <A, D_a gamma> for adjoints x and A, in O(n^2) per node
-from the rank structure of its mixed jets (closed form for the euclidean
-section; for the barrier, P is affine in zbar with zeta-only
+pulled back through the sections.  Each section returns the zbar-gradient
+of the sum over the block of x . eta + <A, gamma> for adjoints x and A, in
+O(n^2) per node from the rank structure of its mixed jets (closed form for
+the euclidean section; for the barrier, P is affine in zbar with zeta-only
 coefficients), so no mixed-jet tensor is formed; w_p has no
 zbar-derivative.  The value and the adjoint share one interior-product
 chain: G_t is one more level on F_t = W(rows R of gamma'_t, .).  The
@@ -73,8 +75,7 @@ import numpy as np
 from ._util import (RunningSum, evaluate_form, gauss_legendre_01, hodge_star,
                     index_combinations)
 from .errors import GridTooCoarseError
-from .fields import (FormField, conjugate_frame_rows, tangential_components,
-                     wedge_covector_values)
+from .fields import FormField, tangential_components, wedge_covector_values
 from .geometry import ManifoldModel
 from .quadrature import QuadratureGrid
 from .sections import barrier_section_jets, bochner_martinelli_jets
@@ -123,9 +124,9 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
 
     ``tangent`` (solution kind, r_out = 0) is the pair of ``pullback``
     functions of the t = 0 and t = 1 section jets of these nodes (see
-    :func:`~crhomotopy.sections.bochner_martinelli_jets`); the derivatives
-    of the sum along their directions are then returned too, as (sum,
-    derivatives), by :func:`_tangent_block`.  On that path one
+    :func:`~crhomotopy.sections.bochner_martinelli_jets`); the zbar-gradient
+    of the sum is then returned too, as (sum, gradient), by
+    :func:`_tangent_block`.  On that path one
     interior-product chain serves the value and the adjoint: per t-node, F_t
     = W(rows R of gamma'_t, .) over the (k - 1)-subsets R of the n - 1 rows
     is formed once, and G_t is one more level on it, G_t[S] = sum_l F_t[S
@@ -195,22 +196,22 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
 def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep):
     """One block of the degree-0 solution total T = (*G)(tau) on the n - 1
     non-pivot rows, G = sum_t weight_t W(non-pivot rows of gamma_t) already
-    scaled by (-1)^p / w_p, and its derivatives D_a T, tau = eta1 - eta0.
+    scaled by (-1)^p / w_p, and its zbar-gradient, tau = eta1 - eta0.
     ``Fs`` holds F_t = W(rows R of gamma_t, .), shape (R, l, B), of each
-    t-node, ``pullbacks`` the section pullbacks (x, A) -> sum over the block
-    of x . D_a eta + <A, D_a gamma> of the t = 0 and t = 1 sections, and
-    ``keep`` (B, n) marks the non-pivot rows.  Returns (T per node (1, B),
-    D T summed over the block (d,)).
+    t-node, ``pullbacks`` the section pullbacks (x, A) -> zbar-gradient of
+    the sum over the block of x . eta + <A, gamma> of the t = 0 and t = 1
+    sections, and ``keep`` (B, n) marks the non-pivot rows.  Returns (T per
+    node (1, B), dT / dzbar summed over the block (n,)).
 
     In n - 1 rows *G is the 1-form X itself, and T = X . tau.  The scale
     (-1)^p / w_p has no derivative (w is holomorphic in z, p is locally
-    constant), so D T = X . D tau + the gamma terms.  gamma_t enters by
-    reverse mode: T = <c, G> with the (n - 2)-vector c = (-1)^n *tau, so
-    dT / d gamma_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s c)[R] F_t[R][l]
-    over the (k-1)-subsets R of the n - 1 rows.  X and the adjoints,
-    weighted (1 - t) and t, are scattered back to n rows with a zero pivot
-    row and pulled back through the sections, so no mixed-jet tensor is
-    formed and the cost does not grow with the number of directions.
+    constant), so with D = d / dzbar_l, D T = X . D tau + the gamma terms.
+    gamma_t enters by reverse mode: T = <c, G> with the (n - 2)-vector c =
+    (-1)^n *tau, so dT / d gamma_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s
+    c)[R] F_t[R][l] over the (k-1)-subsets R of the n - 1 rows.  X and the
+    adjoints, weighted (1 - t) and t, are scattered back to n rows with a
+    zero pivot row and pulled back through the sections, so no mixed-jet
+    tensor is formed.
     """
     n1, B = tau.shape                           # n - 1 rows
     n, k = n1 + 1, n1 - 1
@@ -270,12 +271,9 @@ class OperatorResult:
     degree: int
     rejected: int
     total_nodes: int
-    # sum_l v_a[l] d ambient[0] / d zbar_l along rows v_a, when asked for
+    # the ambient dbar coefficients d ambient[0] / d zbar_l, shape (n,), of
+    # a degree-0 value, when asked for
     dbar: np.ndarray = None
-
-    def tangential(self, model, z):
-        return tangential_components(model, self.ambient[None, :], z,
-                                     self.degree)[0]
 
 
 def _det9_blocks(conormal):
@@ -289,7 +287,7 @@ def _det9_blocks(conormal):
 
 def apply_operator_multi(model: ManifoldModel, fields, z_list,
                          grid: QuadratureGrid, kind: str = "solution",
-                         extension=None, _frames=None):
+                         extension=None, _dbar=None):
     """Evaluate the operator at several points over one shared node stream.
 
     ``fields`` holds one :class:`FormField` per point.  The node geometry
@@ -300,25 +298,22 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     the contracted kernel, consecutive points at the same z sharing their
     section jets, so no jet tensor spans more than a block.  The d/dzbar jet
     beta is formed only when a point reads it (output degree above 0, or a
-    frame).  Returns a list of :class:`OperatorResult`.
+    d-bar).  Returns a list of :class:`OperatorResult`.
 
-    ``_frames`` (private to :func:`identity_residual`) gives per point None
-    or rows v_a of shape (d, n); such a point (solution kind, degree-1
-    input) also gets ``dbar``, the derivatives sum_l v_a[l] d / d zbar_l of
-    its value, by :func:`_tangent_block` and the section pullbacks.
+    ``_dbar`` (private to :func:`identity_residual`) flags per point whether
+    it (solution kind, degree-1 input) also gets ``dbar``, the ambient d-bar
+    of its value, by :func:`_tangent_block` and the section pullbacks.
     """
     z_list = [np.asarray(z, dtype=complex) for z in z_list]
     if len(fields) != len(z_list):
         raise ValueError("need one field per evaluation point")
-    frames = list(_frames) if _frames is not None else [None] * len(z_list)
+    dbars = list(_dbar) if _dbar is not None else [False] * len(z_list)
     n = model.n
     plans = [_field_plan(n, f.degree, kind) for f in fields]
     accums = [RunningSum(shape=(len(index_combinations(n, r_out)),))
               for r_out, _ in plans]
-    d_accums = [RunningSum(shape=(len(frame),)) if frame is not None else None
-                for frame in frames]
-    with_zbar = any(frame is not None or r_out > 0
-                    for (r_out, _), frame in zip(plans, frames))
+    d_accums = [RunningSum(shape=(n,)) if dbar else None for dbar in dbars]
+    with_zbar = any(dbars) or any(r_out > 0 for r_out, _ in plans)
     t_rule = _t_rule(n)
     rejected = [0] * len(z_list)
     total = 0
@@ -333,39 +328,36 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
         live = [np.any(g != 0, axis=1) for g in values]
         weighted = [g * chunk.weight[:, None] for g in values]
         sums = [np.zeros(acc.shape, dtype=complex) for acc in accums]
-        d_sums = [None if acc is None else np.zeros(acc.shape, dtype=complex)
-                  for acc in d_accums]
+        d_sums = [np.zeros(n, dtype=complex) for _ in z_list]
         for lo in range(0, N, BLOCK):
             blk = slice(lo, lo + BLOCK)
             zeta, thetas = chunk.zeta[blk], -chunk.sigma[blk]
             shared = None           # (z, section jets) of the last point
-            for zi, (f, z, frame) in enumerate(zip(fields, z_list, frames)):
-                if frame is not None or shared is None or not np.array_equal(
-                        shared[0], z):
+            for zi, (f, z, dbar) in enumerate(zip(fields, z_list, dbars)):
+                if shared is None or not np.array_equal(shared[0], z):
                     shared = z, (
-                        barrier_section_jets(model, zeta, z, frame,
+                        barrier_section_jets(model, zeta, z,
                                              with_zbar=with_zbar,
                                              thetas=thetas),
-                        bochner_martinelli_jets(zeta, z, frame,
-                                                with_zbar=with_zbar)
+                        bochner_martinelli_jets(zeta, z, with_zbar=with_zbar)
                         if kind == "solution" else None,
                         zeta - z[None, :])
-                (eta1, beta1, gamma1, phi, *pull1), euclid, w = shared[1]
+                (eta1, beta1, gamma1, phi, pull1), euclid, w = shared[1]
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
                 rejected[zi] += int(np.sum(bad & live[zi][blk]))
                 W_kept = _fold_weights(weighted[zi][blk], det9[blk],
                                        f.degree) * ~bad[:, None]
                 r_out = plans[zi][0]
                 if kind == "solution":
-                    eta0, beta0, gamma0, *pull0 = euclid
+                    eta0, beta0, gamma0, pull0 = euclid
                     folded = _folded_coefficients(
                         W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
                         start=(beta0, gamma0), t_rule=t_rule,
-                        tangent=pull0 + pull1 if frame is not None else None)
+                        tangent=(pull0, pull1) if dbar else None)
                 else:
                     folded = _folded_coefficients(W_kept, w, beta1, gamma1,
                                                   r_out)
-                if frame is not None:
+                if dbar:
                     folded, d_folded = folded
                     d_sums[zi] += d_folded
                 sums[zi] += folded
@@ -387,8 +379,7 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
         out.append(OperatorResult(
             ambient=prefactor * accums[zi].total(),
             degree=plans[zi][0], rejected=rejected[zi], total_nodes=total,
-            dbar=(prefactor * d_accums[zi].total()
-                  if frames[zi] is not None else None)))
+            dbar=(prefactor * d_accums[zi].total() if dbars[zi] else None)))
     return out
 
 
@@ -484,20 +475,27 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
                       box_radius: float = 0.7):
     """Residual of f = dbar_M R_1 f + R_2 dbar_M f at the given points.
 
-    The first term is the analytic conjugate-frame derivative of the
-    quadrature value R_1 f: Wbar_i = sum_l conj(a_il) d/dzbar_l, a_i the
-    holomorphic tangent rows, through the section pullbacks (the stencil of
-    ``tangential_dbar_scalar`` in ``tests/oracles.py`` is its
-    finite-difference oracle; the graph projection of the stencil points is
-    the identity to first order along the complex tangent).  The second term
-    integrates the analytic differential of the field, so a field without
-    one raises :class:`DerivativeOrderError`.  Both terms are evaluated at z
-    alone, with one set of section jets per chunk, in one pass over one node
-    stream.  The obstruction term vanishes pointwise for input degree below
-    the concavity parameter and is not assembled here.
+    The ambient residual f(z) - dbar R_1 f(z) - R_2 dbar_M f(z) is formed
+    first, dbar R_1 f being the analytic ambient d-bar of the quadrature
+    value R_1 f through the section pullbacks; one
+    :func:`~crhomotopy.fields.tangential_components` call then projects it
+    and f on the conjugate frame Wbar_i = sum_l conj(a_il) d/dzbar_l, a_i
+    the holomorphic tangent rows, so the frame is applied once.  The stencil
+    of ``tangential_dbar_scalar`` in ``tests/oracles.py`` is the
+    finite-difference oracle of the first term (the graph projection of the
+    stencil points is the identity to first order along the complex
+    tangent).  The second term integrates the analytic differential of the
+    field, so a field without one raises :class:`DerivativeOrderError`.
+    Both terms are evaluated at z alone, with one set of section jets per
+    chunk, in one pass over one node stream.  The obstruction term H f
+    vanishes pointwise for input degree below the concavity parameter q and
+    is not assembled here, so input degree q or above raises ValueError.
     """
     if field.degree != 1:
         raise ValueError("identity residual is implemented for (0,1) inputs")
+    if field.degree >= model.q:
+        raise ValueError(f"identity residual omits H f, which vanishes only "
+                         f"for input degree below q = {model.q}")
     dbar_field = field.dbar_field()
     rows = []
     for idx, z in enumerate(z_points):
@@ -509,10 +507,10 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
                               box_radius=box_radius)
         r1, r2 = apply_operator_multi(
             model, [field, dbar_field], [z, z], grid, kind="solution",
-            _frames=[conjugate_frame_rows(model, z), None])
-        f_tan = tangential_components(model, field.values(model, z[None, :]),
-                                      z[None, :], 1)[0]
-        resid = f_tan - r1.dbar - r2.tangential(model, z)
+            _dbar=[True, False])
+        f_z = field.values(model, z[None, :])[0]
+        f_tan, resid = tangential_components(
+            model, np.stack([f_z, f_z - r1.dbar - r2.ambient]), z, 1)
         rows.append(ResidualRow(
             point_index=idx, epsilon=epsilon, budget=budget,
             residual=float(np.max(np.abs(resid))),

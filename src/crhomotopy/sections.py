@@ -39,19 +39,19 @@ class SectionJet:
 # batched section jets over a zeta batch at fixed z
 # ---------------------------------------------------------------------------
 
-def bochner_martinelli_jets(zetas, z, directions=None, with_zbar=True):
+def bochner_martinelli_jets(zetas, z, with_zbar=True):
     """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]
-    with beta = d eta / d zbar and gamma = d eta / d zetabar; beta is None
-    when ``with_zbar`` is False.
+    and ``pullback``, with beta = d eta / d zbar and gamma = d eta / d
+    zetabar; beta is None when ``with_zbar`` is False.
 
-    With ``directions`` (rows v_a, shape (d, n)) a fourth value
-    ``pullback`` is returned: pullback(x, A), x of shape (N, n) and A of
-    shape (N, n, n), is the sum over the batch of x . D_a eta + <A, D_a
-    gamma> (no conjugation), shape (d,), with D_a = sum_l v_a[l] d / d
-    zbar_l.  No mixed jet is formed.  With w = zeta - z and S = |w|^2,
-    D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k] w_j) / S^2 - 2 conj(w_k) w_j
-    (w.v_a) / S^3, so <A, D_a gamma> = ((w.v_a)(tr A - 2 eta^T A w) + v_a^T
-    A w) / S^2, and x . D_a eta = (beta^T x) . v_a.
+    pullback(x, A), x of shape (N, n) and A of shape (N, n, n), is the
+    zbar-gradient, shape (n,), of the sum over the batch of x . eta + <A,
+    gamma> at fixed adjoints (no conjugation): its entry l is the sum of
+    x . d eta / d zbar_l + <A, d gamma / d zbar_l>.  It reads beta, so it
+    needs ``with_zbar``; no mixed jet is formed.  With w = zeta - z and S =
+    |w|^2, d gamma[k, j] / d zbar_l = (delta_kj w_l + delta_kl w_j) / S^2 -
+    2 conj(w_k) w_j w_l / S^3, so <A, d gamma / d zbar_l> = (w_l (tr A - 2
+    eta^T A w) + (A w)_l) / S^2, and x . d eta / d zbar_l = (beta^T x)_l.
     """
     w = zetas - z[None, :]
     S = np.sum(np.abs(w) ** 2, axis=1)
@@ -66,41 +66,37 @@ def bochner_martinelli_jets(zetas, z, directions=None, with_zbar=True):
     gamma = (eye[None, :, :] * inv_s[:, None, None]
              - outer * inv_s2[:, None, None])
     beta = -gamma if with_zbar else None
-    if directions is None:
-        return eta, beta, gamma
-    V = np.asarray(directions, dtype=complex)
 
     def pullback(x, A):
         Aw = np.einsum("Nkj,Nj->Nk", A, w)
         c = np.einsum("Nkk->N", A) - 2.0 * np.einsum("Nk,Nk->N", eta, Aw)
-        u = (c * inv_s2) @ w + inv_s2 @ Aw + np.tensordot(x, beta, 2)
-        return V @ u
+        return (c * inv_s2) @ w + inv_s2 @ Aw + np.tensordot(x, beta, 2)
 
     return eta, beta, gamma, pullback
 
 
-def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None,
-                         with_zbar=True, thetas=None):
-    """Barrier section values/jets over a batch (eta, beta, gamma, phi);
-    beta is None when ``with_zbar`` is False.  ``thetas`` passes the
-    directions theta(zeta) to :func:`crhomotopy.barrier.barrier_jets`.
+def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
+                         thetas=None):
+    """Barrier section values/jets over a batch (eta, beta, gamma, phi,
+    pullback); beta is None when ``with_zbar`` is False.  ``thetas`` passes
+    the directions theta(zeta) to :func:`crhomotopy.barrier.barrier_jets`.
 
     The returned phi is the raw phase (rejection decisions use it); the
     divisions are floored away from exact zero so a rejected node cannot
     poison the batch with non-finite values.
 
-    With ``directions`` a fifth value ``pullback`` is returned, as for
+    ``pullback`` is the zbar-gradient of the adjoint sum, shape (n,), as for
     :func:`bochner_martinelli_jets`.  From gamma = (dP/dzetabar - eta (x)
-    dPhi/dzetabar) / Phi and Phi = sum_i P_i w_i,
+    dPhi/dzetabar) / Phi and Phi = sum_i P_i w_i, with D = d / d zbar_l,
 
         D gamma = (D dP/dzetabar - D eta (x) dPhi/dzetabar
                    - eta (x) D dPhi/dzetabar - gamma D Phi) / Phi,
 
     where D dPhi/dzetabar = w^T D dP/dzetabar.  So, with y = x - A
-    dPhi/dzetabar / Phi, the pullback is beta^T y . v_a - <A, gamma> (dPhi
-    /dzbar . v_a) / Phi plus the pullback of the mixed jet D dP/dzetabar
-    through (A - w (eta^T A)) / Phi, which is :meth:`BarrierJetBatch.dP_mixed`
-    and zero for m = 1, where theta is constant.
+    dPhi/dzetabar / Phi, the pullback is beta^T y - <A, gamma> dPhi/dzbar /
+    Phi plus the pullback of the mixed jet D dP/dzetabar through (A - w
+    (eta^T A)) / Phi, which is :meth:`BarrierJetBatch.dP_mixed` on the
+    z'-block and zero for m = 1, where theta is constant.
     """
     jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
                                  thetas=thetas)
@@ -116,19 +112,18 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, directions=None,
     gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
              - jets.P[:, :, None] * jets.dPhi_dzetabar[:, None, :]
              * inv2[:, None, None])
-    if directions is None:
-        return eta, beta, gamma, phi
-    V = np.asarray(directions, dtype=complex)
+    # the pullback keeps jets alive: drop the (N, n, n) jets it does not read
+    jets.dP_dzbar = jets.dP_dzetabar = None
 
     def pullback(x, A):
         y = x - np.einsum("Nkj,Nj->Nk", A, jets.dPhi_dzetabar) * inv[:, None]
         a_gamma = np.einsum("Nkj,Nkj->N", A, gamma) * inv
-        out = V @ (np.tensordot(y, beta, 2) - a_gamma @ jets.dPhi_dzbar)
+        out = np.tensordot(y, beta, 2) - a_gamma @ jets.dPhi_dzbar
         if jets.dG is not None:                 # m >= 2
             w = zetas - z[None, :]
             A_mixed = (A - w[:, :, None] * (eta[:, None, :] @ A)) \
                 * inv[:, None, None]
-            out = out + jets.dP_mixed(V, A_mixed)
+            out[:model.tangential_dim] += jets.dP_mixed(A_mixed)
         return out
 
     return eta, beta, gamma, phi, pullback
@@ -142,7 +137,7 @@ def bochner_martinelli_section(zeta, z) -> SectionJet:
     """eta = conj(zeta - z) / |zeta - z|^2 with analytic jets."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    eta, beta, gamma = bochner_martinelli_jets(zeta[None, :], z)
+    eta, beta, gamma, _ = bochner_martinelli_jets(zeta[None, :], z)
     return SectionJet(value=eta[0], d_zbar=beta[0], d_zetabar=gamma[0],
                       d_t=np.zeros(z.shape[0], dtype=complex))
 
@@ -161,7 +156,7 @@ def barrier_section(model: ManifoldModel, zeta, z) -> SectionJet:
     """eta = P / Phi with analytic jets from the barrier construction."""
     zeta = np.asarray(zeta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    eta, beta, gamma, phi = barrier_section_jets(model, zeta[None, :], z)
+    eta, beta, gamma, phi, _ = barrier_section_jets(model, zeta[None, :], z)
     _require_phase(phi)
     return SectionJet(value=eta[0], d_zbar=beta[0], d_zetabar=gamma[0],
                       d_t=np.zeros(model.n, dtype=complex))
@@ -190,7 +185,7 @@ def normalization_defects(model: ManifoldModel, zetas, z, t) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
     eta0 = bochner_martinelli_jets(zetas, z)[0]
-    eta1, _, _, phi = barrier_section_jets(model, zetas, z)
+    eta1, _, _, phi, _ = barrier_section_jets(model, zetas, z)
     _require_phase(phi)
     t = np.asarray(t, dtype=float)[:, None]
     values = np.stack([eta0, eta1, (1.0 - t) * eta0 + t * eta1])

@@ -315,7 +315,7 @@ def euclidean_mixed_jets(zetas, z, V):
     / d zbar_l, as tensors of shapes (N, d, n) and (N, d, n, n): with w =
     zeta - z and S = |w|^2, D_a gamma[k, j] = (delta_kj (w.v_a) + v_a[k]
     w_j) / S^2 - 2 conj(w_k) w_j (w.v_a) / S^3."""
-    eta, beta, _ = sections.bochner_martinelli_jets(zetas, z)
+    eta, beta, _, _ = sections.bochner_martinelli_jets(zetas, z)
     w = zetas - z[None, :]
     s = 1.0 / np.sum(np.abs(w) ** 2, axis=1)[:, None, None, None]
     wb = w[:, None, None, :]
@@ -331,7 +331,8 @@ def barrier_mixed_jets(model: ManifoldModel, zetas, z, V):
     dPhi/dzetabar - eta (x) w^T D dP/dzetabar - gamma D Phi) / Phi, the mixed
     jet D dP/dzetabar from :func:`padded_dP_mixed` (zero for m = 1)."""
     jets = barrier.barrier_jets(model, zetas, z)
-    eta, beta, gamma, phi = sections.barrier_section_jets(model, zetas, z)
+    eta, beta, gamma, phi, _ = sections.barrier_section_jets(model, zetas,
+                                                             z)
     d_eta = V @ np.swapaxes(beta, 1, 2)                          # (N, d, n)
     d_phi = jets.dPhi_dzbar @ V.T                                # (N, d)
     d_gamma = -(d_eta[..., None] * jets.dPhi_dzetabar[:, None, None, :]
@@ -345,7 +346,7 @@ def barrier_mixed_jets(model: ManifoldModel, zetas, z, V):
 
 def contract_mixed_jets(d_eta, d_gamma, x, A):
     """sum over nodes of x . D_a eta + <A, D_a gamma> from the tensors,
-    shape (d,): what a section pullback returns."""
+    shape (d,): what V @ pullback(x, A) gives for a section pullback."""
     return (np.einsum("Nk,Nak->a", x, d_eta)
             + np.einsum("Nkj,Nakj->a", A, d_gamma))
 

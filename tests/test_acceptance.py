@@ -12,6 +12,7 @@ import json
 import os
 import signal
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,7 +273,8 @@ def test_obstruction_emptiness_and_pointwise_vanishing(primary, rng):
     checked = 0
     degree_one = zbar_degree(5, 4) == 1
     for chunk in grid.chunks():
-        eta, beta, gamma, phi = _barrier_section_jets(primary, chunk.zeta, z)
+        eta, beta, gamma, phi, _ = _barrier_section_jets(primary,
+                                                         chunk.zeta, z)
         form = cf_component(eta.T, beta.transpose(1, 2, 0),
                             gamma.transpose(1, 2, 0),
                             np.zeros(eta.T.shape, dtype=complex))
@@ -420,8 +422,8 @@ def test_report_determinism(primary, tmp_path):
     identical = True
     for name in ("geometry.json", "barrier.json", "barrier_quotients.csv",
                  "norms.json"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         identical = identical and a == b
     # and a raw quadrature sum, bit for bit
     f = fields.bundled_test_form(primary)

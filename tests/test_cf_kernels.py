@@ -24,10 +24,11 @@ def form_at(eta, beta, gamma, tau):
 
 
 def pulled_back_jets(pullback, N, n):
-    """D_a eta (N, n, n) and D_a gamma (N, n, n, n) of a section whose
-    directions are the identity, one node at a time, from the pullbacks of
+    """d eta / d zbar_l (N, n, n) and d gamma / d zbar_l (N, n, n, n) of a
+    section, l on the second axis, one node at a time, from the pullbacks of
     the basis adjoints at that node (zero at the others): x = e_k with A = 0
-    gives D_a eta[k], x = 0 with A = e_k e_j^T gives D_a gamma[k, j]."""
+    gives the gradient of eta[k], x = 0 with A = e_k e_j^T that of
+    gamma[k, j]."""
     d_eta = np.empty((N, n, n), dtype=complex)
     d_gamma = np.empty((N, n, n, n), dtype=complex)
     for i in range(N):
@@ -165,8 +166,8 @@ class TestSections:
                                        "random_n6m2"])
     def test_mixed_jets_match_central_differences(self, which, section,
                                                   request):
-        # d gamma / d zbar_l, recovered from the section pullback with
-        # directions = I by pulling back every basis adjoint at every node
+        # d gamma / d zbar_l, recovered from the section pullback, the
+        # zbar-gradient, by pulling back every basis adjoint at every node
         # (x = e_k with A = 0, x = 0 with A = e_k e_j^T), against central
         # Wirtinger differences in z of gamma itself, and gamma = d eta /
         # d zetabar against central Wirtinger differences in zeta of eta, at
@@ -190,7 +191,7 @@ class TestSections:
                 return sections.bochner_martinelli_jets(at_zetas, at, **kw)
             return sections.barrier_section_jets(model, at_zetas, at, **kw)
 
-        out = jets(zetas, z, directions=np.eye(n))
+        out = jets(zetas, z)
         gamma = out[2]
         d_eta, d_gamma = pulled_back_jets(out[-1], len(zetas), n)
         assert np.array_equal(d_eta, np.swapaxes(out[1], 1, 2))
@@ -232,11 +233,11 @@ class TestSections:
             + 1j * rng.standard_normal((3, model.n))
         blk = slice(8, 40)
         if section == "euclidean":
-            pullback = sections.bochner_martinelli_jets(zetas[blk], z, V)[-1]
+            pullback = sections.bochner_martinelli_jets(zetas[blk], z)[-1]
             tensors = euclidean_mixed_jets(zetas, z, V)
         else:
-            pullback = sections.barrier_section_jets(model, zetas[blk], z,
-                                                     V)[-1]
+            pullback = sections.barrier_section_jets(model, zetas[blk],
+                                                     z)[-1]
             tensors = barrier_mixed_jets(model, zetas, z, V)
         for _ in range(3):
             x = rng.standard_normal((32, model.n)) \
@@ -244,7 +245,7 @@ class TestSections:
             A = rng.standard_normal((32, model.n, model.n)) \
                 + 1j * rng.standard_normal((32, model.n, model.n))
             want = contract_mixed_jets(*(t[blk] for t in tensors), x, A)
-            got = pullback(x, A)
+            got = V @ pullback(x, A)
             assert np.max(np.abs(got - want)) \
                 <= 1e-13 * np.max(np.abs(want))
 
@@ -360,7 +361,7 @@ class TestSphereReproduction:
             vel[i] = tang[0::2] + 1j * tang[1::2]
             orient[i] = block_sign * np.sign(np.linalg.det(
                 np.concatenate([x[i][:, None], tang], axis=1)))
-        eta, beta, gamma = _bm_jets(zeta, z)
+        eta, beta, gamma, _ = _bm_jets(zeta, z)
         _, coef, _ = dense_coefficients(eta, beta, gamma, None, 0)
         table = contraction_table(n, 0)
         dets = np.empty((N, n), dtype=complex)

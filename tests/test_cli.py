@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,14 +56,20 @@ class TestParsing:
                         "--m-max", "1"]) == 0
         assert "[PASS] index audit: 4 sweep records" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("model", ["missing", "bundled:nope", "latin1"])
+    @pytest.mark.parametrize("model", [
+        "missing", "bundled:nope", "latin1", "bundled:../models/sig22_n5",
+        "bundled_absolute"])
     def test_unreadable_model_exits_2(self, model, tmp_path, capsys):
         # a missing file, a missing bundled model and a file that is not
-        # UTF-8 are reported, not raised
+        # UTF-8 are reported, not raised; so is a bundled name that is a
+        # path, relative or absolute, even to a readable model file
         paths = {"missing": str(tmp_path / "absent.model"),
-                 "latin1": str(tmp_path / "latin1.model")}
+                 "latin1": str(tmp_path / "latin1.model"),
+                 "bundled_absolute": f"bundled:{tmp_path / 'copy'}"}
         (tmp_path / "latin1.model").write_bytes(
             "# mod\xe8le\nn = 3\nm = 1\nq = 1\n".encode("latin-1"))
+        (tmp_path / "copy.model").write_text(
+            "n = 3\nm = 1\nq = 1\nH 1\n1,0 0,0\n0,0 -1,0\n")
         out = tmp_path / "out"
         code = run_cli(["--model", paths.get(model, model), "--out", str(out),
                         "check-geometry"])
@@ -134,6 +141,19 @@ class TestPipeline:
         assert [line.split(",")[-2:] for line in lines[1:]] == [
             ["0", "500"], ["0", "500"]]
 
+    def test_homotopy_refuses_q_below_2(self, tmp_path, capsys):
+        # the residual leaves out H_1 f, which need not vanish for q = 1:
+        # this certified n = 3 model has H = diag(1, -1)
+        model = tmp_path / "n3q1.model"
+        model.write_text("n = 3\nm = 1\nq = 1\nH 1\n1,0 0,0\n0,0 -1,0\n")
+        out = tmp_path / "out"
+        base = ["--model", str(model), "--out", str(out)]
+        assert run_cli(base + ["check-geometry"]) == 0
+        capsys.readouterr()
+        assert run_cli(base + ["run-homotopy", "--budget", "500"]) == 2
+        assert "run-homotopy needs q >= 2" in capsys.readouterr().err
+        assert os.listdir(out) == ["geometry.json"]
+
     def test_homotopy_requires_geometry_first(self, tmp_path):
         out = str(tmp_path / "fresh")
         code = run_cli(["--model", "bundled:sig22_n5", "--out", out,
@@ -153,8 +173,8 @@ class TestPipeline:
             outs.append(out)
         for name in ("geometry.json", "barrier.json", "barrier_quotients.csv",
                      "kernels.json", "norms.json"):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
+            a = Path(outs[0], name).read_bytes()
+            b = Path(outs[1], name).read_bytes()
             assert a == b, name
 
     def test_secondary_model_sample_audits(self, tmp_path):

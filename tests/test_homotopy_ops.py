@@ -317,9 +317,8 @@ class TestAnalyticDbar:
         z = primary.graph_point(np.array(zp, dtype=complex), np.array([u]))
         grid = centered_grid(primary, z, eps=0.1, budget=10_000, seed=11,
                              box_radius=0.8)
-        res, = apply_operator_multi(
-            primary, [f], [z], grid,
-            _frames=[fields.conjugate_frame_rows(primary, z)])
+        res, = apply_operator_multi(primary, [f], [z], grid, _dbar=[True])
+        frame = fields.conjugate_frame_rows(primary, z)
 
         def stencil_at(h):
             points = conjugate_frame_stencil(primary, z, h)
@@ -328,7 +327,7 @@ class TestAnalyticDbar:
             return assemble_conjugate_frame_derivative(
                 [complex(v.ambient[0]) for v in vals], 4, h)
 
-        assert 3.5 <= self.error_ratio(res.dbar, stencil_at) <= 4.5
+        assert 3.5 <= self.error_ratio(frame @ res.dbar, stencil_at) <= 4.5
 
     def test_matches_tangential_dbar_scalar_codim_two(self, secondary):
         from oracles import tangential_dbar_scalar
@@ -337,9 +336,8 @@ class TestAnalyticDbar:
                                   np.array([0.01, 0.01]))
         grid = centered_grid(secondary, z, eps=0.1, budget=1000, seed=11,
                              box_radius=0.8)
-        res, = apply_operator_multi(
-            secondary, [f], [z], grid,
-            _frames=[fields.conjugate_frame_rows(secondary, z)])
+        res, = apply_operator_multi(secondary, [f], [z], grid, _dbar=[True])
+        frame = fields.conjugate_frame_rows(secondary, z)
 
         def stencil_at(h):
             return tangential_dbar_scalar(
@@ -348,7 +346,34 @@ class TestAnalyticDbar:
                                                  grid).ambient[0]),
                 z, step=h)
 
-        assert 3.5 <= self.error_ratio(res.dbar, stencil_at) <= 4.5
+        assert 3.5 <= self.error_ratio(frame @ res.dbar, stencil_at) <= 4.5
+
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_ambient_dbar_matches_stencil_in_every_coordinate(self, which,
+                                                              request):
+        # dbar holds d/dzbar_l for every l, the transverse w included, not
+        # only the conjugate-frame combinations: each coordinate against
+        # the 4-point Wirtinger central difference of the value in z_l on
+        # the same node stream, the ratio of errors at steps h and h/2 near 4
+        model = request.getfixturevalue(which)
+        n = model.n
+        f = bundled_test_form(model)
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        grid = centered_grid(model, z, eps=0.1, budget=1000, seed=11,
+                             box_radius=0.8)
+        res, = apply_operator_multi(model, [f], [z], grid, _dbar=[True])
+        shifts = np.array([1, -1, 1j, -1j])
+        errs = []
+        for h in (1e-3, 5e-4):
+            points = [z + h * s * np.eye(n)[l] for l in range(n)
+                      for s in shifts]
+            vals = np.array([v.ambient[0] for v in apply_operator_multi(
+                model, [f] * len(points), points, grid)]).reshape(n, 4)
+            fd = ((vals[:, 0] - vals[:, 1])
+                  + 1j * (vals[:, 2] - vals[:, 3])) / (4 * h)
+            errs.append(np.abs(fd - res.dbar))
+        assert np.all((3.5 <= errs[0] / errs[1]) & (errs[0] / errs[1] <= 4.5))
 
 
 class TestGrid:
@@ -644,6 +669,13 @@ class TestOperators:
         with pytest.raises(ValueError, match="one field per"):
             apply_operator_multi(primary, [f], [z1, z2], grid)
 
+    def test_identity_residual_refuses_degree_at_q(self, small_n3):
+        # H_1 f is not assembled, and for q = 1 it need not vanish
+        f = bundled_test_form(small_n3)
+        z = small_n3.graph_point(np.array([0.05, -0.03j]), np.array([0.01]))
+        with pytest.raises(ValueError, match="below q = 1"):
+            identity_residual(small_n3, f, [z], epsilon=0.1, budget=500)
+
     def test_identity_residual_makes_one_stream_pass(self, primary,
                                                      monkeypatch):
         passes = []
@@ -667,8 +699,8 @@ class TestOperators:
         # the kernel block is a unit of work, not of the estimate: blocks of
         # 64 and of 200 nodes (1500 = 7 * 200 + 100, so the last block is
         # partial) give the values and rejected counts of 512-node blocks,
-        # for both kinds at two points and for the same-z pair with a
-        # conjugate frame of identity_residual, whose points share their
+        # for both kinds at two points and for the same-z pair with the
+        # ambient d-bar of identity_residual, whose points share their
         # section jets per block.  A rejection floor just above eps / 2, the
         # floor of the phase on the level set, rejects about a tenth of the
         # nodes at z1, spread over the blocks
@@ -679,7 +711,6 @@ class TestOperators:
         z2 = model.graph_point(np.array([-0.02, 0.04, 0.0, 0.03]),
                                -0.02 * np.ones(model.m))
         grid = centered_grid(model, z1, budget=1500)
-        frame = fields.conjugate_frame_rows(model, z1)
         monkeypatch.setattr(homotopy, "PHASE_REJECT_FACTOR", 0.5000005)
         monkeypatch.setattr(homotopy, "REJECT_LIMIT", 1.0)
 
@@ -691,7 +722,7 @@ class TestOperators:
                                                        kind=kind)]
             r1, r2 = apply_operator_multi(
                 model, [f, f.dbar_field()], [z1, z1], grid,
-                _frames=[frame, None])
+                _dbar=[True, False])
             return [(res.ambient, res.rejected)
                     for res in results + [r1, r2]] + [(r1.dbar, r1.rejected)]
 
@@ -772,8 +803,9 @@ class TestOperators:
         chunk = next(grid.chunks())
         det9 = homotopy._det9_blocks(chunk.conormal)
         dense, _ = oracle_node_geometry(grid, chunk)
-        eta1, beta1, gamma1, _ = barrier_section_jets(model, chunk.zeta, z)
-        eta0, beta0, gamma0 = bochner_martinelli_jets(chunk.zeta, z)
+        eta1, beta1, gamma1, _, _ = barrier_section_jets(model, chunk.zeta,
+                                                         z)
+        eta0, beta0, gamma0, _ = bochner_martinelli_jets(chunk.zeta, z)
         N = len(chunk.zeta)
         keep = rng.random(N) > 0.1
         for r in (1, 2):
@@ -819,7 +851,7 @@ class TestOperators:
         grid = centered_grid(model, z, budget=2000)
         chunk = next(grid.chunks())
         w = chunk.zeta - z
-        euclid = bochner_martinelli_jets(chunk.zeta, z)
+        euclid = bochner_martinelli_jets(chunk.zeta, z)[:3]
         barrier = barrier_section_jets(model, chunk.zeta, z)[:3]
         for j, (x0, x1) in enumerate(zip(euclid, barrier)):
             size = np.maximum(*(np.max(np.abs(x).reshape(len(x), -1), axis=1)
@@ -936,9 +968,8 @@ class TestOperators:
         w = chunk.zeta - z
         frame = fields.conjugate_frame_rows(model, z)
         eta1, beta1, gamma1, _, pull1 = barrier_section_jets(
-            model, chunk.zeta, z, frame)
-        eta0, beta0, gamma0, pull0 = bochner_martinelli_jets(chunk.zeta, z,
-                                                             frame)
+            model, chunk.zeta, z)
+        eta0, beta0, gamma0, pull0 = bochner_martinelli_jets(chunk.zeta, z)
         tensors = (euclidean_mixed_jets(chunk.zeta, z, frame),
                    barrier_mixed_jets(model, chunk.zeta, z, frame))
         t_rule = homotopy._t_rule(n)
@@ -960,6 +991,7 @@ class TestOperators:
                         tangent=tensors if r_out == 0 else None)
                     if r_out == 0:
                         (got, d_got), (want, d_want) = got, want
+                        d_got = frame @ d_got
                         assert np.max(np.abs(d_got - d_want)) <= 1e-12 * \
                             np.max(np.abs(d_want))
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
