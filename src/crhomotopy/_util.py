@@ -4,7 +4,8 @@ representation, deterministic summation and canonical report serialization.
 Forms on C^n are arrays over the sorted index tuples in ``combinations``
 order.  Every sign of a sorted tuple is realized here, in cached read-only
 gather tables: :func:`wedge_jets` (d-bar wedges), :func:`hodge_star` and
-:func:`evaluate_form` (interior products, minor expansions).
+:func:`evaluate_form` (interior products, minor expansions), and
+:func:`avoiding_table` (the components that avoid one coordinate).
 """
 
 from __future__ import annotations
@@ -33,6 +34,20 @@ def insert_index(idx, tup):
 def index_combinations(n: int, k: int):
     """All strictly increasing k-tuples from range(n)."""
     return list(combinations(range(n), k))
+
+
+@lru_cache(maxsize=None)
+def avoiding_table(n, k):
+    """Positions of the k-tuples of range(n) that avoid a, one row per a:
+    read-only, shape (n, C(n - 1, k)).  Relabeling range(n) without a as
+    range(n - 1) keeps their order, so row a lists the k-tuples of range(n -
+    1) in ``combinations`` order, signs unchanged."""
+    pos = {M: i for i, M in enumerate(combinations(range(n), k))}
+    table = np.array([[pos[M] for M in combinations(
+        [c for c in range(n) if c != a], k)] for a in range(n)],
+        dtype=np.intp).reshape(n, -1)
+    table.flags.writeable = False
+    return table
 
 
 def evaluate_form(F, V, n, p, j):

@@ -76,25 +76,12 @@ class BarrierJetBatch:
             - np.einsum("Nkli,Nik->l", self.dG, Y)
 
 
-def _distinct_rows(a):
-    """The distinct rows of a 2-D array and the index of each row among
-    them: one lexicographic sort, a few times cheaper than ``np.unique``
-    with ``axis=0``."""
-    order = np.lexsort(a.T[::-1])
-    ranked = a[order]
-    new = np.ones(len(a), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
-
-
 def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     """G = s^2 Pi on the z'-block, (N, d, d), and dG / d theta along the
-    unit sphere, (N, m, d, d), or None without ``with_derivative``; one G per
-    distinct row of thetas, indexed back to the rows.  A level-set node has
-    theta = -sigma, so a chunk needs one frame per direction of its point
-    set (two sheets for m = 1).
+    unit sphere, (N, m, d, d), or None without ``with_derivative``, one per
+    row of thetas.  A level-set node has theta = -sigma, so a node chunk
+    needs only the frames of its direction table
+    (:class:`~crhomotopy.quadrature.NodeChunk`), gathered by node.
 
     From one batched eigh of the Levi pencil M = -theta . H
     (:meth:`ManifoldModel.levi_pencil`) with A_k = -(H_k + theta_k M),
@@ -106,7 +93,7 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     Real Levi matrices keep the eigh, G and dG real.  Raises
     :class:`FrameGapError` where a kept/dropped gap is below FRAME_GAP_WARN.
     """
-    thetas, inverse = _distinct_rows(np.asarray(thetas, dtype=float))
+    thetas = np.asarray(thetas, dtype=float)
     thetas = thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
     count = model.n - model.q - model.m
     H = model.hermitian_stack                             # (m, d, d)
@@ -116,7 +103,7 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     G = kept @ np.swapaxes(kept.conj(), 1, 2)             # Pi
     if not with_derivative:
         G *= scale2[:, None, None]
-        return G[inverse], None
+        return G, None
     gap = lam[:, :count, None] - lam[:, None, count:]      # (N, c, d - c) < 0
     if np.any(gap > -FRAME_GAP_WARN):
         raise FrameGapError(f"frame gap {-gap.max():.1e} below FRAME_GAP_WARN")
@@ -132,7 +119,7 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     dG = scale2[:, None, None, None] * (half + np.swapaxes(half.conj(), 2, 3)) \
         + ds2[:, :, None, None] * G[:, None]
     G *= scale2[:, None, None]
-    return G[inverse], dG[inverse]
+    return G, dG
 
 
 def _batch_directions(model: ManifoldModel, zetas, thetas):
@@ -147,7 +134,7 @@ def _batch_directions(model: ManifoldModel, zetas, thetas):
 
 
 def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
-                 thetas=None) -> BarrierJetBatch:
+                 thetas=None, frames=None) -> BarrierJetBatch:
     """Analytic first jets of (P, Phi) over a zeta batch at fixed z: with
     w = zeta - z, G and dG of :func:`_frames_for_thetas` and dQ_k = H_k,
 
@@ -156,9 +143,10 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
 
     where the dtheta terms are formed only when theta varies (m >= 2), and
     the z-jets dP/dzbar and dPhi/dzbar only ``with_zbar`` (else None).
-    ``thetas`` passes theta(zeta) in, -sigma on a level-set node, so that
-    nodes sharing a direction share its frame; by default it is recomputed
-    as -rho_vec / rho.
+    ``thetas`` passes theta(zeta) in, -sigma on a level-set node; by
+    default it is recomputed as -rho_vec / rho.  ``frames`` passes (G, dG)
+    of :func:`_frames_for_thetas` at those thetas in (dG None for m = 1), so
+    that a caller solves each distinct direction once.
     """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -168,7 +156,8 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
     thetas, norm = _batch_directions(model, zetas, thetas)
     Q = -model.holo_gradients(z)                           # (m, n)
     # theta varies with zeta only for m >= 2
-    G, dG = _frames_for_thetas(model, thetas, with_derivative=model.m >= 2)
+    G, dG = frames if frames is not None else _frames_for_thetas(
+        model, thetas, with_derivative=model.m >= 2)
 
     P = thetas @ Q
     P[:, :d] += (wbar @ G)[:, 0]
@@ -177,9 +166,10 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
         dP_dzbar = np.zeros((N, n, n), dtype=complex)
         dP_dzbar[:, :d, :d] = -model.levi_pencil(thetas) - G
         dPhi_dzbar = (dP_dzbar @ w[:, :, None])[:, :, 0]
-    dP_dzetabar = np.zeros((N, n, n), dtype=complex)
     dtheta = None
-    if dG is not None:
+    if dG is None:
+        dP_dzetabar = np.zeros((N, n, n), dtype=complex)
+    else:
         # theta = -rho_vec / rho moves along the sphere: d theta / d zetabar
         # = -(1 - theta theta^T) d rho_vec / d zetabar / rho
         dbar = model.holo_gradients(zetas).conj()           # (N, m, n)
@@ -199,12 +189,13 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
 
 def barrier_phase(model: ManifoldModel, zetas, z,
                   include_correction: bool = True,
-                  thetas=None) -> np.ndarray:
+                  thetas=None, frames=None) -> np.ndarray:
     """Phase values theta . F + conj(w')^T G w' over a zeta batch at fixed z,
     the correction being sum |A|^2 as a G-quadratic form on the z'-block.
 
     ``include_correction=False`` drops the correction (negative-control
-    mode).  ``thetas`` passes theta(zeta) in, as for :func:`barrier_jets`.
+    mode).  ``thetas`` and ``frames`` pass theta(zeta) and its frames in,
+    as for :func:`barrier_jets`; only G is read.
     Raises :class:`ThetaUndefinedError` on the manifold, as
     :func:`barrier_jets` does.
     """
@@ -216,7 +207,8 @@ def barrier_phase(model: ManifoldModel, zetas, z,
     F = np.einsum("ki,Ni->Nk", Q, w)
     phi = np.einsum("Nk,Nk->N", thetas, F)
     if include_correction:
-        G, _ = _frames_for_thetas(model, thetas, with_derivative=False)
+        G, _ = frames if frames is not None else _frames_for_thetas(
+            model, thetas, with_derivative=False)
         wp = w[:, :model.tangential_dim]
         phi = phi + np.einsum("Nl,Nli,Ni->N", wp.conj(), G, wp).real
     return phi

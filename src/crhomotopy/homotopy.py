@@ -27,9 +27,10 @@ form values and det9 are formed once per chunk, and per block the weights,
 the section jets, the rejection mask, the contraction and the accumulation
 of the block's total, so that no weight or jet array spans more than a
 block.  Blocks and chunks are summed in node order, so the values do not
-depend on BLOCK beyond rounding.  The barrier jets take each node's
-direction theta = -sigma from the chunk, so a block's nodes share one
-frame per distinct direction (:mod:`crhomotopy.quadrature`).
+depend on BLOCK beyond rounding.  The barrier frames are solved once per
+chunk, on its table of distinct directions theta = -sigma
+(:class:`~crhomotopy.quadrature.NodeChunk`), and each block gathers its
+nodes' frames from the table.
 
 Each coefficient is taken on n - 1 rows.  With w = zeta - z, every section
 has sum_k eta_k w_k = 1, so w^T eta = 1 and the columns beta, gamma and tau
@@ -43,6 +44,16 @@ S of gamma'), gamma' the n - 1 non-pivot rows, k interior products of the
 k-form W, and the Hodge star in n - 1 dimensions gives every total as
 (-1)^n (*G)(tau', beta'_L) (solution) or (*G)(beta'_L) (obstruction),
 times (-1)^p / w_p.
+
+W = i_delta *g annihilates delta, so on the value path G is taken on the
+quotient by delta (:func:`_kernel_quotient`): per node the coordinate a =
+argmax_c |delta_c| is eliminated from the gamma' rows, x -> x - (x_a /
+delta_a) delta, and W is read only on the components that avoid a.  For
+degree-1 input (k = n - 2) the reduced W is decomposable and its Hodge
+dual is a second kernel vector, eliminated the same way, which leaves one
+component: the chain evaluates n - 1 vectors of C^(n-2).  The projection
+is linear, so gamma0' and gamma1' are projected once and interpolated per
+t-node; G keeps its meaning, and tau', beta', p and the star do not change.
 
 The identity residual needs dbar_M R_1 f.  The operator returns the
 ambient d-bar of the degree-0 value, its derivatives d/dzbar_l for every l,
@@ -72,8 +83,9 @@ from math import factorial
 
 import numpy as np
 
-from ._util import (RunningSum, evaluate_form, gauss_legendre_01, hodge_star,
-                    index_combinations)
+from ._util import (RunningSum, avoiding_table, evaluate_form,
+                    gauss_legendre_01, hodge_star, index_combinations)
+from .barrier import _frames_for_thetas
 from .errors import GridTooCoarseError
 from .fields import FormField, tangential_components, wedge_covector_values
 from .geometry import ManifoldModel
@@ -103,7 +115,7 @@ def _fold_weights(gw, det9, r):
 
 
 def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
-                         t_rule=((1.0, 1.0),), tangent=None):
+                         t_rule=((1.0, 1.0),), tangent=None, kernel=None):
     """Sum over the given nodes and M of W[:, M] * coef[:, L, M], shape
     (nL,), with no coefficient formed.
 
@@ -132,6 +144,11 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     is formed once, and G_t is one more level on it, G_t[S] = sum_l F_t[S
     without its last row][l] gamma'_t[last row of S, l] (no sign: the last
     interior product meets the empty tuple).
+
+    ``kernel`` (N, n), a nonzero vector per node with W(kernel, ...) = 0
+    (delta, or any multiple of it such as the conormal), takes the value
+    path to the quotient by it (:func:`_kernel_quotient`): the same G on
+    fewer coordinates.  The tangent path stays on the full rows.
     """
     N, n = w.shape
     k = n - 1 - r_out - (tau is not None)
@@ -139,19 +156,20 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     w_p = w[np.arange(N), pivot]
     # w = 0 only at zeta = z, where the phase vanishes and W is zero
     scale = (-1.0) ** pivot / np.where(w_p == 0, 1.0, w_p)
-    keep = np.arange(n) != pivot[:, None]
     beta0, gamma0 = start if start is not None else (None, None)
+    # row j of the n - 1 non-pivot rows is row j + (j >= p) of the n
+    below = np.arange(n - 1)[:, None] < pivot
 
-    def rows(x):            # the non-pivot rows, (N, n - 1, ...)
-        flat = x.reshape((-1,) + x.shape[2:])
-        return np.compress(keep.ravel(), flat, axis=0).reshape(
-            (-1, n - 1) + x.shape[2:])
+    def rows(x):            # the non-pivot rows, node-last: (n - 1, ..., N)
+        if x is None:
+            return None
+        x = np.moveaxis(x, 0, -1)
+        mask = below.reshape((n - 1,) + (1,) * (x.ndim - 2) + (N,))
+        return np.where(mask, x[:-1], x[1:])
 
-    def at_t(zero, one):    # rows of the jet at each t of the rule
-        one = rows(one)
+    def at_t(zero, one):    # the jet at each t of the rule, from its ends
         if zero is None:
             return [one] * len(t_rule)
-        zero = rows(zero)
         return [(1 - t) * zero + t * one for t, _ in t_rule]
 
     def star_front(G):      # (*G)(tau', .) or *G, in n - 1 dimensions
@@ -160,10 +178,13 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
             star, front, n - 1, n - 1 - k, 1)
 
     W = W.T * scale
-    front = rows(tau).T if tau is not None else None
-    # gamma rows (row * n + c, N) and beta columns (column * (n-1) + row)
-    gammas = [g.transpose(1, 2, 0).reshape((n - 1) * n, -1)
-              for g in at_t(gamma0, gamma)]
+    front = rows(tau)
+    ends = [rows(gamma0), rows(gamma)]      # (row, c, N)
+    dim = n                 # coordinates of the gamma rows
+    if kernel is not None and tangent is None and k:
+        W, ends, dim = _kernel_quotient(W, ends, kernel.T, k)
+    # gamma rows (row * dim + c, N) and beta columns (column * (n-1) + row)
+    gammas = [g.reshape((n - 1) * dim, -1) for g in at_t(*ends)]
     d_total = 0.0
     if tangent is not None:     # G[S] reads F[S[:-1]] and row S[-1]
         prefixes = index_combinations(n - 1, k - 1)
@@ -174,16 +195,17 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
               for g in gammas]
         G = sum(weight * np.sum(F[prefix] * g.reshape(-1, n, N)[last], 1)
                 for F, g, (_, weight) in zip(Fs, gammas, t_rule))
-        acc, d_total = _tangent_block(front, G, Fs, t_rule, tangent, keep)
+        acc, d_total = _tangent_block(front, G, Fs, t_rule, tangent,
+                                      np.arange(n) != pivot[:, None])
     else:
-        gs = [weight * evaluate_form(W, g, n, k, k)
+        gs = [weight * evaluate_form(W, g, dim, k, k)
               for g, (_, weight) in zip(gammas, t_rule)]
         if r_out:
             acc = sum(evaluate_form(
                 star_front(G),
-                b.transpose(2, 1, 0).reshape(n * (n - 1), -1),
+                b.transpose(1, 0, 2).reshape(n * (n - 1), -1),
                 n - 1, r_out, r_out)
-                for G, b in zip(gs, at_t(beta0, beta)))
+                for G, b in zip(gs, at_t(rows(beta0), rows(beta))))
         else:                   # no beta column: tau' alone, or a 0-form
             acc = star_front(sum(gs))
     total = acc.sum(axis=1)
@@ -191,6 +213,61 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     if tau is not None:
         total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
     return total if tangent is None else (total, d_total)
+
+
+def _kernel_quotient(W, jets, kernel, k):
+    """The k-form W (C(n, k), N) and the jets (rows, n, N) whose rows it
+    takes, on the quotient by kernel vectors of W: returns (W', jets', dim)
+    with W'(rows of jets') = W(rows of jets) on dim < n coordinates.
+
+    ``kernel`` (n, N) is eliminated first (:func:`_eliminate`).  W is then a
+    k-form on C^(n-1); when k = n - 2 it is decomposable, W = i_u vol with
+    the vector u = *W (:func:`~crhomotopy._util.hodge_star`), so W(u, ...) =
+    0 and u is eliminated too, which leaves one component.  Both hold for
+    every degree-1 input (k = n - 2), of either kind.
+    """
+    n = kernel.shape[0]
+    W, jets = _eliminate(W, jets, kernel, k)
+    if k != n - 2:
+        return W, jets, n - 1
+    W, jets = _eliminate(W, jets, hodge_star(W, n - 1, k), k)
+    return W, jets, n - 2
+
+
+def _eliminate(W, jets, v, k):
+    """Drop coordinate a = argmax_c |v_c| per node, v (n, N) in the kernel
+    of the k-form W (C(n, k), N): W(x_1, ...) = W(x_1 - (x_1a / v_a) v, ...)
+    by multilinearity, and the projected vectors have no coordinate a, so
+    only the components of W that avoid a are read
+    (:func:`~crhomotopy._util.avoiding_table`).  Partial pivoting keeps
+    every ratio v_c / v_a at modulus <= 1.  v is first scaled by an exact
+    power of two that brings |v_a| into [1/2, 1), so a subnormal pivot (W of
+    a field's bump tail) does not overflow the division; where v = 0 (a
+    zero-field node, where W = 0) the ratios are 0.  Returns (W, jets) on
+    n - 1 coordinates, the jets (rows, n, N) node-last; a None jet stays
+    None."""
+    n, N = v.shape
+    a = np.argmax(np.abs(v), axis=0)
+    at = a * N + np.arange(N)       # flat positions of coordinate a
+    exponent = -np.frexp(np.abs(np.take(v, at)))[1]
+    scaled = np.empty((n, N), dtype=complex)
+    scaled.real = np.ldexp(v.real, exponent)
+    scaled.imag = np.ldexp(v.imag, exponent)
+    pivot = np.take(scaled, at)
+    # coordinate j of the quotient is c = j + (j >= a)
+    below = np.arange(n - 1)[:, None] < a
+    ratio = np.where(below, scaled[:-1], scaled[1:]) \
+        / np.where(pivot == 0, 1.0, pivot)
+
+    def project(x):         # (rows, n, N) -> (rows, n - 1, N)
+        if x is None:
+            return None
+        out = np.where(below, x[:, :-1], x[:, 1:])
+        out -= np.take(x.reshape(len(x), -1), at, axis=1)[:, None] * ratio
+        return out
+
+    return (np.take(W, avoiding_table(n, k)[a].T * N + np.arange(N)),
+            [project(x) for x in jets])
 
 
 def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep):
@@ -291,18 +368,22 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     """Evaluate the operator at several points over one shared node stream.
 
     ``fields`` holds one :class:`FormField` per point.  The node geometry
-    (the oriented minors, a scaling of the chunk's conormal) is computed
-    once per chunk, the weighted form values once per point and chunk.
-    Each chunk is then taken in kernel blocks of BLOCK nodes: per block and
-    point the contraction weights, the section jets, the rejection mask and
-    the contracted kernel, consecutive points at the same z sharing their
-    section jets, so no jet tensor spans more than a block.  The d/dzbar jet
-    beta is formed only when a point reads it (output degree above 0, or a
-    d-bar).  Returns a list of :class:`OperatorResult`.
+    (the oriented minors, a scaling of the chunk's conormal) and the barrier
+    frames of the chunk's direction table are computed once per chunk, the
+    weighted form values once per point and chunk.  Each chunk is then taken
+    in kernel blocks of BLOCK nodes: per block and point the contraction
+    weights, the section jets (with the block's frames gathered from the
+    table), the rejection mask and the contracted kernel, consecutive points
+    at the same z sharing their section jets, so no jet tensor spans more
+    than a block.  The d/dzbar jet beta is formed only when a point reads
+    it (output degree above 0, or a d-bar).  Returns a list of
+    :class:`OperatorResult`.
 
     ``_dbar`` (private to :func:`identity_residual`) flags per point whether
     it (solution kind, degree-1 input) also gets ``dbar``, the ambient d-bar
-    of its value, by :func:`_tangent_block` and the section pullbacks.
+    of its value, by :func:`_tangent_block` and the section pullbacks; any
+    other flagged point raises ValueError before the quadrature.  The
+    section pullbacks are kept only for the points that ask for a d-bar.
     """
     z_list = [np.asarray(z, dtype=complex) for z in z_list]
     if len(fields) != len(z_list):
@@ -310,6 +391,19 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     dbars = list(_dbar) if _dbar is not None else [False] * len(z_list)
     n = model.n
     plans = [_field_plan(n, f.degree, kind) for f in fields]
+    for zi, ((r_out, _), dbar) in enumerate(zip(plans, dbars)):
+        if dbar and (kind != "solution" or r_out != 0):
+            raise ValueError(
+                f"point {zi}: the ambient d-bar needs the solution kind and "
+                f"output degree 0, not the {kind} kind and output degree "
+                f"{r_out}")
+    # runs of consecutive points at the same z share their section jets
+    runs = []
+    for zi, z in enumerate(z_list):
+        if runs and np.array_equal(z_list[runs[-1][0]], z):
+            runs[-1].append(zi)
+        else:
+            runs.append([zi])
     accums = [RunningSum(shape=(len(index_combinations(n, r_out)),))
               for r_out, _ in plans]
     d_accums = [RunningSum(shape=(n,)) if dbar else None for dbar in dbars]
@@ -319,6 +413,16 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     total = 0
     project = extension if extension is not None else model.project_to_manifold
 
+    def section_jets(zeta, z, thetas, frames, pulled):
+        """The barrier and, for the solution kind, the euclidean jets of a
+        block at z, and their pullbacks only when ``pulled``."""
+        barrier = barrier_section_jets(model, zeta, z, with_zbar=with_zbar,
+                                       thetas=thetas, frames=frames)
+        euclid = (bochner_martinelli_jets(zeta, z, with_zbar=with_zbar)
+                  if kind == "solution" else (None,) * 4)
+        return (barrier[:4], euclid[:3],
+                (euclid[3], barrier[4]) if pulled else None)
+
     for chunk in grid.chunks():
         N = chunk.zeta.shape[0]
         total += N
@@ -327,40 +431,43 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
         values = [f.values(model, on_manifold) for f in fields]  # (N, nJ)
         live = [np.any(g != 0, axis=1) for g in values]
         weighted = [g * chunk.weight[:, None] for g in values]
+        # theta = -sigma: one frame per direction of the table
+        G, dG = _frames_for_thetas(model, -chunk.directions,
+                                   with_derivative=model.m >= 2)
         sums = [np.zeros(acc.shape, dtype=complex) for acc in accums]
         d_sums = [np.zeros(n, dtype=complex) for _ in z_list]
         for lo in range(0, N, BLOCK):
             blk = slice(lo, lo + BLOCK)
             zeta, thetas = chunk.zeta[blk], -chunk.sigma[blk]
-            shared = None           # (z, section jets) of the last point
-            for zi, (f, z, dbar) in enumerate(zip(fields, z_list, dbars)):
-                if shared is None or not np.array_equal(shared[0], z):
-                    shared = z, (
-                        barrier_section_jets(model, zeta, z,
-                                             with_zbar=with_zbar,
-                                             thetas=thetas),
-                        bochner_martinelli_jets(zeta, z, with_zbar=with_zbar)
-                        if kind == "solution" else None,
-                        zeta - z[None, :])
-                (eta1, beta1, gamma1, phi, pull1), euclid, w = shared[1]
+            index = chunk.direction_index[blk]
+            frames = (G[index], None if dG is None else dG[index])
+            # delta, the kernel of the weights, is a multiple of the conormal
+            kernel = chunk.conormal[blk]
+            for run in runs:
+                z = z_list[run[0]]
+                (eta1, beta1, gamma1, phi), (eta0, beta0, gamma0), pulls = \
+                    section_jets(zeta, z, thetas, frames,
+                                 any(dbars[zi] for zi in run))
+                w = zeta - z[None, :]
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
-                rejected[zi] += int(np.sum(bad & live[zi][blk]))
-                W_kept = _fold_weights(weighted[zi][blk], det9[blk],
-                                       f.degree) * ~bad[:, None]
-                r_out = plans[zi][0]
-                if kind == "solution":
-                    eta0, beta0, gamma0, pull0 = euclid
-                    folded = _folded_coefficients(
-                        W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
-                        start=(beta0, gamma0), t_rule=t_rule,
-                        tangent=(pull0, pull1) if dbar else None)
-                else:
-                    folded = _folded_coefficients(W_kept, w, beta1, gamma1,
-                                                  r_out)
-                if dbar:
-                    folded, d_folded = folded
-                    d_sums[zi] += d_folded
-                sums[zi] += folded
+                for zi in run:
+                    rejected[zi] += int(np.sum(bad & live[zi][blk]))
+                    W_kept = _fold_weights(weighted[zi][blk], det9[blk],
+                                           fields[zi].degree) * ~bad[:, None]
+                    r_out = plans[zi][0]
+                    if kind == "solution":
+                        folded = _folded_coefficients(
+                            W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
+                            start=(beta0, gamma0), t_rule=t_rule,
+                            tangent=pulls if dbars[zi] else None,
+                            kernel=kernel)
+                    else:
+                        folded = _folded_coefficients(
+                            W_kept, w, beta1, gamma1, r_out, kernel=kernel)
+                    if dbars[zi]:
+                        folded, d_folded = folded
+                        d_sums[zi] += d_folded
+                    sums[zi] += folded
         for zi, (_, sign) in enumerate(plans):
             # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
             # exactly zero is reported as 0.0
@@ -487,9 +594,10 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
     tangent).  The second term integrates the analytic differential of the
     field, so a field without one raises :class:`DerivativeOrderError`.
     Both terms are evaluated at z alone, with one set of section jets per
-    chunk, in one pass over one node stream.  The obstruction term H f
-    vanishes pointwise for input degree below the concavity parameter q and
-    is not assembled here, so input degree q or above raises ValueError.
+    512-node kernel block, in one pass over one node stream.  The
+    obstruction term H f vanishes pointwise for input degree below the
+    concavity parameter q and is not assembled here, so input degree q or
+    above raises ValueError.
     """
     if field.degree != 1:
         raise ValueError("identity residual is implemented for (0,1) inputs")

@@ -454,7 +454,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
     one-form restricted to the level set is eps times the angular form).
     Requires integral phase power.
     """
-    from .barrier import barrier_phase
+    from .barrier import _frames_for_thetas, barrier_phase
     from .quadrature import QuadratureGrid
 
     if term.phase_power.denominator != 1:
@@ -474,7 +474,11 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
         for chunk in grid.chunks():
             w = chunk.zeta - z[None, :]
             dist = np.linalg.norm(w, axis=1)
-            phi = barrier_phase(model, chunk.zeta, z, thetas=-chunk.sigma)
+            # one frame per direction of the chunk's table, gathered by node
+            G, _ = _frames_for_thetas(model, -chunk.directions,
+                                      with_derivative=False)
+            phi = barrier_phase(model, chunk.zeta, z, thetas=-chunk.sigma,
+                                frames=(G[chunk.direction_index], None))
             # level-independent cutoff region: chart parameter distance
             zp_n, w_n = model.split(chunk.zeta)
             pdist = np.sqrt(np.sum(np.abs(zp_n - zp[None, :]) ** 2, axis=1)

@@ -36,8 +36,11 @@ regular K-gon for m = 2, a constant antipodal set for m >= 3.  Each sigma is
 then uniform on the sphere, so the estimates stay unbiased (a randomly
 rotated point set: Cranley and Patterson, SIAM J. Numer. Anal. 13 (1976);
 Owen, Monte Carlo theory, methods and examples (2013), ch. 8), and a chunk
-holds only K distinct directions.  The barrier frames depend on a node only
-through theta = -sigma, so they cost one eigensolve per direction.
+holds only K distinct directions.  Each chunk hands out its direction table
+(the K rotated points for m >= 2, the two sheets +-1 for m = 1) and each
+node's index into it, sigma = directions[direction_index].  The barrier
+frames depend on a node only through theta = -sigma, so an operator solves
+them once per chunk, on the table, and gathers them by node.
 
 Node streams are regenerated from the seed on every pass (grids are cheap to
 re-create and costly to store), in fixed chunk order, so accumulations are
@@ -66,6 +69,8 @@ class NodeChunk:
     conormal: np.ndarray      # (N, n) eps^(m-1) (-2 S, i sigma)
     surface_jac: np.ndarray   # (N,) Riemannian surface factor |conormal|
     sigma: np.ndarray         # (N, m) level direction: rho_vec = eps sigma
+    directions: np.ndarray    # (K, m) the chunk's distinct level directions
+    direction_index: np.ndarray  # (N,) sigma = directions[direction_index]
 
 
 @dataclass
@@ -134,25 +139,26 @@ class QuadratureGrid:
             density = 1.0 / (_sphere_area(D) * r ** (D - 1) * r
                              * np.log(r_max / r_min))
         if m == 1:
-            sigma = rng.standard_normal((count, m))
-            sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+            directions = np.array([[1.0], [-1.0]])
+            index = (rng.standard_normal(count) < 0).astype(np.intp)
         else:
             # Haar on O(m): QR of a Gaussian matrix, with the signs of the
             # triangular factor's diagonal moved into Q (Mezzadri, Notices
             # AMS 54 (2007))
             q, tri = np.linalg.qr(rng.standard_normal((m, m)))
-            points = _sphere_points(m) @ (q * np.sign(np.diag(tri))).T
-            points /= np.linalg.norm(points, axis=1, keepdims=True)
-            sigma = np.resize(points, (count, m))   # node j: point j mod K
+            directions = _sphere_points(m) @ (q * np.sign(np.diag(tri))).T
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            index = np.arange(count) % SPHERE_POINTS  # node j: point j mod K
         weight = _sphere_area(m) / (self.budget * density)
         if np.ndim(weight) == 0:
             weight = np.full(count, float(weight))
-        return p, sigma, weight
+        return p, directions, index, weight
 
     # -- geometry of the parameterization ----------------------------------
 
     def _assemble(self, params) -> NodeChunk:
-        p, sigma, weight = params
+        p, directions, index, weight = params
+        sigma = directions[index]
         model = self.model
         d, m = model.tangential_dim, model.m
         zp = (self.center_zp[None, :]
@@ -166,7 +172,8 @@ class QuadratureGrid:
         conormal *= self.epsilon ** (m - 1)
         return NodeChunk(zeta=zeta, weight=weight, conormal=conormal,
                          surface_jac=np.linalg.norm(conormal, axis=1),
-                         sigma=sigma)
+                         sigma=sigma, directions=directions,
+                         direction_index=index)
 
     # -- header --------------------------------------------------------------
 

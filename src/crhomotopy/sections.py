@@ -76,10 +76,11 @@ def bochner_martinelli_jets(zetas, z, with_zbar=True):
 
 
 def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
-                         thetas=None):
+                         thetas=None, frames=None):
     """Barrier section values/jets over a batch (eta, beta, gamma, phi,
-    pullback); beta is None when ``with_zbar`` is False.  ``thetas`` passes
-    the directions theta(zeta) to :func:`crhomotopy.barrier.barrier_jets`.
+    pullback); beta is None when ``with_zbar`` is False.  ``thetas`` and
+    ``frames`` pass the directions theta(zeta) and their frames to
+    :func:`crhomotopy.barrier.barrier_jets`.
 
     The returned phi is the raw phase (rejection decisions use it); the
     divisions are floored away from exact zero so a rejected node cannot
@@ -99,19 +100,18 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
     z'-block and zero for m = 1, where theta is constant.
     """
     jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
-                                 thetas=thetas)
+                                 thetas=thetas, frames=frames)
     phi = jets.Phi
     phi_safe = np.where(np.abs(phi) < 1e-300, 1.0, phi)
     inv = 1.0 / phi_safe
-    inv2 = inv ** 2
     eta = jets.P * inv[:, None]
-    # beta[k, l] = dP[l, k]/phi - P[k] dphi[l]/phi^2
-    beta = (np.swapaxes(jets.dP_dzbar, 1, 2) * inv[:, None, None]
-            - jets.P[:, :, None] * jets.dPhi_dzbar[:, None, :]
-            * inv2[:, None, None]) if with_zbar else None
-    gamma = (np.swapaxes(jets.dP_dzetabar, 1, 2) * inv[:, None, None]
-             - jets.P[:, :, None] * jets.dPhi_dzetabar[:, None, :]
-             * inv2[:, None, None])
+    # beta[k, l] = (dP[l, k] - eta[k] dphi[l]) / phi
+    beta = ((np.swapaxes(jets.dP_dzbar, 1, 2)
+             - eta[:, :, None] * jets.dPhi_dzbar[:, None, :])
+            * inv[:, None, None]) if with_zbar else None
+    gamma = ((np.swapaxes(jets.dP_dzetabar, 1, 2)
+              - eta[:, :, None] * jets.dPhi_dzetabar[:, None, :])
+             * inv[:, None, None])
     # the pullback keeps jets alive: drop the (N, n, n) jets it does not read
     jets.dP_dzbar = jets.dP_dzetabar = None
 

@@ -222,8 +222,9 @@ class TestProjectorFrames:
 
 
 class TestLevelDirections:
-    """theta = -sigma on level-set nodes: one frame per distinct direction,
-    and the directions passed in rather than recomputed from rho_vec."""
+    """theta = -sigma on level-set nodes: one frame per direction of the
+    chunk's table, gathered by node, and the directions passed in rather
+    than recomputed from rho_vec."""
 
     @staticmethod
     def _chunks(secondary):
@@ -236,10 +237,13 @@ class TestLevelDirections:
             yield model, next(grid.chunks())
 
     def test_shared_frames_match_per_row_frames(self, secondary):
+        # the frames of the direction table, gathered by node, against one
+        # solve per node
         for model, chunk in self._chunks(secondary):
             thetas = -chunk.sigma
             assert len(np.unique(thetas, axis=0)) == quadrature.SPHERE_POINTS
-            G, dG = barrier._frames_for_thetas(model, thetas)
+            G, dG = barrier._frames_for_thetas(model, -chunk.directions)
+            G, dG = G[chunk.direction_index], dG[chunk.direction_index]
             rows = [barrier._frames_for_thetas(model, theta[None, :])
                     for theta in thetas]
             G_ref = np.concatenate([g for g, _ in rows])
@@ -259,22 +263,32 @@ class TestLevelDirections:
                                   center_u=0.02 * np.ones(m))
             chunk = next(grid.chunks())
             thetas = -chunk.sigma
-            got = barrier.barrier_jets(model, chunk.zeta, z, thetas=thetas)
+            # the frames of the direction table, gathered by node
+            G, dG = barrier._frames_for_thetas(model, -chunk.directions,
+                                               with_derivative=m >= 2)
+            index = chunk.direction_index
+            frames = G[index], None if dG is None else dG[index]
             ref = barrier.barrier_jets(model, chunk.zeta, z)
-            for name in ("P", "Phi", "dP_dzbar", "dP_dzetabar", "dPhi_dzbar",
-                         "dPhi_dzetabar", "dG", "dtheta"):
-                a, b = getattr(got, name), getattr(ref, name)
-                if b is None:       # dG and dtheta for m = 1
-                    assert a is None and m == 1
-                    continue
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            for got in (barrier.barrier_jets(model, chunk.zeta, z,
+                                             thetas=thetas),
+                        barrier.barrier_jets(model, chunk.zeta, z,
+                                             thetas=thetas, frames=frames)):
+                for name in ("P", "Phi", "dP_dzbar", "dP_dzetabar",
+                             "dPhi_dzbar", "dPhi_dzetabar", "dG", "dtheta"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    if b is None:       # dG and dtheta for m = 1
+                        assert a is None and m == 1
+                        continue
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
             for correction in (True, False):
-                phi = barrier.barrier_phase(model, chunk.zeta, z, correction,
-                                            thetas=thetas)
                 phi_ref = barrier.barrier_phase(model, chunk.zeta, z,
                                                 correction)
-                assert np.max(np.abs(phi - phi_ref) / np.abs(phi_ref)) \
-                    <= 1e-12
+                for kw in ({}, {"frames": frames}):
+                    phi = barrier.barrier_phase(model, chunk.zeta, z,
+                                                correction, thetas=thetas,
+                                                **kw)
+                    assert np.max(np.abs(phi - phi_ref) / np.abs(phi_ref)) \
+                        <= 1e-12
 
     def test_given_directions_on_manifold_raise(self, primary, secondary):
         for model in (primary, secondary):

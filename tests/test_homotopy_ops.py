@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crhomotopy import fields, geometry, homotopy, quadrature
+from crhomotopy import barrier, fields, geometry, homotopy, quadrature
 from crhomotopy._util import gauss_legendre_01, index_combinations, small_det
 from crhomotopy.errors import (CoverError, CRHomotopyError,
                                DerivativeOrderError, GridTooCoarseError,
@@ -544,12 +544,32 @@ class TestGrid:
         model = random_quadric(m + 3, m, np.random.default_rng(m))
         grid = QuadratureGrid(model=model, epsilon=0.1, budget=10)
         rng, j = np.random.default_rng(31), 5
-        sigma = np.array([grid._sample_params(rng, j + 1)[1][j]
-                          for _ in range(2000)])
+        sigma = np.array([directions[index[j]] for directions, index in (
+            grid._sample_params(rng, j + 1)[1:3] for _ in range(2000))])
         outer = (sigma[:, :, None] * sigma[:, None, :]).reshape(2000, m * m)
         for x, expected in ((sigma, 0.0), (outer, np.eye(m).ravel() / m)):
             se = np.std(x, axis=0, ddof=1) / np.sqrt(len(x))
             assert np.all(np.abs(np.mean(x, axis=0) - expected) <= 4 * se)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_direction_table(self, m, primary, secondary):
+        # each chunk hands out its K distinct directions (the two sheets
+        # for m = 1) and each node's index into them, bit for bit; the
+        # stream is two chunks long
+        model = {1: primary, 2: secondary}.get(m) or random_quadric(
+            7, 3, np.random.default_rng(12))
+        K = 2 if m == 1 else quadrature.SPHERE_POINTS
+        grid = QuadratureGrid(model=model, epsilon=0.1,
+                              budget=quadrature.CHUNK + 300, seed=4)
+        chunks = list(grid.chunks())
+        assert len(chunks) == 2
+        for chunk in chunks:
+            assert chunk.directions.shape == (K, m)
+            assert len(np.unique(chunk.directions, axis=0)) == K
+            assert np.array_equal(chunk.sigma,
+                                  chunk.directions[chunk.direction_index])
+        if m == 1:
+            assert np.array_equal(chunks[0].directions, [[1.0], [-1.0]])
 
     def test_consecutive_directions_balance(self, secondary):
         # m = 2: any K consecutive nodes of a chunk take each vertex of the
@@ -668,6 +688,61 @@ class TestOperators:
             assert np.array_equal(res.ambient, single.ambient)
         with pytest.raises(ValueError, match="one field per"):
             apply_operator_multi(primary, [f], [z1, z2], grid)
+
+    def test_frames_solved_once_per_chunk_and_kind(self, secondary,
+                                                   monkeypatch):
+        # the barrier frames of a chunk's direction table are solved once
+        # per chunk and kind, not per kernel block: a two-chunk stream
+        # solves two tables of K directions per apply_operator call
+        calls = []
+        frames = barrier._frames_for_thetas
+
+        def counted(model, thetas, with_derivative=True):
+            calls.append(len(thetas))
+            return frames(model, thetas, with_derivative)
+
+        monkeypatch.setattr(homotopy, "_frames_for_thetas", counted)
+        monkeypatch.setattr(barrier, "_frames_for_thetas", counted)
+        f = bundled_test_form(secondary)
+        z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                  np.array([0.01, -0.01]))
+        grid = centered_grid(secondary, z, budget=quadrature.CHUNK + 100)
+        for kind in ("solution", "obstruction"):
+            calls.clear()
+            res = apply_operator(secondary, f, z, grid, kind=kind)
+            assert res.total_nodes == quadrature.CHUNK + 100
+            assert calls == [quadrature.SPHERE_POINTS] * 2
+
+    @staticmethod
+    def refuse_quadrature(monkeypatch):
+        def chunks(grid):
+            raise AssertionError("the quadrature started")
+        monkeypatch.setattr(QuadratureGrid, "chunks", chunks)
+
+    def test_dbar_refused_on_obstruction_kind(self, primary, monkeypatch):
+        # the ambient d-bar is taken of solution values only; the flag is
+        # refused before any quadrature, naming the point
+        f = bundled_test_form(primary)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        grid = centered_grid(primary, z, budget=500)
+        self.refuse_quadrature(monkeypatch)
+        with pytest.raises(ValueError, match="point 1: .*obstruction kind"):
+            apply_operator_multi(primary, [f, f], [z, z], grid,
+                                 kind="obstruction", _dbar=[False, True])
+
+    def test_dbar_refused_above_output_degree_zero(self, primary,
+                                                   monkeypatch):
+        # R_2 dbar f has output degree 1, whose d-bar the operator does not
+        # take; the flag is refused before any quadrature, naming the point
+        f = bundled_test_form(primary)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        grid = centered_grid(primary, z, budget=500)
+        self.refuse_quadrature(monkeypatch)
+        with pytest.raises(ValueError, match="point 1: .*output degree 1"):
+            apply_operator_multi(primary, [f, f.dbar_field()], [z, z], grid,
+                                 _dbar=[True, True])
 
     def test_identity_residual_refuses_degree_at_q(self, small_n3):
         # H_1 f is not assembled, and for q = 1 it need not vanish
@@ -947,6 +1022,92 @@ class TestOperators:
     def test_contracted_kernel_at_pivot_ties_and_near_axis(self, n, kind, r,
                                                            w_case, rng):
         self.check_contracted_kernel(n, kind, r, w_case, rng)
+
+    @staticmethod
+    def rounding_floor(W, eta, beta, gamma, tau, r_out, t_rule, start):
+        """eps * max over L of the sum over nodes, t-nodes and M of weight_t
+        * |W[:, M]| * the Hadamard bound of det[eta | beta_t L | gamma_t M |
+        tau] (the product of its column norms), the jets interpolated from
+        ``start`` as in ``_folded_coefficients``.  |W| is floored at the
+        smallest normal number: a subnormal weight carries an absolute error
+        of the subnormal spacing, eps times that number."""
+        N, n = eta.shape
+        k = n - 1 - r_out - (tau is not None)
+        size = np.maximum(np.abs(W), np.finfo(float).tiny)
+        front = np.linalg.norm(eta, axis=1) * (
+            1.0 if tau is None else np.linalg.norm(tau, axis=1))
+        best = np.zeros(len(index_combinations(n, r_out)))
+        for t, weight in t_rule:
+            b, g = beta, gamma
+            if start is not None:
+                b, g = ((1 - t) * x0 + t * x1
+                        for x0, x1 in zip(start, (beta, gamma)))
+            b_norm, g_norm = (np.linalg.norm(x, axis=1) for x in (b, g))
+            folded = sum(size[:, i] * np.prod(g_norm[:, list(M)], axis=1)
+                         for i, M in enumerate(index_combinations(n, k)))
+            best += [weight * np.sum(front * folded
+                                     * np.prod(b_norm[:, list(L)], axis=1))
+                     for L in index_combinations(n, r_out)]
+        return np.finfo(float).eps * np.max(best)
+
+    @pytest.mark.parametrize("n,kind,r", [
+        (n, kind, r) for n in range(2, 8)
+        for kind in ("solution", "obstruction")
+        for r in range(kind == "solution", n)])
+    def test_kernel_quotient_matches_full_chain(self, n, kind, r, rng):
+        # the value path on the quotient by delta (and, for degree-1 input,
+        # by *W) against the full chain, on W of _fold_weights with a
+        # rejection mask and two t-nodes.  Nodes of four sorts: random,
+        # zero field (W = 0, so *W = 0), weights scaled by 2^-1030 into the
+        # subnormal range (*W then has a subnormal pivot) and an exact tie
+        # |delta_a| = |delta_b| at the pivot.  Each sort is also summed on
+        # its own; the zero-field nodes give exactly 0
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        N = 200
+        r_out, _ = homotopy._field_plan(n, r, kind)
+        w = cplx(N, n)
+        eta, tau, beta, gamma, beta0, gamma0 = self.section_like_jets(
+            w, rng, 4)
+        sort = np.arange(N) % 4
+        gw = cplx(N, len(index_combinations(n, r)))
+        gw[sort == 1] = 0.0
+        gw[sort == 2] *= 2.0 ** -1030
+        # delta is a multiple of the conormal, the kernel vector passed
+        conormal = cplx(N, n)
+        ties = np.flatnonzero(sort == 3)
+        a = rng.integers(n, size=len(ties))
+        b = (a + 1 + rng.integers(n - 1, size=len(ties))) % n
+        conormal[ties] /= 2 * np.max(np.abs(conormal[ties]), axis=1,
+                                     keepdims=True)
+        conormal[ties, a] = np.exp(2j * np.pi * rng.random(len(ties)))
+        conormal[ties, b] = conormal[ties, a].conj()
+        W = homotopy._fold_weights(gw, homotopy._det9_blocks(conormal), r) \
+            * (rng.random(N) > 0.1)[:, None]
+        if kind == "solution":
+            t_rule, start = ((0.2, 0.6), (0.7, 0.4)), (beta0, gamma0)
+            kw = dict(tau=tau, start=start, t_rule=t_rule)
+        else:
+            t_rule, start, tau, kw = ((1.0, 1.0),), None, None, {}
+        for nodes in [sort >= 0] + [sort == i for i in range(4)]:
+            args = (W[nodes], w[nodes], beta[nodes], gamma[nodes], r_out)
+            part = {key: value if key == "t_rule" else (
+                tuple(x[nodes] for x in value) if key == "start"
+                else value[nodes]) for key, value in kw.items()}
+            got = homotopy._folded_coefficients(*args, **part,
+                                                kernel=conormal[nodes])
+            want = homotopy._folded_coefficients(*args, **part)
+            assert got.shape == want.shape
+            if np.all(sort[nodes] == 1):
+                assert np.all(got == 0) and np.all(want == 0)
+                continue
+            floor = self.rounding_floor(
+                W[nodes], eta[nodes], beta[nodes], gamma[nodes],
+                None if tau is None else tau[nodes], r_out, t_rule,
+                None if start is None else tuple(x[nodes] for x in start))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(
+                np.abs(want)) + floor
 
     @pytest.mark.parametrize("which", ["primary", "secondary"])
     def test_reduced_kernel_matches_full_row_oracle(self, which, request,
