@@ -179,10 +179,12 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
 
     W = W.T * scale
     front = rows(tau)
-    ends = [rows(gamma0), rows(gamma)]      # (row, c, N)
-    dim = n                 # coordinates of the gamma rows
     if kernel is not None and tangent is None and k:
-        W, ends, dim = _kernel_quotient(W, ends, kernel.T, k)
+        # the non-pivot rows of the gamma ends on the quotient, (row, c, N)
+        row = np.arange(n - 1)[:, None] + ~below
+        W, ends, dim = _kernel_quotient(W, [gamma0, gamma], kernel.T, row, k)
+    else:
+        ends, dim = [rows(gamma0), rows(gamma)], n
     # gamma rows (row * dim + c, N) and beta columns (column * (n-1) + row)
     gammas = [g.reshape((n - 1) * dim, -1) for g in at_t(*ends)]
     d_total = 0.0
@@ -215,59 +217,71 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     return total if tangent is None else (total, d_total)
 
 
-def _kernel_quotient(W, jets, kernel, k):
-    """The k-form W (C(n, k), N) and the jets (rows, n, N) whose rows it
-    takes, on the quotient by kernel vectors of W: returns (W', jets', dim)
-    with W'(rows of jets') = W(rows of jets) on dim < n coordinates.
+def _kernel_quotient(W, jets, kernel, row, k):
+    """The k-form W (C(n, k), N) and rows ``row`` (R, N) of the jets (N, n,
+    n), on the quotient by kernel vectors of W: returns (W', rows', dim),
+    rows' node-last (R, dim, N) with W'(rows') = W(rows) on dim < n
+    coordinates; a None jet stays None.
 
-    ``kernel`` (n, N) is eliminated first (:func:`_eliminate`).  W is then a
-    k-form on C^(n-1); when k = n - 2 it is decomposable, W = i_u vol with
-    the vector u = *W (:func:`~crhomotopy._util.hodge_star`), so W(u, ...) =
-    0 and u is eliminated too, which leaves one component.  Both hold for
-    every degree-1 input (k = n - 2), of either kind.
+    ``kernel`` (n, N) is eliminated first (:func:`_pivot`): per node the
+    coordinate a = argmax_c |v_c| goes, x -> x - x_a rho with rho = v / v_a,
+    since W(x_1, ...) = W(x_1 - x_1a rho, ...) by multilinearity, and W is
+    read only on the components that avoid a
+    (:func:`~crhomotopy._util.avoiding_table`).  W is then a k-form on
+    C^(n-1); when k = n - 2 it is decomposable, W = i_u vol with the vector
+    u = *W (:func:`~crhomotopy._util.hodge_star`), so W(u, ...) = 0 and u is
+    eliminated too, at coordinate c, which leaves one component.  Both hold
+    for every degree-1 input (k = n - 2), of either kind.  The two
+    projections compose to x -> x_K - x_c sigma - x_a (rho_K - rho_c sigma)
+    on the kept coordinates K, so each jet is read once, by one gather.
     """
-    n = kernel.shape[0]
-    W, jets = _eliminate(W, jets, kernel, k)
-    if k != n - 2:
-        return W, jets, n - 1
-    W, jets = _eliminate(W, jets, hodge_star(W, n - 1, k), k)
-    return W, jets, n - 2
+    n, N = kernel.shape
+    a, rho = _pivot(kernel)
+    W = np.take(W, avoiding_table(n, k)[a].T * N + np.arange(N))
+    dropped, coefs = [a], [rho]
+    if k == n - 2:
+        b, sigma = _pivot(hodge_star(W, n - 1, k))
+        W = np.take(W, avoiding_table(n - 1, k)[b].T * N + np.arange(N))
+        rho_b = np.take(rho, b * N + np.arange(N))
+        below = np.arange(n - 2)[:, None] < b
+        coefs = [np.where(below, rho[:-1], rho[1:]) - rho_b * sigma, sigma]
+        dropped = [a, b + (b >= a)]
+    dim = n - len(dropped)
+    col = np.arange(dim)[:, None]               # kept coordinates, (dim, N)
+    for c in np.sort(dropped, axis=0):
+        col = col + (col >= c)
+    base = np.arange(N) * (n * n) + row * n             # (R, N)
+    kept = base[:, None] + col                           # (R, dim, N)
+
+    def project(x):         # (N, n, n) -> (R, dim, N)
+        if x is None:
+            return None
+        out = np.take(x, kept)
+        for c, coef in zip(dropped, coefs):
+            out -= np.take(x, base + c)[:, None] * coef
+        return out
+
+    return W, [project(x) for x in jets], dim
 
 
-def _eliminate(W, jets, v, k):
-    """Drop coordinate a = argmax_c |v_c| per node, v (n, N) in the kernel
-    of the k-form W (C(n, k), N): W(x_1, ...) = W(x_1 - (x_1a / v_a) v, ...)
-    by multilinearity, and the projected vectors have no coordinate a, so
-    only the components of W that avoid a are read
-    (:func:`~crhomotopy._util.avoiding_table`).  Partial pivoting keeps
-    every ratio v_c / v_a at modulus <= 1.  v is first scaled by an exact
-    power of two that brings |v_a| into [1/2, 1), so a subnormal pivot (W of
-    a field's bump tail) does not overflow the division; where v = 0 (a
-    zero-field node, where W = 0) the ratios are 0.  Returns (W, jets) on
-    n - 1 coordinates, the jets (rows, n, N) node-last; a None jet stays
-    None."""
+def _pivot(v):
+    """The coordinate a = argmax_c |v_c| per node of v (n, N), and the
+    ratios v_c / v_a (n - 1, N) over the other coordinates in order, each of
+    modulus <= 1 (partial pivoting).  v is first scaled by an exact power of
+    two that brings |v_a| into [1/2, 1), so a subnormal pivot (W of a
+    field's bump tail) does not overflow the division; where v = 0 (a
+    zero-field node, where W = 0) the ratios are 0."""
     n, N = v.shape
     a = np.argmax(np.abs(v), axis=0)
-    at = a * N + np.arange(N)       # flat positions of coordinate a
+    at = a * N + np.arange(N)
     exponent = -np.frexp(np.abs(np.take(v, at)))[1]
     scaled = np.empty((n, N), dtype=complex)
     scaled.real = np.ldexp(v.real, exponent)
     scaled.imag = np.ldexp(v.imag, exponent)
     pivot = np.take(scaled, at)
-    # coordinate j of the quotient is c = j + (j >= a)
-    below = np.arange(n - 1)[:, None] < a
-    ratio = np.where(below, scaled[:-1], scaled[1:]) \
+    below = np.arange(n - 1)[:, None] < a     # coordinate j is j + (j >= a)
+    return a, np.where(below, scaled[:-1], scaled[1:]) \
         / np.where(pivot == 0, 1.0, pivot)
-
-    def project(x):         # (rows, n, N) -> (rows, n - 1, N)
-        if x is None:
-            return None
-        out = np.where(below, x[:, :-1], x[:, 1:])
-        out -= np.take(x.reshape(len(x), -1), at, axis=1)[:, None] * ratio
-        return out
-
-    return (np.take(W, avoiding_table(n, k)[a].T * N + np.arange(N)),
-            [project(x) for x in jets])
 
 
 def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep):
