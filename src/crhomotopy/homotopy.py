@@ -45,35 +45,36 @@ k-form W, and the Hodge star in n - 1 dimensions gives every total as
 (-1)^n (*G)(tau', beta'_L) (solution) or (*G)(beta'_L) (obstruction),
 times (-1)^p / w_p.
 
-W = i_delta *g annihilates delta, so on the value path G is taken on the
-quotient by delta (:func:`_kernel_quotient`): per node the coordinate a =
-argmax_c |delta_c| is eliminated from the gamma' rows, x -> x - (x_a /
-delta_a) delta, and W is read only on the components that avoid a.  For
-degree-1 input (k = n - 2) the reduced W is decomposable and its Hodge
-dual is a second kernel vector, eliminated the same way, which leaves one
-component: the chain evaluates n - 1 vectors of C^(n-2).  The projection
-is linear, so gamma0' and gamma1' are projected once and interpolated per
-t-node; G keeps its meaning, and tau', beta', p and the star do not change.
+W = i_delta *g annihilates delta, so G is taken on the quotient by delta
+(:func:`_kernel_quotient`), for the value and the d-bar alike: per node the
+coordinate a = argmax_c |delta_c| is eliminated from the gamma' rows,
+x -> x - (x_a / delta_a) delta, and W is read only on the components that
+avoid a.  For degree-1 input (k = n - 2) the reduced W is decomposable and
+its Hodge dual is a second kernel vector, eliminated the same way, which
+leaves one component: the chain evaluates n - 1 vectors of C^(n-2).  The
+projection is linear, so gamma0' and gamma1' are projected once and
+interpolated per t-node; tau', beta', p and the star do not change.
 
-The identity residual needs dbar_M R_1 f.  The operator returns the
-ambient d-bar of the degree-0 value, its derivatives d/dzbar_l for every l,
-and :func:`identity_residual` applies the conjugate frame once, to the
-assembled residual.  The derivatives are analytic and taken in reverse mode
-(Griewank and Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 3), per
-block of nodes, in the same pass that forms the value
-(:func:`_tangent_block`): the adjoints dT / d tau' and dT / d gamma'_t of
-the folded total on the non-pivot rows, scattered back to n rows, are
-pulled back through the sections.  Each section returns the zbar-gradient
-of the sum over the block of x . eta + <A, gamma> for adjoints x and A, in
-O(n^2) per node from the rank structure of its mixed jets (closed form for
-the euclidean section; for the barrier, P is affine in zbar with zeta-only
-coefficients), so no mixed-jet tensor is formed; w_p has no
-zbar-derivative.  The value and the adjoint share one interior-product
-chain: G_t is one more level on F_t = W(rows R of gamma'_t, .).  The
-16-point finite-difference stencil (``tangential_dbar_scalar`` in
-``tests/oracles.py``) is its test oracle, and the full-row contraction
-there (``full_row_folded_coefficients``) on the mixed-jet tensors is the
-oracle of the reduction and of the pullback.
+The identity residual needs dbar_M R_1 f.  The operator returns the ambient
+d-bar of the degree-0 value, its derivatives d/dzbar_l for every l, and
+:func:`identity_residual` applies the conjugate frame once, to the assembled
+residual.  The derivatives are analytic and taken in reverse mode (Griewank
+and Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 3), per block of
+nodes, in the same pass and on the same chain as the value
+(:func:`_tangent_block`): G_t is one more level on F_t = W(rows R of
+gamma'_t, .).  The projection depends on the node alone (the scale (-1)^p /
+w_p does not move the kernel of W), so it commutes with d/dzbar: the
+adjoints dT / d gamma'_t go back by its transpose, dT / d tau' to n rows,
+and both are pulled back through the sections.  Each section returns the
+zbar-gradient of the sum over the block of x . eta + <A, gamma> for
+adjoints x and A, in O(n^2) per node from the rank structure of its mixed
+jets (closed form for the euclidean section; for the barrier, P is affine in
+zbar with zeta-only coefficients), so no mixed-jet tensor is formed; w_p has
+no zbar-derivative.  The 16-point finite-difference stencil
+(``tangential_dbar_scalar`` in ``tests/oracles.py``) is its test oracle, and
+the full-row contraction there (``full_row_folded_coefficients``) on the
+mixed-jet tensors is the oracle of the reduction, the quotient and the
+pullback.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def _fold_weights(gw, det9, r):
     return evaluate_form(hodge_star(gw.T, n, r), delta, n, n - r, 1).T
 
 
-def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
-                         t_rule=((1.0, 1.0),), tangent=None, kernel=None):
+def _folded_coefficients(W, w, beta, gamma, r_out, kernel, tau=None,
+                         start=None, t_rule=((1.0, 1.0),), tangent=None):
     """Sum over the given nodes and M of W[:, M] * coef[:, L, M], shape
     (nL,), with no coefficient formed.
 
@@ -134,21 +135,19 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
     = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); the non-pivot rows of the
     jets are gathered, and W is scaled by (-1)^p / w_p.
 
+    ``kernel`` (N, n), a nonzero vector per node with W(kernel, ...) = 0 (a
+    multiple of delta, such as the conormal), takes the gamma' rows to the
+    quotient by it (:func:`_kernel_quotient`); at k = 0 none is read.
+
     ``tangent`` (solution kind, r_out = 0) is the pair of ``pullback``
     functions of the t = 0 and t = 1 section jets of these nodes (see
     :func:`~crhomotopy.sections.bochner_martinelli_jets`); the zbar-gradient
     of the sum is then returned too, as (sum, gradient), by
-    :func:`_tangent_block`.  On that path one
-    interior-product chain serves the value and the adjoint: per t-node, F_t
-    = W(rows R of gamma'_t, .) over the (k - 1)-subsets R of the n - 1 rows
-    is formed once, and G_t is one more level on it, G_t[S] = sum_l F_t[S
-    without its last row][l] gamma'_t[last row of S, l] (no sign: the last
-    interior product meets the empty tuple).
-
-    ``kernel`` (N, n), a nonzero vector per node with W(kernel, ...) = 0
-    (delta, or any multiple of it such as the conormal), takes the value
-    path to the quotient by it (:func:`_kernel_quotient`): the same G on
-    fewer coordinates.  The tangent path stays on the full rows.
+    :func:`_tangent_block`.  Per t-node, F_t = W(rows R of gamma'_t, .)
+    over the (k - 1)-subsets R of the n - 1 rows is formed once, and G_t is
+    one more level on it, G_t[S] = sum_l F_t[S without its last row][l]
+    gamma'_t[last row of S, l] (no sign: the last interior product meets
+    the empty tuple).
     """
     N, n = w.shape
     k = n - 1 - r_out - (tau is not None)
@@ -179,26 +178,25 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
 
     W = W.T * scale
     front = rows(tau)
-    if kernel is not None and tangent is None and k:
-        # the non-pivot rows of the gamma ends on the quotient, (row, c, N)
+    if k:       # the gamma rows on the quotient, (row * dim + c, N)
         row = np.arange(n - 1)[:, None] + ~below
-        W, ends, dim = _kernel_quotient(W, [gamma0, gamma], kernel.T, row, k)
-    else:
-        ends, dim = [rows(gamma0), rows(gamma)], n
-    # gamma rows (row * dim + c, N) and beta columns (column * (n-1) + row)
-    gammas = [g.reshape((n - 1) * dim, -1) for g in at_t(*ends)]
+        W, ends, dim, scatter = _kernel_quotient(W, [gamma0, gamma],
+                                                 kernel.T, row, k)
+        gammas = [g.reshape((n - 1) * dim, -1) for g in at_t(*ends)]
+    else:       # top output degree: W is a 0-form and reads no gamma column
+        dim, gammas = n, [np.empty((0, N))] * len(t_rule)
     d_total = 0.0
     if tangent is not None:     # G[S] reads F[S[:-1]] and row S[-1]
         prefixes = index_combinations(n - 1, k - 1)
         subsets = index_combinations(n - 1, k)
         prefix = np.array([prefixes.index(S[:-1]) for S in subsets])
         last = np.array([S[-1] for S in subsets])
-        Fs = [evaluate_form(W, g, n, k, k - 1).reshape(-1, n, N)
+        Fs = [evaluate_form(W, g, dim, k, k - 1).reshape(-1, dim, N)
               for g in gammas]
-        G = sum(weight * np.sum(F[prefix] * g.reshape(-1, n, N)[last], 1)
+        G = sum(weight * np.sum(F[prefix] * g.reshape(-1, dim, N)[last], 1)
                 for F, g, (_, weight) in zip(Fs, gammas, t_rule))
         acc, d_total = _tangent_block(front, G, Fs, t_rule, tangent,
-                                      np.arange(n) != pivot[:, None])
+                                      np.arange(n) != pivot[:, None], scatter)
     else:
         gs = [weight * evaluate_form(W, g, dim, k, k)
               for g, (_, weight) in zip(gammas, t_rule)]
@@ -219,9 +217,11 @@ def _folded_coefficients(W, w, beta, gamma, r_out, tau=None, start=None,
 
 def _kernel_quotient(W, jets, kernel, row, k):
     """The k-form W (C(n, k), N) and rows ``row`` (R, N) of the jets (N, n,
-    n), on the quotient by kernel vectors of W: returns (W', rows', dim),
+    n), on the quotient by kernel vectors of W: (W', rows', dim, scatter),
     rows' node-last (R, dim, N) with W'(rows') = W(rows) on dim < n
-    coordinates; a None jet stays None.
+    coordinates (a None jet stays None), and ``scatter`` the transpose of
+    that gather, (R, dim, N) -> (N, n, n): A[K] = A', A[c] = -sum_j A'_j
+    sigma_j, A[a] = -sum_j A'_j (rho_K_j - rho_c sigma_j), 0 off ``row``.
 
     ``kernel`` (n, N) is eliminated first (:func:`_pivot`): per node the
     coordinate a = argmax_c |v_c| goes, x -> x - x_a rho with rho = v / v_a,
@@ -230,10 +230,10 @@ def _kernel_quotient(W, jets, kernel, row, k):
     (:func:`~crhomotopy._util.avoiding_table`).  W is then a k-form on
     C^(n-1); when k = n - 2 it is decomposable, W = i_u vol with the vector
     u = *W (:func:`~crhomotopy._util.hodge_star`), so W(u, ...) = 0 and u is
-    eliminated too, at coordinate c, which leaves one component.  Both hold
-    for every degree-1 input (k = n - 2), of either kind.  The two
-    projections compose to x -> x_K - x_c sigma - x_a (rho_K - rho_c sigma)
-    on the kept coordinates K, so each jet is read once, by one gather.
+    eliminated too, at coordinate c, which leaves one component (every
+    degree-1 input, of either kind).  The two projections compose to x ->
+    x_K - x_c sigma - x_a (rho_K - rho_c sigma) on the kept coordinates K,
+    so each jet is read once, by one gather.
     """
     n, N = kernel.shape
     a, rho = _pivot(kernel)
@@ -261,7 +261,14 @@ def _kernel_quotient(W, jets, kernel, row, k):
             out -= np.take(x, base + c)[:, None] * coef
         return out
 
-    return W, [project(x) for x in jets], dim
+    def scatter(A):         # (R, dim, N) -> (N, n, n), the transpose
+        out = np.zeros(N * n * n, dtype=complex)
+        out[kept] = A
+        for c, coef in zip(dropped, coefs):
+            out[base + c] = -np.sum(A * coef, axis=1)
+        return out.reshape(N, n, n)
+
+    return W, [project(x) for x in jets], dim, scatter
 
 
 def _pivot(v):
@@ -284,44 +291,42 @@ def _pivot(v):
         / np.where(pivot == 0, 1.0, pivot)
 
 
-def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep):
+def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep, scatter):
     """One block of the degree-0 solution total T = (*G)(tau) on the n - 1
     non-pivot rows, G = sum_t weight_t W(non-pivot rows of gamma_t) already
     scaled by (-1)^p / w_p, and its zbar-gradient, tau = eta1 - eta0.
-    ``Fs`` holds F_t = W(rows R of gamma_t, .), shape (R, l, B), of each
-    t-node, ``pullbacks`` the section pullbacks (x, A) -> zbar-gradient of
-    the sum over the block of x . eta + <A, gamma> of the t = 0 and t = 1
-    sections, and ``keep`` (B, n) marks the non-pivot rows.  Returns (T per
-    node (1, B), dT / dzbar summed over the block (n,)).
+    ``Fs`` holds F_t = W(rows R of gamma_t, .), shape (R, dim, B), of each
+    t-node on the kernel quotient, ``scatter`` the transpose of its gather
+    (:func:`_kernel_quotient`), ``pullbacks`` the section pullbacks (x, A)
+    -> zbar-gradient of the sum over the block of x . eta + <A, gamma> of
+    the t = 0 and t = 1 sections, and ``keep`` (B, n) marks the non-pivot
+    rows.  Returns (T per node (1, B), dT / dzbar over the block (n,)).
 
     In n - 1 rows *G is the 1-form X itself, and T = X . tau.  The scale
     (-1)^p / w_p has no derivative (w is holomorphic in z, p is locally
     constant), so with D = d / dzbar_l, D T = X . D tau + the gamma terms.
     gamma_t enters by reverse mode: T = <c, G> with the (n - 2)-vector c =
-    (-1)^n *tau, so dT / d gamma_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s
-    c)[R] F_t[R][l] over the (k-1)-subsets R of the n - 1 rows.  X and the
-    adjoints, weighted (1 - t) and t, are scattered back to n rows with a
-    zero pivot row and pulled back through the sections, so no mixed-jet
-    tensor is formed.
+    (-1)^n *tau, so dT / d gamma'_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s
+    c)[R] F_t[R][l] over the (k-1)-subsets R of the n - 1 rows.  These
+    adjoints, weighted (1 - t) and t, go back to the jets by ``scatter``, X
+    to n rows with a zero pivot row, and both are pulled back through the
+    sections, so no mixed-jet tensor is formed.
     """
     n1, B = tau.shape                           # n - 1 rows
-    n, k = n1 + 1, n1 - 1
+    n, k, dim = n1 + 1, n1 - 1, Fs[0].shape[1]
     X = hodge_star(G, n1, k)                                        # (n1, B)
     c = (-1.0) ** n * hodge_star(tau, n1, 1)
     ic = evaluate_form(c, np.eye(n1).reshape(-1, 1), n1, k, 1)
     ic = (-1.0) ** (k - 1) * ic.reshape(n1, -1, B).transpose(2, 0, 1)
-    # F_t weighted (1 - t) and t: the adjoints of gamma0 and gamma1 in one @
+    # F_t weighted (1 - t) and t: the adjoints of gamma0' and gamma1' in one @
     F01 = np.concatenate([
         sum((1.0 - t) * weight * F for F, (t, weight) in zip(Fs, t_rule)),
         sum(t * weight * F for F, (t, weight) in zip(Fs, t_rule))], axis=1)
-    reduced = np.empty((B, n1, 2 * n + 1), dtype=complex)  # adj. 0, 1 | X
-    np.matmul(ic, F01.transpose(2, 0, 1), out=reduced[:, :, :-1])
-    reduced[:, :, -1] = X.T
-    full = np.zeros((B, n, 2 * n + 1), dtype=complex)
-    full[keep] = reduced.reshape(-1, 2 * n + 1)
-    x = full[:, :, -1]
-    d_acc = (pullbacks[0](-x, full[:, :, :n])
-             + pullbacks[1](x, full[:, :, n:-1]))
+    adjoint = (ic @ F01.transpose(2, 0, 1)).transpose(1, 2, 0)
+    x = np.zeros((B, n), dtype=complex)
+    x[keep] = X.T.ravel()
+    d_acc = (pullbacks[0](-x, scatter(adjoint[:, :dim]))
+             + pullbacks[1](x, scatter(adjoint[:, dim:])))
     return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 
@@ -464,20 +469,15 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
                                  any(dbars[zi] for zi in run))
                 w = zeta - z[None, :]
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
+                solution = (dict(tau=eta1 - eta0, start=(beta0, gamma0),
+                                 t_rule=t_rule) if kind == "solution" else {})
                 for zi in run:
                     rejected[zi] += int(np.sum(bad & live[zi][blk]))
                     W_kept = _fold_weights(weighted[zi][blk], det9[blk],
                                            fields[zi].degree) * ~bad[:, None]
-                    r_out = plans[zi][0]
-                    if kind == "solution":
-                        folded = _folded_coefficients(
-                            W_kept, w, beta1, gamma1, r_out, tau=eta1 - eta0,
-                            start=(beta0, gamma0), t_rule=t_rule,
-                            tangent=pulls if dbars[zi] else None,
-                            kernel=kernel)
-                    else:
-                        folded = _folded_coefficients(
-                            W_kept, w, beta1, gamma1, r_out, kernel=kernel)
+                    folded = _folded_coefficients(
+                        W_kept, w, beta1, gamma1, plans[zi][0], kernel,
+                        tangent=pulls if dbars[zi] else None, **solution)
                     if dbars[zi]:
                         folded, d_folded = folded
                         d_sums[zi] += d_folded

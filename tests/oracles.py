@@ -211,25 +211,21 @@ def row_contraction(table, gw, coef, det9, keep):
 def dense_coefficients(eta, beta, gamma, tau, r_out):
     """Every coefficient det[eta | beta_L | gamma_M | tau] of the degree-r_out
     determinant form, one LAPACK determinant of the stacked columns per
-    (L, M); ``tau`` None drops the last column.  Returns (M tuples, coef,
-    bound), coef and its Hadamard bound (the product of the column norms)
-    of shape (N, nL, nM)."""
+    (L, M); ``tau`` None drops the last column.  Returns coef, shape (N,
+    nL, nM)."""
     from itertools import combinations
 
     N, n = eta.shape
     L_combos = list(combinations(range(n), r_out))
     M_combos = list(combinations(range(n), n - 1 - r_out - (tau is not None)))
     coef = np.empty((N, len(L_combos), len(M_combos)), dtype=complex)
-    bound = np.empty(coef.shape)
     for li, L in enumerate(L_combos):
         for mi, M in enumerate(M_combos):
             cols = ([eta] + [beta[:, :, l] for l in L]
                     + [gamma[:, :, m] for m in M]
                     + ([] if tau is None else [tau]))
-            mat = np.stack(cols, axis=-1)
-            coef[:, li, mi] = np.linalg.det(mat)
-            bound[:, li, mi] = np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
-    return M_combos, coef, bound
+            coef[:, li, mi] = np.linalg.det(np.stack(cols, axis=-1))
+    return coef
 
 
 def full_row_folded_coefficients(W, eta, beta, gamma, r_out, tau=None,
@@ -237,9 +233,9 @@ def full_row_folded_coefficients(W, eta, beta, gamma, r_out, tau=None,
                                  tangent=None):
     """Sum over nodes and M of W[:, M] * coef[:, L, M] from all n rows of the
     jets, eta included: the kernel contraction before the reduction to the
-    n - 1 non-pivot rows, with the same arguments as
-    ``homotopy._folded_coefficients`` but eta in place of w and all nodes in
-    one block.  By the generalized Laplace expansion, sum_M W_M gamma_M is
+    n - 1 non-pivot rows and the kernel quotient, with the same arguments as
+    ``homotopy._folded_coefficients`` but eta in place of w, no kernel and
+    all nodes in one block.  By the generalized Laplace expansion, sum_M W_M gamma_M is
     the k-vector G = W(rows of gamma), and every total is (-1)^n (*G)(eta,
     tau, beta_L) (solution) or (*G)(eta, beta_L) (obstruction).  With
     ``tangent`` = ((D eta0, D gamma0), (D eta1, D gamma1)), the mixed-jet

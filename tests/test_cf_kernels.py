@@ -362,7 +362,7 @@ class TestSphereReproduction:
             orient[i] = block_sign * np.sign(np.linalg.det(
                 np.concatenate([x[i][:, None], tang], axis=1)))
         eta, beta, gamma, _ = _bm_jets(zeta, z)
-        _, coef, _ = dense_coefficients(eta, beta, gamma, None, 0)
+        coef = dense_coefficients(eta, beta, gamma, None, 0)
         table = contraction_table(n, 0)
         dets = np.empty((N, n), dtype=complex)
         for k in range(n):

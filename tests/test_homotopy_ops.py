@@ -38,6 +38,20 @@ def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
                           center_u=w.real, **kw)
 
 
+def quotient_column_bound(x):
+    """4 max_c |x[..., :, c]|: a bound of every column norm of the rows x
+    (..., rows, n) on the kernel quotient of ``homotopy._kernel_quotient``.
+
+    There column j is x_K_j - sigma_j x_c - (rho_K_j - rho_c sigma_j) x_a,
+    K the kept coordinates, and every ratio sigma, rho has modulus <= 1
+    (``homotopy._pivot``), so its norm is at most |x_K_j| + |x_c| + 2 |x_a|.
+    The bound does not vanish with a column of x: a zero column (the barrier
+    gamma on sig22_n5 has two nonzero columns per node) makes every
+    full-row coefficient det[... | gamma_M | ...] exactly 0, while the
+    quotient mixes it with the others and leaves rounding noise."""
+    return 4.0 * np.max(np.linalg.norm(x, axis=-2), axis=-1)
+
+
 def oracle_node_geometry(grid, chunk):
     """Dense oriented minors and surface factors of a chunk, ((N, n), (N,))."""
     velocity = velocity_columns(grid, chunk)
@@ -867,10 +881,11 @@ class TestOperators:
         # the per-chunk weights W give the chunk totals of the per-row
         # sign-table contraction of the dense coefficients, for degree-1 and
         # degree-2 input; random weighted field values give every table row
-        # a nonzero term.  The contracted kernel gives them too, up to the
-        # rounding floor eps * sum |W| * (Hadamard bound) of the coefficient
-        # determinants: the degree-1 obstruction coefficients on sig22_n6m2
-        # vanish identically, so there both totals are rounding noise.
+        # a nonzero term.  The contracted kernel, on the quotient by the
+        # chunk's conormal, gives them too, up to the rounding floor of
+        # rounding_floor: the degree-1 obstruction coefficients vanish
+        # identically on both models, so there both totals are rounding
+        # noise.
         model = request.getfixturevalue(which)
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
@@ -892,24 +907,27 @@ class TestOperators:
             W = homotopy._fold_weights(gw, det9, r) * keep[:, None]
             if kind == "solution":
                 t = 0.3
-                _, coef, bound = dense_coefficients(
+                coef = dense_coefficients(
                     eta0, (1 - t) * beta0 + t * beta1,
                     (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out)
                 contracted = homotopy._folded_coefficients(
                     W, chunk.zeta - z, beta1, gamma1, r_out,
-                    tau=eta1 - eta0, start=(beta0, gamma0),
-                    t_rule=((t, 1.0),))
+                    kernel=chunk.conormal, tau=eta1 - eta0,
+                    start=(beta0, gamma0), t_rule=((t, 1.0),))
+                floor = self.rounding_floor(
+                    W, eta0, beta1, gamma1, eta1 - eta0, r_out, ((t, 1.0),),
+                    (beta0, gamma0))
             else:
-                _, coef, bound = dense_coefficients(eta1, beta1, gamma1,
-                                                    None, r_out)
+                coef = dense_coefficients(eta1, beta1, gamma1, None, r_out)
                 contracted = homotopy._folded_coefficients(
-                    W, chunk.zeta - z, beta1, gamma1, r_out)
+                    W, chunk.zeta - z, beta1, gamma1, r_out,
+                    kernel=chunk.conormal)
+                floor = self.rounding_floor(W, eta1, beta1, gamma1, None,
+                                            r_out, ((1.0, 1.0),), None)
             folded = np.einsum("nm,nlm->l", W, coef)
             oracle = row_contraction(table, gw, coef, dense, keep)
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(folded - oracle)) <= 1e-13 * scale
-            floor = np.finfo(float).eps * np.max(
-                np.einsum("nm,nlm->l", np.abs(W), bound))
             assert np.max(np.abs(contracted - oracle)) <= 1e-13 * scale + floor
 
     @pytest.mark.parametrize("which", ["primary", "secondary", "random"])
@@ -943,30 +961,33 @@ class TestOperators:
                 assert np.all(np.abs(defect) <= 1e-12 * scale)
 
     @staticmethod
-    def section_like_jets(w, rng, count):
+    def complement(w, x):
+        """x (N, n, ...) projected on axis 1 onto the bilinear complement {y :
+        w^T y = 0} along conj(w)."""
+        u = w.conj() / np.sum(np.abs(w) ** 2, axis=1, keepdims=True)
+        return x - u.reshape(u.shape + (1,) * (x.ndim - 2)) * np.einsum(
+            "Nk,Nk...->N...", w, x)[:, None]
+
+    def section_like_jets(self, w, rng, count):
         """Random eta and ``count`` random jets with the relations of the
         sections: eta shifted so that w^T eta = 1, and the columns of each
-        jet projected onto the bilinear complement {x : w^T x = 0} along
-        conj(w)."""
+        jet projected by :meth:`complement`."""
         N, n = w.shape
         u = w.conj() / np.sum(np.abs(w) ** 2, axis=1, keepdims=True)
 
         def cplx(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        def project(x):
-            return x - u.reshape(u.shape + (1,) * (x.ndim - 2)) * np.einsum(
-                "Nk,Nk...->N...", w, x)[:, None]
-
         eta = cplx(N, n)
         eta = eta + u * (1.0 - np.sum(w * eta, axis=1, keepdims=True))
-        return [eta, project(cplx(N, n))] + [project(cplx(N, n, n))
-                                             for _ in range(count)]
+        return [eta, self.complement(w, cplx(N, n))] + [
+            self.complement(w, cplx(N, n, n)) for _ in range(count)]
 
     def check_contracted_kernel(self, n, kind, r, w_case, rng):
         """The contracted kernel against the dense determinants, with w and
-        jets drawn as by :meth:`section_like_jets`: random weights, a keep
-        mask and two t-nodes over 700 nodes.
+        jets drawn as by :meth:`section_like_jets`: the weights of
+        ``_fold_weights`` on random field values and a random conormal (the
+        kernel passed), a keep mask and two t-nodes over 700 nodes.
         The pivot max |w_k| is unique ("random"), tied between two
         coordinates ("tie"), or w lies within 1e-8 of a coordinate axis
         ("near_axis")."""
@@ -975,7 +996,6 @@ class TestOperators:
 
         N = 700
         r_out, _ = homotopy._field_plan(n, r, kind)
-        nM = len(index_combinations(n, n - 1 - r))
         w = cplx(N, n)
         a, b = rng.integers(n, size=N), rng.integers(n - 1, size=N)
         b = b + (b >= a)                            # a second index, b != a
@@ -989,18 +1009,22 @@ class TestOperators:
             w[nodes, a] += np.exp(2j * np.pi * rng.random(N))
         eta, tau, beta, gamma, beta0, gamma0 = self.section_like_jets(
             w, rng, 4)
-        W = cplx(N, nM) * (rng.random(N) > 0.2)[:, None]
+        conormal = cplx(N, n)
+        gw = cplx(N, len(index_combinations(n, r)))
+        W = homotopy._fold_weights(gw, homotopy._det9_blocks(conormal), r) \
+            * (rng.random(N) > 0.2)[:, None]
         if kind == "solution":
             t_rule = ((0.2, 0.6), (0.7, 0.4))
             got = homotopy._folded_coefficients(
-                W, w, beta, gamma, r_out, tau=tau, start=(beta0, gamma0),
-                t_rule=t_rule)
+                W, w, beta, gamma, r_out, kernel=conormal, tau=tau,
+                start=(beta0, gamma0), t_rule=t_rule)
             coef = sum(weight * dense_coefficients(
                 eta, (1 - t) * beta0 + t * beta, (1 - t) * gamma0 + t * gamma,
-                tau, r_out)[1] for t, weight in t_rule)
+                tau, r_out) for t, weight in t_rule)
         else:
-            got = homotopy._folded_coefficients(W, w, beta, gamma, r_out)
-            coef = dense_coefficients(eta, beta, gamma, None, r_out)[1]
+            got = homotopy._folded_coefficients(W, w, beta, gamma, r_out,
+                                                kernel=conormal)
+            coef = dense_coefficients(eta, beta, gamma, None, r_out)
         want = np.einsum("nm,nlm->l", W, coef)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -1024,48 +1048,72 @@ class TestOperators:
         self.check_contracted_kernel(n, kind, r, w_case, rng)
 
     @staticmethod
-    def rounding_floor(W, eta, beta, gamma, tau, r_out, t_rule, start):
+    def rounding_floor(W, eta, beta, gamma, tau, r_out, t_rule, start,
+                       along=None):
         """eps * max over L of the sum over nodes, t-nodes and M of weight_t
-        * |W[:, M]| * the Hadamard bound of det[eta | beta_t L | gamma_t M |
-        tau] (the product of its column norms), the jets interpolated from
-        ``start`` as in ``_folded_coefficients``.  |W| is floored at the
-        smallest normal number: a subnormal weight carries an absolute error
-        of the subnormal spacing, eps times that number."""
+        * |W[:, M]| * a bound of the Hadamard bound (the product of the
+        column norms) of det[eta | beta_t L | gamma_t M | tau] as the kernel
+        quotient reads it, the jets interpolated from ``start`` as in
+        ``_folded_coefficients``: every gamma column by
+        :func:`quotient_column_bound`.  |W| is floored at the smallest
+        normal number: a subnormal weight carries an absolute error of the
+        subnormal spacing, eps times that number.
+
+        With ``along`` = (D tau, D gamma0, D gamma1), the derivatives along
+        d directions, shapes (N, d, n) and (N, d, n, n), it is the floor of
+        the derivatives of the degree-0 solution total (r_out = 0), by the
+        product rule on the same bound, max over the directions."""
         N, n = eta.shape
         k = n - 1 - r_out - (tau is not None)
-        size = np.maximum(np.abs(W), np.finfo(float).tiny)
-        front = np.linalg.norm(eta, axis=1) * (
-            1.0 if tau is None else np.linalg.norm(tau, axis=1))
-        best = np.zeros(len(index_combinations(n, r_out)))
+        size = np.sum(np.maximum(np.abs(W), np.finfo(float).tiny), axis=1)
+        front = size * np.linalg.norm(eta, axis=1)
+        best = 0.0
         for t, weight in t_rule:
             b, g = beta, gamma
             if start is not None:
                 b, g = ((1 - t) * x0 + t * x1
                         for x0, x1 in zip(start, (beta, gamma)))
-            b_norm, g_norm = (np.linalg.norm(x, axis=1) for x in (b, g))
-            folded = sum(size[:, i] * np.prod(g_norm[:, list(M)], axis=1)
-                         for i, M in enumerate(index_combinations(n, k)))
-            best += [weight * np.sum(front * folded
-                                     * np.prod(b_norm[:, list(L)], axis=1))
-                     for L in index_combinations(n, r_out)]
+            bound = quotient_column_bound(g)
+            if along is None:
+                folded = front * bound ** k * (
+                    1.0 if tau is None else np.linalg.norm(tau, axis=1))
+                b_norm = np.linalg.norm(b, axis=1)
+                best = best + weight * np.array([
+                    np.sum(folded * np.prod(b_norm[:, list(L)], axis=1))
+                    for L in index_combinations(n, r_out)])
+            else:                   # D (|tau| bound^k), per direction
+                d_tau, d_gamma0, d_gamma1 = along
+                d_bound = quotient_column_bound((1 - t) * d_gamma0
+                                                + t * d_gamma1)
+                best = best + weight * np.sum(
+                    (front * bound ** (k - 1))[:, None]
+                    * (np.linalg.norm(d_tau, axis=2) * bound[:, None]
+                       + k * np.linalg.norm(tau, axis=1)[:, None] * d_bound),
+                    axis=0)
         return np.finfo(float).eps * np.max(best)
 
     @pytest.mark.parametrize("n,kind,r", [
         (n, kind, r) for n in range(2, 8)
         for kind in ("solution", "obstruction")
-        for r in range(kind == "solution", n)])
+        for r in range(kind == "solution", n)]
+        + [(n, "tangent", 1) for n in range(3, 8)])
     def test_kernel_quotient_matches_full_chain(self, n, kind, r, rng):
-        # the value path on the quotient by delta (and, for degree-1 input,
-        # by *W) against the full chain, on W of _fold_weights with a
-        # rejection mask and two t-nodes.  Nodes of four sorts: random,
-        # zero field (W = 0, so *W = 0), weights scaled by 2^-1030 into the
-        # subnormal range (*W then has a subnormal pivot) and an exact tie
-        # |delta_a| = |delta_b| at the pivot.  Each sort is also summed on
-        # its own; the zero-field nodes give exactly 0
+        # the contraction on the quotient by delta (and, for degree-1 input,
+        # by *W) against the full-row chain of tests/oracles.py, on W of
+        # _fold_weights with a rejection mask and two t-nodes.  "tangent"
+        # is the solution kind with the d-bar, its section pullbacks linear
+        # in random mixed-jet tensors with the relations of the sections.
+        # Nodes of four sorts: random, zero field (W = 0, so *W = 0),
+        # weights scaled by 2^-1030 into the subnormal range (*W then has a
+        # subnormal pivot) and an exact tie |delta_a| = |delta_b| at the
+        # pivot.  Each sort is also summed on its own; the zero-field nodes
+        # give exactly 0
         def cplx(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         N = 200
+        tangent = kind == "tangent"
+        kind = "solution" if tangent else kind
         r_out, _ = homotopy._field_plan(n, r, kind)
         w = cplx(N, n)
         eta, tau, beta, gamma, beta0, gamma0 = self.section_like_jets(
@@ -1090,24 +1138,45 @@ class TestOperators:
             kw = dict(tau=tau, start=start, t_rule=t_rule)
         else:
             t_rule, start, tau, kw = ((1.0, 1.0),), None, None, {}
+        # D eta (N, d, n) and D gamma (N, d, n, n) of both sections along d
+        # = 3 directions, w^T D eta = 0 and w^T D gamma = 0 on the row index
+        d_jets = [(self.complement(w, cplx(N, n, 3)).transpose(0, 2, 1),
+                   self.complement(w, cplx(N, n, 3, n)).transpose(0, 2, 1, 3))
+                  for _ in range(2 * tangent)]
         for nodes in [sort >= 0] + [sort == i for i in range(4)]:
-            args = (W[nodes], w[nodes], beta[nodes], gamma[nodes], r_out)
             part = {key: value if key == "t_rule" else (
                 tuple(x[nodes] for x in value) if key == "start"
                 else value[nodes]) for key, value in kw.items()}
-            got = homotopy._folded_coefficients(*args, **part,
-                                                kernel=conormal[nodes])
-            want = homotopy._folded_coefficients(*args, **part)
+            along = [(De[nodes], Dg[nodes]) for De, Dg in d_jets]
+            if tangent:
+                part["tangent"] = [
+                    lambda x, A, De=De, Dg=Dg: np.einsum("Nc,Nac->a", x, De)
+                    + np.einsum("Nsl,Nasl->a", A, Dg) for De, Dg in along]
+            got = homotopy._folded_coefficients(
+                W[nodes], w[nodes], beta[nodes], gamma[nodes], r_out,
+                kernel=conormal[nodes], **part)
+            part["tangent"] = along if tangent else None
+            want = full_row_folded_coefficients(
+                W[nodes], eta[nodes], beta[nodes], gamma[nodes], r_out,
+                **part)
+            (got, d_got), (want, d_want) = (
+                (got, want) if tangent else ((got, 0.0), (want, 0.0)))
             assert got.shape == want.shape
             if np.all(sort[nodes] == 1):
                 assert np.all(got == 0) and np.all(want == 0)
+                assert np.all(d_got == 0) and np.all(d_want == 0)
                 continue
-            floor = self.rounding_floor(
-                W[nodes], eta[nodes], beta[nodes], gamma[nodes],
-                None if tau is None else tau[nodes], r_out, t_rule,
-                None if start is None else tuple(x[nodes] for x in start))
+            args = (W[nodes], eta[nodes], beta[nodes], gamma[nodes],
+                    None if tau is None else tau[nodes], r_out, t_rule,
+                    None if start is None else tuple(x[nodes] for x in start))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(
-                np.abs(want)) + floor
+                np.abs(want)) + self.rounding_floor(*args)
+            if tangent:
+                (De0, Dg0), (De1, Dg1) = along
+                floor = self.rounding_floor(*args, along=(De1 - De0, Dg0,
+                                                          Dg1))
+                assert np.max(np.abs(d_got - d_want)) <= 1e-13 * np.max(
+                    np.abs(d_want)) + floor
 
     @pytest.mark.parametrize("which", ["primary", "secondary"])
     def test_reduced_kernel_matches_full_row_oracle(self, which, request,
@@ -1116,10 +1185,11 @@ class TestOperators:
         # tests/oracles.py on the section jets of one chunk: both kinds,
         # output degrees 0 and 1, and the conjugate-frame derivatives of the
         # degree-0 solution total, by the section pullbacks against the
-        # contraction of the mixed-jet tensors.  The degree-0 and degree-1
-        # obstruction totals vanish identically on these models, so they
-        # are held to the rounding floor eps * sum |W| * (Hadamard bound)
-        # instead
+        # contraction of the mixed-jet tensors.  W is that of _fold_weights
+        # on random field values and the chunk's conormal, the kernel passed.
+        # The degree-0 and degree-1 obstruction totals vanish identically on
+        # these models, so they are held to the rounding floor of
+        # rounding_floor instead
         model = request.getfixturevalue(which)
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
@@ -1134,18 +1204,20 @@ class TestOperators:
         tensors = (euclidean_mixed_jets(chunk.zeta, z, frame),
                    barrier_mixed_jets(model, chunk.zeta, z, frame))
         t_rule = homotopy._t_rule(n)
+        det9 = homotopy._det9_blocks(chunk.conormal)
         for kind in ("solution", "obstruction"):
             for r_out in (0, 1):
-                k = n - 1 - r_out - (kind == "solution")
-                nM = len(index_combinations(n, k))
-                W = (rng.standard_normal((N, nM))
-                     + 1j * rng.standard_normal((N, nM)))
+                r = r_out + (kind == "solution")
+                nJ = len(index_combinations(n, r))
+                W = homotopy._fold_weights(
+                    rng.standard_normal((N, nJ))
+                    + 1j * rng.standard_normal((N, nJ)), det9, r)
                 if kind == "solution":
                     args = (beta1, gamma1, r_out)
                     kw = dict(tau=eta1 - eta0, start=(beta0, gamma0),
                               t_rule=t_rule)
                     got = homotopy._folded_coefficients(
-                        W, w, *args, **kw,
+                        W, w, *args, kernel=chunk.conormal, **kw,
                         tangent=(pull0, pull1) if r_out == 0 else None)
                     want = full_row_folded_coefficients(
                         W, eta0, *args, **kw,
@@ -1158,14 +1230,12 @@ class TestOperators:
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
                         np.abs(want))
                 else:
-                    got = homotopy._folded_coefficients(W, w, beta1, gamma1,
-                                                        r_out)
+                    got = homotopy._folded_coefficients(
+                        W, w, beta1, gamma1, r_out, kernel=chunk.conormal)
                     want = full_row_folded_coefficients(W, eta1, beta1,
                                                         gamma1, r_out)
-                    bound = dense_coefficients(eta1, beta1, gamma1, None,
-                                               r_out)[2]
-                    floor = np.finfo(float).eps * np.max(
-                        np.einsum("nm,nlm->l", np.abs(W), bound))
+                    floor = self.rounding_floor(W, eta1, beta1, gamma1, None,
+                                                r_out, ((1.0, 1.0),), None)
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
                         np.abs(want)) + floor
 
