@@ -22,7 +22,8 @@ from math import prod
 
 import numpy as np
 
-from ._util import evaluate_form, index_combinations, wedge_jets
+from ._util import (evaluate_form, index_combinations, wedge_jets,
+                    wedge_table)
 from .errors import CoverError, DerivativeOrderError
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 
@@ -34,16 +35,20 @@ from .geometry import ManifoldModel, holomorphic_tangent_rows
 class ChartFunction:
     """Function of the chart parameters (z', conj z', Re w).
 
-    Subclasses provide ``value`` and the ambient Wirtinger jet ``d_zbar`` of
-    shape (..., n).  Independence of Im w makes every chart function its own
+    Subclasses provide ``value`` and ``jet``, the value with its ambient
+    Wirtinger jet d/dzbar of shape (..., n) from one pass; ``d_zbar`` is the
+    jet alone.  Independence of Im w makes every chart function its own
     graph extension.
     """
 
     def value(self, model, z):
         raise NotImplementedError
 
-    def d_zbar(self, model, z):
+    def jet(self, model, z):
         raise NotImplementedError
+
+    def d_zbar(self, model, z):
+        return self.jet(model, z)[1]
 
 
 def _chart_params(model, z):
@@ -80,9 +85,9 @@ class PolyChart(ChartFunction):
     def value(self, model, z):
         return self._sum(self.terms, *_chart_params(model, z))
 
-    def d_zbar(self, model, z):
-        """Column j: the terms with the j-th exponent of (conj z', u)
-        lowered; d u_k / d wbar_k = 1/2."""
+    def jet(self, model, z):
+        """Column j of the jet: the terms with the j-th exponent of (conj z',
+        u) lowered; d u_k / d wbar_k = 1/2."""
         zp, u = _chart_params(model, z)
         out = np.zeros(np.shape(z), dtype=complex)
         for j in range(self.d + self.m):
@@ -95,7 +100,7 @@ class PolyChart(ChartFunction):
                     lowered.append((c * p[j], a, low[:self.d], low[self.d:]))
             out[..., j] = self._sum(lowered, zp, u)
         out[..., self.d:] *= 0.5
-        return out
+        return self._sum(self.terms, zp, u), out
 
 
 def _smoothstep(x):
@@ -146,21 +151,19 @@ class BumpChart(ChartFunction):
         x = (self.r_out - np.sqrt(d2)) / (self.r_out - self.r_in)
         return _smoothstep(x).astype(complex)
 
-    def _chain(self, model, z):
-        """d(bump)/d(dist^2) with the radial chain rule."""
+    def jet(self, model, z):
+        """The value and, by the radial chain rule, d(bump)/d(dist^2) times
+        d(dist^2)/dzbar, from one distance."""
         d2, dz, du = self._dist2(model, z)
-        dist = np.sqrt(np.maximum(d2, 1e-300))
+        dist = np.sqrt(d2)
         x = (self.r_out - dist) / (self.r_out - self.r_in)
         slope = _smoothstep_deriv(x) * (-1.0 / (self.r_out - self.r_in))
-        dd2 = np.where(dist > 1e-150, slope / (2.0 * dist), 0.0)
-        return dd2, dz, du
-
-    def d_zbar(self, model, z):
-        dd2, dz, du = self._chain(model, z)
+        dd2 = np.where(dist > 1e-150,
+                       slope / (2.0 * np.maximum(dist, 1e-150)), 0.0)
         out = np.zeros(np.shape(z), dtype=complex)
         out[..., :dz.shape[-1]] = dd2[..., None] * dz
         out[..., dz.shape[-1]:] = dd2[..., None] * du * 0.5
-        return out
+        return _smoothstep(x).astype(complex), out
 
 
 class ProductChart(ChartFunction):
@@ -174,24 +177,31 @@ class ProductChart(ChartFunction):
             out = v if out is None else out * v
         return out
 
-    def d_zbar(self, model, z):
-        vals = [f.value(model, z) for f in self.factors]
+    def jet(self, model, z):
+        """The product of the factors' values, and its jet by the product
+        rule, each factor evaluated once."""
+        vals, jets = zip(*(f.jet(model, z) for f in self.factors))
         out = np.zeros(np.shape(z), dtype=complex)
-        for i, f in enumerate(self.factors):
-            term = f.d_zbar(model, z)
+        for i, term in enumerate(jets):
             for j, v in enumerate(vals):
                 if j != i:
                     term = term * v[..., None]
             out = out + term
-        return out
+        value = vals[0]
+        for v in vals[1:]:
+            value = value * v
+        return value, out
 
 
 class ZeroChart(ChartFunction):
+    """The zero function; :func:`chart_form` evaluates none of its
+    components."""
+
     def value(self, model, z):
         return np.zeros(np.shape(z)[:-1], dtype=complex)
 
-    def d_zbar(self, model, z):
-        return np.zeros(np.shape(z), dtype=complex)
+    def jet(self, model, z):
+        return self.value(model, z), np.zeros(np.shape(z), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +260,33 @@ class FormField:
 
 def chart_form(n, degree, components) -> FormField:
     """Form whose coefficient on the i-th increasing r-tuple is the chart
-    function ``components[i]``: the values stacked, and the differential
-    the wedge of their d/dzbar jets, exact since chart functions are their
-    own extension."""
+    function ``components[i]``: the values, and the differential the wedge
+    of their d/dzbar jets, exact since chart functions are their own
+    extension.  Only the components that are not :class:`ZeroChart` are
+    evaluated; a form's zero coefficients stay 0."""
     count = len(index_combinations(n, degree))
     if len(components) != count:
         raise ValueError(f"need {count} components, got {len(components)}")
+    live = [(i, c) for i, c in enumerate(components)
+            if not isinstance(c, ZeroChart)]
+    # component J wedges into the outputs K = J + {l} at the entries J * n
+    # + l of the wedge_jets table, with their signs
+    index, sign = wedge_table(n, degree)
+    entries = [(K, index[K, a] % n, sign[K, a])
+               for K, a in (np.nonzero(index // n == i) for i, _ in live)]
 
     def values(model, z):
-        return np.stack([c.value(model, z) for c in components], axis=-1)
+        out = np.zeros(np.shape(z)[:-1] + (count,), dtype=complex)
+        for i, c in live:
+            out[..., i] = c.value(model, z)
+        return out
 
     def dbar_values(model, z):
-        jets = np.stack([c.d_zbar(model, z) for c in components],
-                        axis=-2)                       # (..., nJ, n)
-        return wedge_jets(jets, n, degree)
+        # summed over J in table order, as wedge_jets sums each K
+        out = np.zeros(np.shape(z)[:-1] + (len(index),), dtype=complex)
+        for (_, c), (K, l, s) in zip(live, entries):
+            out[..., K] += c.d_zbar(model, z)[..., l] * s
+        return out
 
     return FormField(n=n, degree=degree, fn=values, dbar_fn=dbar_values)
 

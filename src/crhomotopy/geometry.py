@@ -107,8 +107,8 @@ class ManifoldModel:
     def height(self, zp):
         """Graph heights h_k(z') = <H_k z', z'> (real array, shape (..., m))."""
         zp = np.asarray(zp, dtype=complex)
-        hz = np.tensordot(zp, self.hermitian_stack, axes=(-1, 2))
-        return np.einsum("...ki,...i->...k", hz, zp.conj()).real
+        return levi_heights(
+            np.tensordot(zp, self.hermitian_stack, axes=(-1, 2)), zp)
 
     def defining_values(self, z):
         """(rho_1, ..., rho_m) and the Euclidean norm rho(z)."""
@@ -168,6 +168,12 @@ class ManifoldModel:
 # ---------------------------------------------------------------------------
 # direction grids and the concavity certificate
 # ---------------------------------------------------------------------------
+
+def levi_heights(hz, zp):
+    """Graph heights h_k(z') = <H_k z', z'> from the contractions hz = H_k
+    z', shape (..., m, d), of the points zp (..., d)."""
+    return np.einsum("...ki,...i->...k", hz, zp.conj()).real
+
 
 def direction_grid(m: int, resolution: int = 16) -> np.ndarray:
     """Deterministic grid on the unit sphere S^(m-1), shape (count, m)."""

@@ -22,15 +22,19 @@ t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
 weighted degree-r form values g and det9 fold into the weights W = (-1)^(r
 n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r.
 
-Each chunk of the node stream is taken in kernel blocks of BLOCK nodes: the
-form values and det9 are formed once per chunk, and per block the weights,
-the section jets, the rejection mask, the contraction and the accumulation
-of the block's total, so that no weight or jet array spans more than a
-block.  Blocks and chunks are summed in node order, so the values do not
-depend on BLOCK beyond rounding.  The barrier frames are solved once per
-chunk, on its table of distinct directions theta = -sigma
+Each chunk of the node stream is taken in kernel blocks of BLOCK nodes: det9
+is formed once per chunk, and per block the projected nodes, the form
+values, the weights, the section jets, the rejection mask, the contraction
+and the accumulation of the block's total, so that no per-node array but
+the chunk's nodes and det9 spans more than a block.  Form values are
+pointwise, so forming them per block changes no value.  Blocks and chunks
+are summed in node order, so the values do not depend on BLOCK beyond
+rounding.  The barrier frames are solved once per chunk, on its table of
+distinct directions theta = -sigma
 (:class:`~crhomotopy.quadrature.NodeChunk`), and each block gathers its
-nodes' frames from the table.
+nodes' frames from the table.  Per block the pivot of the conormal, and per
+block and run of points at one z the w-pivot and the non-pivot rows of the
+jets (:class:`_Run`), are formed once for all the points that read them.
 
 Each coefficient is taken on n - 1 rows.  With w = zeta - z, every section
 has sum_k eta_k w_k = 1, so w^T eta = 1 and the columns beta, gamma and tau
@@ -80,6 +84,7 @@ pullback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -115,16 +120,18 @@ def _fold_weights(gw, det9, r):
     return evaluate_form(hodge_star(gw.T, n, r), delta, n, n - r, 1).T
 
 
-def _folded_coefficients(W, w, beta, gamma, r_out, kernel, tau=None,
-                         start=None, t_rule=((1.0, 1.0),), tangent=None):
-    """Sum over the given nodes and M of W[:, M] * coef[:, L, M], shape
-    (nL,), with no coefficient formed.
+class _Run:
+    """The jets of a block of nodes at one z, and the row reduction that
+    every point of a run at that z shares (:func:`_folded_coefficients`).
 
-    Without ``tau`` (obstruction kind) coef[:, L, M] = det[eta | beta_L |
-    gamma_M]; with it (solution kind) coef is the sum over (t, weight) in
+    Without ``tau`` (obstruction kind) the coefficients are det[eta | beta_L
+    | gamma_M]; with it (solution kind) they are summed over (t, weight) in
     ``t_rule`` of weight * det[eta | beta_t L | gamma_t M | tau], beta_t and
     gamma_t running linearly from ``start`` = (beta0, gamma0) at t = 0 to
-    (beta, gamma) at t = 1.  ``beta`` is read only for r_out > 0.
+    (beta, gamma) at t = 1.  ``beta`` is read only for output degree above
+    0.  ``kernel`` is :func:`_pivot` of the nodes' kernel vectors (n, N),
+    nonzero vectors with W(kernel, ...) = 0 for every point's weights W (a
+    multiple of delta, such as the conormal).
 
     eta is not an argument: with w = zeta - z, shape (N, n), every section
     has w^T eta = 1 and w^T beta = w^T gamma = w^T tau = 0 on the row index
@@ -132,12 +139,55 @@ def _folded_coefficients(W, w, beta, gamma, r_out, kernel, tau=None,
     zeta - z fixed under the t-interpolation).  Replacing row p of [eta | X]
     by w^T multiplies the determinant by w_p and leaves (1, 0, ..., 0) in
     row p, so det[eta | X] = (-1)^p / w_p det(X without row p).  Per node p
-    = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); the non-pivot rows of the
-    jets are gathered, and W is scaled by (-1)^p / w_p.
+    = argmax_k |w_k|, so |w_p| >= |w| / sqrt(n); ``scale`` is (-1)^p / w_p,
+    and the non-pivot rows of tau and, when first read, of the beta_t are
+    gathered once for the run.
+    """
 
-    ``kernel`` (N, n), a nonzero vector per node with W(kernel, ...) = 0 (a
-    multiple of delta, such as the conormal), takes the gamma' rows to the
-    quotient by it (:func:`_kernel_quotient`); at k = 0 none is read.
+    def __init__(self, w, beta, gamma, kernel, tau=None, start=None,
+                 t_rule=((1.0, 1.0),)):
+        self.N, self.n = N, n = w.shape
+        self.gamma, self.kernel, self.t_rule = gamma, kernel, t_rule
+        self._beta = beta
+        self.start = start if start is not None else (None, None)
+        self.pivot = np.argmax(np.abs(w), axis=1)
+        w_p = w[np.arange(N), self.pivot]
+        # w = 0 only at zeta = z, where the phase vanishes and W is zero
+        self.scale = (-1.0) ** self.pivot / np.where(w_p == 0, 1.0, w_p)
+        # row j of the n - 1 non-pivot rows is row j + (j >= p) of the n
+        self.below = np.arange(n - 1)[:, None] < self.pivot
+        self.row = np.arange(n - 1)[:, None] + ~self.below
+        self.front = self.rows(tau)
+
+    def rows(self, x):      # the non-pivot rows, node-last: (n - 1, ..., N)
+        if x is None:
+            return None
+        x = np.moveaxis(x, 0, -1)
+        mask = self.below.reshape((self.n - 1,) + (1,) * (x.ndim - 2)
+                                  + (self.N,))
+        return np.where(mask, x[:-1], x[1:])
+
+    def at_t(self, zero, one):  # the jet at each t of the rule, from its ends
+        if zero is None:
+            return [one] * len(self.t_rule)
+        return [(1 - t) * zero + t * one for t, _ in self.t_rule]
+
+    @cached_property
+    def betas(self):        # beta'_t per t-node, (n (n - 1), N)
+        n = self.n
+        return [b.transpose(1, 0, 2).reshape(n * (n - 1), -1)
+                for b in self.at_t(self.rows(self.start[0]),
+                                   self.rows(self._beta))]
+
+
+def _folded_coefficients(W, run, r_out, tangent=None):
+    """Sum over the run's nodes and M of W[:, M] * coef[:, L, M], shape
+    (nL,), with no coefficient formed: coef that of the jets of ``run``
+    (:class:`_Run`) at output degree ``r_out``, W scaled by its (-1)^p /
+    w_p.
+
+    The gamma' rows go to the quotient by the run's kernel vectors
+    (:func:`_kernel_quotient`); at k = 0 none is read.
 
     ``tangent`` (solution kind, r_out = 0) is the pair of ``pullback``
     functions of the t = 0 and t = 1 section jets of these nodes (see
@@ -149,40 +199,19 @@ def _folded_coefficients(W, w, beta, gamma, r_out, kernel, tau=None,
     gamma'_t[last row of S, l] (no sign: the last interior product meets
     the empty tuple).
     """
-    N, n = w.shape
-    k = n - 1 - r_out - (tau is not None)
-    pivot = np.argmax(np.abs(w), axis=1)
-    w_p = w[np.arange(N), pivot]
-    # w = 0 only at zeta = z, where the phase vanishes and W is zero
-    scale = (-1.0) ** pivot / np.where(w_p == 0, 1.0, w_p)
-    beta0, gamma0 = start if start is not None else (None, None)
-    # row j of the n - 1 non-pivot rows is row j + (j >= p) of the n
-    below = np.arange(n - 1)[:, None] < pivot
-
-    def rows(x):            # the non-pivot rows, node-last: (n - 1, ..., N)
-        if x is None:
-            return None
-        x = np.moveaxis(x, 0, -1)
-        mask = below.reshape((n - 1,) + (1,) * (x.ndim - 2) + (N,))
-        return np.where(mask, x[:-1], x[1:])
-
-    def at_t(zero, one):    # the jet at each t of the rule, from its ends
-        if zero is None:
-            return [one] * len(t_rule)
-        return [(1 - t) * zero + t * one for t, _ in t_rule]
+    N, n, t_rule, front = run.N, run.n, run.t_rule, run.front
+    k = n - 1 - r_out - (front is not None)
 
     def star_front(G):      # (*G)(tau', .) or *G, in n - 1 dimensions
         star = hodge_star(G, n - 1, k)
-        return star if tau is None else evaluate_form(
+        return star if front is None else evaluate_form(
             star, front, n - 1, n - 1 - k, 1)
 
-    W = W.T * scale
-    front = rows(tau)
+    W = W.T * run.scale
     if k:       # the gamma rows on the quotient, (row * dim + c, N)
-        row = np.arange(n - 1)[:, None] + ~below
-        W, ends, dim, scatter = _kernel_quotient(W, [gamma0, gamma],
-                                                 kernel.T, row, k)
-        gammas = [g.reshape((n - 1) * dim, -1) for g in at_t(*ends)]
+        W, ends, dim, scatter = _kernel_quotient(
+            W, [run.start[1], run.gamma], run.kernel, run.row, k)
+        gammas = [g.reshape((n - 1) * dim, -1) for g in run.at_t(*ends)]
     else:       # top output degree: W is a 0-form and reads no gamma column
         dim, gammas = n, [np.empty((0, N))] * len(t_rule)
     d_total = 0.0
@@ -195,22 +224,20 @@ def _folded_coefficients(W, w, beta, gamma, r_out, kernel, tau=None,
               for g in gammas]
         G = sum(weight * np.sum(F[prefix] * g.reshape(-1, dim, N)[last], 1)
                 for F, g, (_, weight) in zip(Fs, gammas, t_rule))
-        acc, d_total = _tangent_block(front, G, Fs, t_rule, tangent,
-                                      np.arange(n) != pivot[:, None], scatter)
+        acc, d_total = _tangent_block(
+            front, G, Fs, t_rule, tangent,
+            np.arange(n) != run.pivot[:, None], scatter)
     else:
         gs = [weight * evaluate_form(W, g, dim, k, k)
               for g, (_, weight) in zip(gammas, t_rule)]
         if r_out:
-            acc = sum(evaluate_form(
-                star_front(G),
-                b.transpose(1, 0, 2).reshape(n * (n - 1), -1),
-                n - 1, r_out, r_out)
-                for G, b in zip(gs, at_t(rows(beta0), rows(beta))))
+            acc = sum(evaluate_form(star_front(G), b, n - 1, r_out, r_out)
+                      for G, b in zip(gs, run.betas))
         else:                   # no beta column: tau' alone, or a 0-form
             acc = star_front(sum(gs))
     total = acc.sum(axis=1)
     # det[beta'_L | gamma'_M | tau'] = (-1)^n (*G)(tau', beta'_L)
-    if tau is not None:
+    if front is not None:
         total, d_total = (-1.0) ** n * total, (-1.0) ** n * d_total
     return total if tangent is None else (total, d_total)
 
@@ -223,8 +250,9 @@ def _kernel_quotient(W, jets, kernel, row, k):
     that gather, (R, dim, N) -> (N, n, n): A[K] = A', A[c] = -sum_j A'_j
     sigma_j, A[a] = -sum_j A'_j (rho_K_j - rho_c sigma_j), 0 off ``row``.
 
-    ``kernel`` (n, N) is eliminated first (:func:`_pivot`): per node the
-    coordinate a = argmax_c |v_c| goes, x -> x - x_a rho with rho = v / v_a,
+    ``kernel`` = (a, rho), :func:`_pivot` of the kernel vectors v (n, N),
+    is eliminated first: per node the coordinate a = argmax_c |v_c| goes, x
+    -> x - x_a rho with rho = v / v_a,
     since W(x_1, ...) = W(x_1 - x_1a rho, ...) by multilinearity, and W is
     read only on the components that avoid a
     (:func:`~crhomotopy._util.avoiding_table`).  W is then a k-form on
@@ -235,8 +263,8 @@ def _kernel_quotient(W, jets, kernel, row, k):
     x_K - x_c sigma - x_a (rho_K - rho_c sigma) on the kept coordinates K,
     so each jet is read once, by one gather.
     """
-    n, N = kernel.shape
-    a, rho = _pivot(kernel)
+    a, rho = kernel
+    n, N = len(rho) + 1, len(a)
     W = np.take(W, avoiding_table(n, k)[a].T * N + np.arange(N))
     dropped, coefs = [a], [rho]
     if k == n - 2:
@@ -388,13 +416,14 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
 
     ``fields`` holds one :class:`FormField` per point.  The node geometry
     (the oriented minors, a scaling of the chunk's conormal) and the barrier
-    frames of the chunk's direction table are computed once per chunk, the
-    weighted form values once per point and chunk.  Each chunk is then taken
-    in kernel blocks of BLOCK nodes: per block and point the contraction
-    weights, the section jets (with the block's frames gathered from the
-    table), the rejection mask and the contracted kernel, consecutive points
-    at the same z sharing their section jets, so no jet tensor spans more
-    than a block.  The d/dzbar jet beta is formed only when a point reads
+    frames of the chunk's direction table are computed once per chunk.
+    Each chunk is then taken in kernel blocks of BLOCK nodes: per block the
+    nodes' projection (``extension``, the graph projection by default) and
+    the weighted form values of each point, and per block and point the
+    contraction weights, the section jets (with the block's frames gathered
+    from the table), the rejection mask and the contracted kernel,
+    consecutive points at the same z sharing their section jets and row
+    reduction, so no value, weight or jet array spans more than a block.  The d/dzbar jet beta is formed only when a point reads
     it (output degree above 0, or a d-bar).  Returns a list of
     :class:`OperatorResult`.
 
@@ -445,11 +474,7 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     for chunk in grid.chunks():
         N = chunk.zeta.shape[0]
         total += N
-        on_manifold = project(chunk.zeta)
         det9 = _det9_blocks(chunk.conormal)             # (N, n)
-        values = [f.values(model, on_manifold) for f in fields]  # (N, nJ)
-        live = [np.any(g != 0, axis=1) for g in values]
-        weighted = [g * chunk.weight[:, None] for g in values]
         # theta = -sigma: one frame per direction of the table
         G, dG = _frames_for_thetas(model, -chunk.directions,
                                    with_derivative=model.m >= 2)
@@ -460,24 +485,29 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
             zeta, thetas = chunk.zeta[blk], -chunk.sigma[blk]
             index = chunk.direction_index[blk]
             frames = (G[index], None if dG is None else dG[index])
+            on_manifold = project(zeta)
+            values = [f.values(model, on_manifold) for f in fields]  # (B, nJ)
+            live = [np.any(g != 0, axis=1) for g in values]
+            weighted = [g * chunk.weight[blk, None] for g in values]
             # delta, the kernel of the weights, is a multiple of the conormal
-            kernel = chunk.conormal[blk]
+            kernel = _pivot(chunk.conormal[blk].T)
             for run in runs:
                 z = z_list[run[0]]
                 (eta1, beta1, gamma1, phi), (eta0, beta0, gamma0), pulls = \
                     section_jets(zeta, z, thetas, frames,
                                  any(dbars[zi] for zi in run))
-                w = zeta - z[None, :]
                 bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
                 solution = (dict(tau=eta1 - eta0, start=(beta0, gamma0),
                                  t_rule=t_rule) if kind == "solution" else {})
+                shared = _Run(zeta - z[None, :], beta1, gamma1, kernel,
+                              **solution)
                 for zi in run:
-                    rejected[zi] += int(np.sum(bad & live[zi][blk]))
-                    W_kept = _fold_weights(weighted[zi][blk], det9[blk],
+                    rejected[zi] += int(np.sum(bad & live[zi]))
+                    W_kept = _fold_weights(weighted[zi], det9[blk],
                                            fields[zi].degree) * ~bad[:, None]
                     folded = _folded_coefficients(
-                        W_kept, w, beta1, gamma1, plans[zi][0], kernel,
-                        tangent=pulls if dbars[zi] else None, **solution)
+                        W_kept, shared, plans[zi][0],
+                        tangent=pulls if dbars[zi] else None)
                     if dbars[zi]:
                         folded, d_folded = folded
                         d_sums[zi] += d_folded

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideTubeError
-from .geometry import ManifoldModel, direction_grid
+from .geometry import ManifoldModel, direction_grid, levi_heights
 
 CHUNK = 8192
 MODES = ("mc-uniform", "mc-shell")
@@ -164,12 +164,15 @@ class QuadratureGrid:
         zp = (self.center_zp[None, :]
               + p[:, 0:2 * d:2] + 1j * p[:, 1:2 * d:2])
         u = self.center_u[None, :] + p[:, 2 * d:2 * d + m]
-        zeta = model.graph_point(zp, u, self.epsilon * sigma)
-
+        # one contraction H_k z' for the graph heights and the conormal,
+        # freed before the chunk's points are built
         hz = np.tensordot(zp, model.hermitian_stack, axes=(1, 2))  # (N, m, d)
+        im_w = levi_heights(hz, zp) + self.epsilon * sigma
         conormal = np.concatenate(
             [-2.0 * (sigma[:, None] @ hz)[:, 0], 1j * sigma], axis=1)
+        del hz
         conormal *= self.epsilon ** (m - 1)
+        zeta = np.concatenate([zp, u + 1j * im_w], axis=1)
         return NodeChunk(zeta=zeta, weight=weight, conormal=conormal,
                          surface_jac=np.linalg.norm(conormal, axis=1),
                          sigma=sigma, directions=directions,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from crhomotopy import barrier, fields, geometry, homotopy, quadrature
-from crhomotopy._util import gauss_legendre_01, index_combinations, small_det
+from crhomotopy._util import (avoiding_table, gauss_legendre_01, hodge_star,
+                              index_combinations, small_det)
 from crhomotopy.errors import (CoverError, CRHomotopyError,
                                DerivativeOrderError, GridTooCoarseError,
                                OutsideTubeError)
@@ -24,10 +25,10 @@ from oracles import (barrier_mixed_jets, contraction_table,
                      tangential_dbar_values, velocity_columns)
 
 # bound of the traced allocation peak of one apply_operator call on an
-# 8192-node sig22_n6m2 chunk: 9.0 MB (solution kind) and 8.3 MB
-# (obstruction) measured, plus a third for allocator and numpy-version
-# spread, stays below 9.0 + 4.7 MB, so one chunk-sized (N, n, n) complex jet
-# tensor alive at the peak fails it
+# 8192-node sig22_n6m2 chunk: 6.2 MB measured for either kind (9.0 MB while
+# the form values were formed per chunk), plus a third for allocator and
+# numpy-version spread, stays below 9.0 + 4.7 MB, so one chunk-sized (N, n,
+# n) complex jet tensor alive at the peak fails it
 APPLY_PEAK_MB = 12.0
 
 
@@ -38,18 +39,58 @@ def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
                           center_u=w.real, **kw)
 
 
-def quotient_column_bound(x):
-    """4 max_c |x[..., :, c]|: a bound of every column norm of the rows x
-    (..., rows, n) on the kernel quotient of ``homotopy._kernel_quotient``.
+def folded_coefficients(W, w, beta, gamma, r_out, kernel, tau=None,
+                        start=None, t_rule=((1.0, 1.0),), tangent=None):
+    """``homotopy._folded_coefficients`` of the weights W on one run of the
+    jets at w = zeta - z, the kernel vectors ``kernel`` (N, n) pivoted by
+    ``homotopy._pivot`` as the operators pivot each block's conormal."""
+    run = homotopy._Run(w, beta, gamma, homotopy._pivot(kernel.T), tau=tau,
+                        start=start, t_rule=t_rule)
+    return homotopy._folded_coefficients(W, run, r_out, tangent=tangent)
+
+
+def quotient_pivots(W, w, kernel, k):
+    """The coordinates (a, c) per node that ``homotopy._kernel_quotient``
+    eliminates from the gamma' rows at interior degree k, as ``_pivot``
+    picks them: a from the kernel vectors (N, n), and, for k = n - 2 > 0,
+    c from *W', W' the weights (N, C(n, k)) scaled by (-1)^p / w_p and read
+    on the components that avoid a; c is None otherwise."""
+    N, n = w.shape
+    a = homotopy._pivot(kernel.T)[0]
+    if k == 0 or k != n - 2:
+        return a, None
+    p = np.argmax(np.abs(w), axis=1)
+    w_p = w[np.arange(N), p]
+    W = W * ((-1.0) ** p / np.where(w_p == 0, 1.0, w_p))[:, None]
+    W = np.take_along_axis(W, avoiding_table(n, k)[a], axis=1)
+    b = homotopy._pivot(hodge_star(W.T, n - 1, k))[0]
+    return a, b + (b >= a)
+
+
+def quotient_column_bound(x, a, c=None):
+    """A bound per node of every column norm of the rows x (N, ..., rows,
+    n) on the kernel quotient of ``homotopy._kernel_quotient`` that
+    eliminates the coordinates a and c (:func:`quotient_pivots`).
 
     There column j is x_K_j - sigma_j x_c - (rho_K_j - rho_c sigma_j) x_a,
-    K the kept coordinates, and every ratio sigma, rho has modulus <= 1
-    (``homotopy._pivot``), so its norm is at most |x_K_j| + |x_c| + 2 |x_a|.
-    The bound does not vanish with a column of x: a zero column (the barrier
-    gamma on sig22_n5 has two nonzero columns per node) makes every
-    full-row coefficient det[... | gamma_M | ...] exactly 0, while the
-    quotient mixes it with the others and leaves rounding noise."""
-    return 4.0 * np.max(np.linalg.norm(x, axis=-2), axis=-1)
+    K the kept coordinates, or x_K_j - rho_K_j x_a without c, and every
+    ratio sigma, rho has modulus <= 1 (``homotopy._pivot``), so its norm is
+    at most max_K |x_K| + |x_c| + 2 |x_a|, or max_K |x_K| + |x_a|, with the
+    norms over the rows.  The bound does not vanish with a column of x: a
+    zero column (the barrier gamma on sig22_n5 has two nonzero columns per
+    node) makes every full-row coefficient det[... | gamma_M | ...] exactly
+    0, while the quotient mixes it with the others and leaves rounding
+    noise; the bound is 0 only where every column of x is."""
+    norms = np.linalg.norm(x, axis=-2)                      # (N, ..., n)
+    shape = (-1,) + (1,) * (norms.ndim - 1)
+    kept = np.ones(norms.shape, dtype=bool)
+    bound = 0.0
+    for coord, factor in ((a, 1.0 if c is None else 2.0), (c, 1.0)):
+        if coord is not None:
+            at = np.arange(norms.shape[-1]) == coord.reshape(shape)
+            kept &= ~at
+            bound = bound + factor * np.sum(norms * at, axis=-1)
+    return bound + np.max(norms * kept, axis=-1)
 
 
 def oracle_node_geometry(grid, chunk):
@@ -824,6 +865,30 @@ class TestOperators:
                     np.abs(ref))
 
     @pytest.mark.parametrize("kind", ["solution", "obstruction"])
+    def test_form_values_are_evaluated_per_block(self, primary, kind):
+        # the form values are formed per kernel block: over two chunks, the
+        # second not a multiple of BLOCK, no call of the field sees more
+        # than BLOCK points, the calls cover the stream once, and the
+        # totals equal those of the unwrapped field
+        f = bundled_test_form(primary)
+        sizes = []
+
+        def counted(model, z):
+            sizes.append(len(z))
+            return f.values(model, z)
+
+        wrapped = FormField(n=f.n, degree=f.degree, fn=counted)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        grid = centered_grid(primary, z, budget=quadrature.CHUNK + 700)
+        got, = apply_operator_multi(primary, [wrapped], [z], grid, kind=kind)
+        want, = apply_operator_multi(primary, [f], [z], grid, kind=kind)
+        assert 0 < max(sizes) <= homotopy.BLOCK
+        assert sum(sizes) == got.total_nodes == grid.budget
+        assert np.array_equal(got.ambient, want.ambient)
+        assert got.rejected == want.rejected
+
+    @pytest.mark.parametrize("kind", ["solution", "obstruction"])
     def test_apply_peak_memory(self, secondary, kind):
         # the traced allocation peak of one apply_operator call on a full
         # sig22_n6m2 chunk stays below APPLY_PEAK_MB: no jet tensor spans
@@ -910,20 +975,21 @@ class TestOperators:
                 coef = dense_coefficients(
                     eta0, (1 - t) * beta0 + t * beta1,
                     (1 - t) * gamma0 + t * gamma1, eta1 - eta0, r_out)
-                contracted = homotopy._folded_coefficients(
+                contracted = folded_coefficients(
                     W, chunk.zeta - z, beta1, gamma1, r_out,
                     kernel=chunk.conormal, tau=eta1 - eta0,
                     start=(beta0, gamma0), t_rule=((t, 1.0),))
                 floor = self.rounding_floor(
-                    W, eta0, beta1, gamma1, eta1 - eta0, r_out, ((t, 1.0),),
-                    (beta0, gamma0))
+                    W, chunk.zeta - z, chunk.conormal, eta0, beta1, gamma1,
+                    eta1 - eta0, r_out, ((t, 1.0),), (beta0, gamma0))
             else:
                 coef = dense_coefficients(eta1, beta1, gamma1, None, r_out)
-                contracted = homotopy._folded_coefficients(
+                contracted = folded_coefficients(
                     W, chunk.zeta - z, beta1, gamma1, r_out,
                     kernel=chunk.conormal)
-                floor = self.rounding_floor(W, eta1, beta1, gamma1, None,
-                                            r_out, ((1.0, 1.0),), None)
+                floor = self.rounding_floor(
+                    W, chunk.zeta - z, chunk.conormal, eta1, beta1, gamma1,
+                    None, r_out, ((1.0, 1.0),), None)
             folded = np.einsum("nm,nlm->l", W, coef)
             oracle = row_contraction(table, gw, coef, dense, keep)
             scale = np.max(np.abs(oracle))
@@ -1015,14 +1081,14 @@ class TestOperators:
             * (rng.random(N) > 0.2)[:, None]
         if kind == "solution":
             t_rule = ((0.2, 0.6), (0.7, 0.4))
-            got = homotopy._folded_coefficients(
+            got = folded_coefficients(
                 W, w, beta, gamma, r_out, kernel=conormal, tau=tau,
                 start=(beta0, gamma0), t_rule=t_rule)
             coef = sum(weight * dense_coefficients(
                 eta, (1 - t) * beta0 + t * beta, (1 - t) * gamma0 + t * gamma,
                 tau, r_out) for t, weight in t_rule)
         else:
-            got = homotopy._folded_coefficients(W, w, beta, gamma, r_out,
+            got = folded_coefficients(W, w, beta, gamma, r_out,
                                                 kernel=conormal)
             coef = dense_coefficients(eta, beta, gamma, None, r_out)
         want = np.einsum("nm,nlm->l", W, coef)
@@ -1048,8 +1114,8 @@ class TestOperators:
         self.check_contracted_kernel(n, kind, r, w_case, rng)
 
     @staticmethod
-    def rounding_floor(W, eta, beta, gamma, tau, r_out, t_rule, start,
-                       along=None):
+    def rounding_floor(W, w, kernel, eta, beta, gamma, tau, r_out, t_rule,
+                       start, along=None):
         """eps * max over L of the sum over nodes, t-nodes and M of weight_t
         * |W[:, M]| * a bound of the Hadamard bound (the product of the
         column norms) of det[eta | beta_t L | gamma_t M | tau] as the kernel
@@ -1065,6 +1131,7 @@ class TestOperators:
         product rule on the same bound, max over the directions."""
         N, n = eta.shape
         k = n - 1 - r_out - (tau is not None)
+        pivots = quotient_pivots(W, w, kernel, k)
         size = np.sum(np.maximum(np.abs(W), np.finfo(float).tiny), axis=1)
         front = size * np.linalg.norm(eta, axis=1)
         best = 0.0
@@ -1073,7 +1140,7 @@ class TestOperators:
             if start is not None:
                 b, g = ((1 - t) * x0 + t * x1
                         for x0, x1 in zip(start, (beta, gamma)))
-            bound = quotient_column_bound(g)
+            bound = quotient_column_bound(g, *pivots)
             if along is None:
                 folded = front * bound ** k * (
                     1.0 if tau is None else np.linalg.norm(tau, axis=1))
@@ -1084,7 +1151,7 @@ class TestOperators:
             else:                   # D (|tau| bound^k), per direction
                 d_tau, d_gamma0, d_gamma1 = along
                 d_bound = quotient_column_bound((1 - t) * d_gamma0
-                                                + t * d_gamma1)
+                                                + t * d_gamma1, *pivots)
                 best = best + weight * np.sum(
                     (front * bound ** (k - 1))[:, None]
                     * (np.linalg.norm(d_tau, axis=2) * bound[:, None]
@@ -1152,7 +1219,7 @@ class TestOperators:
                 part["tangent"] = [
                     lambda x, A, De=De, Dg=Dg: np.einsum("Nc,Nac->a", x, De)
                     + np.einsum("Nsl,Nasl->a", A, Dg) for De, Dg in along]
-            got = homotopy._folded_coefficients(
+            got = folded_coefficients(
                 W[nodes], w[nodes], beta[nodes], gamma[nodes], r_out,
                 kernel=conormal[nodes], **part)
             part["tangent"] = along if tangent else None
@@ -1166,7 +1233,8 @@ class TestOperators:
                 assert np.all(got == 0) and np.all(want == 0)
                 assert np.all(d_got == 0) and np.all(d_want == 0)
                 continue
-            args = (W[nodes], eta[nodes], beta[nodes], gamma[nodes],
+            args = (W[nodes], w[nodes], conormal[nodes], eta[nodes],
+                    beta[nodes], gamma[nodes],
                     None if tau is None else tau[nodes], r_out, t_rule,
                     None if start is None else tuple(x[nodes] for x in start))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(
@@ -1216,7 +1284,7 @@ class TestOperators:
                     args = (beta1, gamma1, r_out)
                     kw = dict(tau=eta1 - eta0, start=(beta0, gamma0),
                               t_rule=t_rule)
-                    got = homotopy._folded_coefficients(
+                    got = folded_coefficients(
                         W, w, *args, kernel=chunk.conormal, **kw,
                         tangent=(pull0, pull1) if r_out == 0 else None)
                     want = full_row_folded_coefficients(
@@ -1230,12 +1298,13 @@ class TestOperators:
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
                         np.abs(want))
                 else:
-                    got = homotopy._folded_coefficients(
+                    got = folded_coefficients(
                         W, w, beta1, gamma1, r_out, kernel=chunk.conormal)
                     want = full_row_folded_coefficients(W, eta1, beta1,
                                                         gamma1, r_out)
-                    floor = self.rounding_floor(W, eta1, beta1, gamma1, None,
-                                                r_out, ((1.0, 1.0),), None)
+                    floor = self.rounding_floor(
+                        W, w, chunk.conormal, eta1, beta1, gamma1, None,
+                        r_out, ((1.0, 1.0),), None)
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
                         np.abs(want)) + floor
 
