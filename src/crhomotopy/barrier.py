@@ -42,10 +42,10 @@ from .geometry import CORRECTION_MARGIN, FRAME_GAP_WARN, ManifoldModel
 
 @dataclass
 class BarrierJetBatch:
-    """Barrier section values and Wirtinger jets over a batch of zeta at
-    fixed z.  All arrays but the constant H lead with the batch axis; the
-    mixed jet is never formed, only its pullback :meth:`dP_mixed` from H, dG
-    and dtheta."""
+    """Section P, phase Phi and their Wirtinger jets over a zeta batch at
+    fixed z, the barrier's or (H, dG, dtheta None) the euclidean one's.
+    All arrays but H lead with the batch axis; the mixed jet is never
+    formed, only its pullback :meth:`dP_mixed` from H, dG and dtheta."""
 
     P: np.ndarray              # (N, n)
     Phi: np.ndarray            # (N,)
@@ -312,9 +312,10 @@ def audit_barrier_expansion(model: ManifoldModel, z, direction,
 
     with the reference direction theta_ref taken from the leading rho-profile
     of the path and correction_ref the quadratic form of G(theta_ref); Phi
-    comes from one :func:`barrier_phase` call over all scales.  Exact zero (reported as ``exact``) occurs whenever theta does not
-    vary along the path; otherwise the remainder carries only
-    direction-variation terms and its log-log slope is cubic.
+    comes from one :func:`barrier_phase` call over all scales.  Exact zero
+    (reported as ``exact``) occurs whenever theta does not vary along the
+    path; otherwise the remainder carries only direction-variation terms and
+    its log-log slope is cubic.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(direction, dtype=complex)

@@ -64,13 +64,21 @@ class PolyChart(ChartFunction):
         self.d, self.m = model_dims
         self.terms = [(complex(c), np.asarray(a, int), np.asarray(b, int),
                        np.asarray(e, int)) for c, a, b, e in terms]
+        # column j of the jet: the terms with the j-th exponent of (conj z',
+        # u) lowered; jet applies d u_k / d wbar_k = 1/2
+        self.lowered = [[] for _ in range(self.d + self.m)]
+        for c, a, b, e in self.terms:
+            p = np.concatenate([b, e])
+            for j in np.flatnonzero(p):
+                low = p - np.eye(p.size, dtype=int)[j]
+                self.lowered[j].append((c * p[j], a, *np.split(low, [self.d])))
 
     def _sum(self, terms, zp, u):
         """Sum of the monomials ``terms`` at (z', u), the factors z'_i and
         conj z'_i taken per index i, then the u_k."""
         out = np.zeros(zp.shape[:-1], dtype=complex)
         for c, a, b, e in terms:
-            t = np.full(zp.shape[:-1], c, dtype=complex)
+            t = c
             for i in range(self.d):
                 if a[i]:
                     t = t * zp[..., i] ** a[i]
@@ -86,46 +94,26 @@ class PolyChart(ChartFunction):
         return self._sum(self.terms, *_chart_params(model, z))
 
     def jet(self, model, z):
-        """Column j of the jet: the terms with the j-th exponent of (conj z',
-        u) lowered; d u_k / d wbar_k = 1/2."""
         zp, u = _chart_params(model, z)
         out = np.zeros(np.shape(z), dtype=complex)
-        for j in range(self.d + self.m):
-            lowered = []
-            for c, a, b, e in self.terms:
-                p = np.concatenate([b, e])
-                if p[j]:
-                    low = p.copy()
-                    low[j] -= 1
-                    lowered.append((c * p[j], a, low[:self.d], low[self.d:]))
-            out[..., j] = self._sum(lowered, zp, u)
+        for j, terms in enumerate(self.lowered):
+            out[..., j] = self._sum(terms, zp, u)
         out[..., self.d:] *= 0.5
         return self._sum(self.terms, zp, u), out
 
 
 def _smoothstep(x):
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
-    x = np.asarray(x, dtype=float)
-    fa = np.zeros_like(x)
-    fb = np.zeros_like(x)
-    pos = x > 0
-    fa[pos] = np.exp(-1.0 / np.maximum(x[pos], 1e-300))
-    neg = (1.0 - x) > 0
-    fb[neg] = np.exp(-1.0 / np.maximum(1.0 - x[neg], 1e-300))
-    return fa / (fa + fb)
-
-
-def _smoothstep_deriv(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    mid = (x > 0) & (x < 1)
-    xm = x[mid]
-    fa = np.exp(-1.0 / xm)
-    fb = np.exp(-1.0 / (1.0 - xm))
-    dfa = fa / xm ** 2
-    dfb = -fb / (1.0 - xm) ** 2
-    out[mid] = (dfa * (fa + fb) - fa * (dfa + dfb)) / (fa + fb) ** 2
-    return out
+    """C-infinity step s(x), 0 for x <= 0 and 1 for x >= 1, and its slope,
+    from fa = exp(-1/x) and fb = exp(-1/(1 - x)): s = fa / (fa + fb) and s'
+    = fa fb (1/x^2 + 1/(1 - x)^2) / (fa + fb)^2.  Flooring each argument at
+    1e-300 makes its exponential 0 where the argument is <= 0."""
+    a = np.maximum(x, 1e-300)
+    b = np.maximum(1.0 - x, 1e-300)
+    fa = np.exp(-1.0 / a)
+    fb = np.exp(-1.0 / b)
+    total = fa + fb
+    # fa / a / a, not fa / a**2: a**2 underflows to 0 at the floor
+    return fa / total, (fa / a / a * fb + fb / b / b * fa) / (total * total)
 
 
 class BumpChart(ChartFunction):
@@ -140,30 +128,30 @@ class BumpChart(ChartFunction):
         self.r_in = float(r_in)
         self.r_out = float(r_out)
 
-    def _dist2(self, model, z):
+    def _offsets(self, model, z):
+        """(r_out - dist) / (r_out - r_in), dist and the offsets (dz', du)."""
         zp, u = _chart_params(model, z)
         dz = zp - self.center_zp
         du = u - self.center_u
-        return np.sum(np.abs(dz) ** 2, axis=-1) + np.sum(du ** 2, axis=-1), dz, du
+        dist = np.sqrt(np.sum(np.abs(dz) ** 2, axis=-1)
+                       + np.sum(du ** 2, axis=-1))
+        return (self.r_out - dist) / (self.r_out - self.r_in), dist, dz, du
 
     def value(self, model, z):
-        d2, _, _ = self._dist2(model, z)
-        x = (self.r_out - np.sqrt(d2)) / (self.r_out - self.r_in)
-        return _smoothstep(x).astype(complex)
+        return _smoothstep(self._offsets(model, z)[0])[0].astype(complex)
 
     def jet(self, model, z):
         """The value and, by the radial chain rule, d(bump)/d(dist^2) times
-        d(dist^2)/dzbar, from one distance."""
-        d2, dz, du = self._dist2(model, z)
-        dist = np.sqrt(d2)
-        x = (self.r_out - dist) / (self.r_out - self.r_in)
-        slope = _smoothstep_deriv(x) * (-1.0 / (self.r_out - self.r_in))
-        dd2 = np.where(dist > 1e-150,
-                       slope / (2.0 * np.maximum(dist, 1e-150)), 0.0)
+        d(dist^2)/dzbar, which is dz' on z' and du on w (d u^2 / d wbar =
+        2 u / 2), from one distance."""
+        x, dist, dz, du = self._offsets(model, z)
+        step, slope = _smoothstep(x)
+        dd2 = np.where(dist > 1e-150, slope * (-1.0 / (self.r_out - self.r_in))
+                       / (2.0 * np.maximum(dist, 1e-150)), 0.0)
         out = np.zeros(np.shape(z), dtype=complex)
         out[..., :dz.shape[-1]] = dd2[..., None] * dz
-        out[..., dz.shape[-1]:] = dd2[..., None] * du * 0.5
-        return _smoothstep(x).astype(complex), out
+        out[..., dz.shape[-1]:] = dd2[..., None] * du
+        return step.astype(complex), out
 
 
 class ProductChart(ChartFunction):

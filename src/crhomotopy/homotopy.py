@@ -71,10 +71,11 @@ w_p does not move the kernel of W), so it commutes with d/dzbar: the
 adjoints dT / d gamma'_t go back by its transpose, dT / d tau' to n rows,
 and both are pulled back through the sections.  Each section returns the
 zbar-gradient of the sum over the block of x . eta + <A, gamma> for
-adjoints x and A, in O(n^2) per node from the rank structure of its mixed
-jets (closed form for the euclidean section; for the barrier, P is affine in
-zbar with zeta-only coefficients), so no mixed-jet tensor is formed; w_p has
-no zbar-derivative.  The 16-point finite-difference stencil
+adjoints x and A, in O(n^2) per node, by one quotient rule for both
+Cauchy-Fantappie sections P / <P, w>; the mixed jet of P is zero for the
+euclidean P = conj(w) and, P being affine in zbar with zeta-only
+coefficients, taken through its factors for the barrier, so no mixed-jet
+tensor is formed; w_p has no zbar-derivative.  The 16-point stencil
 (``tangential_dbar_scalar`` in ``tests/oracles.py``) is its test oracle, and
 the full-row contraction there (``full_row_folded_coefficients``) on the
 mixed-jet tensors is the oracle of the reduction, the quotient and the
@@ -423,9 +424,9 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     contraction weights, the section jets (with the block's frames gathered
     from the table), the rejection mask and the contracted kernel,
     consecutive points at the same z sharing their section jets and row
-    reduction, so no value, weight or jet array spans more than a block.  The d/dzbar jet beta is formed only when a point reads
-    it (output degree above 0, or a d-bar).  Returns a list of
-    :class:`OperatorResult`.
+    reduction, so no value, weight or jet array spans more than a block.
+    The d/dzbar jet beta is formed only when a point reads it (output
+    degree above 0, or a d-bar).  Returns a list of :class:`OperatorResult`.
 
     ``_dbar`` (private to :func:`identity_residual`) flags per point whether
     it (solution kind, degree-1 input) also gets ``dbar``, the ambient d-bar

@@ -1,10 +1,12 @@
 """Normalized kernel sections and their Wirtinger jets.
 
-A section is a map eta(zeta, z, t) with sum_k eta_k (zeta_k - z_k) = 1.  Two
-concrete sections are provided: the euclidean (Bochner-Martinelli) section
-and the barrier section; the homotopy kernel interpolates them linearly in t.
-Their jets are computed over a zeta batch at fixed z (the quadrature path);
-the single-point sections are N = 1 calls on the same functions.
+A section is a map eta(zeta, z, t) with sum_k eta_k (zeta_k - z_k) = 1.  The
+euclidean (Bochner-Martinelli) section and the barrier section are both
+Cauchy-Fantappie quotients P / <P, w>, w = zeta - z, the euclidean one with
+P = conj(w) (Range, Holomorphic Functions and Integral Representations in
+Several Complex Variables, 1986, ch. IV sec. 1), with jets from one rule.
+The homotopy kernel interpolates them linearly in t.  The jets are formed
+over a zeta batch at fixed z; single-point sections are N = 1 calls.
 """
 
 from __future__ import annotations
@@ -39,94 +41,85 @@ class SectionJet:
 # batched section jets over a zeta batch at fixed z
 # ---------------------------------------------------------------------------
 
-def bochner_martinelli_jets(zetas, z, with_zbar=True):
-    """Euclidean section values/jets over a batch: eta, beta[k,l], gamma[k,l]
-    and ``pullback``, with beta = d eta / d zbar and gamma = d eta / d
-    zetabar; beta is None when ``with_zbar`` is False.
+def _quotient(zetas, z, jets):
+    """eta = P / Phi over a batch at w = zeta - z, beta = d eta / d zbar,
+    gamma = d eta / d zetabar and ``pullback``, from the P-jets ``jets``
+    (:class:`~crhomotopy.barrier.BarrierJetBatch`; beta is None where its
+    z-jets are, and dG is None where the mixed jet vanishes).  The divisions
+    are floored away from exact zero so a rejected node cannot poison the
+    batch with non-finite values.
 
-    pullback(x, A), x of shape (N, n) and A of shape (N, n, n), is the
-    zbar-gradient, shape (n,), of the sum over the batch of x . eta + <A,
-    gamma> at fixed adjoints (no conjugation): its entry l is the sum of
-    x . d eta / d zbar_l + <A, d gamma / d zbar_l>.  It reads beta, so it
-    needs ``with_zbar``; no mixed jet is formed.  With w = zeta - z and S =
-    |w|^2, d gamma[k, j] / d zbar_l = (delta_kj w_l + delta_kl w_j) / S^2 -
-    2 conj(w_k) w_j w_l / S^3, so <A, d gamma / d zbar_l> = (w_l (tr A - 2
-    eta^T A w) + (A w)_l) / S^2, and x . d eta / d zbar_l = (beta^T x)_l.
-    """
-    w = zetas - z[None, :]
-    S = np.sum(np.abs(w) ** 2, axis=1)
-    if np.any(S == 0.0):
-        raise SingularityError("euclidean section is singular at zeta = z")
-    n = w.shape[1]
-    eye = np.eye(n)
-    outer = np.einsum("Nk,Nl->Nkl", w.conj(), w)
-    inv_s = 1.0 / S
-    inv_s2 = inv_s ** 2
-    eta = w.conj() * inv_s[:, None]
-    gamma = (eye[None, :, :] * inv_s[:, None, None]
-             - outer * inv_s2[:, None, None])
-    beta = -gamma if with_zbar else None
-
-    def pullback(x, A):
-        Aw = np.einsum("Nkj,Nj->Nk", A, w)
-        c = np.einsum("Nkk->N", A) - 2.0 * np.einsum("Nk,Nk->N", eta, Aw)
-        return (c * inv_s2) @ w + inv_s2 @ Aw + np.tensordot(x, beta, 2)
-
-    return eta, beta, gamma, pullback
-
-
-def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
-                         thetas=None, frames=None):
-    """Barrier section values/jets over a batch (eta, beta, gamma, phi,
-    pullback); beta is None when ``with_zbar`` is False.  ``thetas`` and
-    ``frames`` pass the directions theta(zeta) and their frames to
-    :func:`crhomotopy.barrier.barrier_jets`.
-
-    The returned phi is the raw phase (rejection decisions use it); the
-    divisions are floored away from exact zero so a rejected node cannot
-    poison the batch with non-finite values.
-
-    ``pullback`` is the zbar-gradient of the adjoint sum, shape (n,), as for
-    :func:`bochner_martinelli_jets`.  From gamma = (dP/dzetabar - eta (x)
-    dPhi/dzetabar) / Phi and Phi = sum_i P_i w_i, with D = d / d zbar_l,
+    pullback(x, A), x of shape (N, n) and A of shape (N, n, n), reads beta:
+    it is the zbar-gradient, shape (n,), of the sum over the batch of x .
+    eta + <A, gamma> at fixed adjoints (no conjugation).  With D = d / d
+    zbar_l, gamma = (dP/dzetabar - eta (x) dPhi/dzetabar) / Phi and Phi =
+    sum_i P_i w_i give
 
         D gamma = (D dP/dzetabar - D eta (x) dPhi/dzetabar
-                   - eta (x) D dPhi/dzetabar - gamma D Phi) / Phi,
+                   - eta (x) w^T D dP/dzetabar - gamma D Phi) / Phi.
 
-    where D dPhi/dzetabar = w^T D dP/dzetabar.  So, with y = x - A
-    dPhi/dzetabar / Phi, the pullback is beta^T y - <A, gamma> dPhi/dzbar /
-    Phi plus the pullback of the mixed jet D dP/dzetabar through (A - w
-    (eta^T A)) / Phi, which is :meth:`BarrierJetBatch.dP_mixed` on the
-    z'-block and zero for m = 1, where theta is constant.
+    So, with y = x - A dPhi/dzetabar / Phi, the pullback is beta^T y - <A,
+    gamma> dPhi/dzbar / Phi plus that of the mixed jet D dP/dzetabar through
+    (A - w (eta^T A)) / Phi (:meth:`BarrierJetBatch.dP_mixed`).
     """
-    jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
-                                 thetas=thetas, frames=frames)
-    phi = jets.Phi
-    phi_safe = np.where(np.abs(phi) < 1e-300, 1.0, phi)
-    inv = 1.0 / phi_safe
+    inv = 1.0 / np.where(np.abs(jets.Phi) < 1e-300, 1.0, jets.Phi)
     eta = jets.P * inv[:, None]
-    # beta[k, l] = (dP[l, k] - eta[k] dphi[l]) / phi
-    beta = ((np.swapaxes(jets.dP_dzbar, 1, 2)
-             - eta[:, :, None] * jets.dPhi_dzbar[:, None, :])
-            * inv[:, None, None]) if with_zbar else None
-    gamma = ((np.swapaxes(jets.dP_dzetabar, 1, 2)
-              - eta[:, :, None] * jets.dPhi_dzetabar[:, None, :])
-             * inv[:, None, None])
-    # the pullback keeps jets alive: drop the (N, n, n) jets it does not read
-    jets.dP_dzbar = jets.dP_dzetabar = None
+
+    def over(dP, dPhi):                     # [k, l] from dP[l, k], dPhi[l]
+        return ((np.swapaxes(dP, 1, 2) - eta[:, :, None] * dPhi[:, None, :])
+                * inv[:, None, None])
+
+    beta = (over(jets.dP_dzbar, jets.dPhi_dzbar)
+            if jets.dP_dzbar is not None else None)
+    gamma = over(jets.dP_dzetabar, jets.dPhi_dzetabar)
+    # the pullback keeps jets alive: drop the arrays it does not read
+    jets.P = jets.dP_dzbar = jets.dP_dzetabar = None
 
     def pullback(x, A):
         y = x - np.einsum("Nkj,Nj->Nk", A, jets.dPhi_dzetabar) * inv[:, None]
         a_gamma = np.einsum("Nkj,Nkj->N", A, gamma) * inv
         out = np.tensordot(y, beta, 2) - a_gamma @ jets.dPhi_dzbar
-        if jets.dG is not None:                 # m >= 2
+        if jets.dG is not None:                 # on the z'-block
             w = zetas - z[None, :]
             A_mixed = (A - w[:, :, None] * (eta[:, None, :] @ A)) \
                 * inv[:, None, None]
-            out[:model.tangential_dim] += jets.dP_mixed(A_mixed)
+            out[:jets.H.shape[1]] += jets.dP_mixed(A_mixed)
         return out
 
-    return eta, beta, gamma, phi, pullback
+    return eta, beta, gamma, pullback
+
+
+def bochner_martinelli_jets(zetas, z, with_zbar=True):
+    """Euclidean section values/jets over a batch (eta, beta, gamma,
+    pullback), the quotient of P = conj(w), w = zeta - z: Phi = |w|^2,
+    dP/dzbar = -I, dP/dzetabar = I, dPhi/dzbar = -w, dPhi/dzetabar = w and
+    no mixed jet; beta is None when ``with_zbar`` is False."""
+    w = zetas - z[None, :]
+    S = np.sum(np.abs(w) ** 2, axis=1)
+    if np.any(S == 0.0):
+        raise SingularityError("euclidean section is singular at zeta = z")
+    shape = w.shape + w.shape[1:]
+    eye = np.eye(w.shape[1])
+    jets = _barrier.BarrierJetBatch(
+        P=w.conj(), Phi=S,
+        dP_dzbar=np.broadcast_to(-eye, shape) if with_zbar else None,
+        dP_dzetabar=np.broadcast_to(eye, shape),
+        dPhi_dzbar=-w if with_zbar else None, dPhi_dzetabar=w)
+    return _quotient(zetas, z, jets)
+
+
+def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
+                         thetas=None, frames=None):
+    """Barrier section values/jets over a batch (eta, beta, gamma, phi,
+    pullback), the quotient of the P-jets of
+    :func:`crhomotopy.barrier.barrier_jets`, to which ``with_zbar``,
+    ``thetas`` and ``frames`` go; phi is the raw phase (rejection decisions
+    use it).  The mixed jet vanishes for m = 1, where theta is constant.
+    """
+    jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
+                                 thetas=thetas, frames=frames)
+    eta, beta, gamma, pullback = _quotient(zetas, z, jets)
+    return eta, beta, gamma, jets.Phi, pullback
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +172,15 @@ def normalization_defects(model: ManifoldModel, zetas, z, t) -> np.ndarray:
     interpolation (1 - t) eta_0 + t eta_1 at the per-sample parameters t.
 
     One :func:`bochner_martinelli_jets` and one :func:`barrier_section_jets`
-    call; a sample whose phase is below PHASE_TOL raises
-    :class:`NearSingularPhaseError`, as :func:`barrier_section` does.
+    call, without the zbar-jets, which eta does not read; a sample whose
+    phase is below PHASE_TOL raises :class:`NearSingularPhaseError`, as
+    :func:`barrier_section` does.
     """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    eta0 = bochner_martinelli_jets(zetas, z)[0]
-    eta1, _, _, phi, _ = barrier_section_jets(model, zetas, z)
+    eta0 = bochner_martinelli_jets(zetas, z, with_zbar=False)[0]
+    eta1, _, _, phi, _ = barrier_section_jets(model, zetas, z,
+                                              with_zbar=False)
     _require_phase(phi)
     t = np.asarray(t, dtype=float)[:, None]
     values = np.stack([eta0, eta1, (1.0 - t) * eta0 + t * eta1])

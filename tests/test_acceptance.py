@@ -292,6 +292,7 @@ def test_obstruction_emptiness_and_pointwise_vanishing(primary, rng):
            f"{worst_rel:.2e} (rel, < 1e-10)")
 
 
+@pytest.mark.slow
 def test_vanishing_class_decay(secondary):
     """Realized decay of vanishing-class terms over the level ladder on the
     codimension-two model (the codimension regime of the estimates), and
@@ -361,6 +362,7 @@ def test_boundedness_vanishing_dichotomy():
            f"{total} kernels classified, zero unclassified")
 
 
+@pytest.mark.slow
 def test_homotopy_identity_ladder(primary, baselines):
     """Identity residual decreases along the pinned refinement ladder and
     the final rung stays within twice the calibrated baseline."""
@@ -385,6 +387,7 @@ def test_homotopy_identity_ladder(primary, baselines):
            f"final <= 2 x baseline {base[-1]:.4f}")
 
 
+@pytest.mark.slow
 def test_extension_independence(primary, baselines):
     """Graph and gradient-flow extensions agree within twice the middle-rung
     quadrature tolerance."""

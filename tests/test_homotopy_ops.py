@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,20 +302,26 @@ class TestFormField:
             identity_residual(primary, g, [z], epsilon=0.1, budget=500)
 
 
+def random_poly_chart(d, m):
+    """(model, poly, rng): a chart polynomial with exponents 2-3 in z',
+    conj z' and u, mixed within a term, on a quadric of dims (d, m), and the
+    generator that drew it, seeded by m."""
+    model = geometry.ManifoldModel(
+        n=d + m, m=m, q=1, hermitian=[np.eye(d)] * m)
+    rng = np.random.default_rng(60 + m)
+    terms = [(rng.standard_normal() + 1j * rng.standard_normal(),
+              rng.integers(0, 4, d) * (rng.random(d) < 0.5),
+              rng.integers(0, 4, d) * (rng.random(d) < 0.5),
+              rng.integers(0, 4, m)) for _ in range(6)]
+    terms.append((0.7j, [3, 0, 0, 0], [0, 2, 0, 3], [2] + [0] * (m - 1)))
+    return model, PolyChart((d, m), terms), rng
+
+
 class TestPolyChart:
     @pytest.mark.parametrize("d,m", [(4, 1), (4, 2)])
     def test_dbar_matches_central_differences(self, d, m):
-        # exponents 2-3 in z', conj z' and u, mixed within a term, at the
-        # dims of sig22_n5 and sig22_n6m2
-        model = geometry.ManifoldModel(
-            n=d + m, m=m, q=1, hermitian=[np.eye(d)] * m)
-        rng = np.random.default_rng(60 + m)
-        terms = [(rng.standard_normal() + 1j * rng.standard_normal(),
-                  rng.integers(0, 4, d) * (rng.random(d) < 0.5),
-                  rng.integers(0, 4, d) * (rng.random(d) < 0.5),
-                  rng.integers(0, 4, m)) for _ in range(6)]
-        terms.append((0.7j, [3, 0, 0, 0], [0, 2, 0, 3], [2] + [0] * (m - 1)))
-        poly = PolyChart((d, m), terms)
+        # at the dims of sig22_n5 and sig22_n6m2
+        model, poly, rng = random_poly_chart(d, m)
         step = 1e-5
         for _ in range(3):
             z = 0.6 * (rng.standard_normal(d + m)
@@ -327,6 +334,74 @@ class TestPolyChart:
                           / (2 * step) for h in (e, 1j * e))
                 fd = 0.5 * (fx + 1j * fy)
                 assert abs(jet[a] - fd) < 1e-7 * max(1.0, abs(fd))
+
+
+class TestChartJets:
+    """The value half of every chart function's jet, and the bump's jet
+    across its slope."""
+
+    @pytest.mark.parametrize("d,m", [(4, 1), (4, 2)])
+    def test_value_is_the_jet_value(self, d, m):
+        # value(z) is jet(z)[0] bit for bit for the polynomial, the bump
+        # and their product, at points inside, on the slope and outside the
+        # bump and at exactly r_in and r_out, with no floating-point warning
+        model, poly, rng = random_poly_chart(d, m)
+        bump = BumpChart(np.zeros(d), np.zeros(m), 0.25, 0.45)
+        axis = np.zeros(d + m, dtype=complex)
+        axis[0] = 1.0
+        z = np.concatenate([
+            0.4 * (rng.standard_normal((20, d + m))
+                   + 1j * rng.standard_normal((20, d + m))),
+            np.array([0.0, 0.1, 0.25, 0.3, 0.45, 0.6])[:, None] * axis])
+        z = model.graph_point(z[:, :d], z[:, d:].real)
+        edge = bump.value(model, z[-6:])
+        assert np.array_equal(edge[[0, 1, 2, 4, 5]], [1, 1, 1, 0, 0])
+        assert 0.0 < edge[3].real < 1.0
+        with warnings.catch_warnings(), \
+                np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for chart in (poly, bump, ProductChart(poly, bump)):
+                value, jet = chart.jet(model, z)
+                assert np.array_equal(chart.value(model, z), value)
+                assert jet.shape == z.shape and np.all(np.isfinite(jet))
+
+    def test_bump_jet_matches_central_differences(self, secondary):
+        # on the slope, 5e-4 from both ends included, along a direction
+        # with z' and u parts, against the 4-point Wirtinger central
+        # difference of the value in each coordinate
+        bump = BumpChart(np.zeros(4), np.zeros(2), 0.25, 0.45)
+        dists = np.array([0.2505, 0.26, 0.3, 0.35, 0.4, 0.44, 0.4495])
+        z = secondary.graph_point(
+            dists[:, None] * np.array([0.6, 0.0, 0.48j, 0.0]),
+            dists[:, None] * np.array([0.64, 0.0]))
+        jet = bump.d_zbar(secondary, z)
+        assert np.min(np.abs(jet[2:-2, [0, 2, 4]])) > 0.1   # not flat there
+        step = 1e-6
+        for a in range(secondary.n):
+            e = np.zeros(secondary.n, dtype=complex)
+            e[a] = step
+            fx, fy = ((bump.value(secondary, z + h)
+                       - bump.value(secondary, z - h)) / (2 * step)
+                      for h in (e, 1j * e))
+            fd = 0.5 * (fx + 1j * fy)
+            assert np.max(np.abs(jet[:, a] - fd)) < 1e-7
+
+    def test_smoothstep_slope(self):
+        # the step is 0 below 0 and 1 above 1, its slope 0 off (0, 1) and
+        # symmetric about 1/2; on (0, 1/2], where the step's central
+        # difference keeps its relative accuracy, the slope matches it
+        x = np.concatenate([[-2.0, -1e-300, 0.0, 1.0, 1.0 + 1e-12, 3.0],
+                            np.linspace(0.02, 0.5, 25)])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            step, slope = fields._smoothstep(x)
+            flipped = fields._smoothstep(1.0 - x[6:])[1]
+            h = 1e-6
+            fd = (fields._smoothstep(x + h)[0]
+                  - fields._smoothstep(x - h)[0]) / (2 * h)
+        assert np.array_equal(step[:6], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(slope[:6], np.zeros(6))
+        assert np.max(np.abs(slope[6:] - fd[6:]) / slope[6:]) < 1e-6
+        assert np.max(np.abs(flipped - slope[6:]) / slope[6:]) < 1e-12
 
 
 class TestScalarDbar:
