@@ -150,7 +150,7 @@ def wedge_table(n, r):
 # ---------------------------------------------------------------------------
 
 class RunningSum:
-    """Accumulates chunk totals; final reduction via exact fsum."""
+    """Accumulates block totals; final reduction via exact fsum."""
 
     def __init__(self, shape=()):
         self.shape = tuple(shape)

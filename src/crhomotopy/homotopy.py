@@ -22,15 +22,15 @@ t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
 weighted degree-r form values g and det9 fold into the weights W = (-1)^(r
 n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r.
 
-Each chunk of the node stream is taken in kernel blocks of BLOCK nodes: det9
-is formed once per chunk, and per block the projected nodes, the form
-values, the weights, the section jets, the rejection mask, the contraction
-and the accumulation of the block's total, so that no per-node array but
-the chunk's nodes and det9 spans more than a block.  Form values are
-pointwise, so forming them per block changes no value.  Blocks and chunks
-are summed in node order, so the values do not depend on BLOCK beyond
+The node stream comes in blocks of BLOCK nodes
+(:meth:`~crhomotopy.quadrature.QuadratureGrid.chunks`), and each block is
+one unit of work: det9, the projected nodes, the form values, the weights,
+the section jets, the rejection mask, the contraction and the block's
+signed total, added to an exact running sum, so that no per-node array
+spans more than a block.  Form values are pointwise, so forming them per
+block changes no value, and the totals do not depend on BLOCK beyond
 rounding.  The barrier frames are solved once per chunk, on its table of
-distinct directions theta = -sigma
+distinct directions theta = -sigma, which every block of the chunk shares
 (:class:`~crhomotopy.quadrature.NodeChunk`), and each block gathers its
 nodes' frames from the table.  Per block the pivot of the conormal, and per
 block and run of points at one z the w-pivot and the non-pivot rows of the
@@ -101,7 +101,6 @@ from .sections import barrier_section_jets, bochner_martinelli_jets
 
 PHASE_REJECT_FACTOR = 1e-10
 REJECT_LIMIT = 0.01
-BLOCK = 512             # nodes per kernel block: its jets stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +414,15 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
                          extension=None, _dbar=None):
     """Evaluate the operator at several points over one shared node stream.
 
-    ``fields`` holds one :class:`FormField` per point.  The node geometry
-    (the oriented minors, a scaling of the chunk's conormal) and the barrier
-    frames of the chunk's direction table are computed once per chunk.
-    Each chunk is then taken in kernel blocks of BLOCK nodes: per block the
-    nodes' projection (``extension``, the graph projection by default) and
-    the weighted form values of each point, and per block and point the
-    contraction weights, the section jets (with the block's frames gathered
-    from the table), the rejection mask and the contracted kernel,
-    consecutive points at the same z sharing their section jets and row
+    ``fields`` holds one :class:`FormField` per point.  The barrier frames
+    of a chunk's direction table are solved at its first block.  Per block
+    of the stream come the oriented minors (a scaling of the block's
+    conormal), the nodes' projection (``extension``, the graph projection
+    by default) and the weighted form values of each point, and per block
+    and point the contraction weights, the section jets (with the block's
+    frames gathered from the table), the rejection mask and the contracted
+    kernel, whose signed total goes straight into the point's running sum;
+    consecutive points at the same z share their section jets and row
     reduction, so no value, weight or jet array spans more than a block.
     The d/dzbar jet beta is formed only when a point reads it (output
     degree above 0, or a d-bar).  Returns a list of :class:`OperatorResult`.
@@ -472,53 +471,49 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
         return (barrier[:4], euclid[:3],
                 (euclid[3], barrier[4]) if pulled else None)
 
-    for chunk in grid.chunks():
-        N = chunk.zeta.shape[0]
-        total += N
-        det9 = _det9_blocks(chunk.conormal)             # (N, n)
-        # theta = -sigma: one frame per direction of the table
-        G, dG = _frames_for_thetas(model, -chunk.directions,
-                                   with_derivative=model.m >= 2)
-        sums = [np.zeros(acc.shape, dtype=complex) for acc in accums]
-        d_sums = [np.zeros(n, dtype=complex) for _ in z_list]
-        for lo in range(0, N, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            zeta, thetas = chunk.zeta[blk], -chunk.sigma[blk]
-            index = chunk.direction_index[blk]
-            frames = (G[index], None if dG is None else dG[index])
-            on_manifold = project(zeta)
-            values = [f.values(model, on_manifold) for f in fields]  # (B, nJ)
-            live = [np.any(g != 0, axis=1) for g in values]
-            weighted = [g * chunk.weight[blk, None] for g in values]
-            # delta, the kernel of the weights, is a multiple of the conormal
-            kernel = _pivot(chunk.conormal[blk].T)
-            for run in runs:
-                z = z_list[run[0]]
-                (eta1, beta1, gamma1, phi), (eta0, beta0, gamma0), pulls = \
-                    section_jets(zeta, z, thetas, frames,
-                                 any(dbars[zi] for zi in run))
-                bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
-                solution = (dict(tau=eta1 - eta0, start=(beta0, gamma0),
-                                 t_rule=t_rule) if kind == "solution" else {})
-                shared = _Run(zeta - z[None, :], beta1, gamma1, kernel,
-                              **solution)
-                for zi in run:
-                    rejected[zi] += int(np.sum(bad & live[zi]))
-                    W_kept = _fold_weights(weighted[zi], det9[blk],
-                                           fields[zi].degree) * ~bad[:, None]
-                    folded = _folded_coefficients(
-                        W_kept, shared, plans[zi][0],
-                        tangent=pulls if dbars[zi] else None)
-                    if dbars[zi]:
-                        folded, d_folded = folded
-                        d_sums[zi] += d_folded
-                    sums[zi] += folded
-        for zi, (_, sign) in enumerate(plans):
-            # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
-            # exactly zero is reported as 0.0
-            accums[zi].add(0.0 + sign * sums[zi])
-            if d_accums[zi] is not None:
-                d_accums[zi].add(0.0 + sign * d_sums[zi])
+    table = None
+    for block in grid.chunks():
+        total += block.zeta.shape[0]
+        if block.directions is not table:
+            # theta = -sigma: one frame per direction of the chunk's table,
+            # solved at the chunk's first block
+            table = block.directions
+            G, dG = _frames_for_thetas(model, -table,
+                                       with_derivative=model.m >= 2)
+        zeta, thetas = block.zeta, -block.sigma
+        index = block.direction_index
+        frames = (G[index], None if dG is None else dG[index])
+        det9 = _det9_blocks(block.conormal)             # (B, n)
+        on_manifold = project(zeta)
+        values = [f.values(model, on_manifold) for f in fields]  # (B, nJ)
+        live = [np.any(g != 0, axis=1) for g in values]
+        weighted = [g * block.weight[:, None] for g in values]
+        # delta, the kernel of the weights, is a multiple of the conormal
+        kernel = _pivot(block.conormal.T)
+        for run in runs:
+            z = z_list[run[0]]
+            (eta1, beta1, gamma1, phi), (eta0, beta0, gamma0), pulls = \
+                section_jets(zeta, z, thetas, frames,
+                             any(dbars[zi] for zi in run))
+            bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
+            solution = (dict(tau=eta1 - eta0, start=(beta0, gamma0),
+                             t_rule=t_rule) if kind == "solution" else {})
+            shared = _Run(zeta - z[None, :], beta1, gamma1, kernel,
+                          **solution)
+            for zi in run:
+                rejected[zi] += int(np.sum(bad & live[zi]))
+                W_kept = _fold_weights(weighted[zi], det9,
+                                       fields[zi].degree) * ~bad[:, None]
+                folded = _folded_coefficients(
+                    W_kept, shared, plans[zi][0],
+                    tangent=pulls if dbars[zi] else None)
+                sign = plans[zi][1]
+                if dbars[zi]:
+                    folded, d_folded = folded
+                    d_accums[zi].add(0.0 + sign * d_folded)
+                # adding to 0.0 turns -0.0 into +0.0, so a coefficient that
+                # is exactly zero is reported as 0.0
+                accums[zi].add(0.0 + sign * folded)
 
     out = []
     for zi in range(len(z_list)):

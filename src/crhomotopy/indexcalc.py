@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
 
-from ._util import loglog_slope
+from ._util import RunningSum, loglog_slope
 from .errors import RealizationInfeasibleError, TableGapError
 
 
@@ -452,7 +452,11 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
     Realization: |K| ~ eps^(level powers) / (|zeta-z|^k |Phi|^h) against the
     surface measure; the level one-forms contribute eps each (the level
     one-form restricted to the level set is eps times the angular form).
-    Requires integral phase power.
+    Requires integral phase power.  Each level is one pass over its node
+    stream, block by block: the frames of a chunk's direction table are
+    solved at its first block, and the block totals are summed exactly
+    (:class:`~crhomotopy._util.RunningSum`), so the values do not depend on
+    the block size beyond rounding.
     """
     from .barrier import _frames_for_thetas, barrier_phase
     from .quadrature import QuadratureGrid
@@ -463,6 +467,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
         raise RealizationInfeasibleError("term dimensions do not match model")
     z = np.asarray(z, dtype=complex)
     zp, w0 = model.split(z)
+    d = model.tangential_dim
     h_int = int(term.phase_power)
     values = []
     for i, eps in enumerate(epsilons):
@@ -470,24 +475,25 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
                               mode="mc-shell", seed=seed + i,
                               center_zp=zp, center_u=w0.real,
                               box_radius=0.5)
-        total = 0.0
-        for chunk in grid.chunks():
-            w = chunk.zeta - z[None, :]
+        level = RunningSum()
+        table = None
+        for block in grid.chunks():
+            if block.directions is not table:
+                # one frame per direction of the chunk's table
+                table = block.directions
+                G, _ = _frames_for_thetas(model, -table,
+                                          with_derivative=False)
+            w = block.zeta - z[None, :]
             dist = np.linalg.norm(w, axis=1)
-            # one frame per direction of the chunk's table, gathered by node
-            G, _ = _frames_for_thetas(model, -chunk.directions,
-                                      with_derivative=False)
-            phi = barrier_phase(model, chunk.zeta, z, thetas=-chunk.sigma,
-                                frames=(G[chunk.direction_index], None))
+            phi = barrier_phase(model, block.zeta, z, thetas=-block.sigma,
+                                frames=(G[block.direction_index], None))
             # level-independent cutoff region: chart parameter distance
-            zp_n, w_n = model.split(chunk.zeta)
-            pdist = np.sqrt(np.sum(np.abs(zp_n - zp[None, :]) ** 2, axis=1)
-                            + np.sum((w_n.real - w0.real[None, :]) ** 2,
-                                     axis=1))
+            pdist = np.sqrt(np.sum(np.abs(w[:, :d]) ** 2, axis=1)
+                            + np.sum(w[:, d:].real ** 2, axis=1))
             cutoff = pdist <= grid.box_radius
             dens = (eps ** term.l
                     / (dist ** term.k * np.abs(phi) ** h_int))
-            total += float(np.sum(dens * cutoff * chunk.weight
-                                  * chunk.surface_jac))
-        values.append(total)
+            level.add(np.sum(dens * cutoff * block.weight
+                             * block.surface_jac))
+        values.append(float(level.total().real))
     return loglog_slope(epsilons, values), values

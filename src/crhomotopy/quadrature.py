@@ -44,7 +44,11 @@ them once per chunk, on the table, and gathers them by node.
 
 Node streams are regenerated from the seed on every pass (grids are cheap to
 re-create and costly to store), in fixed chunk order, so accumulations are
-bit-stable.
+bit-stable.  A stream is drawn per chunk of CHUNK nodes and handed out per
+block of BLOCK nodes (:meth:`QuadratureGrid.chunks`): every node value is
+pointwise in the chunk's draws, so the blocks are the chunk's nodes bit for
+bit, each block of a chunk carries the chunk's one direction table, and no
+consumer holds a per-node array longer than a block.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ import numpy as np
 from .errors import OutsideTubeError
 from .geometry import ManifoldModel, direction_grid, levi_heights
 
-CHUNK = 8192
+CHUNK = 8192            # nodes per draw: one direction table, one rotation
+BLOCK = 512             # nodes per yielded block: a quadrature loop's arrays
 MODES = ("mc-uniform", "mc-shell")
 R_MIN_FACTOR = 1e-3     # mc-shell inner radius, in units of epsilon
 SPHERE_POINTS = 64      # K: distinct level directions per chunk for m >= 2
@@ -113,12 +118,24 @@ class QuadratureGrid:
     # -- node generation ---------------------------------------------------
 
     def chunks(self):
+        """The node stream as :class:`NodeChunk` blocks of at most BLOCK nodes.
+
+        Nodes are drawn per CHUNK and yielded per BLOCK: the generator calls
+        are those of whole chunks, so the stream does not depend on BLOCK,
+        and every block of a chunk shares that chunk's one ``directions``
+        array, so a consumer that tests ``block.directions is table`` does
+        its per-direction work once per chunk.
+        """
         rng = np.random.default_rng(self.seed)
         remaining = self.budget
         while remaining > 0:
             count = min(CHUNK, remaining)
             remaining -= count
-            yield self._assemble(self._sample_params(rng, count))
+            p, directions, index, weight = self._sample_params(rng, count)
+            for lo in range(0, count, BLOCK):
+                blk = slice(lo, lo + BLOCK)
+                yield self._assemble((p[blk], directions, index[blk],
+                                      weight[blk]))
 
     def _sample_params(self, rng, count):
         m = self.model.m

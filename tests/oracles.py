@@ -347,6 +347,38 @@ def contract_mixed_jets(d_eta, d_gamma, x, A):
             + np.einsum("Nkj,Nakj->a", A, d_gamma))
 
 
+def stream_chunks(grid):
+    """The node stream of ``grid`` regrouped into its chunks: the blocks that
+    share one direction table, concatenated field by field into one
+    :class:`~crhomotopy.quadrature.NodeChunk` carrying that table."""
+    def joined(blocks):
+        return quadrature.NodeChunk(**{
+            name: (value if name == "directions" else np.concatenate(
+                [vars(b)[name] for b in blocks]))
+            for name, value in vars(blocks[0]).items()})
+
+    blocks = []
+    for block in grid.chunks():
+        if blocks and block.directions is not blocks[0].directions:
+            yield joined(blocks)
+            blocks = []
+        blocks.append(block)
+    if blocks:
+        yield joined(blocks)
+
+
+def first_chunk(grid):
+    """The first chunk of ``grid``'s node stream, all of its blocks."""
+    return next(stream_chunks(grid))
+
+
+def codimension_four_model():
+    """n = 7, m = 4, q = 1: the sphere factor of the level set is S^3."""
+    return ManifoldModel(n=7, m=4, q=1, hermitian=[
+        np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]),
+        np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, -1.0])])
+
+
 def velocity_columns(grid, chunk):
     """Complex velocity columns of the level-set parameterization at the
     chunk's nodes, (N, n, 2n-1): per z' coordinate its real and imaginary

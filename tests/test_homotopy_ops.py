@@ -18,19 +18,20 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
-from oracles import (barrier_mixed_jets, contraction_table,
-                     dense_coefficients, dense_det9,
+from oracles import (barrier_mixed_jets, codimension_four_model,
+                     contraction_table, dense_coefficients, dense_det9,
                      dense_orientation_and_jacobian, euclidean_mixed_jets,
-                     full_row_folded_coefficients, gradient_flow_projection,
-                     project_tangential, random_quadric, row_contraction,
+                     first_chunk, full_row_folded_coefficients,
+                     gradient_flow_projection, project_tangential,
+                     random_quadric, row_contraction, stream_chunks,
                      tangential_dbar_values, velocity_columns)
 
 # bound of the traced allocation peak of one apply_operator call on an
-# 8192-node sig22_n6m2 chunk: 6.2 MB measured for either kind (9.0 MB while
-# the form values were formed per chunk), plus a third for allocator and
-# numpy-version spread, stays below 9.0 + 4.7 MB, so one chunk-sized (N, n,
-# n) complex jet tensor alive at the peak fails it
-APPLY_PEAK_MB = 12.0
+# 8192-node sig22_n6m2 stream: 4.4 MB measured for either kind (6.2 MB
+# while the stream was yielded in 8192-node chunks), plus a third for
+# allocator and numpy-version spread, so one chunk-sized node array set
+# alive at the peak fails it
+APPLY_PEAK_MB = 6.0
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -628,7 +629,7 @@ class TestGrid:
         else:
             model = random_quadric(*map(int, which.split("-")), rng)
         grid = QuadratureGrid(model=model, epsilon=0.1, budget=600, seed=3)
-        chunk = next(grid.chunks())
+        chunk = first_chunk(grid)
         if model.m == 1:
             assert set(chunk.sigma[:, 0]) == {-1.0, 1.0}
         assert_node_geometry_matches_oracle(grid, chunk)
@@ -655,9 +656,7 @@ class TestGrid:
     def test_codimension_four_chunk(self):
         # n = 7, m = 4, q = 1: the sphere factor is S^3 and the tangent
         # basis comes from the stacked QR
-        model = geometry.ManifoldModel(n=7, m=4, q=1, hermitian=[
-            np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]),
-            np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, -1.0])])
+        model = codimension_four_model()
         grid = QuadratureGrid(model=model, epsilon=0.1, budget=500, seed=3)
         chunk = next(grid.chunks())
         assert np.all(np.isfinite(chunk.weight)) and np.all(chunk.weight > 0)
@@ -683,23 +682,53 @@ class TestGrid:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_direction_table(self, m, primary, secondary):
-        # each chunk hands out its K distinct directions (the two sheets
-        # for m = 1) and each node's index into them, bit for bit; the
-        # stream is two chunks long
+        # a CHUNK + 300 stream comes in blocks of at most BLOCK nodes that
+        # cover the budget; the blocks of each chunk share its one table of
+        # K distinct directions (the two sheets for m = 1), so the stream
+        # holds two, and each block indexes its nodes into the table, bit
+        # for bit
         model = {1: primary, 2: secondary}.get(m) or random_quadric(
             7, 3, np.random.default_rng(12))
         K = 2 if m == 1 else quadrature.SPHERE_POINTS
         grid = QuadratureGrid(model=model, epsilon=0.1,
                               budget=quadrature.CHUNK + 300, seed=4)
-        chunks = list(grid.chunks())
-        assert len(chunks) == 2
-        for chunk in chunks:
-            assert chunk.directions.shape == (K, m)
-            assert len(np.unique(chunk.directions, axis=0)) == K
-            assert np.array_equal(chunk.sigma,
-                                  chunk.directions[chunk.direction_index])
+        blocks = list(grid.chunks())
+        sizes = [len(block.zeta) for block in blocks]
+        assert max(sizes) <= quadrature.BLOCK
+        assert sum(sizes) == grid.budget
+        tables = (blocks[0].directions, blocks[-1].directions)
+        assert tables[0] is not tables[1]
+        for lo, block in zip(np.cumsum([0] + sizes[:-1]), blocks):
+            assert block.directions is tables[lo // quadrature.CHUNK]
+            assert np.array_equal(block.sigma,
+                                  block.directions[block.direction_index])
+        for table in tables:
+            assert table.shape == (K, m)
+            assert len(np.unique(table, axis=0)) == K
         if m == 1:
-            assert np.array_equal(chunks[0].directions, [[1.0], [-1.0]])
+            assert np.array_equal(tables[0], [[1.0], [-1.0]])
+
+    @pytest.mark.parametrize("mode", quadrature.MODES)
+    @pytest.mark.parametrize("which", ["primary", "secondary", "codim4"])
+    def test_blocks_are_the_chunk_bit_for_bit(self, which, mode, request):
+        # the stream is drawn per chunk and yielded per block: each chunk's
+        # blocks, joined, are the chunk assembled whole from the same draws
+        # of the generator, field by field and bit for bit, at m = 1, m = 2
+        # and m = 4
+        model = (codimension_four_model() if which == "codim4"
+                 else request.getfixturevalue(which))
+        grid = QuadratureGrid(model=model, epsilon=0.1, mode=mode,
+                              budget=quadrature.CHUNK + 300, seed=4)
+        rng = np.random.default_rng(grid.seed)
+        chunks = list(stream_chunks(grid))
+        assert [len(chunk.zeta) for chunk in chunks] \
+            == [quadrature.CHUNK, 300]
+        for chunk in chunks:
+            want = grid._assemble(grid._sample_params(rng, len(chunk.zeta)))
+            for name, value in vars(want).items():
+                got = vars(chunk)[name]
+                assert (got.dtype, got.shape) == (value.dtype, value.shape)
+                assert got.tobytes() == value.tobytes(), name
 
     def test_consecutive_directions_balance(self, secondary):
         # m = 2: any K consecutive nodes of a chunk take each vertex of the
@@ -901,8 +930,8 @@ class TestOperators:
 
     @pytest.mark.parametrize("which", ["primary", "secondary"])
     def test_block_size_invariance(self, which, request, monkeypatch):
-        # the kernel block is a unit of work, not of the estimate: blocks of
-        # 64 and of 200 nodes (1500 = 7 * 200 + 100, so the last block is
+        # the stream's block is a unit of work, not of the estimate: blocks
+        # of 64 and of 200 nodes (1500 = 7 * 200 + 100, so the last block is
         # partial) give the values and rejected counts of 512-node blocks,
         # for both kinds at two points and for the same-z pair with the
         # ambient d-bar of identity_residual, whose points share their
@@ -920,7 +949,8 @@ class TestOperators:
         monkeypatch.setattr(homotopy, "REJECT_LIMIT", 1.0)
 
         def run(block):
-            monkeypatch.setattr(homotopy, "BLOCK", block)
+            monkeypatch.setattr(quadrature, "BLOCK", block)
+            assert max(len(b.zeta) for b in grid.chunks()) == block
             results = [res for kind in ("solution", "obstruction")
                        for res in apply_operator_multi(model, [f] * 2,
                                                        [z1, z2], grid,
@@ -958,7 +988,7 @@ class TestOperators:
         grid = centered_grid(primary, z, budget=quadrature.CHUNK + 700)
         got, = apply_operator_multi(primary, [wrapped], [z], grid, kind=kind)
         want, = apply_operator_multi(primary, [f], [z], grid, kind=kind)
-        assert 0 < max(sizes) <= homotopy.BLOCK
+        assert 0 < max(sizes) <= quadrature.BLOCK
         assert sum(sizes) == got.total_nodes == grid.budget
         assert np.array_equal(got.ambient, want.ambient)
         assert got.rejected == want.rejected
@@ -966,8 +996,8 @@ class TestOperators:
     @pytest.mark.parametrize("kind", ["solution", "obstruction"])
     def test_apply_peak_memory(self, secondary, kind):
         # the traced allocation peak of one apply_operator call on a full
-        # sig22_n6m2 chunk stays below APPLY_PEAK_MB: no jet tensor spans
-        # more than a kernel block
+        # sig22_n6m2 chunk stays below APPLY_PEAK_MB: no node, value or jet
+        # array spans more than a block of the stream
         f = bundled_test_form(secondary)
         z = secondary.graph_point(np.array([0.02, -0.01j, 0.015, 0.0]),
                                   np.array([0.01, -0.01]))
@@ -1030,7 +1060,7 @@ class TestOperators:
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
         grid = centered_grid(model, z, budget=2000)
-        chunk = next(grid.chunks())
+        chunk = first_chunk(grid)
         det9 = homotopy._det9_blocks(chunk.conormal)
         dense, _ = oracle_node_geometry(grid, chunk)
         eta1, beta1, gamma1, _, _ = barrier_section_jets(model, chunk.zeta,
@@ -1083,7 +1113,7 @@ class TestOperators:
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
         grid = centered_grid(model, z, budget=2000)
-        chunk = next(grid.chunks())
+        chunk = first_chunk(grid)
         w = chunk.zeta - z
         euclid = bochner_martinelli_jets(chunk.zeta, z)[:3]
         barrier = barrier_section_jets(model, chunk.zeta, z)[:3]
@@ -1337,7 +1367,7 @@ class TestOperators:
         z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
                               0.01 * np.ones(model.m))
         grid = centered_grid(model, z, budget=2000)
-        chunk = next(grid.chunks())
+        chunk = first_chunk(grid)
         N, n = chunk.zeta.shape
         w = chunk.zeta - z
         frame = fields.conjugate_frame_rows(model, z)

@@ -1,9 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from crhomotopy import barrier, quadrature
 from crhomotopy import indexcalc as ic
 from crhomotopy.errors import RealizationInfeasibleError, TableGapError
+
+
+# bound of the traced allocation peak of realized_kernel_decay on sig22_n6m2,
+# two levels of 20k nodes: 2.6 MB measured (7.6 MB while the stream was
+# yielded in 8192-node chunks), plus a third for allocator and numpy-version
+# spread, so chunk-sized per-node arrays alive at the peak fail it
+DECAY_PEAK_MB = 3.5
+
+
+def decay_term():
+    """The vanishing class (k, h, l) = (9, 1, 1) of n = 6, m = 2, q = 2, r = 1:
+    the class of the decay_n6m2 benchmark."""
+    pairs, _ = ic.dichotomy_audit(6, 2, 2, 1)
+    return next(kt for _, kt in pairs if ic.is_vanishing_class(kt)
+                and (kt.k, kt.h, kt.l) == (9, 1, 1))
 
 
 def sweep_dims(n_max=6, m_max=3):
@@ -217,6 +235,63 @@ class TestNumericCorroboration:
             primary, kt, np.zeros(5, dtype=complex),
             [0.1, 0.05], budget=20000, seed=1)
         assert abs(slope) < 0.1
+
+    def test_frames_solved_once_per_chunk(self, secondary, monkeypatch):
+        # each level's stream is two chunks long, and its blocks share their
+        # chunk's direction table: the frames are solved once per chunk, so
+        # each level makes two solves of K directions
+        calls = []
+        frames, chunks = barrier._frames_for_thetas, \
+            quadrature.QuadratureGrid.chunks
+
+        def counted_frames(model, thetas, with_derivative=True):
+            calls.append(len(thetas))
+            return frames(model, thetas, with_derivative)
+
+        def counted_chunks(grid):
+            calls.append("level")
+            return chunks(grid)
+
+        monkeypatch.setattr(barrier, "_frames_for_thetas", counted_frames)
+        monkeypatch.setattr(quadrature.QuadratureGrid, "chunks",
+                            counted_chunks)
+        ic.realized_kernel_decay(secondary, decay_term(),
+                                 np.zeros(6, dtype=complex), [0.1, 0.05],
+                                 budget=quadrature.CHUNK + 100, seed=1)
+        assert calls == ["level", quadrature.SPHERE_POINTS,
+                         quadrature.SPHERE_POINTS] * 2
+
+    def test_block_size_invariance(self, secondary, monkeypatch):
+        # the stream's block is a unit of work: the level totals are summed
+        # exactly over blocks, so blocks of 300 nodes give the values of
+        # 512-node blocks to rounding
+        def decay(block):
+            monkeypatch.setattr(quadrature, "BLOCK", block)
+            return ic.realized_kernel_decay(
+                secondary, decay_term(), np.zeros(6, dtype=complex),
+                [0.1, 0.05], budget=3000, seed=1)[1]
+
+        want, got = decay(512), decay(300)
+        assert all(v > 0 for v in want)
+        assert np.max(np.abs(np.subtract(got, want)) / want) <= 1e-13
+
+    def test_peak_memory(self, secondary):
+        # the traced allocation peak of two 20k-node levels stays below
+        # DECAY_PEAK_MB: no per-node array spans more than a block
+        term, z = decay_term(), np.zeros(6, dtype=complex)
+
+        def decay():
+            return ic.realized_kernel_decay(secondary, term, z, [0.1, 0.05],
+                                            budget=20000, seed=1)
+
+        decay()                                         # fill the caches
+        tracemalloc.start()
+        try:
+            decay()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DECAY_PEAK_MB * 1e6
 
     def test_half_integral_phase_rejected(self, primary):
         kt = ic.KernelTerm(n=5, m=1, level_power_0=0, monomial_holo=0,
