@@ -12,11 +12,10 @@ Subpackage map:
 - ``sections``   normalized section jets (euclidean, barrier, combined), the
                  closedness check of the determinant form
 - ``fields``     form fields (coefficient arrays with an optional analytic
-                 d-bar), chart functions, cutoffs, tangential components
+                 d-bar), chart functions, tangential components
 - ``quadrature`` level-set grids and oriented surface integration
 - ``homotopy``   solution / obstruction operators, whose ``extension=`` node
-                 projection extends a field off the manifold, and
-                 partition-of-unity gluing
+                 projection extends a field off the manifold
 - ``indexcalc``  symbolic kernel index bookkeeping and decision procedures
 - ``norms``      frame flows, anisotropic Holder estimators
 - ``cli``        batch audit entry point

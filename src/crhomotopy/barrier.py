@@ -243,23 +243,14 @@ class BarrierBoundReport:
     c_hat_abs: float           # min |Phi| / (rho + |w|^2), sampled only
     passed: bool
     argmin_zeta: np.ndarray
-    argmin_z: np.ndarray
-    sample_count: int
-    scale: float
-    seed: int
     quotients: np.ndarray
 
-    def to_json_dict(self, model_hash=""):
+    def to_json_dict(self):
         return {
-            "model_hash": model_hash,
             "c_hat": float(self.c_hat),
             "c_hat_abs": float(self.c_hat_abs),
             "passed": self.passed,
             "argmin_zeta": [[float(v.real), float(v.imag)] for v in self.argmin_zeta],
-            "argmin_z": [[float(v.real), float(v.imag)] for v in self.argmin_z],
-            "sample_count": self.sample_count,
-            "scale": float(self.scale),
-            "seed": self.seed,
         }
 
 
@@ -289,10 +280,6 @@ def audit_barrier_bound(model: ManifoldModel, z, sample_count=10000,
         c_hat_abs=float(np.min(quot_abs)),
         passed=bool(quot_re[i] > 0),
         argmin_zeta=zetas[i],
-        argmin_z=z,
-        sample_count=sample_count,
-        scale=neighborhood_scale,
-        seed=seed,
         quotients=quot_re,
     )
 

@@ -110,7 +110,7 @@ def cmd_audit_barrier(args) -> int:
         model, z, _expansion_direction(model),
         scales=np.geomspace(1e-3, 1e-1, 6))
     payload = _base_payload(args, model)
-    payload["lower_bound"] = rep.to_json_dict(model.content_hash())
+    payload["lower_bound"] = rep.to_json_dict()
     payload["expansion"] = {"slope": exp.slope, "exact": exp.exact}
     _write_report(args.out, "barrier.json", payload)
     _write_csv(args.out, "barrier_quotients.csv", ["index", "quotient"],

@@ -34,10 +34,6 @@ class GridTooCoarseError(CRHomotopyError):
     """Too many quadrature nodes rejected near the phase singularity."""
 
 
-class CoverError(CRHomotopyError):
-    """Cutoff family fails to form a partition of unity on the support."""
-
-
 class DerivativeOrderError(CRHomotopyError):
     """Field derivatives of the requested order are not available."""
 

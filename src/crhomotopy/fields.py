@@ -22,9 +22,8 @@ from math import prod
 
 import numpy as np
 
-from ._util import (evaluate_form, index_combinations, wedge_jets,
-                    wedge_table)
-from .errors import CoverError, DerivativeOrderError
+from ._util import evaluate_form, index_combinations, wedge_table
+from .errors import DerivativeOrderError
 from .geometry import ManifoldModel, holomorphic_tangent_rows
 
 
@@ -193,31 +192,6 @@ class ZeroChart(ChartFunction):
 
 
 # ---------------------------------------------------------------------------
-# cutoffs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CutoffPair:
-    """Inner bump and a wider bump identically 1 on the inner support."""
-
-    inner: BumpChart
-    outer: BumpChart
-
-    def __post_init__(self):
-        same_center = (np.allclose(self.inner.center_zp, self.outer.center_zp)
-                       and np.allclose(self.inner.center_u, self.outer.center_u))
-        if not (same_center and self.outer.r_in >= self.inner.r_out):
-            raise CoverError(
-                "outer bump must be identically 1 on the inner support")
-
-
-def make_cutoff_pair(center_zp, center_u, r_in, r_out) -> CutoffPair:
-    inner = BumpChart(center_zp, center_u, r_in, r_out)
-    outer = BumpChart(center_zp, center_u, r_out, 1.4 * r_out)
-    return CutoffPair(inner=inner, outer=outer)
-
-
-# ---------------------------------------------------------------------------
 # form fields
 # ---------------------------------------------------------------------------
 
@@ -277,14 +251,6 @@ def chart_form(n, degree, components) -> FormField:
         return out
 
     return FormField(n=n, degree=degree, fn=values, dbar_fn=dbar_values)
-
-
-def wedge_covector_values(n, degree, covector, values):
-    """Coefficients of (sum_l covector_l dzbar_l) wedge (values over r-combos).
-
-    covector: (..., n); values: (..., ncomb_r).  Returns (..., ncomb_{r+1}).
-    """
-    return wedge_jets(values[..., :, None] * covector[..., None, :], n, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ from ._util import (RunningSum, avoiding_table, evaluate_form,
                     gauss_legendre_01, hodge_star, index_combinations)
 from .barrier import _frames_for_thetas
 from .errors import GridTooCoarseError
-from .fields import FormField, tangential_components, wedge_covector_values
+from .fields import FormField, tangential_components
 from .geometry import ManifoldModel
 from .quadrature import QuadratureGrid
 from .sections import barrier_section_jets, bochner_martinelli_jets
@@ -537,69 +537,6 @@ def apply_operator(model: ManifoldModel, field: FormField, z,
     obstruction (pure barrier kernel) operator at a single point."""
     return apply_operator_multi(model, [field], [z], grid, kind=kind,
                                 extension=extension)[0]
-
-
-# ---------------------------------------------------------------------------
-# partition-of-unity gluing
-# ---------------------------------------------------------------------------
-
-def _cutoff_fields(cutoff, field: FormField):
-    """The fields cutoff * field, of degree r, and (dbar cutoff) wedge
-    field, of degree r + 1."""
-    def times(model, z):
-        return cutoff.value(model, z)[..., None] * field.values(model, z)
-
-    def wedge(model, z):
-        return wedge_covector_values(field.n, field.degree,
-                                     cutoff.d_zbar(model, z),
-                                     field.values(model, z))
-
-    return (FormField(n=field.n, degree=field.degree, fn=times),
-            FormField(n=field.n, degree=field.degree + 1, fn=wedge))
-
-
-def glue_solution(model: ManifoldModel, covers, field: FormField, z,
-                  grids) -> np.ndarray:
-    """Global solution operator: sum of outer-cutoff-weighted local operators
-    applied to inner-cutoff localizations, one grid per cover.  Returns
-    ambient coefficients of degree r-1."""
-    if not covers:
-        raise ValueError("the gluing needs at least one cover")
-    z = np.asarray(z, dtype=complex)
-    out = 0
-    for pair, grid in zip(covers, grids, strict=True):
-        localized, _ = _cutoff_fields(pair.inner, field)
-        local = apply_operator(model, localized, z, grid, kind="solution")
-        weight = complex(pair.outer.value(model, z[None, :])[0])
-        out = out + weight * local.ambient
-    return out
-
-
-def glue_obstruction(model: ManifoldModel, covers, field: FormField, z,
-                     grids) -> np.ndarray:
-    """Global obstruction operator: cutoff-derivative term, localized
-    differential term, and local obstruction term for each cover, one grid
-    per cover."""
-    if not covers:
-        raise ValueError("the gluing needs at least one cover")
-    z = np.asarray(z, dtype=complex)
-    r = field.degree
-    out = np.zeros(len(index_combinations(model.n, r)), dtype=complex)
-    for pair, grid in zip(covers, grids, strict=True):
-        localized, wedged = _cutoff_fields(pair.inner, field)
-        sol, rplus = apply_operator_multi(model, [localized, wedged], [z, z],
-                                          grid, kind="solution")
-        # - dbar(outer cutoff) wedge R(inner * f)
-        cov = pair.outer.d_zbar(model, z[None, :])[0]
-        out -= wedge_covector_values(model.n, r - 1, cov[None, :],
-                                     sol.ambient[None, :])[0]
-        # + outer * R_{r+1}(dbar(inner) wedge f)
-        weight = complex(pair.outer.value(model, z[None, :])[0])
-        out += weight * rplus.ambient
-        # + outer * H(inner * f)
-        obs = apply_operator(model, localized, z, grid, kind="obstruction")
-        out += weight * obs.ambient
-    return out
 
 
 # ---------------------------------------------------------------------------

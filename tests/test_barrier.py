@@ -345,6 +345,27 @@ class TestLowerBoundAudit:
         test = barrier.audit_barrier_bound(primary, z, 10000, 0.1, seed=2)
         assert test.c_hat > 0.5 * train.c_hat
 
+    def test_argmin_reproduces_c_hat(self, secondary):
+        # argmin_zeta is the sampled point of least real quotient: the
+        # quotient recomputed there is c_hat, the least of ``quotients``
+        z = secondary.graph_point(np.array([0.05, 0.02j, 0.0, 0.01]),
+                                  np.array([0.01, -0.02]))
+        rep = barrier.audit_barrier_bound(secondary, z, 4000, 0.1, seed=3)
+        zeta = rep.argmin_zeta[None, :]
+        _, rho = secondary.defining_values(zeta)
+        denom = rho + np.sum(np.abs(zeta - z) ** 2, axis=1)
+        quot = barrier.barrier_phase(secondary, zeta, z).real / denom
+        assert quot[0] == pytest.approx(rep.c_hat, rel=1e-12)
+        assert rep.c_hat == np.min(rep.quotients)
+
+    def test_report_holds_only_verdict_keys(self, primary):
+        # the model hash, seed, scale and sample count live in the report's
+        # top-level keys and config hash, the input point is the caller's
+        rep = barrier.audit_barrier_bound(primary, np.zeros(5, dtype=complex),
+                                          2000, 0.1, seed=1)
+        assert set(rep.to_json_dict()) == {"c_hat", "c_hat_abs", "passed",
+                                           "argmin_zeta"}
+
     def test_broken_model_detected(self):
         broken = geometry.ManifoldModel(n=5, m=1, q=2,
                                         hermitian=[np.eye(4)])

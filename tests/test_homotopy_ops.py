@@ -6,15 +6,12 @@ import pytest
 
 from crhomotopy import barrier, fields, geometry, homotopy, quadrature
 from crhomotopy._util import (avoiding_table, gauss_legendre_01, hodge_star,
-                              index_combinations, small_det)
-from crhomotopy.errors import (CoverError, CRHomotopyError,
-                               DerivativeOrderError, GridTooCoarseError,
-                               OutsideTubeError)
-from crhomotopy.fields import (BumpChart, CutoffPair, FormField, PolyChart,
-                               ProductChart, ZeroChart, bundled_test_form,
-                               chart_form, make_cutoff_pair)
+                              index_combinations, small_det, wedge_jets)
+from crhomotopy.errors import (CRHomotopyError, DerivativeOrderError,
+                               GridTooCoarseError, OutsideTubeError)
+from crhomotopy.fields import (BumpChart, FormField, PolyChart, ProductChart,
+                               ZeroChart, bundled_test_form, chart_form)
 from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
-                                 glue_obstruction, glue_solution,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
@@ -181,10 +178,8 @@ class TestProjection:
         out = project_tangential(primary, normal[None, :], z[None, :], 1)
         assert np.max(np.abs(out)) < 1e-10
         # and wedges of it in degree two
-        vals2 = np.zeros((1, len(index_combinations(5, 2))), dtype=complex)
-        from crhomotopy.fields import wedge_covector_values
         other = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        vals2 = wedge_covector_values(5, 1, normal[None, :], other[None, :])
+        vals2 = wedge_jets(other[None, :, None] * normal[None, None, :], 5, 1)
         out2 = project_tangential(primary, vals2, z[None, :], 2)
         assert np.max(np.abs(out2)) < 1e-10
 
@@ -1412,116 +1407,6 @@ class TestOperators:
                         r_out, ((1.0, 1.0),), None)
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
                         np.abs(want)) + floor
-
-
-class TestGlue:
-    def test_partition_check(self, primary):
-        pair = make_cutoff_pair(np.zeros(4), np.zeros(1), 0.5, 0.6)
-        pts = primary.graph_point(
-            0.1 * np.stack([np.ones(4), -np.ones(4)]).astype(complex),
-            np.zeros((2, 1)))
-        assert np.max(np.abs(pair.inner.value(primary, pts) - 1.0)) < 1e-12
-
-    def test_invalid_pair_rejected(self):
-        with pytest.raises(CoverError):
-            CutoffPair(inner=BumpChart(np.zeros(4), np.zeros(1), 0.3, 0.5),
-                       outer=BumpChart(np.zeros(4), np.zeros(1), 0.4, 0.6))
-
-    def test_single_cover_reduces_to_local(self, primary):
-        f = bundled_test_form(primary)
-        pair = make_cutoff_pair(np.zeros(4), np.zeros(1), 0.5, 0.6)
-        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
-                                np.array([0.01]))
-        grid = centered_grid(primary, z, budget=2000)
-        glued = glue_solution(primary, [pair], f, z, [grid])
-        local = apply_operator(primary, f, z, grid).ambient
-        # inner cutoff is 1 on the support, outer is 1 at z
-        assert np.max(np.abs(glued - local)) < 1e-12 * max(
-            1.0, np.max(np.abs(local)))
-        hglued = glue_obstruction(primary, [pair], f, z, [grid])
-        assert np.max(np.abs(hglued)) < 1e-10
-
-    @pytest.mark.parametrize("glue", [glue_solution, glue_obstruction])
-    def test_cover_and_grid_counts_checked(self, primary, glue):
-        # no cover has no global operator, and a cover or grid without its
-        # partner would drop out of the sum
-        f = bundled_test_form(primary)
-        pair = make_cutoff_pair(np.zeros(4), np.zeros(1), 0.5, 0.6)
-        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
-                                np.array([0.01]))
-        grid = centered_grid(primary, z, budget=200)
-        with pytest.raises(ValueError, match="at least one cover"):
-            glue(primary, [], f, z, [])
-        for covers, grids in (([pair, pair], [grid]), ([pair], [grid, grid])):
-            with pytest.raises(ValueError, match="zip"):
-                glue(primary, covers, f, z, grids)
-
-    def test_two_covers_match_single_cover(self, primary, monkeypatch):
-        monkeypatch.setattr(fields, "BUMP_R_IN", 0.2)
-        monkeypatch.setattr(fields, "BUMP_R_OUT", 0.35)
-        f = bundled_test_form(primary)
-        z = primary.graph_point(np.array([0.03, -0.02, 0.01, 0.0]),
-                                np.array([0.0]))
-        # partition: inner bump + complementary remainder under a wide bump
-        b1 = BumpChart(np.zeros(4), np.zeros(1), 0.12, 0.3)
-        wide = BumpChart(np.zeros(4), np.zeros(1), 0.4, 0.55)
-
-        class Complement(fields.ChartFunction):
-            def value(self, model, pt):
-                return (1.0 - b1.value(model, pt)) * wide.value(model, pt)
-
-            def d_zbar(self, model, pt):
-                return (-b1.d_zbar(model, pt) * wide.value(model, pt)[..., None]
-                        + (1.0 - b1.value(model, pt))[..., None]
-                        * wide.d_zbar(model, pt))
-
-        c1 = CutoffPair(inner=b1,
-                        outer=BumpChart(np.zeros(4), np.zeros(1), 0.3, 0.45))
-        # wrap the complement as an inner cutoff with matching outer bump
-        comp = Complement()
-        c2 = type("Pair", (), {})()
-        c2.inner = comp
-        c2.outer = BumpChart(np.zeros(4), np.zeros(1), 0.55, 0.75)
-        pts = primary.graph_point(
-            (0.1 * np.stack([np.ones(4), -0.5 * np.ones(4)])).astype(complex),
-            np.zeros((2, 1)))
-        total = b1.value(primary, pts).real + comp.value(primary, pts).real
-        assert np.max(np.abs(total - 1.0)) < 1e-12
-
-        grid = centered_grid(primary, z, budget=60000, seed=5)
-        glued = glue_solution(primary, [c1, c2], f, z, [grid, grid])
-        local = apply_operator(primary, f, z, grid).ambient
-        denom = max(np.max(np.abs(local)), 1e-6)
-        assert np.max(np.abs(glued - local)) < 0.05 * denom
-
-
-class TestGluedIdentity:
-    def test_glued_operators_satisfy_identity_budget(self, primary):
-        # the glued solution/obstruction pair reproduces the test form at the
-        # same tolerance budget as the local run at this rung
-        from oracles import (assemble_conjugate_frame_derivative,
-                             conjugate_frame_stencil)
-        from crhomotopy.fields import tangential_components
-        f = bundled_test_form(primary)
-        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
-                                np.array([0.01]))
-        pair = make_cutoff_pair(np.zeros(4), np.zeros(1), 0.5, 0.6)
-        grid = centered_grid(primary, z, eps=0.1, budget=20000, seed=31,
-                             box_radius=0.8)
-        step = 2e-4
-        stencil = conjugate_frame_stencil(primary, z, step)
-        vals = [complex(glue_solution(primary, [pair], f, p, [grid])[0])
-                for p in stencil]
-        dbar_r1 = assemble_conjugate_frame_derivative(vals, 4, step)
-        r2 = glue_solution(primary, [pair], f.dbar_field(), z, [grid])
-        r2_tan = tangential_components(primary, r2[None, :], z[None, :], 1)[0]
-        h_tan = tangential_components(
-            primary, glue_obstruction(primary, [pair], f, z, [grid])[None, :],
-            z[None, :], 1)[0]
-        f_tan = tangential_components(primary, f.values(primary, z[None, :]),
-                                      z[None, :], 1)[0]
-        resid = float(np.max(np.abs(f_tan - dbar_r1 - r2_tan - h_tan)))
-        assert resid < 0.8 * float(np.max(np.abs(f_tan)))
 
 
 class TestIdentityLadder:

@@ -164,6 +164,22 @@ class TestRewriteRules:
                 emitted += len(ic.closure_two_deep(kt))
         assert emitted > 0
 
+    def test_unsound_move_raises(self, monkeypatch):
+        # negative control of the inline budget check: a linear phase hit
+        # that spends one credit on two phase powers breaks the pass budget
+        # of the flow terms it reaches, from every expansion kernel
+        moves = tuple((rule, kind, (-1, 2, 0) if rule == "phase-hit-linear"
+                       else shift)
+                      for rule, kind, shift in ic.COMPLEX_TANGENT_MOVES)
+        monkeypatch.setattr(ic, "COMPLEX_TANGENT_MOVES", moves)
+        kernels = [kt for dims in sweep_dims()
+                   for _, kt in ic.expansion_kernels(*dims)]
+        assert kernels
+        for kt in kernels:
+            with pytest.raises(ic.RewriteSoundnessError,
+                               match="'phase-hit-linear' violated the pass"):
+                ic.closure_two_deep(kt)
+
 
 class TestDichotomy:
     def test_every_term_classified(self):

@@ -26,9 +26,6 @@ ALLOWED = {
     ("quadrature", "QuadratureGrid.header"):
         "the benchmark keys node streams by it",
     ("indexcalc", "realized_kernel_decay"): "the decay_n6m2 workload calls it",
-    ("homotopy", "glue_solution"): "the global identity; a caller is open",
-    ("homotopy", "glue_obstruction"): "the global identity; a caller is open",
-    ("fields", "make_cutoff_pair"): "the gluing's cutoffs; with the gluing",
     ("indexcalc", "classify_term"):
         "index-audit is to report each term's table class",
 }
