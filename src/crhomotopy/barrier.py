@@ -15,6 +15,9 @@ covered eigendirections, and its analytic theta-derivative dG, taken from the
 eigen-equation so that it costs one product H_k V beyond the eigh: no
 eigenvector phase is fixed and no finite difference is left in the jets.
 Real Levi matrices run in real arithmetic (``ManifoldModel.hermitian_stack``).
+The jets and the phase values share one formula for P and Phi; on the node
+stream, :func:`level_set_blocks` hands each block its directions without
+recomputing a defining value.
 
 For the quadric models every quantity below is exact:
 
@@ -79,9 +82,7 @@ class BarrierJetBatch:
 def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     """G = s^2 Pi on the z'-block, (N, d, d), and dG / d theta along the
     unit sphere, (N, m, d, d), or None without ``with_derivative``, one per
-    row of thetas.  A level-set node has theta = -sigma, so a node chunk
-    needs only the frames of its direction table
-    (:class:`~crhomotopy.quadrature.NodeChunk`), gathered by node.
+    row of thetas.
 
     From one batched eigh of the Levi pencil M = -theta . H
     (:meth:`ManifoldModel.levi_pencil`) with A_k = -(H_k + theta_k M),
@@ -122,19 +123,46 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     return G, dG
 
 
-def _batch_directions(model: ManifoldModel, zetas, thetas):
-    """(theta, rho) over a zeta batch: the given directions, or -rho_vec /
-    rho.  Raises :class:`ThetaUndefinedError` on the manifold either way."""
+def _directions(model: ManifoldModel, zetas, with_derivative):
+    """(theta, rho, G, dG) over an off-manifold zeta batch: theta = -rho_vec
+    / rho and the frames of :func:`_frames_for_thetas` at theta.  Raises
+    :class:`ThetaUndefinedError` on the manifold."""
     vec, norm = model.defining_values(zetas)
     if np.any(norm <= model.tol_on_manifold):
         raise ThetaUndefinedError("batch contains points on the manifold")
-    if thetas is None:
-        thetas = -vec / norm[:, None]
-    return thetas, norm
+    thetas = -vec / norm[:, None]
+    return (thetas, norm) + _frames_for_thetas(model, thetas, with_derivative)
+
+
+def level_set_blocks(model: ManifoldModel, grid, with_derivative):
+    """The node stream of ``grid`` as (block, directions) pairs, directions
+    = (theta, rho, G, dG) = (-sigma, eps, G[index], dG[index]) for
+    :func:`barrier_jets` and :func:`barrier_phase`: the frames of each
+    chunk's direction table (:class:`~crhomotopy.quadrature.NodeChunk`) are
+    solved at its first block, and dG is None without ``with_derivative``.
+    """
+    table = None
+    for block in grid.chunks():
+        if block.directions is not table:
+            table = block.directions
+            G, dG = _frames_for_thetas(model, -table, with_derivative)
+        index = block.direction_index
+        yield block, (-block.sigma, grid.epsilon, G[index],
+                      None if dG is None else dG[index])
+
+
+def _section(w, thetas, Q, G):
+    """P = theta . Q + conj(w') G on the z'-block, and Phi = <P, w>; G None
+    leaves P = theta . Q (no correction)."""
+    P = thetas @ Q
+    if G is not None:
+        d = G.shape[-1]
+        P[:, :d] += (w[:, None, :d].conj() @ G)[:, 0]
+    return P, np.einsum("Ni,Ni->N", P, w)
 
 
 def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
-                 thetas=None, frames=None) -> BarrierJetBatch:
+                 directions=None) -> BarrierJetBatch:
     """Analytic first jets of (P, Phi) over a zeta batch at fixed z: with
     w = zeta - z, G and dG of :func:`_frames_for_thetas` and dQ_k = H_k,
 
@@ -143,24 +171,19 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
 
     where the dtheta terms are formed only when theta varies (m >= 2), and
     the z-jets dP/dzbar and dPhi/dzbar only ``with_zbar`` (else None).
-    ``thetas`` passes theta(zeta) in, -sigma on a level-set node; by
-    default it is recomputed as -rho_vec / rho.  ``frames`` passes (G, dG)
-    of :func:`_frames_for_thetas` at those thetas in (dG None for m = 1), so
-    that a caller solves each distinct direction once.
+    ``directions`` passes (theta, rho, G, dG) in, as
+    :func:`level_set_blocks` yields them (dG None for m = 1); by default
+    they are recomputed from rho_vec (:func:`_directions`).
     """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
     N, n, d = zetas.shape[0], model.n, model.tangential_dim
     w = zetas - z[None, :]
-    wbar = w[:, None, :d].conj()                           # (N, 1, d)
-    thetas, norm = _batch_directions(model, zetas, thetas)
-    Q = -model.holo_gradients(z)                           # (m, n)
     # theta varies with zeta only for m >= 2
-    G, dG = frames if frames is not None else _frames_for_thetas(
-        model, thetas, with_derivative=model.m >= 2)
-
-    P = thetas @ Q
-    P[:, :d] += (wbar @ G)[:, 0]
+    thetas, rho, G, dG = directions if directions is not None else \
+        _directions(model, zetas, with_derivative=model.m >= 2)
+    Q = -model.holo_gradients(z)                           # (m, n)
+    P, Phi = _section(w, thetas, Q, G)
     dP_dzbar = dPhi_dzbar = None
     if with_zbar:
         dP_dzbar = np.zeros((N, n, n), dtype=complex)
@@ -174,44 +197,33 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
         # = -(1 - theta theta^T) d rho_vec / d zetabar / rho
         dbar = model.holo_gradients(zetas).conj()           # (N, m, n)
         dtheta = -(dbar - thetas[:, :, None] * (thetas[:, None] @ dbar)) \
-            / norm[:, None, None]
+            / np.asarray(rho)[..., None, None]
         QW = np.repeat(Q[None], N, axis=0)  # Q_k + conj(w) . dG_k
-        QW[:, :, :d] += (wbar[:, None] @ dG)[:, :, 0]
+        QW[:, :, :d] += (w[:, None, None, :d].conj() @ dG)[:, :, 0]
         dP_dzetabar = np.swapaxes(dtheta, 1, 2) @ QW
     dP_dzetabar[:, :d, :d] += G
     return BarrierJetBatch(
-        P=P, Phi=np.einsum("Ni,Ni->N", P, w), dP_dzbar=dP_dzbar,
-        dP_dzetabar=dP_dzetabar,
-        dPhi_dzbar=dPhi_dzbar,
-        dPhi_dzetabar=(dP_dzetabar @ w[:, :, None])[:, :, 0],
-        H=model.hermitian_stack, dG=dG, dtheta=dtheta)
+        P=P, Phi=Phi, dP_dzbar=dP_dzbar, dP_dzetabar=dP_dzetabar,
+        dPhi_dzbar=dPhi_dzbar, H=model.hermitian_stack, dG=dG, dtheta=dtheta,
+        dPhi_dzetabar=(dP_dzetabar @ w[:, :, None])[:, :, 0])
 
 
 def barrier_phase(model: ManifoldModel, zetas, z,
                   include_correction: bool = True,
-                  thetas=None, frames=None) -> np.ndarray:
-    """Phase values theta . F + conj(w')^T G w' over a zeta batch at fixed z,
-    the correction being sum |A|^2 as a G-quadratic form on the z'-block.
-
-    ``include_correction=False`` drops the correction (negative-control
-    mode).  ``thetas`` and ``frames`` pass theta(zeta) and its frames in,
-    as for :func:`barrier_jets`; only G is read.
-    Raises :class:`ThetaUndefinedError` on the manifold, as
-    :func:`barrier_jets` does.
+                  directions=None) -> np.ndarray:
+    """Phase values Phi = <P, w> over a zeta batch at fixed z, those of
+    ``barrier_jets(...).Phi`` bit for bit.  ``include_correction=False``
+    drops the correction conj(w') G from P (negative-control mode);
+    ``directions`` is read as by :func:`barrier_jets` (theta and G only),
+    and without it the batch must lie off the manifold
+    (:class:`ThetaUndefinedError`).
     """
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    w = zetas - z[None, :]
-    thetas, _ = _batch_directions(model, zetas, thetas)
-    Q = -model.holo_gradients(z)                           # (m, n)
-    F = np.einsum("ki,Ni->Nk", Q, w)
-    phi = np.einsum("Nk,Nk->N", thetas, F)
-    if include_correction:
-        G, _ = frames if frames is not None else _frames_for_thetas(
-            model, thetas, with_derivative=False)
-        wp = w[:, :model.tangential_dim]
-        phi = phi + np.einsum("Nl,Nli,Ni->N", wp.conj(), G, wp).real
-    return phi
+    thetas, _, G, _ = directions if directions is not None else \
+        _directions(model, zetas, with_derivative=False)
+    return _section(zetas - z[None, :], thetas, -model.holo_gradients(z),
+                    G if include_correction else None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +243,8 @@ def _sample_pairs(model: ManifoldModel, z, count, scale, rng):
     sigma = rng.standard_normal((count, model.m))
     sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
     level = 0.25 * scale ** 2 * rng.uniform(0.25, 1.0, size=(count, 1))
-    zetas = model.graph_point(zp0[None, :] + dz,
-                              w0.real[None, :] + du,
-                              level * sigma)
-    return zetas
+    return model.graph_point(zp0[None, :] + dz, w0.real[None, :] + du,
+                             level * sigma)
 
 
 @dataclass
@@ -265,13 +275,16 @@ def audit_barrier_bound(model: ManifoldModel, z, sample_count=10000,
     and Re w moved by 0.05 orthogonally to sigma, |Phi| / (rho + |w|^2) is
     0.40, 0.14, 0.019 and 0.0020 at eps 1e-2, 1e-3, 1e-4 and 1e-5.
     """
+    from .quadrature import BLOCK  # check-geometry runs without quadrature
+
     rng = np.random.default_rng(seed)
     z = np.asarray(z, dtype=complex)
     zetas = _sample_pairs(model, z, sample_count, neighborhood_scale, rng)
-    w = zetas - z[None, :]
     _, rho = model.defining_values(zetas)
-    denom = rho + np.sum(np.abs(w) ** 2, axis=1)
-    phi = barrier_phase(model, zetas, z, include_correction)
+    denom = rho + np.sum(np.abs(zetas - z[None, :]) ** 2, axis=1)
+    phi = np.concatenate([  # per block: no temporary spans all the samples
+        barrier_phase(model, zetas[lo:lo + BLOCK], z, include_correction)
+        for lo in range(0, sample_count, BLOCK)])
     quot_re = phi.real / denom
     quot_abs = np.abs(phi) / denom
     i = int(np.argmin(quot_re))

@@ -251,14 +251,14 @@ def cmd_index_audit(args) -> int:
                     pairs, viol = indexcalc.dichotomy_audit(n, m, q, r)
                     violations += len(viol)
                     for term, kt in pairs:
-                        emitted = indexcalc.closure_two_deep(kt)
+                        # raises RewriteSoundnessError on an unsound rewrite
+                        indexcalc.closure_two_deep(kt)
                         certificate.append({
                             "n": n, "m": m, "q": q, "r": r,
                             "family": term.family,
                             "indices": [kt.k, str(kt.h), kt.l],
                             "bounded": indexcalc.is_bounded_class(kt),
                             "vanishing": indexcalc.is_vanishing_class(kt),
-                            "rewrite_emissions": len(emitted),
                         })
     payload = _base_payload(args, model)
     payload["obstruction_sweep"] = {
@@ -283,10 +283,6 @@ def cmd_estimate_norms(args) -> int:
     flat = norms.tangential_holder_estimate(
         model, lambda p: p[:, 0].real, 1.0, z, seed=args.seed,
         curve_budget=max(4, args.budget // 50), pair_budget=args.budget)
-    aniso = norms.tangential_holder_estimate(
-        model, lambda p: p[:, model.tangential_dim].real, 1.0, z,
-        seed=args.seed,
-        curve_budget=max(4, args.budget // 50), pair_budget=args.budget)
     rows = [("ambient", i, q) for i, q in flat.ambient.samples]
     rows += [("curve", i, q) for i, q in flat.tangential.samples]
     _write_csv(args.out, "norm_quotients.csv", ["regime", "id", "quotient"],
@@ -295,10 +291,6 @@ def cmd_estimate_norms(args) -> int:
     payload["coordinate_function"] = {
         "tangential_quotient": flat.tangential.quotient_sup,
         "ambient_quotient": flat.ambient.quotient_sup,
-    }
-    payload["transverse_function"] = {
-        "tangential_quotient": aniso.tangential.quotient_sup,
-        "ambient_quotient": aniso.ambient.quotient_sup,
     }
     _write_report(args.out, "norms.json", payload)
     ok = flat.tangential.quotient_sup <= 1.05

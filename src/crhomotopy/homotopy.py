@@ -29,12 +29,12 @@ the section jets, the rejection mask, the contraction and the block's
 signed total, added to an exact running sum, so that no per-node array
 spans more than a block.  Form values are pointwise, so forming them per
 block changes no value, and the totals do not depend on BLOCK beyond
-rounding.  The barrier frames are solved once per chunk, on its table of
-distinct directions theta = -sigma, which every block of the chunk shares
-(:class:`~crhomotopy.quadrature.NodeChunk`), and each block gathers its
-nodes' frames from the table.  Per block the pivot of the conormal, and per
-block and run of points at one z the w-pivot and the non-pivot rows of the
-jets (:class:`_Run`), are formed once for all the points that read them.
+rounding.  Each block comes with its barrier directions, theta = -sigma
+and the frames of its chunk's direction table, solved once per chunk
+(:func:`~crhomotopy.barrier.level_set_blocks`).  Per block the pivot of the
+conormal, and per block and run of points at one z the w-pivot and the
+non-pivot rows of the jets (:class:`_Run`), are formed once for all the
+points that read them.
 
 Each coefficient is taken on n - 1 rows.  With w = zeta - z, every section
 has sum_k eta_k w_k = 1, so w^T eta = 1 and the columns beta, gamma and tau
@@ -92,7 +92,7 @@ import numpy as np
 
 from ._util import (RunningSum, avoiding_table, evaluate_form,
                     gauss_legendre_01, hodge_star, index_combinations)
-from .barrier import _frames_for_thetas
+from .barrier import level_set_blocks
 from .errors import GridTooCoarseError
 from .fields import FormField, tangential_components
 from .geometry import ManifoldModel
@@ -414,18 +414,20 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
                          extension=None, _dbar=None):
     """Evaluate the operator at several points over one shared node stream.
 
-    ``fields`` holds one :class:`FormField` per point.  The barrier frames
-    of a chunk's direction table are solved at its first block.  Per block
-    of the stream come the oriented minors (a scaling of the block's
-    conormal), the nodes' projection (``extension``, the graph projection
-    by default) and the weighted form values of each point, and per block
-    and point the contraction weights, the section jets (with the block's
-    frames gathered from the table), the rejection mask and the contracted
-    kernel, whose signed total goes straight into the point's running sum;
-    consecutive points at the same z share their section jets and row
-    reduction, so no value, weight or jet array spans more than a block.
-    The d/dzbar jet beta is formed only when a point reads it (output
-    degree above 0, or a d-bar).  Returns a list of :class:`OperatorResult`.
+    ``fields`` holds one :class:`FormField` per point.  The blocks of the
+    stream come with their directions from
+    :func:`~crhomotopy.barrier.level_set_blocks`, the frames of a chunk's
+    direction table solved at its first block.  Per block come the oriented
+    minors (a scaling of the block's conormal), the nodes' projection
+    (``extension``, the graph projection by default) and the weighted form
+    values of each point, and per block and point the contraction weights,
+    the section jets (on the block's directions), the rejection mask and
+    the contracted kernel, whose signed total goes straight into the
+    point's running sum; consecutive points at the same z share their
+    section jets and row reduction, so no value, weight or jet array spans
+    more than a block.  The d/dzbar jet beta is formed only when a point
+    reads it (output degree above 0, or a d-bar).  Returns a list of
+    :class:`OperatorResult`.
 
     ``_dbar`` (private to :func:`identity_residual`) flags per point whether
     it (solution kind, degree-1 input) also gets ``dbar``, the ambient d-bar
@@ -461,30 +463,21 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     total = 0
     project = extension if extension is not None else model.project_to_manifold
 
-    def section_jets(zeta, z, thetas, frames, pulled):
+    def section_jets(zeta, z, directions, pulled):
         """The barrier and, for the solution kind, the euclidean jets of a
         block at z, and their pullbacks only when ``pulled``."""
         barrier = barrier_section_jets(model, zeta, z, with_zbar=with_zbar,
-                                       thetas=thetas, frames=frames)
+                                       directions=directions)
         euclid = (bochner_martinelli_jets(zeta, z, with_zbar=with_zbar)
                   if kind == "solution" else (None,) * 4)
         return (barrier[:4], euclid[:3],
                 (euclid[3], barrier[4]) if pulled else None)
 
-    table = None
-    for block in grid.chunks():
+    # theta varies with zeta, so the jets read dG, only for m >= 2
+    for block, directions in level_set_blocks(model, grid, model.m >= 2):
         total += block.zeta.shape[0]
-        if block.directions is not table:
-            # theta = -sigma: one frame per direction of the chunk's table,
-            # solved at the chunk's first block
-            table = block.directions
-            G, dG = _frames_for_thetas(model, -table,
-                                       with_derivative=model.m >= 2)
-        zeta, thetas = block.zeta, -block.sigma
-        index = block.direction_index
-        frames = (G[index], None if dG is None else dG[index])
         det9 = _det9_blocks(block.conormal)             # (B, n)
-        on_manifold = project(zeta)
+        on_manifold = project(block.zeta)
         values = [f.values(model, on_manifold) for f in fields]  # (B, nJ)
         live = [np.any(g != 0, axis=1) for g in values]
         weighted = [g * block.weight[:, None] for g in values]
@@ -493,12 +486,12 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
         for run in runs:
             z = z_list[run[0]]
             (eta1, beta1, gamma1, phi), (eta0, beta0, gamma0), pulls = \
-                section_jets(zeta, z, thetas, frames,
+                section_jets(block.zeta, z, directions,
                              any(dbars[zi] for zi in run))
             bad = np.abs(phi) < PHASE_REJECT_FACTOR * grid.epsilon
             solution = (dict(tau=eta1 - eta0, start=(beta0, gamma0),
                              t_rule=t_rule) if kind == "solution" else {})
-            shared = _Run(zeta - z[None, :], beta1, gamma1, kernel,
+            shared = _Run(block.zeta - z[None, :], beta1, gamma1, kernel,
                           **solution)
             for zi in run:
                 rejected[zi] += int(np.sum(bad & live[zi]))

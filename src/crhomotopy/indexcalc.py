@@ -453,12 +453,14 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
     surface measure; the level one-forms contribute eps each (the level
     one-form restricted to the level set is eps times the angular form).
     Requires integral phase power.  Each level is one pass over its node
-    stream, block by block: the frames of a chunk's direction table are
-    solved at its first block, and the block totals are summed exactly
+    stream, block by block, with the directions of
+    :func:`~crhomotopy.barrier.level_set_blocks` (theta = -sigma and the
+    frames of a chunk's direction table, solved at its first block), so no
+    defining value is recomputed; the block totals are summed exactly
     (:class:`~crhomotopy._util.RunningSum`), so the values do not depend on
     the block size beyond rounding.
     """
-    from .barrier import _frames_for_thetas, barrier_phase
+    from .barrier import barrier_phase, level_set_blocks
     from .quadrature import QuadratureGrid
 
     if term.phase_power.denominator != 1:
@@ -476,17 +478,10 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
                               center_zp=zp, center_u=w0.real,
                               box_radius=0.5)
         level = RunningSum()
-        table = None
-        for block in grid.chunks():
-            if block.directions is not table:
-                # one frame per direction of the chunk's table
-                table = block.directions
-                G, _ = _frames_for_thetas(model, -table,
-                                          with_derivative=False)
+        for block, directions in level_set_blocks(model, grid, False):
             w = block.zeta - z[None, :]
             dist = np.linalg.norm(w, axis=1)
-            phi = barrier_phase(model, block.zeta, z, thetas=-block.sigma,
-                                frames=(G[block.direction_index], None))
+            phi = barrier_phase(model, block.zeta, z, directions=directions)
             # level-independent cutoff region: chart parameter distance
             pdist = np.sqrt(np.sum(np.abs(w[:, :d]) ** 2, axis=1)
                             + np.sum(w[:, d:].real ** 2, axis=1))

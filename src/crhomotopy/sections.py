@@ -109,15 +109,15 @@ def bochner_martinelli_jets(zetas, z, with_zbar=True):
 
 
 def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
-                         thetas=None, frames=None):
+                         directions=None):
     """Barrier section values/jets over a batch (eta, beta, gamma, phi,
     pullback), the quotient of the P-jets of
-    :func:`crhomotopy.barrier.barrier_jets`, to which ``with_zbar``,
-    ``thetas`` and ``frames`` go; phi is the raw phase (rejection decisions
-    use it).  The mixed jet vanishes for m = 1, where theta is constant.
+    :func:`crhomotopy.barrier.barrier_jets`, to which ``with_zbar`` and
+    ``directions`` go; phi is the raw phase (rejection decisions use it).
+    The mixed jet vanishes for m = 1, where theta is constant.
     """
     jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
-                                 thetas=thetas, frames=frames)
+                                 directions=directions)
     eta, beta, gamma, pullback = _quotient(zetas, z, jets)
     return eta, beta, gamma, jets.Phi, pullback
 

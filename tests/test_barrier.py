@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crhomotopy import barrier, geometry, quadrature
+from crhomotopy import barrier, geometry, homotopy, indexcalc, quadrature
+from crhomotopy.fields import bundled_test_form
 from crhomotopy.errors import FrameGapError, ThetaUndefinedError
 from crhomotopy.quadrature import QuadratureGrid
 from oracles import (correction_frame, evaluate_barrier,
@@ -222,9 +223,10 @@ class TestProjectorFrames:
 
 
 class TestLevelDirections:
-    """theta = -sigma on level-set nodes: one frame per direction of the
-    chunk's table, gathered by node, and the directions passed in rather
-    than recomputed from rho_vec."""
+    """theta = -sigma and rho = eps on level-set nodes: one frame per
+    direction of the chunk's table, gathered by node, and the directions
+    taken from the stream (barrier.level_set_blocks) rather than recomputed
+    from rho_vec."""
 
     @staticmethod
     def _chunks(secondary):
@@ -253,26 +255,28 @@ class TestLevelDirections:
                 <= 1e-13 * np.max(np.abs(dG_ref))
 
     def test_given_directions_match_recomputed(self, primary, secondary):
+        # the directions of level_set_blocks (theta = -sigma, rho = eps and
+        # the table's frames by node) against those recomputed from rho_vec,
+        # and the jets and phases they give, block by block
         for model in (primary, secondary,
                       random_quadric(6, 2, np.random.default_rng(11))):
             d, m = model.tangential_dim, model.m
             zp = 0.05 * np.exp(1j * np.arange(d))
             z = model.graph_point(zp, 0.02 * np.ones(m))
-            grid = QuadratureGrid(model=model, epsilon=0.1, budget=256,
+            grid = QuadratureGrid(model=model, epsilon=0.1, budget=700,
                                   seed=5, center_zp=zp,
                                   center_u=0.02 * np.ones(m))
-            chunk = next(grid.chunks())
-            thetas = -chunk.sigma
-            # the frames of the direction table, gathered by node
-            G, dG = barrier._frames_for_thetas(model, -chunk.directions,
-                                               with_derivative=m >= 2)
-            index = chunk.direction_index
-            frames = G[index], None if dG is None else dG[index]
-            ref = barrier.barrier_jets(model, chunk.zeta, z)
-            for got in (barrier.barrier_jets(model, chunk.zeta, z,
-                                             thetas=thetas),
-                        barrier.barrier_jets(model, chunk.zeta, z,
-                                             thetas=thetas, frames=frames)):
+            for block, directions in barrier.level_set_blocks(model, grid,
+                                                              m >= 2):
+                recomputed = barrier._directions(model, block.zeta, m >= 2)
+                for a, b in zip(directions, recomputed):
+                    if b is None:       # dG for m = 1
+                        assert a is None and m == 1
+                        continue
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+                ref = barrier.barrier_jets(model, block.zeta, z)
+                got = barrier.barrier_jets(model, block.zeta, z,
+                                           directions=directions)
                 for name in ("P", "Phi", "dP_dzbar", "dP_dzetabar",
                              "dPhi_dzbar", "dPhi_dzetabar", "dG", "dtheta"):
                     a, b = getattr(got, name), getattr(ref, name)
@@ -280,24 +284,67 @@ class TestLevelDirections:
                         assert a is None and m == 1
                         continue
                     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-            for correction in (True, False):
-                phi_ref = barrier.barrier_phase(model, chunk.zeta, z,
-                                                correction)
-                for kw in ({}, {"frames": frames}):
-                    phi = barrier.barrier_phase(model, chunk.zeta, z,
-                                                correction, thetas=thetas,
-                                                **kw)
+                for correction in (True, False):
+                    phi_ref = barrier.barrier_phase(model, block.zeta, z,
+                                                    correction)
+                    phi = barrier.barrier_phase(model, block.zeta, z,
+                                                correction,
+                                                directions=directions)
                     assert np.max(np.abs(phi - phi_ref) / np.abs(phi_ref)) \
                         <= 1e-12
 
-    def test_given_directions_on_manifold_raise(self, primary, secondary):
+    def test_phase_is_the_jets_phase(self, primary, secondary):
+        # one formula for Phi: barrier_phase is barrier_jets(...).Phi bit
+        # for bit, off the manifold and on every level-set block
+        rng = np.random.default_rng(21)
         for model in (primary, secondary):
-            z = np.zeros(model.n, dtype=complex)
-            thetas = -np.eye(model.m)[:1]
-            with pytest.raises(ThetaUndefinedError):
-                barrier.barrier_phase(model, z[None, :], z, thetas=thetas)
-            with pytest.raises(ThetaUndefinedError):
-                barrier.barrier_jets(model, z[None, :], z, thetas=thetas)
+            d, m = model.tangential_dim, model.m
+            zp = 0.04 * np.exp(2j * np.arange(d))
+            z = model.graph_point(zp, -0.01 * np.ones(m))
+            zetas = barrier._sample_pairs(model, z, 200, 0.1, rng)
+            assert np.array_equal(barrier.barrier_phase(model, zetas, z),
+                                  barrier.barrier_jets(model, zetas, z).Phi)
+            grid = QuadratureGrid(model=model, epsilon=0.1, budget=1200,
+                                  seed=9, center_zp=zp,
+                                  center_u=-0.01 * np.ones(m))
+            for block, directions in barrier.level_set_blocks(model, grid,
+                                                              m >= 2):
+                assert np.array_equal(
+                    barrier.barrier_phase(model, block.zeta, z,
+                                          directions=directions),
+                    barrier.barrier_jets(model, block.zeta, z,
+                                         directions=directions).Phi)
+
+    def test_stream_reads_no_defining_values(self, primary, secondary,
+                                             monkeypatch):
+        # the level-set paths take theta = -sigma and rho = eps from the
+        # stream: with defining_values refused, the operators, one identity
+        # residual point and the realized decay still run
+        f_primary = bundled_test_form(primary)
+        f_secondary = bundled_test_form(secondary)
+        z5 = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                 np.array([0.01]))
+        zp6 = np.array([0.05, -0.03, 0.02, 0.0])
+        z6 = secondary.graph_point(zp6, np.array([0.01, -0.01]))
+        grid = QuadratureGrid(model=secondary, epsilon=0.1, budget=600,
+                              seed=3, center_zp=zp6,
+                              center_u=np.array([0.01, -0.01]))
+        pairs, _ = indexcalc.dichotomy_audit(6, 2, 2, 1)
+        term = next(kt for _, kt in pairs if indexcalc.is_vanishing_class(kt))
+
+        def refused(self, z):
+            raise AssertionError("defining_values called")
+
+        monkeypatch.setattr(geometry.ManifoldModel, "defining_values",
+                            refused)
+        for kind in ("solution", "obstruction"):
+            homotopy.apply_operator(secondary, f_secondary, z6, grid,
+                                    kind=kind)
+        homotopy.identity_residual(primary, f_primary, [z5], epsilon=0.1,
+                                   budget=600, seed=3)
+        indexcalc.realized_kernel_decay(secondary, term,
+                                        np.zeros(6, dtype=complex),
+                                        [0.1, 0.05], budget=600, seed=1)
 
 
 class TestScalingProperties:

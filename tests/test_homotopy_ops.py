@@ -855,7 +855,6 @@ class TestOperators:
             calls.append(len(thetas))
             return frames(model, thetas, with_derivative)
 
-        monkeypatch.setattr(homotopy, "_frames_for_thetas", counted)
         monkeypatch.setattr(barrier, "_frames_for_thetas", counted)
         f = bundled_test_form(secondary)
         z = secondary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
