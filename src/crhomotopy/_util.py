@@ -3,8 +3,9 @@ representation, deterministic summation and canonical report serialization.
 
 Forms on C^n are arrays over the sorted index tuples in ``combinations``
 order.  Every sign of a sorted tuple is realized here, in cached read-only
-gather tables: :func:`wedge_jets` (d-bar wedges), :func:`hodge_star` and
-:func:`evaluate_form` (interior products, minor expansions), and
+gather tables: :func:`wedge_jets` (d-bar wedges), :func:`hodge_star`,
+:func:`evaluate_form` (interior products, minor expansions),
+:func:`basis_interior_table` (interior products with the basis vectors) and
 :func:`avoiding_table` (the components that avoid one coordinate).
 """
 
@@ -58,10 +59,13 @@ def evaluate_form(F, V, n, p, j):
     (C(n, p), nodes) and V (vector * n + coordinate, nodes).  Returns the
     (p - j)-forms F(v_s1, ..., v_sj, .), shape (subsets * C(n, p - j),
     nodes), the subsets in ``combinations`` order: j interior products
-    through the gather tables of :func:`interior_tables`.
+    through the gather tables of :func:`interior_tables`, which read the
+    stacked [V; -V] only where a term has sign -1 (never for p = 1).
     """
-    V = np.concatenate([V, -V])
-    for v_idx, f_idx in interior_tables(len(V) // (2 * n), n, p, j):
+    levels, negated = interior_tables(len(V) // n, n, p, j)
+    if negated:
+        V = np.concatenate([V, -V])
+    for v_idx, f_idx in levels:
         acc = V[v_idx[:, 0]] * F[f_idx[:, 0]]
         for v, f in zip(v_idx.T[1:], f_idx.T[1:]):
             acc += V[v] * F[f]
@@ -80,8 +84,9 @@ def interior_tables(n_vec, n, p, j):
 
     pos being the place of c in the sorted M + c.  States are flat (prefix, M);
     vectors are flat s * n + c, and a term of sign -1 reads -v_s[c], n_vec * n
-    places further on in the stacked [V; -V].  Returns read-only (v_idx,
-    f_idx) of shape (outputs, n - p + i) per level.
+    places further on in the stacked [V; -V].  Returns (levels, negated):
+    read-only (v_idx, f_idx) of shape (outputs, n - p + i) per level, and
+    whether any term reads -v_s.
     """
     subsets = list(combinations(range(n_vec), j))
     levels, prev = [], [()]
@@ -97,7 +102,29 @@ def interior_tables(n_vec, n, p, j):
         table.flags.writeable = False
         levels.append(tuple(table))
         prev = prefixes
-    return tuple(levels)
+    negated = any(np.any(v_idx >= n_vec * n) for v_idx, _ in levels)
+    return tuple(levels), negated
+
+
+@lru_cache(maxsize=None)
+def basis_interior_table(n, p):
+    """Signed gather of the interior products of a p-form F on C^n with the
+    basis vectors: read-only (index, subset, sign), each of shape (n, C(n -
+    1, p - 1)), with (i_s F)[R] = sign * F[index] at row s for R the
+    subset-th (p - 1)-tuple, over the R that avoid s ((i_s F)[R] = 0 for s
+    in R), sign being (-1)^pos for pos the place of s in the sorted R + s.
+    Scattered over the (p - 1)-tuples, its gather is ``evaluate_form(F,
+    eye(n).reshape(-1, 1), n, p, 1)`` without the zero terms."""
+    pos = {M: i for i, M in enumerate(combinations(range(n), p))}
+    table = np.array([[(pos[merged], r, sign) for r, R in enumerate(
+        combinations(range(n), p - 1)) if s not in R
+        for sign, merged in [insert_index(s, R)]] for s in range(n)],
+        dtype=np.intp).reshape(n, -1, 3)
+    index, subset, sign = table.transpose(2, 0, 1)
+    sign = sign.astype(float)
+    for t in (index, subset, sign):
+        t.flags.writeable = False
+    return index, subset, sign
 
 
 def hodge_star(F, n, k):

@@ -52,9 +52,11 @@ class BarrierJetBatch:
 
     P: np.ndarray              # (N, n)
     Phi: np.ndarray            # (N,)
-    dP_dzbar: np.ndarray       # (N, n, n): [l, i] = d P_i / d zbar_l
+    # (N, n, n): [l, i] = d P_i / d zbar_l; None without z-jets and for the
+    # euclidean P, whose beta is -gamma
+    dP_dzbar: np.ndarray
     dP_dzetabar: np.ndarray    # (N, n, n)
-    dPhi_dzbar: np.ndarray     # (N, n); it and dP_dzbar None without z-jets
+    dPhi_dzbar: np.ndarray     # (N, n); None without z-jets
     dPhi_dzetabar: np.ndarray  # (N, n)
     # factors of the mixed jet d^2 P / d zetabar d zbar; None for m = 1,
     # where theta is constant on each sheet and the jet vanishes
@@ -62,21 +64,21 @@ class BarrierJetBatch:
     dG: np.ndarray = None      # (N, m, d, d): d G / d theta_k
     dtheta: np.ndarray = None  # (N, m, n): d theta_k / d zetabar_j
 
-    def dP_mixed(self, A):
-        """Pullback of the mixed jet through the adjoint A (N, n, n) on the
-        z'-block: the vector over l < d of the sum over the batch and (i, j)
-        of A[:, i, j] d^2 P_i / d zetabar_j d zbar_l, shape (d,); for m >= 2
-        only.  The entries l >= d are zero, as dP/dzbar_l is for l >= d.
+    def dP_mixed(self, A_theta):
+        """Pullback of the mixed jet through an adjoint A (N, n, n), read
+        only through A_theta = A[:, :d] dtheta^T (N, d, m), its z'-rows on
+        the rows dtheta_k: the vector over l < d of the sum over the batch
+        and (i, j) of A[:, i, j] d^2 P_i / d zetabar_j d zbar_l, shape (d,);
+        for m >= 2 only.  The entries l >= d are zero, as dP/dzbar_l is for
+        l >= d.
 
         dP_dzbar = theta . H - G on the z'-block depends on zeta only through
         theta, so the mixed jet is (H_k - dG_k) dtheta_k^T on the z'-rows
         and zero on the rows i >= d.  Its pullback is sum_k (H_k - dG_k)
         . (A dtheta_k^T) on the z'-rows, the node sum taken first.
         """
-        d = self.H.shape[1]
-        Y = A[:, :d] @ np.swapaxes(self.dtheta, 1, 2)             # (N, d, m)
-        return np.einsum("kli,ik->l", self.H, Y.sum(axis=0)) \
-            - np.einsum("Nkli,Nik->l", self.dG, Y)
+        return np.einsum("kli,ik->l", self.H, A_theta.sum(axis=0)) \
+            - np.einsum("Nkli,Nik->l", self.dG, A_theta)
 
 
 def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
@@ -123,11 +125,12 @@ def _frames_for_thetas(model: ManifoldModel, thetas, with_derivative=True):
     return G, dG
 
 
-def _directions(model: ManifoldModel, zetas, with_derivative):
-    """(theta, rho, G, dG) over an off-manifold zeta batch: theta = -rho_vec
-    / rho and the frames of :func:`_frames_for_thetas` at theta.  Raises
-    :class:`ThetaUndefinedError` on the manifold."""
-    vec, norm = model.defining_values(zetas)
+def _directions(model: ManifoldModel, values, with_derivative):
+    """(theta, rho, G, dG) over an off-manifold zeta batch from its defining
+    values (rho_vec, rho) = ``model.defining_values(zetas)``: theta =
+    -rho_vec / rho and the frames of :func:`_frames_for_thetas` at theta.
+    Raises :class:`ThetaUndefinedError` on the manifold."""
+    vec, norm = values
     if np.any(norm <= model.tol_on_manifold):
         raise ThetaUndefinedError("batch contains points on the manifold")
     thetas = -vec / norm[:, None]
@@ -181,7 +184,7 @@ def barrier_jets(model: ManifoldModel, zetas, z, with_zbar=True,
     w = zetas - z[None, :]
     # theta varies with zeta only for m >= 2
     thetas, rho, G, dG = directions if directions is not None else \
-        _directions(model, zetas, with_derivative=model.m >= 2)
+        _directions(model, model.defining_values(zetas), model.m >= 2)
     Q = -model.holo_gradients(z)                           # (m, n)
     P, Phi = _section(w, thetas, Q, G)
     dP_dzbar = dPhi_dzbar = None
@@ -221,7 +224,7 @@ def barrier_phase(model: ManifoldModel, zetas, z,
     zetas = np.asarray(zetas, dtype=complex)
     z = np.asarray(z, dtype=complex)
     thetas, _, G, _ = directions if directions is not None else \
-        _directions(model, zetas, with_derivative=False)
+        _directions(model, model.defining_values(zetas), False)
     return _section(zetas - z[None, :], thetas, -model.holo_gradients(z),
                     G if include_correction else None)[1]
 
@@ -280,11 +283,16 @@ def audit_barrier_bound(model: ManifoldModel, z, sample_count=10000,
     rng = np.random.default_rng(seed)
     z = np.asarray(z, dtype=complex)
     zetas = _sample_pairs(model, z, sample_count, neighborhood_scale, rng)
-    _, rho = model.defining_values(zetas)
-    denom = rho + np.sum(np.abs(zetas - z[None, :]) ** 2, axis=1)
-    phi = np.concatenate([  # per block: no temporary spans all the samples
-        barrier_phase(model, zetas[lo:lo + BLOCK], z, include_correction)
-        for lo in range(0, sample_count, BLOCK)])
+    rho, phi = [], []
+    for lo in range(0, sample_count, BLOCK):  # no temporary spans all samples
+        block = zetas[lo:lo + BLOCK]
+        directions = _directions(model, model.defining_values(block), False)
+        rho.append(directions[1])
+        phi.append(barrier_phase(model, block, z, include_correction,
+                                 directions=directions))
+    denom = np.concatenate(rho) + np.sum(np.abs(zetas - z[None, :]) ** 2,
+                                         axis=1)
+    phi = np.concatenate(phi)
     quot_re = phi.real / denom
     quot_abs = np.abs(phi) / denom
     i = int(np.argmin(quot_re))
@@ -333,8 +341,9 @@ def audit_barrier_expansion(model: ManifoldModel, z, direction,
 
     zetas = z[None, :] + scales[:, None] * v[None, :]
     w = zetas - z[None, :]
-    phi = barrier_phase(model, zetas, z)
-    _, rho = model.defining_values(zetas)
+    directions = _directions(model, model.defining_values(zetas), False)
+    rho = directions[1]
+    phi = barrier_phase(model, zetas, z, directions=directions)
     levi = np.einsum("Ni,ij,Nj->N", w.conj(), form, w).real
     wp = w[:, :model.tangential_dim]
     corr = np.einsum("Nl,li,Ni->N", wp.conj(), G_ref[0], wp).real

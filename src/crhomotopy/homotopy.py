@@ -67,19 +67,25 @@ and Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 3), per block of
 nodes, in the same pass and on the same chain as the value
 (:func:`_tangent_block`): G_t is one more level on F_t = W(rows R of
 gamma'_t, .).  The projection depends on the node alone (the scale (-1)^p /
-w_p does not move the kernel of W), so it commutes with d/dzbar: the
-adjoints dT / d gamma'_t go back by its transpose, dT / d tau' to n rows,
-and both are pulled back through the sections.  Each section returns the
+w_p does not move the kernel of W), so it commutes with d/dzbar, and the
+adjoints A' = dT / d gamma'_t stay on the quotient, shape (n - 1, dim, B):
+a section reads the adjoint A = E A' Pi of its gamma (E the row placement,
+Pi the projection) only through A v, for v = dPhi/dzetabar and, for m >=
+2, the rows dtheta_k of its mixed jet, which is E A' (Pi v), and through
+<A, gamma> = <A', gamma'> (:func:`_quotient_times`), so no (n, n) adjoint
+is formed per node.  dT / d tau' goes to n rows with a zero pivot row, and
+both are pulled back through the sections.  Each section returns the
 zbar-gradient of the sum over the block of x . eta + <A, gamma> for
 adjoints x and A, in O(n^2) per node, by one quotient rule for both
 Cauchy-Fantappie sections P / <P, w>; the mixed jet of P is zero for the
 euclidean P = conj(w) and, P being affine in zbar with zeta-only
 coefficients, taken through its factors for the barrier, so no mixed-jet
 tensor is formed; w_p has no zbar-derivative.  The 16-point stencil
-(``tangential_dbar_scalar`` in ``tests/oracles.py``) is its test oracle, and
+(``tangential_dbar_scalar`` in ``tests/oracles.py``) is its test oracle,
 the full-row contraction there (``full_row_folded_coefficients``) on the
 mixed-jet tensors is the oracle of the reduction, the quotient and the
-pullback.
+pullback, and the dense scatter of a quotient adjoint
+(``quotient_scatter``) that of the adjoint kept on the quotient.
 """
 
 from __future__ import annotations
@@ -90,8 +96,9 @@ from math import factorial
 
 import numpy as np
 
-from ._util import (RunningSum, avoiding_table, evaluate_form,
-                    gauss_legendre_01, hodge_star, index_combinations)
+from ._util import (RunningSum, avoiding_table, basis_interior_table,
+                    evaluate_form, gauss_legendre_01, hodge_star,
+                    index_combinations)
 from .barrier import level_set_blocks
 from .errors import GridTooCoarseError
 from .fields import FormField, tangential_components
@@ -209,7 +216,7 @@ def _folded_coefficients(W, run, r_out, tangent=None):
 
     W = W.T * run.scale
     if k:       # the gamma rows on the quotient, (row * dim + c, N)
-        W, ends, dim, scatter = _kernel_quotient(
+        W, ends, dim, reduce = _kernel_quotient(
             W, [run.start[1], run.gamma], run.kernel, run.row, k)
         gammas = [g.reshape((n - 1) * dim, -1) for g in run.at_t(*ends)]
     else:       # top output degree: W is a 0-form and reads no gamma column
@@ -226,7 +233,7 @@ def _folded_coefficients(W, run, r_out, tangent=None):
                 for F, g, (_, weight) in zip(Fs, gammas, t_rule))
         acc, d_total = _tangent_block(
             front, G, Fs, t_rule, tangent,
-            np.arange(n) != run.pivot[:, None], scatter)
+            run.row, ends, reduce)
     else:
         gs = [weight * evaluate_form(W, g, dim, k, k)
               for g, (_, weight) in zip(gammas, t_rule)]
@@ -244,11 +251,13 @@ def _folded_coefficients(W, run, r_out, tangent=None):
 
 def _kernel_quotient(W, jets, kernel, row, k):
     """The k-form W (C(n, k), N) and rows ``row`` (R, N) of the jets (N, n,
-    n), on the quotient by kernel vectors of W: (W', rows', dim, scatter),
+    n), on the quotient by kernel vectors of W: (W', rows', dim, reduce),
     rows' node-last (R, dim, N) with W'(rows') = W(rows) on dim < n
-    coordinates (a None jet stays None), and ``scatter`` the transpose of
-    that gather, (R, dim, N) -> (N, n, n): A[K] = A', A[c] = -sum_j A'_j
-    sigma_j, A[a] = -sum_j A'_j (rho_K_j - rho_c sigma_j), 0 off ``row``.
+    coordinates (a None jet stays None), and ``reduce`` the same projection
+    of vectors, (N, n, s) -> (dim, N, s).  An adjoint A' (R, dim, N) of
+    rows' is the adjoint A = E A' Pi of the jets, E placing the rows at
+    ``row`` and Pi the projection, so A v = E A' reduce(v) and <A, jet> =
+    <A', rows'>: the adjoint stays on the quotient (:func:`_quotient_times`).
 
     ``kernel`` = (a, rho), :func:`_pivot` of the kernel vectors v (n, N),
     is eliminated first: per node the coordinate a = argmax_c |v_c| goes, x
@@ -280,6 +289,8 @@ def _kernel_quotient(W, jets, kernel, row, k):
         col = col + (col >= c)
     base = np.arange(N) * (n * n) + row * n             # (R, N)
     kept = base[:, None] + col                           # (R, dim, N)
+    node = np.arange(N) * n     # (N, n, s) -> (N n, s): row node + coordinate
+    kept_v, dropped_v = node + col, [node + c for c in dropped]
 
     def project(x):         # (N, n, n) -> (R, dim, N)
         if x is None:
@@ -289,14 +300,30 @@ def _kernel_quotient(W, jets, kernel, row, k):
             out -= np.take(x, base + c)[:, None] * coef
         return out
 
-    def scatter(A):         # (R, dim, N) -> (N, n, n), the transpose
-        out = np.zeros(N * n * n, dtype=complex)
-        out[kept] = A
-        for c, coef in zip(dropped, coefs):
-            out[base + c] = -np.sum(A * coef, axis=1)
-        return out.reshape(N, n, n)
+    def reduce(V):          # (N, n, s) -> (dim, N, s)
+        V = V.reshape(N * n, -1)
+        out = V[kept_v]
+        for c, coef in zip(dropped_v, coefs):
+            out -= V[c] * coef[..., None]
+        return out
 
-    return W, [project(x) for x in jets], dim, scatter
+    return W, [project(x) for x in jets], dim, reduce
+
+
+def _quotient_times(A, reduce, row):
+    """V (B, n, s) -> A V for the adjoint A = E A' Pi of an adjoint A' (n -
+    1, dim, B) on the kernel quotient (:func:`_kernel_quotient`), E placing
+    its rows at the non-pivot rows ``row`` (n - 1, B): zero on the pivot
+    row, and no (B, n, n) array formed."""
+    n1, dim, B = A.shape
+    at = row + (n1 + 1) * np.arange(B)
+
+    def times(V):
+        u = reduce(V)                                       # (dim, B, s)
+        out = np.zeros((B * (n1 + 1), V.shape[2]), dtype=complex)
+        out[at] = sum(A[:, c, :, None] * u[c] for c in range(dim))
+        return out.reshape(V.shape)
+    return times
 
 
 def _pivot(v):
@@ -319,42 +346,53 @@ def _pivot(v):
         / np.where(pivot == 0, 1.0, pivot)
 
 
-def _tangent_block(tau, G, Fs, t_rule, pullbacks, keep, scatter):
+def _tangent_block(tau, G, Fs, t_rule, pullbacks, row, ends, reduce):
     """One block of the degree-0 solution total T = (*G)(tau) on the n - 1
     non-pivot rows, G = sum_t weight_t W(non-pivot rows of gamma_t) already
     scaled by (-1)^p / w_p, and its zbar-gradient, tau = eta1 - eta0.
     ``Fs`` holds F_t = W(rows R of gamma_t, .), shape (R, dim, B), of each
-    t-node on the kernel quotient, ``scatter`` the transpose of its gather
-    (:func:`_kernel_quotient`), ``pullbacks`` the section pullbacks (x, A)
-    -> zbar-gradient of the sum over the block of x . eta + <A, gamma> of
-    the t = 0 and t = 1 sections, and ``keep`` (B, n) marks the non-pivot
-    rows.  Returns (T per node (1, B), dT / dzbar over the block (n,)).
+    t-node on the kernel quotient, ``ends`` the quotient rows (n - 1, dim,
+    B) of gamma0 and gamma1 and ``reduce`` its projection of vectors
+    (:func:`_kernel_quotient`), ``pullbacks`` the section pullbacks (x,
+    times, a_gamma) -> zbar-gradient of the sum over the block of x . eta +
+    <A, gamma> of the t = 0 and t = 1 sections, and ``row`` (n - 1, B) the
+    non-pivot rows.  Returns (T per node (1, B), dT / dzbar over the
+    block (n,)).
 
     In n - 1 rows *G is the 1-form X itself, and T = X . tau.  The scale
     (-1)^p / w_p has no derivative (w is holomorphic in z, p is locally
     constant), so with D = d / dzbar_l, D T = X . D tau + the gamma terms.
     gamma_t enters by reverse mode: T = <c, G> with the (n - 2)-vector c =
     (-1)^n *tau, so dT / d gamma'_t[s, l] = weight_t (-1)^(k-1) sum_R (i_s
-    c)[R] F_t[R][l] over the (k-1)-subsets R of the n - 1 rows.  These
-    adjoints, weighted (1 - t) and t, go back to the jets by ``scatter``, X
-    to n rows with a zero pivot row, and both are pulled back through the
-    sections, so no mixed-jet tensor is formed.
+    c)[R] F_t[R][l] over the (k-1)-subsets R of the n - 1 rows, the i_s c
+    one signed gather of c (:func:`~crhomotopy._util.basis_interior_table`)
+    and the sum taken node-last.  These adjoints, weighted (1 - t) and t,
+    stay on the quotient: each section reads its adjoint A through A v =
+    E A' reduce(v) (:func:`_quotient_times`) and <A, gamma> = <A', gamma'>,
+    and X goes to n rows with a zero pivot row, so neither a mixed-jet
+    tensor nor an (n, n) adjoint per node is formed.
     """
     n1, B = tau.shape                           # n - 1 rows
-    n, k, dim = n1 + 1, n1 - 1, Fs[0].shape[1]
+    k = n1 - 1
     X = hodge_star(G, n1, k)                                        # (n1, B)
-    c = (-1.0) ** n * hodge_star(tau, n1, 1)
-    ic = evaluate_form(c, np.eye(n1).reshape(-1, 1), n1, k, 1)
-    ic = (-1.0) ** (k - 1) * ic.reshape(n1, -1, B).transpose(2, 0, 1)
-    # F_t weighted (1 - t) and t: the adjoints of gamma0' and gamma1' in one @
-    F01 = np.concatenate([
-        sum((1.0 - t) * weight * F for F, (t, weight) in zip(Fs, t_rule)),
-        sum(t * weight * F for F, (t, weight) in zip(Fs, t_rule))], axis=1)
-    adjoint = (ic @ F01.transpose(2, 0, 1)).transpose(1, 2, 0)
-    x = np.zeros((B, n), dtype=complex)
-    x[keep] = X.T.ravel()
-    d_acc = (pullbacks[0](-x, scatter(adjoint[:, :dim]))
-             + pullbacks[1](x, scatter(adjoint[:, dim:])))
+    # i_s c over the R that avoid s, c = (-1)^n *tau times the (-1)^(k - 1)
+    # of the adjoint: -*tau
+    index, subset, sign = basis_interior_table(n1, k)
+    ic = sign[..., None] * -hodge_star(tau, n1, 1)[index]       # (n1, J, B)
+    # the adjoint of each t-node, weighted (1 - t) and t: those of gamma0'
+    # and gamma1', (n1, dim, B) each
+    per_t = [sum(ic[:, j, None] * F[subset[:, j]]
+                 for j in range(subset.shape[1])) for F in Fs]
+    adjoints = [
+        sum((1.0 - t) * weight * A for A, (t, weight) in zip(per_t, t_rule)),
+        sum(t * weight * A for A, (t, weight) in zip(per_t, t_rule))]
+    x = np.zeros(B * (n1 + 1), dtype=complex)     # X on n rows
+    x[row + (n1 + 1) * np.arange(B)] = X
+    x = x.reshape(B, n1 + 1)
+    d_acc = sum(pull(sgn * x, _quotient_times(A, reduce, row),
+                     np.sum(A * end, axis=(0, 1)))
+                for pull, sgn, A, end in zip(pullbacks, (-1.0, 1.0),
+                                             adjoints, ends))
     return np.sum(X * tau, axis=0, keepdims=True), d_acc
 
 

@@ -41,71 +41,83 @@ class SectionJet:
 # batched section jets over a zeta batch at fixed z
 # ---------------------------------------------------------------------------
 
-def _quotient(zetas, z, jets):
-    """eta = P / Phi over a batch at w = zeta - z, beta = d eta / d zbar,
-    gamma = d eta / d zetabar and ``pullback``, from the P-jets ``jets``
-    (:class:`~crhomotopy.barrier.BarrierJetBatch`; beta is None where its
-    z-jets are, and dG is None where the mixed jet vanishes).  The divisions
-    are floored away from exact zero so a rejected node cannot poison the
-    batch with non-finite values.
-
-    pullback(x, A), x of shape (N, n) and A of shape (N, n, n), reads beta:
-    it is the zbar-gradient, shape (n,), of the sum over the batch of x .
-    eta + <A, gamma> at fixed adjoints (no conjugation).  With D = d / d
-    zbar_l, gamma = (dP/dzetabar - eta (x) dPhi/dzetabar) / Phi and Phi =
-    sum_i P_i w_i give
-
-        D gamma = (D dP/dzetabar - D eta (x) dPhi/dzetabar
-                   - eta (x) w^T D dP/dzetabar - gamma D Phi) / Phi.
-
-    So, with y = x - A dPhi/dzetabar / Phi, the pullback is beta^T y - <A,
-    gamma> dPhi/dzbar / Phi plus that of the mixed jet D dP/dzetabar through
-    (A - w (eta^T A)) / Phi (:meth:`BarrierJetBatch.dP_mixed`).
+class _Quotient:
+    """eta = P / Phi over a batch at w = zeta - z, gamma = d eta / d zetabar
+    and the quotient rule :meth:`over`, from the P-jets ``jets``
+    (:class:`~crhomotopy.barrier.BarrierJetBatch`; dG is None where the
+    mixed jet vanishes).  ``beta`` = d eta / d zbar is set by the section
+    that reads the z-jets (None without them); :meth:`pullback` reads it.
+    The divisions are floored away from exact zero so a rejected node
+    cannot poison the batch with non-finite values.
     """
-    inv = 1.0 / np.where(np.abs(jets.Phi) < 1e-300, 1.0, jets.Phi)
-    eta = jets.P * inv[:, None]
 
-    def over(dP, dPhi):                     # [k, l] from dP[l, k], dPhi[l]
-        return ((np.swapaxes(dP, 1, 2) - eta[:, :, None] * dPhi[:, None, :])
-                * inv[:, None, None])
+    def __init__(self, zetas, z, jets):
+        self.jets, self.w = jets, zetas - z[None, :]
+        self.inv = 1.0 / np.where(np.abs(jets.Phi) < 1e-300, 1.0, jets.Phi)
+        self.eta = jets.P * self.inv[:, None]
+        self.gamma = self.over(jets.dP_dzetabar, jets.dPhi_dzetabar)
+        self.beta = None
+        # the pullback keeps jets alive: drop the arrays it does not read
+        jets.P = jets.dP_dzetabar = None
 
-    beta = (over(jets.dP_dzbar, jets.dPhi_dzbar)
-            if jets.dP_dzbar is not None else None)
-    gamma = over(jets.dP_dzetabar, jets.dPhi_dzetabar)
-    # the pullback keeps jets alive: drop the arrays it does not read
-    jets.P = jets.dP_dzbar = jets.dP_dzetabar = None
-
-    def pullback(x, A):
-        y = x - np.einsum("Nkj,Nj->Nk", A, jets.dPhi_dzetabar) * inv[:, None]
-        a_gamma = np.einsum("Nkj,Nkj->N", A, gamma) * inv
-        out = np.tensordot(y, beta, 2) - a_gamma @ jets.dPhi_dzbar
-        if jets.dG is not None:                 # on the z'-block
-            w = zetas - z[None, :]
-            A_mixed = (A - w[:, :, None] * (eta[:, None, :] @ A)) \
-                * inv[:, None, None]
-            out[:jets.H.shape[1]] += jets.dP_mixed(A_mixed)
+    def over(self, dP, dPhi):       # [k, l] from dP[l, k], dPhi[l]
+        out = self.eta[:, :, None] * dPhi[:, None, :]   # one (N, n, n) array
+        np.subtract(np.swapaxes(dP, 1, 2), out, out=out)
+        out *= self.inv[:, None, None]
         return out
 
-    return eta, beta, gamma, pullback
+    def pullback(self, x, times, a_gamma):
+        """The zbar-gradient, shape (n,), of the sum over the batch of x .
+        eta + <A, gamma> at fixed adjoints x (N, n) and A (N, n, n) (no
+        conjugation), A read only through ``times``, V (N, n, s) -> A V, and
+        ``a_gamma`` = <A, gamma> (N,).  With D = d / d zbar_l, gamma =
+        (dP/dzetabar - eta (x) dPhi/dzetabar) / Phi and Phi = sum_i P_i w_i
+        give
+
+            D gamma = (D dP/dzetabar - D eta (x) dPhi/dzetabar
+                       - eta (x) w^T D dP/dzetabar - gamma D Phi) / Phi.
+
+        So, with y = x - A dPhi/dzetabar / Phi, the pullback is beta^T y -
+        <A, gamma> dPhi/dzbar / Phi plus that of the mixed jet D
+        dP/dzetabar through (A - w (eta^T A)) / Phi, which
+        :meth:`BarrierJetBatch.dP_mixed` reads only on the rows dtheta_k.
+        So A is applied to the vectors dPhi/dzetabar and, for m >= 2,
+        dtheta_k: one ``times`` call, O(n) per node beyond it.
+        """
+        jets, inv = self.jets, self.inv
+        V = jets.dPhi_dzetabar[:, :, None]
+        if jets.dG is not None:
+            V = np.concatenate([V, np.swapaxes(jets.dtheta, 1, 2)], axis=2)
+        AV = times(V) * inv[:, None, None]
+        out = np.tensordot(x - AV[:, :, 0], self.beta, 2) \
+            - (a_gamma * inv) @ jets.dPhi_dzbar
+        if jets.dG is not None:                 # on the z'-block
+            d = jets.H.shape[1]
+            A_theta = AV[:, :d, 1:] - self.w[:, :d, None] \
+                * (self.eta[:, None, :] @ AV[:, :, 1:])
+            out[:d] += jets.dP_mixed(A_theta)
+        return out
 
 
 def bochner_martinelli_jets(zetas, z, with_zbar=True):
     """Euclidean section values/jets over a batch (eta, beta, gamma,
     pullback), the quotient of P = conj(w), w = zeta - z: Phi = |w|^2,
-    dP/dzbar = -I, dP/dzetabar = I, dPhi/dzbar = -w, dPhi/dzetabar = w and
-    no mixed jet; beta is None when ``with_zbar`` is False."""
+    dP/dzetabar = I, dPhi/dzetabar = w and no mixed jet.  P and Phi depend
+    on z only through w, so dP/dzbar = -I, dPhi/dzbar = -w and beta =
+    -gamma exactly (the quotient rule is odd in its jets); beta is None
+    when ``with_zbar`` is False."""
     w = zetas - z[None, :]
     S = np.sum(np.abs(w) ** 2, axis=1)
     if np.any(S == 0.0):
         raise SingularityError("euclidean section is singular at zeta = z")
-    shape = w.shape + w.shape[1:]
-    eye = np.eye(w.shape[1])
     jets = _barrier.BarrierJetBatch(
-        P=w.conj(), Phi=S,
-        dP_dzbar=np.broadcast_to(-eye, shape) if with_zbar else None,
-        dP_dzetabar=np.broadcast_to(eye, shape),
+        P=w.conj(), Phi=S, dP_dzbar=None,
+        dP_dzetabar=np.broadcast_to(np.eye(w.shape[1]), w.shape + w.shape[1:]),
         dPhi_dzbar=-w if with_zbar else None, dPhi_dzetabar=w)
-    return _quotient(zetas, z, jets)
+    q = _Quotient(zetas, z, jets)
+    if with_zbar:
+        q.beta = -q.gamma
+    return q.eta, q.beta, q.gamma, q.pullback
 
 
 def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
@@ -118,8 +130,11 @@ def barrier_section_jets(model: ManifoldModel, zetas, z, with_zbar=True,
     """
     jets = _barrier.barrier_jets(model, zetas, z, with_zbar=with_zbar,
                                  directions=directions)
-    eta, beta, gamma, pullback = _quotient(zetas, z, jets)
-    return eta, beta, gamma, jets.Phi, pullback
+    q = _Quotient(zetas, z, jets)
+    if with_zbar:
+        q.beta = q.over(jets.dP_dzbar, jets.dPhi_dzbar)
+        jets.dP_dzbar = None    # nor does the pullback read dP/dzbar
+    return q.eta, q.beta, q.gamma, jets.Phi, q.pullback
 
 
 # ---------------------------------------------------------------------------

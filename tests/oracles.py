@@ -347,6 +347,33 @@ def contract_mixed_jets(d_eta, d_gamma, x, A):
             + np.einsum("Nkj,Nakj->a", A, d_gamma))
 
 
+def dense_pullback(pullback, gamma):
+    """The section pullback as a function of dense adjoints (x, A), A of
+    shape (N, n, n) an adjoint of the section's jet gamma, read through V ->
+    A V and <A, gamma> per node."""
+    return lambda x, A: pullback(x, lambda V: A @ V,
+                                 np.einsum("Nkj,Nkj->N", A, gamma))
+
+
+def applied_adjoint(times, N, n):
+    """The dense adjoint (N, n, n) that ``times`` (V -> A V) applies: its
+    columns are the images of the basis vectors, A = times(I)."""
+    return times(np.broadcast_to(np.eye(n, dtype=complex), (N, n, n)))
+
+
+def quotient_scatter(A, reduce, keep):
+    """The dense adjoint (N, n, n) of an adjoint A' (n - 1, dim, N) of the
+    quotient rows of ``homotopy._kernel_quotient``: the transpose of its
+    gather, A[row r] = sum_c A'[r, c] Pi[c], with the projection Pi (dim, N,
+    n) read off the basis vectors by ``reduce`` and the rows placed at the
+    non-pivot rows ``keep`` (N, n), the pivot row zero."""
+    N, n = keep.shape
+    Pi = reduce(np.broadcast_to(np.eye(n, dtype=complex), (N, n, n)))
+    dense = np.zeros((N, n, n), dtype=complex)
+    dense[keep] = np.einsum("rcN,cNj->Nrj", A, Pi).reshape(-1, n)
+    return dense
+
+
 def stream_chunks(grid):
     """The node stream of ``grid`` regrouped into its chunks: the blocks that
     share one direction table, concatenated field by field into one

@@ -181,7 +181,9 @@ class TestProjectorFrames:
             block = barrier.barrier_jets(model, zetas[8:40], z)
             ref = np.einsum("Naij,Nij->a",
                             padded_dP_mixed(model, jets, V)[8:40], A)
-            got = V[:, :model.tangential_dim] @ block.dP_mixed(A)
+            d = model.tangential_dim
+            got = V[:, :d] @ block.dP_mixed(
+                A[:, :d] @ np.swapaxes(block.dtheta, 1, 2))
             assert np.max(np.abs(got - ref)) \
                 < 1e-12 * np.max(np.abs(ref))
 
@@ -268,7 +270,8 @@ class TestLevelDirections:
                                   center_u=0.02 * np.ones(m))
             for block, directions in barrier.level_set_blocks(model, grid,
                                                               m >= 2):
-                recomputed = barrier._directions(model, block.zeta, m >= 2)
+                recomputed = barrier._directions(
+                    model, model.defining_values(block.zeta), m >= 2)
                 for a, b in zip(directions, recomputed):
                     if b is None:       # dG for m = 1
                         assert a is None and m == 1

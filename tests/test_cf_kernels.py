@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from crhomotopy import sections
+from crhomotopy.barrier import BarrierJetBatch
 from crhomotopy.cf_forms import cf_component, zbar_degree
 from crhomotopy.errors import NearSingularPhaseError, SingularityError
 from oracles import (barrier_mixed_jets, brute_wedge_expansion,
                      contract_mixed_jets, contraction_table,
-                     dense_coefficients, euclidean_mixed_jets,
+                     dense_coefficients, dense_pullback, euclidean_mixed_jets,
                      evaluate_barrier, fd_section_jet, normalization_defect,
                      normalization_worst_loop, random_quadric,
                      wedge_expansion_keys)
@@ -110,6 +111,27 @@ class TestSections:
         with pytest.raises(SingularityError):
             sections.bochner_martinelli_section(z, z)
 
+    def test_euclidean_beta_is_minus_gamma(self, rng):
+        # P = conj(w) and Phi = |w|^2 depend on z only through w = zeta - z,
+        # so beta is formed as -gamma; the quotient rule on the z-jets
+        # dP/dzbar = -I, dPhi/dzbar = -w gives the same bits
+        zetas = rng.standard_normal((20, 5)) + 1j * rng.standard_normal(
+            (20, 5))
+        z = 0.3 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        eta, beta, gamma, _ = sections.bochner_martinelli_jets(zetas, z)
+        assert np.array_equal(beta, -gamma)
+        w = zetas - z
+        quotient = sections._Quotient(zetas, z, BarrierJetBatch(
+            P=w.conj(), Phi=np.sum(np.abs(w) ** 2, axis=1),
+            dP_dzbar=None, dP_dzetabar=np.broadcast_to(np.eye(5),
+                                                       (20, 5, 5)),
+            dPhi_dzbar=None, dPhi_dzetabar=w))
+        assert np.array_equal(quotient.eta, eta)
+        assert np.array_equal(
+            quotient.over(np.broadcast_to(-np.eye(5), (20, 5, 5)), -w), beta)
+        assert sections.bochner_martinelli_jets(zetas, z,
+                                                with_zbar=False)[1] is None
+
     def test_euclidean_jets_match_finite_differences(self, rng):
         zeta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         z = zeta + 0.7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -193,7 +215,8 @@ class TestSections:
 
         out = jets(zetas, z)
         gamma = out[2]
-        d_eta, d_gamma = pulled_back_jets(out[-1], len(zetas), n)
+        d_eta, d_gamma = pulled_back_jets(dense_pullback(out[-1], gamma),
+                                          len(zetas), n)
         assert np.array_equal(d_eta, np.swapaxes(out[1], 1, 2))
         errs, errs_zeta = [], []
         for step in (1e-3, 5e-4):
@@ -233,12 +256,12 @@ class TestSections:
             + 1j * rng.standard_normal((3, model.n))
         blk = slice(8, 40)
         if section == "euclidean":
-            pullback = sections.bochner_martinelli_jets(zetas[blk], z)[-1]
+            out = sections.bochner_martinelli_jets(zetas[blk], z)
             tensors = euclidean_mixed_jets(zetas, z, V)
         else:
-            pullback = sections.barrier_section_jets(model, zetas[blk],
-                                                     z)[-1]
+            out = sections.barrier_section_jets(model, zetas[blk], z)
             tensors = barrier_mixed_jets(model, zetas, z, V)
+        pullback = dense_pullback(out[-1], out[2])
         for _ in range(3):
             x = rng.standard_normal((32, model.n)) \
                 + 1j * rng.standard_normal((32, model.n))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from crhomotopy import homotopy
-from crhomotopy._util import wedge_jets
+from crhomotopy._util import (basis_interior_table, evaluate_form,
+                              interior_tables, wedge_jets)
 from crhomotopy.fields import conjugate_frame_rows, tangential_components
 from oracles import (brute_wedge, contraction_table, dual_covector_rows,
                      project_tangential)
@@ -17,6 +18,46 @@ from oracles import (brute_wedge, contraction_table, dual_covector_rows,
 
 def cplx(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 8)
+                                 for p in range(1, n + 1)])
+def test_basis_interior_table_is_the_chain(n, p, rng):
+    # the signed gather, scattered over the (p - 1)-tuples, against the
+    # interior products with the basis vectors through the chain of
+    # evaluate_form: each entry is one signed component or zero, so the two
+    # agree exactly; n runs over the n - 1 rows of 3 <= n <= 8
+    F = cplx(rng, comb(n, p), 5)
+    index, subset, sign = basis_interior_table(n, p)
+    assert index.shape == subset.shape == sign.shape \
+        == (n, comb(n - 1, p - 1))
+    got = np.zeros((n, comb(n, p - 1), 5), dtype=complex)
+    got[np.arange(n)[:, None], subset] = sign[..., None] * F[index]
+    want = evaluate_form(F, np.eye(n).reshape(-1, 1), n, p, 1)
+    assert np.array_equal(got.reshape(want.shape), want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_evaluate_form_stack_only_where_read(n, rng):
+    # evaluate_form stacks [V; -V] only when its tables read a negated
+    # vector; the chain on the always-stacked vectors gives the same bits,
+    # for every table shape (n_vec, n, p, j) with n <= 6 and 1 <= n_vec <= 3
+    for n_vec in range(1, 4):
+        for p in range(n + 1):
+            for j in range(min(p, n_vec) + 1):
+                F = cplx(rng, comb(n, p), 4)
+                V = cplx(rng, n_vec * n, 4)
+                levels, negated = interior_tables(n_vec, n, p, j)
+                assert negated == any(np.any(v >= n_vec * n)
+                                      for v, _ in levels)
+                assert not negated or p >= 2
+                want, stacked = F, np.concatenate([V, -V])
+                for v_idx, f_idx in levels:
+                    acc = stacked[v_idx[:, 0]] * want[f_idx[:, 0]]
+                    for v, f in zip(v_idx.T[1:], f_idx.T[1:]):
+                        acc += stacked[v] * want[f]
+                    want = acc
+                assert np.array_equal(evaluate_form(F, V, n, p, j), want)
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 8)

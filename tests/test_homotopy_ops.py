@@ -15,13 +15,15 @@ from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
                                  identity_residual)
 from crhomotopy.quadrature import QuadratureGrid
 from crhomotopy.sections import barrier_section_jets, bochner_martinelli_jets
-from oracles import (barrier_mixed_jets, codimension_four_model,
-                     contraction_table, dense_coefficients, dense_det9,
+from oracles import (applied_adjoint, barrier_mixed_jets,
+                     codimension_four_model, contraction_table,
+                     dense_coefficients, dense_det9, dense_pullback,
                      dense_orientation_and_jacobian, euclidean_mixed_jets,
                      first_chunk, full_row_folded_coefficients,
                      gradient_flow_projection, project_tangential,
-                     random_quadric, row_contraction, stream_chunks,
-                     tangential_dbar_values, velocity_columns)
+                     quotient_scatter, random_quadric, row_contraction,
+                     stream_chunks, tangential_dbar_values,
+                     velocity_columns)
 
 # bound of the traced allocation peak of one apply_operator call on an
 # 8192-node sig22_n6m2 stream: 4.4 MB measured for either kind (6.2 MB
@@ -29,6 +31,11 @@ from oracles import (barrier_mixed_jets, codimension_four_model,
 # allocator and numpy-version spread, so one chunk-sized node array set
 # alive at the peak fails it
 APPLY_PEAK_MB = 6.0
+# bound of the traced allocation peak of one identity_residual point on a
+# 10000-node sig22_n5 stream: 4.56 MB measured (4.75 MB while the d-bar
+# scattered its adjoints to (N, n, n) arrays), plus a third for allocator
+# and numpy-version spread
+RESIDUAL_PEAK_MB = 6.1
 
 
 def centered_grid(model, z, eps=0.1, budget=3000, seed=7, **kw):
@@ -1006,6 +1013,68 @@ class TestOperators:
         assert res.total_nodes == quadrature.CHUNK
         assert peak < APPLY_PEAK_MB * 1e6
 
+    def test_identity_residual_peak_memory(self, primary):
+        # the traced allocation peak of one identity_residual point on a
+        # 10000-node sig22_n5 stream stays below RESIDUAL_PEAK_MB: the d-bar
+        # keeps its adjoints on the kernel quotient
+        f = bundled_test_form(primary)
+        z = primary.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                                np.array([0.01]))
+        kw = dict(epsilon=0.1, budget=10000, seed=3, box_radius=0.8)
+        identity_residual(primary, f, [z], **kw)        # fill the caches
+        tracemalloc.start()
+        try:
+            row, = identity_residual(primary, f, [z], **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.total_nodes == 10000
+        assert peak < RESIDUAL_PEAK_MB * 1e6
+
+    @pytest.mark.parametrize("which", ["primary", "secondary"])
+    def test_quotient_pullback_matches_dense_scatter(self, which, request,
+                                                     rng):
+        # the section pullbacks of random adjoints A' (n - 1, dim, B) kept
+        # on the kernel quotient of degree-1 fold weights, read through
+        # _quotient_times and <A', gamma'>, against the pullbacks of their
+        # dense (B, n, n) scatter (tests/oracles.py), for both sections over
+        # the two blocks of a stream; on sig22_n6m2 (m = 2) the barrier
+        # pullback runs the mixed jet
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        model = request.getfixturevalue(which)
+        n = model.n
+        z = model.graph_point(np.array([0.05, -0.03, 0.02, 0.0]),
+                              0.01 * np.ones(model.m))
+        grid = centered_grid(model, z, budget=2 * quadrature.BLOCK)
+        blocks = 0
+        for block, directions in barrier.level_set_blocks(model, grid,
+                                                          model.m >= 2):
+            B = len(block.zeta)
+            eta1, beta1, gamma1, _, pull1 = barrier_section_jets(
+                model, block.zeta, z, directions=directions)
+            _, _, gamma0, pull0 = bochner_martinelli_jets(block.zeta, z)
+            run = homotopy._Run(block.zeta - z, beta1, gamma1,
+                                homotopy._pivot(block.conormal.T))
+            W = homotopy._fold_weights(
+                cplx(B, n), homotopy._det9_blocks(block.conormal), 1)
+            _, ends, dim, reduce = homotopy._kernel_quotient(
+                W.T * run.scale, [gamma0, gamma1], run.kernel, run.row,
+                n - 2)
+            keep = np.arange(n) != run.pivot[:, None]
+            for pullback, gamma, end in zip((pull0, pull1), (gamma0, gamma1),
+                                            ends):
+                A, x = cplx(n - 1, dim, B), cplx(B, n)
+                got = pullback(x, homotopy._quotient_times(A, reduce, run.row),
+                               np.sum(A * end, axis=(0, 1)))
+                want = dense_pullback(pullback, gamma)(
+                    x, quotient_scatter(A, reduce, keep))
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
+            blocks += 1
+        assert blocks == 2
+
     @pytest.mark.parametrize("which", ["primary", "secondary"])
     def test_default_t_rule_is_exact(self, which, request, monkeypatch):
         # the solution t-integrand has degree n - 2, so n // 2 Gauss nodes
@@ -1316,8 +1385,10 @@ class TestOperators:
             along = [(De[nodes], Dg[nodes]) for De, Dg in d_jets]
             if tangent:
                 part["tangent"] = [
-                    lambda x, A, De=De, Dg=Dg: np.einsum("Nc,Nac->a", x, De)
-                    + np.einsum("Nsl,Nasl->a", A, Dg) for De, Dg in along]
+                    lambda x, times, _, De=De, Dg=Dg:
+                    np.einsum("Nc,Nac->a", x, De) + np.einsum(
+                        "Nsl,Nasl->a", applied_adjoint(times, *x.shape), Dg)
+                    for De, Dg in along]
             got = folded_coefficients(
                 W[nodes], w[nodes], beta[nodes], gamma[nodes], r_out,
                 kernel=conormal[nodes], **part)
