@@ -177,28 +177,21 @@ def wedge_table(n, r):
 # ---------------------------------------------------------------------------
 
 class RunningSum:
-    """Accumulates block totals; final reduction via exact fsum."""
+    """Accumulates one complex copy per block total; exact fsum at the end."""
 
     def __init__(self, shape=()):
         self.shape = tuple(shape)
-        self._re = []
-        self._im = []
+        self._totals = []
 
     def add(self, chunk_total):
-        arr = np.asarray(chunk_total, dtype=complex)
-        self._re.append(arr.real.copy())
-        self._im.append(arr.imag.copy())
+        self._totals.append(np.array(chunk_total, dtype=complex))
 
     def total(self) -> np.ndarray:
-        if not self._re:
+        if not self._totals:
             return np.zeros(self.shape, dtype=complex)
-        re = np.stack(self._re, axis=0)
-        im = np.stack(self._im, axis=0)
-        flat_re = re.reshape(re.shape[0], -1)
-        flat_im = im.reshape(im.shape[0], -1)
-        out = np.empty(flat_re.shape[1], dtype=complex)
-        for i in range(flat_re.shape[1]):
-            out[i] = complex(math.fsum(flat_re[:, i]), math.fsum(flat_im[:, i]))
+        flat = np.stack(self._totals).reshape(len(self._totals), -1)
+        out = np.array([complex(math.fsum(c.real), math.fsum(c.imag))
+                        for c in flat.T], dtype=complex)
         return out.reshape(self.shape)
 
 

@@ -150,8 +150,8 @@ def level_set_blocks(model: ManifoldModel, grid, with_derivative):
             table = block.directions
             G, dG = _frames_for_thetas(model, -table, with_derivative)
         index = block.direction_index
-        yield block, (-block.sigma, grid.epsilon, G[index],
-                      None if dG is None else dG[index])
+        yield block, (-block.sigma, grid.epsilon, G.take(index, axis=0),
+                      None if dG is None else dG.take(index, axis=0))
 
 
 def _section(w, thetas, Q, G):

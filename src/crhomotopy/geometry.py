@@ -90,7 +90,12 @@ class ManifoldModel:
         self.tol_on_manifold = 1e-9 * self.radius
         # (m, d, d) stack of the H_k, real (real arithmetic) if every H_k is
         H = np.stack(self.hermitian)
-        self.hermitian_stack = H if H.imag.any() else H.real.copy()
+        self.hermitian_stack = H = H if H.imag.any() else H.real.copy()
+        # flat layouts [j, (k, i)] of H_k z' and [i, (k, j)] of conj(z') H_k,
+        # complex like z': one GEMM each, np.tensordot's without its rebuild
+        self._column_layout, self._row_layout = (
+            H.transpose(axes).reshape(self.n - self.m, -1).astype(complex)
+            for axes in ((2, 0, 1), (1, 0, 2)))
         # d(rho_1) ^ ... ^ d(rho_m) != 0 holds automatically for graph
         # quadrics: the Im w_k gradient components form an identity block.
 
@@ -107,8 +112,13 @@ class ManifoldModel:
     def height(self, zp):
         """Graph heights h_k(z') = <H_k z', z'> (real array, shape (..., m))."""
         zp = np.asarray(zp, dtype=complex)
-        return levi_heights(
-            np.tensordot(zp, self.hermitian_stack, axes=(-1, 2)), zp)
+        return levi_heights(self.levi_products(zp), zp)
+
+    def levi_products(self, zp):
+        """The contractions H_k z', shape (..., m, d), of points (..., d)."""
+        d = self.tangential_dim
+        return np.dot(zp.reshape(-1, d), self._column_layout
+                      ).reshape(zp.shape[:-1] + (self.m, d))
 
     def defining_values(self, z):
         """(rho_1, ..., rho_m) and the Euclidean norm rho(z)."""
@@ -136,15 +146,17 @@ class ManifoldModel:
         """All m holomorphic gradients stacked, shape (..., m, n)."""
         zp, d, m = self.split(z)[0], self.tangential_dim, self.m
         g = np.zeros(zp.shape[:-1] + (m, self.n), dtype=complex)
-        g[..., :d] = -np.tensordot(zp.conj(), self.hermitian_stack,
-                                   axes=(-1, 1))
+        g[..., :d] = -np.dot(zp.conj().reshape(-1, d), self._row_layout
+                             ).reshape(zp.shape[:-1] + (m, d))
         g[..., range(m), range(d, d + m)] = 1.0 / 2.0j
         return g
 
     def levi_pencil(self, thetas):
         """Levi matrices -theta . H of sum_k theta_k rho_k on the z'-block,
         shape (..., d, d) for directions (..., m); real when every H_k is."""
-        return -np.tensordot(thetas, self.hermitian_stack, axes=(-1, 0))
+        thetas, H = np.asarray(thetas), self.hermitian_stack
+        return -np.dot(thetas.reshape(-1, self.m), H.reshape(self.m, -1)
+                       ).reshape(thetas.shape[:-1] + H.shape[1:])
 
     def levi_form_full(self, thetas):
         """Full n x n form matrices of sum_k theta_k rho_k, (..., n, n): the

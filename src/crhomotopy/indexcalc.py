@@ -456,11 +456,12 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
     stream, block by block, with the directions of
     :func:`~crhomotopy.barrier.level_set_blocks` (theta = -sigma and the
     frames of a chunk's direction table, solved at its first block), so no
-    defining value is recomputed; the block totals are summed exactly
+    defining value is recomputed; Phi is barrier_phase's, its Q at the fixed
+    z formed once per call.  The block totals are summed exactly
     (:class:`~crhomotopy._util.RunningSum`), so the values do not depend on
     the block size beyond rounding.
     """
-    from .barrier import barrier_phase, level_set_blocks
+    from .barrier import _section, level_set_blocks
     from .quadrature import QuadratureGrid
 
     if term.phase_power.denominator != 1:
@@ -471,6 +472,7 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
     zp, w0 = model.split(z)
     d = model.tangential_dim
     h_int = int(term.phase_power)
+    Q = -model.holo_gradients(z)      # the barrier_phase gradient section
     values = []
     for i, eps in enumerate(epsilons):
         grid = QuadratureGrid(model=model, epsilon=float(eps), budget=budget,
@@ -478,14 +480,15 @@ def realized_kernel_decay(model, term: KernelTerm, z, epsilons, budget=40000,
                               center_zp=zp, center_u=w0.real,
                               box_radius=0.5)
         level = RunningSum()
-        for block, directions in level_set_blocks(model, grid, False):
+        for block, (thetas, _, G, _) in level_set_blocks(model, grid, False):
             w = block.zeta - z[None, :]
-            dist = np.linalg.norm(w, axis=1)
-            phi = barrier_phase(model, block.zeta, z, directions=directions)
-            # level-independent cutoff region: chart parameter distance
-            pdist = np.sqrt(np.sum(np.abs(w[:, :d]) ** 2, axis=1)
-                            + np.sum(w[:, d:].real ** 2, axis=1))
-            cutoff = pdist <= grid.box_radius
+            phi = _section(w, thetas, Q, G)[1]
+            # |w| (np.linalg.norm's squares) and the cutoff's chart distance
+            # from one pass of squared parts
+            sq = (w.conj() * w).real
+            dist = np.sqrt(np.add.reduce(sq, axis=1))
+            cutoff = np.sqrt(np.add.reduce(sq[:, :d], axis=1) + np.add.reduce(
+                w[:, d:].real ** 2, axis=1)) <= grid.box_radius
             dens = (eps ** term.l
                     / (dist ** term.k * np.abs(phi) ** h_int))
             level.add(np.sum(dens * cutoff * block.weight

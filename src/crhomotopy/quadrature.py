@@ -48,7 +48,8 @@ bit-stable.  A stream is drawn per chunk of CHUNK nodes and handed out per
 block of BLOCK nodes (:meth:`QuadratureGrid.chunks`): every node value is
 pointwise in the chunk's draws, so the blocks are the chunk's nodes bit for
 bit, each block of a chunk carries the chunk's one direction table, and no
-consumer holds a per-node array longer than a block.
+consumer holds a per-node array longer than a block.  Every array operation
+costs a block a fixed numpy overhead, so blocks are assembled in place.
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ class QuadratureGrid:
             # parameter point within that distance of the center is reachable
             r_min = R_MIN_FACTOR * self.epsilon
             r_max = 1.05 * self.box_radius
-            xi = rng.standard_normal((count, D))
-            xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+            # xi / |xi| (np.linalg.norm's sum, but no conj copy), then r xi
+            p = rng.standard_normal((count, D))
+            p /= np.sqrt(np.add.reduce(p * p, axis=1, keepdims=True))
             r = r_min * np.exp(rng.uniform(0.0, np.log(r_max / r_min),
                                            size=count))
-            p = r[:, None] * xi
+            p *= r[:, None]
             density = 1.0 / (_sphere_area(D) * r ** (D - 1) * r
                              * np.log(r_max / r_min))
         if m == 1:
@@ -174,22 +176,27 @@ class QuadratureGrid:
     # -- geometry of the parameterization ----------------------------------
 
     def _assemble(self, params) -> NodeChunk:
+        """The nodes of a slice ``params`` of a chunk's draws, in place."""
         p, directions, index, weight = params
-        sigma = directions[index]
+        sigma = directions.take(index, axis=0)
         model = self.model
         d, m = model.tangential_dim, model.m
-        zp = (self.center_zp[None, :]
-              + p[:, 0:2 * d:2] + 1j * p[:, 1:2 * d:2])
-        u = self.center_u[None, :] + p[:, 2 * d:2 * d + m]
-        # one contraction H_k z' for the graph heights and the conormal,
-        # freed before the chunk's points are built
-        hz = np.tensordot(zp, model.hermitian_stack, axes=(1, 2))  # (N, m, d)
-        im_w = levi_heights(hz, zp) + self.epsilon * sigma
-        conormal = np.concatenate(
-            [-2.0 * (sigma[:, None] @ hz)[:, 0], 1j * sigma], axis=1)
-        del hz
-        conormal *= self.epsilon ** (m - 1)
-        zeta = np.concatenate([zp, u + 1j * im_w], axis=1)
+        scale = self.epsilon ** (m - 1)
+        zeta = np.empty((len(p), model.n), dtype=complex)
+        conormal = np.empty_like(zeta)
+        # the (Re, Im) parameter pairs of z' are complex numbers in memory
+        zp = np.add(self.center_zp, p[:, :2 * d].view(complex),
+                    out=zeta[:, :d])
+        np.add(self.center_u, p[:, 2 * d:2 * d + m], out=zeta.real[:, d:])
+        # one contraction H_k z' for the graph heights and the conormal
+        hz = model.levi_products(zp)                          # (N, m, d)
+        np.add(levi_heights(hz, zp), self.epsilon * sigma,
+               out=zeta.imag[:, d:])
+        # the conormal eps^(m-1) (-2 S, i sigma), S = sigma . H z'
+        np.multiply((sigma[:, None] @ hz)[:, 0], -2.0 * scale,
+                    out=conormal[:, :d])
+        conormal.real[:, d:] = 0.0
+        np.multiply(sigma, scale, out=conormal.imag[:, d:])
         return NodeChunk(zeta=zeta, weight=weight, conormal=conormal,
                          surface_jac=np.linalg.norm(conormal, axis=1),
                          sigma=sigma, directions=directions,

@@ -29,7 +29,7 @@ from crhomotopy.errors import CRHomotopyError, ThetaUndefinedError
 from crhomotopy.fields import (FormField, _evaluate_batched,
                                conjugate_frame_rows, tangential_components)
 from crhomotopy.geometry import (CORRECTION_MARGIN, ManifoldModel,
-                                 holomorphic_tangent_rows)
+                                 holomorphic_tangent_rows, levi_heights)
 from crhomotopy.sections import SectionJet
 
 
@@ -404,6 +404,57 @@ def codimension_four_model():
     return ManifoldModel(n=7, m=4, q=1, hermitian=[
         np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]),
         np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, -1.0])])
+
+
+def random_unitary(d, seed):
+    """A random d x d unitary: the QR factor of a complex Gaussian matrix,
+    its column phases fixed by the diagonal of R."""
+    rng = np.random.default_rng(seed)
+    q, tri = np.linalg.qr(rng.standard_normal((d, d))
+                          + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(tri) / np.abs(np.diag(tri)))
+
+
+def rotated_model(model, U, O):
+    """The quadric that diag(U, O) maps ``model`` onto: H'_k = sum_l O_kl
+    U H_l U^H."""
+    turned = np.tensordot(O, [U @ h @ U.conj().T for h in model.hermitian],
+                          axes=(1, 0))
+    return ManifoldModel(n=model.n, m=model.m, q=model.q,
+                         hermitian=list(turned), radius=model.radius,
+                         name=model.name + "_rotated")
+
+
+def tensordot_contractions(model: ManifoldModel, zp, thetas):
+    """The Levi-stack contractions as np.tensordot forms them, rebuilding
+    the stack's flat layout on every call: H_k z' (..., m, d), the graph
+    heights, the z'-block -conj(z') H_k of the holomorphic gradients and
+    the pencil -theta . H, the references of the one-GEMM forms of
+    :class:`ManifoldModel`."""
+    H = model.hermitian_stack
+    hz = np.tensordot(zp, H, axes=(-1, 2))
+    return {"levi_products": hz, "height": levi_heights(hz, zp),
+            "holo_gradients": -np.tensordot(zp.conj(), H, axes=(-1, 1)),
+            "levi_pencil": -np.tensordot(thetas, H, axes=(-1, 0))}
+
+
+def concatenated_block(grid, params):
+    """A block's nodes built with the tensordot H z' and concatenations, the
+    reference of :meth:`QuadratureGrid._assemble`, which writes them in
+    place: (zeta, conormal, surface factor, sigma)."""
+    p, directions, index, weight = params
+    model = grid.model
+    d, m = model.tangential_dim, model.m
+    sigma = directions[index]
+    zp = grid.center_zp[None, :] + p[:, 0:2 * d:2] + 1j * p[:, 1:2 * d:2]
+    u = grid.center_u[None, :] + p[:, 2 * d:2 * d + m]
+    hz = tensordot_contractions(model, zp, sigma)["levi_products"]
+    im_w = levi_heights(hz, zp) + grid.epsilon * sigma
+    conormal = np.concatenate(
+        [-2.0 * (sigma[:, None] @ hz)[:, 0], 1j * sigma], axis=1)
+    conormal *= grid.epsilon ** (m - 1)
+    zeta = np.concatenate([zp, u + 1j * im_w], axis=1)
+    return zeta, conormal, np.linalg.norm(conormal, axis=1), sigma
 
 
 def velocity_columns(grid, chunk):

@@ -29,6 +29,7 @@ from crhomotopy.fields import FormField, bundled_test_form
 from crhomotopy.geometry import ManifoldModel
 from crhomotopy.homotopy import apply_operator, apply_operator_multi
 from crhomotopy.quadrature import QuadratureGrid
+from oracles import random_unitary, rotated_model
 
 # relative gap of the rotated operator values: the rotation changes only
 # the order of floating-point operations, at most 1.2e-14 measured on the
@@ -37,29 +38,12 @@ from crhomotopy.quadrature import QuadratureGrid
 EQUIVARIANCE_RTOL = 1e-12
 
 
-def random_unitary(d, seed):
-    rng = np.random.default_rng(seed)
-    q, tri = np.linalg.qr(rng.standard_normal((d, d))
-                          + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(tri) / np.abs(np.diag(tri)))
-
-
 def compound(mat, r):
     """The r-th compound matrix: minors of ``mat`` over increasing
     r-tuples, the action of ``mat`` on (0, r) form coefficients."""
     combos = index_combinations(mat.shape[0], r)
     return np.array([[np.linalg.det(mat[np.ix_(rows, cols)])
                       for cols in combos] for rows in combos])
-
-
-def rotated_model(model, U, O):
-    """The quadric that diag(U, O) maps ``model`` onto: H'_k = sum_l O_kl
-    U H_l U^H."""
-    turned = np.tensordot(O, [U @ h @ U.conj().T for h in model.hermitian],
-                          axes=(1, 0))
-    return ManifoldModel(n=model.n, m=model.m, q=model.q,
-                         hermitian=list(turned), radius=model.radius,
-                         name=model.name + "_rotated")
 
 
 def rotated_form(model, field, ambient):

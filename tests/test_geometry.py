@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from crhomotopy import barrier, geometry
+from crhomotopy import barrier, geometry, quadrature
 from crhomotopy.errors import ModelParseError, ModelValidationError
-from oracles import (DegeneratePointError, correction_frame,
-                     defining_polynomial, fd_hessian_mixed, off_manifold_point,
-                     random_directions, random_quadric, tangential_frame)
+from oracles import (DegeneratePointError, concatenated_block,
+                     correction_frame, defining_polynomial, fd_hessian_mixed,
+                     off_manifold_point, random_directions, random_quadric,
+                     random_unitary, rotated_model, tangential_frame,
+                     tensordot_contractions)
 
 TOL = 1e-12
 
@@ -115,6 +117,54 @@ class TestDirectionalLevi:
         assert full.shape == (3, 6, 6)
         assert np.array_equal(full[:, :d, :d], secondary.levi_pencil(thetas))
         assert not full[:, d:].any() and not full[:, :, d:].any()
+
+
+class TestLeviContractions:
+    """Each contraction with the Levi stack is one GEMM on a flat layout
+    that ``ManifoldModel`` keeps, the product np.tensordot runs after
+    rebuilding that layout: the same bits."""
+
+    @staticmethod
+    def same_bits(got, want):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", ["primary", "secondary",
+                                       "primary-rotated", "secondary-rotated"])
+    def test_gemm_layouts_match_tensordot(self, which, request, rng):
+        # the rotated models have complex Levi matrices U H_k U^H
+        name, _, rotated = which.partition("-")
+        model = request.getfixturevalue(name)
+        d, m = model.tangential_dim, model.m
+        if rotated:
+            model = rotated_model(model, random_unitary(d, 11), np.eye(m))
+            assert np.iscomplexobj(model.hermitian_stack)
+        zp = rng.standard_normal((3, 7, d)) \
+            + 1j * rng.standard_normal((3, 7, d))
+        thetas = rng.standard_normal((3, 7, m))
+        z = np.concatenate([zp, np.zeros((3, 7, m))], axis=-1)
+        for pick in (np.s_[:], np.s_[0, 0]):     # batches and one point
+            want = tensordot_contractions(model, zp[pick], thetas[pick])
+            self.same_bits(model.levi_products(zp[pick]),
+                           want["levi_products"])
+            self.same_bits(model.height(zp[pick]), want["height"])
+            self.same_bits(model.holo_gradients(z[pick])[..., :d],
+                           want["holo_gradients"])
+            self.same_bits(model.levi_pencil(thetas[pick]),
+                           want["levi_pencil"])
+        # the H z' of a block's in-place assembly, on the z' columns of its
+        # zeta, against the tensordot one and concatenations
+        for mode in quadrature.MODES:
+            grid = quadrature.QuadratureGrid(
+                model=model, epsilon=0.1, mode=mode, budget=700, seed=4,
+                center_zp=0.02 * (1 - 1j) * np.arange(d),
+                center_u=np.full(m, 0.03))
+            params = grid._sample_params(np.random.default_rng(4), 700)
+            block = grid._assemble(params)
+            for got, want in zip((block.zeta, block.conormal,
+                                  block.surface_jac, block.sigma),
+                                 concatenated_block(grid, params)):
+                self.same_bits(got, want)
 
 
 class TestCertification:

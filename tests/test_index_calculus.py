@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from crhomotopy import barrier, quadrature
+from crhomotopy import barrier, geometry, quadrature
 from crhomotopy import indexcalc as ic
 from crhomotopy.errors import RealizationInfeasibleError, TableGapError
 
@@ -276,6 +276,24 @@ class TestNumericCorroboration:
                                  budget=quadrature.CHUNK + 100, seed=1)
         assert calls == ["level", quadrature.SPHERE_POINTS,
                          quadrature.SPHERE_POINTS] * 2
+
+    def test_gradient_formed_once_per_point(self, secondary, monkeypatch):
+        # the phase's gradient section Q = -holo_gradients(z) is formed once
+        # per call at its fixed z, not per level or block: two levels of
+        # two chunks each (34 blocks) make one single-point call
+        points = []
+        gradients = geometry.ManifoldModel.holo_gradients
+
+        def counted(model, z):
+            if np.ndim(z) == 1:
+                points.append(np.array(z))
+            return gradients(model, z)
+
+        monkeypatch.setattr(geometry.ManifoldModel, "holo_gradients", counted)
+        z = np.zeros(6, dtype=complex)
+        ic.realized_kernel_decay(secondary, decay_term(), z, [0.1, 0.05],
+                                 budget=quadrature.CHUNK + 100, seed=1)
+        assert len(points) == 1 and np.array_equal(points[0], z)
 
     def test_block_size_invariance(self, secondary, monkeypatch):
         # the stream's block is a unit of work: the level totals are summed
