@@ -89,9 +89,6 @@ def cmd_check_geometry(args) -> int:
     report = geometry.certify_concavity(model, resolution=args.resolution)
     payload = _base_payload(args, model)
     payload["certification"] = report.to_json_dict()
-    amp = geometry.find_modification_amplitude(
-        model, _test_points(model), resolution=args.resolution)
-    payload["modification_amplitude"] = amp
     _write_report(args.out, "geometry.json", payload)
     print(f"[{'PASS' if report.passed else 'FAIL'}] concavity certification: "
           f"min negative eigenvalues {report.min_negative} "
@@ -187,16 +184,6 @@ def cmd_run_homotopy(args) -> int:
     from .homotopy import apply_operator, identity_residual
     from .quadrature import QuadratureGrid
     model = _load_model(args)
-    if model.q < 2:
-        print(f"run-homotopy needs q >= 2: its identity residual leaves out "
-              f"H f, which vanishes on (0,1) forms only for q >= 2 (model "
-              f"has q = {model.q})", file=sys.stderr)
-        return 2
-    geo_path = os.path.join(args.out, "geometry.json")
-    if not os.path.exists(geo_path):
-        print("missing geometry certification: run the check-geometry "
-              "command first (same --out directory)", file=sys.stderr)
-        return 2
     cert = geometry.certify_concavity(model)
     if not cert.passed:
         print("model failed concavity certification", file=sys.stderr)
@@ -244,22 +231,21 @@ def cmd_index_audit(args) -> int:
     bad = [r for r in below if r["survivors"] > 0]
     certificate = []
     violations = 0
-    for n in range(3, min(args.n_max, 6) + 1):
-        for m in range(1, min(args.m_max, n - 2) + 1):
-            for q in range(2, (n - m) // 2 + 1):
-                for r in range(1, q):
-                    pairs, viol = indexcalc.dichotomy_audit(n, m, q, r)
-                    violations += len(viol)
-                    for term, kt in pairs:
-                        # raises RewriteSoundnessError on an unsound rewrite
-                        indexcalc.closure_two_deep(kt)
-                        certificate.append({
-                            "n": n, "m": m, "q": q, "r": r,
-                            "family": term.family,
-                            "indices": [kt.k, str(kt.h), kt.l],
-                            "bounded": indexcalc.is_bounded_class(kt),
-                            "vanishing": indexcalc.is_vanishing_class(kt),
-                        })
+    for n, m, q in indexcalc.certifiable_dimensions(min(args.n_max, 6),
+                                                    args.m_max):
+        for r in range(1, q):
+            pairs, viol = indexcalc.dichotomy_audit(n, m, q, r)
+            violations += len(viol)
+            for term, kt in pairs:
+                # raises RewriteSoundnessError on an unsound rewrite
+                indexcalc.closure_two_deep(kt)
+                certificate.append({
+                    "n": n, "m": m, "q": q, "r": r,
+                    "family": term.family,
+                    "indices": [kt.k, str(kt.h), kt.l],
+                    "bounded": indexcalc.is_bounded_class(kt),
+                    "vanishing": indexcalc.is_vanishing_class(kt),
+                })
     payload = _base_payload(args, model)
     payload["obstruction_sweep"] = {
         "records": len(sweep),

@@ -49,3 +49,8 @@ class RealizationInfeasibleError(CRHomotopyError):
 class FrameGapError(CRHomotopyError):
     """Kept/dropped eigenvalue gap of the correction frame closes where the
     frame's direction derivative is needed."""
+
+
+class ObstructionOmittedError(CRHomotopyError):
+    """Identity residual requested at an input degree where the obstruction
+    term H f, which it leaves out, need not vanish."""

@@ -214,7 +214,6 @@ class ConcavityReport:
     min_negative: int
     min_positive: int
     worst_direction: np.ndarray
-    resolution: int
     frame_gap_warnings: list = field(default_factory=list)
 
     def to_json_dict(self):
@@ -224,7 +223,6 @@ class ConcavityReport:
             "min_negative_eigenvalues": self.min_negative,
             "min_positive_eigenvalues": self.min_positive,
             "worst_direction": [float(x) for x in self.worst_direction],
-            "resolution": self.resolution,
             "frame_gap_warnings": self.frame_gap_warnings,
         }
 
@@ -257,7 +255,6 @@ def certify_concavity(model: ManifoldModel, resolution: int = 16) -> ConcavityRe
         min_negative=int(neg[worst]),
         min_positive=int(np.min(np.sum(evals > TOL_EIG, axis=1))),
         worst_direction=grid[worst],
-        resolution=resolution,
         frame_gap_warnings=warnings,
     )
 
@@ -265,6 +262,8 @@ def certify_concavity(model: ManifoldModel, resolution: int = 16) -> ConcavityRe
 # ---------------------------------------------------------------------------
 # defining-function modification (extra plurisubharmonic weight)
 # ---------------------------------------------------------------------------
+# No command or operator runs the amplitude search; it stays only while
+# perfbench/tracing.py wraps find_modification_amplitude by name.
 
 def directional_modified_form(model: ManifoldModel, thetas, z,
                               amplitude: float) -> np.ndarray:

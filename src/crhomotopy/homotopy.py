@@ -100,7 +100,7 @@ from ._util import (RunningSum, avoiding_table, basis_interior_table,
                     evaluate_form, gauss_legendre_01, hodge_star,
                     index_combinations)
 from .barrier import level_set_blocks
-from .errors import GridTooCoarseError
+from .errors import GridTooCoarseError, ObstructionOmittedError
 from .fields import FormField, tangential_components
 from .geometry import ManifoldModel
 from .quadrature import QuadratureGrid
@@ -605,13 +605,14 @@ def identity_residual(model: ManifoldModel, field: FormField, z_points,
     512-node kernel block, in one pass over one node stream.  The
     obstruction term H f vanishes pointwise for input degree below the
     concavity parameter q and is not assembled here, so input degree q or
-    above raises ValueError.
+    above raises :class:`ObstructionOmittedError`.
     """
     if field.degree != 1:
         raise ValueError("identity residual is implemented for (0,1) inputs")
     if field.degree >= model.q:
-        raise ValueError(f"identity residual omits H f, which vanishes only "
-                         f"for input degree below q = {model.q}")
+        raise ObstructionOmittedError(
+            f"identity residual omits H f, which vanishes only for input "
+            f"degree below q = {model.q}")
     dbar_field = field.dbar_field()
     rows = []
     for idx, z in enumerate(z_points):

@@ -421,24 +421,24 @@ def obstruction_survivor_count(n, m, q, r) -> int:
     return 2 * columns * len(list(_compositions(r, 3)))
 
 
-def obstruction_sweep(n_max=8, m_max=3):
-    """Survivor counts over all certifiable dimension combinations.
-
-    Valid concavity parameters: 2 <= q <= (n - m) / 2 (a balanced-signature
-    quadric with that concavity exists).  Returns records with survivor
-    counts for every input degree 1 <= r <= n - 1.
-    """
-    records = []
+def certifiable_dimensions(n_max, m_max):
+    """Every certifiable (n, m, q) with n <= n_max and m <= m_max, n, then m,
+    then q increasing: 3 <= n, 1 <= m <= n - 2 and 2 <= q <= (n - m) / 2 (a
+    balanced-signature quadric with that concavity exists)."""
     for n in range(3, n_max + 1):
         for m in range(1, min(m_max, n - 2) + 1):
             for q in range(2, (n - m) // 2 + 1):
-                for r in range(1, n):
-                    records.append({
-                        "n": n, "m": m, "q": q, "r": r,
-                        "survivors": obstruction_survivor_count(n, m, q, r),
-                        "below_concavity": r < q,
-                    })
-    return records
+                yield n, m, q
+
+
+def obstruction_sweep(n_max=8, m_max=3):
+    """Survivor counts over :func:`certifiable_dimensions`: records for
+    every input degree 1 <= r <= n - 1."""
+    return [{"n": n, "m": m, "q": q, "r": r,
+             "survivors": obstruction_survivor_count(n, m, q, r),
+             "below_concavity": r < q}
+            for n, m, q in certifiable_dimensions(n_max, m_max)
+            for r in range(1, n)]
 
 
 # ---------------------------------------------------------------------------

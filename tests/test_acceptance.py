@@ -29,7 +29,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__),
 LADDER = [(0.1, 10_000), (0.05, 100_000), (0.025, 1_000_000)]
 SEED = 101
 # wall-time limit of the ladder test in seconds; 0 or less means none.  The
-# full ladder took 73-89 s in three standalone runs on 2 cores; set
+# full ladder took 57-66 s in three standalone runs on 2 cores; set
 # CRHOMOTOPY_LADDER_TIME_LIMIT=0 to run it to the end on a slower machine.
 LADDER_TIME_LIMIT_S = float(os.environ.get("CRHOMOTOPY_LADDER_TIME_LIMIT",
                                            "120"))
@@ -387,14 +387,21 @@ def test_homotopy_identity_ladder(primary, baselines):
            f"final <= 2 x baseline {base[-1]:.4f}")
 
 
+# the largest worst-point gap |R_graph f - R_flow f| of the middle rung over
+# 20 seed bases the test does not use (201, 211, ..., 391; seeds base + idx
+# at the test's points): both extensions read one node grid per point and
+# differ only off the manifold
+EXTENSION_GAP_MAX = 3.871e-4
+
+
 @pytest.mark.slow
-def test_extension_independence(primary, baselines):
-    """Graph and gradient-flow extensions agree within twice the middle-rung
-    quadrature tolerance."""
+def test_extension_independence(primary):
+    """Graph and gradient-flow extensions agree within twice the largest
+    middle-rung gap measured at other seeds."""
     from oracles import gradient_flow_projection
     f = fields.bundled_test_form(primary)
     eps, budget = LADDER[1]
-    tolerance = 2.0 * baselines["ladder"][1]["worst"]
+    tolerance = 2.0 * EXTENSION_GAP_MAX
     worst = 0.0
     for idx, z in enumerate(fixed_test_points(primary)):
         zp, w = primary.split(z)
@@ -407,8 +414,8 @@ def test_extension_independence(primary, baselines):
                                 primary, pts))
         worst = max(worst, float(np.max(np.abs(ra.ambient - rb.ambient))))
     report("extension independence", worst <= tolerance,
-           f"max output gap {worst:.4f} <= 2 x rung-2 tolerance "
-           f"{tolerance:.4f}")
+           f"max output gap {worst:.3e} <= 2 x largest measured gap "
+           f"{tolerance:.3e}")
 
 
 def test_report_determinism(primary, tmp_path):

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crhomotopy import cli
+from crhomotopy._util import canonical_json
 
 
 def run_cli(args):
@@ -151,14 +153,32 @@ class TestPipeline:
         assert run_cli(base + ["check-geometry"]) == 0
         capsys.readouterr()
         assert run_cli(base + ["run-homotopy", "--budget", "500"]) == 2
-        assert "run-homotopy needs q >= 2" in capsys.readouterr().err
+        assert ("error: identity residual omits H f, which vanishes only "
+                "for input degree below q = 1") in capsys.readouterr().err
         assert os.listdir(out) == ["geometry.json"]
 
-    def test_homotopy_requires_geometry_first(self, tmp_path):
-        out = str(tmp_path / "fresh")
-        code = run_cli(["--model", "bundled:sig22_n5", "--out", out,
-                        "run-homotopy", "--eps", "0.1", "--budget", "500"])
-        assert code == 2
+    def test_homotopy_needs_no_geometry_report(self, tmp_path):
+        # run-homotopy certifies the model itself and reads no other report
+        out = tmp_path / "fresh"
+        assert run_cli(["--model", "bundled:sig22_n5", "--out", str(out),
+                        "run-homotopy", "--eps", "0.1", "--budget", "500",
+                        "--points", "1"]) == 0
+        assert sorted(os.listdir(out)) == ["homotopy.json",
+                                           "homotopy_residuals.csv"]
+
+    def test_geometry_report_holds_only_verdict_keys(self, tmp_path):
+        # --resolution lives in the config hash; the amplitude search
+        # feeds no verdict
+        assert run_cli(["--model", "bundled:sig22_n5", "--out",
+                        str(tmp_path), "check-geometry"]) == 0
+        payload = json.loads((tmp_path / "geometry.json").read_text())
+        assert set(payload) == {"schema", "command", "model_hash",
+                                "config_hash", "certification"}
+        assert set(payload["certification"]) == {
+            "passed", "required", "min_negative_eigenvalues",
+            "min_positive_eigenvalues", "worst_direction",
+            "frame_gap_warnings"}
+        assert payload["certification"]["passed"] is True
 
     @pytest.mark.parametrize("model", ["sig22_n5", "sig22_n6m2"])
     def test_reports_byte_identical_across_runs(self, model, tmp_path):
@@ -193,7 +213,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("argv, absent, present", [
         (["check-geometry", "--resolution", "8"],
-         ("homotopy", "norms", "quadrature"), ()),
+         ("barrier", "sections", "quadrature", "homotopy", "norms"), ()),
         (["index-audit", "--n-max", "5", "--m-max", "2"],
          ("homotopy", "norms", "quadrature"), ("indexcalc",)),
         (["estimate-norms", "--budget", "60"],
@@ -225,3 +245,10 @@ class TestPipeline:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True)])
+def test_canonical_json_writes_booleans(value):
+    # bool is an int subclass, and np.bool_ is not JSON-serializable
+    assert canonical_json({"a": value, "b": type(value)(False), "c": 1}) \
+        == '{"a":true,"b":false,"c":1}'

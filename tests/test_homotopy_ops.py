@@ -8,7 +8,8 @@ from crhomotopy import barrier, fields, geometry, homotopy, quadrature
 from crhomotopy._util import (avoiding_table, gauss_legendre_01, hodge_star,
                               index_combinations, small_det, wedge_jets)
 from crhomotopy.errors import (CRHomotopyError, DerivativeOrderError,
-                               GridTooCoarseError, OutsideTubeError)
+                               GridTooCoarseError, ObstructionOmittedError,
+                               OutsideTubeError)
 from crhomotopy.fields import (BumpChart, FormField, PolyChart, ProductChart,
                                ZeroChart, bundled_test_form, chart_form)
 from crhomotopy.homotopy import (apply_operator, apply_operator_multi,
@@ -908,7 +909,7 @@ class TestOperators:
         # H_1 f is not assembled, and for q = 1 it need not vanish
         f = bundled_test_form(small_n3)
         z = small_n3.graph_point(np.array([0.05, -0.03j]), np.array([0.01]))
-        with pytest.raises(ValueError, match="below q = 1"):
+        with pytest.raises(ObstructionOmittedError, match="below q = 1"):
             identity_residual(small_n3, f, [z], epsilon=0.1, budget=500)
 
     def test_identity_residual_makes_one_stream_pass(self, primary,

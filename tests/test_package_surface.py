@@ -23,6 +23,8 @@ ALLOWED = {
     ("_util", "det5_cols"): "the benchmark's tracer wraps it",
     ("quadrature", "_sphere_tangent_basis"): "the benchmark's tracer wraps it",
     ("norms", "regularity_gain_report"): "the benchmark's tracer wraps it",
+    ("geometry", "find_modification_amplitude"):
+        "the benchmark's tracer wraps it",
     ("quadrature", "QuadratureGrid.header"):
         "the benchmark keys node streams by it",
     ("indexcalc", "realized_kernel_decay"): "the decay_n6m2 workload calls it",
