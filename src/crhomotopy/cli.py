@@ -186,7 +186,9 @@ def cmd_run_homotopy(args) -> int:
     model = _load_model(args)
     cert = geometry.certify_concavity(model)
     if not cert.passed:
-        print("model failed concavity certification", file=sys.stderr)
+        print(f"error: model failed concavity certification: min negative "
+              f"eigenvalues {cert.min_negative} (required {cert.required})",
+              file=sys.stderr)
         return 2
     f = bundled_test_form(model)
     points = _test_points(model, count=args.points)

@@ -11,26 +11,35 @@ Functional rows are ordered [dzetabar block (one index missing) | dzeta
 block | dt last].  The dt row pairs only with the unit-interval direction,
 contributing a fixed sign (-1)^n after being moved past the dzeta block; the
 remaining (2n-1) square block is the minor det9[k].  Times the orientation
-sign it is closed-form, (2i)^n / 2 * (-1)^k times the node's scaled
+sign it is closed-form, (2i)^n / 2 * (-1)^k v_k, v the node's scaled
 conormal eps^(m-1) (-2 S, i sigma) (see :mod:`crhomotopy.quadrature`), so
 no per-node determinant is taken; the dense determinants of the velocity
-columns that ``tests/oracles.py`` rebuilds are the test oracle.
+columns that ``tests/oracles.py`` rebuilds are the test oracle of that
+closed form (:func:`_det9_blocks`).
 
 Solution coefficients are det[eta0 | beta_t... | gamma_t... | tau], since the
 t tau part of eta_t = eta0 + t tau cancels against the tau column: the
 t-integrand has degree n - 2 and n // 2 Gauss-Legendre nodes are exact.  The
-weighted degree-r form values g and det9 fold into the weights W = (-1)^(r
-n) i_delta *g, delta_j = (-1)^j det9[j], of degree k = n - 1 - r.
+weighted degree-r form values g fold with the conormal into the weights W =
+i_v *g of degree k = n - 1 - r.  Every scale and sign of the operator, the
+(2i)^n / 2 of det9 included, is one real constant per kind and input
+degree, applied once to each point's total (:func:`_field_plan`):
+
+    obstruction:  (-1)^(r n) (n - 1)! / (2 pi^n),
+    solution:     (-1)^((r + 1)(n + 1)) (n - 1)! / (2 pi^n).
+
+The obstruction kind's (-1)^(r n) has not yet been checked on a nonzero
+value: H f vanishes identically at degrees 0 and 1 on both bundled models.
 
 The node stream comes in blocks of BLOCK nodes
 (:meth:`~crhomotopy.quadrature.QuadratureGrid.chunks`), and each block is
-one unit of work: det9, the projected nodes, the form values, the weights,
-the section jets, the rejection mask, the contraction and the block's
-signed total, added to an exact running sum, so that no per-node array
-spans more than a block.  Form values are pointwise, so forming them per
-block changes no value, and the totals do not depend on BLOCK beyond
-rounding.  Each block comes with its barrier directions, theta = -sigma
-and the frames of its chunk's direction table, solved once per chunk
+one unit of work: the projected nodes, the form values, the weights, the
+section jets, the rejection mask, the contraction and the block's total,
+added to an exact running sum, so that no per-node array spans more than a
+block.  Form values are pointwise, so forming them per block changes no
+value, and the totals do not depend on BLOCK beyond rounding.  Each block
+comes with its barrier directions, theta = -sigma and the frames of its
+chunk's direction table, solved once per chunk
 (:func:`~crhomotopy.barrier.level_set_blocks`).  Per block the pivot of the
 conormal, and per block and run of points at one z the w-pivot and the
 non-pivot rows of the jets (:class:`_Run`), are formed once for all the
@@ -49,10 +58,10 @@ k-form W, and the Hodge star in n - 1 dimensions gives every total as
 (-1)^n (*G)(tau', beta'_L) (solution) or (*G)(beta'_L) (obstruction),
 times (-1)^p / w_p.
 
-W = i_delta *g annihilates delta, so G is taken on the quotient by delta
+W = i_v *g annihilates v, so G is taken on the quotient by v
 (:func:`_kernel_quotient`), for the value and the d-bar alike: per node the
-coordinate a = argmax_c |delta_c| is eliminated from the gamma' rows,
-x -> x - (x_a / delta_a) delta, and W is read only on the components that
+coordinate a = argmax_c |v_c| is eliminated from the gamma' rows,
+x -> x - (x_a / v_a) v, and W is read only on the components that
 avoid a.  For degree-1 input (k = n - 2) the reduced W is decomposable and
 its Hodge dual is a second kernel vector, eliminated the same way, which
 leaves one component: the chain evaluates n - 1 vectors of C^(n-2).  The
@@ -114,17 +123,17 @@ REJECT_LIMIT = 0.01
 # coefficient assembly plans
 # ---------------------------------------------------------------------------
 
-def _fold_weights(gw, det9, r):
+def _fold_weights(gw, conormal, r):
     """Point-independent contraction weights of a block of nodes, shape
-    (N, nM): W = (-1)^(r n) i_delta *g, the weighted degree-r field g = gw
-    contracted with delta_k = (-1)^k det9[:, k], so nM = C(n, n - 1 - r).
-    Term by term, W[:, M] sums sign(J + M) * gw[:, J] * det9[:, k] over the
-    k and J that complete M to range(n), sign(J + M) being that of the
-    sorting permutation.  A point's block total is then the sum over nodes
-    and M of W[:, M] * coef[:, L, M]."""
-    n = det9.shape[1]
-    delta = det9.T * ((-1.0) ** (np.arange(n) + r * n))[:, None]
-    return evaluate_form(hodge_star(gw.T, n, r), delta, n, n - r, 1).T
+    (N, nM): W = i_v *g, the Hodge star of the weighted degree-r field g =
+    gw contracted with the nodes' conormal v (N, n), so nM = C(n, n - 1 -
+    r) and W annihilates v.  Term by term, W[:, M] sums (-1)^(k + r n)
+    sign(J + M) * gw[:, J] * v[:, k] over the k and J that complete M to
+    range(n), sign(J + M) being that of the sorting permutation.  A point's
+    block total is then the sum over nodes and M of W[:, M] * coef[:, L,
+    M]."""
+    n = conormal.shape[1]
+    return evaluate_form(hodge_star(gw.T, n, r), conormal.T, n, n - r, 1).T
 
 
 class _Run:
@@ -137,8 +146,8 @@ class _Run:
     gamma_t running linearly from ``start`` = (beta0, gamma0) at t = 0 to
     (beta, gamma) at t = 1.  ``beta`` is read only for output degree above
     0.  ``kernel`` is :func:`_pivot` of the nodes' kernel vectors (n, N),
-    nonzero vectors with W(kernel, ...) = 0 for every point's weights W (a
-    multiple of delta, such as the conormal).
+    nonzero vectors with W(kernel, ...) = 0 for every point's weights W
+    (the conormal).
 
     eta is not an argument: with w = zeta - z, shape (N, n), every section
     has w^T eta = 1 and w^T beta = w^T gamma = w^T tau = 0 on the row index
@@ -404,7 +413,33 @@ def _t_rule(n):
 
 
 def _field_plan(n, r, kind):
-    """(r_out, sign) of the operator on degree-r input."""
+    """(r_out, constant) of the operator on degree-r input: the output
+    degree, and the real number that takes a point's total over the nodes,
+    of the contraction with W = i_v *g (:func:`_fold_weights`), to the
+    operator value.
+
+    Five factors meet in it.  (1) The oriented minor of the functional rows
+    without dzetabar index k is det9_k = (2i)^n / 2 (-1)^k v_k
+    (:func:`_det9_blocks`).  (2) The fold of the field against the minors,
+    term by term sign(J + M) g_J det9_k, is i_delta *g with delta_k = (-1)^(k
+    + r n) det9_k = (-1)^(r n) (2i)^n / 2 v_k: the (-1)^k cancel.  (3) The
+    cross sign of input and output degree is (-1)^(r r_out).  (4) The
+    solution kind takes (-1)^n, which moves the dt row past the dzeta
+    block, and one flip more, which realizes the interval-first product
+    orientation, calibrated once against the reproduction identity (see
+    tests).  (5) The Cauchy-Fantappie constant (n - 1)! / (2 pi i)^n
+    (Range, ch. IV; Henkin and Leiterer, Andreotti-Grauert Theory by
+    Integral Formulas, 1988) comes with (-1)^r.  Since (2i)^n / (2 pi i)^n
+    = 1 / pi^n, the product is (n - 1)! / (2 pi^n) times
+
+        obstruction (r_out = r):      (-1)^(r n) (-1)^(r r) (-1)^r
+                                      = (-1)^(r n),
+        solution (r_out = r - 1):     (-1)^(r n) (-1)^(r (r - 1)) (-(-1)^n)
+                                      (-1)^r = (-1)^((r + 1)(n + 1)).
+
+    The obstruction sign has not yet been checked on a nonzero value (see
+    the module docstring).
+    """
     r_out = {"solution": r - 1, "obstruction": r}.get(kind)
     if r_out is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -412,13 +447,8 @@ def _field_plan(n, r, kind):
         raise ValueError("solution operator needs input degree >= 1")
     if r_out > n - 1:
         raise ValueError("output degree exceeds the form bound")
-    sign = (-1.0) ** (r * r_out)
-    if kind == "solution":
-        # (-1)^n moves the dt row past the dzeta block; the extra flip
-        # realizes the interval-first product orientation, calibrated once
-        # against the reproduction identity (see tests)
-        sign *= -((-1.0) ** n)
-    return r_out, sign
+    power = r * n if kind == "obstruction" else (r + 1) * (n + 1)
+    return r_out, (-1.0) ** power * factorial(n - 1) / (2.0 * np.pi ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +472,10 @@ def _det9_blocks(conormal):
     """Oriented per-node minors of the functional rows with one dzetabar index
     removed, shape (N, n): (2i)^n / 2 * (-1)^k conormal[:, k], the node's
     orientation sign times the (2n-1) determinant of [conj(velocity) without
-    row k | velocity] (see :mod:`crhomotopy.quadrature`)."""
+    row k | velocity] (see :mod:`crhomotopy.quadrature`).  The operators
+    contract with the conormal itself and carry this scale in the constant
+    of :func:`_field_plan`; the tests hold the closed form against the dense
+    minors."""
     n = conormal.shape[1]
     return conormal * ((2j) ** n / 2 * (-1.0) ** np.arange(n))
 
@@ -455,17 +488,17 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     ``fields`` holds one :class:`FormField` per point.  The blocks of the
     stream come with their directions from
     :func:`~crhomotopy.barrier.level_set_blocks`, the frames of a chunk's
-    direction table solved at its first block.  Per block come the oriented
-    minors (a scaling of the block's conormal), the nodes' projection
-    (``extension``, the graph projection by default) and the weighted form
-    values of each point, and per block and point the contraction weights,
-    the section jets (on the block's directions), the rejection mask and
-    the contracted kernel, whose signed total goes straight into the
-    point's running sum; consecutive points at the same z share their
-    section jets and row reduction, so no value, weight or jet array spans
-    more than a block.  The d/dzbar jet beta is formed only when a point
-    reads it (output degree above 0, or a d-bar).  Returns a list of
-    :class:`OperatorResult`.
+    direction table solved at its first block.  Per block come the nodes'
+    projection (``extension``, the graph projection by default) and the
+    weighted form values of each point, and per block and point the
+    contraction weights (on the block's conormal), the section jets (on the
+    block's directions), the rejection mask and the contracted kernel,
+    whose total goes straight into the point's running sum; consecutive
+    points at the same z share their section jets and row reduction, so no
+    value, weight or jet array spans more than a block.  Each point's sum
+    is scaled once, at the end, by the constant of :func:`_field_plan`.
+    The d/dzbar jet beta is formed only when a point reads it (output
+    degree above 0, or a d-bar).  Returns a list of :class:`OperatorResult`.
 
     ``_dbar`` (private to :func:`identity_residual`) flags per point whether
     it (solution kind, degree-1 input) also gets ``dbar``, the ambient d-bar
@@ -514,12 +547,11 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
     # theta varies with zeta, so the jets read dG, only for m >= 2
     for block, directions in level_set_blocks(model, grid, model.m >= 2):
         total += block.zeta.shape[0]
-        det9 = _det9_blocks(block.conormal)             # (B, n)
         on_manifold = project(block.zeta)
         values = [f.values(model, on_manifold) for f in fields]  # (B, nJ)
         live = [np.any(g != 0, axis=1) for g in values]
         weighted = [g * block.weight[:, None] for g in values]
-        # delta, the kernel of the weights, is a multiple of the conormal
+        # the conormal is the kernel of the weights
         kernel = _pivot(block.conormal.T)
         for run in runs:
             z = z_list[run[0]]
@@ -533,31 +565,29 @@ def apply_operator_multi(model: ManifoldModel, fields, z_list,
                           **solution)
             for zi in run:
                 rejected[zi] += int(np.sum(bad & live[zi]))
-                W_kept = _fold_weights(weighted[zi], det9,
+                W_kept = _fold_weights(weighted[zi], block.conormal,
                                        fields[zi].degree) * ~bad[:, None]
                 folded = _folded_coefficients(
                     W_kept, shared, plans[zi][0],
                     tangent=pulls if dbars[zi] else None)
-                sign = plans[zi][1]
                 if dbars[zi]:
                     folded, d_folded = folded
-                    d_accums[zi].add(0.0 + sign * d_folded)
-                # adding to 0.0 turns -0.0 into +0.0, so a coefficient that
-                # is exactly zero is reported as 0.0
-                accums[zi].add(0.0 + sign * folded)
+                    d_accums[zi].add(d_folded)
+                accums[zi].add(folded)
 
     out = []
-    for zi in range(len(z_list)):
+    for zi, (r_out, constant) in enumerate(plans):
         if rejected[zi] > REJECT_LIMIT * max(total, 1):
             raise GridTooCoarseError(
                 f"{rejected[zi]}/{total} nodes rejected near the phase "
                 f"singularity at point {zi}")
-        r = fields[zi].degree
-        prefactor = (-1.0) ** r * factorial(n - 1) / (2.0j * np.pi) ** n
+        # adding to 0.0 turns -0.0 into +0.0, so a coefficient that is
+        # exactly zero is reported as 0.0
         out.append(OperatorResult(
-            ambient=prefactor * accums[zi].total(),
-            degree=plans[zi][0], rejected=rejected[zi], total_nodes=total,
-            dbar=(prefactor * d_accums[zi].total() if dbars[zi] else None)))
+            ambient=0.0 + constant * accums[zi].total(),
+            degree=r_out, rejected=rejected[zi], total_nodes=total,
+            dbar=(0.0 + constant * d_accums[zi].total() if dbars[zi]
+                  else None)))
     return out
 
 

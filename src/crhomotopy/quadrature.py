@@ -16,12 +16,13 @@ The velocity matrix of the parameterization is block-triangular over
 (z', u, sigma), so its (2n-1)-minors are the components of this conormal
 (the coarea / Leray-form identity): the surface factor is eps^(m-1) |v|, and
 the oriented minors that pull a form back are
-(2i)^n / 2 * eps^(m-1) (-1)^k v_k (see
-:func:`crhomotopy.homotopy._det9_blocks`).  ``conormal`` stores
-eps^(m-1) v.  The sphere tangent basis drops out, so its sign is a gauge.
-No node carries velocity columns: ``tests/oracles.py`` rebuilds them from
-the chart point and sigma (with :func:`_sphere_tangent_basis`) for the
-dense determinants that are the test oracle.
+(2i)^n / 2 * eps^(m-1) (-1)^k v_k.  ``conormal`` stores eps^(m-1) v; the
+operators contract with it and carry the scale (2i)^n / 2 in one real
+constant (see :mod:`crhomotopy.homotopy`).  The sphere tangent basis drops
+out, so its sign is a gauge.  No node carries velocity columns:
+``tests/oracles.py`` rebuilds them from the chart point and sigma (with
+:func:`_sphere_tangent_basis`) for the dense determinants that are the test
+oracle.
 
 Samplers:
 

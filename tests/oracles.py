@@ -174,6 +174,16 @@ def contraction_table(n, r):
     return table
 
 
+def fold_vector(det9, r):
+    """The vector that ``homotopy._fold_weights`` contracts to fold a
+    degree-r field against the oriented minors det9 (N, n) term by term, by
+    the signs of :func:`contraction_table`: delta_k = (-1)^(k + r n)
+    det9[:, k].  For the closed-form minors this is (-1)^(r n) (2i)^n / 2
+    times the conormal, the scale the operators carry in their constant."""
+    n = det9.shape[1]
+    return det9 * (-1.0) ** (np.arange(n) + r * n)
+
+
 def brute_wedge(jets, n, r):
     """sum over J, l of jets[..., J, l] dzbar_l ^ dzbar_J by raw symbol
     expansion: the symbols (l, *J) are sorted with the sign of their

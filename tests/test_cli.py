@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,74 @@ from crhomotopy import cli
 from crhomotopy._util import canonical_json
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the keys every JSON report carries
+COMMON_KEYS = {"schema", "command", "model_hash", "config_hash"}
+# the run-homotopy row of homotopy.json and its CSV table
+RESIDUAL_COLUMNS = ("epsilon", "budget", "point", "residual", "f_norm",
+                    "rejected", "total_nodes")
+# per report file, the key paths of a JSON report besides COMMON_KEYS (see
+# key_paths) or the header of a CSV table
+REPORT_KEYS = {
+    "geometry.json": {
+        "certification.passed", "certification.required",
+        "certification.min_negative_eigenvalues",
+        "certification.min_positive_eigenvalues",
+        "certification.worst_direction", "certification.frame_gap_warnings"},
+    "barrier.json": {
+        "lower_bound.passed", "lower_bound.c_hat", "lower_bound.c_hat_abs",
+        "lower_bound.argmin_zeta", "expansion.exact", "expansion.slope"},
+    "barrier_quotients.csv": ("index", "quotient"),
+    "kernels.json": {
+        "normalization_worst", "closedness.order", "closedness.residual",
+        "closedness.scale"},
+    "homotopy.json": {
+        "ladder[].epsilon", "ladder[].budget", "ladder[].worst_residual",
+        "obstruction_max"} | {f"rows[].{c}" for c in RESIDUAL_COLUMNS},
+    "homotopy_residuals.csv": RESIDUAL_COLUMNS,
+    "index_certificate.json": {
+        "obstruction_sweep.records",
+        "obstruction_sweep.below_concavity_nonempty", "dichotomy_violations"}
+    | {f"certificate[].{k}" for k in ("n", "m", "q", "r", "family",
+                                      "indices", "bounded", "vanishing")},
+    "norms.json": {"coordinate_function.tangential_quotient",
+                   "coordinate_function.ambient_quotient"},
+    "norm_quotients.csv": ("regime", "id", "quotient"),
+}
+
 def run_cli(args):
     return cli.main(args)
+
+
+def key_paths(value, path=""):
+    """The key paths of a JSON value: ``a.b`` into an object, ``a[].b`` into
+    the objects of a list; any other value, a list of numbers or an empty
+    list included, ends a path."""
+    if isinstance(value, dict):
+        return set().union(*(key_paths(v, f"{path}.{k}" if path else k)
+                             for k, v in value.items()))
+    if value and isinstance(value, list) and all(isinstance(x, dict)
+                                                 for x in value):
+        return set().union(*(key_paths(x, path + "[]") for x in value))
+    return {path}
+
+
+def readme_report_keys():
+    """The README's "Report keys" section: per report file, the backticked
+    names of its rows' Key column, and the backticked names of the prose
+    above the table."""
+    section = README.read_text(encoding="utf-8").split(
+        "\n## Report keys\n", 1)[1].split("\n## ", 1)[0]
+    prose, table = section.split("\n|", 1)
+    keys, report = {}, None
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        report = cells[0].strip("`") or report
+        keys.setdefault(report, set()).update(re.findall(r"`([^`]+)`",
+                                                         cells[1]))
+    return keys, set(re.findall(r"`([^`]+)`", prose))
 
 
 class TestParsing:
@@ -114,8 +181,12 @@ class TestParsing:
 
 class TestPipeline:
     def test_full_pipeline_smallest_budgets(self, tmp_path):
-        out = str(tmp_path / "rep")
-        base = ["--model", "bundled:sig22_n5", "--out", out]
+        # the six commands write exactly the pinned files and keys, each
+        # verdict as a JSON boolean, and the README's "Report keys" table
+        # names exactly those keys per file (the common keys in the prose
+        # above it), so neither can drift
+        out = tmp_path / "rep"
+        base = ["--model", "bundled:sig22_n5", "--out", str(out)]
         assert run_cli(base + ["check-geometry"]) == 0
         assert run_cli(base + ["audit-barrier", "--budget", "3000"]) == 0
         assert run_cli(base + ["audit-kernels", "--budget", "300"]) == 0
@@ -123,9 +194,27 @@ class TestPipeline:
                                "--budget", "3000", "--points", "1"]) == 0
         assert run_cli(base + ["index-audit", "--n-max", "6"]) == 0
         assert run_cli(base + ["estimate-norms", "--budget", "150"]) == 0
-        for name in ("geometry.json", "barrier.json", "kernels.json",
-                     "homotopy.json", "index_certificate.json", "norms.json"):
-            assert os.path.exists(os.path.join(out, name))
+        documented, prose = readme_report_keys()
+        assert COMMON_KEYS <= prose
+        assert sorted(os.listdir(out)) == sorted(documented) \
+            == sorted(REPORT_KEYS)
+        reports = {}
+        for name, keys in REPORT_KEYS.items():
+            text = (out / name).read_text()
+            if name.endswith(".csv"):
+                assert tuple(text.splitlines()[0].split(",")) == keys
+            else:
+                reports[name] = json.loads(text)
+                assert key_paths(reports[name]) == COMMON_KEYS | keys
+            assert documented[name] == set(keys), name
+        assert reports["geometry.json"]["certification"]["passed"] is True
+        barrier = reports["barrier.json"]
+        certificate = reports["index_certificate.json"]["certificate"]
+        verdicts = [barrier["lower_bound"]["passed"],
+                    barrier["expansion"]["exact"]]
+        verdicts += [row[key] for row in certificate
+                     for key in ("bounded", "vanishing")]
+        assert all(isinstance(v, bool) for v in verdicts)
 
     def test_homotopy_rows_carry_node_counts(self, tmp_path):
         out = str(tmp_path / "rows")
@@ -157,6 +246,20 @@ class TestPipeline:
                 "for input degree below q = 1") in capsys.readouterr().err
         assert os.listdir(out) == ["geometry.json"]
 
+    def test_homotopy_refuses_uncertified_model(self, tmp_path, capsys):
+        # H = diag(1, 0, -1, -1) has one negative Levi eigenvalue in one of
+        # the two level directions, where q = 2 requires two
+        model = tmp_path / "flat.model"
+        model.write_text("n = 5\nm = 1\nq = 2\nH 1\n1,0 0,0 0,0 0,0\n"
+                         "0,0 0,0 0,0 0,0\n0,0 0,0 -1,0 0,0\n"
+                         "0,0 0,0 0,0 -1,0\n")
+        out = tmp_path / "out"
+        assert run_cli(["--model", str(model), "--out", str(out),
+                        "run-homotopy", "--budget", "500"]) == 2
+        assert ("error: model failed concavity certification: min negative "
+                "eigenvalues 1 (required 2)") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_homotopy_needs_no_geometry_report(self, tmp_path):
         # run-homotopy certifies the model itself and reads no other report
         out = tmp_path / "fresh"
@@ -165,20 +268,6 @@ class TestPipeline:
                         "--points", "1"]) == 0
         assert sorted(os.listdir(out)) == ["homotopy.json",
                                            "homotopy_residuals.csv"]
-
-    def test_geometry_report_holds_only_verdict_keys(self, tmp_path):
-        # --resolution lives in the config hash; the amplitude search
-        # feeds no verdict
-        assert run_cli(["--model", "bundled:sig22_n5", "--out",
-                        str(tmp_path), "check-geometry"]) == 0
-        payload = json.loads((tmp_path / "geometry.json").read_text())
-        assert set(payload) == {"schema", "command", "model_hash",
-                                "config_hash", "certification"}
-        assert set(payload["certification"]) == {
-            "passed", "required", "min_negative_eigenvalues",
-            "min_positive_eigenvalues", "worst_direction",
-            "frame_gap_warnings"}
-        assert payload["certification"]["passed"] is True
 
     @pytest.mark.parametrize("model", ["sig22_n5", "sig22_n6m2"])
     def test_reports_byte_identical_across_runs(self, model, tmp_path):

@@ -13,7 +13,7 @@ from crhomotopy._util import (basis_interior_table, evaluate_form,
                               interior_tables, wedge_jets)
 from crhomotopy.fields import conjugate_frame_rows, tangential_components
 from oracles import (brute_wedge, contraction_table, dual_covector_rows,
-                     project_tangential)
+                     fold_vector, project_tangential)
 
 
 def cplx(rng, *shape):
@@ -82,7 +82,7 @@ def test_fold_weights_match_contraction_table(n, r, rng):
     want = np.zeros((N, comb(n, n - 1 - r)), dtype=complex)
     for k, j_idx, m_idx, sign in contraction_table(n, r):
         want[:, m_idx] += sign * gw[:, j_idx] * det9[:, k]
-    got = homotopy._fold_weights(gw, det9, r)
+    got = homotopy._fold_weights(gw, fold_vector(det9, r), r)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

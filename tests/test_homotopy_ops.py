@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from oracles import (applied_adjoint, barrier_mixed_jets,
                      codimension_four_model, contraction_table,
                      dense_coefficients, dense_det9, dense_pullback,
                      dense_orientation_and_jacobian, euclidean_mixed_jets,
-                     first_chunk, full_row_folded_coefficients,
+                     first_chunk, fold_vector, full_row_folded_coefficients,
                      gradient_flow_projection, project_tangential,
                      quotient_scatter, random_quadric, row_contraction,
                      stream_chunks, tangential_dbar_values,
@@ -759,6 +760,28 @@ class TestSmallDet:
 
 
 class TestOperators:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_field_plan_constant_is_the_product_of_its_factors(self, n):
+        # the one real constant per kind and input degree against the five
+        # factors it stands for: the (2i)^n / 2 of the oriented minors, the
+        # fold's (-1)^(r n), the cross sign (-1)^(r r_out), the solution
+        # kind's -(-1)^n and the Cauchy-Fantappie constant (-1)^r (n - 1)!
+        # / (2 pi i)^n.  The obstruction sign is unchecked on a nonzero
+        # value; a change to either sign has to edit this test
+        for kind, degrees in (("solution", range(1, n + 1)),
+                              ("obstruction", range(n))):
+            for r in degrees:
+                r_out, constant = homotopy._field_plan(n, r, kind)
+                cross = (-1.0) ** (r * r_out)
+                if kind == "solution":
+                    cross *= -((-1.0) ** n)
+                product = ((2j) ** n / 2 * (-1.0) ** (r * n) * cross
+                           * (-1.0) ** r * factorial(n - 1)
+                           / (2j * np.pi) ** n)
+                assert isinstance(constant, float)
+                np.testing.assert_allclose(constant, product, rtol=1e-15,
+                                           atol=0)
+
     def test_zero_form_gives_zero(self, primary):
         zero = chart_form(5, 1, [ZeroChart()] * 5)
         z = np.zeros(5, dtype=complex)
@@ -1058,8 +1081,7 @@ class TestOperators:
             _, _, gamma0, pull0 = bochner_martinelli_jets(block.zeta, z)
             run = homotopy._Run(block.zeta - z, beta1, gamma1,
                                 homotopy._pivot(block.conormal.T))
-            W = homotopy._fold_weights(
-                cplx(B, n), homotopy._det9_blocks(block.conormal), 1)
+            W = homotopy._fold_weights(cplx(B, n), block.conormal, 1)
             _, ends, dim, reduce = homotopy._kernel_quotient(
                 W.T * run.scale, [gamma0, gamma1], run.kernel, run.row,
                 n - 2)
@@ -1138,7 +1160,8 @@ class TestOperators:
                   + 1j * rng.standard_normal((N, nJ))) * chunk.weight[:, None]
             r_out, _ = homotopy._field_plan(model.n, r, kind)
             table = contraction_table(model.n, r)
-            W = homotopy._fold_weights(gw, det9, r) * keep[:, None]
+            W = homotopy._fold_weights(gw, fold_vector(det9, r), r) \
+                * keep[:, None]
             if kind == "solution":
                 t = 0.3
                 coef = dense_coefficients(
@@ -1246,7 +1269,7 @@ class TestOperators:
             w, rng, 4)
         conormal = cplx(N, n)
         gw = cplx(N, len(index_combinations(n, r)))
-        W = homotopy._fold_weights(gw, homotopy._det9_blocks(conormal), r) \
+        W = homotopy._fold_weights(gw, conormal, r) \
             * (rng.random(N) > 0.2)[:, None]
         if kind == "solution":
             t_rule = ((0.2, 0.6), (0.7, 0.4))
@@ -1358,7 +1381,7 @@ class TestOperators:
         gw = cplx(N, len(index_combinations(n, r)))
         gw[sort == 1] = 0.0
         gw[sort == 2] *= 2.0 ** -1030
-        # delta is a multiple of the conormal, the kernel vector passed
+        # W is folded on the conormal, the kernel vector passed
         conormal = cplx(N, n)
         ties = np.flatnonzero(sort == 3)
         a = rng.integers(n, size=len(ties))
@@ -1367,7 +1390,7 @@ class TestOperators:
                                      keepdims=True)
         conormal[ties, a] = np.exp(2j * np.pi * rng.random(len(ties)))
         conormal[ties, b] = conormal[ties, a].conj()
-        W = homotopy._fold_weights(gw, homotopy._det9_blocks(conormal), r) \
+        W = homotopy._fold_weights(gw, conormal, r) \
             * (rng.random(N) > 0.1)[:, None]
         if kind == "solution":
             t_rule, start = ((0.2, 0.6), (0.7, 0.4)), (beta0, gamma0)
@@ -1443,14 +1466,13 @@ class TestOperators:
         tensors = (euclidean_mixed_jets(chunk.zeta, z, frame),
                    barrier_mixed_jets(model, chunk.zeta, z, frame))
         t_rule = homotopy._t_rule(n)
-        det9 = homotopy._det9_blocks(chunk.conormal)
         for kind in ("solution", "obstruction"):
             for r_out in (0, 1):
                 r = r_out + (kind == "solution")
                 nJ = len(index_combinations(n, r))
                 W = homotopy._fold_weights(
                     rng.standard_normal((N, nJ))
-                    + 1j * rng.standard_normal((N, nJ)), det9, r)
+                    + 1j * rng.standard_normal((N, nJ)), chunk.conormal, r)
                 if kind == "solution":
                     args = (beta1, gamma1, r_out)
                     kw = dict(tau=eta1 - eta0, start=(beta0, gamma0),

@@ -25,6 +25,7 @@ ALLOWED = {
     ("norms", "regularity_gain_report"): "the benchmark's tracer wraps it",
     ("geometry", "find_modification_amplitude"):
         "the benchmark's tracer wraps it",
+    ("homotopy", "_det9_blocks"): "the benchmark's tracer wraps it",
     ("quadrature", "QuadratureGrid.header"):
         "the benchmark keys node streams by it",
     ("indexcalc", "realized_kernel_decay"): "the decay_n6m2 workload calls it",
